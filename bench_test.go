@@ -14,6 +14,7 @@ import (
 
 	"sliceline"
 	"sliceline/datasets"
+	"sliceline/internal/bench"
 	"sliceline/internal/dist"
 	"sliceline/internal/frame"
 )
@@ -208,26 +209,20 @@ func BenchmarkFig7Rows(b *testing.B) {
 }
 
 // BenchmarkFig7Strategies compares parallelization strategies (Figure 7b):
-// MT-Ops, MT-PFor and Dist-PFor over in-process row-partitioned workers.
+// MT-Ops (a barrier per block), MT-PFor (the built-in evaluation) and
+// Dist-PFor over in-process row-partitioned workers.
 func BenchmarkFig7Strategies(b *testing.B) {
 	gen()
 	// One shared block size isolates orchestration costs (see fig7b).
 	const blockSize = 256
-	mkLocal := func(s dist.Strategy) sliceline.Config {
-		ev, err := dist.NewLocal(s, blockSize)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sliceline.Config{Alpha: 0.95, MaxLevel: 3, Evaluator: ev}
-	}
 	b.Run("MT-Ops", func(b *testing.B) {
-		cfg := mkLocal(dist.MTOps)
+		cfg := sliceline.Config{Alpha: 0.95, MaxLevel: 3, Evaluator: &bench.BarrierEvaluator{BlockSize: blockSize}}
 		for i := 0; i < b.N; i++ {
 			mustRun(b, censusG, cfg)
 		}
 	})
 	b.Run("MT-PFor", func(b *testing.B) {
-		cfg := mkLocal(dist.MTPFor)
+		cfg := sliceline.Config{Alpha: 0.95, MaxLevel: 3, BlockSize: blockSize}
 		for i := 0; i < b.N; i++ {
 			mustRun(b, censusG, cfg)
 		}
@@ -271,7 +266,7 @@ func BenchmarkMLSystemsComparison(b *testing.B) {
 	})
 	b.Run("dense-intermediates", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mustRun(b, adultG, sliceline.Config{Alpha: 0.95, MaxLevel: 3, DenseEval: true})
+			mustRun(b, adultG, sliceline.Config{Alpha: 0.95, MaxLevel: 3, Evaluator: &bench.DenseIntermediates{}})
 		}
 	})
 }

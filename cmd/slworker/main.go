@@ -30,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"sliceline/internal/core"
 	"sliceline/internal/dist"
 	"sliceline/internal/membership"
 	"sliceline/internal/obs"
@@ -41,7 +40,6 @@ func main() {
 	addr := flag.String("addr", ":7071", "listen address (host:port)")
 	drainTimeout := flag.Duration("drain-timeout", dist.DefaultDrainTimeout, "max wait for in-flight calls on SIGTERM/SIGINT")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /debug/vars and /debug/pprof on this address")
-	bitset := flag.String("bitset", "auto", "slice-membership kernel: auto (by partition density), on (packed bitset), off (fused CSR)")
 	join := flag.String("join", "", "driver membership URL (e.g. http://driver:7070): announce this worker and keep the lease renewed")
 	id := flag.String("id", "", "stable member identity for -join (default: the advertised address)")
 	advertise := flag.String("advertise", "", "address the driver should dial for -join (default: derived from -addr)")
@@ -52,18 +50,12 @@ func main() {
 		fmt.Println("slworker", version.String())
 		return
 	}
-	mode, err := core.ParseBitsetMode(*bitset)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "slworker:", err)
-		os.Exit(2)
-	}
-
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slworker:", err)
 		os.Exit(1)
 	}
-	opts := dist.ServerOptions{BitsetEval: mode, MaxPartitions: *maxParts}
+	opts := dist.ServerOptions{MaxPartitions: *maxParts}
 	if *metricsAddr != "" {
 		opts.Metrics = obs.NewRegistry()
 		msrv, maddr, err := obs.Serve(*metricsAddr, opts.Metrics)

@@ -383,9 +383,9 @@ func runFig7a(w io.Writer, opt Options) error {
 	return tw.Flush()
 }
 
-// runFig7b: parallelization strategies — MT-Ops, MT-PFor, and Dist-PFor over
-// TCP workers with gob serialization (a simulated scale-out cluster on
-// localhost).
+// runFig7b: parallelization strategies — MT-Ops (BarrierEvaluator), MT-PFor
+// (the built-in evaluation at BlockSize b), and Dist-PFor over TCP workers
+// with gob serialization (a simulated scale-out cluster on localhost).
 func runFig7b(w io.Writer, opt Options) error {
 	g := datagen.USCensus(scaleFor(opt).uscensus, opt.seed())
 	enc, err := frame.OneHot(g.DS)
@@ -398,7 +398,9 @@ func runFig7b(w io.Writer, opt Options) error {
 	fmt.Fprintln(tw, "strategy\tworkers\telapsed\ttop-1 score")
 	report := func(name string, workers int, ev core.ExternalEvaluator) error {
 		c := cfg
-		c.Evaluator = ev
+		if ev != nil {
+			c.Evaluator = ev
+		}
 		start := time.Now()
 		res, err := core.RunEncoded(enc, g.DS.Features, g.Err, opt.config(c))
 		if err != nil {
@@ -415,18 +417,11 @@ func runFig7b(w io.Writer, opt Options) error {
 	// All strategies share one block size so the comparison isolates the
 	// orchestration (barriers, broadcast, serialization), not scan sharing.
 	const b = 256
-	mtOps, err := dist.NewLocal(dist.MTOps, b)
-	if err != nil {
+	cfg.BlockSize = b
+	if err := report("MT-Ops", 1, &BarrierEvaluator{BlockSize: b}); err != nil {
 		return err
 	}
-	if err := report("MT-Ops", 1, mtOps); err != nil {
-		return err
-	}
-	mtPFor, err := dist.NewLocal(dist.MTPFor, b)
-	if err != nil {
-		return err
-	}
-	if err := report("MT-PFor", 1, mtPFor); err != nil {
+	if err := report("MT-PFor", 1, nil); err != nil {
 		return err
 	}
 	for _, nw := range []int{2, 4} {
@@ -530,7 +525,7 @@ func runMLSys(w io.Writer, opt Options) error {
 	fmt.Fprintf(tw, "SliceLine (fused sparse)\t%s\t%s\n", fmtDur(fused), top)
 
 	start = time.Now()
-	resD, err := core.RunEncoded(enc, g.DS.Features, g.Err, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3, DenseEval: true}))
+	resD, err := core.RunEncoded(enc, g.DS.Features, g.Err, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3, Evaluator: &DenseIntermediates{}}))
 	if err != nil {
 		return err
 	}

@@ -16,8 +16,7 @@ import (
 // (cmd/slbenchdiff). The gated kernel benchmarks run single-threaded
 // (matrix.SetMaxWorkers(1)): allocs/op must not depend on the runner's core
 // count, and single-threaded ns/op is far less noisy on shared CI machines.
-// The ungated run/* entries measure the end-to-end enumeration at ambient
-// parallelism and are informational.
+// End-to-end runs are measured by cmd/slperf, not here.
 
 // kernelWorkload is the fixed workload of the gated kernel benchmarks: the
 // quick-scale dataset of the core package's eval benchmarks (2000 rows, 6
@@ -95,7 +94,7 @@ type kernelCase struct {
 
 func csrOp(level int) func(*kernelWorkload, [][]int, []float64, []float64, []float64) {
 	return func(wl *kernelWorkload, cols [][]int, ss, se, sm []float64) {
-		core.EvalPartition(wl.x, wl.e, cols, level, core.DefaultBlockSize, ss, se, sm)
+		core.EvalPartitionWeighted(wl.x, wl.e, nil, cols, level, core.DefaultBlockSize, ss, se, sm)
 	}
 }
 
@@ -183,44 +182,6 @@ func KernelSuite(seed int64) ([]benchfmt.Benchmark, error) {
 
 // kernelRepeats is the best-of-N repeat count for gated measurements.
 const kernelRepeats = 3
-
-// RunSuite measures the ungated end-to-end enumeration benchmarks: one full
-// Run per op through each kernel mode at ambient parallelism. These entries
-// track the perf trajectory without failing CI on machine-dependent noise.
-func RunSuite(seed int64) ([]benchfmt.Benchmark, error) {
-	wl, err := newKernelWorkload(seed)
-	if err != nil {
-		return nil, err
-	}
-	ds := wl.ds
-	modes := []struct {
-		name string
-		mode core.BitsetMode
-	}{
-		{"run/bitset-on", core.BitsetOn},
-		{"run/bitset-off", core.BitsetOff},
-	}
-	out := make([]benchfmt.Benchmark, 0, len(modes))
-	for _, mc := range modes {
-		cfg := core.Config{K: 4, Sigma: 20, Alpha: 0.95, BitsetEval: mc.mode}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(ds, wl.e, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		out = append(out, benchfmt.Benchmark{
-			Name:        mc.name,
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			RowsPerSec:  rowsPerSec(wl.x.Rows(), r),
-		})
-	}
-	return out, nil
-}
 
 func rowsPerSec(rows int, r testing.BenchmarkResult) float64 {
 	secs := r.T.Seconds()

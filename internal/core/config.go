@@ -39,11 +39,12 @@ type Config struct {
 	// MaxLevel caps the lattice level (the paper's ⌈L⌉). <= 0 means
 	// unbounded, i.e. min(m, ...) terminates the loop.
 	MaxLevel int
-	// BlockSize is the hybrid evaluation block size b of Section 4.4:
-	// 1 is pure task-parallel, nrow(S) is pure data-parallel, and the
-	// paper's experiments default to 16. <= 0 selects an automatic size
-	// that balances scan sharing against parallelism: roughly
-	// nrow(S)/(4*workers), at least 16.
+	// BlockSize is the hybrid evaluation block size b of Section 4.4 for
+	// the fused CSR kernel: 1 is pure task-parallel, nrow(S) one shared
+	// scan, and the paper's experiments default to 16. <= 0 selects an
+	// automatic size that balances scan sharing against parallelism:
+	// roughly nrow(S)/(4*workers), at least 16, at most nrow(S)/workers.
+	// It changes execution plan, never results.
 	BlockSize int
 
 	// Ablation switches (Figure 3). The zero value enables everything.
@@ -85,23 +86,6 @@ type Config struct {
 	// priority-based enumeration (Section 7) inside the level-wise
 	// framework; results are identical, only less work may be done.
 	PriorityEnumeration bool
-
-	// DenseEval materializes the X·Sᵀ product and indicator I as dense
-	// chunked intermediates instead of using the fused sparse kernel,
-	// modelling ML systems with limited sparse-operation support (the
-	// kernel-quality comparison of Section 5.4). Off by default.
-	DenseEval bool
-
-	// BitsetEval selects the slice-membership kernel for the built-in
-	// evaluation path: BitsetAuto (the zero value) packs the reduced one-hot
-	// columns into []uint64 bitsets and evaluates candidates with
-	// AND+popcount whenever the average column density is at least 1/64,
-	// falling back to the fused CSR kernel below it; BitsetOn and BitsetOff
-	// force one path for ablations and differential tests. Like BlockSize,
-	// it changes execution plan, never results. Ignored when DenseEval or an
-	// external Evaluator is set; distributed workers apply their own
-	// (worker-side) knob.
-	BitsetEval BitsetMode
 
 	// Evaluator, when non-nil, delegates slice evaluation — for example to
 	// the distributed backends of package dist. The enumeration, pruning

@@ -31,8 +31,6 @@ var (
 	// ErrWeightedEvaluator marks the unsupported combination of row weights
 	// with an external evaluator.
 	ErrWeightedEvaluator = errors.New("external evaluators do not support row weights")
-	// ErrBadBitsetMode marks a Config.BitsetEval outside auto/on/off.
-	ErrBadBitsetMode = errors.New("invalid BitsetEval mode")
 	// ErrBadBudget marks a negative Config.Budget. (Zero disables the
 	// budget; any positive duration is a valid anytime bound.)
 	ErrBadBudget = errors.New("invalid Budget")
@@ -50,11 +48,6 @@ var (
 func (c Config) Validate() error {
 	if math.IsNaN(c.Alpha) || math.IsInf(c.Alpha, 0) {
 		return fmt.Errorf("core: Alpha = %v: %w", c.Alpha, ErrBadAlpha)
-	}
-	switch c.BitsetEval {
-	case BitsetAuto, BitsetOn, BitsetOff:
-	default:
-		return fmt.Errorf("core: BitsetEval = %d: %w", int(c.BitsetEval), ErrBadBitsetMode)
 	}
 	if c.Budget < 0 {
 		return fmt.Errorf("core: Budget = %v: %w", c.Budget, ErrBadBudget)

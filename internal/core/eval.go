@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"sliceline/internal/matrix"
@@ -32,11 +31,14 @@ type ExternalEvaluator interface {
 //	I  = ((X Sᵀ) = L)
 //	ss = colSums(I)   se = (eᵀ I)ᵀ   sm = colMaxs(I · e)
 //
-// The implementation is the fused, hybrid-parallel form: slices are grouped
+// The implementation is the fused, block-parallel form: slices are grouped
 // into blocks of cfg.BlockSize (b=1 reproduces the task-parallel plan of
-// Algorithm 1 lines 16-18, b=nrow(S) the data-parallel plan), each block
-// scans X once and counts predicate matches through a per-block inverted
-// column index, never materializing the n × nrow(S) indicator I.
+// Algorithm 1 lines 16-18, b=nrow(S) one shared scan), each block scans X
+// once and counts predicate matches through a per-block inverted column
+// index, never materializing the n × nrow(S) indicator I. Row-partitioned
+// data parallelism is the distributed backends' job (package dist). Dense
+// columns take the packed-bitset kernel instead; every plan returns the same
+// bits.
 func (st *state) evalSlices(ctx context.Context, lv *level, L int) error {
 	nSlices := lv.size()
 	if nSlices == 0 {
@@ -71,14 +73,10 @@ func (st *state) evalSlices(ctx context.Context, lv *level, L int) error {
 		// candidate's last evaluation are scanned.
 		sp.SetStr("backend", "memo")
 		st.memo.evalLevel(st.origCols, st.e, lv)
-	case st.cfg.DenseEval:
-		sp.SetStr("backend", "dense")
-		st.evalDense(lv, L)
 	default:
-		// Per-level kernel selection (Config.BitsetEval): packed-bitset
-		// AND+popcount when the reduced columns are dense enough, the fused
-		// CSR kernel otherwise. The packing happens once, on the first level
-		// that takes the bitset path.
+		// Kernel selection by density: packed-bitset AND+popcount when the
+		// reduced columns are dense enough, the fused CSR kernel otherwise.
+		// The packing happens once, on the first level.
 		sp.SetStr("backend", st.kernel.Backend())
 		st.kernel.Eval(lv.cols, L, st.cfg.BlockSize, lv.ss, lv.se, lv.sm)
 	}
@@ -90,18 +88,19 @@ func (st *state) evalSlices(ctx context.Context, lv *level, L int) error {
 	return nil
 }
 
-// EvalPartition evaluates candidates against one row partition of the
-// one-hot matrix, accumulating into ss/se/sm (callers pass zeroed slices of
-// length len(cols)). blockSize <= 0 selects the automatic size. It is the
-// kernel shared by the local evaluator and the distributed workers.
-func EvalPartition(x *matrix.CSR, e []float64, cols [][]int, level, blockSize int, ss, se, sm []float64) {
-	EvalPartitionWeighted(x, e, nil, cols, level, blockSize, ss, se, sm)
-}
-
-// EvalPartitionWeighted is EvalPartition with optional row weights: row i
-// contributes w[i] to slice sizes and w[i]·e[i] to slice errors (nil w means
-// unit weights). The maximum tuple error sm ignores the magnitude of positive
-// weights but excludes zero-weight (retired) rows entirely.
+// EvalPartitionWeighted is the fused CSR kernel: it evaluates candidates
+// against one row partition of the one-hot matrix, accumulating into ss/se/sm
+// (callers pass zeroed slices of length len(cols)). Row i contributes w[i] to
+// slice sizes and w[i]·e[i] to slice errors (nil w means unit weights). The
+// maximum tuple error sm ignores the magnitude of positive weights but
+// excludes zero-weight (retired) rows entirely. blockSize <= 0 selects the
+// automatic size. It is the kernel shared by the local evaluator and the
+// distributed workers.
+//
+// Candidates are grouped into blocks that run in parallel, and each block
+// scans its rows serially in ascending order — the accumulation order of
+// EvalBitsetWeighted — so the statistics are bit-identical for every block
+// size, worker count and kernel choice.
 func EvalPartitionWeighted(x *matrix.CSR, e, w []float64, cols [][]int, level, blockSize int, ss, se, sm []float64) {
 	nSlices := len(cols)
 	if nSlices == 0 {
@@ -110,20 +109,14 @@ func EvalPartitionWeighted(x *matrix.CSR, e, w []float64, cols [][]int, level, b
 	b := blockSize
 	if b <= 0 {
 		// Auto: one scan of X per block is the dominant cost, so prefer few
-		// large blocks while leaving enough blocks to keep all workers busy.
-		b = (nSlices + 4*matrix.MaxWorkers() - 1) / (4 * matrix.MaxWorkers())
-		if b < DefaultBlockSize {
-			b = DefaultBlockSize
-		}
+		// large blocks while leaving enough blocks to keep all workers busy,
+		// and never fewer blocks than workers.
+		workers := matrix.MaxWorkers()
+		b = max((nSlices+4*workers-1)/(4*workers), DefaultBlockSize)
+		b = min(b, (nSlices+workers-1)/workers)
 	}
-	if b > nSlices {
-		b = nSlices
-	}
+	b = min(b, nSlices)
 	nBlocks := (nSlices + b - 1) / b
-	if nBlocks == 1 {
-		evalBlockRowParallel(x, e, w, cols, level, 0, nSlices, ss, se, sm)
-		return
-	}
 	matrix.ParallelFor(nBlocks, func(lo, hi int) {
 		for blk := lo; blk < hi; blk++ {
 			s0 := blk * b
@@ -195,140 +188,5 @@ func evalBlockSerial(x *matrix.CSR, e, w []float64, cols [][]int, L, s0, s1 int,
 			bi.counts[s] = 0
 		}
 		bi.touched = bi.touched[:0]
-	}
-}
-
-// evalBlockRowParallel evaluates one block with row-partitioned parallelism
-// (the data-parallel plan: rows of X are scanned concurrently and per-worker
-// partial statistics are merged), used when all slices fit a single block.
-//
-// Partials are merged in row-chunk order, not goroutine-completion order:
-// float64 addition is not associative, so a completion-order merge would make
-// the same run return se values that differ in the last ULPs from one
-// invocation to the next. The row chunking itself is deterministic (it
-// depends only on n and MaxWorkers), so repeated runs are bit-identical.
-func evalBlockRowParallel(x *matrix.CSR, e, w []float64, cols [][]int, L, s0, s1 int, ss, se, sm []float64) {
-	width := s1 - s0
-	n := x.Rows()
-	workers := matrix.MaxWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		evalBlockSerial(x, e, w, cols, L, s0, s1, ss, se, sm)
-		return
-	}
-	type partial struct {
-		ss, se, sm []float64
-	}
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	partials := make([]partial, nChunks)
-	want := int32(L)
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			bi := buildBlockIndex(x.Cols(), cols, s0, s1)
-			p := partial{
-				ss: make([]float64, width),
-				se: make([]float64, width),
-				sm: make([]float64, width),
-			}
-			for i := lo; i < hi; i++ {
-				rowCols, _ := x.RowEntries(i)
-				bi.scanRow(rowCols)
-				ei := e[i]
-				wi := 1.0
-				if w != nil {
-					wi = w[i]
-				}
-				for _, s := range bi.touched {
-					if bi.counts[s] == want {
-						p.ss[s] += wi
-						p.se[s] += wi * ei
-						if wi > 0 && ei > p.sm[s] {
-							p.sm[s] = ei
-						}
-					}
-					bi.counts[s] = 0
-				}
-				bi.touched = bi.touched[:0]
-			}
-			partials[c] = p
-		}(c)
-	}
-	wg.Wait()
-	for _, p := range partials {
-		for s := 0; s < width; s++ {
-			g := s + s0
-			ss[g] += p.ss[s]
-			se[g] += p.se[s]
-			if p.sm[s] > sm[g] {
-				sm[g] = p.sm[s]
-			}
-		}
-	}
-}
-
-// evalDense evaluates candidates by materializing the X·Sᵀ product and the
-// 0/1 indicator I densely in column chunks, mimicking ML systems with
-// limited sparsity exploitation across operations (the concern Section 4.4
-// raises). It exists for the kernel-quality comparison experiment; the
-// fused kernel above is the production path.
-func (st *state) evalDense(lv *level, L int) {
-	const chunk = 512
-	n := st.x.Rows()
-	// Zero-weight (retired) rows are excluded from the max tuple error; since
-	// e >= 0, zeroing their entries drops them from the column max.
-	smE := st.e
-	if st.w != nil {
-		smE = make([]float64, len(st.e))
-		for i, v := range st.e {
-			if st.w[i] > 0 {
-				smE[i] = v
-			}
-		}
-	}
-	for s0 := 0; s0 < lv.size(); s0 += chunk {
-		s1 := s0 + chunk
-		if s1 > lv.size() {
-			s1 = lv.size()
-		}
-		// Materialize S for the chunk as CSR, then XSᵀ densely.
-		var ts []matrix.Triple
-		for s := s0; s < s1; s++ {
-			for _, c := range lv.cols[s] {
-				ts = append(ts, matrix.Triple{Row: s - s0, Col: c, Val: 1})
-			}
-		}
-		sMat := matrix.CSRFromTriples(s1-s0, st.x.Cols(), ts)
-		prod := matrix.MulCSRT(st.x, sMat)       // n × chunk dense
-		ind := matrix.EqScalar(prod, float64(L)) // I = ((X Sᵀ) = L)
-		var ssC, seC []float64
-		if st.w == nil {
-			ssC = matrix.ColSums(ind)          // ss = colSums(I)
-			seC = matrix.MatVec(ind.T(), st.e) // se = (eᵀ I)ᵀ
-		} else {
-			ssC = matrix.MatVec(ind.T(), st.w)
-			we := make([]float64, len(st.e))
-			for i := range we {
-				we[i] = st.w[i] * st.e[i]
-			}
-			seC = matrix.MatVec(ind.T(), we)
-		}
-		smC := matrix.ColMaxs(matrix.ScaleRows(ind, smE))
-		for s := s0; s < s1; s++ {
-			lv.ss[s] = ssC[s-s0]
-			lv.se[s] = seC[s-s0]
-			lv.sm[s] = smC[s-s0]
-		}
-		_ = n
 	}
 }

@@ -140,13 +140,12 @@ func TestEvalBitsetSerialZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchEvalRun measures a full enumeration through the fused sparse kernel,
-// the dense chunked kernel, or the packed-bitset kernel (the Section 4.4
-// comparison plus this repo's bitset path).
-func benchEvalRun(b *testing.B, dense bool, bitset BitsetMode) {
+// BenchmarkEvalRun measures a full enumeration through the built-in
+// evaluation path (the bitset kernel on this dense workload).
+func BenchmarkEvalRun(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	ds, e := randomDataset(rng, 2000, 5, 4)
-	cfg := Config{K: 4, Sigma: 20, Alpha: 0.95, DenseEval: dense, BitsetEval: bitset}
+	cfg := Config{K: 4, Sigma: 20, Alpha: 0.95}
 	b.SetBytes(2000)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -156,7 +155,3 @@ func benchEvalRun(b *testing.B, dense bool, bitset BitsetMode) {
 		}
 	}
 }
-
-func BenchmarkEvalRunFused(b *testing.B)  { benchEvalRun(b, false, BitsetOff) }
-func BenchmarkEvalRunDense(b *testing.B)  { benchEvalRun(b, true, BitsetOff) }
-func BenchmarkEvalRunBitset(b *testing.B) { benchEvalRun(b, false, BitsetOn) }

@@ -12,29 +12,6 @@ func encodeForTest(ds *frame.Dataset) (*frame.Encoding, error) {
 	return frame.OneHot(ds)
 }
 
-// TestDenseEvalMatchesFused: the dense materialized evaluation path (the
-// limited-sparsity ML-system model) must produce identical results to the
-// fused sparse kernel.
-func TestDenseEvalMatchesFused(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 10; trial++ {
-		ds, e := randomDataset(rng, 200, 4, 4)
-		cfg := Config{K: 6, Sigma: 3, Alpha: 0.9}
-		fused, err := Run(ds, e, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.DenseEval = true
-		dense, err := Run(ds, e, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !approxEqualScores(scoresOf(fused.TopK), scoresOf(dense.TopK)) {
-			t.Fatalf("trial %d: fused %v vs dense %v", trial, scoresOf(fused.TopK), scoresOf(dense.TopK))
-		}
-	}
-}
-
 // TestEvalPartitionAdditive: evaluating two disjoint row partitions and
 // summing the statistics must equal evaluating the whole matrix — the
 // property the distributed backend depends on.
@@ -62,7 +39,7 @@ func TestEvalPartitionAdditive(t *testing.T) {
 	ssW := make([]float64, 2)
 	seW := make([]float64, 2)
 	smW := make([]float64, 2)
-	EvalPartition(enc.X, e, cols, 2, 0, ssW, seW, smW)
+	EvalPartitionWeighted(enc.X, e, nil, cols, 2, 0, ssW, seW, smW)
 
 	half := n / 2
 	top := enc.X.SelectRows(seqInts(0, half))
@@ -70,8 +47,8 @@ func TestEvalPartitionAdditive(t *testing.T) {
 	ss := make([]float64, 2)
 	se := make([]float64, 2)
 	sm := make([]float64, 2)
-	EvalPartition(top, e[:half], cols, 2, 0, ss, se, sm)
-	EvalPartition(bot, e[half:], cols, 2, 0, ss, se, sm)
+	EvalPartitionWeighted(top, e[:half], nil, cols, 2, 0, ss, se, sm)
+	EvalPartitionWeighted(bot, e[half:], nil, cols, 2, 0, ss, se, sm)
 	for i := 0; i < 2; i++ {
 		if ss[i] != ssW[i] {
 			t.Errorf("slice %d: partitioned ss %v vs whole %v", i, ss[i], ssW[i])

@@ -124,9 +124,7 @@ type IncrementalStats struct {
 // generation's exact top-K.
 //
 // The maintained result is bit-identical to a from-scratch Run over the
-// accumulated data at every generation (with Config.BitsetEval = BitsetOn on
-// the reference — the row-parallel CSR kernel merges chunk partials in a
-// different float-addition order). The mechanism: level-1 statistics, the
+// accumulated data at every generation. The mechanism: level-1 statistics, the
 // σ-filter, scoring and the pruning/enumeration control flow are recomputed
 // from scratch each generation through the exact same code path as a batch
 // run — they are O(nnz) and O(candidates), cheap — while the expensive part,
@@ -153,9 +151,9 @@ type Incremental struct {
 // feature descriptors and error vector. The configuration is captured once
 // and reused every generation (σ defaulting still tracks the growing row
 // count, exactly as a batch run would resolve it). Configurations that
-// delegate or reorder evaluation — external evaluators, dense evaluation,
-// priority enumeration, checkpoint/resume — are rejected: the memo is the
-// evaluation path.
+// delegate or reorder evaluation — external evaluators, priority
+// enumeration, checkpoint/resume — are rejected: the memo is the evaluation
+// path.
 func NewIncremental(enc *frame.Encoding, feats []frame.Feature, e []float64, cfg Config) (*Incremental, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -163,8 +161,6 @@ func NewIncremental(enc *frame.Encoding, feats []frame.Feature, e []float64, cfg
 	switch {
 	case cfg.Evaluator != nil:
 		return nil, fmt.Errorf("core: incremental runs cannot use an external evaluator")
-	case cfg.DenseEval:
-		return nil, fmt.Errorf("core: incremental runs cannot use dense evaluation")
 	case cfg.PriorityEnumeration:
 		return nil, fmt.Errorf("core: incremental runs cannot use priority enumeration")
 	case cfg.CheckpointPath != "" || cfg.Resume:
@@ -244,8 +240,7 @@ func (inc *Incremental) Append(res *frame.AppendResult, errs []float64) error {
 }
 
 // Run evaluates the current generation and returns its exact top-K. The
-// result is bit-identical to RunEncoded over the accumulated encoding with
-// BitsetEval = BitsetOn.
+// result is bit-identical to RunEncoded over the accumulated encoding.
 func (inc *Incremental) Run(ctx context.Context) (*Result, error) {
 	return runEncoded(ctx, inc.enc, inc.feats, inc.e, nil, inc.cfg, inc.memo)
 }

@@ -134,11 +134,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d gen %d: incremental run: %v", seed, gen, err)
 			}
-			// Reference: BitsetOn pins the from-scratch kernel to whole-row
-			// sequential accumulation, the order the memo continues.
-			refCfg := cfg
-			refCfg.BitsetEval = BitsetOn
-			want, err := RunEncoded(ap.Encoding(), ap.Dataset().Features, e, refCfg)
+			want, err := RunEncoded(ap.Encoding(), ap.Dataset().Features, e, cfg)
 			if err != nil {
 				t.Fatalf("seed %d gen %d: reference run: %v", seed, gen, err)
 			}
@@ -213,7 +209,6 @@ func TestIncrementalRejectsConfigs(t *testing.T) {
 	}
 	for name, cfg := range map[string]Config{
 		"external":   {Evaluator: stubEvaluator{}},
-		"dense":      {DenseEval: true},
 		"priority":   {PriorityEnumeration: true},
 		"checkpoint": {CheckpointPath: t.TempDir() + "/ck"},
 		"resume":     {Resume: true},

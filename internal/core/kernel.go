@@ -1,81 +1,34 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 
 	"sliceline/internal/matrix"
 )
 
-// BitsetMode selects the slice-membership kernel: the packed-bitset
-// AND+popcount kernel over one-hot columns, the fused CSR kernel, or an
-// automatic per-dataset choice by column density (the default).
-type BitsetMode int
-
-// BitsetEval knob values.
-const (
-	// BitsetAuto picks the bitset kernel when the average one-hot column
-	// carries at least one set bit per 64-bit word (density >= 1/64), the
-	// break-even point against the CSR kernel's O(nnz) scans.
-	BitsetAuto BitsetMode = iota
-	// BitsetOn forces the packed-bitset kernel.
-	BitsetOn
-	// BitsetOff forces the fused CSR kernel.
-	BitsetOff
-)
-
-// String returns the knob spelling accepted by ParseBitsetMode.
-func (m BitsetMode) String() string {
-	switch m {
-	case BitsetAuto:
-		return "auto"
-	case BitsetOn:
-		return "on"
-	case BitsetOff:
-		return "off"
-	default:
-		return fmt.Sprintf("BitsetMode(%d)", int(m))
-	}
-}
-
-// ParseBitsetMode parses a BitsetEval knob value. The empty string parses as
-// BitsetAuto so zero-valued wire configs inherit the default.
-func ParseBitsetMode(s string) (BitsetMode, error) {
-	switch s {
-	case "", "auto":
-		return BitsetAuto, nil
-	case "on":
-		return BitsetOn, nil
-	case "off":
-		return BitsetOff, nil
-	default:
-		return BitsetAuto, fmt.Errorf("core: unknown bitset mode %q (want auto, on or off)", s)
-	}
-}
-
 // Kernel evaluates slice candidates against one row partition of the one-hot
-// matrix, selecting per evaluation between the fused CSR kernel
-// (EvalPartitionWeighted) and the packed-bitset kernel (EvalBitsetWeighted).
-// The bitset packing happens at most once per Kernel, on the first
-// evaluation that takes the bitset path, and is shared by all subsequent
-// levels — the pack cost is O(nnz + rows·cols/64) against per-level scans it
-// saves. A Kernel is safe for concurrent Eval calls on disjoint output
-// slices.
+// matrix with either the fused CSR kernel (EvalPartitionWeighted) or the
+// packed-bitset kernel (EvalBitsetWeighted), chosen once by column density.
+// Both kernels accumulate every candidate over its matching rows in ascending
+// row order, so the choice changes speed, never the statistics' bits. The
+// bitset packing happens at most once per Kernel, on its first bitset
+// evaluation, and is shared by all subsequent levels — the pack cost is
+// O(nnz + rows·cols/64) against per-level scans it saves. A Kernel is safe
+// for concurrent Eval calls on disjoint output slices.
 type Kernel struct {
 	x    *matrix.CSR
 	e, w []float64
-	mode BitsetMode
 
-	profitable bool // density heuristic, fixed at construction
-	packOnce   sync.Once
-	bits       *matrix.ColumnBits
+	bitset   bool // density heuristic, fixed at construction
+	packOnce sync.Once
+	bits     *matrix.ColumnBits
 }
 
 // NewKernel wraps a partition (one-hot matrix, error vector, optional row
-// weights) with kernel selection under the given mode.
-func NewKernel(x *matrix.CSR, e, w []float64, mode BitsetMode) *Kernel {
-	return &Kernel{x: x, e: e, w: w, mode: mode, profitable: bitsetProfitable(x)}
+// weights), selecting the kernel by the matrix's column density.
+func NewKernel(x *matrix.CSR, e, w []float64) *Kernel {
+	return &Kernel{x: x, e: e, w: w, bitset: bitsetProfitable(x)}
 }
 
 // bitsetProfitable reports whether the packed-bitset kernel is expected to
@@ -96,17 +49,8 @@ func bitsetProfitable(x *matrix.CSR) bool {
 // Rows returns the partition's row count.
 func (k *Kernel) Rows() int { return k.x.Rows() }
 
-// UsesBitset reports which path Eval will take under the kernel's mode.
-func (k *Kernel) UsesBitset() bool {
-	switch k.mode {
-	case BitsetOn:
-		return true
-	case BitsetOff:
-		return false
-	default:
-		return k.profitable
-	}
-}
+// UsesBitset reports which path Eval takes.
+func (k *Kernel) UsesBitset() bool { return k.bitset }
 
 // Backend names the selected path for tracing ("bitset" or "fused").
 func (k *Kernel) Backend() string {
@@ -132,12 +76,6 @@ func (k *Kernel) Eval(cols [][]int, level, blockSize int, ss, se, sm []float64) 
 		return
 	}
 	EvalPartitionWeighted(k.x, k.e, k.w, cols, level, blockSize, ss, se, sm)
-}
-
-// EvalBitset evaluates candidates against packed one-hot columns with unit
-// row weights. See EvalBitsetWeighted.
-func EvalBitset(cb *matrix.ColumnBits, e []float64, cols [][]int, ss, se, sm []float64) {
-	EvalBitsetWeighted(cb, e, nil, cols, ss, se, sm)
 }
 
 // EvalBitsetWeighted is the packed-bitset evaluation kernel: per candidate,

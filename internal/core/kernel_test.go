@@ -1,46 +1,15 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
-	"sliceline/internal/fptol"
 	"sliceline/internal/frame"
 	"sliceline/internal/matrix"
 )
 
-func TestParseBitsetModeRoundTrip(t *testing.T) {
-	for _, m := range []BitsetMode{BitsetAuto, BitsetOn, BitsetOff} {
-		got, err := ParseBitsetMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseBitsetMode(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if got, err := ParseBitsetMode(""); err != nil || got != BitsetAuto {
-		t.Errorf("empty mode = %v, %v; want BitsetAuto", got, err)
-	}
-	if _, err := ParseBitsetMode("sometimes"); err == nil {
-		t.Error("ParseBitsetMode accepted an unknown spelling")
-	}
-	if s := BitsetMode(42).String(); s != "BitsetMode(42)" {
-		t.Errorf("out-of-domain String() = %q", s)
-	}
-}
-
-func TestValidateRejectsBadBitsetMode(t *testing.T) {
-	cfg := Config{K: 1, Sigma: 1, Alpha: 0.5, BitsetEval: BitsetMode(-1)}
-	if err := cfg.Validate(); !errors.Is(err, ErrBadBitsetMode) {
-		t.Fatalf("Validate() = %v, want ErrBadBitsetMode", err)
-	}
-	cfg.BitsetEval = BitsetOn
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("Validate() with BitsetOn = %v", err)
-	}
-}
-
-// TestKernelModeSelection pins the mode override and the auto heuristic:
-// forced modes ignore density, auto follows the 1/64 column-density
+// TestKernelModeSelection pins the density heuristic: a Kernel takes the
+// bitset path exactly when the average column density reaches the 1/64
 // break-even of bitsetProfitable.
 func TestKernelModeSelection(t *testing.T) {
 	// Dense one-hot block: every row has a 1 in each of 2 columns ->
@@ -56,26 +25,19 @@ func TestKernelModeSelection(t *testing.T) {
 
 	e := make([]float64, 128)
 	for _, tc := range []struct {
-		name string
-		x    *matrix.CSR
-		mode BitsetMode
-		want bool
+		name        string
+		x           *matrix.CSR
+		wantBackend string
 	}{
-		{"auto dense", xDense, BitsetAuto, true},
-		{"auto sparse", xSparse, BitsetAuto, false},
-		{"forced on sparse", xSparse, BitsetOn, true},
-		{"forced off dense", xDense, BitsetOff, false},
+		{"dense", xDense, "bitset"},
+		{"sparse", xSparse, "fused"},
 	} {
-		k := NewKernel(tc.x, e, nil, tc.mode)
-		if k.UsesBitset() != tc.want {
-			t.Errorf("%s: UsesBitset() = %v, want %v", tc.name, k.UsesBitset(), tc.want)
+		k := NewKernel(tc.x, e, nil)
+		if k.Backend() != tc.wantBackend {
+			t.Errorf("%s: Backend() = %q, want %q", tc.name, k.Backend(), tc.wantBackend)
 		}
-		wantBackend := "fused"
-		if tc.want {
-			wantBackend = "bitset"
-		}
-		if k.Backend() != wantBackend {
-			t.Errorf("%s: Backend() = %q, want %q", tc.name, k.Backend(), wantBackend)
+		if k.UsesBitset() != (tc.wantBackend == "bitset") {
+			t.Errorf("%s: UsesBitset() = %v disagrees with Backend() %q", tc.name, k.UsesBitset(), k.Backend())
 		}
 	}
 }
@@ -90,53 +52,71 @@ func TestBitsetProfitableDegenerate(t *testing.T) {
 }
 
 // TestBitsetKernelMatchesCSR: the packed-bitset kernel and the fused CSR
-// kernel compute the same slice statistics on identical inputs — sizes and
-// maxima bit-for-bit, error sums within the repository summation tolerance
-// (the two kernels add matching rows in the same ascending order but the CSR
-// path accumulates through block partials).
+// kernel compute bit-identical slice statistics on identical inputs, for every
+// block size and worker count — both add each candidate's matching rows in
+// ascending row order, so the kernel choice is an execution plan only.
 func TestBitsetKernelMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 5; trial++ {
+	type input struct {
+		x      *matrix.CSR
+		cb     *matrix.ColumnBits
+		e, w   []float64
+		levels map[int][][]int
+	}
+	var inputs []input
+	for trial := 0; trial < 4; trial++ {
 		n := 100 + rng.Intn(400)
 		ds, e := randomDataset(rng, n, 4+rng.Intn(3), 4)
 		enc, err := frame.OneHot(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var w []float64
+		in := input{x: enc.X, cb: matrix.PackColumns(enc.X), e: e, levels: map[int][][]int{}}
 		if trial%2 == 1 {
-			w = make([]float64, n)
-			for i := range w {
-				w[i] = 0.5 + rng.Float64()*2
+			in.w = make([]float64, n)
+			for i := range in.w {
+				in.w[i] = 0.5 + rng.Float64()*2
 			}
 		}
-		var singles, pairs [][]int
 		for c1 := 0; c1 < enc.Width(); c1++ {
-			singles = append(singles, []int{c1})
+			in.levels[1] = append(in.levels[1], []int{c1})
 			for c2 := c1 + 1; c2 < enc.Width(); c2++ {
-				if enc.FeatureOf(c1) != enc.FeatureOf(c2) {
-					pairs = append(pairs, []int{c1, c2})
+				if enc.FeatureOf(c1) == enc.FeatureOf(c2) {
+					continue
+				}
+				in.levels[2] = append(in.levels[2], []int{c1, c2})
+				for c3 := c2 + 1; c3 < enc.Width(); c3++ {
+					if enc.FeatureOf(c3) != enc.FeatureOf(c1) && enc.FeatureOf(c3) != enc.FeatureOf(c2) {
+						in.levels[3] = append(in.levels[3], []int{c1, c2, c3})
+					}
 				}
 			}
 		}
-		cb := matrix.PackColumns(enc.X)
-		// The CSR kernel requires a homogeneous candidate list (it counts
-		// matched columns against the level), so compare one level at a time.
-		for level, cols := range map[int][][]int{1: singles, 2: pairs} {
-			nc := len(cols)
-			ssB, seB, smB := make([]float64, nc), make([]float64, nc), make([]float64, nc)
-			ssC, seC, smC := make([]float64, nc), make([]float64, nc), make([]float64, nc)
-			EvalBitsetSerial(cb, e, w, cols, ssB, seB, smB)
-			EvalPartitionWeighted(enc.X, e, w, cols, level, 16, ssC, seC, smC)
-			for j := 0; j < nc; j++ {
-				if ssB[j] != ssC[j] {
-					t.Fatalf("trial %d L%d cand %v: size %v (bitset) vs %v (csr)", trial, level, cols[j], ssB[j], ssC[j])
-				}
-				if smB[j] != smC[j] {
-					t.Fatalf("trial %d L%d cand %v: max %v (bitset) vs %v (csr)", trial, level, cols[j], smB[j], smC[j])
-				}
-				if !fptol.DefaultTol.Close(seB[j], seC[j]) {
-					t.Fatalf("trial %d L%d cand %v: error sum %v (bitset) vs %v (csr)", trial, level, cols[j], seB[j], seC[j])
+		inputs = append(inputs, in)
+	}
+	old := matrix.MaxWorkers()
+	defer matrix.SetMaxWorkers(old)
+	for _, workers := range []int{1, 2, 4} {
+		matrix.SetMaxWorkers(workers)
+		for _, blockSize := range []int{0, 1, 3, 16, 1 << 30} {
+			for trial, in := range inputs {
+				// The CSR kernel requires a homogeneous candidate list (it
+				// counts matched columns against the level), so compare one
+				// level at a time.
+				for level := 1; level <= 3; level++ {
+					cols := in.levels[level]
+					nc := len(cols)
+					ssB, seB, smB := make([]float64, nc), make([]float64, nc), make([]float64, nc)
+					ssC, seC, smC := make([]float64, nc), make([]float64, nc), make([]float64, nc)
+					EvalBitsetWeighted(in.cb, in.e, in.w, cols, ssB, seB, smB)
+					EvalPartitionWeighted(in.x, in.e, in.w, cols, level, blockSize, ssC, seC, smC)
+					for j := 0; j < nc; j++ {
+						if ssB[j] != ssC[j] || seB[j] != seC[j] || smB[j] != smC[j] {
+							t.Fatalf("workers %d block %d trial %d (weighted %v) L%d cand %v: bitset (%v, %v, %v) vs csr (%v, %v, %v)",
+								workers, blockSize, trial, in.w != nil, level, cols[j],
+								ssB[j], seB[j], smB[j], ssC[j], seC[j], smC[j])
+						}
+					}
 				}
 			}
 		}
@@ -152,7 +132,7 @@ func TestKernelPacksOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := NewKernel(enc.X, e, nil, BitsetOn)
+	k := NewKernel(enc.X, e, nil)
 	if k.Bits() != k.Bits() {
 		t.Fatal("Bits() repacked on second call")
 	}

@@ -40,7 +40,7 @@ func evalAllocFixture(tb testing.TB) (*state, *level) {
 		sc:     newScorer(len(e), e, cfg.Alpha, cfg.Sigma),
 		x:      enc.X,
 		e:      e,
-		kernel: NewKernel(enc.X, e, nil, cfg.BitsetEval),
+		kernel: NewKernel(enc.X, e, nil),
 	}
 	lv := &level{
 		cols: pairs,

@@ -80,12 +80,13 @@ func DataSignature(enc *frame.Encoding, e, w []float64) uint64 {
 //
 // MaxLevel is deliberately excluded — resuming with a deeper level cap
 // legitimately extends a shallower run, because the per-level state is
-// identical up to the old cap. BlockSize, BitsetEval and the evaluator are
-// excluded too: re-running under a different execution plan produces the same
-// result, with the usual cross-plan last-ULP caveat on summed statistics.
-// Callers that
-// must distinguish depth-capped results (the server's result cache) combine
-// this with MaxLevel explicitly.
+// identical up to the old cap. BlockSize and the evaluator are excluded too:
+// re-running under a different execution plan produces the same result. Local
+// plans (any kernel, block size or worker count) are bit-identical; a
+// row-partitioned external evaluator sums per-partition partials and may
+// differ in the last ULPs of summed statistics. Callers that must distinguish
+// depth-capped results (the server's result cache) combine this with
+// MaxLevel explicitly.
 func ConfigSignature(cfg Config) uint64 {
 	s := newSigHasher()
 	s.u64(uint64(cfg.K))

@@ -103,10 +103,8 @@ func TestConfigSignatureSensitivity(t *testing.T) {
 	equiv := base
 	equiv.MaxLevel = 3
 	equiv.BlockSize = 64
-	equiv.DenseEval = true
-	equiv.BitsetEval = BitsetOn
 	if ConfigSignature(equiv) != baseSig {
-		t.Fatal("MaxLevel/BlockSize/DenseEval/BitsetEval must not affect the config signature")
+		t.Fatal("MaxLevel/BlockSize must not affect the config signature")
 	}
 }
 

@@ -244,7 +244,7 @@ func runEncoded(ctx context.Context, enc *frame.Encoding, feats []frame.Feature,
 
 	// Project X, the offsets and statistics to the reduced column space.
 	st.x = enc.X.SelectCols(cI)
-	st.kernel = NewKernel(st.x, e, w, cfg.BitsetEval)
+	st.kernel = NewKernel(st.x, e, w)
 	// The run span rides the context from here on, so external evaluators
 	// (and through them the distributed runtime) parent their spans under
 	// the enumeration that issued the work.

@@ -109,27 +109,3 @@ func TestWeightedValidation(t *testing.T) {
 		t.Error("expected error combining weights with external evaluator")
 	}
 }
-
-// TestWeightedDenseEvalAgrees: the dense materialized path must honor
-// weights too.
-func TestWeightedDenseEvalAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(403))
-	ds, e := randomDataset(rng, 100, 3, 3)
-	w := make([]float64, 100)
-	for i := range w {
-		w[i] = float64(1 + rng.Intn(3))
-	}
-	cfg := Config{K: 4, Sigma: 4, Alpha: 0.85}
-	fused, err := RunWeighted(ds, e, w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DenseEval = true
-	dense, err := RunWeighted(ds, e, w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEqualScores(scoresOf(fused.TopK), scoresOf(dense.TopK)) {
-		t.Fatalf("fused %v vs dense %v", scoresOf(fused.TopK), scoresOf(dense.TopK))
-	}
-}

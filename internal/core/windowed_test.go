@@ -34,7 +34,7 @@ func TestWindowedEqualsSuffixRun(t *testing.T) {
 			X0:       &frame.IntMatrix{Rows: live, Cols: ds.X0.Cols, Data: ds.X0.Data[retire*ds.X0.Cols:]},
 			Features: ds.Features,
 		}
-		cfg := Config{K: 5, Sigma: 4, Alpha: 0.9, BitsetEval: BitsetOn}
+		cfg := Config{K: 5, Sigma: 4, Alpha: 0.9}
 		windowed, err := RunWeighted(ds, e, w, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: windowed: %v", trial, err)
@@ -100,38 +100,6 @@ func TestZeroWeightExcludedFromMaxError(t *testing.T) {
 		ss[i], se[i], sm[i] = evalBitsetFrom(cb, e, w, c, 0, 0, 0, 0)
 	}
 	check("bitsetFrom", ss, se, sm)
-}
-
-// TestWindowedDenseEvalAgrees: the dense ablation path applies the same
-// zero-weight exclusion.
-func TestWindowedDenseEvalAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	ds, e := randomDataset(rng, 70, 3, 3)
-	w := make([]float64, len(e))
-	for i := range w {
-		if i >= 20 {
-			w[i] = 1
-		}
-	}
-	cfg := Config{K: 4, Sigma: 4, Alpha: 0.9}
-	fused, err := RunWeighted(ds, e, w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcfg := cfg
-	dcfg.DenseEval = true
-	dense, err := RunWeighted(ds, e, w, dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEqualScores(scoresOf(fused.TopK), scoresOf(dense.TopK)) {
-		t.Fatalf("dense windowed disagrees: %v vs %v", scoresOf(fused.TopK), scoresOf(dense.TopK))
-	}
-	for i := range fused.TopK {
-		if fused.TopK[i].MaxError != dense.TopK[i].MaxError {
-			t.Fatalf("slice %d: max error %v vs %v", i, fused.TopK[i].MaxError, dense.TopK[i].MaxError)
-		}
-	}
 }
 
 // TestWeightValidation pins the relaxed weight contract: zeros are legal,

@@ -3,9 +3,10 @@
 // SliceLine's headline claim is that the pruned, linear-algebra enumeration
 // is an *exact* algorithm: every pruning rule (size, score upper bound,
 // missing-parent) is result-preserving, and every execution plan — blocked
-// fused-sparse evaluation at any block size, dense chunked evaluation,
-// multi-threaded local evaluators, and row-partitioned distributed clusters
-// over in-process or TCP workers — must return the same top-K slices. This
+// evaluation at any block size with either local kernel, dense chunked
+// evaluation, and row-partitioned distributed clusters over in-process or
+// TCP workers — must return the same top-K slices. The local plans must
+// return the same bits. This
 // package turns that claim into a reusable test asset:
 //
 //   - Generate derives randomized categorical datasets, error vectors and
@@ -16,7 +17,7 @@
 //     and against exhaustive lattice enumeration on small instances, within
 //     the principled ULP tolerance of package fptol (plans sum slice errors
 //     in different orders, so last-ULP wobble is expected; anything larger
-//     is a bug).
+//     is a bug). CompareExact asserts bit-identity where plans promise it.
 //   - Shrink minimizes a failing case while preserving its failure, and
 //     ReproLine prints the one-line reproducer for a failing seed.
 //

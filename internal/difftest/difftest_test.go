@@ -8,6 +8,7 @@ import (
 	"sliceline/internal/datagen"
 	"sliceline/internal/fptol"
 	"sliceline/internal/frame"
+	"sliceline/internal/matrix"
 )
 
 func init() { datagen.RegisterSeedFlag() }
@@ -50,10 +51,11 @@ func failf(t *testing.T, testName string, seed int64, format string, args ...int
 }
 
 // TestDiffBackendsAgree is the heart of the harness: on every seed, every
-// execution plan — blocked sparse eval at several block sizes, dense eval,
-// priority enumeration, MT-Ops/MT-PFor local evaluators, and in-process
-// Dist-PFor clusters with 1–4 workers — must produce the same top-K as the
-// builtin plan, under a rotating pruning-ablation configuration.
+// execution plan — blocked evaluation at several block sizes, the CSR kernel,
+// dense intermediates, priority enumeration, and in-process Dist-PFor
+// clusters with 1–4 workers — must produce the same top-K as the builtin
+// plan, under a rotating pruning-ablation configuration. Plans marked Exact
+// must match it bit for bit, gap and annotations included.
 func TestDiffBackendsAgree(t *testing.T) {
 	abl := ablations()
 	for _, seed := range Seeds(seedCount(30, 6)) {
@@ -77,7 +79,11 @@ func TestDiffBackendsAgree(t *testing.T) {
 			if err := CheckInvariants(got, c.DS.NumFeatures()); err != nil {
 				failf(t, "TestDiffBackendsAgree", seed, "plan %s invariants (%s): %v", plan.Name, a.name, err)
 			}
-			if err := CompareResults(ref, got, Tol); err != nil {
+			compare := func(a, b *core.Result) error { return CompareResults(a, b, Tol) }
+			if plan.Exact {
+				compare = CompareAnnotated
+			}
+			if err := compare(ref, got); err != nil {
 				failf(t, "TestDiffBackendsAgree", seed, "plan %s disagrees with builtin (%s): %v", plan.Name, a.name, err)
 			}
 		}
@@ -85,20 +91,17 @@ func TestDiffBackendsAgree(t *testing.T) {
 }
 
 // bruteForcePlans selects the backends checked against exhaustive
-// enumeration: the builtin auto plan, the dense kernel, the bitset kernel
-// forced on and off, and in-process clusters with auto and forced-bitset
-// workers.
+// enumeration: the builtin auto plan, the CSR kernel, dense intermediates,
+// and an in-process cluster.
 func bruteForcePlans() []Plan {
 	var plans []Plan
 	for _, p := range BuiltinPlans() {
 		switch p.Name {
-		case "builtin/auto", "dense", "bitset/on", "bitset/off":
+		case "builtin/auto", "kernel/csr", "dense":
 			plans = append(plans, p)
 		}
 	}
-	plans = append(plans, ClusterPlans(2)...)
-	plans = append(plans, BitsetClusterPlans(2)...)
-	return plans
+	return append(plans, ClusterPlans(2)...)
 }
 
 // TestDiffBruteForce checks the exactness claim itself: on small instances,
@@ -172,10 +175,7 @@ func TestDiffTCPCluster(t *testing.T) {
 			failf(t, "TestDiffTCPCluster", seed, "builtin: %v", err)
 			continue
 		}
-		plans := TCPPlans(1, 2, 4)
-		plans = append(plans, TCPPlansMode(core.BitsetOn, 2)...)
-		plans = append(plans, TCPPlansMode(core.BitsetOff, 2)...)
-		for _, plan := range plans {
+		for _, plan := range TCPPlans(1, 2, 4) {
 			got, err := plan.Run(c)
 			if err != nil {
 				failf(t, "TestDiffTCPCluster", seed, "plan %s: %v", plan.Name, err)
@@ -239,52 +239,65 @@ func TestDiffWeightedEqualsReplicated(t *testing.T) {
 	}
 }
 
-// TestDiffBitsetWeighted: the weighted bitset kernel must agree with the
-// weighted CSR kernel on genuinely weighted cases (non-unit weights change
-// the ss/se accumulation paths inside the kernels), and with physical row
-// replication for integral weights.
+// TestDiffBitsetWeighted: on genuinely weighted cases (non-unit weights change
+// the ss/se accumulation paths inside the kernels) the weighted bitset kernel
+// must be bit-identical to the weighted CSR kernel, and a weighted run must
+// agree with physical row replication for integral weights.
 func TestDiffBitsetWeighted(t *testing.T) {
-	var on, off Plan
-	for _, p := range BuiltinPlans() {
-		switch p.Name {
-		case "bitset/on":
-			on = p
-		case "bitset/off":
-			off = p
-		}
-	}
-	if on.Name == "" || off.Name == "" {
-		t.Fatal("bitset plans missing from BuiltinPlans")
-	}
 	for _, seed := range Seeds(seedCount(20, 5)) {
 		o := Tiny
 		o.Weighted, o.IntWeights = true, true
 		c := Generate(seed, o)
-		ref, err := off.Run(c)
+		enc, err := frame.OneHot(c.DS)
 		if err != nil {
-			failf(t, "TestDiffBitsetWeighted", seed, "bitset/off: %v", err)
+			failf(t, "TestDiffBitsetWeighted", seed, "one-hot: %v", err)
 			continue
 		}
-		got, err := on.Run(c)
-		if err != nil {
-			failf(t, "TestDiffBitsetWeighted", seed, "bitset/on: %v", err)
-			continue
+		cb := matrix.PackColumns(enc.X)
+		for level, cols := range kernelCandidates(enc) {
+			n := len(cols)
+			ssB, seB, smB := make([]float64, n), make([]float64, n), make([]float64, n)
+			ssC, seC, smC := make([]float64, n), make([]float64, n), make([]float64, n)
+			core.EvalBitsetWeighted(cb, c.E, c.W, cols, ssB, seB, smB)
+			core.EvalPartitionWeighted(enc.X, c.E, c.W, cols, level, 0, ssC, seC, smC)
+			for j := range cols {
+				if ssB[j] != ssC[j] || seB[j] != seC[j] || smB[j] != smC[j] {
+					failf(t, "TestDiffBitsetWeighted", seed, "L%d cand %v: bitset (%v, %v, %v) vs csr (%v, %v, %v)",
+						level, cols[j], ssB[j], seB[j], smB[j], ssC[j], seC[j], smC[j])
+					break
+				}
+			}
 		}
-		if err := CompareResults(ref, got, Tol); err != nil {
-			failf(t, "TestDiffBitsetWeighted", seed, "weighted bitset vs CSR: %v", err)
+		got, err := core.RunWeighted(c.DS, c.E, c.W, c.Cfg)
+		if err != nil {
+			failf(t, "TestDiffBitsetWeighted", seed, "weighted run: %v", err)
+			continue
 		}
 		exp, expE := replicateByWeight(c)
-		cfg := c.Cfg
-		cfg.BitsetEval = core.BitsetOn
-		rRes, err := core.Run(exp, expE, cfg)
+		rRes, err := core.Run(exp, expE, c.Cfg)
 		if err != nil {
-			failf(t, "TestDiffBitsetWeighted", seed, "replicated bitset run: %v", err)
+			failf(t, "TestDiffBitsetWeighted", seed, "replicated run: %v", err)
 			continue
 		}
 		if err := CompareResults(rRes, got, Tol); err != nil {
-			failf(t, "TestDiffBitsetWeighted", seed, "weighted bitset vs replicated rows: %v", err)
+			failf(t, "TestDiffBitsetWeighted", seed, "weighted vs replicated rows: %v", err)
 		}
 	}
+}
+
+// kernelCandidates lists every level-1 and level-2 candidate of an encoding
+// (one column, or two columns of different features), keyed by level.
+func kernelCandidates(enc *frame.Encoding) map[int][][]int {
+	out := map[int][][]int{}
+	for c1 := 0; c1 < enc.Width(); c1++ {
+		out[1] = append(out[1], []int{c1})
+		for c2 := c1 + 1; c2 < enc.Width(); c2++ {
+			if enc.FeatureOf(c1) != enc.FeatureOf(c2) {
+				out[2] = append(out[2], []int{c1, c2})
+			}
+		}
+	}
+	return out
 }
 
 // replicateByWeight expands a weighted case into its unweighted equivalent:
@@ -335,9 +348,9 @@ func TestDiffReferenceProgram(t *testing.T) {
 }
 
 // TestDiffDeterminism: every plan run twice on the same case must return
-// bit-identical results. This pins the ordered parallel reductions in the
-// row-parallel kernel and the cluster aggregation — completion-order merges
-// would make the same plan wobble in the last ULPs between runs.
+// bit-identical results. This pins the ordered partition merge of the
+// cluster aggregation — a completion-order merge would make the same plan
+// wobble in the last ULPs between runs.
 func TestDiffDeterminism(t *testing.T) {
 	plans := AllPlans()
 	if !testing.Short() {

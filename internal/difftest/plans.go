@@ -1,13 +1,16 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"time"
 
+	"sliceline/internal/bench"
 	"sliceline/internal/core"
 	"sliceline/internal/dist"
 	"sliceline/internal/faults"
+	"sliceline/internal/matrix"
 )
 
 // Plan is one named execution backend. Run executes the case's
@@ -18,7 +21,11 @@ type Plan struct {
 	// Weighted reports whether the plan supports row-weighted cases;
 	// external evaluators do not (core rejects the combination by design).
 	Weighted bool
-	run      func(c *Case) (*core.Result, error)
+	// Exact reports that the plan must be bit-identical to builtin/auto:
+	// the local kernels add every slice's rows in the same order whatever
+	// the kernel, block size or worker count.
+	Exact bool
+	run   func(c *Case) (*core.Result, error)
 }
 
 // Run executes the plan on the case.
@@ -37,27 +44,24 @@ func runBuiltin(c *Case, mutate func(*core.Config)) (*core.Result, error) {
 }
 
 // BuiltinPlans enumerates the single-process execution plans of Section 4.4:
-// the fused sparse kernel at several block sizes — b=1 is the task-parallel
-// plan, a huge b the data-parallel plan, intermediate values the hybrid —
-// plus the dense chunked kernel, the packed-bitset kernel forced on and off,
-// and priority-ordered enumeration.
+// the built-in evaluation at several block sizes — b=1 is the task-parallel
+// plan, a huge b one shared scan, intermediate values the hybrid — plus
+// priority-ordered enumeration, the dense-intermediates program of
+// Section 5.4 and the fused CSR kernel driven as an external evaluator. The
+// built-in kernel picks bitset or CSR by density; every local plan must
+// return the same bits.
 func BuiltinPlans() []Plan {
 	plans := []Plan{
 		{Name: "builtin/auto", Weighted: true, run: func(c *Case) (*core.Result, error) {
 			return runBuiltin(c, nil)
 		}},
-		{Name: "dense", Weighted: true, run: func(c *Case) (*core.Result, error) {
-			return runBuiltin(c, func(cfg *core.Config) { cfg.DenseEval = true })
+		{Name: "dense", run: func(c *Case) (*core.Result, error) {
+			return runBuiltin(c, func(cfg *core.Config) { cfg.Evaluator = &bench.DenseIntermediates{} })
 		}},
 		{Name: "priority", Weighted: true, run: func(c *Case) (*core.Result, error) {
 			return runBuiltin(c, func(cfg *core.Config) { cfg.PriorityEnumeration = true })
 		}},
-		{Name: "bitset/on", Weighted: true, run: func(c *Case) (*core.Result, error) {
-			return runBuiltin(c, func(cfg *core.Config) { cfg.BitsetEval = core.BitsetOn })
-		}},
-		{Name: "bitset/off", Weighted: true, run: func(c *Case) (*core.Result, error) {
-			return runBuiltin(c, func(cfg *core.Config) { cfg.BitsetEval = core.BitsetOff })
-		}},
+		CSRKernelPlan(),
 	}
 	for _, b := range []int{1, 3, 16, 1 << 30} {
 		b := b
@@ -65,37 +69,40 @@ func BuiltinPlans() []Plan {
 		if b == 1<<30 {
 			name = "blocked/b=nrow"
 		}
-		plans = append(plans, Plan{Name: name, Weighted: true, run: func(c *Case) (*core.Result, error) {
+		plans = append(plans, Plan{Name: name, Weighted: true, Exact: true, run: func(c *Case) (*core.Result, error) {
 			return runBuiltin(c, func(cfg *core.Config) { cfg.BlockSize = b })
 		}})
 	}
 	return plans
 }
 
-// LocalPlans enumerates the multi-threaded local evaluators of Figure 7(b)
-// — MT-Ops (barrier per operation) and MT-PFor (parallel-for over blocks) —
-// each under every kernel mode (auto/bitset/CSR).
-func LocalPlans() []Plan {
-	var plans []Plan
-	for _, s := range []dist.Strategy{dist.MTOps, dist.MTPFor} {
-		for _, mode := range []core.BitsetMode{core.BitsetAuto, core.BitsetOn, core.BitsetOff} {
-			s, mode := s, mode
-			name := "local/" + s.String()
-			if mode != core.BitsetAuto {
-				name += "-bitset-" + mode.String()
-			}
-			plans = append(plans, Plan{Name: name, run: func(c *Case) (*core.Result, error) {
-				ev, err := dist.NewLocalMode(s, 8, mode)
-				if err != nil {
-					return nil, err
-				}
-				cfg := c.Cfg
-				cfg.Evaluator = ev
-				return core.Run(c.DS, c.E, cfg)
-			}})
-		}
-	}
-	return plans
+// CSRKernelPlan runs the fused CSR kernel (core.EvalPartitionWeighted) as an
+// external evaluator. The built-in path only takes that kernel on sparse
+// data, so this plan keeps it covered end to end on every case; its results
+// must be bit-identical to builtin/auto.
+func CSRKernelPlan() Plan {
+	return Plan{Name: "kernel/csr", Exact: true, run: func(c *Case) (*core.Result, error) {
+		return runBuiltin(c, func(cfg *core.Config) { cfg.Evaluator = &csrEvaluator{} })
+	}}
+}
+
+// csrEvaluator is core.ExternalEvaluator over the fused CSR kernel at the
+// automatic block size.
+type csrEvaluator struct {
+	x *matrix.CSR
+	e []float64
+}
+
+func (ev *csrEvaluator) Setup(_ context.Context, x *matrix.CSR, e []float64) error {
+	ev.x, ev.e = x, e
+	return nil
+}
+
+func (ev *csrEvaluator) Eval(_ context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
+	n := len(cols)
+	ss, se, sm = make([]float64, n), make([]float64, n), make([]float64, n)
+	core.EvalPartitionWeighted(ev.x, ev.e, nil, cols, level, 0, ss, se, sm)
+	return ss, se, sm, nil
 }
 
 // ClusterPlans enumerates Dist-PFor over in-process workers, one plan per
@@ -121,48 +128,14 @@ func ClusterPlans(workerCounts ...int) []Plan {
 	return plans
 }
 
-// BitsetClusterPlans enumerates Dist-PFor over in-process workers whose
-// worker-side kernel knob forces the packed-bitset kernel — the partitioned
-// analogue of the bitset/on builtin plan.
-func BitsetClusterPlans(workerCounts ...int) []Plan {
-	var plans []Plan
-	for _, nw := range workerCounts {
-		nw := nw
-		plans = append(plans, Plan{Name: fmt.Sprintf("cluster/inproc-%d-bitset", nw), run: func(c *Case) (*core.Result, error) {
-			workers := make([]dist.Worker, nw)
-			for i := range workers {
-				workers[i] = &dist.InProcessWorker{BitsetEval: core.BitsetOn}
-			}
-			cl, err := dist.NewCluster(workers, 0)
-			if err != nil {
-				return nil, err
-			}
-			cfg := c.Cfg
-			cfg.Evaluator = cl
-			return core.Run(c.DS, c.E, cfg)
-		}})
-	}
-	return plans
-}
-
 // TCPPlans enumerates Dist-PFor over real TCP workers served on ephemeral
 // localhost ports, exercising the full gob-RPC serialization path. Workers
 // are spun up and torn down per Run.
 func TCPPlans(workerCounts ...int) []Plan {
-	return TCPPlansMode(core.BitsetAuto, workerCounts...)
-}
-
-// TCPPlansMode is TCPPlans with an explicit worker-side kernel mode, the
-// path cmd/slworker's -bitset flag configures in production.
-func TCPPlansMode(mode core.BitsetMode, workerCounts ...int) []Plan {
 	var plans []Plan
 	for _, nw := range workerCounts {
 		nw := nw
-		name := fmt.Sprintf("cluster/tcp-%d", nw)
-		if mode != core.BitsetAuto {
-			name += "-bitset-" + mode.String()
-		}
-		plans = append(plans, Plan{Name: name, run: func(c *Case) (*core.Result, error) {
+		plans = append(plans, Plan{Name: fmt.Sprintf("cluster/tcp-%d", nw), run: func(c *Case) (*core.Result, error) {
 			listeners := make([]net.Listener, 0, nw)
 			defer func() {
 				for _, lis := range listeners {
@@ -176,7 +149,7 @@ func TCPPlansMode(mode core.BitsetMode, workerCounts ...int) []Plan {
 					return nil, err
 				}
 				listeners = append(listeners, lis)
-				srv, err := dist.NewServerOpts(lis, dist.ServerOptions{BitsetEval: mode})
+				srv, err := dist.NewServer(lis)
 				if err != nil {
 					return nil, err
 				}
@@ -245,14 +218,8 @@ func ReferencePlan() Plan {
 }
 
 // AllPlans is the full cross-backend matrix used by the main differential
-// test: builtin variants (including the bitset kernel forced on and off),
-// local evaluators under every kernel mode, and in-process clusters both
-// with auto and forced-bitset workers. TCP plans are listed separately
-// because of their per-run setup cost.
+// test: the builtin variants and in-process clusters. TCP plans are listed
+// separately because of their per-run setup cost.
 func AllPlans() []Plan {
-	plans := BuiltinPlans()
-	plans = append(plans, LocalPlans()...)
-	plans = append(plans, ClusterPlans(1, 2, 4)...)
-	plans = append(plans, BitsetClusterPlans(2)...)
-	return plans
+	return append(BuiltinPlans(), ClusterPlans(1, 2, 4)...)
 }

@@ -70,10 +70,9 @@ func genStreamCase(t *testing.T, seed int64) *streamCase {
 	sc := &streamCase{ds: ds, enc: enc, ap: ap, rng: rng}
 	sc.e = sc.randErrs(nRows)
 	sc.cfg = core.Config{
-		K:          1 + rng.Intn(6),
-		Sigma:      1 + rng.Intn(6),
-		Alpha:      0.5 + 0.5*rng.Float64(),
-		BitsetEval: core.BitsetOn,
+		K:     1 + rng.Intn(6),
+		Sigma: 1 + rng.Intn(6),
+		Alpha: 0.5 + 0.5*rng.Float64(),
 	}
 	return sc
 }
@@ -119,8 +118,9 @@ func (sc *streamCase) randBatch(gen int, grow bool) [][]string {
 // incremental evaluator, then append several batches — including ones that
 // grow feature domains — and at EVERY generation require the maintained
 // top-K to be bit-identical (CompareExact) to a frozen from-scratch run over
-// the accumulated encoding under the same BitsetOn plan, and tolerance-equal
-// to the builtin auto plan (different kernels may differ in the last ULP).
+// the accumulated encoding with the builtin auto plan, and to the same run
+// through the fused CSR kernel (kernel/csr) — every local kernel returns the
+// same bits.
 func TestDiffStreamingGenerations(t *testing.T) {
 	const testName = "TestDiffStreamingGenerations"
 	ctx := context.Background()
@@ -144,17 +144,17 @@ func TestDiffStreamingGenerations(t *testing.T) {
 				return
 			}
 			if err := CompareExact(ref, got); err != nil {
-				failf(t, testName, seed, "generation %d: incremental vs frozen bitset/on run: %v", gen, err)
+				failf(t, testName, seed, "generation %d: incremental vs frozen builtin/auto run: %v", gen, err)
 			}
-			autoCfg := sc.cfg
-			autoCfg.BitsetEval = core.BitsetAuto
-			alt, err := core.RunEncoded(curEnc, curFeats, sc.e, autoCfg)
+			csrCfg := sc.cfg
+			csrCfg.Evaluator = &csrEvaluator{}
+			alt, err := core.RunEncoded(curEnc, curFeats, sc.e, csrCfg)
 			if err != nil {
-				failf(t, testName, seed, "generation %d: auto-plan run: %v", gen, err)
+				failf(t, testName, seed, "generation %d: kernel/csr run: %v", gen, err)
 				return
 			}
-			if err := CompareResults(alt, got, Tol); err != nil {
-				failf(t, testName, seed, "generation %d: incremental vs builtin/auto: %v", gen, err)
+			if err := CompareExact(alt, got); err != nil {
+				failf(t, testName, seed, "generation %d: incremental vs kernel/csr: %v", gen, err)
 			}
 		}
 		check(0)

@@ -1,22 +1,16 @@
-// Package dist provides distributed and multi-threaded backends for
-// SliceLine's slice evaluation, modelling the parallelization strategies of
-// the paper's Figure 7(b):
+// Package dist provides the distributed backend for SliceLine's slice
+// evaluation, the Dist-PFor strategy of the paper's Figure 7(b):
+// row-partitioned data-parallel execution across workers that each hold a
+// partition of X and e. Workers may live in-process or behind TCP
+// (gob-encoded RPC), modelling Spark's broadcast-based distributed matrix
+// multiplications including serialization and network overheads. (The
+// paper's local MT-PFor plan is core's built-in evaluation at
+// Config.BlockSize = b.)
 //
-//   - MTOps: multi-threaded operations with a synchronization barrier after
-//     every evaluation block (each "operation" is parallel internally but
-//     the operation sequence is serial).
-//   - MTPFor: multi-threaded parallel-for over slice blocks without per-
-//     operation barriers, the paper's preferred local plan.
-//   - DistPFor: row-partitioned data-parallel execution across workers that
-//     each hold a partition of X and e. Workers may live in-process or
-//     behind TCP (gob-encoded RPC), modelling Spark's broadcast-based
-//     distributed matrix multiplications including serialization and
-//     network overheads.
-//
-// Every backend implements core.ExternalEvaluator, so it plugs directly
-// into core.Config.Evaluator while enumeration, pruning, and top-K
-// maintenance stay on the driver — exactly the paper's architecture where
-// the candidate matrix S is broadcast and X is scanned data-locally.
+// Cluster implements core.ExternalEvaluator, so it plugs directly into
+// core.Config.Evaluator while enumeration, pruning, and top-K maintenance
+// stay on the driver — exactly the paper's architecture where the candidate
+// matrix S is broadcast and X is scanned data-locally.
 //
 // The Dist-PFor cluster is self-healing: per-call deadlines bound slow and
 // hung workers, partitions fail over off dead workers (with in-place reload
@@ -42,92 +36,6 @@ import (
 	"sliceline/internal/membership"
 	"sliceline/internal/obs"
 )
-
-// Strategy selects a parallelization plan.
-type Strategy int
-
-// Parallelization strategies of Figure 7(b).
-const (
-	MTOps Strategy = iota
-	MTPFor
-	DistPFor
-)
-
-// String returns the paper's name for the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case MTOps:
-		return "MT-Ops"
-	case MTPFor:
-		return "MT-PFor"
-	case DistPFor:
-		return "Dist-PFor"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// Local is an in-process evaluator implementing the MT-Ops and MT-PFor
-// strategies.
-type Local struct {
-	strategy  Strategy
-	blockSize int
-	mode      core.BitsetMode
-	kernel    *core.Kernel
-}
-
-// NewLocal returns a local evaluator. blockSize <= 0 selects the automatic
-// size. DistPFor is not a local strategy; use NewCluster.
-func NewLocal(strategy Strategy, blockSize int) (*Local, error) {
-	return NewLocalMode(strategy, blockSize, core.BitsetAuto)
-}
-
-// NewLocalMode is NewLocal with an explicit slice-membership kernel
-// selection (Config.BitsetEval semantics): auto by density, or forced
-// bitset/CSR for ablations and differential tests.
-func NewLocalMode(strategy Strategy, blockSize int, mode core.BitsetMode) (*Local, error) {
-	if strategy == DistPFor {
-		return nil, errors.New("dist: DistPFor requires a cluster; use NewCluster")
-	}
-	return &Local{strategy: strategy, blockSize: blockSize, mode: mode}, nil
-}
-
-// Setup implements core.ExternalEvaluator.
-func (l *Local) Setup(_ context.Context, x *matrix.CSR, e []float64) error {
-	l.kernel = core.NewKernel(x, e, nil, l.mode)
-	return nil
-}
-
-// Eval implements core.ExternalEvaluator.
-func (l *Local) Eval(_ context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
-	if l.kernel == nil {
-		return nil, nil, nil, errors.New("dist: Eval before Setup")
-	}
-	n := len(cols)
-	ss = make([]float64, n)
-	se = make([]float64, n)
-	sm = make([]float64, n)
-	b := l.blockSize
-	if b <= 0 {
-		b = core.DefaultBlockSize
-	}
-	switch l.strategy {
-	case MTOps:
-		// Barrier per block: blocks run strictly one after another, each
-		// internally parallel (one "operation" at a time).
-		for s0 := 0; s0 < n; s0 += b {
-			s1 := s0 + b
-			if s1 > n {
-				s1 = n
-			}
-			l.kernel.Eval(cols[s0:s1], level, s1-s0, ss[s0:s1], se[s0:s1], sm[s0:s1])
-		}
-	case MTPFor:
-		// Parallel for over blocks (CSR) or candidates (bitset), no barriers.
-		l.kernel.Eval(cols, level, b, ss, se, sm)
-	}
-	return ss, se, sm, nil
-}
 
 // Options configures the Dist-PFor cluster's execution and self-healing
 // behavior. The zero value disables every timeout and mitigation, matching
@@ -782,8 +690,8 @@ func (c *Cluster) evalPartitionChain(ctx context.Context, p int, cols [][]int, l
 
 // evalLocal evaluates one partition on the driver — the degraded path when
 // no worker can take it. It uses the same kernel construction as
-// InProcessWorker and the worker-side Service (automatic bitset selection),
-// so a degraded run's statistics are bit-identical to a healthy one's. The
+// InProcessWorker and the worker-side Service, so a degraded run's
+// statistics are bit-identical to a healthy one's. The
 // kernel is built lazily on first degradation and cached per partition.
 func (c *Cluster) evalLocal(p int, cols [][]int, level int) (ss, se, sm []float64) {
 	c.mu.Lock()
@@ -793,7 +701,7 @@ func (c *Cluster) evalLocal(p int, cols [][]int, level int) (ss, se, sm []float6
 	k := c.local[p]
 	if k == nil {
 		part := c.parts[p]
-		k = core.NewKernel(part.x, part.e, nil, core.BitsetAuto)
+		k = core.NewKernel(part.x, part.e, nil)
 		c.local[p] = k
 	}
 	c.mu.Unlock()
@@ -1067,12 +975,6 @@ func (c *Cluster) Close() error {
 // InProcessWorker executes partitions in the driver process; it is the
 // no-network reference worker used by tests and the simulated cluster.
 type InProcessWorker struct {
-	// BitsetEval selects the slice-membership kernel (Config.BitsetEval
-	// semantics) for partitions loaded after it is set; the zero value is
-	// automatic selection by partition density. Like the driver-side knob it
-	// changes execution plan, never results.
-	BitsetEval core.BitsetMode
-
 	mu    sync.Mutex
 	parts map[int]*core.Kernel
 }
@@ -1084,7 +986,7 @@ func (w *InProcessWorker) Load(_ context.Context, part int, x *matrix.CSR, e []f
 	if w.parts == nil {
 		w.parts = make(map[int]*core.Kernel)
 	}
-	w.parts[part] = core.NewKernel(x, e, nil, w.BitsetEval)
+	w.parts[part] = core.NewKernel(x, e, nil)
 	return nil
 }
 
@@ -1131,5 +1033,4 @@ func seq(lo, hi int) []int {
 	return out
 }
 
-var _ core.ExternalEvaluator = (*Local)(nil)
 var _ core.ExternalEvaluator = (*Cluster)(nil)

@@ -46,37 +46,6 @@ func equalScores(a, b []float64) bool {
 	return fptol.DefaultTol.CloseSlices(a, b)
 }
 
-func TestLocalStrategiesMatchBuiltin(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	ds, e := randomDataset(rng, 300, 4, 4)
-	cfg := core.Config{K: 6, Sigma: 3, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, strat := range []Strategy{MTOps, MTPFor} {
-		ev, err := NewLocal(strat, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := cfg
-		c.Evaluator = ev
-		got, err := core.Run(ds, e, c)
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
-		if !equalScores(scores(got.TopK), scores(ref.TopK)) {
-			t.Fatalf("%v: scores %v differ from builtin %v", strat, scores(got.TopK), scores(ref.TopK))
-		}
-	}
-}
-
-func TestNewLocalRejectsDistPFor(t *testing.T) {
-	if _, err := NewLocal(DistPFor, 0); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestInProcessClusterMatchesBuiltin(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds, e := randomDataset(rng, 400, 4, 4)

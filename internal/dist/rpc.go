@@ -76,7 +76,6 @@ type PartitionLister interface {
 // (that is what makes rejoins warm), so maxParts bounds it with
 // least-recently-used eviction.
 type Service struct {
-	mode     core.BitsetMode
 	maxParts int
 	mu       sync.Mutex
 	parts    map[int]*core.Kernel
@@ -104,7 +103,7 @@ func (s *Service) Load(args *LoadArgs, _ *LoadReply) error {
 		s.evictLRULocked()
 	}
 	x := matrix.NewCSR(args.Rows, args.Cols, args.RowPtr, args.ColIdx, args.Val)
-	s.parts[args.Part] = core.NewKernel(x, args.Err, nil, s.mode)
+	s.parts[args.Part] = core.NewKernel(x, args.Err, nil)
 	s.touchLocked(args.Part)
 	rows := 0
 	for _, k := range s.parts {
@@ -195,20 +194,14 @@ type Server struct {
 	draining bool
 }
 
-// ServerOptions configures a worker RPC server's observability and kernel
-// selection.
+// ServerOptions configures a worker RPC server's observability and
+// partition cap.
 type ServerOptions struct {
 	// Metrics, when non-nil, receives the worker-side RPC counters, eval
 	// latency histogram and partition/row gauges (the sl_worker_* families).
 	// Expose the registry over HTTP with obs.Handler (see cmd/slworker's
 	// -metrics-addr flag).
 	Metrics *obs.Registry
-
-	// BitsetEval selects the worker-side slice-membership kernel
-	// (Config.BitsetEval semantics) for every partition this server loads;
-	// the zero value is automatic selection by partition density. Exposed as
-	// cmd/slworker's -bitset flag.
-	BitsetEval core.BitsetMode
 
 	// MaxPartitions bounds how many partitions this worker holds at once;
 	// the least-recently-used one is evicted to make room. Content-addressed
@@ -225,7 +218,7 @@ func NewServer(lis net.Listener) (*Server, error) {
 // NewServerOpts is NewServer with explicit observability options.
 func NewServerOpts(lis net.Listener, opts ServerOptions) (*Server, error) {
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", &Service{mode: opts.BitsetEval, maxParts: opts.MaxPartitions, ob: newSvcObs(opts.Metrics)}); err != nil {
+	if err := srv.RegisterName("Worker", &Service{maxParts: opts.MaxPartitions, ob: newSvcObs(opts.Metrics)}); err != nil {
 		return nil, err
 	}
 	s := &Server{lis: lis, srv: srv, conns: make(map[net.Conn]struct{})}

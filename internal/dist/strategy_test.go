@@ -3,35 +3,12 @@ package dist
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sliceline/internal/core"
 	"sliceline/internal/matrix"
 )
-
-func TestStrategyString(t *testing.T) {
-	cases := map[Strategy]string{
-		MTOps:        "MT-Ops",
-		MTPFor:       "MT-PFor",
-		DistPFor:     "Dist-PFor",
-		Strategy(99): "Strategy(99)",
-	}
-	for s, want := range cases {
-		if got := s.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(s), got, want)
-		}
-	}
-}
-
-func TestLocalEvalBeforeSetup(t *testing.T) {
-	ev, err := NewLocal(MTPFor, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ev.Eval(context.Background(), [][]int{{0}}, 1); err == nil {
-		t.Fatal("expected error for Eval before Setup")
-	}
-}
 
 func TestClusterEvalBeforeSetup(t *testing.T) {
 	cl, err := NewCluster([]Worker{&InProcessWorker{}}, 0)
@@ -170,8 +147,9 @@ func TestClusterSingleRow(t *testing.T) {
 }
 
 // TestStrategiesBlockSizeExceedsCandidates: a block size far larger than the
-// candidate count must degrade to a single block on every strategy and still
-// match the builtin plan exactly.
+// candidate count must degrade to a single block — on the built-in local plan
+// (MT-PFor) and on Dist-PFor — and still match the builtin plan at its
+// automatic block size.
 func TestStrategiesBlockSizeExceedsCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ds, e := randomDataset(rng, 200, 3, 3)
@@ -181,24 +159,22 @@ func TestStrategiesBlockSizeExceedsCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	const huge = 1 << 20
-	evals := map[string]core.ExternalEvaluator{}
-	for _, strat := range []Strategy{MTOps, MTPFor} {
-		ev, err := NewLocal(strat, huge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		evals[strat.String()] = ev
+	local := cfg
+	local.BlockSize = huge
+	got, err := core.Run(ds, e, local)
+	if err != nil {
+		t.Fatal(err)
 	}
-	evals["Dist-PFor"] = inProcessCluster(t, 3, huge)
-	for name, ev := range evals {
-		c := cfg
-		c.Evaluator = ev
-		got, err := core.Run(ds, e, c)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !equalScores(scores(got.TopK), scores(ref.TopK)) {
-			t.Fatalf("%s with oversized block: scores %v differ from builtin %v", name, scores(got.TopK), scores(ref.TopK))
-		}
+	if !reflect.DeepEqual(got.TopK, ref.TopK) {
+		t.Fatalf("MT-PFor with oversized block: top-K %v differs from builtin %v", got.TopK, ref.TopK)
+	}
+	clustered := cfg
+	clustered.Evaluator = inProcessCluster(t, 3, huge)
+	got, err = core.Run(ds, e, clustered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalScores(scores(got.TopK), scores(ref.TopK)) {
+		t.Fatalf("Dist-PFor with oversized block: scores %v differ from builtin %v", scores(got.TopK), scores(ref.TopK))
 	}
 }

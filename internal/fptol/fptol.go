@@ -6,10 +6,11 @@
 // float64 far beyond any realistic row count) and maximum tuple errors
 // (max-reductions, order-independent) must match bit-for-bit. Total slice
 // errors, however, are float64 summations whose parenthesization differs
-// between plans: the serial blocked kernel adds matching rows in row order,
-// the row-parallel kernel adds per-chunk partial sums, the dense kernel
-// reduces indicator columns, and the distributed backend adds per-partition
-// partials. IEEE-754 addition is not associative, so these plans can
+// between plans: the local kernels (fused CSR and packed bitset, at any
+// block size and worker count) add matching rows in row order and agree
+// bit-for-bit, while the dense-intermediates program reduces indicator
+// columns and the distributed backend adds per-partition partials.
+// IEEE-754 addition is not associative, so these plans can
 // legitimately differ in the last units-in-the-last-place (ULPs), and every
 // derived score inherits that wobble.
 //

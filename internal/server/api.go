@@ -40,27 +40,14 @@ type JobConfig struct {
 	BlockSize             int     `json:"block_size,omitempty"`
 	MaxCandidatesPerLevel int     `json:"max_candidates_per_level,omitempty"`
 	PriorityEnumeration   bool    `json:"priority,omitempty"`
-	DenseEval             bool    `json:"dense,omitempty"`
-	// Bitset selects the slice-membership kernel for local evaluation:
-	// "" or "auto" (by density), "on" (packed bitset), "off" (fused CSR).
-	// Like block_size it changes the execution plan, never results, so it
-	// does not participate in the result-cache key.
-	Bitset string `json:"bitset,omitempty"`
 	// Significance is the Benjamini-Hochberg FDR level behind each result
 	// slice's "significant" marker; 0 selects the library default (0.05).
 	// Must be in [0, 1).
 	Significance float64 `json:"significance,omitempty"`
 }
 
-// ToCore converts the wire config into a core.Config (hooks unset). An
-// invalid Bitset selector maps to an invalid core BitsetMode so that
-// Validate rejects it; DecodeJobSpec reports it with the nicer parse error
-// first.
+// ToCore converts the wire config into a core.Config (hooks unset).
 func (jc JobConfig) ToCore() core.Config {
-	mode, err := core.ParseBitsetMode(jc.Bitset)
-	if err != nil {
-		mode = core.BitsetMode(-1)
-	}
 	return core.Config{
 		K:                     jc.K,
 		Sigma:                 jc.Sigma,
@@ -69,8 +56,6 @@ func (jc JobConfig) ToCore() core.Config {
 		BlockSize:             jc.BlockSize,
 		MaxCandidatesPerLevel: jc.MaxCandidatesPerLevel,
 		PriorityEnumeration:   jc.PriorityEnumeration,
-		DenseEval:             jc.DenseEval,
-		BitsetEval:            mode,
 		Significance:          jc.Significance,
 	}
 }
@@ -201,8 +186,8 @@ func (s JobSpec) validate() error {
 			return fmt.Errorf("%w: monitor jobs track the full dataset; window is not supported", ErrBadJobSpec)
 		}
 		// The incremental evaluator owns the execution plan.
-		if s.Config.DenseEval || s.Config.PriorityEnumeration {
-			return fmt.Errorf("%w: monitor jobs cannot use dense or priority evaluation", ErrBadJobSpec)
+		if s.Config.PriorityEnumeration {
+			return fmt.Errorf("%w: monitor jobs cannot use priority evaluation", ErrBadJobSpec)
 		}
 	case ModeAnytime:
 		if s.SpecVersion < 2 {
@@ -259,9 +244,6 @@ func (s JobSpec) validate() error {
 		if s.Evaluator == EvalDist {
 			return fmt.Errorf("%w: windowed jobs evaluate locally (row weights), not %q", ErrBadJobSpec, EvalDist)
 		}
-	}
-	if _, err := core.ParseBitsetMode(s.Config.Bitset); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadJobSpec, err)
 	}
 	if err := s.Config.ToCore().Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadJobSpec, err)

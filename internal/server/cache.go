@@ -14,10 +14,10 @@ import (
 // baseline dataset signature (diff jobs) and the resolved significance level
 // (it flips per-slice Significant markers) are outside the core signature
 // but result-affecting, so they key explicitly too. Execution-plan fields
-// (BlockSize, evaluator, DenseEval, PriorityEnumeration-chunking) are
-// equivalent by design: a cached local result satisfies an identical
-// distributed submission, with the documented cross-plan last-ULP caveat on
-// summed statistics. Anytime results never enter the cache at all — they
+// (BlockSize, evaluator, PriorityEnumeration-chunking) are equivalent by
+// design: a cached local result satisfies an identical distributed
+// submission. Local plans are bit-identical; only the row-partitioned
+// distributed evaluator may differ in the last ULPs of summed statistics. Anytime results never enter the cache at all — they
 // depend on wall-clock budgets.
 type cacheKey struct {
 	dataSig  uint64

@@ -16,7 +16,7 @@ import (
 func FuzzDecodeJobSpec(f *testing.F) {
 	f.Add(`{"dataset":"ds_0011223344556677"}`)
 	f.Add(`{"dataset":"ds_0011223344556677","config":{"k":4,"sigma":3,"alpha":0.9}}`)
-	f.Add(`{"dataset":"d","config":{"max_level":2,"block_size":16,"priority":true,"dense":true},"evaluator":"dist","timeout_ms":5000}`)
+	f.Add(`{"dataset":"d","config":{"max_level":2,"block_size":16,"priority":true},"evaluator":"dist","timeout_ms":5000}`)
 	f.Add(`{"dataset":"d","evaluator":"local"}`)
 	f.Add(`{"dataset":"d","evaluator":"quantum"}`)
 	f.Add(`{"dataset":""}`)

@@ -111,6 +111,68 @@ func TestJournalRestartResumesUnfinishedJobs(t *testing.T) {
 	}
 }
 
+// TestJournalRestoresLegacyJobConfig: a job record journaled before the
+// dense and bitset kernel knobs were retired still restores and completes —
+// gob drops the fields the current JobConfig no longer has.
+func TestJournalRestoresLegacyJobConfig(t *testing.T) {
+	// The JobSpec shape of those records, with the two retired fields.
+	type legacyJobConfig struct {
+		K, Sigma              int
+		Alpha                 float64
+		MaxLevel, BlockSize   int
+		MaxCandidatesPerLevel int
+		PriorityEnumeration   bool
+		DenseEval             bool
+		Bitset                string
+		Significance          float64
+	}
+	type legacyJobSpec struct {
+		SpecVersion int
+		Dataset     string
+		Config      legacyJobConfig
+		Evaluator   string
+	}
+	type legacyJournalJob struct {
+		Version int
+		ID      string
+		Spec    legacyJobSpec
+		Status  string
+	}
+
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{JournalDir: dir})
+	info, code := registerCSV(t, ts, testCSV(40), "err=err")
+	if code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	rec := &legacyJournalJob{
+		Version: journalVersion,
+		ID:      "job-3",
+		Spec: legacyJobSpec{
+			Dataset: info.ID,
+			Config:  legacyJobConfig{K: 4, Sigma: 3, DenseEval: true, Bitset: "on"},
+		},
+		Status: string(jobRunning),
+	}
+	if err := writeGob(filepath.Join(dir, rec.ID+journalJobSuffix), rec); err != nil {
+		t.Fatalf("forging legacy journal record: %v", err)
+	}
+
+	_, ts2 := newTestServer(t, Config{JournalDir: dir})
+	got := waitJob(t, ts2, rec.ID, 30*time.Second)
+	if got.Status != string(jobDone) {
+		t.Fatalf("legacy job finished %q: %s", got.Status, got.Error)
+	}
+	fresh, code, body := postJob(t, ts2, JobSpec{Dataset: info.ID, Config: JobConfig{K: 4, Sigma: 3}})
+	if code != http.StatusAccepted {
+		t.Fatalf("fresh submission: status %d (%s)", code, body)
+	}
+	fresh = waitJob(t, ts2, fresh.ID, 30*time.Second)
+	if canonicalResult(t, got.Result) != canonicalResult(t, fresh.Result) {
+		t.Error("legacy job's result differs from the same config submitted today")
+	}
+}
+
 // TestJournalRestartFailsJobWithMissingDataset covers the one restore path
 // that cannot make progress: a journaled job whose dataset file is gone.
 func TestJournalRestartFailsJobWithMissingDataset(t *testing.T) {

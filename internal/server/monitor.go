@@ -17,7 +17,7 @@ import (
 // batch jobs; a separate cap (Config.MaxMonitors) bounds the residents.
 
 // submitMonitor admits one monitor job, bypassing the queue. The spec was
-// already validated (monitor mode excludes dist/dense/priority/window), so
+// already validated (monitor mode excludes dist/priority/window), so
 // the incremental evaluator's own rejections cannot fire for an admitted job.
 func (s *Server) submitMonitor(spec JobSpec, ds *datasetEntry, snap dsSnapshot) (*job, int, error) {
 	// No WithDefaults: the incremental run re-resolves σ against the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -248,6 +249,16 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, code, _ := postJob(t, ts, `{"dataset":"`+info.ID+`","surprise":1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", code)
+	}
+	// The retired kernel knobs are unknown fields now, not silently ignored.
+	for _, knob := range []string{`"bitset":"on"`, `"dense":true`} {
+		body := `{"dataset":"` + info.ID + `","config":{` + knob + `}}`
+		if _, err := DecodeJobSpec(strings.NewReader(body)); !errors.Is(err, ErrBadJobSpec) || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("config {%s}: DecodeJobSpec error %v, want an unknown-field ErrBadJobSpec", knob, err)
+		}
+		if _, code, _ := postJob(t, ts, body); code != http.StatusBadRequest {
+			t.Errorf("config {%s}: status %d, want 400", knob, code)
+		}
 	}
 	if _, code, _ := postJob(t, ts, `{"dataset":"`+info.ID+`"} {"trailing":true}`); code != http.StatusBadRequest {
 		t.Errorf("trailing document: status %d, want 400", code)

@@ -141,9 +141,9 @@ func nextResult(t *testing.T, ch <-chan sseResult, wantGen int) resultEvent {
 
 // TestStreamingMonitorEndToEnd is the streaming tentpole test: a resident
 // monitor job must re-emit the maintained top-K after every append, and each
-// emitted result must be bit-identical to a from-scratch run (BitsetOn
-// reference kernel) over the accumulated encoding of that generation —
-// including appends that grow a feature domain.
+// emitted result must be bit-identical to a from-scratch run over the
+// accumulated encoding of that generation — including appends that grow a
+// feature domain.
 func TestStreamingMonitorEndToEnd(t *testing.T) {
 	s, ts := newTestServer(t, Config{Pool: 2, QueueDepth: 8})
 	info, code := registerCSV(t, ts, testCSV(24), "name=stream&err=err")
@@ -154,7 +154,7 @@ func TestStreamingMonitorEndToEnd(t *testing.T) {
 		t.Fatalf("streaming registration: appendable=%v generation=%d", info.Appendable, info.Generation)
 	}
 
-	spec := fmt.Sprintf(`{"spec_version":1,"dataset":%q,"mode":"monitor","config":{"k":4,"sigma":2,"bitset":"on"}}`, info.ID)
+	spec := fmt.Sprintf(`{"spec_version":1,"dataset":%q,"mode":"monitor","config":{"k":4,"sigma":2}}`, info.ID)
 	jinfo, code, raw := postJob(t, ts, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit monitor: status %d (%s)", code, raw)
@@ -167,7 +167,7 @@ func TestStreamingMonitorEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("registered dataset not in registry")
 	}
-	refCfg := core.Config{K: 4, Sigma: 2, BitsetEval: core.BitsetOn}
+	refCfg := core.Config{K: 4, Sigma: 2}
 	reference := func(snap dsSnapshot) string {
 		res, err := core.RunEncoded(snap.Enc, snap.DS.Features, snap.ErrVec, refCfg)
 		if err != nil {
@@ -275,7 +275,7 @@ func TestBatchJobSnapshotIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Pool: 2, QueueDepth: 8})
 	info, _ := registerCSV(t, ts, testCSV(24), "name=iso&err=err")
 
-	spec := fmt.Sprintf(`{"dataset":%q,"config":{"k":4,"sigma":2,"bitset":"on"}}`, info.ID)
+	spec := fmt.Sprintf(`{"dataset":%q,"config":{"k":4,"sigma":2}}`, info.ID)
 	j1, _, _ := postJob(t, ts, spec)
 	done1 := waitJob(t, ts, j1.ID, 30*time.Second)
 	if done1.Status != string(jobDone) {
@@ -329,7 +329,7 @@ func TestWindowedJob(t *testing.T) {
 		t.Fatalf("append: status %d (%s)", code, raw)
 	}
 
-	spec := fmt.Sprintf(`{"spec_version":1,"dataset":%q,"window":{"last_rows":12},"config":{"k":4,"sigma":2,"bitset":"on"}}`, info.ID)
+	spec := fmt.Sprintf(`{"spec_version":1,"dataset":%q,"window":{"last_rows":12},"config":{"k":4,"sigma":2}}`, info.ID)
 	j, code, raw := postJob(t, ts, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit windowed: status %d (%s)", code, raw)
@@ -349,7 +349,7 @@ func TestWindowedJob(t *testing.T) {
 	for i := n - 12; i < n; i++ {
 		w[i] = 1
 	}
-	cfg := core.Config{K: 4, Sigma: 2, BitsetEval: core.BitsetOn}.WithDefaults(n)
+	cfg := core.Config{K: 4, Sigma: 2}.WithDefaults(n)
 	ref, err := core.RunEncodedWeighted(snap.Enc, snap.DS.Features, snap.ErrVec, w, cfg)
 	if err != nil {
 		t.Fatalf("weighted reference: %v", err)
@@ -361,7 +361,7 @@ func TestWindowedJob(t *testing.T) {
 	}
 
 	// The full (unwindowed) run sees 24 benign base rows too and must differ.
-	full, _, _ := postJob(t, ts, fmt.Sprintf(`{"dataset":%q,"config":{"k":4,"sigma":2,"bitset":"on"}}`, info.ID))
+	full, _, _ := postJob(t, ts, fmt.Sprintf(`{"dataset":%q,"config":{"k":4,"sigma":2}}`, info.ID))
 	fullDone := waitJob(t, ts, full.ID, 30*time.Second)
 	if canonicalResult(t, fullDone.Result) == canonicalResult(t, done.Result) {
 		t.Fatal("windowed and full results are identical; the window had no effect")
@@ -661,7 +661,7 @@ func TestStreamingJournalReplay(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("append 2: %d (%s)", code, raw)
 	}
-	spec := fmt.Sprintf(`{"dataset":%q,"config":{"k":4,"sigma":2,"bitset":"on"}}`, info.ID)
+	spec := fmt.Sprintf(`{"dataset":%q,"config":{"k":4,"sigma":2}}`, info.ID)
 	j1, _, _ := postJob(t, ts1, spec)
 	done1 := waitJob(t, ts1, j1.ID, 30*time.Second)
 	if done1.Status != string(jobDone) {
@@ -728,7 +728,7 @@ func TestMonitorJournalRestart(t *testing.T) {
 	}
 	ts1 := newHTTPTestServer(t, s1)
 	info, _ := registerCSV(t, ts1, testCSV(24), "name=mr&err=err")
-	spec := fmt.Sprintf(`{"spec_version":1,"dataset":%q,"mode":"monitor","config":{"k":3,"bitset":"on"}}`, info.ID)
+	spec := fmt.Sprintf(`{"spec_version":1,"dataset":%q,"mode":"monitor","config":{"k":3}}`, info.ID)
 	j1, code, raw := postJob(t, ts1, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("monitor: %d (%s)", code, raw)
