@@ -8,6 +8,7 @@
 package sliceline_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -51,7 +52,7 @@ func truncateGen(g *datasets.Generated, n int) *datasets.Generated {
 
 func mustRun(b *testing.B, g *datasets.Generated, cfg sliceline.Config) *sliceline.Result {
 	b.Helper()
-	res, err := sliceline.Run(g.DS, g.Err, cfg)
+	res, err := sliceline.RunContext(context.Background(), g.DS, g.Err, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func BenchmarkFig7Strategies(b *testing.B) {
 			for i := range workers {
 				workers[i] = &dist.InProcessWorker{}
 			}
-			cluster, err := dist.NewCluster(workers, blockSize)
+			cluster, err := dist.NewClusterOpts(workers, dist.Options{BlockSize: blockSize})
 			if err != nil {
 				b.Fatal(err)
 			}

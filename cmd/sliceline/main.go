@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -82,6 +83,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	ds, errVec, err := loadInput(*dataset, *csvPath, *label, *task, *bins, *rows, *seed)
+	var oneHot *frame.Encoding
+	if err == nil {
+		oneHot, err = frame.OneHot(ds)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "sliceline:", err)
 		return 1
@@ -140,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "sliceline:", err)
 			return 2
 		}
-		cluster, err := dialCluster(addrs, dist.Options{
+		cluster, err := dist.DialCluster(addrs, dist.Options{
 			CallTimeout:       *callTimeout,
 			HedgeDelay:        *hedgeAfter,
 			HedgeMultiplier:   *hedgeMult,
@@ -156,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Evaluator = cluster
 	}
 
-	res, err := core.Run(ds, errVec, cfg)
+	res, err := core.Run(context.Background(), oneHot, ds.Features, errVec, nil, cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "sliceline:", err)
 		return 1
@@ -265,20 +270,4 @@ func loadCSV(path, label, task string, bins int) (*frame.Dataset, []float64, err
 	default:
 		return nil, nil, fmt.Errorf("unknown task %q (want class or reg)", task)
 	}
-}
-
-func dialCluster(addrs []string, opts dist.Options) (*dist.Cluster, error) {
-	workers := make([]dist.Worker, 0, len(addrs))
-	for _, a := range addrs {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
-		w, err := dist.Dial(a)
-		if err != nil {
-			return nil, err
-		}
-		workers = append(workers, w)
-	}
-	return dist.NewClusterOpts(workers, opts)
 }

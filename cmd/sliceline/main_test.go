@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sliceline/internal/core"
-	"sliceline/internal/dist"
 )
 
 func writeTemp(t *testing.T, content string) string {
@@ -98,11 +97,11 @@ func TestLoadInputUnknown(t *testing.T) {
 }
 
 func TestDialClusterFailure(t *testing.T) {
-	if _, err := dialCluster([]string{"127.0.0.1:1"}, dist.Options{}); err == nil {
-		t.Error("expected dial error")
+	if code, _ := runCLI(t, "-dataset", "salaries", "-workers", "127.0.0.1:1"); code != 1 {
+		t.Errorf("unreachable worker: exit %d, want 1", code)
 	}
-	if _, err := dialCluster([]string{" ", ""}, dist.Options{}); err == nil {
-		t.Error("expected error for empty worker list")
+	if code, _ := runCLI(t, "-dataset", "salaries", "-workers", " , "); code != 2 {
+		t.Errorf("empty worker list: exit %d, want 2", code)
 	}
 }
 

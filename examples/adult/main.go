@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -31,7 +32,7 @@ func main() {
 	fmt.Println("model:", desc)
 
 	start := time.Now()
-	res, err := sliceline.Run(ds, errVec, sliceline.Config{K: 5, Alpha: 0.95, MaxLevel: 3})
+	res, err := sliceline.RunContext(context.Background(), ds, errVec, sliceline.Config{K: 5, Alpha: 0.95, MaxLevel: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	g := datasets.USCensus(8000, 1)
 	fmt.Printf("dataset: %d rows, %d features, %d one-hot columns\n",
 		g.DS.NumRows(), g.DS.NumFeatures(), g.DS.OneHotWidth())
@@ -25,7 +27,7 @@ func main() {
 	// Start four workers on ephemeral loopback ports.
 	const nWorkers = 4
 	var listeners []net.Listener
-	var workers []dist.Worker
+	var addrs []string
 	for i := 0; i < nWorkers; i++ {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -33,11 +35,7 @@ func main() {
 		}
 		listeners = append(listeners, lis)
 		go dist.Serve(lis) //nolint:errcheck // lifetime bound to listener
-		w, err := dist.Dial(lis.Addr().String())
-		if err != nil {
-			log.Fatal(err)
-		}
-		workers = append(workers, w)
+		addrs = append(addrs, lis.Addr().String())
 		fmt.Printf("worker %d listening on %s\n", i, lis.Addr())
 	}
 	defer func() {
@@ -46,7 +44,7 @@ func main() {
 		}
 	}()
 
-	cluster, err := dist.NewCluster(workers, 0)
+	cluster, err := dist.DialCluster(addrs, dist.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +52,7 @@ func main() {
 
 	cfg := sliceline.Config{K: 5, Alpha: 0.95, MaxLevel: 3, Evaluator: cluster}
 	start := time.Now()
-	res, err := sliceline.Run(g.DS, g.Err, cfg)
+	res, err := sliceline.RunContext(ctx, g.DS, g.Err, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +61,7 @@ func main() {
 
 	// Cross-check against the local evaluator: distribution must not change
 	// results.
-	local, err := sliceline.Run(g.DS, g.Err, sliceline.Config{K: 5, Alpha: 0.95, MaxLevel: 3})
+	local, err := sliceline.RunContext(ctx, g.DS, g.Err, sliceline.Config{K: 5, Alpha: 0.95, MaxLevel: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

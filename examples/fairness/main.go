@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,7 @@ func main() {
 	fmt.Printf("model: overall false-positive fraction %.3f (%d rows)\n",
 		float64(nFP)/float64(len(fp)), nFP)
 
-	res, err := sliceline.Run(ds, fp, sliceline.Config{K: 5, Alpha: 0.9, MaxLevel: 3})
+	res, err := sliceline.RunContext(context.Background(), ds, fp, sliceline.Config{K: 5, Alpha: 0.9, MaxLevel: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

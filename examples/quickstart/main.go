@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -54,7 +55,7 @@ func main() {
 	// 3. Find the top slices where the model is worst. Sigma is tiny here
 	//    because the dataset is tiny; production use keeps the default
 	//    max(32, n/100).
-	res, err := sliceline.Run(ds, errVec, sliceline.Config{K: 3, Sigma: 3, Alpha: 0.9})
+	res, err := sliceline.RunContext(context.Background(), ds, errVec, sliceline.Config{K: 3, Sigma: 3, Alpha: 0.9})
 	if err != nil {
 		log.Fatal(err)
 	}

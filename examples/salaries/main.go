@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The 2x2 replication (rows and columns doubled) adds the correlated
 	// columns that make pruning interesting, exactly as in the paper's
 	// ablation study.
@@ -30,7 +32,7 @@ func main() {
 	fmt.Println("model:", desc)
 
 	sigma := (ds.NumRows() + 99) / 100
-	res, err := sliceline.Run(ds, errVec, sliceline.Config{K: 4, Alpha: 0.95, Sigma: sigma})
+	res, err := sliceline.RunContext(ctx, ds, errVec, sliceline.Config{K: 4, Alpha: 0.95, Sigma: sigma})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func main() {
 		c.cfg.Alpha = 0.95
 		c.cfg.Sigma = sigma
 		start := time.Now()
-		r, err := sliceline.Run(ds, errVec, c.cfg)
+		r, err := sliceline.RunContext(ctx, ds, errVec, c.cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

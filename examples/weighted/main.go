@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	base := datasets.Adult(1)
 	ds, _ := base.DS.Split(6000)
 	ds.Name = "Adult"
@@ -36,14 +38,14 @@ func main() {
 	cfg := sliceline.Config{K: 3, Alpha: 0.95, MaxLevel: 3, Sigma: 300}
 
 	start := time.Now()
-	exp, err := sliceline.Run(expanded, expandedErr, cfg)
+	exp, err := sliceline.RunContext(ctx, expanded, expandedErr, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	expTime := time.Since(start)
 
 	start = time.Now()
-	wt, err := sliceline.RunWeighted(ds, e, w, cfg)
+	wt, err := sliceline.RunContext(ctx, ds, e, cfg, sliceline.WithWeights(w))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,23 @@ import (
 	"sliceline/internal/bench"
 	"sliceline/internal/core"
 	"sliceline/internal/difftest"
+	"sliceline/internal/frame"
 )
+
+// runCase runs core.Run over the case's encoding with cfg, failing the test
+// on error.
+func runCase(t *testing.T, c *difftest.Case, cfg core.Config) *core.Result {
+	t.Helper()
+	enc, err := frame.OneHot(c.DS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(context.Background(), enc, c.DS.Features, c.E, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestDenseIntermediatesMatchFused: the dense materialized program (the
 // limited-sparsity ML-system model) must find the same top-K as the built-in
@@ -15,16 +31,10 @@ import (
 func TestDenseIntermediatesMatchFused(t *testing.T) {
 	for _, seed := range difftest.Seeds(10) {
 		c := difftest.Generate(seed, difftest.Defaults)
-		fused, err := core.Run(c.DS, c.E, c.Cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fused := runCase(t, c, c.Cfg)
 		cfg := c.Cfg
 		cfg.Evaluator = &bench.DenseIntermediates{}
-		dense, err := core.Run(c.DS, c.E, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dense := runCase(t, c, cfg)
 		if err := difftest.CompareResults(fused, dense, difftest.Tol); err != nil {
 			t.Fatalf("seed %d: dense vs fused: %v", seed, err)
 		}
@@ -36,17 +46,11 @@ func TestDenseIntermediatesMatchFused(t *testing.T) {
 func TestBarrierEvaluatorMatchesBuiltin(t *testing.T) {
 	for _, seed := range difftest.Seeds(10) {
 		c := difftest.Generate(seed, difftest.Defaults)
-		ref, err := core.Run(c.DS, c.E, c.Cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := runCase(t, c, c.Cfg)
 		for _, b := range []int{0, 1, 16, 1 << 20} {
 			cfg := c.Cfg
 			cfg.Evaluator = &bench.BarrierEvaluator{BlockSize: b}
-			got, err := core.Run(c.DS, c.E, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := runCase(t, c, cfg)
 			if err := difftest.CompareAnnotated(ref, got); err != nil {
 				t.Fatalf("seed %d block %d: MT-Ops vs builtin: %v", seed, b, err)
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -81,6 +82,16 @@ func ablationConfigs() []struct {
 	}
 }
 
+// runGen encodes g and runs core.Run on it; the encoding is part of the
+// end-to-end time, as the paper measures it.
+func runGen(g *datagen.Generated, cfg core.Config) (*core.Result, error) {
+	enc, err := frame.OneHot(g.DS)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(context.Background(), enc, g.DS.Features, g.Err, nil, cfg)
+}
+
 func salaries2x2(opt Options) *datagen.Generated {
 	return datagen.Salaries(opt.seed()).ReplicateCols(2).ReplicateRows(2)
 }
@@ -99,7 +110,7 @@ func runFig3a(w io.Writer, opt Options) error {
 	for _, c := range ablationConfigs() {
 		cfg := c.cfg
 		cfg.Sigma = sigma
-		res, err := core.Run(g.DS, g.Err, opt.config(cfg))
+		res, err := runGen(g, opt.config(cfg))
 		if err != nil {
 			return err
 		}
@@ -130,7 +141,7 @@ func runFig3b(w io.Writer, opt Options) error {
 		cfg := c.cfg
 		cfg.Sigma = sigma
 		start := time.Now()
-		res, err := core.Run(g.DS, g.Err, opt.config(cfg))
+		res, err := runGen(g, opt.config(cfg))
 		if err != nil {
 			return err
 		}
@@ -154,7 +165,7 @@ func printLevels(w io.Writer, name string, res *core.Result) error {
 // runFig4a: Adult slice enumeration with unbounded level.
 func runFig4a(w io.Writer, opt Options) error {
 	g := adultGen(opt)
-	res, err := core.Run(g.DS, g.Err, opt.config(core.Config{Alpha: 0.95}))
+	res, err := runGen(g, opt.config(core.Config{Alpha: 0.95}))
 	if err != nil {
 		return err
 	}
@@ -179,7 +190,7 @@ func runFig4b(w io.Writer, opt Options) error {
 		{datagen.Covtype(sc.covtype, opt.seed()), covL},
 	}
 	for _, r := range runs {
-		res, err := core.Run(r.g.DS, r.g.Err, opt.config(core.Config{Alpha: 0.95, MaxLevel: r.cap}))
+		res, err := runGen(r.g, opt.config(core.Config{Alpha: 0.95, MaxLevel: r.cap}))
 		if err != nil {
 			return err
 		}
@@ -215,7 +226,7 @@ func runFig5(w io.Writer, opt Options) error {
 		scoreRow := fmt.Sprintf("%s score", g.DS.Name)
 		sizeRow := fmt.Sprintf("%s size", g.DS.Name)
 		for _, a := range alphas {
-			res, err := core.RunEncoded(enc, g.DS.Features, g.Err, opt.config(core.Config{
+			res, err := core.Run(context.Background(), enc, g.DS.Features, g.Err, nil, opt.config(core.Config{
 				K: 10, Alpha: a, MaxLevel: 3,
 			}))
 			if err != nil {
@@ -259,7 +270,7 @@ func runSigma(w io.Writer, opt Options) error {
 				sigma = 1
 			}
 			start := time.Now()
-			res, err := core.RunEncoded(enc, g.DS.Features, g.Err, opt.config(core.Config{
+			res, err := core.Run(context.Background(), enc, g.DS.Features, g.Err, nil, opt.config(core.Config{
 				K: 10, Alpha: 0.95, Sigma: sigma, MaxLevel: 3,
 			}))
 			if err != nil {
@@ -295,7 +306,7 @@ func runFig6a(w io.Writer, opt Options) error {
 	fmt.Fprintln(tw, "dataset\tn\tl\tlevels\telapsed\ttop-1 score\tevaluated")
 	for _, r := range runs {
 		start := time.Now()
-		res, err := core.Run(r.g.DS, r.g.Err, opt.config(core.Config{Alpha: 0.95, MaxLevel: r.cap}))
+		res, err := runGen(r.g, opt.config(core.Config{Alpha: 0.95, MaxLevel: r.cap}))
 		if err != nil {
 			return err
 		}
@@ -331,7 +342,7 @@ func runFig6b(w io.Writer, opt Options) error {
 		fmt.Fprint(tw, g.DS.Name)
 		for _, b := range append(blocks, 0) {
 			start := time.Now()
-			if _, err := core.RunEncoded(enc, g.DS.Features, g.Err, opt.config(core.Config{
+			if _, err := core.Run(context.Background(), enc, g.DS.Features, g.Err, nil, opt.config(core.Config{
 				Alpha: 0.95, MaxLevel: 3, BlockSize: b,
 			})); err != nil {
 				return err
@@ -360,7 +371,7 @@ func runFig7a(w io.Writer, opt Options) error {
 	for _, f := range factors {
 		g := base.ReplicateRows(f)
 		start := time.Now()
-		res, err := core.Run(g.DS, g.Err, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3}))
+		res, err := runGen(g, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3}))
 		if err != nil {
 			return err
 		}
@@ -402,7 +413,7 @@ func runFig7b(w io.Writer, opt Options) error {
 			c.Evaluator = ev
 		}
 		start := time.Now()
-		res, err := core.RunEncoded(enc, g.DS.Features, g.Err, opt.config(c))
+		res, err := core.Run(context.Background(), enc, g.DS.Features, g.Err, nil, opt.config(c))
 		if err != nil {
 			return err
 		}
@@ -443,7 +454,7 @@ func runFig7b(w io.Writer, opt Options) error {
 // connected cluster plus a shutdown function.
 func localTCPCluster(n, blockSize int) (*dist.Cluster, func(), error) {
 	listeners := make([]net.Listener, 0, n)
-	workers := make([]dist.Worker, 0, n)
+	addrs := make([]string, 0, n)
 	shutdown := func() {
 		for _, l := range listeners {
 			l.Close()
@@ -457,14 +468,9 @@ func localTCPCluster(n, blockSize int) (*dist.Cluster, func(), error) {
 		}
 		listeners = append(listeners, lis)
 		go dist.Serve(lis) //nolint:errcheck // lifetime bound to listener
-		wk, err := dist.Dial(lis.Addr().String())
-		if err != nil {
-			shutdown()
-			return nil, nil, err
-		}
-		workers = append(workers, wk)
+		addrs = append(addrs, lis.Addr().String())
 	}
-	cluster, err := dist.NewCluster(workers, blockSize)
+	cluster, err := dist.DialCluster(addrs, dist.Options{BlockSize: blockSize})
 	if err != nil {
 		shutdown()
 		return nil, nil, err
@@ -475,7 +481,7 @@ func localTCPCluster(n, blockSize int) (*dist.Cluster, func(), error) {
 // runTable2: Criteo enumeration statistics through lattice level 6.
 func runTable2(w io.Writer, opt Options) error {
 	g := datagen.Criteo(scaleFor(opt).criteo, opt.seed())
-	res, err := core.Run(g.DS, g.Err, opt.config(core.Config{Alpha: 0.95, MaxLevel: 6}))
+	res, err := runGen(g, opt.config(core.Config{Alpha: 0.95, MaxLevel: 6}))
 	if err != nil {
 		return err
 	}
@@ -513,7 +519,7 @@ func runMLSys(w io.Writer, opt Options) error {
 	fmt.Fprintln(tw, "system\telapsed\ttop result")
 
 	start := time.Now()
-	res, err := core.RunEncoded(enc, g.DS.Features, g.Err, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3}))
+	res, err := core.Run(context.Background(), enc, g.DS.Features, g.Err, nil, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3}))
 	if err != nil {
 		return err
 	}
@@ -525,7 +531,7 @@ func runMLSys(w io.Writer, opt Options) error {
 	fmt.Fprintf(tw, "SliceLine (fused sparse)\t%s\t%s\n", fmtDur(fused), top)
 
 	start = time.Now()
-	resD, err := core.RunEncoded(enc, g.DS.Features, g.Err, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3, Evaluator: &DenseIntermediates{}}))
+	resD, err := core.Run(context.Background(), enc, g.DS.Features, g.Err, nil, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3, Evaluator: &DenseIntermediates{}}))
 	if err != nil {
 		return err
 	}

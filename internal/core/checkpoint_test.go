@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"sliceline/internal/frame"
 )
 
 // TestCheckpointResumeByteIdentical: a run killed between levels and resumed
@@ -16,7 +18,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	ds, e := randomDataset(rng, 400, 5, 4)
 	base := Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := Run(ds, e, base)
+	ref, err := runDS(ds, e, nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,11 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				cancel()
 			}
 		}
-		if _, err := RunContext(ctx, ds, e, cfg); err == nil {
+		enc, err := frame.OneHot(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(ctx, enc, ds.Features, e, nil, cfg); err == nil {
 			t.Fatalf("killAfter=%d: interrupted run should error", killAfter)
 		}
 		cancel()
@@ -52,7 +58,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				resumedFrom = ls.Level
 			}
 		}
-		got, err := Run(ds, e, cfg2)
+		got, err := runDS(ds, e, nil, cfg2)
 		if err != nil {
 			t.Fatalf("killAfter=%d: resume: %v", killAfter, err)
 		}
@@ -81,7 +87,7 @@ func TestCheckpointExtendsMaxLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	ds, e := randomDataset(rng, 400, 5, 4)
 	base := Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := Run(ds, e, base)
+	ref, err := runDS(ds, e, nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +95,13 @@ func TestCheckpointExtendsMaxLevel(t *testing.T) {
 	shallow := base
 	shallow.MaxLevel = 2
 	shallow.CheckpointPath = path
-	if _, err := Run(ds, e, shallow); err != nil {
+	if _, err := runDS(ds, e, nil, shallow); err != nil {
 		t.Fatal(err)
 	}
 	deep := base
 	deep.CheckpointPath = path
 	deep.Resume = true
-	got, err := Run(ds, e, deep)
+	got, err := runDS(ds, e, nil, deep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +117,7 @@ func TestCheckpointSignatureMismatch(t *testing.T) {
 	ds, e := randomDataset(rng, 300, 4, 3)
 	path := filepath.Join(t.TempDir(), "ck.gob")
 	cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, CheckpointPath: path}
-	if _, err := Run(ds, e, cfg); err != nil {
+	if _, err := runDS(ds, e, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,7 +126,7 @@ func TestCheckpointSignatureMismatch(t *testing.T) {
 		e2[0] += 0.5
 		r := cfg
 		r.Resume = true
-		if _, err := Run(ds, e2, r); err == nil {
+		if _, err := runDS(ds, e2, nil, r); err == nil {
 			t.Fatal("expected signature mismatch for different error vector")
 		}
 	})
@@ -128,7 +134,7 @@ func TestCheckpointSignatureMismatch(t *testing.T) {
 		r := cfg
 		r.Resume = true
 		r.Alpha = 0.5
-		if _, err := Run(ds, e, r); err == nil {
+		if _, err := runDS(ds, e, nil, r); err == nil {
 			t.Fatal("expected signature mismatch for different alpha")
 		}
 	})
@@ -140,14 +146,14 @@ func TestCheckpointMissingFileFreshStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	ds, e := randomDataset(rng, 300, 4, 3)
 	cfg := Config{K: 4, Sigma: 3, Alpha: 0.9}
-	ref, err := Run(ds, e, cfg)
+	ref, err := runDS(ds, e, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := cfg
 	r.CheckpointPath = filepath.Join(t.TempDir(), "never-written.gob")
 	r.Resume = true
-	got, err := Run(ds, e, r)
+	got, err := runDS(ds, e, nil, r)
 	if err != nil {
 		t.Fatalf("missing checkpoint should start fresh: %v", err)
 	}
@@ -166,7 +172,7 @@ func TestCheckpointCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, CheckpointPath: path, Resume: true}
-	if _, err := Run(ds, e, cfg); err == nil {
+	if _, err := runDS(ds, e, nil, cfg); err == nil {
 		t.Fatal("expected error decoding corrupt checkpoint")
 	}
 }
@@ -179,7 +185,7 @@ func TestCheckpointAtomicOverwrite(t *testing.T) {
 	ds, e := randomDataset(rng, 300, 4, 3)
 	path := filepath.Join(t.TempDir(), "ck.gob")
 	cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, CheckpointPath: path}
-	ref, err := Run(ds, e, cfg)
+	ref, err := runDS(ds, e, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +194,7 @@ func TestCheckpointAtomicOverwrite(t *testing.T) {
 	}
 	r := cfg
 	r.Resume = true
-	got, err := Run(ds, e, r)
+	got, err := runDS(ds, e, nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}

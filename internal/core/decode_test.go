@@ -25,7 +25,7 @@ func TestDecodeUsesFeatureNamesAndLabels(t *testing.T) {
 			e[i] = 1 // color=red AND shape=square is the bad slice
 		}
 	}
-	res, err := Run(ds, e, Config{K: 1, Sigma: 2, Alpha: 0.9})
+	res, err := runDS(ds, e, nil, Config{K: 1, Sigma: 2, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestDecodeUsesFeatureNamesAndLabels(t *testing.T) {
 func TestResultTSAndTR(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	ds, e := randomDataset(rng, 150, 3, 3)
-	res, err := Run(ds, e, Config{K: 5, Sigma: 3, Alpha: 0.9})
+	res, err := runDS(ds, e, nil, Config{K: 5, Sigma: 3, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,32 +19,18 @@ import (
 //	improvements: e⁻ = max(0, eBase − eNew)
 //
 // lowered onto the weighted enumeration path with unit weights, so each
-// direction is bit-identical to RunWeighted over that delta — the diff
-// differential proof. Rows whose error moved the other way contribute zero,
-// exactly like rows with zero error in a plain run.
+// direction is bit-identical to Run with unit weights over that delta — the
+// diff differential proof. Rows whose error moved the other way contribute
+// zero, exactly like rows with zero error in a plain run.
 
 // RunDiff finds the top slices of model-behavior change between two error
-// vectors over the same dataset: slices where the new model regressed
-// (Slice.DiffSign = +1) and where it improved (DiffSign = -1). Both
-// directions are enumerated with the same configuration; the merged top-K
-// interleaves them by score. External evaluators are not supported (the
-// lowering is weighted); diff runs always evaluate locally.
-func RunDiff(ds *frame.Dataset, eBase, eNew []float64, cfg Config) (*Result, error) {
-	return RunDiffContext(context.Background(), ds, eBase, eNew, cfg)
-}
-
-// RunDiffContext is RunDiff with a caller-supplied context.
-func RunDiffContext(ctx context.Context, ds *frame.Dataset, eBase, eNew []float64, cfg Config) (*Result, error) {
-	enc, err := frame.OneHot(ds)
-	if err != nil {
-		return nil, err
-	}
-	return RunDiffEncodedContext(ctx, enc, ds.Features, eBase, eNew, cfg)
-}
-
-// RunDiffEncodedContext is RunDiffContext for callers that already hold the
-// one-hot encoding.
-func RunDiffEncodedContext(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, eBase, eNew []float64, cfg Config) (*Result, error) {
+// vectors over the same one-hot encoding: slices where the new model
+// regressed (Slice.DiffSign = +1) and where it improved (DiffSign = -1).
+// Both vectors obey Run's rule (finite and >= 0), and both directions are
+// enumerated with the same configuration; the merged top-K interleaves them
+// by score. External evaluators are not supported (the lowering is
+// weighted); diff runs always evaluate locally.
+func RunDiff(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, eBase, eNew []float64, cfg Config) (*Result, error) {
 	n := enc.X.Rows()
 	if len(eBase) != n {
 		return nil, fmt.Errorf("core: baseline error vector length %d vs %d rows: %w", len(eBase), n, ErrBadErrorVector)
@@ -52,18 +38,17 @@ func RunDiffEncodedContext(ctx context.Context, enc *frame.Encoding, feats []fra
 	if len(eNew) != n {
 		return nil, fmt.Errorf("core: error vector length %d vs %d rows: %w", len(eNew), n, ErrBadErrorVector)
 	}
-	if cfg.Evaluator != nil {
-		return nil, fmt.Errorf("core: diff slicing %w", ErrWeightedEvaluator)
+	if err := CheckValues(eBase, ErrBadErrorVector); err != nil {
+		return nil, fmt.Errorf("core: baseline: %w", err)
+	}
+	if err := CheckValues(eNew, ErrBadErrorVector); err != nil {
+		return nil, err
 	}
 	reg := make([]float64, n)
 	imp := make([]float64, n)
 	ones := make([]float64, n)
 	for i := 0; i < n; i++ {
-		db, dn := eBase[i], eNew[i]
-		if math.IsNaN(db) || math.IsInf(db, 0) || math.IsNaN(dn) || math.IsInf(dn, 0) {
-			return nil, fmt.Errorf("core: non-finite error at row %d (base %v, new %v): %w", i, db, dn, ErrBadErrorVector)
-		}
-		if d := dn - db; d > 0 {
+		if d := eNew[i] - eBase[i]; d > 0 {
 			reg[i] = d
 		} else {
 			imp[i] = -d
@@ -71,11 +56,11 @@ func RunDiffEncodedContext(ctx context.Context, enc *frame.Encoding, feats []fra
 		ones[i] = 1
 	}
 	start := time.Now()
-	regRes, err := runEncoded(ctx, enc, feats, reg, ones, cfg, nil)
+	regRes, err := Run(ctx, enc, feats, reg, ones, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: diff regression direction: %w", err)
 	}
-	impRes, err := runEncoded(ctx, enc, feats, imp, ones, cfg, nil)
+	impRes, err := Run(ctx, enc, feats, imp, ones, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: diff improvement direction: %w", err)
 	}

@@ -46,7 +46,7 @@ func TestDiversifyDropsNearDuplicates(t *testing.T) {
 			e[i] = 1
 		}
 	}
-	res, err := Run(ds, e, Config{K: 4, Sigma: 5, Alpha: 0.9})
+	res, err := runDS(ds, e, nil, Config{K: 4, Sigma: 5, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDiversifyDropsNearDuplicates(t *testing.T) {
 func TestDiversifyKeepsDistinctSlices(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
 	ds, e := randomDataset(rng, 300, 4, 3)
-	res, err := Run(ds, e, Config{K: 8, Sigma: 4, Alpha: 0.9})
+	res, err := runDS(ds, e, nil, Config{K: 8, Sigma: 4, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

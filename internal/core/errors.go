@@ -7,10 +7,10 @@ import (
 )
 
 // Typed sentinel errors for input validation. Every validation failure of
-// Run/RunWeighted/RunEncoded wraps one of these, so callers can branch with
+// Run, RunDiff and Incremental wraps one of these, so callers can branch with
 // errors.Is instead of matching message strings:
 //
-//	_, err := sliceline.Run(ds, e, cfg)
+//	_, err := core.Run(ctx, enc, feats, e, nil, cfg)
 //	if errors.Is(err, core.ErrBadErrorVector) { ... }
 var (
 	// ErrBadAlpha marks a Config.Alpha that is NaN or infinite. (Alpha <= 0
@@ -22,11 +22,11 @@ var (
 	// ErrNoFeatures marks a dataset whose feature descriptors do not match
 	// its encoding (including the zero-feature case).
 	ErrNoFeatures = errors.New("no usable features")
-	// ErrBadErrorVector marks an error vector with the wrong length or a
-	// negative entry.
+	// ErrBadErrorVector marks an error vector with the wrong length or an
+	// entry that is negative, NaN or infinite.
 	ErrBadErrorVector = errors.New("invalid error vector")
-	// ErrBadWeight marks a weight vector with the wrong length or a
-	// non-positive entry.
+	// ErrBadWeight marks a weight vector with the wrong length, an entry
+	// that is negative, NaN or infinite, or a total that is not positive.
 	ErrBadWeight = errors.New("invalid weight vector")
 	// ErrWeightedEvaluator marks the unsupported combination of row weights
 	// with an external evaluator.
@@ -39,10 +39,23 @@ var (
 	ErrBadSignificance = errors.New("invalid Significance level")
 )
 
+// CheckValues applies the input rule shared by error vectors and row
+// weights: every value must be finite and >= 0. It returns nil, or an error
+// wrapping sentinel (ErrBadErrorVector or ErrBadWeight) that names the first
+// offending row.
+func CheckValues(v []float64, sentinel error) error {
+	for i, x := range v {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("core: value %v at row %d is not finite and >= 0: %w", x, i, sentinel)
+		}
+	}
+	return nil
+}
+
 // Validate checks the statically checkable configuration fields, returning an
 // error wrapping one of the sentinel errors above, or nil. Zero values are
 // always valid (they select defaults), so Validate accepts Config{}.
-// Run and its variants call Validate before touching the data; callers
+// Run and RunDiff call Validate before touching the data; callers
 // building configurations programmatically can call it earlier for a
 // fail-fast check.
 func (c Config) Validate() error {

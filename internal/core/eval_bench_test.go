@@ -150,7 +150,7 @@ func BenchmarkEvalRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(ds, e, cfg); err != nil {
+		if _, err := runDS(ds, e, nil, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

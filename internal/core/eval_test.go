@@ -18,7 +18,7 @@ func encodeForTest(ds *frame.Dataset) (*frame.Encoding, error) {
 func TestEvalPartitionAdditive(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	ds, e := randomDataset(rng, 300, 4, 3)
-	res, err := Run(ds, e, Config{K: 4, Sigma: 3, Alpha: 0.9})
+	res, err := runDS(ds, e, nil, Config{K: 4, Sigma: 3, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

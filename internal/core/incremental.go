@@ -210,10 +210,8 @@ func (inc *Incremental) Append(res *frame.AppendResult, errs []float64) error {
 	if len(errs) != res.NewRows {
 		return fmt.Errorf("core: %d errors for %d appended rows: %w", len(errs), res.NewRows, ErrBadErrorVector)
 	}
-	for i, v := range errs {
-		if v < 0 || v != v {
-			return fmt.Errorf("core: invalid error %v at appended row %d: %w", v, i, ErrBadErrorVector)
-		}
+	if err := CheckValues(errs, ErrBadErrorVector); err != nil {
+		return fmt.Errorf("core: appended rows: %w", err)
 	}
 	if res.Enc.X.Rows() != len(inc.e)+res.NewRows {
 		return fmt.Errorf("core: append result has %d rows, evaluator holds %d + %d new",
@@ -240,7 +238,7 @@ func (inc *Incremental) Append(res *frame.AppendResult, errs []float64) error {
 }
 
 // Run evaluates the current generation and returns its exact top-K. The
-// result is bit-identical to RunEncoded over the accumulated encoding.
+// result is bit-identical to core.Run over the accumulated encoding.
 func (inc *Incremental) Run(ctx context.Context) (*Result, error) {
-	return runEncoded(ctx, inc.enc, inc.feats, inc.e, nil, inc.cfg, inc.memo)
+	return run(ctx, inc.enc, inc.feats, inc.e, nil, inc.cfg, inc.memo)
 }

@@ -134,7 +134,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d gen %d: incremental run: %v", seed, gen, err)
 			}
-			want, err := RunEncoded(ap.Encoding(), ap.Dataset().Features, e, cfg)
+			want, err := Run(ctx, ap.Encoding(), ap.Dataset().Features, e, nil, cfg)
 			if err != nil {
 				t.Fatalf("seed %d gen %d: reference run: %v", seed, gen, err)
 			}

@@ -121,32 +121,32 @@ func TestValidateSentinels(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ds, e := randomDataset(rng, 60, 3, 3)
 
-	if _, err := Run(ds, e[:10], Config{}); !errors.Is(err, ErrBadErrorVector) {
+	if _, err := runDS(ds, e[:10], nil, Config{}); !errors.Is(err, ErrBadErrorVector) {
 		t.Fatalf("short error vector: got %v, want ErrBadErrorVector", err)
 	}
 	bad := append([]float64(nil), e...)
 	bad[3] = -1
-	if _, err := Run(ds, bad, Config{}); !errors.Is(err, ErrBadErrorVector) {
+	if _, err := runDS(ds, bad, nil, Config{}); !errors.Is(err, ErrBadErrorVector) {
 		t.Fatalf("negative error: got %v, want ErrBadErrorVector", err)
 	}
 	w := make([]float64, len(e))
-	if _, err := RunWeighted(ds, e, w[:5], Config{}); !errors.Is(err, ErrBadWeight) {
+	if _, err := runDS(ds, e, w[:5], Config{}); !errors.Is(err, ErrBadWeight) {
 		t.Fatalf("short weights: got %v, want ErrBadWeight", err)
 	}
-	if _, err := RunWeighted(ds, e, w, Config{}); !errors.Is(err, ErrBadWeight) {
+	if _, err := runDS(ds, e, w, Config{}); !errors.Is(err, ErrBadWeight) {
 		t.Fatalf("zero weight: got %v, want ErrBadWeight", err)
 	}
 	for i := range w {
 		w[i] = 1
 	}
-	if _, err := RunWeighted(ds, e, w, Config{Evaluator: stubEvaluator{}}); !errors.Is(err, ErrWeightedEvaluator) {
+	if _, err := runDS(ds, e, w, Config{Evaluator: stubEvaluator{}}); !errors.Is(err, ErrWeightedEvaluator) {
 		t.Fatalf("weighted external evaluator: got %v, want ErrWeightedEvaluator", err)
 	}
-	if _, err := Run(ds, e, Config{Alpha: math.NaN()}); !errors.Is(err, ErrBadAlpha) {
+	if _, err := runDS(ds, e, nil, Config{Alpha: math.NaN()}); !errors.Is(err, ErrBadAlpha) {
 		t.Fatalf("Run must call Validate: got %v, want ErrBadAlpha", err)
 	}
 	empty := &frame.Dataset{Name: "empty", X0: frame.NewIntMatrix(0, 1), Features: []frame.Feature{{Name: "f", Domain: 1}}}
-	if _, err := Run(empty, nil, Config{}); !errors.Is(err, ErrEmptyDataset) {
+	if _, err := runDS(empty, nil, nil, Config{}); !errors.Is(err, ErrEmptyDataset) {
 		t.Fatalf("empty dataset: got %v, want ErrEmptyDataset", err)
 	}
 }
@@ -173,7 +173,7 @@ func TestCoreTracingAndMetrics(t *testing.T) {
 		Tracer: tr, Metrics: reg,
 		CheckpointPath: filepath.Join(t.TempDir(), "run.ck"),
 	}
-	res, err := Run(ds, e, cfg)
+	res, err := runDS(ds, e, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestPriorityEnumerationExact(t *testing.T) {
 		}
 		pCfg := cfg
 		pCfg.PriorityEnumeration = true
-		got, err := Run(ds, e, pCfg)
+		got, err := runDS(ds, e, nil, pCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,12 +43,12 @@ func TestPriorityEnumerationNeverEvaluatesMore(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ds, e := randomDataset(rng, 250, 5, 3)
 		cfg := Config{K: 3, Sigma: 4, Alpha: 0.9}
-		plain, err := Run(ds, e, cfg)
+		plain, err := runDS(ds, e, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.PriorityEnumeration = true
-		prio, err := Run(ds, e, cfg)
+		prio, err := runDS(ds, e, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestPriorityWithScorePruningDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	ds, e := randomDataset(rng, 150, 4, 3)
 	cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, PriorityEnumeration: true, DisableScorePruning: true}
-	got, err := Run(ds, e, cfg)
+	got, err := runDS(ds, e, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

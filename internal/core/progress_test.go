@@ -13,7 +13,7 @@ func TestOnLevelCallback(t *testing.T) {
 		K: 4, Sigma: 3, Alpha: 0.9,
 		OnLevel: func(ls LevelStats) { seen = append(seen, ls) },
 	}
-	res, err := Run(ds, e, cfg)
+	res, err := runDS(ds, e, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

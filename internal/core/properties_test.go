@@ -161,7 +161,7 @@ func TestEvaluatorFailureInjection(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Run(ds, e, Config{K: 4, Sigma: 2, Alpha: 0.9, Evaluator: c.ev})
+			_, err := runDS(ds, e, nil, Config{K: 4, Sigma: 2, Alpha: 0.9, Evaluator: c.ev})
 			if err == nil {
 				t.Fatal("expected error from faulty evaluator")
 			}

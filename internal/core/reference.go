@@ -33,10 +33,8 @@ func RunReference(ds *frame.Dataset, e []float64, cfg Config) (*Result, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-	for i, v := range e {
-		if v < 0 {
-			return nil, fmt.Errorf("core: negative error %v at row %d", v, i)
-		}
+	if err := CheckValues(e, ErrBadErrorVector); err != nil {
+		return nil, err
 	}
 	cfg = cfg.WithDefaults(n)
 	start := time.Now()

@@ -25,7 +25,7 @@ func TestReferenceMatchesOptimized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		opt, err := Run(ds, e, cfg)
+		opt, err := runDS(ds, e, nil, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

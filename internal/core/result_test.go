@@ -11,7 +11,7 @@ import (
 func TestResultJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
 	ds, e := randomDataset(rng, 120, 3, 3)
-	res, err := Run(ds, e, Config{K: 4, Sigma: 3, Alpha: 0.9})
+	res, err := runDS(ds, e, nil, Config{K: 4, Sigma: 3, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

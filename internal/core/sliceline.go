@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"sliceline/internal/frame"
@@ -43,74 +44,30 @@ type state struct {
 	totSq    float64    // Σ w_i·e_i², the global total behind welchP
 }
 
-// Run executes SliceLine (Algorithm 1) on an integer-encoded dataset and a
-// row-aligned non-negative error vector e, returning the top-K slices and
-// per-level enumeration statistics. The error vector typically comes from
-// ml.SquaredLoss or ml.Inaccuracy applied to a trained model's predictions.
-func Run(ds *frame.Dataset, e []float64, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), ds, e, cfg)
+// Run executes SliceLine (Algorithm 1) over the one-hot encoding of a
+// dataset and a row-aligned error vector e, returning the top-K slices and
+// per-level enumeration statistics. feats supplies names and decode labels
+// for the result and must align with the encoding. The error vector
+// typically comes from ml.SquaredLoss or ml.Inaccuracy applied to a trained
+// model's predictions; every entry must be finite and >= 0.
+//
+// w holds optional row weights (nil means unit weights): row i counts as
+// w[i] identical rows in every size and error aggregate, so deduplicated
+// rows with multiplicities produce exactly the same top-K as their expanded
+// form. Weights must be finite and >= 0 with a positive total; a zero weight
+// excludes its row from every aggregate, including the max tuple error,
+// which is how windowed runs retire rows without re-encoding. Non-integer
+// weights are permitted (Slice.Size then reports the truncated weighted
+// size). External evaluators do not accept weights.
+//
+// Cancellation of ctx is honored between lattice levels and propagated into
+// external evaluators, so a cancelled run aborts in-flight distributed
+// evaluations instead of waiting for the level to finish.
+func Run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w []float64, cfg Config) (*Result, error) {
+	return run(ctx, enc, feats, e, w, cfg, nil)
 }
 
-// RunContext is Run with a caller-supplied context. Cancellation is honored
-// between lattice levels and propagated into external evaluators, so a
-// cancelled run aborts in-flight distributed evaluations instead of waiting
-// for the level to finish.
-func RunContext(ctx context.Context, ds *frame.Dataset, e []float64, cfg Config) (*Result, error) {
-	enc, err := frame.OneHot(ds)
-	if err != nil {
-		return nil, err
-	}
-	return RunEncodedContext(ctx, enc, ds.Features, e, cfg)
-}
-
-// RunEncoded is Run for callers that already hold the one-hot encoding,
-// avoiding re-encoding across parameter sweeps. feats supplies names and
-// decode labels for the result; it must align with the encoding.
-func RunEncoded(enc *frame.Encoding, feats []frame.Feature, e []float64, cfg Config) (*Result, error) {
-	return runEncoded(context.Background(), enc, feats, e, nil, cfg, nil)
-}
-
-// RunEncodedContext is RunEncoded with a caller-supplied context.
-func RunEncodedContext(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e []float64, cfg Config) (*Result, error) {
-	return runEncoded(ctx, enc, feats, e, nil, cfg, nil)
-}
-
-// RunEncodedWeighted is RunWeighted for callers that already hold the one-hot
-// encoding. Weights may include zeros (rows excluded from every aggregate,
-// including the max tuple error) as long as the total weight is positive —
-// the mechanism behind windowed slice finding, where retired rows are
-// down-weighted to zero rather than re-encoding the surviving window.
-func RunEncodedWeighted(enc *frame.Encoding, feats []frame.Feature, e, w []float64, cfg Config) (*Result, error) {
-	return runEncoded(context.Background(), enc, feats, e, w, cfg, nil)
-}
-
-// RunEncodedWeightedContext is RunEncodedWeighted with a caller-supplied
-// context.
-func RunEncodedWeightedContext(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w []float64, cfg Config) (*Result, error) {
-	return runEncoded(ctx, enc, feats, e, w, cfg, nil)
-}
-
-// RunWeighted is Run for datasets with row weights: row i counts as w[i]
-// identical rows in every size and error aggregate, so a dataset with
-// duplicate rows can be deduplicated into (unique rows, weights) and
-// produces exactly the same top-K as its expanded form — useful for the
-// row-replication scaling setting of Figure 7(a) and for heavily skewed
-// production data. Weights must be positive; non-integer weights are
-// permitted (Slice.Size then reports the truncated weighted size).
-func RunWeighted(ds *frame.Dataset, e, w []float64, cfg Config) (*Result, error) {
-	return RunWeightedContext(context.Background(), ds, e, w, cfg)
-}
-
-// RunWeightedContext is RunWeighted with a caller-supplied context.
-func RunWeightedContext(ctx context.Context, ds *frame.Dataset, e, w []float64, cfg Config) (*Result, error) {
-	enc, err := frame.OneHot(ds)
-	if err != nil {
-		return nil, err
-	}
-	return runEncoded(ctx, enc, ds.Features, e, w, cfg, nil)
-}
-
-func runEncoded(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w []float64, cfg Config, memo *sliceMemo) (*Result, error) {
+func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w []float64, cfg Config, memo *sliceMemo) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,30 +75,28 @@ func runEncoded(ctx context.Context, enc *frame.Encoding, feats []frame.Feature,
 	if len(e) != n {
 		return nil, fmt.Errorf("core: error vector length %d vs %d rows: %w", len(e), n, ErrBadErrorVector)
 	}
+	if err := CheckValues(e, ErrBadErrorVector); err != nil {
+		return nil, err
+	}
+	totalW := float64(n)
 	if w != nil {
 		if len(w) != n {
 			return nil, fmt.Errorf("core: weight vector length %d vs %d rows: %w", len(w), n, ErrBadWeight)
 		}
-		// Zero weights are legal — a zero-weight row is excluded from every
-		// aggregate (windowed runs retire rows this way) — but the total must
-		// stay positive so the scorer's n and ē are well defined.
-		totalW := 0.0
-		for i, v := range w {
-			if v < 0 || v != v {
-				return nil, fmt.Errorf("core: invalid weight %v at row %d: %w", v, i, ErrBadWeight)
-			}
+		if err := CheckValues(w, ErrBadWeight); err != nil {
+			return nil, err
+		}
+		// Zero weights are legal, but the total must stay positive (and
+		// finite) so the scorer's n and ē are well defined.
+		totalW = 0
+		for _, v := range w {
 			totalW += v
 		}
-		if totalW <= 0 {
-			return nil, fmt.Errorf("core: total weight %v is not positive: %w", totalW, ErrBadWeight)
+		if !(totalW > 0) || math.IsInf(totalW, 1) {
+			return nil, fmt.Errorf("core: total weight %v is not positive and finite: %w", totalW, ErrBadWeight)
 		}
 		if cfg.Evaluator != nil {
 			return nil, fmt.Errorf("core: %w", ErrWeightedEvaluator)
-		}
-	}
-	for i, v := range e {
-		if v < 0 {
-			return nil, fmt.Errorf("core: negative error %v at row %d; SliceLine requires e >= 0: %w", v, i, ErrBadErrorVector)
 		}
 	}
 	if len(feats) != enc.NumFeatures() {
@@ -150,16 +105,11 @@ func runEncoded(ctx context.Context, enc *frame.Encoding, feats []frame.Feature,
 	if n == 0 {
 		return nil, fmt.Errorf("core: %w", ErrEmptyDataset)
 	}
+	cfg = cfg.WithDefaults(int(totalW))
 	var sc scorer
 	if w == nil {
-		cfg = cfg.WithDefaults(n)
 		sc = newScorer(n, e, cfg.Alpha, cfg.Sigma)
 	} else {
-		totalW := 0.0
-		for _, v := range w {
-			totalW += v
-		}
-		cfg = cfg.WithDefaults(int(totalW))
 		sc = newWeightedScorer(e, w, cfg.Alpha, cfg.Sigma)
 	}
 	start := time.Now()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,6 +38,15 @@ func randomDataset(rng *rand.Rand, n, m, maxDom int) (*frame.Dataset, []float64)
 
 func featureName(j int) string { return string(rune('a' + j)) }
 
+// runDS runs Run over the one-hot encoding of ds (w == nil: unit weights).
+func runDS(ds *frame.Dataset, e, w []float64, cfg Config) (*Result, error) {
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		return nil, err
+	}
+	return Run(context.Background(), enc, ds.Features, e, w, cfg)
+}
+
 func scoresOf(slices []Slice) []float64 {
 	out := make([]float64, len(slices))
 	for i, s := range slices {
@@ -72,7 +82,7 @@ func TestExactnessAgainstBruteForce(t *testing.T) {
 			Sigma: 2 + rng.Intn(10),
 			Alpha: 0.3 + 0.69*rng.Float64(),
 		}
-		got, err := Run(ds, e, cfg)
+		got, err := runDS(ds, e, nil, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -95,7 +105,7 @@ func TestExactnessWithMaxLevel(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		ds, e := randomDataset(rng, 120, 5, 3)
 		cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, MaxLevel: 2}
-		got, err := Run(ds, e, cfg)
+		got, err := runDS(ds, e, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +126,7 @@ func TestPruningDoesNotChangeTopK(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		ds, e := randomDataset(rng, 100, 4, 3)
 		base := Config{K: 5, Sigma: 3, Alpha: 0.85}
-		ref, err := Run(ds, e, base)
+		ref, err := runDS(ds, e, nil, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +137,7 @@ func TestPruningDoesNotChangeTopK(t *testing.T) {
 			{K: 5, Sigma: 3, Alpha: 0.85, DisableParentHandling: true, DisableScorePruning: true, DisableSizePruning: true, DisableDedup: true},
 		}
 		for vi, vc := range variants {
-			got, err := Run(ds, e, vc)
+			got, err := runDS(ds, e, nil, vc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,11 +153,11 @@ func TestPruningDoesNotChangeTopK(t *testing.T) {
 func TestPruningReducesCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ds, e := randomDataset(rng, 200, 5, 3)
-	pruned, err := Run(ds, e, Config{K: 4, Sigma: 4, Alpha: 0.9})
+	pruned, err := runDS(ds, e, nil, Config{K: 4, Sigma: 4, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpruned, err := Run(ds, e, Config{
+	unpruned, err := runDS(ds, e, nil, Config{
 		K: 4, Sigma: 4, Alpha: 0.9,
 		DisableParentHandling: true, DisableScorePruning: true,
 		DisableSizePruning: true, DisableDedup: true,
@@ -163,18 +173,18 @@ func TestPruningReducesCandidates(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ds, e := randomDataset(rng, 20, 2, 3)
-	if _, err := Run(ds, e[:10], Config{}); err == nil {
+	if _, err := runDS(ds, e[:10], nil, Config{}); err == nil {
 		t.Error("expected error for short error vector")
 	}
 	e[3] = -1
-	if _, err := Run(ds, e, Config{}); err == nil {
+	if _, err := runDS(ds, e, nil, Config{}); err == nil {
 		t.Error("expected error for negative error value")
 	}
 }
 
 func TestRunEmptyDataset(t *testing.T) {
 	ds := &frame.Dataset{Name: "empty", X0: frame.NewIntMatrix(0, 1), Features: []frame.Feature{{Name: "f", Domain: 1}}}
-	if _, err := Run(ds, nil, Config{}); err == nil {
+	if _, err := runDS(ds, nil, nil, Config{}); err == nil {
 		t.Error("expected error for empty dataset")
 	}
 }
@@ -182,7 +192,7 @@ func TestRunEmptyDataset(t *testing.T) {
 func TestRunDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ds, e := randomDataset(rng, 5000, 3, 4)
-	res, err := Run(ds, e, Config{})
+	res, err := runDS(ds, e, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +210,7 @@ func TestRunDefaults(t *testing.T) {
 func TestRunSigmaFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds, e := randomDataset(rng, 100, 2, 3)
-	res, err := Run(ds, e, Config{})
+	res, err := runDS(ds, e, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +224,7 @@ func TestResultSlicesRespectConstraints(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ds, e := randomDataset(rng, 150, 4, 3)
 		cfg := Config{K: 8, Sigma: 5, Alpha: 0.9}
-		res, err := Run(ds, e, cfg)
+		res, err := runDS(ds, e, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +260,7 @@ func TestResultSlicesRespectConstraints(t *testing.T) {
 func TestSliceStatsMatchDirectScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ds, e := randomDataset(rng, 300, 4, 4)
-	res, err := Run(ds, e, Config{K: 6, Sigma: 3, Alpha: 0.9})
+	res, err := runDS(ds, e, nil, Config{K: 6, Sigma: 3, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +301,7 @@ func TestSliceStatsMatchDirectScan(t *testing.T) {
 func TestLevelStatsMonotoneElapsed(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ds, e := randomDataset(rng, 200, 5, 3)
-	res, err := Run(ds, e, Config{K: 4, Sigma: 3, Alpha: 0.9})
+	res, err := runDS(ds, e, nil, Config{K: 4, Sigma: 3, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +324,7 @@ func TestLevelStatsMonotoneElapsed(t *testing.T) {
 func TestMaxCandidatesTruncates(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	ds, e := randomDataset(rng, 200, 6, 4)
-	res, err := Run(ds, e, Config{
+	res, err := runDS(ds, e, nil, Config{
 		K: 4, Sigma: 1, Alpha: 0.99,
 		DisableSizePruning: true, DisableScorePruning: true,
 		DisableParentHandling: true, DisableDedup: true,
@@ -335,7 +345,7 @@ func TestBlockSizesAgree(t *testing.T) {
 	ds, e := randomDataset(rng, 250, 4, 4)
 	var ref []float64
 	for _, b := range []int{1, 2, 7, 16, 1 << 20} {
-		res, err := Run(ds, e, Config{K: 6, Sigma: 3, Alpha: 0.9, BlockSize: b})
+		res, err := runDS(ds, e, nil, Config{K: 6, Sigma: 3, Alpha: 0.9, BlockSize: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +375,7 @@ func TestSingleFeatureDataset(t *testing.T) {
 			ds.X0.Set(i, 0, 2)
 		}
 	}
-	res, err := Run(ds, e, Config{K: 2, Sigma: 2, Alpha: 0.9})
+	res, err := runDS(ds, e, nil, Config{K: 2, Sigma: 2, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +393,7 @@ func TestAlphaOneIgnoresSize(t *testing.T) {
 	// the highest average error meeting the support threshold.
 	rng := rand.New(rand.NewSource(17))
 	ds, e := randomDataset(rng, 150, 3, 3)
-	res, err := Run(ds, e, Config{K: 3, Sigma: 5, Alpha: 1})
+	res, err := runDS(ds, e, nil, Config{K: 3, Sigma: 5, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

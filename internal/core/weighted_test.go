@@ -25,11 +25,11 @@ func TestWeightedEqualsReplicated(t *testing.T) {
 			w[i] = float64(k)
 		}
 		cfg := Config{K: 5, Sigma: 6, Alpha: 0.85}
-		replicated, err := Run(rep, repErr, cfg)
+		replicated, err := runDS(rep, repErr, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		weighted, err := RunWeighted(ds, e, w, cfg)
+		weighted, err := runDS(ds, e, w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +73,11 @@ func TestWeightedNonUniform(t *testing.T) {
 		Features: ds.Features,
 	}
 	cfg := Config{K: 5, Sigma: 4, Alpha: 0.85}
-	want, err := Run(expanded, expE, cfg)
+	want, err := runDS(expanded, expE, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunWeighted(ds, e, w, cfg)
+	got, err := runDS(ds, e, w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,19 +93,19 @@ func TestWeightedValidation(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	if _, err := RunWeighted(ds, e, w[:10], Config{Sigma: 2}); err == nil {
+	if _, err := runDS(ds, e, w[:10], Config{Sigma: 2}); err == nil {
 		t.Error("expected error for short weights")
 	}
 	w[5] = -1
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 2}); err == nil {
+	if _, err := runDS(ds, e, w, Config{Sigma: 2}); err == nil {
 		t.Error("expected error for negative weight")
 	}
 	w[5] = 0
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 2}); err != nil {
+	if _, err := runDS(ds, e, w, Config{Sigma: 2}); err != nil {
 		t.Errorf("zero weight among positives must be legal (windowed retirement): %v", err)
 	}
 	w[5] = 1
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 2, Evaluator: &faultyEvaluator{}}); err == nil {
+	if _, err := runDS(ds, e, w, Config{Sigma: 2, Evaluator: &faultyEvaluator{}}); err == nil {
 		t.Error("expected error combining weights with external evaluator")
 	}
 }

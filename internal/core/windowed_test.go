@@ -35,11 +35,11 @@ func TestWindowedEqualsSuffixRun(t *testing.T) {
 			Features: ds.Features,
 		}
 		cfg := Config{K: 5, Sigma: 4, Alpha: 0.9}
-		windowed, err := RunWeighted(ds, e, w, cfg)
+		windowed, err := runDS(ds, e, w, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: windowed: %v", trial, err)
 		}
-		want, err := Run(suffix, e[retire:], cfg)
+		want, err := runDS(suffix, e[retire:], nil, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: suffix: %v", trial, err)
 		}
@@ -112,21 +112,21 @@ func TestWeightValidation(t *testing.T) {
 		w[i] = 1
 	}
 	w[0] = 0
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 4}); err != nil {
+	if _, err := runDS(ds, e, w, Config{Sigma: 4}); err != nil {
 		t.Fatalf("zero weight among positives must be legal: %v", err)
 	}
 	w[1] = -1
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
+	if _, err := runDS(ds, e, w, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
 		t.Fatalf("negative weight: got %v, want ErrBadWeight", err)
 	}
 	w[1] = math.NaN()
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
+	if _, err := runDS(ds, e, w, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
 		t.Fatalf("NaN weight: got %v, want ErrBadWeight", err)
 	}
 	for i := range w {
 		w[i] = 0
 	}
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
+	if _, err := runDS(ds, e, w, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
 		t.Fatalf("all-zero weights: got %v, want ErrBadWeight", err)
 	}
 }

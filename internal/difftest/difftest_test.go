@@ -194,7 +194,7 @@ func TestDiffTCPCluster(t *testing.T) {
 func TestDiffWeightedUnitEqualsUnweighted(t *testing.T) {
 	for _, seed := range Seeds(seedCount(20, 5)) {
 		c := Generate(seed, Defaults)
-		ref, err := core.Run(c.DS, c.E, c.Cfg)
+		ref, err := runDS(c.DS, c.E, nil, c.Cfg)
 		if err != nil {
 			failf(t, "TestDiffWeightedUnitEqualsUnweighted", seed, "unweighted: %v", err)
 			continue
@@ -203,7 +203,7 @@ func TestDiffWeightedUnitEqualsUnweighted(t *testing.T) {
 		for i := range w {
 			w[i] = 1
 		}
-		got, err := core.RunWeighted(c.DS, c.E, w, c.Cfg)
+		got, err := runDS(c.DS, c.E, w, c.Cfg)
 		if err != nil {
 			failf(t, "TestDiffWeightedUnitEqualsUnweighted", seed, "weighted: %v", err)
 			continue
@@ -216,19 +216,19 @@ func TestDiffWeightedUnitEqualsUnweighted(t *testing.T) {
 
 // TestDiffWeightedEqualsReplicated: integer weights must be equivalent to
 // physically replicating each row weight-many times — the deduplicated
-// representation the RunWeighted API exists for.
+// representation row weights exist for.
 func TestDiffWeightedEqualsReplicated(t *testing.T) {
 	for _, seed := range Seeds(seedCount(20, 5)) {
 		o := Tiny
 		o.Weighted, o.IntWeights = true, true
 		c := Generate(seed, o)
-		wRes, err := core.RunWeighted(c.DS, c.E, c.W, c.Cfg)
+		wRes, err := runDS(c.DS, c.E, c.W, c.Cfg)
 		if err != nil {
 			failf(t, "TestDiffWeightedEqualsReplicated", seed, "weighted: %v", err)
 			continue
 		}
 		exp, expE := replicateByWeight(c)
-		rRes, err := core.Run(exp, expE, c.Cfg)
+		rRes, err := runDS(exp, expE, nil, c.Cfg)
 		if err != nil {
 			failf(t, "TestDiffWeightedEqualsReplicated", seed, "replicated: %v", err)
 			continue
@@ -268,13 +268,13 @@ func TestDiffBitsetWeighted(t *testing.T) {
 				}
 			}
 		}
-		got, err := core.RunWeighted(c.DS, c.E, c.W, c.Cfg)
+		got, err := runDS(c.DS, c.E, c.W, c.Cfg)
 		if err != nil {
 			failf(t, "TestDiffBitsetWeighted", seed, "weighted run: %v", err)
 			continue
 		}
 		exp, expE := replicateByWeight(c)
-		rRes, err := core.Run(exp, expE, c.Cfg)
+		rRes, err := runDS(exp, expE, nil, c.Cfg)
 		if err != nil {
 			failf(t, "TestDiffBitsetWeighted", seed, "replicated run: %v", err)
 			continue

@@ -21,7 +21,7 @@ func FuzzDiffBruteForce(f *testing.F) {
 		if err != nil {
 			t.Fatalf("brute force: %v", err)
 		}
-		got, err := core.Run(c.DS, c.E, c.Cfg)
+		got, err := runDS(c.DS, c.E, nil, c.Cfg)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}

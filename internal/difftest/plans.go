@@ -10,6 +10,7 @@ import (
 	"sliceline/internal/core"
 	"sliceline/internal/dist"
 	"sliceline/internal/faults"
+	"sliceline/internal/frame"
 	"sliceline/internal/matrix"
 )
 
@@ -31,16 +32,23 @@ type Plan struct {
 // Run executes the plan on the case.
 func (p Plan) Run(c *Case) (*core.Result, error) { return p.run(c) }
 
+// runDS runs core.Run over the one-hot encoding of ds (w == nil: unit
+// weights).
+func runDS(ds *frame.Dataset, e, w []float64, cfg core.Config) (*core.Result, error) {
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(context.Background(), enc, ds.Features, e, w, cfg)
+}
+
 // runBuiltin executes the in-process enumerator, honoring case weights.
 func runBuiltin(c *Case, mutate func(*core.Config)) (*core.Result, error) {
 	cfg := c.Cfg
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	if c.W != nil {
-		return core.RunWeighted(c.DS, c.E, c.W, cfg)
-	}
-	return core.Run(c.DS, c.E, cfg)
+	return runDS(c.DS, c.E, c.W, cfg)
 }
 
 // BuiltinPlans enumerates the single-process execution plans of Section 4.4:
@@ -116,13 +124,13 @@ func ClusterPlans(workerCounts ...int) []Plan {
 			for i := range workers {
 				workers[i] = &dist.InProcessWorker{}
 			}
-			cl, err := dist.NewCluster(workers, 0)
+			cl, err := dist.NewClusterOpts(workers, dist.Options{})
 			if err != nil {
 				return nil, err
 			}
 			cfg := c.Cfg
 			cfg.Evaluator = cl
-			return core.Run(c.DS, c.E, cfg)
+			return runDS(c.DS, c.E, nil, cfg)
 		}})
 	}
 	return plans
@@ -142,7 +150,7 @@ func TCPPlans(workerCounts ...int) []Plan {
 					lis.Close()
 				}
 			}()
-			workers := make([]dist.Worker, 0, nw)
+			addrs := make([]string, 0, nw)
 			for i := 0; i < nw; i++ {
 				lis, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
@@ -154,20 +162,16 @@ func TCPPlans(workerCounts ...int) []Plan {
 					return nil, err
 				}
 				go srv.Serve() //nolint:errcheck // lifetime bound to listener
-				w, err := dist.Dial(lis.Addr().String())
-				if err != nil {
-					return nil, err
-				}
-				workers = append(workers, w)
+				addrs = append(addrs, lis.Addr().String())
 			}
-			cl, err := dist.NewCluster(workers, 0)
+			cl, err := dist.DialCluster(addrs, dist.Options{})
 			if err != nil {
 				return nil, err
 			}
 			defer cl.Close()
 			cfg := c.Cfg
 			cfg.Evaluator = cl
-			return core.Run(c.DS, c.E, cfg)
+			return runDS(c.DS, c.E, nil, cfg)
 		}})
 	}
 	return plans
@@ -202,7 +206,7 @@ func ChaosPlans(seeds ...int64) []Plan {
 			defer cl.Close()
 			cfg := c.Cfg
 			cfg.Evaluator = cl
-			return core.Run(c.DS, c.E, cfg)
+			return runDS(c.DS, c.E, nil, cfg)
 		}})
 	}
 	return plans

@@ -138,7 +138,7 @@ func TestDiffStreamingGenerations(t *testing.T) {
 				failf(t, testName, seed, "generation %d: incremental run: %v", gen, err)
 				return
 			}
-			ref, err := core.RunEncoded(curEnc, curFeats, sc.e, sc.cfg)
+			ref, err := core.Run(context.Background(), curEnc, curFeats, sc.e, nil, sc.cfg)
 			if err != nil {
 				failf(t, testName, seed, "generation %d: reference run: %v", gen, err)
 				return
@@ -148,7 +148,7 @@ func TestDiffStreamingGenerations(t *testing.T) {
 			}
 			csrCfg := sc.cfg
 			csrCfg.Evaluator = &csrEvaluator{}
-			alt, err := core.RunEncoded(curEnc, curFeats, sc.e, csrCfg)
+			alt, err := core.Run(context.Background(), curEnc, curFeats, sc.e, nil, csrCfg)
 			if err != nil {
 				failf(t, testName, seed, "generation %d: kernel/csr run: %v", gen, err)
 				return

@@ -1,12 +1,14 @@
 package difftest
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"sliceline/internal/core"
+	"sliceline/internal/frame"
 	"sliceline/internal/stats"
 )
 
@@ -16,21 +18,12 @@ import (
 //   - anytime: a budgeted run is bit-identical — top-K, gap certificate and
 //     statistical annotations — to a batch run capped at the level where the
 //     budget stopped it, and snapshot gaps only ever shrink;
-//   - diff: RunDiff lowers onto two weighted runs over the rectified error
+//   - diff: core.RunDiff lowers onto two weighted runs over the rectified error
 //     deltas, so each signed direction of the merged top-K must be the
 //     corresponding standalone run, bit for bit;
 //   - statistics: the p-values recovered from kernel accumulators match a
 //     brute-force Welch test over the raw rows, and the q-values obey the
 //     Benjamini–Hochberg structure.
-
-// runCase dispatches a case through the public batch entry point, weighted
-// when the case carries weights.
-func runCase(c *Case, cfg core.Config) (*core.Result, error) {
-	if c.W != nil {
-		return core.RunWeighted(c.DS, c.E, c.W, cfg)
-	}
-	return core.Run(c.DS, c.E, cfg)
-}
 
 // TestWorkloadAnytimeGenerousBudget: with a budget the run cannot exhaust,
 // anytime mode is the batch run — same top-K, annotations and a zero gap —
@@ -38,7 +31,7 @@ func runCase(c *Case, cfg core.Config) (*core.Result, error) {
 func TestWorkloadAnytimeGenerousBudget(t *testing.T) {
 	for _, seed := range Seeds(12) {
 		c := Generate(seed, Defaults)
-		batch, err := core.Run(c.DS, c.E, c.Cfg)
+		batch, err := runDS(c.DS, c.E, nil, c.Cfg)
 		if err != nil {
 			t.Fatalf("seed %d: batch: %v\n%s", seed, err, ReproLine(t.Name(), seed))
 		}
@@ -47,7 +40,7 @@ func TestWorkloadAnytimeGenerousBudget(t *testing.T) {
 		anyCfg := c.Cfg
 		anyCfg.Budget = time.Hour
 		anyCfg.OnSnapshot = func(s core.Snapshot) { snaps = append(snaps, s) }
-		anyRes, err := core.Run(c.DS, c.E, anyCfg)
+		anyRes, err := runDS(c.DS, c.E, nil, anyCfg)
 		if err != nil {
 			t.Fatalf("seed %d: anytime: %v\n%s", seed, err, ReproLine(t.Name(), seed))
 		}
@@ -90,7 +83,7 @@ func TestWorkloadAnytimeBudgetStop(t *testing.T) {
 		for _, budget := range []time.Duration{time.Nanosecond, 2 * time.Millisecond} {
 			anyCfg := c.Cfg
 			anyCfg.Budget = budget
-			anyRes, err := core.Run(c.DS, c.E, anyCfg)
+			anyRes, err := runDS(c.DS, c.E, nil, anyCfg)
 			if err != nil {
 				t.Fatalf("seed %d: anytime(%v): %v\n%s", seed, budget, err, ReproLine(t.Name(), seed))
 			}
@@ -102,7 +95,7 @@ func TestWorkloadAnytimeBudgetStop(t *testing.T) {
 			stopped := anyRes.Levels[len(anyRes.Levels)-1].Level
 			batchCfg := c.Cfg
 			batchCfg.MaxLevel = stopped
-			batch, err := core.Run(c.DS, c.E, batchCfg)
+			batch, err := runDS(c.DS, c.E, nil, batchCfg)
 			if err != nil {
 				t.Fatalf("seed %d: batch MaxLevel=%d: %v\n%s", seed, stopped, err, ReproLine(t.Name(), seed))
 			}
@@ -139,7 +132,11 @@ func TestWorkloadDiffEquivalence(t *testing.T) {
 			}
 		}
 
-		diff, err := core.RunDiff(c.DS, eBase, eNew, c.Cfg)
+		enc, err := frame.OneHot(c.DS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diff, err := core.RunDiff(context.Background(), enc, c.DS.Features, eBase, eNew, c.Cfg)
 		if err != nil {
 			t.Fatalf("seed %d: RunDiff: %v\n%s", seed, err, ReproLine(t.Name(), seed))
 		}
@@ -152,11 +149,11 @@ func TestWorkloadDiffEquivalence(t *testing.T) {
 			imp[i] = math.Max(0, eBase[i]-eNew[i])
 			ones[i] = 1
 		}
-		regRes, err := core.RunWeighted(c.DS, reg, ones, c.Cfg)
+		regRes, err := runDS(c.DS, reg, ones, c.Cfg)
 		if err != nil {
 			t.Fatalf("seed %d: regression direction: %v\n%s", seed, err, ReproLine(t.Name(), seed))
 		}
-		impRes, err := core.RunWeighted(c.DS, imp, ones, c.Cfg)
+		impRes, err := runDS(c.DS, imp, ones, c.Cfg)
 		if err != nil {
 			t.Fatalf("seed %d: improvement direction: %v\n%s", seed, err, ReproLine(t.Name(), seed))
 		}
@@ -207,7 +204,7 @@ func TestWorkloadStatisticsBruteForce(t *testing.T) {
 		opts := Defaults
 		opts.Weighted = seed%2 == 0 // alternate weighted and unweighted
 		c := Generate(seed, opts)
-		res, err := runCase(c, c.Cfg)
+		res, err := runDS(c.DS, c.E, c.W, c.Cfg)
 		if err != nil {
 			t.Fatalf("seed %d: run: %v\n%s", seed, err, ReproLine(t.Name(), seed))
 		}

@@ -133,7 +133,7 @@ func TestChaosMembershipSeededChurn(t *testing.T) {
 				level++
 			}
 			start := time.Now()
-			got, err := core.Run(ds, e, c)
+			got, err := runDS(ds, e, c)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -189,7 +189,7 @@ func TestChaosMembershipFullFleetLossMidRun(t *testing.T) {
 			script.apply()
 		}
 	}
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatalf("full fleet loss mid-run must degrade, not error: %v", err)
 	}
@@ -239,7 +239,7 @@ func TestChaosMembershipCrashResurrectCycle(t *testing.T) {
 		script.apply()
 		level++
 	}
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,6 +43,15 @@ func chaosDataset(seed int64, n, m, maxDom int) (*frame.Dataset, []float64) {
 	return ds, e
 }
 
+// runDS runs core.Run over the one-hot encoding of ds.
+func runDS(ds *frame.Dataset, e []float64, cfg core.Config) (*core.Result, error) {
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(context.Background(), enc, ds.Features, e, nil, cfg)
+}
+
 // everyEval scripts the same fault on the first 500 Eval calls — from the
 // driver's perspective the worker is persistently broken in this one way.
 func everyEval(a faults.Action) *faults.Schedule {
@@ -62,13 +71,13 @@ func chaosRef(t *testing.T, ds *frame.Dataset, e []float64, cfg core.Config, wor
 	for i := range ws {
 		ws[i] = &dist.InProcessWorker{}
 	}
-	cl, err := dist.NewCluster(ws, 0)
+	cl, err := dist.NewClusterOpts(ws, dist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg
 	c.Evaluator = cl
-	ref, err := core.Run(ds, e, c)
+	ref, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +153,7 @@ func TestChaosMatrix(t *testing.T) {
 			c := cfg
 			c.Evaluator = cl
 			start := time.Now()
-			got, err := core.Run(ds, e, c)
+			got, err := runDS(ds, e, c)
 			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatalf("chaos run: %v", err)
@@ -194,7 +203,7 @@ func TestChaosSeededSweep(t *testing.T) {
 		}
 		c := cfg
 		c.Evaluator = cl
-		got, err := core.Run(ds, e, c)
+		got, err := runDS(ds, e, c)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -227,7 +236,7 @@ func TestChaosAdaptiveHedging(t *testing.T) {
 	c := cfg
 	c.Evaluator = cl
 	start := time.Now()
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +280,7 @@ func TestChaosHeartbeatReships(t *testing.T) {
 	c.Evaluator = cl
 	// Give the prober time to strike out the worker between levels.
 	c.OnLevel = func(core.LevelStats) { time.Sleep(60 * time.Millisecond) }
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +299,7 @@ func TestChaosHeartbeatReships(t *testing.T) {
 func TestChaosMatchesBuiltinPlan(t *testing.T) {
 	ds, e := chaosDataset(34, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	builtin, err := core.Run(ds, e, cfg)
+	builtin, err := runDS(ds, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +312,7 @@ func TestChaosMatchesBuiltinPlan(t *testing.T) {
 	}
 	c := cfg
 	c.Evaluator = cl
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,12 +342,12 @@ func TestChaosAllWorkersFaulty(t *testing.T) {
 		faults.Wrap(&dist.InProcessWorker{}, crash()),
 		faults.Wrap(&dist.InProcessWorker{}, crash()),
 	}
-	cl, err := dist.NewCluster(workers, 0)
+	cl, err := dist.NewClusterOpts(workers, dist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.Config{K: 4, Sigma: 3, Alpha: 0.9, Evaluator: cl}
-	_, err = core.Run(ds, e, cfg)
+	_, err = runDS(ds, e, cfg)
 	if err == nil {
 		t.Fatal("expected error when every worker is faulty")
 	}
@@ -379,13 +388,13 @@ func TestChaosFlappyTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	cl, err := dist.NewCluster([]dist.Worker{w, &dist.InProcessWorker{}}, 0)
+	cl, err := dist.NewClusterOpts([]dist.Worker{w, &dist.InProcessWorker{}}, dist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg
 	c.Evaluator = cl
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatalf("run over flappy transport: %v", err)
 	}
@@ -403,15 +412,19 @@ func TestChaosFlappyTransport(t *testing.T) {
 func TestChaosCancellation(t *testing.T) {
 	ds, e := chaosDataset(36, 300, 4, 4)
 	faulty := faults.Wrap(&dist.InProcessWorker{}, everyEval(faults.Action{Kind: faults.Hang}))
-	cl, err := dist.NewCluster([]dist.Worker{faulty}, 0)
+	cl, err := dist.NewClusterOpts([]dist.Worker{faulty}, dist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	cfg := core.Config{K: 4, Sigma: 3, Alpha: 0.9, Evaluator: cl}
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	_, err = core.RunContext(ctx, ds, e, cfg)
+	_, err = core.Run(ctx, enc, ds.Features, e, nil, cfg)
 	if err == nil {
 		t.Fatal("expected error from cancelled run")
 	}

@@ -190,15 +190,9 @@ type Worker interface {
 	Close() error
 }
 
-// NewCluster returns a Dist-PFor evaluator over the given workers.
-// blockSize <= 0 selects the automatic size on each worker. Timeouts,
-// hedging and heartbeats are disabled; use NewClusterOpts to enable them.
-func NewCluster(workers []Worker, blockSize int) (*Cluster, error) {
-	return NewClusterOpts(workers, Options{BlockSize: blockSize})
-}
-
-// NewClusterOpts returns a Dist-PFor evaluator with explicit robustness
-// options.
+// NewClusterOpts returns a Dist-PFor evaluator over the given workers. The
+// zero Options selects the automatic block size on each worker and disables
+// timeouts, hedging and heartbeats.
 func NewClusterOpts(workers []Worker, opts Options) (*Cluster, error) {
 	if len(workers) == 0 {
 		return nil, errors.New("dist: cluster needs at least one worker")

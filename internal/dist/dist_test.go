@@ -31,6 +31,15 @@ func randomDataset(rng *rand.Rand, n, m, maxDom int) (*frame.Dataset, []float64)
 	return ds, e
 }
 
+// runDS runs core.Run over the one-hot encoding of ds.
+func runDS(ds *frame.Dataset, e []float64, cfg core.Config) (*core.Result, error) {
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(context.Background(), enc, ds.Features, e, nil, cfg)
+}
+
 func scores(slices []core.Slice) []float64 {
 	out := make([]float64, len(slices))
 	for i, s := range slices {
@@ -50,7 +59,7 @@ func TestInProcessClusterMatchesBuiltin(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds, e := randomDataset(rng, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := runDS(ds, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +68,13 @@ func TestInProcessClusterMatchesBuiltin(t *testing.T) {
 		for i := range workers {
 			workers[i] = &InProcessWorker{}
 		}
-		cl, err := NewCluster(workers, 0)
+		cl, err := NewClusterOpts(workers, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := cfg
 		c.Evaluator = cl
-		got, err := core.Run(ds, e, c)
+		got, err := runDS(ds, e, c)
 		if err != nil {
 			t.Fatalf("%d workers: %v", nWorkers, err)
 		}
@@ -76,7 +85,7 @@ func TestInProcessClusterMatchesBuiltin(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(nil, 0); err == nil {
+	if _, err := NewClusterOpts(nil, Options{}); err == nil {
 		t.Fatal("expected error for empty cluster")
 	}
 }
@@ -117,7 +126,7 @@ func TestTCPClusterMatchesBuiltin(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds, e := randomDataset(rng, 500, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := runDS(ds, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +139,7 @@ func TestTCPClusterMatchesBuiltin(t *testing.T) {
 		}
 		workers[i] = w
 	}
-	cl, err := NewCluster(workers, 0)
+	cl, err := NewClusterOpts(workers, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +147,7 @@ func TestTCPClusterMatchesBuiltin(t *testing.T) {
 
 	c := cfg
 	c.Evaluator = cl
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +190,7 @@ func TestClusterSurfacesWorkerFailure(t *testing.T) {
 		}
 		workers[i] = w
 	}
-	cl, err := NewCluster(workers, 0)
+	cl, err := NewClusterOpts(workers, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +199,7 @@ func TestClusterSurfacesWorkerFailure(t *testing.T) {
 	workers[0].Close()
 	workers[1].Close()
 	cfg := core.Config{K: 4, Sigma: 3, Alpha: 0.9, Evaluator: cl}
-	if _, err := core.Run(ds, e, cfg); err == nil {
+	if _, err := runDS(ds, e, cfg); err == nil {
 		t.Fatal("expected error from dead cluster")
 	}
 }

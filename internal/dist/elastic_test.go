@@ -65,7 +65,7 @@ func elasticRef(t *testing.T, cfg core.Config, ds dsPair) *core.Result {
 	ref.ApplyView(context.Background(), view(1, fleetMember("ref", 1)))
 	c := cfg
 	c.Evaluator = ref
-	res, err := core.Run(ds.ds, ds.e, c)
+	res, err := runDS(ds.ds, ds.e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestElasticEmptyFleetDegradesLocally(t *testing.T) {
 	defer ec.Close()
 	c := cfg
 	c.Evaluator = ec
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatalf("empty-fleet run must degrade, not error: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestElasticJoinMidRunRebalances(t *testing.T) {
 			ec.ApplyView(context.Background(), view(2, fleetMember("w1", 1), fleetMember("w2", 1)))
 		}
 	}
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestElasticFlapReattachesWarm(t *testing.T) {
 			ec.ApplyView(context.Background(), view(3, fleetMember("w1", 1), fleetMember("w2", 1)))
 		}
 	}
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestElasticDialFailureSkipsMember(t *testing.T) {
 	}
 	c := cfg
 	c.Evaluator = ec
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestElasticCrossJobWarmAttach(t *testing.T) {
 		ec.ApplyView(context.Background(), view(1, fleetMember("w1", 1)))
 		c := cfg
 		c.Evaluator = ec
-		res, err := core.Run(ds, e, c)
+		res, err := runDS(ds, e, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func TestClusterFailoverMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ds, e := randomDataset(rng, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := runDS(ds, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestClusterFailoverMidRun(t *testing.T) {
 	w0 := &flakyWorker{}
 	w1 := &flakyWorker{}
 	w2 := &flakyWorker{}
-	cl, err := NewCluster([]Worker{w0, w1, w2}, 0)
+	cl, err := NewClusterOpts([]Worker{w0, w1, w2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func TestClusterFailoverMidRun(t *testing.T) {
 	// End-to-end: a fresh cluster where one worker dies right after Setup
 	// still produces the exact reference result.
 	wa, wb := &flakyWorker{}, &flakyWorker{}
-	cl2, err := NewCluster([]Worker{wa, wb}, 0)
+	cl2, err := NewClusterOpts([]Worker{wa, wb}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg
 	c.Evaluator = &killAfterSetup{Cluster: cl2, victim: wb}
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,19 +143,19 @@ func TestClusterWorkerDeathMidLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds, e := randomDataset(rng, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := runDS(ds, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	victim := &countdownWorker{failAfter: 1}
-	cl, err := NewCluster([]Worker{victim, &flakyWorker{}, &flakyWorker{}}, 0)
+	cl, err := NewClusterOpts([]Worker{victim, &flakyWorker{}, &flakyWorker{}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg
 	c.Evaluator = cl
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func (w *shortWorker) Eval(ctx context.Context, part int, cols [][]int, level, b
 func TestClusterPartialResultsFailover(t *testing.T) {
 	bad := &shortWorker{}
 	good := &flakyWorker{}
-	cl, err := NewCluster([]Worker{bad, good}, 0)
+	cl, err := NewClusterOpts([]Worker{bad, good}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,17 +234,17 @@ func TestClusterPartialResultsEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ds, e := randomDataset(rng, 300, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := runDS(ds, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster([]Worker{&shortWorker{}, &flakyWorker{}}, 0)
+	cl, err := NewClusterOpts([]Worker{&shortWorker{}, &flakyWorker{}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg
 	c.Evaluator = cl
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestClusterPartialResultsEndToEnd(t *testing.T) {
 // reloaded in place and stay in the rotation, not fail over.
 func TestClusterReloadsAmnesiacWorker(t *testing.T) {
 	w0 := &InProcessWorker{}
-	cl, err := NewCluster([]Worker{w0}, 0)
+	cl, err := NewClusterOpts([]Worker{w0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestTCPWorkerRestartReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	cl, err := NewCluster([]Worker{w}, 0)
+	cl, err := NewClusterOpts([]Worker{w}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestTCPWorkerRestartMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w1.Close()
-	cl, err := NewCluster([]Worker{w0, w1}, 0)
+	cl, err := NewClusterOpts([]Worker{w0, w1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestTCPWorkerRestartMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ds, e := randomDataset(rng, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := runDS(ds, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestTCPWorkerRestartMidRun(t *testing.T) {
 		srv0.Stop()
 		srv0b = restartServer(t, addr0)
 	}
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if srv0b != nil {
 		defer srv0b.Stop()
 	}
@@ -472,7 +472,7 @@ func TestTCPWorkerDeathMidRunFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w1.Close()
-	cl, err := NewCluster([]Worker{w0, w1}, 0)
+	cl, err := NewClusterOpts([]Worker{w0, w1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestTCPWorkerDeathMidRunFailsOver(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ds, e := randomDataset(rng, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := runDS(ds, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestTCPWorkerDeathMidRunFailsOver(t *testing.T) {
 			srv0.Stop()
 		}
 	}
-	got, err := core.Run(ds, e, c)
+	got, err := runDS(ds, e, c)
 	if err != nil {
 		t.Fatalf("run with mid-run death: %v", err)
 	}
@@ -516,7 +516,7 @@ func TestTCPWorkerDeathMidRunFailsOver(t *testing.T) {
 // surface.
 func TestClusterAllWorkersDead(t *testing.T) {
 	w0 := &flakyWorker{}
-	cl, err := NewCluster([]Worker{w0}, 0)
+	cl, err := NewClusterOpts([]Worker{w0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

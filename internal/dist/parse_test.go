@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"io"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseWorkerList(t *testing.T) {
@@ -35,5 +38,44 @@ func TestParseWorkerList(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("ParseWorkerList(%q) = %v, want %v", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestDialClusterClosesDialedOnFailure: when a later dial fails, DialCluster
+// must close the workers it already dialed instead of leaking their
+// connections. A raw listener stands in for the first worker, so the close
+// is observed as EOF on the accepted connection.
+func TestDialClusterClosesDialedOnFailure(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := lis.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close() // nothing listens here any more: the second dial is refused
+
+	if _, err := DialCluster([]string{lis.Addr().String(), deadAddr}, Options{}); err == nil {
+		t.Fatal("DialCluster succeeded with an unreachable second worker")
+	}
+	var conn net.Conn
+	select {
+	case conn = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first worker was never dialed")
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("first worker's connection still open after the failed dial: read returned %v, want EOF", err)
 	}
 }

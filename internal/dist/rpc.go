@@ -586,6 +586,10 @@ func (w *RemoteWorker) call(ctx context.Context, method string, args, reply inte
 // connection cannot be reused — it is invalidated and the in-flight call
 // unblocks with ErrShutdown when the client closes.
 func (w *RemoteWorker) invoke(ctx context.Context, client *rpc.Client, gen int, method string, args, reply interface{}) error {
+	// An expired context never sends, so a fast reply cannot win the select.
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("dist: %s on %s: %w", method, w.addr, err)
+	}
 	call := client.Go(method, args, reply, make(chan *rpc.Call, 1))
 	select {
 	case <-ctx.Done():
@@ -660,6 +664,24 @@ func ParseWorkerList(s string) ([]string, error) {
 		return nil, errors.New("dist: no worker addresses in list")
 	}
 	return out, nil
+}
+
+// DialCluster dials every worker address (as ParseWorkerList returns them)
+// and assembles a static Dist-PFor cluster over the connections. If a dial
+// fails, the workers already dialed are closed before the error returns.
+func DialCluster(addrs []string, opts Options) (*Cluster, error) {
+	workers := make([]Worker, 0, len(addrs))
+	for _, a := range addrs {
+		w, err := Dial(a)
+		if err != nil {
+			for _, prev := range workers {
+				prev.Close()
+			}
+			return nil, err
+		}
+		workers = append(workers, w)
+	}
+	return NewClusterOpts(workers, opts)
 }
 
 // Close implements Worker.

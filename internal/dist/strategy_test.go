@@ -11,7 +11,7 @@ import (
 )
 
 func TestClusterEvalBeforeSetup(t *testing.T) {
-	cl, err := NewCluster([]Worker{&InProcessWorker{}}, 0)
+	cl, err := NewClusterOpts([]Worker{&InProcessWorker{}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func inProcessCluster(t *testing.T, n, blockSize int) *Cluster {
 	for i := range workers {
 		workers[i] = &InProcessWorker{}
 	}
-	cl, err := NewCluster(workers, blockSize)
+	cl, err := NewClusterOpts(workers, Options{BlockSize: blockSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +154,14 @@ func TestStrategiesBlockSizeExceedsCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ds, e := randomDataset(rng, 200, 3, 3)
 	cfg := core.Config{K: 4, Sigma: 3, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := runDS(ds, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const huge = 1 << 20
 	local := cfg
 	local.BlockSize = huge
-	got, err := core.Run(ds, e, local)
+	got, err := runDS(ds, e, local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestStrategiesBlockSizeExceedsCandidates(t *testing.T) {
 	}
 	clustered := cfg
 	clustered.Evaluator = inProcessCluster(t, 3, huge)
-	got, err = core.Run(ds, e, clustered)
+	got, err = runDS(ds, e, clustered)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestDistTracingUnderFaults(t *testing.T) {
 		K: 4, Sigma: 4, Alpha: 0.9,
 		Evaluator: cl, Tracer: tr, Metrics: reg,
 	}
-	res, err := core.Run(ds, e, cfg)
+	res, err := runDS(ds, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -52,7 +53,11 @@ func (o Options) withDefaults() Options {
 // Generate runs slice finding on (ds, e) and writes the Markdown report.
 func Generate(w io.Writer, ds *frame.Dataset, e []float64, opt Options) error {
 	opt = opt.withDefaults()
-	res, err := core.Run(ds, e, core.Config{
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		return err
+	}
+	res, err := core.Run(context.Background(), enc, ds.Features, e, nil, core.Config{
 		K: opt.K, Alpha: opt.Alpha, Sigma: opt.Sigma, MaxLevel: opt.MaxLevel,
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"math/rand"
@@ -102,7 +103,11 @@ func TestGenerateNoProblematicSlices(t *testing.T) {
 func TestGenerateFromResultJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds, e := plantedDataset(rng, 2000)
-	res, err := core.Run(ds, e, core.Config{K: 3, Sigma: 20, Alpha: 0.95, MaxLevel: 3})
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(context.Background(), enc, ds.Features, e, nil, core.Config{K: 3, Sigma: 20, Alpha: 0.95, MaxLevel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,13 +182,13 @@ func TestEndToEnd(t *testing.T) {
 	for i, spec := range specs {
 		cfg := spec.Config.ToCore().WithDefaults(rows)
 		if spec.Evaluator == EvalDist {
-			cluster, err := dialCluster(workers, dist.Options{BlockSize: cfg.BlockSize})
+			cluster, err := dist.DialCluster(workers, dist.Options{BlockSize: cfg.BlockSize})
 			if err != nil {
 				t.Fatalf("reference cluster: %v", err)
 			}
 			cfg.Evaluator = cluster
 		}
-		want, err := core.RunEncodedContext(context.Background(), entry.Enc, entry.DS.Features, entry.ErrVec, cfg)
+		want, err := core.Run(context.Background(), entry.Enc, entry.DS.Features, entry.ErrVec, nil, cfg)
 		if c, ok := cfg.Evaluator.(*dist.Cluster); ok {
 			c.Close()
 		}

@@ -517,7 +517,7 @@ func (s *Server) runJobReal(ctx context.Context, j *job) (*core.Result, error) {
 		} else {
 			s.distMu.Lock()
 			defer s.distMu.Unlock()
-			cluster, err := dialCluster(s.cfg.DistWorkers, opts)
+			cluster, err := dist.DialCluster(s.cfg.DistWorkers, opts)
 			if err != nil {
 				return nil, fmt.Errorf("server: dialing workers: %w", err)
 			}
@@ -526,16 +526,16 @@ func (s *Server) runJobReal(ctx context.Context, j *job) (*core.Result, error) {
 		}
 	}
 	if j.spec.Mode == ModeDiff {
-		return core.RunDiffEncodedContext(ctx, j.snap.Enc, j.snap.DS.Features, j.baseSnap.ErrVec, j.snap.ErrVec, cfg)
+		return core.RunDiff(ctx, j.snap.Enc, j.snap.DS.Features, j.baseSnap.ErrVec, j.snap.ErrVec, cfg)
 	}
+	var w []float64
 	if j.spec.Window != nil {
-		w, err := windowWeights(j.snap, j.spec.Window, time.Now())
-		if err != nil {
+		var err error
+		if w, err = windowWeights(j.snap, j.spec.Window, time.Now()); err != nil {
 			return nil, err
 		}
-		return core.RunEncodedWeightedContext(ctx, j.snap.Enc, j.snap.DS.Features, j.snap.ErrVec, w, cfg)
 	}
-	return core.RunEncodedContext(ctx, j.snap.Enc, j.snap.DS.Features, j.snap.ErrVec, cfg)
+	return core.Run(ctx, j.snap.Enc, j.snap.DS.Features, j.snap.ErrVec, w, cfg)
 }
 
 // windowWeights turns a WindowSpec into a 0/1 row-weight vector over the
@@ -575,22 +575,4 @@ func windowWeights(snap dsSnapshot, w *WindowSpec, now time.Time) ([]float64, er
 		weights[i] = 1
 	}
 	return weights, nil
-}
-
-// dialCluster connects to every worker address and assembles the cluster.
-func dialCluster(addrs []string, opts dist.Options) (*dist.Cluster, error) {
-	workers := make([]dist.Worker, 0, len(addrs))
-	for _, a := range addrs {
-		w, err := dist.Dial(a)
-		if err != nil {
-			for _, prev := range workers {
-				if c, ok := prev.(*dist.RemoteWorker); ok {
-					c.Close()
-				}
-			}
-			return nil, err
-		}
-		workers = append(workers, w)
-	}
-	return dist.NewClusterOpts(workers, opts)
 }

@@ -118,10 +118,8 @@ func (d *datasetEntry) appendRows(rows [][]string, errs []float64, at time.Time)
 	if len(rows) != len(errs) {
 		return AppendInfo{}, fmt.Errorf("server: %d rows vs %d error values", len(rows), len(errs))
 	}
-	for i, v := range errs {
-		if v < 0 || v != v {
-			return AppendInfo{}, fmt.Errorf("server: invalid error value %v at appended row %d", v, i)
-		}
+	if err := core.CheckValues(errs, core.ErrBadErrorVector); err != nil {
+		return AppendInfo{}, fmt.Errorf("server: appended rows: %w", err)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -284,10 +282,8 @@ func buildDataset(r io.Reader, opt registerOptions) (*datasetEntry, error) {
 		if col.Kind != frame.Numeric {
 			return nil, fmt.Errorf("server: error column %q must be numeric", opt.Err)
 		}
-		for i, v := range col.Floats {
-			if v < 0 {
-				return nil, fmt.Errorf("server: error column %q has negative value %v at row %d", opt.Err, v, i)
-			}
+		if err := core.CheckValues(col.Floats, core.ErrBadErrorVector); err != nil {
+			return nil, fmt.Errorf("server: error column %q: %w", opt.Err, err)
 		}
 		errVec = append([]float64(nil), col.Floats...)
 		// The label column (when named) is still extracted as Y but the

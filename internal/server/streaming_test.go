@@ -169,7 +169,7 @@ func TestStreamingMonitorEndToEnd(t *testing.T) {
 	}
 	refCfg := core.Config{K: 4, Sigma: 2}
 	reference := func(snap dsSnapshot) string {
-		res, err := core.RunEncoded(snap.Enc, snap.DS.Features, snap.ErrVec, refCfg)
+		res, err := core.Run(context.Background(), snap.Enc, snap.DS.Features, snap.ErrVec, nil, refCfg)
 		if err != nil {
 			t.Fatalf("reference run: %v", err)
 		}
@@ -350,7 +350,7 @@ func TestWindowedJob(t *testing.T) {
 		w[i] = 1
 	}
 	cfg := core.Config{K: 4, Sigma: 2}.WithDefaults(n)
-	ref, err := core.RunEncodedWeighted(snap.Enc, snap.DS.Features, snap.ErrVec, w, cfg)
+	ref, err := core.Run(context.Background(), snap.Enc, snap.DS.Features, snap.ErrVec, w, cfg)
 	if err != nil {
 		t.Fatalf("weighted reference: %v", err)
 	}
@@ -417,6 +417,41 @@ func TestWindowWeights(t *testing.T) {
 	// A window older than every batch selects nothing.
 	if _, err = windowWeights(snap, &WindowSpec{LastMS: 1}, now.Add(24*time.Hour)); err == nil {
 		t.Fatal("empty window did not error")
+	}
+}
+
+// TestNonFiniteErrorValuesRejected: error values obey core's input rule
+// (finite and >= 0) at registration and on append, so a NaN or infinite err
+// cell is a 400 with the error envelope rather than a dataset whose jobs
+// report NaN scores.
+func TestNonFiniteErrorValuesRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: 1, QueueDepth: 2})
+
+	js, err := json.Marshal(map[string]any{
+		"csv": strings.Replace(testCSV(12), "0.1\n", "NaN\n", 1), "err": "err", "name": "nan",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/datasets", "application/json", bytes.NewReader(js))
+	if err != nil {
+		t.Fatalf("POST /v1/datasets: %v", err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || decodeEnvelope(t, string(raw)) != codeBadRequest {
+		t.Fatalf("register with a NaN err cell: %d %s", resp.StatusCode, raw)
+	}
+
+	info, code := registerCSV(t, ts, testCSV(12), "name=finite&err=err")
+	if code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	if _, st, body := postAppend(t, ts, info.ID, "dev,os,region,err\nd0,o0,r0,0.5\nd1,o1,r1,Inf\n"); st != http.StatusBadRequest || decodeEnvelope(t, body) != codeBadRequest {
+		t.Fatalf("append with an Inf err cell: %d %s", st, body)
+	}
+	if _, st, body := postAppend(t, ts, info.ID, "dev,os,region,err\nd0,o0,r0,0.5\n"); st != http.StatusOK {
+		t.Fatalf("append after the rejected batch: %d %s", st, body)
 	}
 }
 

@@ -6,20 +6,18 @@ import (
 	"time"
 
 	"sliceline/internal/core"
+	"sliceline/internal/frame"
 	"sliceline/internal/obs"
 )
 
-// Context-first API. RunContext is the single preferred entry point for new
-// code: it takes a context for cancellation and deadline propagation
+// Context-first API. RunContext and RunDiffContext are the only entry
+// points: each takes a context for cancellation and deadline propagation
 // (honored between lattice levels and inside external evaluators) and
-// accepts functional options layered over the Config struct — including
-// WithWeights, which replaces the separate weighted entry points. The plain
-// Run/RunWeighted/RunWeightedContext remain supported as thin deprecated
-// wrappers that delegate here.
+// accepts functional options layered over the Config struct, including
+// WithWeights for row weights.
 
 // runSettings collects everything an invocation needs beyond the dataset and
-// error vector: the configuration plus per-call inputs (row weights) that
-// used to require dedicated entry points.
+// error vector: the configuration plus per-call inputs (row weights).
 type runSettings struct {
 	cfg     Config
 	weights []float64
@@ -126,30 +124,29 @@ func applySettings(cfg Config, opts []Option) runSettings {
 // budgets and every other per-run input are supplied via options.
 func RunContext(ctx context.Context, ds *Dataset, e []float64, cfg Config, opts ...Option) (*Result, error) {
 	rs := applySettings(cfg, opts)
-	if rs.weights != nil {
-		return core.RunWeightedContext(ctx, ds, e, rs.weights, rs.cfg)
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		return nil, err
 	}
-	return core.RunContext(ctx, ds, e, rs.cfg)
-}
-
-// RunWeightedContext is RunContext with per-row weights.
-//
-// Deprecated: use RunContext with WithWeights(w).
-func RunWeightedContext(ctx context.Context, ds *Dataset, e, w []float64, cfg Config, opts ...Option) (*Result, error) {
-	return RunContext(ctx, ds, e, cfg, append([]Option{WithWeights(w)}, opts...)...)
+	return core.Run(ctx, enc, ds.Features, e, rs.weights, rs.cfg)
 }
 
 // RunDiffContext finds the top slices of model-behavior change between two
 // error vectors over the same rows — slices where the new model regressed
 // (Slice.DiffSign = +1) and where it improved (DiffSign = -1) — by running
-// the weighted enumeration over each rectified error delta. Weights and
-// external evaluators are not supported for diff runs.
+// the weighted enumeration over each rectified error delta. Each direction's
+// slices are exactly what RunContext reports over max(0, ±(eNew−eBase)).
+// Weights and external evaluators are not supported for diff runs.
 func RunDiffContext(ctx context.Context, ds *Dataset, eBase, eNew []float64, cfg Config, opts ...Option) (*Result, error) {
 	rs := applySettings(cfg, opts)
 	if rs.weights != nil {
 		return nil, fmt.Errorf("sliceline: diff runs do not accept WithWeights: %w", ErrBadWeight)
 	}
-	return core.RunDiffContext(ctx, ds, eBase, eNew, rs.cfg)
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunDiff(ctx, enc, ds.Features, eBase, eNew, rs.cfg)
 }
 
 // Observability types, re-exported so callers can implement hooks against
@@ -188,7 +185,7 @@ func NewSpan(tr Tracer, name string) *Span { return obs.NewSpan(tr, name) }
 const ResultSchemaVersion = core.ResultSchemaVersion
 
 // Typed validation sentinels, matchable with errors.Is on any error returned
-// by Run and its variants.
+// by RunContext or RunDiffContext.
 var (
 	ErrBadAlpha          = core.ErrBadAlpha
 	ErrEmptyDataset      = core.ErrEmptyDataset

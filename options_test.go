@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"sliceline"
 )
@@ -27,26 +28,35 @@ func optDataset(t *testing.T) (*sliceline.Dataset, []float64) {
 	return ds, e
 }
 
-// TestRunContextMatchesRun: the context-first entry point with options must
-// produce the same result as the struct-only form.
-func TestRunContextMatchesRun(t *testing.T) {
+// TestRunContextOptionsMatchConfig: an option must produce the same result
+// as setting the corresponding Config field, and unit weights through
+// WithWeights the same result as no weights.
+func TestRunContextOptionsMatchConfig(t *testing.T) {
 	ds, e := optDataset(t)
-	cfg := sliceline.Config{K: 3, Sigma: 5, Alpha: 0.9}
-	want, err := sliceline.Run(ds, e, cfg)
+	ctx := context.Background()
+	want, err := sliceline.RunContext(ctx, ds, e, sliceline.Config{
+		K: 3, Sigma: 5, Alpha: 0.9, MaxLevel: 2, Budget: time.Hour, Significance: 0.1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sliceline.RunContext(context.Background(), ds, e, sliceline.Config{K: 3, Sigma: 5, Alpha: 0.9},
-		sliceline.WithMaxLevel(0))
+	ones := make([]float64, len(e))
+	for i := range ones {
+		ones[i] = 1
+	}
+	got, err := sliceline.RunContext(ctx, ds, e, sliceline.Config{K: 3, Sigma: 5, Alpha: 0.9},
+		sliceline.WithMaxLevel(2), sliceline.WithBudget(time.Hour), sliceline.WithSignificance(0.1),
+		sliceline.WithWeights(ones))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.TopK) != len(want.TopK) {
-		t.Fatalf("top-K size %d vs %d", len(got.TopK), len(want.TopK))
+	if len(got.TopK) != len(want.TopK) || len(got.Levels) != len(want.Levels) {
+		t.Fatalf("top-K size %d vs %d, levels %d vs %d", len(got.TopK), len(want.TopK), len(got.Levels), len(want.Levels))
 	}
 	for i := range want.TopK {
-		if got.TopK[i].Score != want.TopK[i].Score || got.TopK[i].Size != want.TopK[i].Size {
-			t.Fatalf("slice %d differs between Run and RunContext", i)
+		g, w := got.TopK[i], want.TopK[i]
+		if g.Score != w.Score || g.Size != w.Size || g.QValue != w.QValue || g.Significant != w.Significant {
+			t.Fatalf("slice %d differs between options and Config fields: %+v vs %+v", i, g, w)
 		}
 	}
 }
@@ -119,14 +129,22 @@ func TestWithResume(t *testing.T) {
 	}
 }
 
-// TestPublicSentinels: the re-exported sentinels must match what Run returns.
+// TestPublicSentinels: the re-exported sentinels must match what RunContext
+// and RunDiffContext return.
 func TestPublicSentinels(t *testing.T) {
 	ds, e := optDataset(t)
-	if _, err := sliceline.Run(ds, e[:3], sliceline.Config{}); !errors.Is(err, sliceline.ErrBadErrorVector) {
+	ctx := context.Background()
+	if _, err := sliceline.RunContext(ctx, ds, e[:3], sliceline.Config{}); !errors.Is(err, sliceline.ErrBadErrorVector) {
 		t.Fatalf("got %v, want ErrBadErrorVector", err)
 	}
-	if _, err := sliceline.Run(ds, e, sliceline.Config{Alpha: math.NaN()}); !errors.Is(err, sliceline.ErrBadAlpha) {
+	if _, err := sliceline.RunContext(ctx, ds, e, sliceline.Config{Alpha: math.NaN()}); !errors.Is(err, sliceline.ErrBadAlpha) {
 		t.Fatalf("got %v, want ErrBadAlpha", err)
+	}
+	if _, err := sliceline.RunContext(ctx, ds, e, sliceline.Config{}, sliceline.WithWeights(e[:3])); !errors.Is(err, sliceline.ErrBadWeight) {
+		t.Fatalf("got %v, want ErrBadWeight", err)
+	}
+	if _, err := sliceline.RunDiffContext(ctx, ds, e, e, sliceline.Config{}, sliceline.WithWeights(e)); !errors.Is(err, sliceline.ErrBadWeight) {
+		t.Fatalf("got %v, want ErrBadWeight", err)
 	}
 	if err := (sliceline.Config{K: 2, Alpha: 0.5}).Validate(); err != nil {
 		t.Fatalf("Validate on a valid config: %v", err)

@@ -8,11 +8,17 @@
 // Basic usage:
 //
 //	ds, _ := sliceline.DatasetFromCSV(file, "label", 10)
-//	model, e, _ := sliceline.TrainAndScore(ds, sliceline.TaskClassification)
-//	res, _ := sliceline.Run(ds, e, sliceline.Config{K: 5, Alpha: 0.95})
+//	e, _, _ := sliceline.TrainAndScore(ds, sliceline.TaskClassification)
+//	res, _ := sliceline.RunContext(ctx, ds, e, sliceline.Config{K: 5, Alpha: 0.95})
 //	for _, s := range res.TopK {
 //	    fmt.Println(s)
 //	}
+//
+// RunContext and RunDiffContext are the two entry points: the first finds
+// the slices where one model errs, the second the slices where a new model
+// got worse or better than a baseline. Row weights, anytime budgets,
+// checkpoints and observability hooks are options (WithWeights, WithBudget,
+// ...). Error values and weights must be finite and >= 0.
 //
 // The enumeration is exact: the returned slices are guaranteed to be the
 // true top-K under the scoring function of the paper (Definition 2), with
@@ -23,7 +29,6 @@
 package sliceline
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -56,34 +61,6 @@ type (
 	// Feature describes one encoded feature.
 	Feature = frame.Feature
 )
-
-// Run executes the SliceLine enumeration on a dataset and error vector.
-//
-// Deprecated: use RunContext, the single entry point; it accepts functional
-// options for weights, budgets, observability and checkpointing. Run remains
-// supported and delegates there with context.Background().
-func Run(ds *Dataset, e []float64, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), ds, e, cfg)
-}
-
-// RunWeighted is Run with per-row weights: row i counts as w[i] identical
-// rows in every size and error aggregate, so deduplicated datasets with
-// multiplicities produce exactly the same top-K as their expanded form.
-//
-// Deprecated: use RunContext with WithWeights(w).
-func RunWeighted(ds *Dataset, e, w []float64, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), ds, e, cfg, WithWeights(w))
-}
-
-// RunDiff finds the top slices of model-behavior change between a baseline
-// and a new error vector over the same rows: regressions (new model worse,
-// Slice.DiffSign = +1) and improvements (DiffSign = -1), interleaved by
-// score. Each direction is an ordinary SliceLine run over the rectified
-// error delta, so its slices are exactly what RunContext would report over
-// max(0, ±(eNew−eBase)). See RunDiffContext for the context-aware form.
-func RunDiff(ds *Dataset, eBase, eNew []float64, cfg Config) (*Result, error) {
-	return RunDiffContext(context.Background(), ds, eBase, eNew, cfg)
-}
 
 // BruteForce exhaustively enumerates the full slice lattice; it is only
 // feasible for tiny datasets and exists for verification and education.
@@ -131,10 +108,10 @@ const (
 )
 
 // TrainAndScore fits a model of the given task on the dataset's features and
-// labels and returns the row-aligned error vector e >= 0 that Run consumes,
-// together with a short description of the fitted model. It covers the
-// common debugging loop; callers with their own models can pass any
-// non-negative error vector to Run directly.
+// labels and returns the row-aligned error vector e >= 0 that RunContext
+// consumes, together with a short description of the fitted model. It covers
+// the common debugging loop; callers with their own models can pass any
+// finite non-negative error vector to RunContext directly.
 func TrainAndScore(ds *Dataset, task Task) (errVec []float64, desc string, err error) {
 	if ds.Y == nil {
 		return nil, "", fmt.Errorf("sliceline: dataset %s has no labels", ds.Name)

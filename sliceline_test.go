@@ -1,6 +1,7 @@
 package sliceline_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if desc == "" {
 		t.Error("empty model description")
 	}
-	res, err := sliceline.Run(ds, errVec, sliceline.Config{K: 3, Sigma: 2, Alpha: 0.9})
+	res, err := sliceline.RunContext(context.Background(), ds, errVec, sliceline.Config{K: 3, Sigma: 2, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestFacadeMatchesBruteForce(t *testing.T) {
 		e[i] = float64(i%3) * 0.5
 	}
 	cfg := sliceline.Config{K: 4, Sigma: 2, Alpha: 0.8}
-	res, err := sliceline.Run(ds, e, cfg)
+	res, err := sliceline.RunContext(context.Background(), ds, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestSliceRowsRoundTrip(t *testing.T) {
 			e[i] = 1
 		}
 	}
-	res, err := sliceline.Run(ds, e, sliceline.Config{K: 3, Sigma: 2, Alpha: 0.9})
+	res, err := sliceline.RunContext(context.Background(), ds, e, sliceline.Config{K: 3, Sigma: 2, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
