@@ -1,21 +1,18 @@
 package core
 
-import (
-	"encoding/binary"
-	"math"
-	"sort"
-)
+import "math"
 
 // group accumulates the per-candidate state of the deduplication matrix M of
 // Section 4.3: the minima over all enumerated parents (used by the upper
-// bounds of Equation 3/8) and the set of distinct parents (np).
+// bounds of Equation 3/8) and the number of parent pairs that produced the
+// candidate, from which np follows (see pairCandidates). Its columns sit at
+// the same index of the level's colSet, so a group holds no pointers.
 type group struct {
-	cols    []int
-	ssUB    float64
-	seUB    float64
-	smUB    float64
-	parents map[int]struct{}
-	dead    bool // a pair-level bound already failed; the group bound can only be tighter
+	ssUB  float64
+	seUB  float64
+	smUB  float64
+	pairs int32
+	dead  bool // a pair-level bound already failed; the group bound can only be tighter
 }
 
 // pruneStats breaks the pruned pair-candidates of one level down by the rule
@@ -42,17 +39,23 @@ func (p pruneStats) total() int {
 //     (S = removeEmpty(S · (R[,4] >= σ ∧ R[,2] > 0))),
 //  2. self-join compatible slices — pairs with exactly L-2 overlapping
 //     predicates (I = upper.tri((S Sᵀ) = L-2), Equation 6), realized as a
-//     sparse row-wise join over per-column posting lists,
+//     sparse row-wise join over flat per-column posting lists,
 //  3. merge pairs into combined slices (P) and discard slices with multiple
 //     assignments per original feature,
 //  4. deduplicate via canonical slice identity (the paper's ND-array IDs
-//     followed by recoding; here the sorted column list is the ID) while
-//     accumulating min-bounds and the distinct-parent count, and
+//     followed by recoding; here the sorted column list is the ID, looked up
+//     in an open-addressing table over the level's column arena) while
+//     accumulating min-bounds and the parent-pair count: the np surviving
+//     parents of an L-column slice pairwise share L-2 columns and the join
+//     visits each unordered pair once, so np = L exactly when the count
+//     reaches L(L-1)/2 — the paper's rowSums(M·(P1+P2) ≠ 0), derived rather
+//     than materialized, and
 //  5. prune by Equation 9: ⌈ss⌉ >= σ ∧ ⌈sc⌉ > sc_k ∧ ⌈sc⌉ >= 0 ∧ np = L.
 //
-// It returns the surviving candidates and a per-rule pruning breakdown. A
-// nil level signals that candidate generation exceeded MaxCandidatesPerLevel
-// and enumeration must truncate.
+// No step allocates per pair or per candidate. It returns the surviving
+// candidates, whose column lists share one right-sized arena, and a per-rule
+// pruning breakdown. A nil level signals that candidate generation exceeded
+// MaxCandidatesPerLevel and enumeration must truncate.
 func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneStats) {
 	cfg := st.cfg
 
@@ -68,11 +71,18 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 		}
 	}
 
-	byKey := make(map[string]int) // canonical slice identity → index in list
-	var list []*group             // insertion order for deterministic output
+	// Without dedup no matrix M is needed: either the ablation disabled it
+	// (config 5: every pair is its own candidate, bounds from its two
+	// parents only), or L == 2, where the 2-column union uniquely identifies
+	// its basic-slice pair so no duplicates can arise and both parents are
+	// always enumerated (np = 2 = L).
+	dedup := L > 2 && !cfg.DisableDedup
+	set := colSet{width: L}
+	var groups []group // insertion order for deterministic output
 	var pr pruneStats
+	union := make([]int, L) // merge scratch shared by every pair
 
-	addPair := func(i, j int, union []int) {
+	addPair := func(i, j int) {
 		ssUB := math.Min(prev.ss[i], prev.ss[j])
 		seUB := math.Min(prev.se[i], prev.se[j])
 		smUB := math.Min(prev.sm[i], prev.sm[j])
@@ -89,12 +99,7 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 				dead = true
 			}
 		}
-		if cfg.DisableDedup || L == 2 {
-			// No dedup matrix M needed: either the ablation disabled it
-			// (config 5: every pair is its own candidate, bounds from its
-			// two parents only), or L == 2, where the 2-column union
-			// uniquely identifies its basic-slice pair so no duplicates can
-			// arise and both parents are always enumerated (np = 2 = L).
+		if !dedup {
 			if dead {
 				if deadBySize {
 					pr.pairSize++
@@ -103,18 +108,15 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 				}
 				return
 			}
-			list = append(list, &group{cols: union, ssUB: ssUB, seUB: seUB, smUB: smUB})
+			set.add(union)
+			groups = append(groups, group{ssUB: ssUB, seUB: seUB, smUB: smUB})
 			return
 		}
-		key := encodeCols(union)
-		idx, ok := byKey[key]
-		if !ok {
-			idx = len(list)
-			byKey[key] = idx
-			list = append(list, &group{cols: union, ssUB: math.Inf(1), seUB: math.Inf(1), smUB: math.Inf(1),
-				parents: make(map[int]struct{}, L)})
+		k, added := set.index(union)
+		if added {
+			groups = append(groups, group{ssUB: math.Inf(1), seUB: math.Inf(1), smUB: math.Inf(1)})
 		}
-		g := list[idx]
+		g := &groups[k]
 		if dead {
 			g.dead = true
 		}
@@ -127,15 +129,14 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 		if smUB < g.smUB {
 			g.smUB = smUB
 		}
-		g.parents[i] = struct{}{}
-		g.parents[j] = struct{}{}
+		g.pairs++
 	}
 
 	if L == 2 {
 		// Basic slices overlap in L-2 = 0 predicates: every cross-feature
 		// pair is compatible.
 		for a := 0; a < len(keep); a++ {
-			if len(list) > cfg.MaxCandidatesPerLevel {
+			if len(groups) > cfg.MaxCandidatesPerLevel {
 				return nil, pruneStats{}
 			}
 			i := keep[a]
@@ -145,9 +146,8 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 				if st.featOf[prev.cols[j][0]] == fi {
 					continue
 				}
-				union := mergeCols(prev.cols[i], prev.cols[j], L)
-				if union != nil {
-					addPair(i, j, union)
+				if mergeInto(union, prev.cols[i], prev.cols[j]) {
+					addPair(i, j)
 				}
 			}
 		}
@@ -155,30 +155,45 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 		// Sparse self-join: for each kept slice, count co-occurrences with
 		// later kept slices through per-column posting lists; partners are
 		// those sharing exactly L-2 columns (the = (L-2) comparison on SSᵀ).
-		postings := make(map[int][]int)
-		for a, i := range keep {
+		// The postings are flat: column c's kept slices, in ascending order,
+		// are post[head[c]:end[c]].
+		nCols := len(st.featOf)
+		head := make([]int32, nCols+1)
+		for _, i := range keep {
 			for _, c := range prev.cols[i] {
-				postings[c] = append(postings[c], a)
+				head[c+1]++
 			}
 		}
-		counts := make([]int, len(keep))
-		stamp := make([]int, len(keep))
+		for c := 0; c < nCols; c++ {
+			head[c+1] += head[c]
+		}
+		post := make([]int32, head[nCols])
+		end := make([]int32, nCols)
+		copy(end, head)
+		for a, i := range keep {
+			for _, c := range prev.cols[i] {
+				post[end[c]] = int32(a)
+				end[c]++
+			}
+		}
+		counts := make([]int32, len(keep))
+		stamp := make([]int32, len(keep))
 		for s := range stamp {
 			stamp[s] = -1
 		}
-		var touched []int
+		var touched []int32
 		for a, i := range keep {
-			if len(list) > cfg.MaxCandidatesPerLevel {
+			if len(groups) > cfg.MaxCandidatesPerLevel {
 				return nil, pruneStats{}
 			}
 			touched = touched[:0]
 			for _, c := range prev.cols[i] {
-				for _, b := range postings[c] {
-					if b <= a {
-						continue
-					}
-					if stamp[b] != a {
-						stamp[b] = a
+				// Slices are visited in ascending order, so every earlier
+				// slice of column c has been popped and a heads its list.
+				head[c]++
+				for _, b := range post[head[c]:end[c]] {
+					if stamp[b] != int32(a) {
+						stamp[b] = int32(a)
 						counts[b] = 0
 						touched = append(touched, b)
 					}
@@ -186,30 +201,28 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 				}
 			}
 			for _, b := range touched {
-				if counts[b] != L-2 {
+				if counts[b] != int32(L-2) {
 					continue
-				}
-				j := keep[b]
-				union := mergeCols(prev.cols[i], prev.cols[j], L)
-				if union == nil {
-					continue // multiple assignments for one feature
 				}
 				// Reject unions where two columns map to the same original
 				// feature (step 3's rowSums(P[,beg:end]) <= 1 check).
-				if !st.featuresDisjoint(union) {
+				if !mergeInto(union, prev.cols[i], prev.cols[keep[b]]) || !st.featuresDisjoint(union) {
 					continue
 				}
-				addPair(i, j, union)
+				addPair(i, keep[b])
 			}
 		}
 	}
 
 	// For L == 2 the feature-validity check happened inline (cross-feature
 	// pairs only); for L >= 3 it happened before addPair. Now apply the
-	// group-level pruning of Equation 9.
-	out := &level{}
+	// group-level pruning of Equation 9, compacting the survivors' columns
+	// to the front of the arena.
+	allPairs := int32(L * (L - 1) / 2)
+	n := 0
 	var ubs []float64
-	for _, g := range list {
+	for k := range groups {
+		g := &groups[k]
 		if g.dead {
 			pr.dead++
 			continue
@@ -225,22 +238,26 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 				continue
 			}
 		}
-		if L > 2 && !cfg.DisableParentHandling && !cfg.DisableDedup && len(g.parents) != L {
-			// Missing-parent handling: a level-L slice has L parents; if any
-			// was pruned earlier, every extension is prunable too.
+		if dedup && !cfg.DisableParentHandling && g.pairs != allPairs {
+			// Missing-parent handling: a level-L slice has L parents, met
+			// in L(L-1)/2 pairs; if any parent was pruned earlier, every
+			// extension is prunable too.
 			pr.parents++
 			continue
 		}
-		out.cols = append(out.cols, g.cols)
+		copy(set.arena[n*L:(n+1)*L], set.at(k))
 		if cfg.PriorityEnumeration {
 			ubs = append(ubs, ub)
 		}
+		n++
+	}
+	flat := make([]int, n*L)
+	copy(flat, set.arena)
+	out := newLevel(n)
+	for k := range out.cols {
+		out.cols[k] = flat[k*L : (k+1)*L : (k+1)*L]
 	}
 	out.ub = ubs
-	out.sc = make([]float64, out.size())
-	out.se = make([]float64, out.size())
-	out.sm = make([]float64, out.size())
-	out.ss = make([]float64, out.size())
 	return out, pr
 }
 
@@ -256,73 +273,98 @@ func (st *state) featuresDisjoint(union []int) bool {
 	return true
 }
 
-// mergeCols merges two sorted column lists, returning nil if the union does
-// not have exactly want entries.
-func mergeCols(a, b []int, want int) []int {
-	out := make([]int, 0, want)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+// mergeInto writes the sorted union of the sorted column lists a and b into
+// dst and reports whether the union has exactly len(dst) entries.
+func mergeInto(dst, a, b []int) bool {
+	n, i, j := 0, 0, 0
+	for i < len(a) || j < len(b) {
+		if n == len(dst) {
+			return false
+		}
 		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
+		case j == len(b) || (i < len(a) && a[i] < b[j]):
+			dst[n] = a[i]
 			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
+		case i == len(a) || a[i] > b[j]:
+			dst[n] = b[j]
 			j++
 		default:
-			out = append(out, a[i])
+			dst[n] = a[i]
 			i++
 			j++
 		}
-		if len(out) > want {
-			return nil
-		}
+		n++
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	if len(out) != want {
-		return nil
-	}
-	return out
+	return n == len(dst)
 }
 
-// encodeCols produces the canonical string identity of a sorted column list.
-// It plays the role of the paper's overflow-free ND-array slice IDs plus
-// frame recoding: equal slices map to equal keys.
-func encodeCols(cols []int) string {
-	buf := make([]byte, 4*len(cols))
-	for k, c := range cols {
-		binary.LittleEndian.PutUint32(buf[4*k:], uint32(c))
-	}
-	return string(buf)
+// colSet is the insertion-ordered set of one level's candidate column
+// lists, all of one width: entry k is arena[k*width:(k+1)*width]. index
+// deduplicates through an open-addressing table of entry indices whose keys
+// are the arena's lists, compared in full on every probe, so any width and
+// any column id work; add appends without deduplication. A set is filled
+// through one of the two, never both.
+type colSet struct {
+	width int
+	arena []int
+	slots []int32 // entry index + 1 per slot, 0 = empty; len is a power of two
 }
 
-// sortLevel orders the slices of a level lexicographically by column list;
-// used by tests for deterministic comparison.
-func sortLevel(l *level) {
-	idx := make([]int, l.size())
-	for i := range idx {
-		idx[i] = i
+func (s *colSet) len() int { return len(s.arena) / s.width }
+
+func (s *colSet) at(k int) []int { return s.arena[k*s.width : (k+1)*s.width] }
+
+func (s *colSet) add(cols []int) { s.arena = append(s.arena, cols...) }
+
+// index returns the entry index of cols, appending a copy of cols when it is
+// absent; added reports whether it did. The table stays at most half full.
+func (s *colSet) index(cols []int) (k int, added bool) {
+	if 2*(s.len()+1) > len(s.slots) {
+		s.grow()
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return lessCols(l.cols[idx[a]], l.cols[idx[b]])
-	})
-	reorder := func(v []float64) []float64 {
-		out := make([]float64, len(v))
-		for k, i := range idx {
-			out[k] = v[i]
+	mask := uint64(len(s.slots) - 1)
+	for p := hashCols(cols) & mask; ; p = (p + 1) & mask {
+		e := s.slots[p]
+		if e == 0 {
+			k = s.len()
+			s.slots[p] = int32(k + 1)
+			s.arena = append(s.arena, cols...)
+			return k, true
 		}
-		return out
+		if equalCols(s.at(int(e-1)), cols) {
+			return int(e - 1), false
+		}
 	}
-	cols := make([][]int, l.size())
-	for k, i := range idx {
-		cols[k] = l.cols[i]
+}
+
+// grow doubles the table (the first one has 64 slots) and reinserts every
+// entry in index order.
+func (s *colSet) grow() {
+	size := 2 * len(s.slots)
+	if size == 0 {
+		size = 64
 	}
-	l.cols = cols
-	l.sc = reorder(l.sc)
-	l.se = reorder(l.se)
-	l.sm = reorder(l.sm)
-	l.ss = reorder(l.ss)
+	s.slots = make([]int32, size)
+	mask := uint64(size - 1)
+	for k := 0; k < s.len(); k++ {
+		p := hashCols(s.at(k)) & mask
+		for s.slots[p] != 0 {
+			p = (p + 1) & mask
+		}
+		s.slots[p] = int32(k + 1)
+	}
+}
+
+// hashCols mixes a column list into 64 bits, one multiply-xorshift round per
+// column, so the low bits that pick a table slot depend on every bit of
+// every column.
+func hashCols(cols []int) uint64 {
+	h := uint64(len(cols))
+	for _, c := range cols {
+		h = (h ^ uint64(c)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
 }
 
 // equalCols reports whether two sorted column lists denote the same slice.

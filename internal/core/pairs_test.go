@@ -1,46 +1,143 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
 
-func TestMergeCols(t *testing.T) {
+func TestMergeInto(t *testing.T) {
 	cases := []struct {
+		name string
 		a, b []int
 		want int
-		out  []int
+		out  []int // nil: the union does not have want entries
 	}{
-		{[]int{1, 2}, []int{1, 3}, 3, []int{1, 2, 3}},
-		{[]int{1, 2}, []int{3, 4}, 3, nil},   // union 4 > want
-		{[]int{1, 2}, []int{1, 2}, 3, nil},   // union 2 < want
-		{[]int{0}, []int{5}, 2, []int{0, 5}}, // level-2 join
-		{[]int{1, 4, 9}, []int{1, 4, 7}, 4, []int{1, 4, 7, 9}},
+		{"one shared column", []int{1, 2}, []int{1, 3}, 3, []int{1, 2, 3}},
+		{"union too large", []int{1, 2}, []int{3, 4}, 3, nil},
+		{"union too small", []int{1, 2}, []int{1, 2}, 3, nil},
+		{"level-2 join", []int{0}, []int{5}, 2, []int{0, 5}},
+		{"level-2 join, reversed", []int{5}, []int{0}, 2, []int{0, 5}},
+		{"interleaved", []int{1, 4, 9}, []int{1, 4, 7}, 4, []int{1, 4, 7, 9}},
 	}
-	for i, c := range cases {
-		got := mergeCols(c.a, c.b, c.want)
-		if !reflect.DeepEqual(got, c.out) {
-			t.Errorf("case %d: mergeCols(%v,%v,%d) = %v, want %v", i, c.a, c.b, c.want, got, c.out)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dst := make([]int, c.want)
+			ok := mergeInto(dst, c.a, c.b)
+			if ok != (c.out != nil) {
+				t.Fatalf("mergeInto(%v, %v) into %d = %v, want %v", c.a, c.b, c.want, ok, c.out != nil)
+			}
+			if ok && !reflect.DeepEqual(dst, c.out) {
+				t.Fatalf("mergeInto(%v, %v) wrote %v, want %v", c.a, c.b, dst, c.out)
+			}
+		})
 	}
 }
 
-func TestEncodeColsUniqueAndEqual(t *testing.T) {
-	a := encodeCols([]int{1, 2, 3})
-	b := encodeCols([]int{1, 2, 3})
-	c := encodeCols([]int{1, 2, 4})
-	d := encodeCols([]int{1, 2})
-	if a != b {
-		t.Error("equal column lists must encode equally")
+// TestColSetIndex checks the dedup table: index must hand out one index per
+// distinct list, in insertion order, however the lists hash.
+func TestColSetIndex(t *testing.T) {
+	// Many distinct lists force the table through several doublings.
+	var many [][]int
+	var manyIdx []int
+	for k := 0; k < 1000; k++ {
+		many = append(many, []int{k / 100, 100 + k/10%10, 200 + k%10})
+		manyIdx = append(manyIdx, k)
 	}
-	if a == c || a == d {
-		t.Error("different column lists must encode differently")
+	many = append(many, many[0], many[999], many[500])
+	manyIdx = append(manyIdx, 0, 999, 500)
+
+	// Two distinct lists with the same home slot in the first table: the
+	// second must probe past the first, and both must stay findable.
+	first := []int{0, 1}
+	var clash []int
+	for c := 2; clash == nil; c++ {
+		if cand := []int{0, c}; hashCols(cand)&63 == hashCols(first)&63 {
+			clash = cand
+		}
 	}
-	// Large column ids must not collide (the paper's overflow concern).
-	x := encodeCols([]int{1 << 20, 1 << 24})
-	y := encodeCols([]int{1 << 20, 1<<24 + 1})
-	if x == y {
-		t.Error("large ids collide")
+
+	cases := []struct {
+		name  string
+		width int
+		lists [][]int
+		want  []int // index of each list, in order
+	}{
+		{"equal lists share an index", 3, [][]int{{1, 2, 3}, {1, 2, 3}}, []int{0, 0}},
+		{"one column differs", 3, [][]int{{1, 2, 3}, {1, 2, 4}, {0, 2, 3}, {1, 2, 3}}, []int{0, 1, 2, 0}},
+		{"ids at or above 2^24", 2, [][]int{{1 << 20, 1 << 24}, {1 << 20, 1<<24 + 1}, {1 << 20, 1 << 30}, {1 << 20, 1<<24 + 1}}, []int{0, 1, 2, 1}},
+		{"growth keeps indices and order", 3, many, manyIdx},
+		{"probing compares full lists", 2, [][]int{first, clash, first, clash}, []int{0, 1, 0, 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := colSet{width: c.width}
+			distinct := 0
+			for n, cols := range c.lists {
+				k, added := s.index(cols)
+				if k != c.want[n] {
+					t.Fatalf("list %d %v: index %d, want %d", n, cols, k, c.want[n])
+				}
+				if added != (k == distinct) {
+					t.Fatalf("list %d %v: added = %v at index %d with %d entries", n, cols, added, k, distinct)
+				}
+				if added {
+					distinct++
+				}
+				if !equalCols(s.at(k), cols) {
+					t.Fatalf("entry %d holds %v, want %v", k, s.at(k), cols)
+				}
+			}
+			if s.len() != distinct {
+				t.Fatalf("%d entries, want %d", s.len(), distinct)
+			}
+		})
+	}
+}
+
+// TestPairCandidatesAllocs pins candidate generation's allocation diet: one
+// call allocates per level (arena, table and output growth), never per pair
+// or per candidate.
+func TestPairCandidatesAllocs(t *testing.T) {
+	const features, dom = 10, 6
+	featOf := make([]int, features*dom)
+	for c := range featOf {
+		featOf[c] = c / dom
+	}
+	// Level 2: every cross-feature column pair, all surviving input
+	// filtering, with varied statistics.
+	rng := rand.New(rand.NewSource(5))
+	prev := &level{}
+	for c1 := range featOf {
+		for c2 := c1 + 1; c2 < len(featOf); c2++ {
+			if featOf[c1] == featOf[c2] {
+				continue
+			}
+			ss := float64(50 + rng.Intn(250))
+			prev.cols = append(prev.cols, []int{c1, c2})
+			prev.ss = append(prev.ss, ss)
+			prev.se = append(prev.se, ss*(0.2+0.6*rng.Float64()))
+			prev.sm = append(prev.sm, 1)
+		}
+	}
+	const n = 1000
+	e := make([]float64, n)
+	for i := range e {
+		e[i] = 0.1
+	}
+	cfg := Config{K: 4, Sigma: 5, Alpha: 0.95}.WithDefaults(n)
+	st := &state{cfg: cfg, sc: newScorer(n, e, cfg.Alpha, cfg.Sigma), featOf: featOf}
+
+	var cand *level
+	allocs := testing.AllocsPerRun(2, func() {
+		cand, _ = st.pairCandidates(prev, 3, 0)
+	})
+	// Every cross-feature triple has all three parents.
+	if want := 120 * dom * dom * dom; cand.size() != want {
+		t.Fatalf("fixture yields %d candidates, want %d", cand.size(), want)
+	}
+	if allocs >= 200 {
+		t.Fatalf("pairCandidates made %.0f allocations for %d candidates, want < 200", allocs, cand.size())
 	}
 }
 
@@ -66,25 +163,5 @@ func TestLessCols(t *testing.T) {
 	}
 	if lessCols([]int{2}, []int{1, 5}) {
 		t.Error("ordering inverted")
-	}
-}
-
-func TestSortLevelDeterministic(t *testing.T) {
-	l := &level{
-		cols: [][]int{{2, 3}, {0, 1}, {1, 2}},
-		sc:   []float64{1, 2, 3},
-		se:   []float64{10, 20, 30},
-		sm:   []float64{0.1, 0.2, 0.3},
-		ss:   []float64{5, 6, 7},
-	}
-	sortLevel(l)
-	if !reflect.DeepEqual(l.cols, [][]int{{0, 1}, {1, 2}, {2, 3}}) {
-		t.Fatalf("cols = %v", l.cols)
-	}
-	if !reflect.DeepEqual(l.sc, []float64{2, 3, 1}) {
-		t.Fatalf("sc reordered wrongly: %v", l.sc)
-	}
-	if !reflect.DeepEqual(l.ss, []float64{6, 7, 5}) {
-		t.Fatalf("ss reordered wrongly: %v", l.ss)
 	}
 }

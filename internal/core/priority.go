@@ -54,16 +54,9 @@ func (st *state) evalWithPriority(ctx context.Context, cand *level, lvl int, tk 
 		if len(pick) == 0 {
 			break
 		}
-		cols := make([][]int, len(pick))
+		sub := newLevel(len(pick))
 		for k, i := range pick {
-			cols[k] = cand.cols[i]
-		}
-		sub := &level{
-			cols: cols,
-			sc:   make([]float64, len(pick)),
-			se:   make([]float64, len(pick)),
-			sm:   make([]float64, len(pick)),
-			ss:   make([]float64, len(pick)),
+			sub.cols[k] = cand.cols[i]
 		}
 		if err := st.evalSlices(ctx, sub, lvl); err != nil {
 			return nil, 0, err

@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"sliceline/internal/obs"
 )
 
 // TestReferenceMatchesOptimized: the literal linear-algebra program of the
@@ -33,6 +35,55 @@ func TestReferenceMatchesOptimized(t *testing.T) {
 			t.Fatalf("trial %d: reference %v vs optimized %v",
 				trial, scoresOf(ref.TopK), scoresOf(opt.TopK))
 		}
+	}
+}
+
+// TestLevelCountsMatchReference checks the engine's candidate generation
+// against the materialized Section 4.3 program level by level: both must
+// evaluate the same number of candidates and find the same number of valid
+// slices at every level. The fixture must reach level 4 and trigger the
+// missing-parent rule, so the pair-count form of np is exercised.
+func TestLevelCountsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(304))
+	deep, parentPrunes := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		ds, e := randomDataset(rng, 60+rng.Intn(140), 3+rng.Intn(4), 4)
+		cfg := Config{
+			K:     1 + rng.Intn(5),
+			Sigma: 2 + rng.Intn(6),
+			Alpha: 0.4 + 0.59*rng.Float64(),
+		}
+		ref, err := RunReference(ds, e, cfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		tr := obs.NewJSONTracer()
+		cfg.Tracer = tr
+		got, err := runDS(ds, e, nil, cfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if len(got.Levels) != len(ref.Levels) {
+			t.Fatalf("trial %d: %d levels, reference %d", trial, len(got.Levels), len(ref.Levels))
+		}
+		for i, l := range got.Levels {
+			r := ref.Levels[i]
+			if l.Level != r.Level || l.Candidates != r.Candidates || l.Valid != r.Valid {
+				t.Fatalf("trial %d level %d: %d candidates / %d valid, reference level %d: %d / %d",
+					trial, l.Level, l.Candidates, l.Valid, r.Level, r.Candidates, r.Valid)
+			}
+		}
+		if len(got.Levels) >= 4 {
+			deep++
+		}
+		for _, sp := range tr.Spans() {
+			if sp.Name == "core.level" && sp.AttrInt("pruned_parents", 0) > 0 {
+				parentPrunes++
+			}
+		}
+	}
+	if deep == 0 || parentPrunes == 0 {
+		t.Fatalf("fixture too shallow: %d trials reached level 4, %d levels pruned missing parents", deep, parentPrunes)
 	}
 }
 

@@ -25,6 +25,18 @@ type level struct {
 
 func (l *level) size() int { return len(l.cols) }
 
+// newLevel allocates a level of n slices with zeroed statistics; the caller
+// fills in the column lists.
+func newLevel(n int) *level {
+	return &level{
+		cols: make([][]int, n),
+		sc:   make([]float64, n),
+		se:   make([]float64, n),
+		sm:   make([]float64, n),
+		ss:   make([]float64, n),
+	}
+}
+
 // state carries the immutable inputs of one enumeration run.
 type state struct {
 	cfg      Config
@@ -208,16 +220,17 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	st.origCols = cI
 	st.featOf = make([]int, len(cI))
 	st.valOf = make([]int, len(cI))
-	cur := &level{}
+	cur := newLevel(len(cI))
+	basic := make([]int, len(cI)) // level 1's column arena: slice k is {k}
 	for k, j := range cI {
 		st.featOf[k] = enc.FeatureOf(j)
 		st.valOf[k] = enc.ValueOf(j)
-		score := sc.score(ss0[j], se0[j])
-		cur.cols = append(cur.cols, []int{k})
-		cur.sc = append(cur.sc, score)
-		cur.se = append(cur.se, se0[j])
-		cur.sm = append(cur.sm, sm0[j])
-		cur.ss = append(cur.ss, ss0[j])
+		basic[k] = k
+		cur.cols[k] = basic[k : k+1 : k+1]
+		cur.sc[k] = sc.score(ss0[j], se0[j])
+		cur.se[k] = se0[j]
+		cur.sm[k] = sm0[j]
+		cur.ss[k] = ss0[j]
 	}
 
 	tk := newTopK(cfg.K, float64(cfg.Sigma))

@@ -241,7 +241,10 @@ func (m *CSR) SelectRows(idx []int) *CSR {
 // SelectCols returns a new CSR restricted to the given columns; column k of
 // the result is column idx[k] of m. idx must be strictly increasing.
 func (m *CSR) SelectCols(idx []int) *CSR {
-	remap := make(map[int]int, len(idx))
+	remap := make([]int, m.cols) // new column per old column, -1 = dropped
+	for j := range remap {
+		remap[j] = -1
+	}
 	prev := -1
 	for k, j := range idx {
 		if j <= prev || j >= m.cols {
@@ -250,13 +253,19 @@ func (m *CSR) SelectCols(idx []int) *CSR {
 		remap[j] = k
 		prev = j
 	}
+	nnz := 0
+	for _, j := range m.colIdx[:m.rowPtr[m.rows]] {
+		if remap[j] >= 0 {
+			nnz++
+		}
+	}
 	rowPtr := make([]int, m.rows+1)
-	var colIdx []int
-	var val []float64
+	colIdx := make([]int, 0, nnz)
+	val := make([]float64, 0, nnz)
 	for i := 0; i < m.rows; i++ {
 		cols, vals := m.RowEntries(i)
 		for k, j := range cols {
-			if nj, ok := remap[j]; ok {
+			if nj := remap[j]; nj >= 0 {
 				colIdx = append(colIdx, nj)
 				val = append(val, vals[k])
 			}

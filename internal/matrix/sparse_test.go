@@ -130,6 +130,26 @@ func TestCSRSelectCols(t *testing.T) {
 	if !got.ToDense().Equal(want) {
 		t.Fatalf("SelectCols = %v, want %v", got.ToDense(), want)
 	}
+
+	// A larger matrix: the result matches the dense projection, and the
+	// allocations do not grow with the nonzeros (a remap, rowPtr, exactly
+	// sized colIdx/val and the header).
+	d := NewDense(1000, 8)
+	for i := 0; i < d.Rows(); i++ {
+		for j := 0; j < d.Cols(); j++ {
+			if (i+j)%3 != 0 {
+				d.Set(i, j, float64(1+i%7))
+			}
+		}
+	}
+	big := CSRFromDense(d)
+	idx := []int{0, 2, 3, 5, 7}
+	if got, want := big.SelectCols(idx).ToDense(), SelectCols(d, idx); !got.Equal(want) {
+		t.Fatal("SelectCols on the 1000x8 matrix disagrees with the dense projection")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { big.SelectCols(idx) }); allocs > 6 {
+		t.Fatalf("SelectCols made %.0f allocations on %d nonzeros, want <= 6", allocs, big.NNZ())
+	}
 }
 
 func TestCSRSelectColsRequiresIncreasing(t *testing.T) {
