@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -138,6 +139,31 @@ func TestCheckpointSignatureMismatch(t *testing.T) {
 			t.Fatal("expected signature mismatch for different alpha")
 		}
 	})
+}
+
+// TestCheckpointDiffRefused: RunDiff's two directions would share one
+// checkpoint file — resuming read the other direction's state and failed the
+// signature check — so a diff run with a CheckpointPath is refused before
+// anything runs, with or without Resume, and writes no file.
+func TestCheckpointDiffRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	ds, e := randomDataset(rng, 300, 4, 3)
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eNew := append([]float64(nil), e[1:]...)
+	eNew = append(eNew, e[0])
+	for _, resume := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "ck.gob")
+		cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, CheckpointPath: path, Resume: resume}
+		if _, err := RunDiff(context.Background(), enc, ds.Features, e, eNew, cfg); !errors.Is(err, ErrDiffCheckpoint) {
+			t.Errorf("resume=%v: got %v, want ErrDiffCheckpoint", resume, err)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("resume=%v: checkpoint file exists after a refused diff run (stat: %v)", resume, err)
+		}
+	}
 }
 
 // TestCheckpointMissingFileFreshStart: Resume with no checkpoint on disk is

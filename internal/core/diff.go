@@ -29,8 +29,12 @@ import (
 // Both vectors obey Run's rule (finite and >= 0), and both directions are
 // enumerated with the same configuration; the merged top-K interleaves them
 // by score. External evaluators are not supported (the lowering is
-// weighted); diff runs always evaluate locally.
+// weighted); diff runs always evaluate locally. A CheckpointPath is refused
+// with ErrDiffCheckpoint before anything runs or is written.
 func RunDiff(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, eBase, eNew []float64, cfg Config) (*Result, error) {
+	if cfg.CheckpointPath != "" {
+		return nil, fmt.Errorf("core: %w", ErrDiffCheckpoint)
+	}
 	n := enc.X.Rows()
 	if len(eBase) != n {
 		return nil, fmt.Errorf("core: baseline error vector length %d vs %d rows: %w", len(eBase), n, ErrBadErrorVector)

@@ -37,6 +37,10 @@ var (
 	// ErrBadSignificance marks a Config.Significance that is NaN, infinite,
 	// negative, or >= 1. (Zero selects DefaultSignificance.)
 	ErrBadSignificance = errors.New("invalid Significance level")
+	// ErrDiffCheckpoint marks a diff run with a Config.CheckpointPath: its
+	// two enumerations would share one checkpoint file, so diff runs do not
+	// checkpoint.
+	ErrDiffCheckpoint = errors.New("diff runs do not support checkpoints")
 )
 
 // CheckValues applies the input rule shared by error vectors and row

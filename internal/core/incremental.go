@@ -68,10 +68,11 @@ func (m *sliceMemo) rekey(remap []int) {
 // evalLevel is the incremental counterpart of Kernel.Eval: every candidate of
 // a level is looked up by its original column ids; a memoized candidate scans
 // only the rows appended since its last evaluation, seeded with the stored
-// statistics, an unseen candidate scans from row 0. Both land bit-identical
-// to a from-scratch evaluation (see evalBitsetFrom). Candidates are sharded
-// across workers like EvalBitsetWeighted — the map is read concurrently and
-// updated serially afterwards.
+// statistics, an unseen candidate scans from row 0. Both run evalBitsetFrom,
+// the loop EvalBitsetWeighted runs from row 0, so both land bit-identical to
+// a from-scratch evaluation. Candidates are sharded across workers like
+// EvalBitsetWeighted — the map is read concurrently and updated serially
+// afterwards.
 func (m *sliceMemo) evalLevel(orig []int, e []float64, lv *level) {
 	nc := lv.size()
 	if nc == 0 {

@@ -81,11 +81,12 @@ func (k *Kernel) Eval(cols [][]int, level, blockSize int, ss, se, sm []float64) 
 // EvalBitsetWeighted is the packed-bitset evaluation kernel: per candidate,
 // the bitsets of its one-hot columns are ANDed word-wise and the surviving
 // rows counted with OnesCount64 (slice sizes) and enumerated with
-// TrailingZeros64 (error sums and maxima). Candidates are split across
+// TrailingZeros64 (error sums and maxima) — the evalBitsetFrom loop, which
+// the incremental memo and dist workers run too. Candidates are split across
 // MaxWorkers goroutines; every candidate is computed whole, in ascending row
 // order, so results are deterministic independent of scheduling. It
-// accumulates into ss/se/sm like EvalPartitionWeighted (nil w means unit
-// weights).
+// accumulates into ss/se/sm like EvalPartitionWeighted (callers pass zeroed
+// slices; nil w means unit weights).
 func EvalBitsetWeighted(cb *matrix.ColumnBits, e, w []float64, cols [][]int, ss, se, sm []float64) {
 	n := len(cols)
 	if n == 0 {
@@ -103,87 +104,27 @@ func EvalBitsetSerial(cb *matrix.ColumnBits, e, w []float64, cols [][]int, ss, s
 	evalBitsetRange(cb, e, w, cols, 0, len(cols), ss, se, sm)
 }
 
-// evalBitsetRange evaluates candidates [s0,s1). It performs no allocations:
-// the only state is the accumulator scalars and word cursors, so the hot
-// loop is AND → OnesCount64 → TrailingZeros64 over the packed words.
+// evalBitsetRange evaluates candidates [s0,s1), each as one evalBitsetFrom
+// pass from row 0 seeded with its accumulators. Callers pass zeroed
+// accumulators, so every candidate gets the addition sequence of a plain
+// full pass. It performs no allocations.
 func evalBitsetRange(cb *matrix.ColumnBits, e, w []float64, cols [][]int, s0, s1 int, ss, se, sm []float64) {
-	words := cb.Words()
 	for s := s0; s < s1; s++ {
-		cand := cols[s]
-		nc := len(cand)
-		if nc == 0 {
-			continue
-		}
-		// Hoist the first three column slices; deeper conjunctions (rare —
-		// lattice levels beyond 3 have few surviving candidates) index the
-		// packed storage per word.
-		a := cb.Col(cand[0])
-		var b, c []uint64
-		if nc > 1 {
-			b = cb.Col(cand[1])
-		}
-		if nc > 2 {
-			c = cb.Col(cand[2])
-		}
-		var sumS, sumE, maxE float64
-		for k := 0; k < words; k++ {
-			m := a[k]
-			if m == 0 {
-				continue
-			}
-			if b != nil {
-				m &= b[k]
-				if c != nil && m != 0 {
-					m &= c[k]
-					for j := 3; j < nc && m != 0; j++ {
-						m &= cb.Col(cand[j])[k]
-					}
-				}
-			}
-			if m == 0 {
-				continue
-			}
-			base := k << 6
-			if w == nil {
-				sumS += float64(bits.OnesCount64(m))
-				for t := m; t != 0; t &= t - 1 {
-					ei := e[base+bits.TrailingZeros64(t)]
-					sumE += ei
-					if ei > maxE {
-						maxE = ei
-					}
-				}
-			} else {
-				for t := m; t != 0; t &= t - 1 {
-					i := base + bits.TrailingZeros64(t)
-					wi := w[i]
-					ei := e[i]
-					sumS += wi
-					sumE += wi * ei
-					if wi > 0 && ei > maxE {
-						maxE = ei
-					}
-				}
-			}
-		}
-		ss[s] += sumS
-		se[s] += sumE
-		if maxE > sm[s] {
-			sm[s] = maxE
-		}
+		ss[s], se[s], sm[s] = evalBitsetFrom(cb, e, w, cols[s], 0, ss[s], se[s], sm[s])
 	}
 }
 
-// evalBitsetFrom evaluates one candidate (original one-hot column ids over
-// the full-width packed matrix) for rows [from, cb.Rows()), seeded with the
-// accumulated statistics of rows [0, from). Seeding with a prior generation's
-// stored values and continuing in ascending row order produces the same
-// float64 addition sequence as one full sequential pass, so the result is
-// bit-identical to evaluating all rows from scratch — the property the
-// incremental evaluator's differential tests pin. (The one aggregate whose
-// addition grouping differs, the unweighted whole-word popcount into sumS,
-// stays exact because slice sizes are integers below 2^53.) from = 0 with
-// zero seeds is a plain full evaluation.
+// evalBitsetFrom is the one bitset loop: it evaluates one candidate (one-hot
+// column ids of cb) for rows [from, cb.Rows()), seeded with the accumulated
+// statistics of rows [0, from). from = 0 with zero seeds is a plain full
+// evaluation, which is how evalBitsetRange runs every batch candidate.
+// Seeding with a prior generation's stored values and continuing in
+// ascending row order produces the same float64 addition sequence as one
+// full sequential pass, so the incremental memo's result is bit-identical to
+// evaluating all rows from scratch — by construction, since both run this
+// loop. (The one aggregate whose addition grouping differs, the unweighted
+// whole-word popcount into sumS, stays exact because slice sizes are
+// integers below 2^53.) It performs no allocations.
 func evalBitsetFrom(cb *matrix.ColumnBits, e, w []float64, cand []int, from int, seedSS, seedSE, seedSM float64) (float64, float64, float64) {
 	sumS, sumE, maxE := seedSS, seedSE, seedSM
 	nc := len(cand)

@@ -188,10 +188,10 @@ type Server struct {
 	srv *rpc.Server
 
 	mu       sync.Mutex
-	idle     *sync.Cond // signalled when inflight drops to zero while draining
+	idle     *sync.Cond // signalled when inflight drops to zero once closed
 	conns    map[net.Conn]struct{}
 	inflight int
-	draining bool
+	closed   bool // set by Stop and Shutdown; Serve refuses later connections
 }
 
 // ServerOptions configures a worker RPC server's observability and
@@ -239,8 +239,10 @@ func (s *Server) Serve() error {
 			return err
 		}
 		s.mu.Lock()
-		if s.draining {
-			// Refuse connections that raced with shutdown.
+		if s.closed {
+			// Refuse connections that raced with Stop or Shutdown: Accept
+			// can return one just before the listener closes, after the
+			// loop that closes tracked connections ran.
 			s.mu.Unlock()
 			conn.Close()
 			continue
@@ -263,6 +265,7 @@ func (s *Server) Stop() {
 	s.lis.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	for conn := range s.conns {
 		conn.Close()
 	}
@@ -284,7 +287,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 	}()
 	s.mu.Lock()
-	s.draining = true
+	s.closed = true
 	for s.inflight > 0 && ctx.Err() == nil {
 		s.idle.Wait()
 	}
@@ -312,7 +315,7 @@ func (s *Server) requestStarted() {
 func (s *Server) requestDone() {
 	s.mu.Lock()
 	s.inflight--
-	if s.inflight == 0 && s.draining {
+	if s.inflight == 0 && s.closed {
 		s.idle.Broadcast()
 	}
 	s.mu.Unlock()

@@ -140,63 +140,6 @@ func FuzzRecode(f *testing.F) {
 	})
 }
 
-// FuzzBinEquiHeight checks the quantile binner: codes are continuous 1..d
-// with d <= nBins, binning is monotone in the value, equal values always
-// share a bin, and the cut points are strictly increasing.
-func FuzzBinEquiHeight(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(4))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, nb uint8) {
-		nBins := 1 + int(nb%10)
-		values := make([]float64, 0, len(data)/2)
-		for i := 0; i+1 < len(data); i += 2 {
-			// Small integers plus a fractional part: plenty of ties, no NaN.
-			values = append(values, float64(int(data[i])%16)+float64(data[i+1])/256)
-		}
-		codes, cuts := BinEquiHeight(values, nBins)
-		if len(codes) != len(values) {
-			t.Fatalf("%d codes for %d values", len(codes), len(values))
-		}
-		for i := 1; i < len(cuts); i++ {
-			if cuts[i] <= cuts[i-1] {
-				t.Fatalf("cut points not strictly increasing: %v", cuts)
-			}
-		}
-		if len(values) == 0 {
-			return
-		}
-		d := 0
-		for _, c := range codes {
-			if c > d {
-				d = c
-			}
-		}
-		if d > nBins {
-			t.Fatalf("max code %d exceeds nBins %d", d, nBins)
-		}
-		used := make([]bool, d)
-		for i, c := range codes {
-			if c < 1 || c > d {
-				t.Fatalf("code %d out of range [1,%d]", c, d)
-			}
-			used[c-1] = true
-			for k := i + 1; k < len(values); k++ {
-				if values[i] == values[k] && codes[i] != codes[k] {
-					t.Fatalf("equal values %v binned differently: %d vs %d", values[i], codes[i], codes[k])
-				}
-				if values[i] < values[k] && codes[i] > codes[k] {
-					t.Fatalf("binning not monotone: %v->%d but %v->%d", values[i], codes[i], values[k], codes[k])
-				}
-			}
-		}
-		for k, u := range used {
-			if !u {
-				t.Fatalf("code %d unused: codes are not continuous 1..%d", k+1, d)
-			}
-		}
-	})
-}
-
 // FuzzBinEquiWidth checks the equi-width binner: codes stay in [1, nBins]
 // for finite values (nBins+1 is reserved for NaN), binning is monotone, and
 // the edge vector brackets every finite input.

@@ -94,72 +94,6 @@ func ColSumsCSR(m *CSR) []float64 {
 	return out
 }
 
-// ColMaxsCSR returns the per-column maxima of a CSR matrix, treating
-// unstored entries as 0. A column whose stored entries are all negative
-// therefore reports 0 when the column has any structural zero; for the 0/1
-// indicator and non-negative error matrices SliceLine uses, this matches
-// colMaxs exactly.
-func ColMaxsCSR(m *CSR) []float64 {
-	out := make([]float64, m.cols)
-	for k, j := range m.colIdx {
-		if m.val[k] > out[j] {
-			out[j] = m.val[k]
-		}
-	}
-	return out
-}
-
-// RowSumsCSR returns the per-row sums of a CSR matrix.
-func RowSumsCSR(m *CSR) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		_, vals := m.RowEntries(i)
-		s := 0.0
-		for _, v := range vals {
-			s += v
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// VecSum returns the sum of v.
-func VecSum(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// VecMax returns the maximum of v, or 0 for an empty slice.
-func VecMax(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// VecMin returns the minimum of v, or 0 for an empty slice.
-func VecMin(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // CumSum returns the inclusive prefix sums of v, the paper's cumsum.
 func CumSum(v []float64) []float64 {
 	out := make([]float64, len(v))
@@ -167,17 +101,6 @@ func CumSum(v []float64) []float64 {
 	for i, x := range v {
 		s += x
 		out[i] = s
-	}
-	return out
-}
-
-// CumProd returns the inclusive prefix products of v, the paper's cumprod.
-func CumProd(v []float64) []float64 {
-	out := make([]float64, len(v))
-	p := 1.0
-	for i, x := range v {
-		p *= x
-		out[i] = p
 	}
 	return out
 }

@@ -85,22 +85,3 @@ func (cb *ColumnBits) CountCol(c int) int {
 	}
 	return n
 }
-
-// CountAnd returns the number of rows set in every one of the given columns
-// — the size of the slice defined by that conjunction of one-hot predicates.
-// An empty column list returns 0.
-func (cb *ColumnBits) CountAnd(cols []int) int {
-	if len(cols) == 0 {
-		return 0
-	}
-	a := cb.Col(cols[0])
-	n := 0
-	for k := 0; k < cb.words; k++ {
-		w := a[k]
-		for j := 1; j < len(cols) && w != 0; j++ {
-			w &= cb.Col(cols[j])[k]
-		}
-		n += bits.OnesCount64(w)
-	}
-	return n
-}

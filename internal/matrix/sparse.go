@@ -136,14 +136,6 @@ func (m *CSR) Cols() int { return m.cols }
 // NNZ returns the number of stored (non-zero) entries.
 func (m *CSR) NNZ() int { return len(m.val) }
 
-// Density returns NNZ / (rows*cols), or 0 for an empty shape.
-func (m *CSR) Density() float64 {
-	if m.rows == 0 || m.cols == 0 {
-		return 0
-	}
-	return float64(m.NNZ()) / (float64(m.rows) * float64(m.cols))
-}
-
 // RowNNZ returns the nonzero count of row i.
 func (m *CSR) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
 
@@ -178,18 +170,6 @@ func (m *CSR) ToDense() *Dense {
 		}
 	}
 	return d
-}
-
-// Clone returns a deep copy.
-func (m *CSR) Clone() *CSR {
-	c := &CSR{
-		rows:   m.rows,
-		cols:   m.cols,
-		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int(nil), m.colIdx...),
-		val:    append([]float64(nil), m.val...),
-	}
-	return c
 }
 
 // T returns the transpose in CSR form (a CSR-to-CSC re-bucketing pass).
@@ -273,38 +253,6 @@ func (m *CSR) SelectCols(idx []int) *CSR {
 		rowPtr[i+1] = len(colIdx)
 	}
 	return &CSR{rows: m.rows, cols: len(idx), rowPtr: rowPtr, colIdx: colIdx, val: val}
-}
-
-// RemoveEmptyRows drops rows with no stored entries and returns the original
-// indexes of retained rows.
-func (m *CSR) RemoveEmptyRows() (*CSR, []int) {
-	var keep []int
-	for i := 0; i < m.rows; i++ {
-		if m.RowNNZ(i) > 0 {
-			keep = append(keep, i)
-		}
-	}
-	return m.SelectRows(keep), keep
-}
-
-// RBindCSR stacks a on top of b.
-func RBindCSR(a, b *CSR) *CSR {
-	if a.cols != b.cols {
-		panic(fmt.Sprintf("matrix: RBindCSR column mismatch %d vs %d", a.cols, b.cols))
-	}
-	rowPtr := make([]int, a.rows+b.rows+1)
-	copy(rowPtr, a.rowPtr)
-	off := a.rowPtr[a.rows]
-	for i := 1; i <= b.rows; i++ {
-		rowPtr[a.rows+i] = off + b.rowPtr[i]
-	}
-	colIdx := make([]int, 0, a.NNZ()+b.NNZ())
-	colIdx = append(colIdx, a.colIdx...)
-	colIdx = append(colIdx, b.colIdx...)
-	val := make([]float64, 0, a.NNZ()+b.NNZ())
-	val = append(val, a.val...)
-	val = append(val, b.val...)
-	return &CSR{rows: a.rows + b.rows, cols: a.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
 
 // Equal reports whether m and o represent the same matrix (shape and values,

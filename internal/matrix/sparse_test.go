@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -58,9 +57,6 @@ func TestCSRRoundTripDense(t *testing.T) {
 	}
 	if m.NNZ() != 4 {
 		t.Fatalf("NNZ = %d, want 4", m.NNZ())
-	}
-	if got := m.Density(); got != 4.0/12.0 {
-		t.Fatalf("Density = %v, want %v", got, 4.0/12.0)
 	}
 }
 
@@ -162,33 +158,6 @@ func TestCSRSelectColsRequiresIncreasing(t *testing.T) {
 	m.SelectCols([]int{2, 1})
 }
 
-func TestCSRRemoveEmptyRows(t *testing.T) {
-	m := CSRFromDense(NewDenseData(4, 2, []float64{0, 0, 1, 0, 0, 0, 2, 2}))
-	got, idx := m.RemoveEmptyRows()
-	if got.Rows() != 2 || !reflect.DeepEqual(idx, []int{1, 3}) {
-		t.Fatalf("RemoveEmptyRows rows=%d idx=%v, want 2 rows idx [1 3]", got.Rows(), idx)
-	}
-}
-
-func TestRBindCSR(t *testing.T) {
-	a := CSRFromDense(NewDenseData(1, 3, []float64{1, 0, 2}))
-	b := CSRFromDense(NewDenseData(2, 3, []float64{0, 3, 0, 4, 0, 0}))
-	got := RBindCSR(a, b).ToDense()
-	want := NewDenseData(3, 3, []float64{1, 0, 2, 0, 3, 0, 4, 0, 0})
-	if !got.Equal(want) {
-		t.Fatalf("RBindCSR = %v, want %v", got, want)
-	}
-}
-
-func TestCSRCloneIndependent(t *testing.T) {
-	a := CSRFromDense(NewDenseData(1, 2, []float64{1, 2}))
-	c := a.Clone()
-	c.val[0] = 99
-	if a.val[0] != 1 {
-		t.Fatal("Clone shares storage with original")
-	}
-}
-
 func TestCSRRowEntriesSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
@@ -206,7 +175,7 @@ func TestCSRRowEntriesSorted(t *testing.T) {
 
 func TestCSREmptyShapes(t *testing.T) {
 	m := CSRFromTriples(0, 5, nil)
-	if m.Rows() != 0 || m.NNZ() != 0 || m.Density() != 0 {
+	if m.Rows() != 0 || m.NNZ() != 0 {
 		t.Fatal("empty matrix invariants violated")
 	}
 	tr := m.T()

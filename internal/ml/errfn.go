@@ -1,9 +1,8 @@
 // Package ml supplies the model-training substrate the paper debugs: linear
-// regression (squared loss), multinomial logistic regression (classification
-// inaccuracy), and k-means clustering (for deriving artificial labels on
-// unlabeled data, as the paper does for USCensus). Models consume the sparse
-// one-hot matrix produced by package frame and emit the row-aligned error
-// vector e >= 0 that SliceLine's scoring function is defined over.
+// regression (squared loss) and multinomial logistic regression
+// (classification inaccuracy). Models consume the sparse one-hot matrix
+// produced by package frame and emit the row-aligned error vector e >= 0 that
+// SliceLine's scoring function is defined over.
 package ml
 
 import "fmt"
@@ -52,16 +51,4 @@ func AbsLoss(y, yhat []float64) []float64 {
 		e[i] = d
 	}
 	return e
-}
-
-// MeanError returns the average of an error vector, the paper's ē.
-func MeanError(e []float64) float64 {
-	if len(e) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range e {
-		s += v
-	}
-	return s / float64(len(e))
 }

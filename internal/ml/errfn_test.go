@@ -74,12 +74,3 @@ func TestLengthMismatchPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestMeanError(t *testing.T) {
-	if got := MeanError([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("MeanError = %v, want 2", got)
-	}
-	if got := MeanError(nil); got != 0 {
-		t.Fatalf("MeanError(nil) = %v, want 0", got)
-	}
-}

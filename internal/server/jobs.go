@@ -66,6 +66,11 @@ type job struct {
 
 	enqueued time.Time
 
+	// journalMu orders this job's journal writes: each save reads the
+	// job's state under it, and finishJob holds it from writing the
+	// terminal record until that state is published.
+	journalMu sync.Mutex
+
 	mu         sync.Mutex
 	state      jobState
 	cached     bool
@@ -367,8 +372,8 @@ func (s *Server) runOne(j *job) {
 	s.finishJob(j, res, err)
 }
 
-// finishJob records a job's terminal state, feeds the result cache, and
-// journals the outcome.
+// finishJob journals a job's terminal state, then records it and feeds the
+// result cache.
 func (s *Server) finishJob(j *job, res *core.Result, err error) {
 	var (
 		st  jobState
@@ -398,6 +403,13 @@ func (s *Server) finishJob(j *job, res *core.Result, err error) {
 		}
 	}
 
+	// Journal the terminal record before publishing it: a client that saw
+	// the job finish can rely on a restart restoring it finished, and an
+	// earlier save (the enqueue one) cannot land after it.
+	j.journalMu.Lock()
+	defer j.journalMu.Unlock()
+	s.journalFailed("finish", s.journal.writeJob(j, st, msg, js))
+
 	j.mu.Lock()
 	j.state = st
 	j.errMsg = msg
@@ -421,7 +433,6 @@ func (s *Server) finishJob(j *job, res *core.Result, err error) {
 	}
 	j.events.finish(string(st), msg)
 	close(j.done)
-	s.journalFailed("finish", s.journal.saveJob(j))
 }
 
 // journalErrorLogWindow spaces journal-failure log lines: a dead disk fails
@@ -457,9 +468,10 @@ func (s *Server) runJobReal(ctx context.Context, j *job) (*core.Result, error) {
 		cfg.CheckpointPath = s.journal.checkpointPath(j.id)
 		cfg.Resume = j.resume
 	}
-	// A diff job runs two enumerations (regressions, improvements); sharing
-	// one checkpoint file between them would corrupt resume, so diff jobs
-	// run checkpoint-free and restart from scratch after a crash.
+	// A diff job runs two enumerations (regressions, improvements) that
+	// would share one checkpoint file, so core.RunDiff refuses a checkpoint
+	// path (ErrDiffCheckpoint): diff jobs run checkpoint-free and restart
+	// from scratch after a crash.
 	if j.spec.Mode == ModeDiff {
 		cfg.CheckpointPath = ""
 		cfg.Resume = false

@@ -186,26 +186,41 @@ func (j *journal) loadAppends(id string) ([]*journalAppend, error) {
 	return recs, nil
 }
 
-// saveJob journals a job's current record. A nil journal is a no-op.
+// saveJob journals a job's current record. A nil journal is a no-op. The
+// job's journalMu orders its writes and each reads the state under it, so a
+// slow save can never replace a newer record with a stale one.
 func (j *journal) saveJob(jb *job) error {
 	if j == nil {
 		return nil
 	}
+	jb.journalMu.Lock()
+	defer jb.journalMu.Unlock()
 	jb.mu.Lock()
+	st, errMsg, resultJSON := jb.state, jb.errMsg, jb.resultJSON
+	jb.mu.Unlock()
+	return j.writeJob(jb, st, errMsg, resultJSON)
+}
+
+// writeJob journals the job's record in state st; the result JSON is kept
+// only for a done job. The caller holds jb.journalMu. A nil journal is a
+// no-op.
+func (j *journal) writeJob(jb *job, st jobState, errMsg string, resultJSON []byte) error {
+	if j == nil {
+		return nil
+	}
 	rec := &journalJob{
 		Version: journalVersion,
 		ID:      jb.id,
 		Spec:    jb.spec,
-		Status:  string(jb.state),
+		Status:  string(st),
 		Cached:  jb.cached,
-		ErrMsg:  jb.errMsg,
+		ErrMsg:  errMsg,
 		DataSig: jb.snap.Sig,
 	}
-	if jb.state == jobDone {
-		rec.ResultJSON = jb.resultJSON
+	if st == jobDone {
+		rec.ResultJSON = resultJSON
 	}
-	jb.mu.Unlock()
-	return writeGob(j.jobPath(rec.ID), rec)
+	return writeGob(j.jobPath(jb.id), rec)
 }
 
 // dropCheckpoint removes a finished job's enumeration checkpoint.

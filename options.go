@@ -136,7 +136,8 @@ func RunContext(ctx context.Context, ds *Dataset, e []float64, cfg Config, opts 
 // (Slice.DiffSign = +1) and where it improved (DiffSign = -1) — by running
 // the weighted enumeration over each rectified error delta. Each direction's
 // slices are exactly what RunContext reports over max(0, ±(eNew−eBase)).
-// Weights and external evaluators are not supported for diff runs.
+// Weights and external evaluators are not supported for diff runs, and a
+// Config.CheckpointPath is refused with ErrDiffCheckpoint.
 func RunDiffContext(ctx context.Context, ds *Dataset, eBase, eNew []float64, cfg Config, opts ...Option) (*Result, error) {
 	rs := applySettings(cfg, opts)
 	if rs.weights != nil {
@@ -195,4 +196,5 @@ var (
 	ErrWeightedEvaluator = core.ErrWeightedEvaluator
 	ErrBadBudget         = core.ErrBadBudget
 	ErrBadSignificance   = core.ErrBadSignificance
+	ErrDiffCheckpoint    = core.ErrDiffCheckpoint
 )
