@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"sliceline/internal/core"
 	"sliceline/internal/datagen"
@@ -211,24 +210,12 @@ func loadInput(dataset, csvPath, label, task string, bins, rows int, seed int64)
 	if csvPath != "" {
 		return loadCSV(csvPath, label, task, bins)
 	}
-	var g *datagen.Generated
-	switch strings.ToLower(dataset) {
-	case "salaries":
-		g = datagen.Salaries(seed)
-	case "adult":
-		g = datagen.Adult(seed)
-	case "covtype":
-		g = datagen.Covtype(rows, seed)
-	case "kdd98":
-		g = datagen.KDD98(rows, seed)
-	case "uscensus":
-		g = datagen.USCensus(rows, seed)
-	case "criteo":
-		g = datagen.Criteo(rows, seed)
-	case "":
+	if dataset == "" {
 		return nil, nil, fmt.Errorf("either -dataset or -csv is required")
-	default:
-		return nil, nil, fmt.Errorf("unknown dataset %q", dataset)
+	}
+	g, err := datagen.ByName(dataset, rows, seed)
+	if err != nil {
+		return nil, nil, err
 	}
 	return g.DS, g.Err, nil
 }
@@ -254,20 +241,9 @@ func loadCSV(path, label, task string, bins int) (*frame.Dataset, []float64, err
 	if err != nil {
 		return nil, nil, err
 	}
-	switch task {
-	case "reg":
-		model, err := ml.TrainLinReg(enc.X, ds.Y, ml.LinRegConfig{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return ds, ml.SquaredLoss(ds.Y, model.Predict(enc.X)), nil
-	case "class":
-		model, err := ml.TrainMlogit(enc.X, ds.Y, ml.MlogitConfig{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return ds, ml.Inaccuracy(ds.Y, model.Predict(enc.X)), nil
-	default:
-		return nil, nil, fmt.Errorf("unknown task %q (want class or reg)", task)
+	e, _, err := ml.TrainAndScore(enc.X, ds.Y, task)
+	if err != nil {
+		return nil, nil, err
 	}
+	return ds, e, nil
 }

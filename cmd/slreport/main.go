@@ -109,37 +109,18 @@ func load(dataset, csvPath, label, task string, bins, rows int, seed int64) (*fr
 		if err != nil {
 			return nil, nil, err
 		}
-		if task == "reg" {
-			m, err := ml.TrainLinReg(enc.X, ds.Y, ml.LinRegConfig{})
-			if err != nil {
-				return nil, nil, err
-			}
-			return ds, ml.SquaredLoss(ds.Y, m.Predict(enc.X)), nil
-		}
-		m, err := ml.TrainMlogit(enc.X, ds.Y, ml.MlogitConfig{})
+		e, _, err := ml.TrainAndScore(enc.X, ds.Y, task)
 		if err != nil {
 			return nil, nil, err
 		}
-		return ds, ml.Inaccuracy(ds.Y, m.Predict(enc.X)), nil
+		return ds, e, nil
 	}
-	var g *datagen.Generated
-	switch strings.ToLower(dataset) {
-	case "salaries":
-		g = datagen.Salaries(seed)
-	case "adult":
-		g = datagen.Adult(seed)
-	case "covtype":
-		g = datagen.Covtype(rows, seed)
-	case "kdd98":
-		g = datagen.KDD98(rows, seed)
-	case "uscensus":
-		g = datagen.USCensus(rows, seed)
-	case "criteo":
-		g = datagen.Criteo(rows, seed)
-	case "":
+	if dataset == "" {
 		return nil, nil, fmt.Errorf("either -dataset or -csv is required")
-	default:
-		return nil, nil, fmt.Errorf("unknown dataset %q", dataset)
+	}
+	g, err := datagen.ByName(dataset, rows, seed)
+	if err != nil {
+		return nil, nil, err
 	}
 	return g.DS, g.Err, nil
 }

@@ -21,8 +21,8 @@ type memoEntry struct {
 // incremental run. Keys are the candidate's ORIGINAL one-hot column ids (the
 // reduced column space changes per generation as the σ-filter moves, original
 // ids are stable modulo domain-growth remaps, which rekey the memo). The
-// packed bitset covers the full one-hot width and is grown in place by
-// appends.
+// packed bitset covers the full one-hot width; Incremental.advance remaps and
+// extends it in place for each new generation.
 type sliceMemo struct {
 	bits    *matrix.ColumnBits
 	entries map[string]memoEntry
@@ -112,50 +112,48 @@ func (m *sliceMemo) evalLevel(orig []int, e []float64, lv *level) {
 // IncrementalStats reports the memo state of an incremental run, for
 // observability and tests.
 type IncrementalStats struct {
-	Generation int // appends applied since construction
-	Rows       int // accumulated row count
-	Entries    int // memoized candidates
-	Hits       int // cumulative candidate evaluations continued from the memo
-	Misses     int // cumulative candidate evaluations scanned from row 0
+	Rows    int // row count of the last generation run
+	Entries int // memoized candidates
+	Hits    int // cumulative candidate evaluations continued from the memo
+	Misses  int // cumulative candidate evaluations scanned from row 0
 }
 
-// Incremental maintains SliceLine top-K across dataset appends. Construction
-// captures a base encoding and error vector; Append folds in the output of a
-// frame.Appender batch plus the new rows' errors; Run evaluates the current
-// generation's exact top-K.
+// Incremental maintains SliceLine top-K across the generations of a growing
+// dataset. Each Run hands it one generation — an encoding, its feature
+// descriptors and its error vector — and returns that generation's exact
+// top-K; consecutive generations must extend each other (rows appended by a
+// frame.Appender, old errors unchanged).
 //
 // The maintained result is bit-identical to a from-scratch Run over the
-// accumulated data at every generation. The mechanism: level-1 statistics, the
-// σ-filter, scoring and the pruning/enumeration control flow are recomputed
-// from scratch each generation through the exact same code path as a batch
-// run — they are O(nnz) and O(candidates), cheap — while the expensive part,
-// the per-candidate row scans of levels >= 2, is memoized. A candidate
-// evaluated at a prior generation scans only the appended rows, seeded with
-// its stored statistics; sequential-continuation accumulation makes that
-// bit-identical to a full scan. Lattice regions whose parents stay pruned are
-// never scanned at all; a region whose parent statistics move past a stored
-// pruning bound re-enters enumeration automatically (the control flow re-runs
-// every generation) and resumes from whatever scan state the memo holds.
+// same generation. The mechanism: level-1 statistics, the σ-filter, scoring
+// and the pruning/enumeration control flow are recomputed from scratch each
+// generation through the exact same code path as a batch run — they are
+// O(nnz) and O(candidates), cheap — while the expensive part, the
+// per-candidate row scans of levels >= 2, is memoized. A candidate evaluated
+// at a prior generation scans only the appended rows, seeded with its stored
+// statistics; sequential-continuation accumulation makes that bit-identical
+// to a full scan. Lattice regions whose parents stay pruned are never
+// scanned at all; a region whose parent statistics move past a stored
+// pruning bound re-enters enumeration automatically (the control flow
+// re-runs every generation) and resumes from whatever scan state the memo
+// holds.
 //
-// Incremental is not safe for concurrent use: callers serialize Append and
-// Run (the server gives each monitored dataset one owning goroutine).
+// Incremental is not safe for concurrent use: callers serialize Run (the
+// server gives each monitor job one owning goroutine).
 type Incremental struct {
-	cfg   Config
-	feats []frame.Feature
-	enc   *frame.Encoding
-	e     []float64
-	memo  *sliceMemo
-	gen   int
+	cfg  Config
+	enc  *frame.Encoding // generation the memo covers; nil before the first Run
+	e    []float64       // its error vector (a private copy)
+	memo *sliceMemo
 }
 
-// NewIncremental builds an incremental evaluator over a base encoding,
-// feature descriptors and error vector. The configuration is captured once
-// and reused every generation (σ defaulting still tracks the growing row
-// count, exactly as a batch run would resolve it). Configurations that
-// delegate or reorder evaluation — external evaluators, priority
-// enumeration, checkpoint/resume — are rejected: the memo is the evaluation
-// path.
-func NewIncremental(enc *frame.Encoding, feats []frame.Feature, e []float64, cfg Config) (*Incremental, error) {
+// NewIncremental builds an incremental evaluator. The configuration is
+// captured once and reused every generation (σ defaulting still tracks the
+// growing row count, exactly as a batch run would resolve it).
+// Configurations that delegate or reorder evaluation — external evaluators,
+// priority enumeration, checkpoint/resume — are rejected: the memo is the
+// evaluation path.
+func NewIncremental(cfg Config) (*Incremental, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -167,79 +165,78 @@ func NewIncremental(enc *frame.Encoding, feats []frame.Feature, e []float64, cfg
 	case cfg.CheckpointPath != "" || cfg.Resume:
 		return nil, fmt.Errorf("core: incremental runs cannot use checkpoint/resume")
 	}
-	if len(e) != enc.X.Rows() {
-		return nil, fmt.Errorf("core: error vector length %d vs %d rows: %w", len(e), enc.X.Rows(), ErrBadErrorVector)
-	}
-	return &Incremental{
-		cfg:   cfg,
-		feats: append([]frame.Feature(nil), feats...),
-		enc:   enc,
-		e:     append([]float64(nil), e...),
-		memo: &sliceMemo{
-			bits:    matrix.PackColumns(enc.X),
-			entries: make(map[string]memoEntry),
-		},
-	}, nil
+	return &Incremental{cfg: cfg, memo: &sliceMemo{entries: make(map[string]memoEntry)}}, nil
 }
-
-// Generation returns the number of appends applied since construction.
-func (inc *Incremental) Generation() int { return inc.gen }
-
-// Rows returns the accumulated row count.
-func (inc *Incremental) Rows() int { return len(inc.e) }
 
 // Stats returns the current memo statistics.
 func (inc *Incremental) Stats() IncrementalStats {
 	return IncrementalStats{
-		Generation: inc.gen,
-		Rows:       len(inc.e),
-		Entries:    len(inc.memo.entries),
-		Hits:       inc.memo.hits,
-		Misses:     inc.memo.misses,
+		Rows:    len(inc.e),
+		Entries: len(inc.memo.entries),
+		Hits:    inc.memo.hits,
+		Misses:  inc.memo.misses,
 	}
 }
 
-// Append folds one applied frame.Appender batch into the evaluator: the
-// packed bitset is column-remapped if a feature domain grew, extended in
-// place with the appended rows, the memo rekeyed, and the new rows' errors
-// concatenated. errs must align with the batch (len == res.NewRows) and obey
-// the same e >= 0 contract as a batch run.
-func (inc *Incremental) Append(res *frame.AppendResult, errs []float64) error {
-	if res == nil || res.Enc == nil {
-		return fmt.Errorf("core: nil append result")
+// Run evaluates one generation and returns its exact top-K, bit-identical to
+// core.Run over the same inputs. Any number of appends since the previous
+// Run fold in as one step. The generation must extend the previous one: no
+// fewer rows, the same features with no domain narrower, and the previous
+// errors a prefix of e. A violation returns an error and leaves the memo
+// unchanged.
+func (inc *Incremental) Run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e []float64) (*Result, error) {
+	if err := checkErrVec(e, enc.X.Rows()); err != nil {
+		return nil, err
 	}
-	if len(errs) != res.NewRows {
-		return fmt.Errorf("core: %d errors for %d appended rows: %w", len(errs), res.NewRows, ErrBadErrorVector)
+	if err := inc.advance(enc, e); err != nil {
+		return nil, err
 	}
-	if err := CheckValues(errs, ErrBadErrorVector); err != nil {
-		return fmt.Errorf("core: appended rows: %w", err)
+	return run(ctx, enc, feats, e, nil, inc.cfg, inc.memo)
+}
+
+// advance moves the memo to a new generation. Its bitset covers the full
+// one-hot width, so a grown domain is a column remap derived from the two
+// encodings' block offsets: column c of feature j moves to
+// enc.Beg[j] + c - old.Beg[j]. The memo is rekeyed through the same remap
+// and the bitset then extended with the appended rows.
+func (inc *Incremental) advance(enc *frame.Encoding, e []float64) error {
+	old := inc.enc
+	if old == nil {
+		inc.memo.bits = matrix.PackColumns(enc.X)
+		inc.enc, inc.e = enc, append([]float64(nil), e...)
+		return nil
 	}
-	if res.Enc.X.Rows() != len(inc.e)+res.NewRows {
-		return fmt.Errorf("core: append result has %d rows, evaluator holds %d + %d new",
-			res.Enc.X.Rows(), len(inc.e), res.NewRows)
+	if len(e) < len(inc.e) {
+		return fmt.Errorf("core: generation has %d rows, the previous one %d", len(e), len(inc.e))
 	}
-	if res.ColRemap != nil {
-		if err := inc.memo.bits.RemapCols(res.Enc.Width(), res.ColRemap); err != nil {
+	if len(enc.Beg) != len(old.Beg) {
+		return fmt.Errorf("core: generation has %d features, the previous one %d", len(enc.Beg), len(old.Beg))
+	}
+	for j := range old.Beg {
+		if enc.End[j]-enc.Beg[j] < old.End[j]-old.Beg[j] {
+			return fmt.Errorf("core: feature %d narrowed from %d to %d values", j, old.End[j]-old.Beg[j], enc.End[j]-enc.Beg[j])
+		}
+	}
+	for i, v := range inc.e {
+		if e[i] != v {
+			return fmt.Errorf("core: generation rewrites the error of row %d (%v, was %v)", i, e[i], v)
+		}
+	}
+	if enc.Width() > old.Width() {
+		remap := make([]int, old.Width())
+		for j := range old.Beg {
+			for c := old.Beg[j]; c < old.End[j]; c++ {
+				remap[c] = enc.Beg[j] + c - old.Beg[j]
+			}
+		}
+		if err := inc.memo.bits.RemapCols(enc.Width(), remap); err != nil {
 			return err
 		}
-		inc.memo.rekey(res.ColRemap)
+		inc.memo.rekey(remap)
 	}
-	if err := inc.memo.bits.AppendRows(res.Enc.X); err != nil {
+	if err := inc.memo.bits.AppendRows(enc.X); err != nil {
 		return err
 	}
-	// Full copy, not append-in-place: a Result decoded from the previous
-	// generation must keep its view, and the old backing array may be shared.
-	e := make([]float64, 0, len(inc.e)+len(errs))
-	e = append(append(e, inc.e...), errs...)
-	inc.e = e
-	inc.enc = res.Enc
-	inc.feats = append(inc.feats[:0:0], res.DS.Features...)
-	inc.gen++
+	inc.enc, inc.e = enc, append(inc.e, e[len(inc.e):]...)
 	return nil
-}
-
-// Run evaluates the current generation and returns its exact top-K. The
-// result is bit-identical to core.Run over the accumulated encoding.
-func (inc *Incremental) Run(ctx context.Context) (*Result, error) {
-	return run(ctx, inc.enc, inc.feats, inc.e, nil, inc.cfg, inc.memo)
 }

@@ -85,10 +85,11 @@ func randomErrs(rng *rand.Rand, n int) []float64 {
 
 // TestIncrementalMatchesFromScratch is the differential backstop of the
 // streaming tentpole: over a seeded schedule of appends — more than five,
-// several growing feature domains — the maintained top-K must be
-// bit-identical to a from-scratch run over the accumulated data at every
-// generation, as must the per-level enumeration counts (proof that pruning
-// decisions replay identically, not just the final ranking).
+// several growing feature domains, and a final Run spanning several appends
+// at once — the maintained top-K must be bit-identical to a from-scratch run
+// over the accumulated data at every generation, as must the per-level
+// enumeration counts (proof that pruning decisions replay identically, not
+// just the final ranking).
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	names := []string{"dev", "os", "region"}
 	for _, seed := range []int64{1, 7, 99} {
@@ -108,29 +109,24 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 		}
 		e := randomErrs(rng, len(base))
 		cfg := Config{K: 4, Sigma: 5, Alpha: 0.9}
-		inc, err := NewIncremental(enc, ds.Features, e, cfg)
+		inc, err := NewIncremental(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
 		grown := 0
-		for gen := 0; gen <= 6; gen++ {
-			if gen > 0 {
-				batch := randomCatRows(rng, 5+rng.Intn(10), len(names), 3, gen)
-				res, err := ap.AppendRows(batch)
-				if err != nil {
-					t.Fatalf("seed %d gen %d: AppendRows: %v", seed, gen, err)
-				}
-				if res.ColRemap != nil {
-					grown++
-				}
-				errs := randomErrs(rng, res.NewRows)
-				if err := inc.Append(res, errs); err != nil {
-					t.Fatalf("seed %d gen %d: Append: %v", seed, gen, err)
-				}
-				e = append(e, errs...)
+		appendBatch := func(gen int, batch [][]string) {
+			res, err := ap.AppendRows(batch)
+			if err != nil {
+				t.Fatalf("seed %d gen %d: AppendRows: %v", seed, gen, err)
 			}
-			got, err := inc.Run(ctx)
+			if res.Grown != nil {
+				grown++
+			}
+			e = append(e, randomErrs(rng, res.NewRows)...)
+		}
+		check := func(gen int) {
+			got, err := inc.Run(ctx, ap.Encoding(), ap.Dataset().Features, e)
 			if err != nil {
 				t.Fatalf("seed %d gen %d: incremental run: %v", seed, gen, err)
 			}
@@ -140,12 +136,25 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			}
 			requireIdenticalResults(t, gen, got, want)
 		}
+		for gen := 0; gen <= 6; gen++ {
+			if gen > 0 {
+				appendBatch(gen, randomCatRows(rng, 5+rng.Intn(10), len(names), 3, gen))
+			}
+			check(gen)
+		}
 		if grown == 0 {
 			t.Fatalf("seed %d: schedule never grew a domain; test is too weak", seed)
 		}
-		if inc.Generation() != 6 {
-			t.Fatalf("generation = %d, want 6", inc.Generation())
+		// One Run spanning three appends, the middle one growing a domain,
+		// folds them in as a single step.
+		for gen := 7; gen <= 9; gen++ {
+			batch := randomCatRows(rng, 4, len(names), 3, 0)
+			if gen == 8 {
+				batch[0][1] = "span-new"
+			}
+			appendBatch(gen, batch)
 		}
+		check(9)
 	}
 }
 
@@ -167,11 +176,12 @@ func TestIncrementalMemoReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(enc, ds.Features, randomErrs(rng, len(base)), Config{K: 4, Sigma: 4, Alpha: 0.9})
+	inc, err := NewIncremental(Config{K: 4, Sigma: 4, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Run(context.Background()); err != nil {
+	e := randomErrs(rng, len(base))
+	if _, err := inc.Run(context.Background(), enc, ds.Features, e); err != nil {
 		t.Fatal(err)
 	}
 	st := inc.Stats()
@@ -185,44 +195,37 @@ func TestIncrementalMemoReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inc.Append(res, randomErrs(rng, res.NewRows)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inc.Run(context.Background()); err != nil {
+	e = append(e, randomErrs(rng, res.NewRows)...)
+	if _, err := inc.Run(context.Background(), res.Enc, res.DS.Features, e); err != nil {
 		t.Fatal(err)
 	}
 	st2 := inc.Stats()
 	if st2.Hits == 0 {
 		t.Fatal("second run: no memo hits")
 	}
-	if st2.Rows != 86 || st2.Generation != 1 {
+	if st2.Rows != 86 {
 		t.Fatalf("stats = %+v", st2)
 	}
 }
 
 func TestIncrementalRejectsConfigs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ds, e := randomDataset(rng, 40, 3, 3)
-	enc, err := frame.OneHot(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, cfg := range map[string]Config{
 		"external":   {Evaluator: stubEvaluator{}},
 		"priority":   {PriorityEnumeration: true},
 		"checkpoint": {CheckpointPath: t.TempDir() + "/ck"},
 		"resume":     {Resume: true},
 	} {
-		if _, err := NewIncremental(enc, ds.Features, e, cfg); err == nil {
+		if _, err := NewIncremental(cfg); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}
-	if _, err := NewIncremental(enc, ds.Features, e[:5], Config{}); err == nil {
-		t.Error("short error vector: want error")
-	}
 }
 
-func TestIncrementalAppendValidation(t *testing.T) {
+// TestIncrementalRunValidation: Run accepts only a generation that extends
+// the one before it, and a rejected generation leaves the memo as it was —
+// the next valid generation still matches a from-scratch run.
+func TestIncrementalRunValidation(t *testing.T) {
+	ctx := context.Background()
 	names := []string{"f"}
 	base := [][]string{{"a"}, {"b"}, {"a"}}
 	ds, err := frame.FromFrame(catFrameOf(t, names, base), "", 5)
@@ -237,28 +240,66 @@ func TestIncrementalAppendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(enc, ds.Features, []float64{0, 1, 0}, Config{Sigma: 1})
+	cfg := Config{Sigma: 1}
+	inc, err := NewIncremental(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ap.AppendRows([][]string{{"b"}, {"c"}})
+	if _, err := inc.Run(ctx, enc, ds.Features, []float64{0, 1}); err == nil {
+		t.Error("short errors on the first generation: want error")
+	}
+	e0 := []float64{0, 1, 0}
+	if _, err := inc.Run(ctx, enc, ds.Features, e0); err != nil {
+		t.Fatalf("base generation: %v", err)
+	}
+	g1, err := ap.AppendRows([][]string{{"b"}, {"c"}}) // grows the domain
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inc.Append(res, []float64{1}); err == nil {
-		t.Error("short errs: want error")
+	narrow, err := frame.FromFrame(catFrameOf(t, names, [][]string{{"a"}, {"a"}, {"a"}, {"a"}, {"a"}}), "", 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := inc.Append(res, []float64{1, -2}); err == nil {
-		t.Error("negative err: want error")
+	narrowEnc, err := frame.OneHot(narrow)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := inc.Append(nil, nil); err == nil {
-		t.Error("nil result: want error")
+	for name, c := range map[string]struct {
+		enc   *frame.Encoding
+		feats []frame.Feature
+		e     []float64
+	}{
+		"short errors":        {g1.Enc, g1.DS.Features, []float64{0, 1, 0, 1}},
+		"negative error":      {g1.Enc, g1.DS.Features, []float64{0, 1, 0, 1, -2}},
+		"rewritten old error": {g1.Enc, g1.DS.Features, []float64{0, 0.5, 0, 1, 0.5}},
+		"narrower domain":     {narrowEnc, narrow.Features, []float64{0, 1, 0, 1, 0.5}},
+	} {
+		if _, err := inc.Run(ctx, c.enc, c.feats, c.e); err == nil {
+			t.Errorf("%s: want error", name)
+		}
 	}
-	if err := inc.Append(res, []float64{1, 0.5}); err != nil {
-		t.Errorf("valid append: %v", err)
+	e1 := []float64{0, 1, 0, 1, 0.5}
+	g2, err := ap.AppendRows([][]string{{"c"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Applying the same generation twice must fail the row-count check.
-	if err := inc.Append(res, []float64{1, 0.5}); err == nil {
-		t.Error("replayed append: want error")
+	e2 := append(append([]float64(nil), e1...), 0.25)
+	if _, err := inc.Run(ctx, g2.Enc, g2.DS.Features, e2); err != nil {
+		t.Fatalf("valid generation after rejections: %v", err)
 	}
+	if _, err := inc.Run(ctx, g1.Enc, g1.DS.Features, e1); err == nil {
+		t.Error("replayed generation: want error")
+	}
+	if _, err := inc.Run(ctx, enc, ds.Features, e0); err == nil {
+		t.Error("older generation: want error")
+	}
+	got, err := inc.Run(ctx, g2.Enc, g2.DS.Features, e2)
+	if err != nil {
+		t.Fatalf("current generation again: %v", err)
+	}
+	want, err := Run(ctx, g2.Enc, g2.DS.Features, e2, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdenticalResults(t, 2, got, want)
 }

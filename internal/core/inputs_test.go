@@ -44,7 +44,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 			{"Run/weighted", func() error { _, err := Run(ctx, enc, ds.Features, be, ones, cfg); return err }},
 			{"RunDiff/base", func() error { _, err := RunDiff(ctx, enc, ds.Features, be, e, cfg); return err }},
 			{"RunDiff/new", func() error { _, err := RunDiff(ctx, enc, ds.Features, e, be, cfg); return err }},
-			{"Incremental.Append", func() error { return appendErrs(t, []float64{0.5, bad, 0.25}) }},
+			{"Incremental.Run", func() error { return appendErrs(t, []float64{0.5, bad, 0.25}) }},
 		}
 		for _, c := range cases {
 			if err := c.run(); !errors.Is(err, ErrBadErrorVector) {
@@ -73,8 +73,8 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 	}
 }
 
-// appendErrs appends len(errs) rows to a fresh Incremental and returns the
-// Append error.
+// appendErrs runs a fresh Incremental on a base generation, then on one with
+// len(errs) appended rows carrying errs, and returns the second Run's error.
 func appendErrs(t *testing.T, errs []float64) error {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
@@ -92,15 +92,20 @@ func appendErrs(t *testing.T, errs []float64) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(enc, ds.Features, randomErrs(rng, len(base)), Config{K: 2, Sigma: 2})
+	inc, err := NewIncremental(Config{K: 2, Sigma: 2})
 	if err != nil {
+		t.Fatal(err)
+	}
+	e := randomErrs(rng, len(base))
+	if _, err := inc.Run(context.Background(), enc, ds.Features, e); err != nil {
 		t.Fatal(err)
 	}
 	res, err := ap.AppendRows(randomCatRows(rng, len(errs), len(names), 3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inc.Append(res, errs)
+	_, err = inc.Run(context.Background(), res.Enc, res.DS.Features, append(e, errs...))
+	return err
 }
 
 // TestCheckValues pins the rule itself: zero and finite positives pass, the

@@ -79,15 +79,21 @@ func Run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	return run(ctx, enc, feats, e, w, cfg, nil)
 }
 
+// checkErrVec applies the error-vector rule every run shares: one value per
+// row, each finite and >= 0.
+func checkErrVec(e []float64, n int) error {
+	if len(e) != n {
+		return fmt.Errorf("core: error vector length %d vs %d rows: %w", len(e), n, ErrBadErrorVector)
+	}
+	return CheckValues(e, ErrBadErrorVector)
+}
+
 func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w []float64, cfg Config, memo *sliceMemo) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := enc.X.Rows()
-	if len(e) != n {
-		return nil, fmt.Errorf("core: error vector length %d vs %d rows: %w", len(e), n, ErrBadErrorVector)
-	}
-	if err := CheckValues(e, ErrBadErrorVector); err != nil {
+	if err := checkErrVec(e, n); err != nil {
 		return nil, err
 	}
 	totalW := float64(n)

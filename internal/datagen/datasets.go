@@ -1,6 +1,9 @@
 package datagen
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Default synthetic scales. The paper's originals are noted alongside;
 // scale-sensitive experiments use the relative support σ = n/100, which the
@@ -14,6 +17,28 @@ const (
 	SalariesRows = 397    // paper: 397 (exact)
 	CriteoRows   = 100000 // paper: 192,215,183
 )
+
+// ByName generates the synthetic dataset a command-line name selects,
+// case-insensitively: salaries, adult, covtype, kdd98, uscensus or criteo.
+// rows <= 0 selects the dataset's default scale; Salaries and Adult have
+// fixed shapes and ignore it.
+func ByName(name string, rows int, seed int64) (*Generated, error) {
+	switch strings.ToLower(name) {
+	case "salaries":
+		return Salaries(seed), nil
+	case "adult":
+		return Adult(seed), nil
+	case "covtype":
+		return Covtype(rows, seed), nil
+	case "kdd98":
+		return KDD98(rows, seed), nil
+	case "uscensus":
+		return USCensus(rows, seed), nil
+	case "criteo":
+		return Criteo(rows, seed), nil
+	}
+	return nil, fmt.Errorf("unknown dataset %q (want salaries, adult, covtype, kdd98, uscensus or criteo)", name)
+}
 
 // Salaries reproduces the shape of the Salaries dataset: 397 rows, 5
 // features (rank, discipline, two binned year counts, sex), l = 27,

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -966,38 +965,24 @@ func (c *Cluster) Close() error {
 	return first
 }
 
-// InProcessWorker executes partitions in the driver process; it is the
-// no-network reference worker used by tests and the simulated cluster.
+// InProcessWorker runs the worker-side Service in the driver process: the
+// no-network reference worker of tests and the simulated cluster. Calls go
+// through the same Load/Eval/Parts code a TCP worker serves, checks
+// included; only the network and gob are skipped.
 type InProcessWorker struct {
-	mu    sync.Mutex
-	parts map[int]*core.Kernel
+	svc Service
 }
 
 // Load implements Worker.
 func (w *InProcessWorker) Load(_ context.Context, part int, x *matrix.CSR, e []float64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.parts == nil {
-		w.parts = make(map[int]*core.Kernel)
-	}
-	w.parts[part] = core.NewKernel(x, e, nil)
-	return nil
+	return w.svc.Load(loadArgs(part, x, e), &LoadReply{})
 }
 
 // Eval implements Worker.
 func (w *InProcessWorker) Eval(_ context.Context, part int, cols [][]int, level, blockSize int) (ss, se, sm []float64, err error) {
-	w.mu.Lock()
-	k, ok := w.parts[part]
-	w.mu.Unlock()
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("dist: worker holds no partition %d", part)
-	}
-	n := len(cols)
-	ss = make([]float64, n)
-	se = make([]float64, n)
-	sm = make([]float64, n)
-	k.Eval(cols, level, blockSize, ss, se, sm)
-	return ss, se, sm, nil
+	var reply EvalReply
+	err = w.svc.Eval(&EvalArgs{Part: part, Cols: cols, Level: level, BlockSize: blockSize}, &reply)
+	return reply.SS, reply.SE, reply.SM, err
 }
 
 // Ping implements Worker.
@@ -1006,14 +991,9 @@ func (w *InProcessWorker) Ping(context.Context) error { return nil }
 // Parts implements PartitionLister: the partition keys this worker holds,
 // sorted for determinism.
 func (w *InProcessWorker) Parts(context.Context) ([]int, error) {
-	w.mu.Lock()
-	keys := make([]int, 0, len(w.parts))
-	for key := range w.parts {
-		keys = append(keys, key)
-	}
-	w.mu.Unlock()
-	sort.Ints(keys)
-	return keys, nil
+	var reply PartsReply
+	err := w.svc.Parts(&PartsArgs{}, &reply)
+	return reply.Keys, err
 }
 
 // Close implements Worker.

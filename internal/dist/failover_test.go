@@ -267,9 +267,9 @@ func TestClusterReloadsAmnesiacWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate the restart: the worker forgets every partition.
-	w0.mu.Lock()
-	w0.parts = nil
-	w0.mu.Unlock()
+	w0.svc.mu.Lock()
+	w0.svc.parts = nil
+	w0.svc.mu.Unlock()
 	ss, se, _, err := cl.Eval(context.Background(), [][]int{{0}}, 1)
 	if err != nil {
 		t.Fatalf("Eval after amnesia: %v", err)
@@ -282,6 +282,20 @@ func TestClusterReloadsAmnesiacWorker(t *testing.T) {
 	cl.mu.Unlock()
 	if !alive0 {
 		t.Fatal("reloaded worker marked dead; in-place recovery did not happen")
+	}
+}
+
+// TestInProcessWorkerRejectsMalformedLoad: the in-process worker runs the
+// TCP worker's checks, so an error vector shorter than the partition fails
+// the Load instead of a later Eval indexing past its end.
+func TestInProcessWorkerRejectsMalformedLoad(t *testing.T) {
+	w := &InProcessWorker{}
+	x := matrix.CSRFromDense(matrix.NewDenseData(4, 1, []float64{1, 1, 0, 1}))
+	if err := w.Load(context.Background(), 0, x, []float64{1, 1, 1}); err == nil {
+		t.Fatal("Load with 3 errors for 4 rows: want error")
+	}
+	if parts, _ := w.Parts(context.Background()); len(parts) != 0 {
+		t.Fatalf("rejected Load left partitions %v", parts)
 	}
 }
 

@@ -30,6 +30,12 @@ type LoadArgs struct {
 	Err        []float64
 }
 
+// loadArgs packs one partition for Service.Load.
+func loadArgs(part int, x *matrix.CSR, e []float64) *LoadArgs {
+	rowPtr, colIdx, val := x.Components()
+	return &LoadArgs{Part: part, Rows: x.Rows(), Cols: x.Cols(), RowPtr: rowPtr, ColIdx: colIdx, Val: val, Err: e}
+}
+
 // LoadReply acknowledges a Load.
 type LoadReply struct{}
 
@@ -610,13 +616,7 @@ func isServerError(err error) bool {
 
 // Load implements Worker.
 func (w *RemoteWorker) Load(ctx context.Context, part int, x *matrix.CSR, e []float64) error {
-	rowPtr, colIdx, val := x.Components()
-	args := &LoadArgs{
-		Part: part,
-		Rows: x.Rows(), Cols: x.Cols(),
-		RowPtr: rowPtr, ColIdx: colIdx, Val: val, Err: e,
-	}
-	return w.call(ctx, "Worker.Load", args, &LoadReply{})
+	return w.call(ctx, "Worker.Load", loadArgs(part, x, e), &LoadReply{})
 }
 
 // Eval implements Worker.

@@ -58,9 +58,9 @@ func (ce *ColumnEncoder) binCode(v float64) int {
 }
 
 // AppendResult describes one applied append batch: the accumulated dataset
-// and encoding after the batch, plus the column remap callers need to carry
-// derived per-column state (packed bitsets, memoized statistics) across a
-// domain growth.
+// and encoding after the batch. A grown domain shifts later features'
+// one-hot blocks; callers carrying per-column state across the append derive
+// the shift from the two encodings' Beg offsets.
 type AppendResult struct {
 	// DS and Enc are the accumulated dataset and one-hot encoding after the
 	// append. Both are fresh values; snapshots taken before the append stay
@@ -69,10 +69,6 @@ type AppendResult struct {
 	Enc *Encoding
 	// NewRows is the number of rows this batch appended.
 	NewRows int
-	// ColRemap maps each pre-append one-hot column index to its post-append
-	// index. Nil when no feature domain grew (columns kept their indices).
-	// New columns (codes allocated by this batch) have no preimage.
-	ColRemap []int
 	// Grown lists the features whose domain grew, by name.
 	Grown []string
 }
@@ -205,13 +201,10 @@ func (a *Appender) AppendRows(vals [][]string) (*AppendResult, error) {
 
 	// Pass 2: commit. Compute the column remap if any domain grew.
 	oldEnc := a.enc
-	oldL := oldEnc.Width()
 	var remap []int
 	var grown []string
-	growth := 0
 	for j := range a.feats {
 		if newDom[j] > a.feats[j].Domain {
-			growth += newDom[j] - a.feats[j].Domain
 			grown = append(grown, a.feats[j].Name)
 		}
 	}
@@ -223,8 +216,8 @@ func (a *Appender) AppendRows(vals [][]string) (*AppendResult, error) {
 		l += newDom[j]
 		newEnd[j] = l
 	}
-	if growth > 0 {
-		remap = make([]int, oldL)
+	if grown != nil {
+		remap = make([]int, oldEnc.Width())
 		for j := 0; j < m; j++ {
 			for c := oldEnc.Beg[j]; c < oldEnc.End[j]; c++ {
 				remap[c] = newBeg[j] + (c - oldEnc.Beg[j])
@@ -294,11 +287,10 @@ func (a *Appender) AppendRows(vals [][]string) (*AppendResult, error) {
 		Doms: append([]int(nil), newDom...),
 	}
 	return &AppendResult{
-		DS:       a.Dataset(),
-		Enc:      a.enc,
-		NewRows:  k,
-		ColRemap: remap,
-		Grown:    grown,
+		DS:      a.Dataset(),
+		Enc:     a.enc,
+		NewRows: k,
+		Grown:   grown,
 	}, nil
 }
 

@@ -104,28 +104,30 @@ func TestAppendMatchesConcat(t *testing.T) {
 	}
 }
 
-// TestAppendColRemap pins the remap semantics: old columns keep their
-// in-block offset, blocks shift by the cumulative growth of earlier features.
+// TestAppendColRemap pins the block layout a growth produces: old columns
+// keep their in-block offset, blocks shift by the cumulative growth of
+// earlier features — the remap core.Incremental derives from Beg offsets.
 func TestAppendColRemap(t *testing.T) {
 	a := newTestAppender(t, []string{"f1", "f2"}, [][]string{{"a", "x"}, {"b", "y"}})
-	// f1 grows by one ("c"): f1 block [0,2) stays, f2 block [2,4) shifts to [3,5).
+	// f1 grows by one ("c"): f1 block [0,2) widens to [0,3), f2 block [2,4)
+	// shifts to [3,5).
 	res, err := a.AppendRows([][]string{{"c", "x"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []int{0, 1, 3, 4}; !reflect.DeepEqual(res.ColRemap, want) {
-		t.Fatalf("ColRemap = %v, want %v", res.ColRemap, want)
+	if beg, end := res.Enc.Beg, res.Enc.End; !reflect.DeepEqual(beg, []int{0, 3}) || !reflect.DeepEqual(end, []int{3, 5}) {
+		t.Fatalf("grown layout Beg=%v End=%v, want [0 3] [3 5]", beg, end)
 	}
 	if want := []string{"f1"}; !reflect.DeepEqual(res.Grown, want) {
 		t.Fatalf("Grown = %v, want %v", res.Grown, want)
 	}
-	// No-growth append: remap must be nil.
+	// No-growth append: the layout stays put.
 	res, err = a.AppendRows([][]string{{"a", "y"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ColRemap != nil || res.Grown != nil {
-		t.Fatalf("no-growth append: ColRemap=%v Grown=%v, want nil/nil", res.ColRemap, res.Grown)
+	if beg, end := res.Enc.Beg, res.Enc.End; !reflect.DeepEqual(beg, []int{0, 3}) || !reflect.DeepEqual(end, []int{3, 5}) || res.Grown != nil {
+		t.Fatalf("no-growth append: Beg=%v End=%v Grown=%v, want [0 3] [3 5] nil", beg, end, res.Grown)
 	}
 }
 

@@ -53,7 +53,7 @@ type job struct {
 	// baseSnap is the baseline dataset's snapshot for diff jobs: its error
 	// vector supplies the baseline model's per-row errors.
 	baseSnap dsSnapshot
-	cfg      core.Config // resolved via WithDefaults; hooks unset
+	cfg      core.Config // resolved by newJob; hooks unset
 	key      cacheKey
 	useDist  bool
 	monitor  bool
@@ -150,80 +150,112 @@ func jobCacheKey(spec JobSpec, cfg core.Config, dataSig, baseSig uint64) cacheKe
 	}
 }
 
-// submit validates a spec against the registry, resolves its configuration,
-// consults the result cache, and either completes the job instantly (cache
-// hit), enqueues it, or rejects it. The returned HTTP status is 202 on
-// acceptance, 404/400/429/503 on the corresponding failures.
-func (s *Server) submit(spec JobSpec) (*job, int, error) {
+// newJob resolves a spec against the registry into a job that is not yet
+// registered: the dataset snapshot it evaluates, the diff baseline's
+// snapshot, the resolved configuration, the evaluator choice and the
+// result-cache key. Submission and journal restore both build jobs here, so
+// a spec means the same on either path. On failure the status is 404 (an
+// unknown dataset or baseline) or 400.
+func (s *Server) newJob(spec JobSpec) (*job, int, error) {
 	ds, ok := s.reg.get(spec.Dataset)
 	if !ok {
 		return nil, http.StatusNotFound, fmt.Errorf("server: unknown dataset %q", spec.Dataset)
 	}
 	// Jobs evaluate a point-in-time snapshot: appends arriving after this
 	// line do not change what this job computes.
-	snap := ds.snapshot()
-
-	useDist := spec.Evaluator == EvalDist ||
-		(spec.Evaluator == EvalAuto && !localOnly(spec) && s.distCapable())
-	if useDist && !s.distCapable() {
-		return nil, http.StatusBadRequest, fmt.Errorf("server: job requests distributed evaluation but the server has no workers or membership configured")
+	j := &job{
+		spec:    spec,
+		ds:      ds,
+		snap:    ds.snapshot(),
+		monitor: spec.Mode == ModeMonitor,
+		state:   jobQueued,
+		events:  newEventLog(),
+		done:    make(chan struct{}),
 	}
-
-	if spec.Mode == ModeMonitor {
-		return s.submitMonitor(spec, ds, snap)
-	}
+	rows := j.snap.DS.NumRows()
 
 	// Diff jobs reference a second dataset for the baseline error vector; it
 	// must exist and cover the same rows as the job's dataset.
-	var baseSnap dsSnapshot
 	if spec.Mode == ModeDiff {
 		base, ok := s.reg.get(spec.Baseline)
 		if !ok {
 			return nil, http.StatusNotFound, fmt.Errorf("server: unknown baseline dataset %q", spec.Baseline)
 		}
-		baseSnap = base.snapshot()
-		if got, want := len(baseSnap.ErrVec), snap.DS.NumRows(); got != want {
-			return nil, http.StatusBadRequest, fmt.Errorf("server: baseline dataset %q has %d rows, job dataset %q has %d; diff requires the same rows", spec.Baseline, got, spec.Dataset, want)
+		j.baseSnap = base.snapshot()
+		if got := len(j.baseSnap.ErrVec); got != rows {
+			return nil, http.StatusBadRequest, fmt.Errorf("server: baseline dataset %q has %d rows, job dataset %q has %d; diff requires the same rows", spec.Baseline, got, spec.Dataset, rows)
 		}
 	}
 
-	cfg := spec.Config.ToCore().WithDefaults(snap.DS.NumRows())
-	if spec.Mode == ModeAnytime {
-		cfg.Budget = time.Duration(spec.BudgetMS) * time.Millisecond
+	if j.monitor {
+		// No WithDefaults: the incremental run re-resolves σ against the
+		// growing row count every generation, exactly like a batch run would.
+		j.cfg = spec.Config.ToCore()
+		j.state = jobRunning
+	} else {
+		j.cfg = spec.Config.ToCore().WithDefaults(rows)
+		if spec.Mode == ModeAnytime {
+			j.cfg.Budget = time.Duration(spec.BudgetMS) * time.Millisecond
+		}
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := j.cfg.Validate(); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	j := &job{
-		spec:     spec,
-		ds:       ds,
-		snap:     snap,
-		baseSnap: baseSnap,
-		cfg:      cfg,
-		key:      jobCacheKey(spec, cfg, snap.Sig, baseSnap.Sig),
-		useDist:  useDist,
-		state:    jobQueued,
-		events:   newEventLog(),
-		done:     make(chan struct{}),
+	j.key = jobCacheKey(spec, j.cfg, j.snap.Sig, j.baseSnap.Sig)
+	j.useDist = spec.Evaluator == EvalDist ||
+		(spec.Evaluator == EvalAuto && !localOnly(spec) && s.distCapable())
+	return j, http.StatusAccepted, nil
+}
+
+// cacheable reports whether a job's result may answer later submissions.
+// Windowed results are a function of wall-clock time, monitor results of a
+// moving generation, anytime results of this machine's enumeration speed;
+// none of them qualifies.
+func (j *job) cacheable() bool {
+	return j.spec.Window == nil && !j.monitor && j.spec.Mode != ModeAnytime
+}
+
+// startContext gives a job the context DELETE cancels and the enumeration
+// runs under: bounded by the spec's timeout_ms, else by the server's
+// JobTimeout. Monitors are resident until cancelled and get no deadline.
+func (s *Server) startContext(j *job) {
+	timeout := s.cfg.JobTimeout
+	if j.spec.TimeoutMS > 0 {
+		timeout = time.Duration(j.spec.TimeoutMS) * time.Millisecond
+	}
+	if timeout > 0 && !j.monitor {
+		j.ctx, j.cancel = context.WithTimeout(context.Background(), timeout)
+	} else {
+		j.ctx, j.cancel = context.WithCancel(context.Background())
+	}
+}
+
+// submit resolves a spec (newJob), consults the result cache, and either
+// completes the job instantly (cache hit), admits it — into the queue, or as
+// a resident monitor — or rejects it. The returned HTTP status is 202 on
+// acceptance, 404/400/429/503 on the corresponding failures.
+func (s *Server) submit(spec JobSpec) (*job, int, error) {
+	j, status, err := s.newJob(spec)
+	if err != nil {
+		return nil, status, err
+	}
+	if j.useDist && !s.distCapable() {
+		return nil, http.StatusBadRequest, fmt.Errorf("server: job requests distributed evaluation but the server has no workers or membership configured")
 	}
 
 	// Result cache: an identical completed run answers without touching
-	// the pool (and without emitting any new core.run span). Windowed jobs
-	// skip the cache entirely — their answer depends on wall-clock time,
-	// not just (data, config) — and so do anytime jobs, whose stopping
-	// point depends on how fast this machine happened to enumerate.
-	if spec.Window == nil && spec.Mode != ModeAnytime {
+	// the pool (and without emitting any new core.run span).
+	if j.cacheable() {
 		if hit, ok := s.cache.get(j.key); ok {
-			j.id = s.newJobID()
 			j.cached = true
 			j.state = jobDone
 			j.result = hit.res
 			j.resultJSON = hit.json
-			j.gen = snap.Gen
+			j.gen = j.snap.Gen
 			j.events.replay(hit.res.Levels)
 			j.events.finish(string(jobDone), "")
 			close(j.done)
-			s.addJob(j)
+			s.addJob(j, nil)
 			s.ob.submitted.Inc()
 			s.ob.cacheHits.Inc()
 			s.ob.done.Inc()
@@ -234,44 +266,44 @@ func (s *Server) submit(spec JobSpec) (*job, int, error) {
 		s.ob.cacheMiss.Inc()
 	}
 
-	timeout := s.cfg.JobTimeout
-	if spec.TimeoutMS > 0 {
-		timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		j.ctx, j.cancel = context.WithTimeout(context.Background(), timeout)
-	} else {
-		j.ctx, j.cancel = context.WithCancel(context.Background())
-	}
-
 	// Admission control. The queue send and the closed check share s.mu
 	// with Shutdown's close(s.queue), so a submission can never race a
-	// drain into a send-on-closed-channel panic.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	// drain into a send-on-closed-channel panic. Monitors bypass the queue
+	// and claim a resident slot instead.
+	s.startContext(j)
+	status, err = s.addJob(j, func() (int, error) {
+		switch {
+		case s.closed:
+			return http.StatusServiceUnavailable, fmt.Errorf("server: draining, not accepting jobs")
+		case j.monitor:
+			return s.claimMonitorLocked()
+		}
+		j.id = s.newJobID()
+		j.enqueued = time.Now()
+		select {
+		case s.queue <- j:
+			return http.StatusAccepted, nil
+		default:
+			return http.StatusTooManyRequests, fmt.Errorf("server: job queue full (%d waiting); retry later", cap(s.queue))
+		}
+	})
+	if err != nil {
 		j.cancel()
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("server: draining, not accepting jobs")
+		if status == http.StatusTooManyRequests {
+			s.ob.rejected.Inc()
+		}
+		return nil, status, err
 	}
-	j.id = s.newJobID()
-	j.enqueued = time.Now()
-	select {
-	case s.queue <- j:
-	default:
-		s.mu.Unlock()
-		j.cancel()
-		s.ob.rejected.Inc()
-		return nil, http.StatusTooManyRequests, fmt.Errorf("server: job queue full (%d waiting); retry later", cap(s.queue))
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-
 	s.ob.submitted.Inc()
-	s.ob.queueDepth.Add(1)
-	// The job is already queued; journaling is best-effort per write (the
-	// terminal save will retry the file).
-	s.journalFailed("enqueue", s.journal.saveJob(j))
+	// Journaling is best-effort per write: the terminal save retries the
+	// file.
+	if j.monitor {
+		s.journalFailed("monitor start", s.journal.saveJob(j))
+		s.startMonitor(j)
+	} else {
+		s.ob.queueDepth.Add(1)
+		s.journalFailed("enqueue", s.journal.saveJob(j))
+	}
 	return j, http.StatusAccepted, nil
 }
 
@@ -279,16 +311,24 @@ func (s *Server) newJobID() string {
 	return fmt.Sprintf("job-%d", s.nextID.Add(1))
 }
 
-// addJob registers a job in the table without touching the queue (cache
-// hits, restored terminal jobs).
-func (s *Server) addJob(j *job) {
+// addJob enters a job into the job table, giving it the next id if it has
+// none. admit, when non-nil, first claims the job's slot (queue or resident
+// monitor) under the same lock; a refusal leaves the table untouched and
+// returns admit's status and error.
+func (s *Server) addJob(j *job, admit func() (int, error)) (int, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if admit != nil {
+		if status, err := admit(); err != nil {
+			return status, err
+		}
+	}
 	if j.id == "" {
 		j.id = s.newJobID()
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.mu.Unlock()
+	return http.StatusAccepted, nil
 }
 
 func (s *Server) getJob(id string) (*job, bool) {
@@ -421,11 +461,7 @@ func (s *Server) finishJob(j *job, res *core.Result, err error) {
 	j.mu.Unlock()
 
 	if st == jobDone {
-		// Windowed results are a function of wall-clock time, monitor
-		// results of a moving generation, anytime results of this
-		// machine's enumeration speed; none may answer a later
-		// submission from the cache.
-		if j.spec.Window == nil && !j.monitor && j.spec.Mode != ModeAnytime {
+		if j.cacheable() {
 			s.cache.put(j.key, res, js)
 		}
 		s.ob.done.Inc()

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"net/http"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -190,6 +192,76 @@ func TestJournalRestartFailsJobWithMissingDataset(t *testing.T) {
 	got := waitJob(t, ts, "job-1", 5*time.Second)
 	if got.Status != string(jobFailed) {
 		t.Errorf("orphaned job status %q, want failed", got.Status)
+	}
+}
+
+// TestJournalRestartFailsJobWhoseDatasetFileIsGone: an unfinished job whose
+// dataset file was removed from the journal directory restarts failed, and
+// its error names the missing dataset.
+func TestJournalRestartFailsJobWhoseDatasetFileIsGone(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{JournalDir: dir})
+	info, code := registerCSV(t, ts, testCSV(40), "err=err")
+	if code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	rec := &journalJob{
+		Version: journalVersion,
+		ID:      "job-4",
+		Spec:    JobSpec{Dataset: info.ID, Config: JobConfig{K: 4, Sigma: 3}},
+		Status:  string(jobRunning),
+	}
+	if err := writeGob(filepath.Join(dir, rec.ID+journalJobSuffix), rec); err != nil {
+		t.Fatalf("forging journal record: %v", err)
+	}
+	if err := os.Remove(filepath.Join(dir, info.ID+journalDatasetSuffix)); err != nil {
+		t.Fatalf("removing the dataset file: %v", err)
+	}
+
+	_, ts2 := newTestServer(t, Config{JournalDir: dir})
+	got := waitJob(t, ts2, rec.ID, 5*time.Second)
+	if got.Status != string(jobFailed) || !strings.Contains(got.Error, info.ID) {
+		t.Fatalf("restored job: status %q, error %q; want failed naming %s", got.Status, got.Error, info.ID)
+	}
+}
+
+// TestJournalRestartReservesDiffJobWithoutBaseline: a completed diff job
+// whose baseline file was removed still re-serves its stored result after a
+// restart, but cannot rebuild its cache key, so it does not seed the cache.
+func TestJournalRestartReservesDiffJobWithoutBaseline(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{JournalDir: dir})
+	base, code := registerCSV(t, ts, modeCSV(60, func(i int) float64 { return float64(i%4) / 4 }), "err=err&name=base")
+	if code != http.StatusCreated {
+		t.Fatalf("register base: status %d", code)
+	}
+	cur, code := registerCSV(t, ts, modeCSV(60, func(i int) float64 { return float64(i%3) / 3 }), "err=err&name=new")
+	if code != http.StatusCreated {
+		t.Fatalf("register new: status %d", code)
+	}
+	spec := JobSpec{SpecVersion: 2, Dataset: cur.ID, Config: JobConfig{K: 4, Sigma: 2}, Mode: ModeDiff, Baseline: base.ID}
+	j, code, body := postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("diff submit: status %d (%s)", code, body)
+	}
+	done := waitJob(t, ts, j.ID, 30*time.Second)
+	if done.Status != string(jobDone) {
+		t.Fatalf("diff job finished %q: %s", done.Status, done.Error)
+	}
+	if err := os.Remove(filepath.Join(dir, base.ID+journalDatasetSuffix)); err != nil {
+		t.Fatalf("removing the baseline file: %v", err)
+	}
+
+	s2, ts2 := newTestServer(t, Config{JournalDir: dir})
+	restored := getJob(t, ts2, j.ID)
+	if restored.Status != string(jobDone) {
+		t.Fatalf("restored diff job status %q, want done", restored.Status)
+	}
+	if canonicalResult(t, restored.Result) != canonicalResult(t, done.Result) {
+		t.Error("restored diff result differs from the original")
+	}
+	if n := s2.cache.len(); n != 0 {
+		t.Errorf("restored diff job without its baseline seeded %d cache entries, want 0", n)
 	}
 }
 

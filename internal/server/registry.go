@@ -14,11 +14,6 @@ import (
 	"sliceline/internal/ml"
 )
 
-// appendLogCap bounds the per-dataset append history kept for monitor delta
-// composition. A monitor that falls further behind than this rebuilds its
-// incremental state from the current snapshot instead of replaying deltas.
-const appendLogCap = 128
-
 // datasetEntry is one registered dataset: the integer-encoded frame, its
 // one-hot encoding (computed at registration, extended incrementally on
 // append — jobs never re-encode), the row-aligned error vector every job on
@@ -46,19 +41,9 @@ type datasetEntry struct {
 	Gen    int    // applied appends; 0 is the registered base
 
 	ap     *frame.Appender
-	log    []appendRecord
 	genEnd []int         // genEnd[g] = accumulated row count at generation g
 	genAt  []time.Time   // genAt[g] = when generation g became current
 	change chan struct{} // closed and replaced on every append (monitor wakeup)
-}
-
-// appendRecord is one applied append batch, kept for monitor delta
-// composition and windowed-duration resolution.
-type appendRecord struct {
-	Gen        int
-	Res        *frame.AppendResult
-	Start, End int // appended rows occupy [Start, End)
-	At         time.Time
 }
 
 // dsSnapshot is an immutable view of one dataset generation. Jobs capture it
@@ -130,18 +115,13 @@ func (d *datasetEntry) appendRows(rows [][]string, errs []float64, at time.Time)
 	if err != nil {
 		return AppendInfo{}, err
 	}
-	start := len(d.ErrVec)
-	errVec := make([]float64, 0, start+len(errs))
+	errVec := make([]float64, 0, len(d.ErrVec)+len(errs))
 	errVec = append(append(errVec, d.ErrVec...), errs...)
 	d.DS, d.Enc, d.ErrVec = res.DS, res.Enc, errVec
 	d.Sig = core.DataSignature(res.Enc, errVec, nil)
 	d.Gen++
 	d.genEnd = append(d.genEnd, res.Enc.X.Rows())
 	d.genAt = append(d.genAt, at)
-	d.log = append(d.log, appendRecord{Gen: d.Gen, Res: res, Start: start, End: start + res.NewRows, At: at})
-	if len(d.log) > appendLogCap {
-		d.log = append([]appendRecord(nil), d.log[len(d.log)-appendLogCap:]...)
-	}
 	close(d.change)
 	d.change = make(chan struct{})
 	return AppendInfo{
@@ -152,26 +132,6 @@ func (d *datasetEntry) appendRows(rows [][]string, errs []float64, at time.Time)
 		Grown:      res.Grown,
 		Signature:  fmt.Sprintf("%016x", d.Sig),
 	}, nil
-}
-
-// appendsSince returns the append records for generations (gen, current], in
-// order, and whether the history is complete (false once the bounded log has
-// evicted a needed record — the caller rebuilds from a snapshot instead).
-func (d *datasetEntry) appendsSince(gen int) ([]appendRecord, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if gen >= d.Gen {
-		return nil, true
-	}
-	need := d.Gen - gen
-	if need > len(d.log) {
-		return nil, false
-	}
-	out := d.log[len(d.log)-need:]
-	if out[0].Gen != gen+1 {
-		return nil, false
-	}
-	return append([]appendRecord(nil), out...), true
 }
 
 func (d *datasetEntry) info() DatasetInfo {
@@ -313,36 +273,15 @@ func buildDataset(r io.Reader, opt registerOptions) (*datasetEntry, error) {
 		return nil, err
 	}
 	if errVec == nil {
-		errVec, err = trainErrVec(ds, enc, opt.Task)
-		if err != nil {
-			return nil, err
+		task := opt.Task
+		if task == "" {
+			task = ml.TaskClass
+		}
+		if errVec, _, err = ml.TrainAndScore(enc.X, ds.Y, task); err != nil {
+			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
 	return finishEntry(ds, enc, errVec, opt.Name, opt.Err)
-}
-
-// trainErrVec fits the requested model on the dataset and returns its
-// per-row loss.
-func trainErrVec(ds *frame.Dataset, enc *frame.Encoding, task string) ([]float64, error) {
-	if ds.Y == nil {
-		return nil, fmt.Errorf("server: dataset has no labels to train on")
-	}
-	switch task {
-	case "reg":
-		m, err := ml.TrainLinReg(enc.X, ds.Y, ml.LinRegConfig{})
-		if err != nil {
-			return nil, err
-		}
-		return ml.SquaredLoss(ds.Y, m.Predict(enc.X)), nil
-	case "", "class":
-		m, err := ml.TrainMlogit(enc.X, ds.Y, ml.MlogitConfig{})
-		if err != nil {
-			return nil, err
-		}
-		return ml.Inaccuracy(ds.Y, m.Predict(enc.X)), nil
-	default:
-		return nil, fmt.Errorf("server: unknown task %q (want class or reg)", task)
-	}
 }
 
 // finishEntry computes the content address and assembles the entry.

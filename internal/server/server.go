@@ -176,141 +176,71 @@ func (s *Server) restoreDatasetsAndLoadJobs() ([]*journalJob, error) {
 	return recs, nil
 }
 
-// restoreJobs rebuilds the job table from journal records: terminal jobs are
-// re-served (done results also feed the cache, keyed by the generation
-// signature they actually ran against), unfinished batch jobs are re-enqueued
-// with Resume set so they continue from their last completed lattice level,
-// and unfinished monitor jobs restart as fresh residents over the restored
-// dataset's current generation.
+// restoreJobs rebuilds the job table from journal records, resolving each
+// record's spec through newJob exactly like a fresh submission:
+//
+//   - a terminal record is re-served whenever its dataset is present; a done
+//     result also feeds the cache when the spec still resolves to a
+//     cacheable job over the generation it ran against;
+//   - an unfinished record whose spec no longer resolves (its dataset or
+//     baseline is gone) fails in place;
+//   - an unfinished monitor restarts resident over the dataset's current
+//     generation, within the monitor cap (its in-memory incremental state is
+//     not journaled);
+//   - any other unfinished job re-enqueues with Resume set, continuing from
+//     its last completed lattice level.
 func (s *Server) restoreJobs(recs []*journalJob) {
 	for _, rec := range recs {
-		ds, haveDS := s.reg.get(rec.Spec.Dataset)
-		j := &job{
-			id:      rec.ID,
-			spec:    rec.Spec,
-			ds:      ds,
-			monitor: rec.Spec.Mode == ModeMonitor,
-			cached:  rec.Cached,
-			events:  newEventLog(),
-			done:    make(chan struct{}),
+		j, _, err := s.newJob(rec.Spec)
+		if err != nil {
+			j = &job{spec: rec.Spec, monitor: rec.Spec.Mode == ModeMonitor, events: newEventLog(), done: make(chan struct{})}
 		}
-		var snap dsSnapshot
-		if haveDS {
-			snap = ds.snapshot()
-			j.snap = snap
+		j.id, j.cached = rec.ID, rec.Cached
+		st, msg := jobState(rec.Status), rec.ErrMsg
+		if !st.terminal() && err != nil {
+			st, msg = jobFailed, fmt.Sprintf("restoring after restart: %v", err)
 		}
-		st := jobState(rec.Status)
 		if st.terminal() {
-			j.state = st
-			j.errMsg = rec.ErrMsg
-			if st == jobDone && len(rec.ResultJSON) > 0 && haveDS {
+			j.state, j.errMsg = st, msg
+			if _, haveDS := s.reg.get(rec.Spec.Dataset); st == jobDone && haveDS && len(rec.ResultJSON) > 0 {
 				var res core.Result
-				if err := json.Unmarshal(rec.ResultJSON, &res); err == nil {
-					j.result = &res
-					j.resultJSON = rec.ResultJSON
-					// Feed the cache only when the result still speaks
-					// for the dataset's current generation (legacy
+				if json.Unmarshal(rec.ResultJSON, &res) == nil {
+					j.result, j.resultJSON = &res, rec.ResultJSON
+					// A result pinned to an older generation is re-served by
+					// id but must not answer fresh submissions (legacy
 					// records carry no signature and predate appends).
-					// A result pinned to an older generation is re-served
-					// by id but must not answer fresh submissions; nor may
-					// anytime results, which depend on wall-clock budgets.
-					// Diff results additionally need their baseline dataset
-					// still registered to rebuild the full key.
-					baseSig, haveBase := uint64(0), true
-					if rec.Spec.Mode == ModeDiff {
-						if base, ok := s.reg.get(rec.Spec.Baseline); ok {
-							baseSig = base.snapshot().Sig
-						} else {
-							haveBase = false
-						}
-					}
-					if !j.monitor && rec.Spec.Window == nil &&
-						rec.Spec.Mode != ModeAnytime && haveBase &&
-						(rec.DataSig == 0 || rec.DataSig == snap.Sig) {
-						cfg := rec.Spec.Config.ToCore().WithDefaults(snap.DS.NumRows())
-						s.cache.put(jobCacheKey(rec.Spec, cfg, snap.Sig, baseSig), &res, rec.ResultJSON)
+					if err == nil && j.cacheable() && (rec.DataSig == 0 || rec.DataSig == j.snap.Sig) {
+						s.cache.put(j.key, &res, rec.ResultJSON)
 					}
 					j.events.replay(res.Levels)
 				}
 			}
-			j.events.finish(string(st), rec.ErrMsg)
+			j.events.finish(string(st), msg)
 			close(j.done)
-			s.addRestored(j)
+			s.addJob(j, nil)
 			continue
 		}
-		if !haveDS {
-			j.state = jobFailed
-			j.errMsg = fmt.Sprintf("dataset %s not present in journal after restart", rec.Spec.Dataset)
-			j.events.finish(string(jobFailed), j.errMsg)
-			close(j.done)
-			s.addRestored(j)
-			continue
-		}
+		s.startContext(j)
 		if j.monitor {
-			// Monitors restart fresh over the current generation (their
-			// in-memory incremental state is not journaled).
-			j.cfg = rec.Spec.Config.ToCore()
-			j.state = jobRunning
-			j.ctx, j.cancel = context.WithCancel(context.Background())
-			s.mu.Lock()
-			over := s.monitorCount >= s.maxMonitors()
-			if !over {
-				s.monitorCount++
-				s.wg.Add(1)
-			}
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
-			s.mu.Unlock()
-			if over {
-				s.finishJob(j, nil, errMonitorLimit)
+			if _, err := s.addJob(j, s.claimMonitorLocked); err != nil {
+				s.addJob(j, nil)
+				s.finishJob(j, nil, err)
 				continue
 			}
 			s.ob.resumed.Inc()
-			s.ob.monitors.Add(1)
-			go s.runMonitor(j)
+			s.startMonitor(j)
 			continue
 		}
-		// Diff jobs need their baseline dataset back too; without it the
-		// job cannot rerun, so it fails in place like a missing dataset.
-		if rec.Spec.Mode == ModeDiff {
-			base, haveBase := s.reg.get(rec.Spec.Baseline)
-			if !haveBase {
-				j.state = jobFailed
-				j.errMsg = fmt.Sprintf("baseline dataset %s not present in journal after restart", rec.Spec.Baseline)
-				j.events.finish(string(jobFailed), j.errMsg)
-				close(j.done)
-				s.addRestored(j)
-				continue
-			}
-			j.baseSnap = base.snapshot()
-		}
-		// Re-enqueue with resume: the checkpoint file (when one was
-		// written before the crash) carries the completed levels. If the
-		// dataset advanced past the job's journaled generation, the
-		// checkpoint no longer matches the data — drop it and run fresh
-		// against the current generation instead.
-		cfg := rec.Spec.Config.ToCore().WithDefaults(snap.DS.NumRows())
-		if rec.Spec.Mode == ModeAnytime {
-			cfg.Budget = time.Duration(rec.Spec.BudgetMS) * time.Millisecond
-		}
-		j.cfg = cfg
-		j.key = jobCacheKey(rec.Spec, cfg, snap.Sig, j.baseSnap.Sig)
-		j.useDist = rec.Spec.Evaluator == EvalDist ||
-			(rec.Spec.Evaluator == EvalAuto && !localOnly(rec.Spec) && s.distCapable())
-		j.resume = rec.DataSig == 0 || rec.DataSig == snap.Sig
+		// The checkpoint (when one was written before the crash) carries
+		// the completed levels. If the dataset advanced past the job's
+		// journaled generation, the checkpoint no longer matches the data —
+		// drop it and run fresh against the current generation instead.
+		j.resume = rec.DataSig == 0 || rec.DataSig == j.snap.Sig
 		if !j.resume {
 			s.journal.dropCheckpoint(j.id)
 		}
-		j.state = jobQueued
 		j.enqueued = time.Now()
-		if rec.Spec.TimeoutMS > 0 {
-			j.ctx, j.cancel = context.WithTimeout(context.Background(), time.Duration(rec.Spec.TimeoutMS)*time.Millisecond)
-		} else if s.cfg.JobTimeout > 0 {
-			j.ctx, j.cancel = context.WithTimeout(context.Background(), s.cfg.JobTimeout)
-		} else {
-			j.ctx, j.cancel = context.WithCancel(context.Background())
-		}
-		s.addRestored(j)
+		s.addJob(j, nil)
 		s.ob.resumed.Inc()
 		s.ob.queueDepth.Add(1)
 		s.queue <- j // blocking is fine: the pool is already draining
@@ -321,13 +251,6 @@ func (s *Server) restoreJobs(recs []*journalJob) {
 // static worker list or a membership registrar (elastic fleet) is configured.
 func (s *Server) distCapable() bool {
 	return len(s.cfg.DistWorkers) > 0 || s.cfg.Membership != nil
-}
-
-func (s *Server) addRestored(j *job) {
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
 }
 
 // registerDataset builds, registers and journals a dataset entry, returning

@@ -649,34 +649,6 @@ func TestMonitorLimit(t *testing.T) {
 	}
 }
 
-// TestAppendLogEviction: once the bounded append log evicts old records,
-// appendsSince reports an incomplete history (the monitor's rebuild signal).
-func TestAppendLogEviction(t *testing.T) {
-	entry, err := buildDataset(strings.NewReader(testCSV(12)), registerOptions{Err: "err", Name: "evict"})
-	if err != nil {
-		t.Fatalf("buildDataset: %v", err)
-	}
-	total := appendLogCap + 5
-	for i := 0; i < total; i++ {
-		row := [][]string{{fmt.Sprintf("d%d", i%4), fmt.Sprintf("o%d", i%3), fmt.Sprintf("r%d", i%2)}}
-		if _, err := entry.appendRows(row, []float64{0.2}, time.Now()); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	if _, ok := entry.appendsSince(0); ok {
-		t.Fatal("appendsSince(0) reported a complete history past the log cap")
-	}
-	recs, ok := entry.appendsSince(total - 3)
-	if !ok || len(recs) != 3 {
-		t.Fatalf("appendsSince(%d): ok=%v len=%d, want 3 in-log records", total-3, ok, len(recs))
-	}
-	for i, rec := range recs {
-		if rec.Gen != total-2+i {
-			t.Fatalf("record %d has generation %d, want %d", i, rec.Gen, total-2+i)
-		}
-	}
-}
-
 // TestStreamingJournalReplay: appended generations must survive a restart —
 // the restored dataset reaches the same generation and signature, completed
 // jobs re-serve, and a same-generation resubmission hits the restored cache.

@@ -113,31 +113,22 @@ const (
 // the common debugging loop; callers with their own models can pass any
 // finite non-negative error vector to RunContext directly.
 func TrainAndScore(ds *Dataset, task Task) (errVec []float64, desc string, err error) {
-	if ds.Y == nil {
-		return nil, "", fmt.Errorf("sliceline: dataset %s has no labels", ds.Name)
+	name := ml.TaskClass
+	switch task {
+	case TaskClassification:
+	case TaskRegression:
+		name = ml.TaskReg
+	default:
+		return nil, "", fmt.Errorf("sliceline: unknown task %d", task)
 	}
 	enc, err := frame.OneHot(ds)
 	if err != nil {
 		return nil, "", err
 	}
-	switch task {
-	case TaskRegression:
-		m, err := ml.TrainLinReg(enc.X, ds.Y, ml.LinRegConfig{})
-		if err != nil {
-			return nil, "", err
-		}
-		e := ml.SquaredLoss(ds.Y, m.Predict(enc.X))
-		return e, fmt.Sprintf("linear regression (%d weights, %d CG iterations)", len(m.W), m.Iters), nil
-	case TaskClassification:
-		m, err := ml.TrainMlogit(enc.X, ds.Y, ml.MlogitConfig{})
-		if err != nil {
-			return nil, "", err
-		}
-		e := ml.Inaccuracy(ds.Y, m.Predict(enc.X))
-		return e, fmt.Sprintf("mlogit (%d classes, accuracy %.3f)", len(m.Classes), m.Accuracy(enc.X, ds.Y)), nil
-	default:
-		return nil, "", fmt.Errorf("sliceline: unknown task %d", task)
+	if errVec, desc, err = ml.TrainAndScore(enc.X, ds.Y, name); err != nil {
+		return nil, "", fmt.Errorf("sliceline: dataset %s: %w", ds.Name, err)
 	}
+	return errVec, desc, nil
 }
 
 // SquaredLoss, Inaccuracy and AbsLoss expose the standard error functions
