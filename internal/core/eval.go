@@ -37,8 +37,8 @@ type ExternalEvaluator interface {
 // once and counts predicate matches through a per-block inverted column
 // index, never materializing the n × nrow(S) indicator I. Row-partitioned
 // data parallelism is the distributed backends' job (package dist). Dense
-// columns take the packed-bitset kernel instead; every plan returns the same
-// bits.
+// columns take the packed-bitset kernel instead, and 0/1 errors its exact
+// popcount loop; every plan returns the same bits.
 func (st *state) evalSlices(ctx context.Context, lv *level, L int) error {
 	nSlices := lv.size()
 	if nSlices == 0 {
@@ -72,12 +72,15 @@ func (st *state) evalSlices(ctx context.Context, lv *level, L int) error {
 		// original one-hot column ids; only rows appended since a
 		// candidate's last evaluation are scanned.
 		sp.SetStr("backend", "memo")
+		sp.SetBool("binary", st.memo.eb != nil)
 		st.memo.evalLevel(st.origCols, st.e, lv)
 	default:
 		// Kernel selection by density: packed-bitset AND+popcount when the
-		// reduced columns are dense enough, the fused CSR kernel otherwise.
-		// The packing happens once, on the first level.
+		// reduced columns are dense enough, the fused CSR kernel otherwise;
+		// 0/1 errors and weights take the bitset kernel's binary loop. The
+		// packing happens once, on the first level.
 		sp.SetStr("backend", st.kernel.Backend())
+		sp.SetBool("binary", st.kernel.Binary())
 		st.kernel.Eval(lv.cols, L, st.cfg.BlockSize, lv.ss, lv.se, lv.sm)
 	}
 	st.ob.evalSecs.Observe(time.Since(evalStart).Seconds())

@@ -105,6 +105,48 @@ func BenchmarkEvalBitsetPairsL2(b *testing.B)    { benchEvalBitset(b, 2, false) 
 func BenchmarkEvalBitsetTriplesL3(b *testing.B)  { benchEvalBitset(b, 3, false) }
 func BenchmarkEvalBitsetWeightedL2(b *testing.B) { benchEvalBitset(b, 2, true) }
 
+// binaryErrors thresholds errors to 0/1 at 0.5, the shape of a classifier's
+// 0/1 inaccuracy.
+func binaryErrors(e []float64) []float64 {
+	out := make([]float64, len(e))
+	for i, v := range e {
+		if v >= 0.5 {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
+// benchEvalBitsetBinary drives the binary loop over the general benchmarks'
+// data and candidates, with errors thresholded to 0/1. Packing happens once
+// outside the timed loop, as in Kernel.Bits. Throughput is bytes of packed
+// words scanned: per candidate, every word of each of its columns and of the
+// error vector.
+func benchEvalBitsetBinary(b *testing.B, level int) {
+	x, e, cols := benchEvalData(b, 2000, 6, 5, level)
+	cb := matrix.PackColumns(x)
+	_, r := generalAndBinary(binaryErrors(e), nil)
+	var scanned int64
+	for _, c := range cols {
+		scanned += int64(len(c)+1) * int64(cb.Words()) * 8
+	}
+	b.SetBytes(scanned)
+	ss := make([]float64, len(cols))
+	se := make([]float64, len(cols))
+	sm := make([]float64, len(cols))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range ss {
+			ss[j], se[j], sm[j] = 0, 0, 0
+		}
+		evalBitsetRange(cb, r, cols, 0, len(cols), ss, se, sm)
+	}
+}
+
+func BenchmarkEvalBitsetBinaryL2(b *testing.B) { benchEvalBitsetBinary(b, 2) }
+func BenchmarkEvalBitsetBinaryL3(b *testing.B) { benchEvalBitsetBinary(b, 3) }
+
 // TestEvalBitsetSerialZeroAlloc pins the bitset level loop's steady-state
 // allocation count at exactly zero — the property the committed bench
 // baseline gates in CI, asserted here so a plain `go test` catches it too.
@@ -136,6 +178,44 @@ func TestEvalBitsetSerialZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: EvalBitsetSerial allocates %.1f per op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestEvalBitsetBinaryZeroAlloc pins the binary level loop, unweighted and
+// with 0/1 weights, at zero allocations: the packed words are built once per
+// Kernel, never per level.
+func TestEvalBitsetBinaryZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ds, e := randomDataset(rng, 500, 5, 4)
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cols [][]int
+	for c1 := 0; c1 < enc.Width(); c1++ {
+		for c2 := c1 + 1; c2 < enc.Width(); c2++ {
+			if enc.FeatureOf(c1) != enc.FeatureOf(c2) {
+				cols = append(cols, []int{c1, c2})
+			}
+		}
+	}
+	cb := matrix.PackColumns(enc.X)
+	window := make([]float64, len(e))
+	for i := 100; i < len(e); i++ {
+		window[i] = 1 // rows below 100 retired, as in a sliding window
+	}
+	_, unweighted := generalAndBinary(binaryErrors(e), nil)
+	_, weighted := generalAndBinary(binaryErrors(e), window)
+	ss := make([]float64, len(cols))
+	se := make([]float64, len(cols))
+	sm := make([]float64, len(cols))
+	for name, r := range map[string]rowVals{"unweighted": unweighted, "weighted": weighted} {
+		allocs := testing.AllocsPerRun(20, func() {
+			evalBitsetRange(cb, r, cols, 0, len(cols), ss, se, sm)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: binary level loop allocates %.1f per op, want 0", name, allocs)
 		}
 	}
 }

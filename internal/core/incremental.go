@@ -22,9 +22,11 @@ type memoEntry struct {
 // reduced column space changes per generation as the σ-filter moves, original
 // ids are stable modulo domain-growth remaps, which rekey the memo). The
 // packed bitset covers the full one-hot width; Incremental.advance remaps and
-// extends it in place for each new generation.
+// extends it in place for each new generation. eb holds the generation's
+// packed errors when every one is 0 or 1, selecting the binary loop.
 type sliceMemo struct {
 	bits    *matrix.ColumnBits
+	eb      []uint64
 	entries map[string]memoEntry
 	hits    int // candidates continued from a memo entry, cumulative
 	misses  int // candidates evaluated from row 0, cumulative
@@ -69,16 +71,18 @@ func (m *sliceMemo) rekey(remap []int) {
 // a level is looked up by its original column ids; a memoized candidate scans
 // only the rows appended since its last evaluation, seeded with the stored
 // statistics, an unseen candidate scans from row 0. Both run evalBitsetFrom,
-// the loop EvalBitsetWeighted runs from row 0, so both land bit-identical to
-// a from-scratch evaluation. Candidates are sharded across workers like
-// EvalBitsetWeighted — the map is read concurrently and updated serially
-// afterwards.
+// the loop Kernel.Eval runs from row 0 — the binary one when the
+// generation's errors are all 0 or 1, as they then are in every earlier
+// generation too — so both land bit-identical to a from-scratch evaluation.
+// Candidates are sharded across workers like EvalBitsetWeighted — the map is
+// read concurrently and updated serially afterwards.
 func (m *sliceMemo) evalLevel(orig []int, e []float64, lv *level) {
 	nc := lv.size()
 	if nc == 0 {
 		return
 	}
 	n := m.bits.Rows()
+	r := rowVals{e: e, eb: m.eb}
 	keys := make([]string, nc)
 	hits := make([]bool, nc)
 	matrix.ParallelFor(nc, func(lo, hi int) {
@@ -96,7 +100,7 @@ func (m *sliceMemo) evalLevel(orig []int, e []float64, lv *level) {
 				from, ss, se, sm = ent.rows, ent.ss, ent.se, ent.sm
 				hits[s] = true
 			}
-			lv.ss[s], lv.se[s], lv.sm[s] = evalBitsetFrom(m.bits, e, nil, buf, from, ss, se, sm)
+			lv.ss[s], lv.se[s], lv.sm[s] = evalBitsetFrom(m.bits, r, buf, from, ss, se, sm)
 		}
 	})
 	for s := 0; s < nc; s++ {
@@ -190,6 +194,10 @@ func (inc *Incremental) Run(ctx context.Context, enc *frame.Encoding, feats []fr
 	}
 	if err := inc.advance(enc, e); err != nil {
 		return nil, err
+	}
+	inc.memo.eb = nil
+	if binaryValues(e) {
+		inc.memo.eb = packBinary(e)
 	}
 	return run(ctx, enc, feats, e, nil, inc.cfg, inc.memo)
 }

@@ -97,7 +97,7 @@ func TestZeroWeightExcludedFromMaxError(t *testing.T) {
 		ss[i], se[i], sm[i] = 0, 0, 0
 	}
 	for i, c := range cols {
-		ss[i], se[i], sm[i] = evalBitsetFrom(cb, e, w, c, 0, 0, 0, 0)
+		ss[i], se[i], sm[i] = evalBitsetFrom(cb, rowVals{e: e, w: w}, c, 0, 0, 0, 0)
 	}
 	check("bitsetFrom", ss, se, sm)
 }

@@ -19,7 +19,15 @@ type GenOpts struct {
 	PlantFrac          float64 // probability of planting a high-error slice
 	Weighted           bool    // attach positive random row weights
 	IntWeights         bool    // with Weighted: integer weights (replication-equivalent)
+	BinaryErrors       bool    // 0/1 errors, a classifier's inaccuracy, instead of continuous ones
 }
+
+// Error rates of BinaryErrors cases: rows of a planted slice err at a higher
+// rate than the rest, as in internal/datagen.
+const (
+	binaryBaseRate  = 0.1
+	binaryPlantRate = 0.9
+)
 
 // Defaults are sized so that enumeration exercises several lattice levels
 // while a full plan × config sweep stays fast.
@@ -43,7 +51,7 @@ var Tiny = GenOpts{
 func (o GenOpts) withDefaults() GenOpts {
 	if o.MaxRows == 0 {
 		d := Defaults
-		d.Weighted, d.IntWeights = o.Weighted, o.IntWeights
+		d.Weighted, d.IntWeights, d.BinaryErrors = o.Weighted, o.IntWeights, o.BinaryErrors
 		return d
 	}
 	return o
@@ -51,10 +59,11 @@ func (o GenOpts) withDefaults() GenOpts {
 
 // Generate derives a Case deterministically from the seed: a random
 // categorical dataset, a non-negative error vector mixing exact zeros with
-// continuous values (optionally concentrated on a planted slice, so scores
-// are meaningfully positive), optional row weights, and a randomized
-// configuration covering the α / K / σ axes. Ablation switches and
-// evaluator choice are left to the caller.
+// continuous values, or drawn from {0,1} with BinaryErrors (either way
+// optionally concentrated on a planted slice, so scores are meaningfully
+// positive), optional row weights, and a randomized configuration covering
+// the α / K / σ axes. Ablation switches and evaluator choice are left to the
+// caller.
 func Generate(seed int64, o GenOpts) *Case {
 	o = o.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
@@ -96,6 +105,14 @@ func Generate(seed int64, o GenOpts) *Case {
 			}
 		}
 		switch {
+		case o.BinaryErrors:
+			rate := binaryBaseRate
+			if inPlant {
+				rate = binaryPlantRate
+			}
+			if rng.Float64() < rate {
+				e[i] = 1
+			}
 		case inPlant:
 			e[i] = 0.5 + rng.Float64()
 		case rng.Float64() < o.ZeroErrFrac:

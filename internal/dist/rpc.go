@@ -36,6 +36,36 @@ func loadArgs(part int, x *matrix.CSR, e []float64) *LoadArgs {
 	return &LoadArgs{Part: part, Rows: x.Rows(), Cols: x.Cols(), RowPtr: rowPtr, ColIdx: colIdx, Val: val, Err: e}
 }
 
+// check rejects a partition the worker could not hold without panicking
+// later: CSR buffers that disagree with each other, column ids outside
+// [0, Cols), or errors that are not finite and non-negative.
+func (a *LoadArgs) check() error {
+	if a.Rows < 0 || a.Cols < 0 {
+		return fmt.Errorf("dist: bad partition: %d rows and %d columns", a.Rows, a.Cols)
+	}
+	if len(a.RowPtr) != a.Rows+1 {
+		return fmt.Errorf("dist: bad partition: %d rowPtr entries for %d rows", len(a.RowPtr), a.Rows)
+	}
+	if len(a.Err) != a.Rows {
+		return fmt.Errorf("dist: bad partition: %d errors for %d rows", len(a.Err), a.Rows)
+	}
+	if a.RowPtr[0] != 0 || a.RowPtr[a.Rows] != len(a.ColIdx) || len(a.ColIdx) != len(a.Val) {
+		return fmt.Errorf("dist: bad partition: rowPtr spans [%d, %d] over %d column ids and %d values",
+			a.RowPtr[0], a.RowPtr[a.Rows], len(a.ColIdx), len(a.Val))
+	}
+	for i := 0; i < a.Rows; i++ {
+		if a.RowPtr[i+1] < a.RowPtr[i] {
+			return fmt.Errorf("dist: bad partition: rowPtr decreases at row %d", i)
+		}
+	}
+	for k, c := range a.ColIdx {
+		if c < 0 || c >= a.Cols {
+			return fmt.Errorf("dist: bad partition: column id %d at entry %d outside [0, %d)", c, k, a.Cols)
+		}
+	}
+	return core.CheckValues(a.Err, core.ErrBadErrorVector)
+}
+
 // LoadReply acknowledges a Load.
 type LoadReply struct{}
 
@@ -45,6 +75,19 @@ type EvalArgs struct {
 	Cols      [][]int
 	Level     int
 	BlockSize int
+}
+
+// checkCands rejects candidates a partition of nCols columns cannot
+// evaluate: each must list strictly ascending column ids in [0, nCols).
+func checkCands(cols [][]int, nCols int) error {
+	for s, cand := range cols {
+		for i, c := range cand {
+			if c < 0 || c >= nCols || (i > 0 && c <= cand[i-1]) {
+				return fmt.Errorf("dist: candidate %d %v is not strictly ascending in [0, %d)", s, cand, nCols)
+			}
+		}
+	}
+	return nil
 }
 
 // EvalReply carries the partial statistics of one partition.
@@ -90,13 +133,12 @@ type Service struct {
 	ob       svcObs
 }
 
-// Load implements the worker side of partition shipping.
+// Load implements the worker side of partition shipping. A malformed
+// partition is rejected before anything is stored or evicted: net/rpc runs
+// service methods without a recover, so a panic here would end the worker.
 func (s *Service) Load(args *LoadArgs, _ *LoadReply) error {
-	if len(args.RowPtr) != args.Rows+1 {
-		return fmt.Errorf("dist: bad partition: %d rowPtr entries for %d rows", len(args.RowPtr), args.Rows)
-	}
-	if len(args.Err) != args.Rows {
-		return fmt.Errorf("dist: bad partition: %d errors for %d rows", len(args.Err), args.Rows)
+	if err := args.check(); err != nil {
+		return err
 	}
 	s.ob.loads.Inc()
 	s.mu.Lock()
@@ -140,7 +182,9 @@ func (s *Service) touchLocked(key int) {
 	s.lastUse[key] = s.useSeq
 }
 
-// Eval implements the worker side of candidate evaluation.
+// Eval implements the worker side of candidate evaluation. Candidates are
+// checked against the held partition first: an out-of-range column id would
+// panic inside a kernel goroutine, where nothing can recover it.
 func (s *Service) Eval(args *EvalArgs, reply *EvalReply) error {
 	s.ob.evals.Inc()
 	s.mu.Lock()
@@ -151,6 +195,9 @@ func (s *Service) Eval(args *EvalArgs, reply *EvalReply) error {
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("dist: worker holds no partition %d", args.Part)
+	}
+	if err := checkCands(args.Cols, k.Cols()); err != nil {
+		return err
 	}
 	n := len(args.Cols)
 	s.ob.cands.Add(int64(n))

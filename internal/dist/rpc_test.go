@@ -2,7 +2,9 @@ package dist
 
 import (
 	"context"
+	"math"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,5 +207,94 @@ func TestServerShutdownGraceful(t *testing.T) {
 	// New connections must be refused now.
 	if _, err := Dial(addr); err == nil {
 		t.Fatal("expected dial failure after shutdown")
+	}
+}
+
+// TestServiceRejectsMalformedCalls: a malformed Load or Eval gets an error
+// reply, never a panic — net/rpc calls service methods without a recover, so
+// a panic would end the worker process. A rejected call stores nothing and
+// leaves held partitions intact, and the same Service then serves
+// well-formed calls with correct statistics.
+func TestServiceRejectsMalformedCalls(t *testing.T) {
+	// Four rows over two one-hot columns: rows 0 and 2 in column 0, rows 1,
+	// 2 and 3 in column 1.
+	good := func() *LoadArgs {
+		return &LoadArgs{
+			Part: 7, Rows: 4, Cols: 2,
+			RowPtr: []int{0, 1, 2, 4, 5},
+			ColIdx: []int{0, 1, 0, 1, 1},
+			Val:    []float64{1, 1, 1, 1, 1},
+			Err:    []float64{1, 0, 1, 0.5},
+		}
+	}
+	badLoads := []struct {
+		name   string
+		mutate func(*LoadArgs)
+	}{
+		{"rowPtr ends past the column ids", func(a *LoadArgs) { a.RowPtr[4] = 6 }},
+		{"rowPtr starts above zero", func(a *LoadArgs) { a.RowPtr[0] = 1 }},
+		{"rowPtr decreases", func(a *LoadArgs) { a.RowPtr[2] = 0 }},
+		{"short rowPtr", func(a *LoadArgs) { a.RowPtr = a.RowPtr[:4] }},
+		{"fewer values than column ids", func(a *LoadArgs) { a.Val = a.Val[:4] }},
+		{"column id past Cols", func(a *LoadArgs) { a.ColIdx[3] = 2 }},
+		{"negative column id", func(a *LoadArgs) { a.ColIdx[0] = -1 }},
+		{"negative row count", func(a *LoadArgs) { a.Rows, a.RowPtr, a.Err = -1, nil, nil }},
+		{"short error vector", func(a *LoadArgs) { a.Err = a.Err[:3] }},
+		{"NaN error", func(a *LoadArgs) { a.Err[1] = math.NaN() }},
+		{"negative error", func(a *LoadArgs) { a.Err[1] = -1 }},
+	}
+	var svc Service
+	for _, tc := range badLoads {
+		a := good()
+		tc.mutate(a)
+		if err := svc.Load(a, &LoadReply{}); err == nil {
+			t.Errorf("Load accepted a partition with %s", tc.name)
+		}
+	}
+	var held PartsReply
+	if err := svc.Parts(&PartsArgs{}, &held); err != nil || len(held.Keys) != 0 {
+		t.Fatalf("rejected loads stored partitions %v (err %v)", held.Keys, err)
+	}
+
+	if err := svc.Load(good(), &LoadReply{}); err != nil {
+		t.Fatalf("well-formed Load: %v", err)
+	}
+	// Re-shipping the held key with a bad partition must keep the old one.
+	for _, tc := range badLoads {
+		a := good()
+		tc.mutate(a)
+		if err := svc.Load(a, &LoadReply{}); err == nil {
+			t.Errorf("Load over a held key accepted a partition with %s", tc.name)
+		}
+	}
+	// Several candidates per call: the kernel shards them across goroutines,
+	// where an out-of-range column used to panic beyond any recover.
+	for _, cols := range [][][]int{
+		{{0}, {1}, {5}},
+		{{0}, {-1}, {1}},
+		{{1, 0}, {0}, {1}},
+		{{0, 0}, {0}, {1}},
+	} {
+		var reply EvalReply
+		if err := svc.Eval(&EvalArgs{Part: 7, Cols: cols, Level: 1}, &reply); err == nil {
+			t.Errorf("Eval accepted candidates %v on a 2-column partition", cols)
+		}
+	}
+
+	for _, tc := range []struct {
+		cols       [][]int
+		ss, se, sm []float64
+	}{
+		{[][]int{{0}, {1}}, []float64{2, 3}, []float64{2, 1.5}, []float64{1, 1}},
+		{[][]int{{0, 1}}, []float64{1}, []float64{1}, []float64{1}},
+	} {
+		var reply EvalReply
+		if err := svc.Eval(&EvalArgs{Part: 7, Cols: tc.cols, Level: len(tc.cols[0])}, &reply); err != nil {
+			t.Fatalf("well-formed Eval %v: %v", tc.cols, err)
+		}
+		if !reflect.DeepEqual(reply.SS, tc.ss) || !reflect.DeepEqual(reply.SE, tc.se) || !reflect.DeepEqual(reply.SM, tc.sm) {
+			t.Fatalf("Eval %v = (%v, %v, %v), want (%v, %v, %v)",
+				tc.cols, reply.SS, reply.SE, reply.SM, tc.ss, tc.se, tc.sm)
+		}
 	}
 }
