@@ -81,6 +81,10 @@ func run(args []string) int {
 		fmt.Println("slserve", version.String())
 		return 0
 	}
+	if *workers != "" && *listenWork != "" {
+		fmt.Fprintln(os.Stderr, "slserve: -workers and -listen-workers are mutually exclusive: the fleet is a fixed list or announced members, not both")
+		return 2
+	}
 
 	cfg := server.Config{
 		Pool:        *pool,

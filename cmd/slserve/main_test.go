@@ -135,3 +135,39 @@ func TestGracefulDrainOnSIGTERM(t *testing.T) {
 		t.Error("healthz still answers after drain")
 	}
 }
+
+// TestWorkersAndListenWorkersRefused: the fleet is a fixed -workers list or
+// announced members, never both. slserve exits 2 before building anything
+// and says why in one line that names both flags.
+func TestWorkersAndListenWorkersRefused(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-workers", "127.0.0.1:1", "-listen-workers", "127.0.0.1:0"})
+	}()
+	var code int
+	select {
+	case code = <-done:
+	case <-time.After(10 * time.Second):
+		os.Stderr = stderr
+		t.Fatal("slserve started with both -workers and -listen-workers")
+	}
+	os.Stderr = stderr
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], "-workers") || !strings.Contains(lines[0], "-listen-workers") {
+		t.Fatalf("stderr %q: want one line naming -workers and -listen-workers", out)
+	}
+}

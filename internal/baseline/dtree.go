@@ -197,6 +197,3 @@ func (t *Tree) Depth() int {
 	}
 	return d(t.root)
 }
-
-// NumLeaves returns the number of leaves (the partition size).
-func (t *Tree) NumLeaves() int { return len(t.leaves) }

@@ -88,8 +88,8 @@ func TestErrorTreeConstantErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.NumLeaves() != 1 {
-		t.Fatalf("constant errors produced %d leaves, want 1", tree.NumLeaves())
+	if n := len(tree.Leaves()); n != 1 {
+		t.Fatalf("constant errors produced %d leaves, want 1", n)
 	}
 }
 

@@ -105,8 +105,14 @@ func ConfigSignature(cfg Config) uint64 {
 // fingerprint the checkpoint file records: everything a resumed run must
 // agree on with the run that wrote the checkpoint.
 func Signature(enc *frame.Encoding, e, w []float64, cfg Config) uint64 {
+	return CombineSignatures(DataSignature(enc, e, w), ConfigSignature(cfg))
+}
+
+// CombineSignatures is Signature from its two halves, for callers that hold
+// them already.
+func CombineSignatures(dataSig, cfgSig uint64) uint64 {
 	s := newSigHasher()
-	s.u64(DataSignature(enc, e, w))
-	s.u64(ConfigSignature(cfg))
+	s.u64(dataSig)
+	s.u64(cfgSig)
 	return s.sum()
 }

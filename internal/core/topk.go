@@ -28,11 +28,8 @@ func (t *topK) offer(cols []int, score, ss, se, sm float64) {
 	if score <= 0 || ss < t.sigma {
 		return
 	}
-	if len(t.entries) == t.k {
-		last := t.entries[t.k-1]
-		if score < last.score || (score == last.score && ss <= last.ss) {
-			return
-		}
+	if len(t.entries) == t.k && !t.entries[t.k-1].worse(score, ss, cols) {
+		return
 	}
 	// A slice identity may occupy at most one top-K slot. With candidate
 	// deduplication disabled (the Figure 3 config-5 ablation) the same slice
@@ -45,22 +42,28 @@ func (t *topK) offer(cols []int, score, ss, se, sm float64) {
 		}
 	}
 	e := tkEntry{cols: cols, score: score, ss: ss, se: se, sm: sm}
-	pos := sort.Search(len(t.entries), func(i int) bool {
-		if t.entries[i].score != score {
-			return t.entries[i].score < score
-		}
-		// Deterministic tie-break: larger slices first, then lexicographic.
-		if t.entries[i].ss != ss {
-			return t.entries[i].ss < ss
-		}
-		return !lessCols(t.entries[i].cols, cols)
-	})
+	pos := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].worse(score, ss, cols) })
 	t.entries = append(t.entries, tkEntry{})
 	copy(t.entries[pos+1:], t.entries[pos:])
 	t.entries[pos] = e
 	if len(t.entries) > t.k {
 		t.entries = t.entries[:t.k]
 	}
+}
+
+// worse reports whether e ranks at or below a slice with the given score,
+// size and columns in the top-K order: score descending, then size
+// descending, then columns ascending. The early reject of a full list and
+// the insertion search share it, so which member of an exact (score, size)
+// tie holds rank K does not depend on the order slices are offered in.
+func (e *tkEntry) worse(score, ss float64, cols []int) bool {
+	if e.score != score {
+		return e.score < score
+	}
+	if e.ss != ss {
+		return e.ss < ss
+	}
+	return !lessCols(e.cols, cols)
 }
 
 // threshold returns sc_k: the K-th best score when the list is full, else 0

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestTopKRejectsInvalid(t *testing.T) {
 	tk := newTopK(3, 10)
@@ -59,4 +62,49 @@ func TestTopKSkipsWhenFullAndWorse(t *testing.T) {
 	if len(tk.entries) != 1 || tk.entries[0].score != 5 {
 		t.Fatalf("entries = %+v", tk.entries)
 	}
+}
+
+// TestTopKIndependentOfOfferOrder: priority enumeration offers candidates in
+// bound order, level-wise enumeration in generation order, and both must keep
+// the same slices. Offering one set of slices — with an exact (score, size)
+// tie across rank K — in every order must give identical entries: the
+// lexicographically smallest tied columns hold rank K.
+func TestTopKIndependentOfOfferOrder(t *testing.T) {
+	type offer struct {
+		cols      []int
+		score, ss float64
+	}
+	offers := []offer{
+		{[]int{0, 3}, 2, 10},
+		{[]int{1}, 1, 10},
+		{[]int{2}, 1, 10},
+		{[]int{0}, 1, 10},
+		{[]int{1, 4}, 1, 10},
+		{[]int{5}, 1, 20},
+	}
+	want := [][]int{{0, 3}, {5}, {0}}
+	var permute func(order []int, k int)
+	permute = func(order []int, k int) {
+		if k == len(order) {
+			tk := newTopK(len(want), 1)
+			for _, i := range order {
+				o := offers[i]
+				tk.offer(o.cols, o.score, o.ss, o.score*o.ss, 1)
+			}
+			got := make([][]int, len(tk.entries))
+			for i, e := range tk.entries {
+				got[i] = e.cols
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("offer order %v kept %v, want %v", order, got, want)
+			}
+			return
+		}
+		for i := k; i < len(order); i++ {
+			order[k], order[i] = order[i], order[k]
+			permute(order, k+1)
+			order[k], order[i] = order[i], order[k]
+		}
+	}
+	permute([]int{0, 1, 2, 3, 4, 5}, 0)
 }

@@ -22,12 +22,13 @@ func binaryOpts(o GenOpts) GenOpts {
 // without it, and on integer counts every summation order is exact, so both
 // must match builtin/auto bit for bit: they pin the binary loop to the
 // general ones end to end. The blocked/* plans and the Dist-PFor clusters,
-// whose partition partials are integers too, must be bit-identical as well;
-// priority agrees up to ties at the K-th rank. Tiny binary cases are checked
-// against brute force, and outside -short the TCP plans run as well. The
-// ablation rotates over every single-rule switch; the everything-off
-// configuration only adds candidates, not kernel paths, and
-// TestDiffBackendsAgree already sweeps it.
+// whose partition partials are integers too, must be bit-identical as well,
+// and so must priority: integer counts make exact score ties common, and the
+// top-K keeps the same member of a tie whatever order candidates arrive in.
+// Tiny binary cases are checked against brute force, and outside -short the
+// TCP plans run as well. The ablation rotates over every single-rule switch;
+// the everything-off configuration only adds candidates, not kernel paths,
+// and TestDiffBackendsAgree already sweeps it.
 func TestDiffBinaryErrors(t *testing.T) {
 	const testName = "TestDiffBinaryErrors"
 	abl := ablations()
@@ -54,15 +55,7 @@ func TestDiffBinaryErrors(t *testing.T) {
 				failf(t, testName, seed, "plan %s (%s): %v", plan.Name, a.name, err)
 				continue
 			}
-			if plan.Name == "priority" {
-				// Integer counts make exact score ties common, and priority
-				// enumeration prunes mid-level against a raised threshold,
-				// so it may keep another member of a tie at the K-th rank.
-				err = CompareToBruteForce(got, ref.TopK, Tol)
-			} else {
-				err = CompareAnnotated(ref, got)
-			}
-			if err != nil {
+			if err := CompareAnnotated(ref, got); err != nil {
 				failf(t, testName, seed, "plan %s disagrees with builtin (%s): %v", plan.Name, a.name, err)
 			}
 		}

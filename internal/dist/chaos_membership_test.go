@@ -26,14 +26,14 @@ import (
 // version. All mutations funnel through apply, so a failing seed replays
 // exactly.
 type fleetScript struct {
-	ec      *dist.ElasticCluster
+	ec      *dist.Cluster
 	ids     []string
 	live    map[string]bool
 	inc     map[string]uint64
 	version uint64
 }
 
-func newFleetScript(ec *dist.ElasticCluster, ids ...string) *fleetScript {
+func newFleetScript(ec *dist.Cluster, ids ...string) *fleetScript {
 	fs := &fleetScript{ec: ec, ids: ids, live: map[string]bool{}, inc: map[string]uint64{}}
 	for _, id := range ids {
 		fs.inc[id] = 1

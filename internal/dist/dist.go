@@ -12,6 +12,12 @@
 // stay on the driver — exactly the paper's architecture where the candidate
 // matrix S is broadcast and X is scanned data-locally.
 //
+// A Cluster's fleet source is fixed at construction: a fixed worker list
+// (NewClusterOpts, DialCluster) or membership views (NewElasticCluster, fed
+// by ApplyView or Follow). Both run the same Setup, Eval and failover code;
+// they differ only in data the constructor sets — partition count,
+// placement, and whether a fleet that empties degrades to the driver.
+//
 // The Dist-PFor cluster is self-healing: per-call deadlines bound slow and
 // hung workers, partitions fail over off dead workers (with in-place reload
 // for restarted-but-amnesiac ones), stragglers are hedged by speculative
@@ -76,20 +82,15 @@ type Options struct {
 	// defaults to 2.
 	HeartbeatStrikes int
 
-	// Partitions, when > 0, fixes the row-partition count independent of the
-	// worker count (still clamped to the row count). A fixed count keeps the
-	// deterministic partition-order merge — and therefore the result bits —
-	// stable while workers join and leave mid-run; it is mandatory in elastic
-	// clusters, where the worker count is not a constant. 0 selects the
-	// legacy one-partition-per-worker split.
-	Partitions int
-
 	// PlacementSeed, when non-zero, content-addresses partitions: the wire
 	// partition key becomes a pure function of (seed, partition count,
 	// partition index) instead of the bare index. Keyed this way, a worker's
 	// partition cache is addressable across jobs and restarts — a rejoining
 	// worker that still holds a key re-attaches warm instead of being
-	// re-shipped the rows. Use the dataset's content signature as the seed.
+	// re-shipped the rows. The seed must name everything that determines the
+	// shipped partitions: the data and every setting that changes which
+	// columns the evaluator is handed (the server uses the job's data
+	// signature together with its resolved configuration signature).
 	PlacementSeed uint64
 
 	// OnDecision, when non-nil, receives every scheduling decision the
@@ -98,14 +99,6 @@ type Options struct {
 	// concurrently; the hook must be safe for concurrent use. The simulator's
 	// fidelity tests compare this stream against a simulated run's.
 	OnDecision func(Decision)
-
-	// LocalFallback, when set, degrades gracefully instead of failing the
-	// run when no live worker remains for a partition: the driver evaluates
-	// that partition itself with the same kernel a worker would use, so the
-	// results stay bit-identical and the job completes (slower) rather than
-	// erroring. Each degraded partition evaluation increments
-	// sl_dist_degraded_total and leaves a span event.
-	LocalFallback bool
 
 	// Tracer, when non-nil, receives spans for cluster setup, heartbeat
 	// evictions, and — when the driver's run context does not already carry a
@@ -135,36 +128,56 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Cluster is a row-partitioned data-parallel evaluator (Dist-PFor). Each
-// worker holds one partition; Eval broadcasts the candidate slices to every
-// worker and aggregates the returned partial statistics. When a worker
-// fails mid-run, its partition fails over to a healthy worker (the driver
-// retains the partitions it shipped at Setup), so a run survives up to
-// len(workers)-1 crashes.
+// Cluster is a row-partitioned data-parallel evaluator (Dist-PFor). Setup
+// splits the rows into partitions and ships each to a worker; Eval
+// broadcasts the candidate slices, evaluates every partition, and merges the
+// partial statistics in partition order. When a worker fails mid-run, its
+// partition fails over to a healthy worker (the driver retains the
+// partitions it shipped at Setup).
+//
+// The fleet source is fixed at construction. A fixed fleet (NewClusterOpts)
+// has one partition per worker, placed on slot p mod n, and a run that loses
+// every worker fails. A membership fleet (NewElasticCluster) has
+// DefaultElasticPartitions partitions placed by consistent hash over the
+// live member IDs, and degrades to the driver when the fleet empties.
 type Cluster struct {
 	opts Options
 	ob   distObs
 
-	// elastic marks a membership-driven cluster (see ElasticCluster): the
-	// worker slice grows as members join, liveness survives Setup (the
-	// membership view is the authority, not Setup), and place chooses each
-	// partition's preferred worker.
-	elastic bool
-	place   func(part, nParts int) int // preferred worker for a partition, -1 for none
-	warm    func(key, wi int) bool     // true when worker wi already holds wire key
+	// Set by the constructor.
+	nParts  int    // partitions per Setup, clamped to the row count
+	degrade bool   // evaluate on the driver when no live worker remains
+	dial    Dialer // dials the members a view names; nil on a fixed fleet
 
-	mu      sync.Mutex
-	workers []Worker // append-only in elastic clusters; index = worker slot
-	ready   bool
-	alive   []bool
-	strikes []int       // consecutive failed heartbeat probes per worker
-	parts   []partition // partition p as shipped at Setup
-	assign  []int       // partition p → worker slot holding it, -1 = driver-local
-	keys    []int       // partition p → wire key (content-addressed when seeded)
-	local   []*core.Kernel
+	// mu guards the worker slots and the partition table. Every Eval takes
+	// it, so it is held only briefly and never across an RPC.
+	mu sync.Mutex
+	// Per-slot state, indexed by worker slot and created only by addSlot.
+	// A membership fleet adds a slot per dialed member and never removes
+	// one, so partition assignments stay dense integers.
+	workers  []Worker
+	inView   []bool         // the slot's member is in the current view (always, on a fixed fleet)
+	alive    []bool         // presumed live: a failed call or heartbeat eviction clears it
+	strikes  []int          // consecutive failed heartbeat probes
+	held     []map[int]bool // wire keys the worker reported holding when dialed or rejoined
+	inflight []*obs.Gauge   // sl_dist_worker_inflight{worker="N"}
+	ready    bool
+	parts    []partition // partition p as shipped at Setup
+	assign   []int       // partition p → worker slot holding it, -1 = driver-local
+	keys     []int       // partition p → wire key (content-addressed when seeded)
+	local    []*core.Kernel
 
 	hbStop chan struct{}
 	hbDone chan struct{}
+
+	// viewMu guards the membership view. View application holds it while it
+	// dials members and ships partitions, and Setup while it places them;
+	// Eval never takes it. Lock order: viewMu, then mu.
+	viewMu  sync.Mutex
+	members map[string]*memberSlot
+	ring    *membership.Ring
+	version uint64
+	closed  bool
 }
 
 type partition struct {
@@ -189,18 +202,34 @@ type Worker interface {
 	Close() error
 }
 
-// NewClusterOpts returns a Dist-PFor evaluator over the given workers. The
-// zero Options selects the automatic block size on each worker and disables
-// timeouts, hedging and heartbeats.
+// NewClusterOpts returns a Dist-PFor evaluator over a fixed fleet: the given
+// workers, one partition each. The zero Options selects the automatic block
+// size on each worker and disables timeouts, hedging and heartbeats.
 func NewClusterOpts(workers []Worker, opts Options) (*Cluster, error) {
 	if len(workers) == 0 {
 		return nil, errors.New("dist: cluster needs at least one worker")
 	}
-	return &Cluster{
-		workers: workers,
-		opts:    opts.withDefaults(),
-		ob:      newDistObs(opts.Metrics, len(workers)),
-	}, nil
+	c := &Cluster{opts: opts.withDefaults(), ob: newDistObs(opts.Metrics), nParts: len(workers)}
+	for _, w := range workers {
+		c.addSlot(w, nil)
+	}
+	return c, nil
+}
+
+// addSlot creates the state of one worker slot — the one place either fleet
+// source does — and returns its index. The slot starts in the view,
+// presumed live, with its queue-depth gauge registered.
+func (c *Cluster) addSlot(w Worker, held map[int]bool) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	wi := len(c.workers)
+	c.workers = append(c.workers, w)
+	c.inView = append(c.inView, true)
+	c.alive = append(c.alive, true)
+	c.strikes = append(c.strikes, 0)
+	c.held = append(c.held, held)
+	c.inflight = append(c.inflight, c.ob.workerGauge(wi))
+	return wi
 }
 
 // callCtx derives the per-RPC context from the run context.
@@ -211,118 +240,64 @@ func (c *Cluster) callCtx(ctx context.Context) (context.Context, context.CancelF
 	return context.WithCancel(ctx)
 }
 
-// Setup partitions X and e row-wise across the workers and ships the
-// partitions, the data-locality setup of the paper's distributed plan. The
-// driver retains the partitions so they can fail over to healthy workers.
+// Setup partitions X and e row-wise and ships the partitions, the
+// data-locality setup of the paper's distributed plan. The driver retains
+// the partitions so they can fail over to healthy workers.
 //
 // Partitioning is balanced: sizes differ by at most one row, and no worker
-// is shipped an empty partition — with fewer rows than workers only the
-// first n workers receive one; the rest stay pure failover/hedge targets.
+// is shipped an empty partition — with fewer rows than partitions only the
+// first n partitions exist; the remaining workers stay pure failover/hedge
+// targets.
 func (c *Cluster) Setup(ctx context.Context, x *matrix.CSR, e []float64) error {
 	c.stopHeartbeat()
 	sp := c.startSpan(ctx, "dist.setup")
 	defer sp.End()
+	c.viewMu.Lock()
+	defer c.viewMu.Unlock()
 	n := x.Rows()
-	w := c.workerCount()
-	nParts := w
-	if c.opts.Partitions > 0 {
-		nParts = c.opts.Partitions
-	}
-	if n < nParts {
-		nParts = n
-	}
-	if w == 0 && !c.opts.LocalFallback {
-		return errors.New("dist: cluster has no workers")
-	}
-	sp.SetInt("workers", int64(w))
-	sp.SetInt("rows", int64(n))
-	sp.SetInt("partitions", int64(nParts))
-	c.ob.partitions.Set(float64(nParts))
+	nParts := min(c.nParts, n)
 	c.mu.Lock()
+	w := len(c.workers)
 	c.ready = false
-	if !c.elastic {
-		// Static cluster: Setup is the liveness authority and every worker
-		// starts presumed-live. An elastic cluster's liveness belongs to the
-		// membership view and survives re-Setups.
-		c.alive = make([]bool, w)
-		for k := range c.alive {
-			c.alive[k] = true
-		}
-		c.strikes = make([]int, w)
+	// One liveness rule for both fleet sources: every slot whose member is
+	// in the current view starts presumed live, with no strikes. A fixed
+	// fleet's view is all its workers.
+	for wi := range c.alive {
+		c.alive[wi] = c.inView[wi]
+		c.strikes[wi] = 0
 	}
 	c.parts = c.parts[:0]
 	c.assign = c.assign[:0]
 	c.keys = c.keys[:0]
 	c.local = nil
 	for p := 0; p < nParts; p++ {
+		key := p
 		if c.opts.PlacementSeed != 0 {
 			// Clearing the top bit keeps the key a non-negative int while
 			// preserving 63 bits of the content address.
-			c.keys = append(c.keys, int(membership.PartitionKey(c.opts.PlacementSeed, nParts, p)>>1))
-		} else {
-			c.keys = append(c.keys, p)
+			key = int(membership.PartitionKey(c.opts.PlacementSeed, nParts, p) >> 1)
 		}
+		c.keys = append(c.keys, key)
 	}
 	c.mu.Unlock()
+	sp.SetInt("workers", int64(w))
+	sp.SetInt("rows", int64(n))
+	sp.SetInt("partitions", int64(nParts))
+	c.ob.partitions.Set(float64(nParts))
 	sizes := PartitionSizes(n, nParts)
 	lo := 0
 	for k := 0; k < nParts; k++ {
 		hi := lo + sizes[k]
 		part := partition{x: x.SelectRows(seq(lo, hi)), e: e[lo:hi]}
-		// Prefer the placed worker (ring owner in elastic clusters, index
-		// modulo worker count otherwise), but a worker whose initial Load
-		// fails is marked dead and its partition shipped to another live one
-		// — a cluster with a dead member at startup still comes up.
-		wi := -1
-		switch {
-		case c.place != nil:
-			wi = c.place(k, nParts)
-		case w > 0:
-			wi = k % w
-		}
-		if wi >= 0 && !c.isAlive(wi) {
-			wi = c.nextLive(-1)
-		}
-		// Content-addressed keys let Setup re-attach without re-shipping: a
-		// worker that still caches this exact partition from an earlier job
-		// (or before a flap) reports warm and keeps it. A stale claim is
-		// harmless — the first Eval on it fails and reloads in place.
-		if wi >= 0 && c.warm != nil && c.opts.PlacementSeed != 0 && c.warm(c.wireKey(k), wi) {
-			sp.Event(fmt.Sprintf("partition %d re-attached warm on worker %d", k, wi))
-			c.ob.warmAttach.Inc()
-			c.decide(Decision{Kind: DecideWarmAttach, Part: k, Worker: wi, Target: -1})
-			c.mu.Lock()
-			c.parts = append(c.parts, part)
-			c.assign = append(c.assign, wi)
-			c.mu.Unlock()
-			lo = hi
-			continue
-		}
-		for wi >= 0 {
-			err := c.loadRPC(ctx, sp, wi, k, part)
-			if err == nil {
-				break
-			}
-			if ctx.Err() != nil {
-				return fmt.Errorf("dist: loading worker %d: %w", wi, err)
-			}
-			sp.Event(fmt.Sprintf("worker %d failed initial load, failing over", wi))
-			c.markDead(wi)
-			if wi = c.nextLive(-1); wi < 0 && !c.opts.LocalFallback {
-				return fmt.Errorf("dist: no live worker accepts partition %d: %w", k, err)
-			}
-		}
-		if wi < 0 && !c.opts.LocalFallback {
-			return fmt.Errorf("dist: no live worker accepts partition %d", k)
-		}
-		if wi < 0 {
-			sp.Event(fmt.Sprintf("partition %d held on the driver (no live workers)", k))
+		lo = hi
+		wi, err := c.shipPartition(ctx, sp, k, nParts, part)
+		if err != nil {
+			return err
 		}
 		c.mu.Lock()
 		c.parts = append(c.parts, part)
 		c.assign = append(c.assign, wi)
 		c.mu.Unlock()
-		lo = hi
 	}
 	c.mu.Lock()
 	c.ready = true
@@ -331,19 +306,84 @@ func (c *Cluster) Setup(ctx context.Context, x *matrix.CSR, e []float64) error {
 	return nil
 }
 
-// workerCount returns the current worker-slot count (elastic clusters grow).
+// shipPartition puts partition k on its placed worker at Setup, or
+// re-attaches it there warm, and returns the slot holding it: -1 when it
+// stays on the driver. A worker whose initial Load fails is marked dead and
+// the partition goes to another live one, so a cluster with a dead member
+// at startup still comes up. Callers hold viewMu.
+func (c *Cluster) shipPartition(ctx context.Context, sp *obs.Span, k, nParts int, part partition) (int, error) {
+	wi := c.placeLocked(k, nParts)
+	if wi >= 0 && !c.isAlive(wi) {
+		wi = c.nextLive(-1)
+	}
+	// Content-addressed keys let Setup re-attach without re-shipping: a
+	// worker that still caches this exact partition from an earlier job (or
+	// before a flap) reports warm and keeps it. A claim gone stale by
+	// eviction is harmless — the first Eval on it fails and reloads in place.
+	// Bare keys name a partition only within one Setup, so they never
+	// re-attach here.
+	if wi >= 0 && c.opts.PlacementSeed != 0 && c.warmAt(wi, c.wireKey(k)) {
+		sp.Event(fmt.Sprintf("partition %d re-attached warm on worker %d", k, wi))
+		c.ob.warmAttach.Inc()
+		c.decide(Decision{Kind: DecideWarmAttach, Part: k, Worker: wi, Target: -1})
+		return wi, nil
+	}
+	for wi >= 0 {
+		err := c.loadRPC(ctx, sp, wi, k, part)
+		if err == nil {
+			return wi, nil
+		}
+		if ctx.Err() != nil {
+			return -1, fmt.Errorf("dist: loading worker %d: %w", wi, err)
+		}
+		sp.Event(fmt.Sprintf("worker %d failed initial load, failing over", wi))
+		c.markDead(wi)
+		if wi = c.nextLive(-1); wi < 0 && !c.degrade {
+			return -1, fmt.Errorf("dist: no live worker accepts partition %d: %w", k, err)
+		}
+	}
+	if !c.degrade {
+		return -1, fmt.Errorf("dist: no live worker accepts partition %d", k)
+	}
+	sp.Event(fmt.Sprintf("partition %d held on the driver (no live workers)", k))
+	return -1, nil
+}
+
+// placeLocked returns the preferred worker slot of partition p out of
+// nParts, or -1 for none: slot p mod n on a fixed fleet, the ring owner's
+// slot on a membership fleet. Callers hold viewMu.
+func (c *Cluster) placeLocked(p, nParts int) int {
+	if c.dial == nil {
+		return p % c.workerCount()
+	}
+	owner, ok := c.ring.Owner(membership.PartitionKey(c.opts.PlacementSeed, nParts, p))
+	if !ok {
+		return -1
+	}
+	return c.members[owner].wi
+}
+
+// warmAt reports whether the in-view worker in slot wi said it holds wire
+// key key when it was last dialed or rejoined.
+func (c *Cluster) warmAt(wi, key int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.inView[wi] && c.held[wi][key]
+}
+
+// workerCount returns the number of worker slots.
 func (c *Cluster) workerCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.workers)
 }
 
-// workerAt snapshots one worker slot; the slice is append-only, so the
-// returned Worker stays valid without holding the lock across the RPC.
-func (c *Cluster) workerAt(wi int) Worker {
+// slot snapshots one worker slot and its queue-depth gauge. Slots are never
+// removed, so both stay valid without holding the lock across the RPC.
+func (c *Cluster) slot(wi int) (Worker, *obs.Gauge) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.workers[wi]
+	return c.workers[wi], c.inflight[wi]
 }
 
 func (c *Cluster) isAlive(wi int) bool {
@@ -359,31 +399,6 @@ func (c *Cluster) wireKey(p int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.keys[p]
-}
-
-// addWorker appends a worker slot (the elastic membership join path) and
-// returns its index. Slots are never removed — a departed member's slot is
-// marked dead so partition assignments stay dense integers.
-func (c *Cluster) addWorker(w Worker) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workers = append(c.workers, w)
-	c.alive = append(c.alive, true)
-	c.strikes = append(c.strikes, 0)
-	return len(c.workers) - 1
-}
-
-// reviveWorker marks a slot live again (a member rejoined).
-func (c *Cluster) reviveWorker(wi int) {
-	c.mu.Lock()
-	was := c.alive[wi]
-	c.alive[wi] = true
-	c.strikes[wi] = 0
-	c.mu.Unlock()
-	if !was {
-		c.ob.resurrections.Inc()
-		c.decide(Decision{Kind: DecideResurrect, Part: -1, Worker: wi, Target: -1})
-	}
 }
 
 func (c *Cluster) assignOf(p int) int {
@@ -488,7 +503,7 @@ func (c *Cluster) tryEval(ctx context.Context, wi, p int, cols [][]int, level in
 	sp.SetInt("partition", int64(p))
 	sp.SetInt("level", int64(level))
 	sp.SetInt("candidates", int64(len(cols)))
-	g := c.ob.inflightFor(wi)
+	w, g := c.slot(wi)
 	g.Add(1)
 	start := time.Now()
 	defer func() {
@@ -503,7 +518,7 @@ func (c *Cluster) tryEval(ctx context.Context, wi, p int, cols [][]int, level in
 	}()
 	cctx, cancel := c.callCtx(obs.ContextWith(ctx, sp))
 	defer cancel()
-	ss, se, sm, err = c.workerAt(wi).Eval(cctx, c.wireKey(p), cols, level, c.opts.BlockSize)
+	ss, se, sm, err = w.Eval(cctx, c.wireKey(p), cols, level, c.opts.BlockSize)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -542,7 +557,7 @@ func (c *Cluster) loadRPC(ctx context.Context, parent *obs.Span, wi, p int, part
 	sp.SetInt("worker", int64(wi))
 	sp.SetInt("partition", int64(p))
 	sp.SetInt("rows", int64(part.x.Rows()))
-	g := c.ob.inflightFor(wi)
+	w, g := c.slot(wi)
 	g.Add(1)
 	start := time.Now()
 	defer func() {
@@ -557,7 +572,7 @@ func (c *Cluster) loadRPC(ctx context.Context, parent *obs.Span, wi, p int, part
 	}()
 	lctx, cancel := c.callCtx(obs.ContextWith(ctx, sp))
 	defer cancel()
-	return c.workerAt(wi).Load(lctx, c.wireKey(p), part.x, part.e)
+	return w.Load(lctx, c.wireKey(p), part.x, part.e)
 }
 
 func (c *Cluster) markDead(wi int) {
@@ -638,7 +653,7 @@ func (c *Cluster) evalPartitionChain(ctx context.Context, p int, cols [][]int, l
 		// Find a healthy worker, reship the partition, and retry.
 		next := c.nextLive(avoid)
 		if next < 0 {
-			if c.opts.LocalFallback {
+			if c.degrade {
 				// The fleet is gone (or never arrived): evaluate the
 				// partition on the driver with the same kernel a worker
 				// would use, so the run completes degraded with
@@ -671,7 +686,7 @@ func (c *Cluster) evalPartitionChain(ctx context.Context, p int, cols [][]int, l
 			continue
 		}
 	}
-	if c.opts.LocalFallback && ctx.Err() == nil {
+	if c.degrade && ctx.Err() == nil {
 		sp.Event(fmt.Sprintf("degraded: partition %d failed on every worker, evaluating on the driver", p))
 		c.ob.degraded.Inc()
 		c.decide(Decision{Kind: DecideDegrade, Part: p, Worker: -1, Target: -1})
@@ -742,15 +757,8 @@ func (c *Cluster) evalPartitionHedged(ctx context.Context, hc *HedgePolicy, p in
 		oss, ose, osm, wi, oerr := c.evalPartitionChain(pctx, p, cols, level, -1)
 		primary <- outcome{oss, ose, osm, wi, oerr}
 	}()
-	if hc == nil {
-		out := <-primary
-		if out.err == nil {
-			c.setAssign(p, out.winner)
-			psp.SetInt("winner", int64(out.winner))
-		}
-		return out.ss, out.se, out.sm, out.err
-	}
-
+	// A nil policy (hedging off) never arms the timer, so the loop below
+	// just waits for the primary.
 	hcancel := func() {}
 	defer func() { hcancel() }()
 	var hedge chan outcome
@@ -949,9 +957,12 @@ func (c *Cluster) reshipFrom(dead int, sp *obs.Span) {
 	}
 }
 
-// Close stops the health checker and shuts down all workers, returning the
-// first error.
+// Close stops view application and the health checker and shuts down all
+// workers, returning the first error.
 func (c *Cluster) Close() error {
+	c.viewMu.Lock()
+	c.closed = true
+	c.viewMu.Unlock()
 	c.stopHeartbeat()
 	c.mu.Lock()
 	workers := append([]Worker(nil), c.workers...)

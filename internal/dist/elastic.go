@@ -4,21 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
-	"sliceline/internal/core"
-	"sliceline/internal/matrix"
 	"sliceline/internal/membership"
 	"sliceline/internal/obs"
 )
 
-var _ core.ExternalEvaluator = (*ElasticCluster)(nil)
-
-// DefaultElasticPartitions is the partition count an elastic cluster uses
-// when Options.Partitions is unset. A fixed, worker-count-independent split
-// is what keeps the deterministic partition-order merge — and therefore the
-// result bits — stable while the fleet churns.
+// DefaultElasticPartitions is a membership fleet's partition count. A fixed,
+// fleet-size-independent split is what keeps the deterministic
+// partition-order merge — and therefore the result bits — stable while the
+// fleet churns.
 const DefaultElasticPartitions = 8
 
 // Dialer turns a fleet member into a Worker connection. The production
@@ -34,23 +31,21 @@ func MemberDialer(opts DialOptions) Dialer {
 	}
 }
 
-// memberSlot is the elastic cluster's per-member bookkeeping: which worker
-// slot the member occupies, whether it is in the current view, and which
-// partition keys it reported holding when it last (re)joined.
+// memberSlot records which worker slot a fleet member occupies and the
+// member as the last applied view named it. The member is live exactly when
+// its slot is in the view.
 type memberSlot struct {
 	member membership.Member
 	wi     int
-	live   bool
-	warm   map[int]bool
 }
 
-// ElasticCluster is a Dist-PFor evaluator over a self-forming fleet: instead
-// of a fixed worker list it consumes membership views (from a Registrar via
-// Follow, or directly via ApplyView) and keeps the underlying Cluster's
-// worker set, liveness, and partition placement in sync.
+// NewElasticCluster returns a Dist-PFor evaluator over a membership fleet:
+// instead of a fixed worker list it consumes membership views (from a
+// Registrar via Follow, or directly via ApplyView) and keeps its worker
+// slots, liveness and partition placement in sync with them. The fleet
+// starts empty.
 //
-// Placement goes through a consistent-hash ring over the live member IDs
-// with content-addressed partition keys, so
+// Placement goes through a consistent-hash ring over the live member IDs, so
 //
 //   - a member that flaps and rejoins with the same incarnation is handed
 //     back exactly the partitions it already holds (warm re-attach, no data
@@ -60,214 +55,156 @@ type memberSlot struct {
 //   - a departing member's partitions move to their next ring owners while
 //     evaluations already in flight fail over mid-run.
 //
-// Because Options.Partitions fixes the merge structure and the degraded
-// driver-local path uses the same kernel as workers, results are
-// bit-identical at every fleet size, including zero.
-type ElasticCluster struct {
-	c      *Cluster
-	dial   Dialer
-	vnodes int
-
-	mu      sync.Mutex
-	slots   map[string]*memberSlot
-	ring    *membership.Ring
-	version uint64
-	closed  bool
-}
-
-// NewElasticCluster builds an elastic Dist-PFor evaluator. The cluster
-// starts with an empty fleet; feed it views with ApplyView or Follow.
-// Options.Partitions defaults to DefaultElasticPartitions and LocalFallback
-// defaults on — an elastic fleet that empties out mid-run degrades to
-// driver-local evaluation rather than failing the job. Set
-// Options.PlacementSeed (e.g. the dataset's content signature) to make
-// partition keys content-addressed across jobs.
-func NewElasticCluster(dial Dialer, opts Options) (*ElasticCluster, error) {
+// The partition count is DefaultElasticPartitions at every fleet size, and a
+// fleet that empties degrades to driver-local evaluation with the kernel a
+// worker would use, so results are bit-identical at every fleet size,
+// including zero. Set Options.PlacementSeed to make partition keys
+// content-addressed across jobs.
+func NewElasticCluster(dial Dialer, opts Options) (*Cluster, error) {
 	if dial == nil {
 		return nil, errors.New("dist: elastic cluster needs a dialer")
 	}
-	if opts.Partitions <= 0 {
-		opts.Partitions = DefaultElasticPartitions
-	}
-	opts.LocalFallback = true
-	ec := &ElasticCluster{
-		dial:   dial,
-		vnodes: membership.DefaultVnodes,
-		slots:  make(map[string]*memberSlot),
-	}
-	c := &Cluster{opts: opts.withDefaults(), ob: newDistObs(opts.Metrics, 0), elastic: true}
-	c.place = ec.place
-	c.warm = ec.warmForKey
-	ec.c = c
-	return ec, nil
+	return &Cluster{
+		opts:    opts.withDefaults(),
+		ob:      newDistObs(opts.Metrics),
+		nParts:  DefaultElasticPartitions,
+		degrade: true,
+		dial:    dial,
+		members: make(map[string]*memberSlot),
+		ring:    membership.BuildRing(nil, membership.DefaultVnodes),
+	}, nil
 }
 
-// Setup implements core.ExternalEvaluator: partition X and e and ship the
-// partitions to the current fleet per the placement ring. With no members
-// yet, every partition is held on the driver and handed out as workers join.
-func (ec *ElasticCluster) Setup(ctx context.Context, x *matrix.CSR, e []float64) error {
-	return ec.c.Setup(ctx, x, e)
+// LiveMembers returns the IDs of the members in the current view, sorted.
+// A fixed fleet has none.
+func (c *Cluster) LiveMembers() []string {
+	c.viewMu.Lock()
+	defer c.viewMu.Unlock()
+	return c.liveIDsLocked()
 }
 
-// Eval implements core.ExternalEvaluator, inheriting the static cluster's
-// failover, hedging, and deterministic partition-order merge.
-func (ec *ElasticCluster) Eval(ctx context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
-	return ec.c.Eval(ctx, cols, level)
-}
-
-// Close shuts down every dialed worker.
-func (ec *ElasticCluster) Close() error {
-	ec.mu.Lock()
-	ec.closed = true
-	ec.mu.Unlock()
-	return ec.c.Close()
-}
-
-// LiveMembers returns the IDs of members in the current view, sorted.
-func (ec *ElasticCluster) LiveMembers() []string {
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
-	ids := ec.liveIDsLocked()
-	return ids
-}
-
-func (ec *ElasticCluster) liveIDsLocked() []string {
-	ids := make([]string, 0, len(ec.slots))
-	for id, s := range ec.slots {
-		if s.live {
+func (c *Cluster) liveIDsLocked() []string {
+	c.mu.Lock()
+	ids := make([]string, 0, len(c.members))
+	for id, s := range c.members {
+		if c.inView[s.wi] {
 			ids = append(ids, id)
 		}
 	}
-	// BuildRing sorts internally; sort here too so LiveMembers is stable.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	c.mu.Unlock()
+	sort.Strings(ids)
 	return ids
 }
 
-// place is the Cluster's placement hook: the ring owner's worker slot for a
-// partition, or -1 when no live member owns it.
-func (ec *ElasticCluster) place(part, nParts int) int {
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
-	return ec.placeLocked(part, nParts)
-}
-
-func (ec *ElasticCluster) placeLocked(part, nParts int) int {
-	if ec.ring == nil {
-		return -1
-	}
-	owner, ok := ec.ring.Owner(ec.key64(part, nParts))
-	if !ok {
-		return -1
-	}
-	s := ec.slots[owner]
-	if s == nil || !s.live {
-		return -1
-	}
-	return s.wi
-}
-
-// key64 is the full-width placement key of a partition (wireKey is this with
-// the top bit cleared when seeded; the ring uses all 64 bits).
-func (ec *ElasticCluster) key64(part, nParts int) uint64 {
-	return membership.PartitionKey(ec.c.opts.PlacementSeed, nParts, part)
-}
-
-// warmForKey is the Cluster's Setup-time warm hook: true when the live
-// member in slot wi reported holding this wire key when it was last asked
-// (queryWarm at dial or rejoin time).
-func (ec *ElasticCluster) warmForKey(key, wi int) bool {
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
-	for _, s := range ec.slots {
-		if s.wi == wi && s.live && s.warm[key] {
-			return true
-		}
-	}
-	return false
-}
-
-// ApplyView reconciles the cluster against one membership view: new members
-// are dialed and added, departed members are marked dead (in-flight
-// evaluations on them fail over mid-run), rejoining members are revived —
-// warm when their incarnation is unchanged — and partition placement is
-// rebalanced onto the new ring. Stale views (older than one already applied)
-// are ignored. It never fails the cluster: a member that cannot be dialed
-// is simply not added, and Follow retries on its next tick.
-func (ec *ElasticCluster) ApplyView(ctx context.Context, v membership.View) {
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
-	if ec.closed || (v.Version != 0 && v.Version < ec.version) {
+// ApplyView reconciles a membership fleet with one view: new members are
+// dialed and added, departed members are marked dead (in-flight evaluations
+// on them fail over mid-run), rejoining members are revived — warm when
+// their incarnation is unchanged — and partition placement is rebalanced
+// onto the new ring. Stale views (older than one already applied) are
+// ignored. It never fails the cluster: a member that cannot be dialed is
+// simply not added, and Follow retries on its next tick.
+//
+// On a fixed fleet ApplyView changes nothing: the worker list is the whole
+// fleet.
+func (c *Cluster) ApplyView(ctx context.Context, v membership.View) {
+	c.viewMu.Lock()
+	defer c.viewMu.Unlock()
+	if c.dial == nil || c.closed || (v.Version != 0 && v.Version < c.version) {
 		return
 	}
-	ec.version = v.Version
+	c.version = v.Version
 
 	inView := make(map[string]membership.Member, len(v.Members))
 	for _, m := range v.Members {
 		inView[m.ID] = m
 	}
 	// Departures first, so their slots are dead before placement reconverges.
-	for id, s := range ec.slots {
-		if _, ok := inView[id]; !ok && s.live {
-			s.live = false
-			ec.c.markDead(s.wi)
-			ec.c.ob.leaves.Inc()
+	for id, s := range c.members {
+		if _, ok := inView[id]; !ok && c.leave(s.wi) {
+			c.ob.leaves.Inc()
 		}
 	}
 	for id, m := range inView {
-		s := ec.slots[id]
+		s := c.members[id]
 		switch {
 		case s == nil:
-			w, err := ec.dial(ctx, m)
+			w, err := c.dial(ctx, m)
 			if err != nil {
 				continue // not reachable yet; Follow's next tick retries
 			}
-			s = &memberSlot{member: m, wi: ec.c.addWorker(w), live: true}
-			s.warm = ec.queryWarm(ctx, w)
-			ec.slots[id] = s
-			ec.c.ob.joins.Inc()
-		case !s.live || s.member != m:
+			c.members[id] = &memberSlot{member: m, wi: c.addSlot(w, c.queryWarm(ctx, w))}
+			c.ob.joins.Inc()
+		case !c.inViewAt(s.wi) || s.member != m:
 			if m.Addr != s.member.Addr {
 				// Re-homed: the old slot's connection dials the old address.
 				// Retire it and dial the new home into a fresh slot.
-				ec.c.markDead(s.wi)
-				w, err := ec.dial(ctx, m)
+				c.leave(s.wi)
+				w, err := c.dial(ctx, m)
 				if err != nil {
-					s.live = false
 					continue
 				}
-				s.wi = ec.c.addWorker(w)
+				s.wi = c.addSlot(w, c.queryWarm(ctx, w))
 			} else {
-				ec.c.reviveWorker(s.wi)
+				// An unchanged incarnation means the process never died — its
+				// partitions are still loaded and re-attach warm. A higher one
+				// is a restarted, amnesiac process; asking it (queryWarm)
+				// returns the truth either way.
+				w, _ := c.slot(s.wi)
+				c.rejoin(s.wi, c.queryWarm(ctx, w))
 			}
-			// An unchanged incarnation means the process never died — its
-			// partitions are still loaded and re-attach warm. A higher one is
-			// a restarted, amnesiac process; asking it (queryWarm) returns
-			// the truth either way.
-			s.warm = ec.queryWarm(ctx, ec.c.workerAt(s.wi))
 			s.member = m
-			s.live = true
-			ec.c.ob.joins.Inc()
+			c.ob.joins.Inc()
 		}
 	}
-	ids := ec.liveIDsLocked()
-	ec.ring = membership.BuildRing(ids, ec.vnodes)
-	ec.c.ob.members.Set(float64(len(ids)))
-	ec.rebalanceLocked(ctx)
+	ids := c.liveIDsLocked()
+	c.ring = membership.BuildRing(ids, membership.DefaultVnodes)
+	c.ob.members.Set(float64(len(ids)))
+	c.rebalanceLocked(ctx)
+}
+
+func (c *Cluster) inViewAt(wi int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.inView[wi]
+}
+
+// leave takes slot wi out of the view and marks it dead. It reports whether
+// the slot was in the view.
+func (c *Cluster) leave(wi int) bool {
+	c.mu.Lock()
+	was := c.inView[wi]
+	c.inView[wi] = false
+	c.mu.Unlock()
+	if was {
+		c.markDead(wi)
+	}
+	return was
+}
+
+// rejoin puts slot wi back in the view, live, holding the given keys.
+func (c *Cluster) rejoin(wi int, held map[int]bool) {
+	c.mu.Lock()
+	was := c.alive[wi]
+	c.inView[wi] = true
+	c.alive[wi] = true
+	c.strikes[wi] = 0
+	c.held[wi] = held
+	c.mu.Unlock()
+	if !was {
+		c.ob.resurrections.Inc()
+		c.decide(Decision{Kind: DecideResurrect, Part: -1, Worker: wi, Target: -1})
+	}
 }
 
 // queryWarm asks a worker which partition keys it holds, bounded by the
 // heartbeat timeout. Workers without the PartitionLister capability (or
 // failing the call) report cold — the only cost is a re-ship.
-func (ec *ElasticCluster) queryWarm(ctx context.Context, w Worker) map[int]bool {
+func (c *Cluster) queryWarm(ctx context.Context, w Worker) map[int]bool {
 	pl, ok := w.(PartitionLister)
 	if !ok {
 		return nil
 	}
-	qctx, cancel := context.WithTimeout(ctx, ec.c.opts.HeartbeatTimeout)
+	qctx, cancel := context.WithTimeout(ctx, c.opts.HeartbeatTimeout)
 	defer cancel()
 	keys, err := pl.Parts(qctx)
 	if err != nil || len(keys) == 0 {
@@ -284,46 +221,45 @@ func (ec *ElasticCluster) queryWarm(ctx context.Context, w Worker) map[int]bool 
 // every partition whose ring owner differs from its assignment moves there —
 // without any data motion when the owner is warm for the partition's key.
 // A failed ship leaves the old assignment for the mid-run failover (or
-// degraded local) path to handle. Callers hold ec.mu.
-func (ec *ElasticCluster) rebalanceLocked(ctx context.Context) {
-	nParts := ec.c.partitionCount()
+// degraded local) path to handle. Callers hold viewMu.
+func (c *Cluster) rebalanceLocked(ctx context.Context) {
+	nParts := c.partitionCount()
 	if nParts == 0 {
 		return // before Setup (or a zero-row dataset): nothing placed yet
 	}
-	sp := obs.Start(ec.c.opts.Tracer, "dist.rebalance")
+	sp := obs.Start(c.opts.Tracer, "dist.rebalance")
 	defer sp.End()
-	sp.SetInt("version", int64(ec.version))
+	sp.SetInt("version", int64(c.version))
 	sp.SetInt("partitions", int64(nParts))
 	moved, warm := 0, 0
 	for p := 0; p < nParts; p++ {
-		desired := ec.placeLocked(p, nParts)
-		cur := ec.c.assignOf(p)
+		desired := c.placeLocked(p, nParts)
+		cur := c.assignOf(p)
 		if desired < 0 || desired == cur {
 			// No live owner: keep the current assignment; if that worker is
 			// gone too, the eval chain degrades to the driver.
 			continue
 		}
-		owner, _ := ec.ring.Owner(ec.key64(p, nParts))
-		if s := ec.slots[owner]; s != nil && s.warm[ec.c.wireKey(p)] {
+		if c.warmAt(desired, c.wireKey(p)) {
 			// The owner already holds this partition from a previous run or
 			// a pre-flap load — re-attach without re-shipping the rows.
-			ec.c.setAssign(p, desired)
-			ec.c.ob.warmAttach.Inc()
-			ec.c.decide(Decision{Kind: DecideWarmAttach, Part: p, Worker: desired, Target: -1})
+			c.setAssign(p, desired)
+			c.ob.warmAttach.Inc()
+			c.decide(Decision{Kind: DecideWarmAttach, Part: p, Worker: desired, Target: -1})
 			warm++
 			continue
 		}
 		// Bound the ship so a hung target cannot wedge view application.
-		lctx, cancel := context.WithTimeout(ctx, ec.c.opts.HeartbeatTimeout)
-		err := ec.c.loadPartition(obs.ContextWith(lctx, sp), desired, p)
+		lctx, cancel := context.WithTimeout(ctx, c.opts.HeartbeatTimeout)
+		err := c.loadPartition(obs.ContextWith(lctx, sp), desired, p)
 		cancel()
 		if err != nil {
 			sp.Event(fmt.Sprintf("partition %d failed to ship to worker %d: %v", p, desired, err))
 			continue
 		}
-		ec.c.setAssign(p, desired)
-		ec.c.ob.rebalances.Inc()
-		ec.c.decide(Decision{Kind: DecideRebalance, Part: p, Worker: cur, Target: desired})
+		c.setAssign(p, desired)
+		c.ob.rebalances.Inc()
+		c.decide(Decision{Kind: DecideRebalance, Part: p, Worker: cur, Target: desired})
 		moved++
 	}
 	sp.SetInt("moved", int64(moved))
@@ -333,15 +269,19 @@ func (ec *ElasticCluster) rebalanceLocked(ctx context.Context) {
 // Follow tracks a registrar until stop is called (or ctx ends): the initial
 // snapshot is applied immediately, every view change as it is published, and
 // the latest view again on a lease-interval ticker — the retry path for
-// members whose dial failed on first sight.
-func (ec *ElasticCluster) Follow(ctx context.Context, reg *membership.Registrar) (stop func()) {
+// members whose dial failed on first sight. A fixed fleet has no view to
+// follow: Follow returns at once and never touches reg.
+func (c *Cluster) Follow(ctx context.Context, reg *membership.Registrar) (stop func()) {
+	if c.dial == nil {
+		return func() {}
+	}
 	ch, cancelWatch := reg.Watch()
 	fctx, cancel := context.WithCancel(ctx)
 	// Apply the current view before returning: a caller that runs Setup
 	// right after Follow must place partitions on the fleet that already
 	// exists, not race the watcher goroutine and hold everything on the
 	// driver until the first mid-run rebalance.
-	ec.ApplyView(fctx, reg.Snapshot())
+	c.ApplyView(fctx, reg.Snapshot())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -352,9 +292,9 @@ func (ec *ElasticCluster) Follow(ctx context.Context, reg *membership.Registrar)
 			case <-fctx.Done():
 				return
 			case v := <-ch:
-				ec.ApplyView(fctx, v)
+				c.ApplyView(fctx, v)
 			case <-ticker.C:
-				ec.ApplyView(fctx, reg.Snapshot())
+				c.ApplyView(fctx, reg.Snapshot())
 			}
 		}
 	}()

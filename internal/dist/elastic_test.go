@@ -1,11 +1,17 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sliceline/internal/core"
 	"sliceline/internal/dist"
@@ -296,5 +302,103 @@ func TestElasticCrossJobWarmAttach(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.TopK, second.TopK) {
 		t.Fatal("warm-attached result differs from the shipped one")
+	}
+}
+
+// TestElasticMembersExportQueueDepth: every dialed member's worker slot
+// exports its sl_dist_worker_inflight series, like a fixed fleet's workers.
+func TestElasticMembersExportQueueDepth(t *testing.T) {
+	reg := obs.NewRegistry()
+	ec, err := dist.NewElasticCluster(testDialer(map[string]dist.Worker{
+		"w1": &dist.InProcessWorker{},
+		"w2": &dist.InProcessWorker{},
+	}), dist.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+	ec.ApplyView(context.Background(), view(1, fleetMember("w1", 1), fleetMember("w2", 1)))
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for wi := 0; wi < 2; wi++ {
+		if series := fmt.Sprintf(`sl_dist_worker_inflight{worker="%d"}`, wi); !strings.Contains(buf.String(), series) {
+			t.Errorf("no %s series for a dialed member", series)
+		}
+	}
+}
+
+// TestElasticConcurrentViewChurn: a second goroutine applies views — joins,
+// departures, same-incarnation flaps, restarts and full fleet loss — while
+// runs set up and evaluate on the same cluster, so view application races
+// Setup and Eval instead of landing between levels. Every run must stay
+// bit-identical to the single-member reference.
+func TestElasticConcurrentViewChurn(t *testing.T) {
+	ds, e := chaosDataset(98, 300, 4, 4)
+	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
+	ref := elasticRef(t, cfg, dsPair{ds, e})
+
+	pool := map[string]dist.Worker{
+		"m0": &dist.InProcessWorker{},
+		"m1": &dist.InProcessWorker{},
+		"m2": &dist.InProcessWorker{},
+	}
+	ec, err := dist.NewElasticCluster(testDialer(pool), dist.Options{Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+	script := newFleetScript(ec, "m0", "m1", "m2")
+	script.live["m0"] = true
+	script.apply()
+
+	var applied atomic.Int64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(98))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if rng.Intn(8) == 0 {
+				for id := range script.live {
+					script.live[id] = false
+				}
+				script.apply()
+			} else {
+				script.step(rng.Intn(4))
+			}
+			applied.Add(1)
+			time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+		}
+	}()
+
+	// Keep running until the churn has had time to land everywhere: at
+	// least 8 runs and 64 applied views.
+	c := cfg
+	c.Evaluator = ec
+	deadline := time.Now().Add(30 * time.Second)
+	for run := 0; run < 8 || (applied.Load() < 64 && time.Now().Before(deadline)); run++ {
+		got, err := runDS(ds, e, c)
+		if err != nil {
+			t.Errorf("run %d: %v", run, err)
+			break
+		}
+		if !reflect.DeepEqual(got.TopK, ref.TopK) {
+			t.Errorf("run %d: top-K under concurrent view churn differs from the reference:\n got %v\nwant %v",
+				run, got.TopK, ref.TopK)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := applied.Load(); n < 64 {
+		t.Fatalf("only %d views applied while the runs evaluated", n)
 	}
 }

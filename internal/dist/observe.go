@@ -35,13 +35,14 @@ type distObs struct {
 	members    *obs.Gauge
 
 	partitions *obs.Gauge
-	inflight   []*obs.Gauge // per worker, sl_dist_worker_inflight{worker="N"}
+
+	reg *obs.Registry // for the per-slot gauges, registered as slots appear
 }
 
-func newDistObs(r *obs.Registry, workers int) distObs {
+func newDistObs(r *obs.Registry) distObs {
 	const rpcHelp = "Latency of worker RPCs by operation."
 	const errHelp = "Failed worker RPCs by operation."
-	d := distObs{
+	return distObs{
 		evalSecs: r.Histogram(`sl_dist_rpc_seconds{op="eval"}`, rpcHelp, nil),
 		loadSecs: r.Histogram(`sl_dist_rpc_seconds{op="load"}`, rpcHelp, nil),
 		pingSecs: r.Histogram(`sl_dist_rpc_seconds{op="ping"}`, rpcHelp, nil),
@@ -66,24 +67,16 @@ func newDistObs(r *obs.Registry, workers int) distObs {
 		members:    r.Gauge("sl_dist_members", "Live fleet members known to the elastic cluster."),
 
 		partitions: r.Gauge("sl_dist_partitions", "Row partitions shipped at Setup."),
+
+		reg: r,
 	}
-	if r != nil {
-		d.inflight = make([]*obs.Gauge, workers)
-		for i := range d.inflight {
-			d.inflight[i] = r.Gauge(fmt.Sprintf(`sl_dist_worker_inflight{worker="%d"}`, i),
-				"In-flight RPCs per worker (queue depth).")
-		}
-	}
-	return d
 }
 
-// inflightFor returns the queue-depth gauge of one worker; nil (inert) when
-// metrics are disabled or the index is out of range.
-func (d *distObs) inflightFor(wi int) *obs.Gauge {
-	if wi < 0 || wi >= len(d.inflight) {
-		return nil
-	}
-	return d.inflight[wi]
+// workerGauge registers the queue-depth gauge of worker slot wi; nil (inert)
+// when metrics are disabled.
+func (d *distObs) workerGauge(wi int) *obs.Gauge {
+	return d.reg.Gauge(fmt.Sprintf(`sl_dist_worker_inflight{worker="%d"}`, wi),
+		"In-flight RPCs per worker (queue depth).")
 }
 
 // svcObs bundles the worker-process-side metric handles of a Service. Like

@@ -228,13 +228,6 @@ func (h *HedgePolicy) Threshold() (time.Duration, bool) {
 // partitions complete, so a waiter should re-check periodically.
 func (h *HedgePolicy) Adaptive() bool { return h != nil && h.fixed <= 0 && h.mult > 0 }
 
-// ShouldHedge reports whether a partition that has been running for elapsed
-// counts as a straggler right now.
-func (h *HedgePolicy) ShouldHedge(elapsed time.Duration) bool {
-	th, ok := h.Threshold()
-	return ok && elapsed >= th
-}
-
 // DecisionKind enumerates the scheduling decisions the runtime announces.
 type DecisionKind int
 

@@ -105,12 +105,6 @@ func TestHedgePolicyFixed(t *testing.T) {
 	if h.Adaptive() {
 		t.Fatal("fixed policy reported adaptive")
 	}
-	if h.ShouldHedge(29 * time.Millisecond) {
-		t.Fatal("hedged below the fixed threshold")
-	}
-	if !h.ShouldHedge(30 * time.Millisecond) {
-		t.Fatal("did not hedge at the fixed threshold")
-	}
 }
 
 func TestHedgePolicyAdaptive(t *testing.T) {
@@ -148,7 +142,7 @@ func TestHedgePolicyDisabled(t *testing.T) {
 	}
 	var h *HedgePolicy
 	h.Record(time.Second) // must not panic
-	if h.ShouldHedge(time.Hour) {
+	if _, ok := h.Threshold(); ok {
 		t.Fatal("nil policy hedged")
 	}
 	if h.Adaptive() {

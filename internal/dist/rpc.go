@@ -104,16 +104,16 @@ type PingReply struct{}
 // PartsArgs is the (empty) request of the held-partition query.
 type PartsArgs struct{}
 
-// PartsReply lists the partition keys a worker currently holds. The elastic
-// cluster asks a rejoining worker so warm partitions re-attach by key
-// instead of being re-shipped.
+// PartsReply lists the partition keys a worker currently holds. A
+// membership fleet asks a rejoining worker so warm partitions re-attach by
+// key instead of being re-shipped.
 type PartsReply struct {
 	Keys []int
 }
 
 // PartitionLister is the optional Worker capability behind warm re-attach:
-// a worker that can report which partition keys it holds lets the elastic
-// cluster skip re-shipping data a rejoining member never lost.
+// a worker that can report which partition keys it holds lets a membership
+// fleet skip re-shipping data a rejoining member never lost.
 type PartitionLister interface {
 	Parts(ctx context.Context) ([]int, error)
 }
@@ -694,7 +694,7 @@ func (w *RemoteWorker) Parts(ctx context.Context) ([]int, error) {
 // ParseWorkerList parses a comma-separated -workers flag value into a clean
 // address list: entries are trimmed, empty entries are dropped, a value with
 // no addresses at all is an error, and duplicate addresses are rejected — a
-// duplicate would silently halve a static cluster's capacity by shipping two
+// duplicate would silently halve a fixed fleet's capacity by shipping two
 // partitions to one process.
 func ParseWorkerList(s string) ([]string, error) {
 	var out []string
@@ -717,8 +717,8 @@ func ParseWorkerList(s string) ([]string, error) {
 }
 
 // DialCluster dials every worker address (as ParseWorkerList returns them)
-// and assembles a static Dist-PFor cluster over the connections. If a dial
-// fails, the workers already dialed are closed before the error returns.
+// and assembles a fixed-fleet Dist-PFor cluster over the connections. If a
+// dial fails, the workers already dialed are closed before the error returns.
 func DialCluster(addrs []string, opts Options) (*Cluster, error) {
 	workers := make([]Worker, 0, len(addrs))
 	for _, a := range addrs {

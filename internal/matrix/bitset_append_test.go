@@ -124,7 +124,7 @@ func TestRemapColsErrors(t *testing.T) {
 		t.Error("duplicate target: want error")
 	}
 	// cb must be unchanged after the failed calls.
-	if cb.Cols() != 3 || !cb.Bit(0, 0) {
+	if cb.Cols() != 3 || !bitAt(cb, 0, 0) {
 		t.Error("failed RemapCols mutated the bitset")
 	}
 }

@@ -1,9 +1,24 @@
 package matrix
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
+
+// bitAt reports whether row i is set in column c of cb.
+func bitAt(cb *ColumnBits, c, i int) bool {
+	return cb.Col(c)[i>>6]&(uint64(1)<<uint(i&63)) != 0
+}
+
+// popCount returns the number of rows set in column c of cb.
+func popCount(cb *ColumnBits, c int) int {
+	n := 0
+	for _, w := range cb.Col(c) {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // randomCSR01 builds a random 0/1 CSR matrix with the given density,
 // optionally planting explicit stored zeros (which PackColumns must skip,
@@ -43,7 +58,7 @@ func TestPackColumnsMatchesCSR(t *testing.T) {
 		for c := 0; c < sh.cols; c++ {
 			for i := 0; i < sh.rows; i++ {
 				want := x.At(i, c) != 0
-				if got := cb.Bit(c, i); got != want {
+				if got := bitAt(cb, c, i); got != want {
 					t.Fatalf("%dx%d: bit (%d,%d) = %v, want %v", sh.rows, sh.cols, c, i, got, want)
 				}
 			}
@@ -61,7 +76,7 @@ func TestPackColumnsRaggedTailZero(t *testing.T) {
 			ts = append(ts, Triple{Row: i, Col: 0, Val: 1})
 		}
 		cb := PackColumns(CSRFromTriples(rows, 1, ts))
-		if got := cb.CountCol(0); got != rows {
+		if got := popCount(cb, 0); got != rows {
 			t.Fatalf("rows=%d: all-ones column popcount %d", rows, got)
 		}
 		last := cb.Col(0)[cb.Words()-1]
@@ -81,11 +96,11 @@ func TestPackColumnsEmptyAndDegenerate(t *testing.T) {
 		if cb.Rows() != sh.rows || cb.Cols() != sh.cols {
 			t.Fatalf("%dx%d: packed shape %dx%d", sh.rows, sh.cols, cb.Rows(), cb.Cols())
 		}
-		if cb.MemBytes() != int64(sh.cols*((sh.rows+63)/64))*8 {
-			t.Fatalf("%dx%d: MemBytes %d", sh.rows, sh.cols, cb.MemBytes())
+		if len(cb.bits) != sh.cols*((sh.rows+63)/64) {
+			t.Fatalf("%dx%d: %d packed words", sh.rows, sh.cols, len(cb.bits))
 		}
 		for c := 0; c < sh.cols; c++ {
-			if cb.CountCol(c) != 0 {
+			if popCount(cb, c) != 0 {
 				t.Fatalf("%dx%d: empty matrix has set bits in column %d", sh.rows, sh.cols, c)
 			}
 		}
@@ -120,15 +135,15 @@ func FuzzBitsetPack(f *testing.F) {
 			count := 0
 			for i := 0; i < rows; i++ {
 				want := x.At(i, c) != 0
-				if cb.Bit(c, i) != want {
+				if bitAt(cb, c, i) != want {
 					t.Fatalf("bit (%d,%d) mismatch", c, i)
 				}
 				if want {
 					count++
 				}
 			}
-			if cb.CountCol(c) != count {
-				t.Fatalf("column %d popcount %d, want %d", c, cb.CountCol(c), count)
+			if popCount(cb, c) != count {
+				t.Fatalf("column %d popcount %d, want %d", c, popCount(cb, c), count)
 			}
 		}
 	})

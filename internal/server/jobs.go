@@ -492,9 +492,10 @@ func (s *Server) journalFailed(site string, err error) {
 
 // runJobReal is the production job runner (Server.runJob): it wires the
 // job's event log, checkpoint path, observability and evaluator into the
-// core enumeration. Distributed jobs serialize on distMu because TCP
-// workers key partitions by id in one shared map — two concurrent clusters
-// would overwrite each other's shipped partitions.
+// core enumeration. Distributed jobs on the fixed fleet serialize on distMu
+// because TCP workers key partitions by id in one shared map and a fixed
+// fleet's keys are bare indices — two concurrent clusters would overwrite
+// each other's shipped partitions.
 func (s *Server) runJobReal(ctx context.Context, j *job) (*core.Result, error) {
 	cfg := j.cfg
 	cfg.Tracer = s.cfg.Tracer
@@ -545,33 +546,34 @@ func (s *Server) runJobReal(ctx context.Context, j *job) (*core.Result, error) {
 		opts := s.cfg.Dist
 		opts.Tracer = s.cfg.Tracer
 		opts.Metrics = s.cfg.Metrics
+		var cluster *dist.Cluster
+		var err error
 		if s.cfg.Membership != nil {
-			// Elastic fleet: partition keys are content-addressed by the
-			// dataset signature of the job's generation, so concurrent jobs
-			// on shared workers cannot collide — and a partition shipped for
-			// an earlier generation can never answer for a newer one. The
-			// cluster follows the registrar for the job's duration, so
-			// members that join, crash, or flap mid-run are absorbed by
-			// rebalancing.
-			opts.PlacementSeed = j.snap.Sig
-			cluster, err := dist.NewElasticCluster(dist.MemberDialer(dist.DialOptions{}), opts)
-			if err != nil {
-				return nil, fmt.Errorf("server: building elastic cluster: %w", err)
-			}
-			defer cluster.Close()
-			stop := cluster.Follow(ctx, s.cfg.Membership)
-			defer stop()
-			cfg.Evaluator = cluster
+			// Membership fleet: partition keys are content-addressed by
+			// what the job ships — core hands the evaluator the columns
+			// that clear the resolved σ, so the seed is the job's data
+			// signature together with its configuration signature.
+			// Concurrent jobs on shared workers cannot collide, and a
+			// partition shipped for another generation or σ can never
+			// answer for this job.
+			opts.PlacementSeed = core.CombineSignatures(j.key.dataSig, j.key.cfgSig)
+			cluster, err = dist.NewElasticCluster(dist.MemberDialer(dist.DialOptions{}), opts)
 		} else {
+			// Fixed fleet: bare partition keys would collide on the shared
+			// workers, so these jobs run one at a time.
 			s.distMu.Lock()
 			defer s.distMu.Unlock()
-			cluster, err := dist.DialCluster(s.cfg.DistWorkers, opts)
-			if err != nil {
-				return nil, fmt.Errorf("server: dialing workers: %w", err)
-			}
-			defer cluster.Close()
-			cfg.Evaluator = cluster
+			cluster, err = dist.DialCluster(s.cfg.DistWorkers, opts)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("server: building cluster: %w", err)
+		}
+		defer cluster.Close()
+		// A membership fleet follows the registrar for the job's duration,
+		// so members that join, crash, or flap mid-run are absorbed by
+		// rebalancing; a fixed fleet has no view to follow.
+		defer cluster.Follow(ctx, s.cfg.Membership)()
+		cfg.Evaluator = cluster
 	}
 	if j.spec.Mode == ModeDiff {
 		return core.RunDiff(ctx, j.snap.Enc, j.snap.DS.Features, j.baseSnap.ErrVec, j.snap.ErrVec, cfg)

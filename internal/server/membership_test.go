@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -205,5 +206,78 @@ func TestClusterEndpointRequiresMembership(t *testing.T) {
 	_, ts := newTestServer(t, Config{Pool: 1, QueueDepth: 2})
 	if _, code := fetchCluster(t, ts.URL); code != http.StatusNotFound {
 		t.Fatalf("GET /v1/cluster without membership: status %d, want 404", code)
+	}
+}
+
+// sigmaCSV renders 300 rows whose first feature has one common value and
+// eight rare ones (5 rows each). σ = 30 drops the rare values' columns,
+// which sit before b's and c's in the one-hot layout, so the matrix a job
+// ships depends on σ. Rows with b=b1 and c=c2 carry the planted error.
+func sigmaCSV() string {
+	var b strings.Builder
+	b.WriteString("a,b,c,err\n")
+	for i := 0; i < 300; i++ {
+		a := "a0"
+		if i < 40 {
+			a = fmt.Sprintf("a%d", 1+i%8)
+		}
+		e := 0.1
+		if i%2 == 1 && i%3 == 2 {
+			e = 1.0
+		}
+		fmt.Fprintf(&b, "%s,b%d,c%d,%g\n", a, i%2, i%3, e)
+	}
+	return b.String()
+}
+
+// TestElasticJobsWithDifferentSigmaDoNotShareParts: two jobs over one dataset
+// generation ship different matrices when their σ differs. Their partition
+// keys must differ too, or the second job re-attaches warm to partitions
+// holding the first job's columns and returns a wrong top-K as done.
+func TestElasticJobsWithDifferentSigmaDoNotShareParts(t *testing.T) {
+	addrs := startDistWorkers(t, 1)
+	reg := membership.NewRegistrar(membership.RegistrarConfig{})
+	mustAnnounce(t, reg, "w1", addrs[0], 1)
+	_, ts := newTestServer(t, Config{Pool: 1, QueueDepth: 4, Membership: reg})
+
+	csv := sigmaCSV()
+	info, code := registerCSV(t, ts, csv, "err=err&name=sigma")
+	if code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	entry, err := buildDataset(strings.NewReader(csv), registerOptions{Err: "err", Name: "sigma"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sigma := range []int{3, 30} {
+		spec := JobSpec{Dataset: info.ID, Evaluator: EvalDist, Config: JobConfig{K: 4, Sigma: sigma}}
+		ji, code, body := postJob(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("σ=%d: submit: status %d: %s", sigma, code, body)
+		}
+		done := waitJob(t, ts, ji.ID, 30*time.Second)
+		if done.Status != string(jobDone) {
+			t.Fatalf("σ=%d: job finished %q: %s", sigma, done.Status, done.Error)
+		}
+		want, err := json.Marshal(elasticReference(t, entry, spec.Config.ToCore().WithDefaults(entry.DS.NumRows())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canonicalResult(t, done.Result) != canonicalResult(t, want) {
+			t.Fatalf("σ=%d: fleet result differs from the single-member reference:\n got %s\nwant %s",
+				sigma, done.Result, want)
+		}
+	}
+}
+
+// TestNewRefusesBothFleetSources: a job's fleet is a fixed worker list or a
+// membership registrar. A Config naming both would advertise a list that no
+// job uses, so New refuses it.
+func TestNewRefusesBothFleetSources(t *testing.T) {
+	reg := membership.NewRegistrar(membership.RegistrarConfig{})
+	s, err := New(Config{Pool: 1, DistWorkers: []string{"127.0.0.1:1"}, Membership: reg})
+	if err == nil {
+		s.Shutdown(context.Background()) //nolint:errcheck // the test already fails
+		t.Fatal("New accepted a Config with both DistWorkers and Membership")
 	}
 }

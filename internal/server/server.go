@@ -11,6 +11,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -58,9 +59,10 @@ type Config struct {
 	// Membership, when non-nil, switches distributed jobs to the elastic
 	// fleet: workers announce themselves to this registrar (slworker -join)
 	// instead of being listed in DistWorkers, partitions are placed by
-	// consistent hash of the dataset signature, and jobs survive mid-run
-	// joins, crashes, and full fleet loss (degrading to driver-local
-	// evaluation). DistWorkers is ignored for placement when set.
+	// consistent hash of the job's data and configuration signatures, and
+	// jobs survive mid-run joins, crashes, and full fleet loss (degrading to
+	// driver-local evaluation). A job's fleet is one or the other: New
+	// refuses a Config that sets both DistWorkers and Membership.
 	Membership *membership.Registrar
 	// Tracer, when non-nil, receives one span tree per job (server.job →
 	// core.run → levels/evals/RPCs).
@@ -98,7 +100,7 @@ type Server struct {
 
 	nextID atomic.Int64
 	wg     sync.WaitGroup
-	distMu sync.Mutex // serializes static dist jobs: workers share one partition map
+	distMu sync.Mutex // serializes fixed-fleet dist jobs: workers share one partition map
 
 	// journalLogAt rate-limits the journal-write-failure log line (the
 	// counter records every failure; the log fires at most once per window).
@@ -112,6 +114,9 @@ type Server struct {
 // New builds a Server, restores the journal (when configured), and starts
 // the worker pool.
 func New(cfg Config) (*Server, error) {
+	if len(cfg.DistWorkers) > 0 && cfg.Membership != nil {
+		return nil, errors.New("server: Config sets both DistWorkers and Membership; a job's fleet is one or the other")
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,

@@ -115,9 +115,7 @@ func TestFidelityFailover(t *testing.T) {
 	sched := faults.NewSchedule().
 		On(faults.OpEval, 0, faults.Action{Kind: faults.CrashBefore}).
 		On(faults.OpLoad, 1, faults.Action{Kind: faults.CrashBefore})
-	real := realDecisions(t, 3, map[int]*faults.Schedule{1: sched}, dist.Options{
-		Partitions: 3,
-	}, 6)
+	real := realDecisions(t, 3, map[int]*faults.Schedule{1: sched}, dist.Options{}, 6)
 
 	sim := simDecisions(t, fidelityScenario(3, []ScriptRule{
 		{Worker: 1, Op: "eval", Call: 0, Kind: "crash-before"},
@@ -139,7 +137,6 @@ func TestFidelityHedge(t *testing.T) {
 	sched := faults.NewSchedule().
 		On(faults.OpEval, 0, faults.Action{Kind: faults.Delay, Delay: 300 * time.Millisecond})
 	real := realDecisions(t, 2, map[int]*faults.Schedule{1: sched}, dist.Options{
-		Partitions: 2,
 		HedgeDelay: 30 * time.Millisecond,
 	}, 4)
 
@@ -167,7 +164,6 @@ func TestFidelityEviction(t *testing.T) {
 		w1.On(faults.OpPing, call, faults.Action{Kind: faults.CrashBefore})
 	}
 	real := realDecisions(t, 2, map[int]*faults.Schedule{0: w0, 1: w1}, dist.Options{
-		Partitions:        2,
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatStrikes:  2,
 	}, 4)

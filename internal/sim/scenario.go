@@ -109,7 +109,8 @@ type FaultPlan struct {
 // scan every LeaseMS strikes out silent members per membership.LeaseStep,
 // and every view change rebuilds the consistent-hash ring and rebalances
 // partition placement onto it (warm re-attach when the owner still holds
-// the partition). Implies driver-local fallback, like dist.ElasticCluster.
+// the partition). The driver evaluates a partition itself once no live
+// worker remains, like dist.NewElasticCluster's membership fleet.
 type MembershipPlan struct {
 	LeaseMS int `json:"lease_ms,omitempty"`
 	Strikes int `json:"strikes,omitempty"`
@@ -149,11 +150,6 @@ type Scenario struct {
 	Service    Service         `json:"service"`
 	Faults     *FaultPlan      `json:"faults,omitempty"`
 	Membership *MembershipPlan `json:"membership,omitempty"`
-
-	// LocalFallback lets the driver evaluate a partition itself when no live
-	// worker remains, like dist.Options.LocalFallback. Forced on in
-	// membership (elastic) mode.
-	LocalFallback bool `json:"local_fallback,omitempty"`
 
 	Grid Grid `json:"grid"`
 }

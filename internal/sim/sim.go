@@ -103,7 +103,8 @@ type runner struct {
 	hbTimeout   time.Duration
 	hbInterval  time.Duration
 
-	// Membership (elastic) state, mirroring Registrar + ElasticCluster.
+	// Membership (elastic) state, mirroring Registrar and a membership-fleet
+	// dist.Cluster, which degrades to the driver when the fleet empties.
 	elastic     bool
 	lease       time.Duration
 	leaseLimit  int
@@ -497,7 +498,7 @@ func (r *runner) setupPart(p int, setupStart time.Duration) {
 
 func (r *runner) setupLoad(p, wi int, setupStart time.Duration) {
 	if wi < 0 {
-		if !r.sc.LocalFallback && !r.elastic {
+		if !r.elastic {
 			r.fail(fmt.Errorf("sim: no live worker accepts partition %d", p))
 			return
 		}
@@ -535,14 +536,12 @@ type chain struct {
 	onDone    func(winner int, ok bool)
 }
 
-func (r *runner) localFallback() bool { return r.sc.LocalFallback || r.elastic }
-
 func (r *runner) chainStep(ch *chain) {
 	if ch.cancelled || r.done {
 		return
 	}
 	if ch.attempt > len(r.workers) {
-		if r.localFallback() {
+		if r.elastic {
 			r.degrade(ch)
 			return
 		}
@@ -593,7 +592,7 @@ func (r *runner) chainStep(ch *chain) {
 func (r *runner) failoverStep(ch *chain) {
 	next := dist.NextLiveWorker(r.alive, ch.avoid)
 	if next < 0 {
-		if r.localFallback() {
+		if r.elastic {
 			r.degrade(ch)
 			return
 		}
@@ -947,7 +946,7 @@ func (r *runner) registrarScan() {
 }
 
 // ringOwner maps partition p to its current ring owner's worker slot, or -1
-// with no members — the ElasticCluster placement function.
+// with no members — a membership-fleet dist.Cluster's placement.
 func (r *runner) ringOwner(p int) int {
 	var ids []string
 	for wi := range r.workers {
