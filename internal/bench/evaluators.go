@@ -44,7 +44,7 @@ func (d *DenseIntermediates) Eval(_ context.Context, cols [][]int, level int) (s
 		var ts []matrix.Triple
 		for s := s0; s < s1; s++ {
 			for _, c := range cols[s] {
-				ts = append(ts, matrix.Triple{Row: s - s0, Col: c, Val: 1})
+				ts = append(ts, matrix.Triple{Row: s - s0, Col: c})
 			}
 		}
 		sMat := matrix.CSRFromTriples(s1-s0, d.x.Cols(), ts)

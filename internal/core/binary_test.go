@@ -168,7 +168,7 @@ func TestBinaryKernelMatchesGeneral(t *testing.T) {
 			checkKernelMatchesGeneral(t, enc, tc.e, tc.w)
 		}
 	}
-	sparse := matrix.CSRFromTriples(128, 128, []matrix.Triple{{Row: 0, Col: 0, Val: 1}})
+	sparse := matrix.CSRFromTriples(128, 128, []matrix.Triple{{Row: 0, Col: 0}})
 	if NewKernel(sparse, make([]float64, 128), nil).Binary() {
 		t.Fatal("fused CSR kernel reported the binary loop")
 	}
@@ -228,7 +228,7 @@ func FuzzBinaryKernel(f *testing.F) {
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
 				if bit(i*cols + j) {
-					ts = append(ts, matrix.Triple{Row: i, Col: j, Val: 1})
+					ts = append(ts, matrix.Triple{Row: i, Col: j})
 				}
 			}
 		}

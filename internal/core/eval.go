@@ -172,8 +172,7 @@ func evalBlockSerial(x *matrix.CSR, e, w []float64, cols [][]int, L, s0, s1 int,
 	n := x.Rows()
 	want := int32(L)
 	for i := 0; i < n; i++ {
-		rowCols, _ := x.RowEntries(i)
-		bi.scanRow(rowCols)
+		bi.scanRow(x.RowEntries(i))
 		ei := e[i]
 		wi := 1.0
 		if w != nil {

@@ -16,12 +16,12 @@ func TestKernelModeSelection(t *testing.T) {
 	// density 1/2, far above 1/64.
 	var dense []matrix.Triple
 	for i := 0; i < 128; i++ {
-		dense = append(dense, matrix.Triple{Row: i, Col: 0, Val: 1}, matrix.Triple{Row: i, Col: 1, Val: 1})
+		dense = append(dense, matrix.Triple{Row: i, Col: 0}, matrix.Triple{Row: i, Col: 1})
 	}
 	xDense := matrix.CSRFromTriples(128, 2, dense)
 	// Ultra-sparse block: one stored entry in a 128x128 matrix ->
 	// density 1/16384, far below 1/64.
-	xSparse := matrix.CSRFromTriples(128, 128, []matrix.Triple{{Row: 0, Col: 0, Val: 1}})
+	xSparse := matrix.CSRFromTriples(128, 128, []matrix.Triple{{Row: 0, Col: 0}})
 
 	e := make([]float64, 128)
 	for _, tc := range []struct {

@@ -59,7 +59,7 @@ func RunReference(ds *frame.Dataset, e []float64, cfg Config) (*Result, error) {
 	for i := 0; i < n; i++ {
 		row := ds.X0.Row(i)
 		for j, code := range row {
-			ts = append(ts, matrix.Triple{Row: i, Col: fb[j] + code - 1, Val: 1})
+			ts = append(ts, matrix.Triple{Row: i, Col: fb[j] + code - 1})
 		}
 	}
 	x := matrix.CSRFromTriples(n, l, ts).ToDense()
@@ -192,8 +192,8 @@ func refPairCandidates(sc scorer, s, r *matrix.Dense, lvl int, sck float64, begR
 	t1 := make([]matrix.Triple, nPairs)
 	t2 := make([]matrix.Triple, nPairs)
 	for k := range pi {
-		t1[k] = matrix.Triple{Row: k, Col: pi[k], Val: 1}
-		t2[k] = matrix.Triple{Row: k, Col: pj[k], Val: 1}
+		t1[k] = matrix.Triple{Row: k, Col: pi[k]}
+		t2[k] = matrix.Triple{Row: k, Col: pj[k]}
 	}
 	p1 := matrix.CSRFromTriples(nPairs, s.Rows(), t1).ToDense()
 	p2 := matrix.CSRFromTriples(nPairs, s.Rows(), t2).ToDense()
@@ -272,7 +272,7 @@ func refPairCandidates(sc scorer, s, r *matrix.Dense, lvl int, sck float64, begR
 	nGroups := len(order)
 	mTrip := make([]matrix.Triple, nPairs)
 	for k, id := range ids {
-		mTrip[k] = matrix.Triple{Row: recode[id], Col: k, Val: 1}
+		mTrip[k] = matrix.Triple{Row: recode[id], Col: k}
 	}
 	mMat := matrix.CSRFromTriples(nGroups, nPairs, mTrip).ToDense()
 

@@ -43,24 +43,27 @@ func (s sigHasher) flag(v bool) {
 func (s sigHasher) sum() uint64 { return s.h.Sum64() }
 
 // DataSignature fingerprints the data inputs of an enumeration run: the
-// one-hot matrix (dimensions and all three CSR components), the error vector
-// and the optional weight vector (nil for unweighted runs). Two datasets with
-// the same signature produce the same enumeration under the same
-// configuration; content-addressed stores (the server's dataset registry)
-// key on it directly.
+// one-hot matrix (dimensions and CSR components), the error vector and the
+// optional weight vector (nil for unweighted runs). Two datasets with the
+// same signature produce the same enumeration under the same configuration;
+// content-addressed stores (the server's dataset registry) key on it
+// directly.
 func DataSignature(enc *frame.Encoding, e, w []float64) uint64 {
 	s := newSigHasher()
 	s.u64(uint64(enc.X.Rows()))
 	s.u64(uint64(enc.X.Cols()))
-	rowPtr, colIdx, val := enc.X.Components()
+	rowPtr, colIdx := enc.X.Components()
 	for _, v := range rowPtr {
 		s.u64(uint64(v))
 	}
 	for _, v := range colIdx {
 		s.u64(uint64(v))
 	}
-	for _, v := range val {
-		s.f64(v)
+	// The CSR once stored a value (always 1) per entry, and the hash covered
+	// it. Hashing that 1 per entry keeps every signature value — dataset
+	// ids, journaled job records and checkpoints name them — unchanged.
+	for range colIdx {
+		s.f64(1)
 	}
 	s.u64(uint64(len(e)))
 	for _, v := range e {

@@ -147,3 +147,25 @@ func TestCheckpointUsesSharedSignature(t *testing.T) {
 		t.Fatal("checkpoint with mismatched signature was accepted")
 	}
 }
+
+// TestSignatureGolden pins the signature values of sigDataset. They name
+// dataset ids (ds_<sig>), the DataSig of journaled job records and the
+// checkpoint signature, so a change to any of them orphans stored state:
+// they may change only together with a migration.
+func TestSignatureGolden(t *testing.T) {
+	enc, e := sigDataset(t)
+	cfg := Config{K: 3, Alpha: 0.9}.WithDefaults(4)
+	for _, tc := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"DataSignature", DataSignature(enc, e, nil), 0x788f434aa0aea2d9},
+		{"weighted DataSignature", DataSignature(enc, e, []float64{1, 1, 1, 2}), 0x3eb88150e8fc9f80},
+		{"ConfigSignature", ConfigSignature(cfg), 0xa1e32b285b7c6d10},
+		{"Signature", Signature(enc, e, nil, cfg), 0x7bdc796e776f21cf},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %#x, want %#x", tc.name, tc.got, tc.want)
+		}
+	}
+}

@@ -61,7 +61,7 @@ func (st *state) sliceSquares(entries []tkEntry) []float64 {
 				continue // retired row: excluded from every aggregate
 			}
 		}
-		cols, _ := st.x.RowEntries(i)
+		cols := st.x.RowEntries(i)
 		wee := wi * ei * ei
 		for j := range entries {
 			if containsSorted(cols, entries[j].cols) {

@@ -167,30 +167,26 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 
 	res := &Result{N: int(sc.n), AvgError: sc.avgErr, Sigma: cfg.Sigma, Alpha: cfg.Alpha}
 
-	// b) Initialization: evaluate all basic (1-predicate) slices in
-	// vectorized form (Equation 4): ss0 = colSums(X), se0 = (eᵀ X)ᵀ, and
-	// sm0 the per-column max error. With weights, row i contributes w[i]
-	// to ss0 and w[i]·e[i] to se0.
-	var ss0, se0 []float64
-	if w == nil {
-		ss0 = matrix.ColSumsCSR(enc.X)
-		se0 = matrix.VecMatCSR(e, enc.X)
-	} else {
-		ss0 = matrix.VecMatCSR(w, enc.X)
-		we := make([]float64, n)
-		for i := range we {
-			we[i] = w[i] * e[i]
-		}
-		se0 = matrix.VecMatCSR(we, enc.X)
-	}
+	// b) Initialization: evaluate all basic (1-predicate) slices
+	// (Equation 4) in one pass over the rows of X: ss0 = colSums(X),
+	// se0 = (eᵀ X)ᵀ and sm0 the per-column max error. Row i contributes
+	// w[i] to ss0 and w[i]·e[i] to se0 (w[i] = 1 when unweighted);
+	// zero-weight (retired) rows are skipped like in every aggregate.
+	ss0 := make([]float64, enc.Width())
+	se0 := make([]float64, enc.Width())
 	sm0 := make([]float64, enc.Width())
 	for i := 0; i < n; i++ {
-		if w != nil && w[i] == 0 {
-			continue // retired row: excluded from the max like every aggregate
+		wi := 1.0
+		if w != nil {
+			if wi = w[i]; wi == 0 {
+				continue
+			}
 		}
 		ei := e[i]
-		colsI, _ := enc.X.RowEntries(i)
-		for _, c := range colsI {
+		wei := wi * ei
+		for _, c := range enc.X.RowEntries(i) {
+			ss0[c] += wi
+			se0[c] += wei
 			if ei > sm0[c] {
 				sm0[c] = ei
 			}

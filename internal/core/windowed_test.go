@@ -60,10 +60,10 @@ func TestZeroWeightExcludedFromMaxError(t *testing.T) {
 	// 4 rows, 2 one-hot columns; row 0 is in both slices, has a huge error,
 	// and is retired (w=0).
 	x := matrix.CSRFromTriples(4, 2, []matrix.Triple{
-		{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: 1},
-		{Row: 1, Col: 0, Val: 1},
-		{Row: 2, Col: 0, Val: 1}, {Row: 2, Col: 1, Val: 1},
-		{Row: 3, Col: 1, Val: 1},
+		{Row: 0, Col: 0}, {Row: 0, Col: 1},
+		{Row: 1, Col: 0},
+		{Row: 2, Col: 0}, {Row: 2, Col: 1},
+		{Row: 3, Col: 1},
 	})
 	e := []float64{100, 0.5, 0.25, 0.125}
 	w := []float64{0, 1, 1, 1}

@@ -20,25 +20,27 @@ import (
 	"sliceline/internal/obs"
 )
 
-// LoadArgs ships a row partition to a remote worker (gob-encoded).
+// LoadArgs ships a row partition to a remote worker (gob-encoded). The
+// one-hot partition is a 0/1 pattern, so its CSR buffers carry no values.
 type LoadArgs struct {
 	Part       int
 	Rows, Cols int
 	RowPtr     []int
 	ColIdx     []int
-	Val        []float64
 	Err        []float64
 }
 
 // loadArgs packs one partition for Service.Load.
 func loadArgs(part int, x *matrix.CSR, e []float64) *LoadArgs {
-	rowPtr, colIdx, val := x.Components()
-	return &LoadArgs{Part: part, Rows: x.Rows(), Cols: x.Cols(), RowPtr: rowPtr, ColIdx: colIdx, Val: val, Err: e}
+	rowPtr, colIdx := x.Components()
+	return &LoadArgs{Part: part, Rows: x.Rows(), Cols: x.Cols(), RowPtr: rowPtr, ColIdx: colIdx, Err: e}
 }
 
-// check rejects a partition the worker could not hold without panicking
-// later: CSR buffers that disagree with each other, column ids outside
-// [0, Cols), or errors that are not finite and non-negative.
+// check rejects a partition the worker could not hold without panicking or
+// miscounting later: CSR buffers that disagree with each other, a row whose
+// column ids are not strictly ascending in [0, Cols) (a repeated id would
+// count the row for candidates it does not hold), or errors that are not
+// finite and non-negative.
 func (a *LoadArgs) check() error {
 	if a.Rows < 0 || a.Cols < 0 {
 		return fmt.Errorf("dist: bad partition: %d rows and %d columns", a.Rows, a.Cols)
@@ -49,18 +51,19 @@ func (a *LoadArgs) check() error {
 	if len(a.Err) != a.Rows {
 		return fmt.Errorf("dist: bad partition: %d errors for %d rows", len(a.Err), a.Rows)
 	}
-	if a.RowPtr[0] != 0 || a.RowPtr[a.Rows] != len(a.ColIdx) || len(a.ColIdx) != len(a.Val) {
-		return fmt.Errorf("dist: bad partition: rowPtr spans [%d, %d] over %d column ids and %d values",
-			a.RowPtr[0], a.RowPtr[a.Rows], len(a.ColIdx), len(a.Val))
+	if a.RowPtr[0] != 0 || a.RowPtr[a.Rows] != len(a.ColIdx) {
+		return fmt.Errorf("dist: bad partition: rowPtr spans [%d, %d] over %d column ids",
+			a.RowPtr[0], a.RowPtr[a.Rows], len(a.ColIdx))
 	}
 	for i := 0; i < a.Rows; i++ {
-		if a.RowPtr[i+1] < a.RowPtr[i] {
-			return fmt.Errorf("dist: bad partition: rowPtr decreases at row %d", i)
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		if hi < lo || hi > len(a.ColIdx) {
+			return fmt.Errorf("dist: bad partition: rowPtr decreases or overruns the column ids at row %d", i)
 		}
-	}
-	for k, c := range a.ColIdx {
-		if c < 0 || c >= a.Cols {
-			return fmt.Errorf("dist: bad partition: column id %d at entry %d outside [0, %d)", c, k, a.Cols)
+		for k := lo; k < hi; k++ {
+			if c := a.ColIdx[k]; c < 0 || c >= a.Cols || (k > lo && c <= a.ColIdx[k-1]) {
+				return fmt.Errorf("dist: bad partition: row %d column id %d is outside [0, %d) or not above its predecessor", i, c, a.Cols)
+			}
 		}
 	}
 	return core.CheckValues(a.Err, core.ErrBadErrorVector)
@@ -150,7 +153,7 @@ func (s *Service) Load(args *LoadArgs, _ *LoadReply) error {
 	if _, held := s.parts[args.Part]; !held && s.maxParts > 0 && len(s.parts) >= s.maxParts {
 		s.evictLRULocked()
 	}
-	x := matrix.NewCSR(args.Rows, args.Cols, args.RowPtr, args.ColIdx, args.Val)
+	x := matrix.NewCSR(args.Rows, args.Cols, args.RowPtr, args.ColIdx)
 	s.parts[args.Part] = core.NewKernel(x, args.Err, nil)
 	s.touchLocked(args.Part)
 	rows := 0

@@ -223,7 +223,6 @@ func TestServiceRejectsMalformedCalls(t *testing.T) {
 			Part: 7, Rows: 4, Cols: 2,
 			RowPtr: []int{0, 1, 2, 4, 5},
 			ColIdx: []int{0, 1, 0, 1, 1},
-			Val:    []float64{1, 1, 1, 1, 1},
 			Err:    []float64{1, 0, 1, 0.5},
 		}
 	}
@@ -235,9 +234,10 @@ func TestServiceRejectsMalformedCalls(t *testing.T) {
 		{"rowPtr starts above zero", func(a *LoadArgs) { a.RowPtr[0] = 1 }},
 		{"rowPtr decreases", func(a *LoadArgs) { a.RowPtr[2] = 0 }},
 		{"short rowPtr", func(a *LoadArgs) { a.RowPtr = a.RowPtr[:4] }},
-		{"fewer values than column ids", func(a *LoadArgs) { a.Val = a.Val[:4] }},
 		{"column id past Cols", func(a *LoadArgs) { a.ColIdx[3] = 2 }},
 		{"negative column id", func(a *LoadArgs) { a.ColIdx[0] = -1 }},
+		{"repeated column id in a row", func(a *LoadArgs) { a.ColIdx[3] = 0 }},
+		{"descending column ids in a row", func(a *LoadArgs) { a.ColIdx[2], a.ColIdx[3] = 1, 0 }},
 		{"negative row count", func(a *LoadArgs) { a.Rows, a.RowPtr, a.Err = -1, nil, nil }},
 		{"short error vector", func(a *LoadArgs) { a.Err = a.Err[:3] }},
 		{"NaN error", func(a *LoadArgs) { a.Err[1] = math.NaN() }},

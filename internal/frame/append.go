@@ -229,11 +229,10 @@ func (a *Appender) AppendRows(vals [][]string) (*AppendResult, error) {
 	// per appended row (columns ascend because feature blocks ascend).
 	nOld := a.x0.Rows
 	k := len(vals)
-	oldPtr, oldCol, oldVal := oldEnc.X.Components()
+	oldPtr, oldCol := oldEnc.X.Components()
 	rowPtr := make([]int, nOld+k+1)
 	copy(rowPtr, oldPtr)
 	colIdx := make([]int, len(oldCol)+k*m)
-	val := make([]float64, len(oldVal)+k*m)
 	if remap == nil {
 		copy(colIdx, oldCol)
 	} else {
@@ -241,12 +240,10 @@ func (a *Appender) AppendRows(vals [][]string) (*AppendResult, error) {
 			colIdx[i] = remap[c]
 		}
 	}
-	copy(val, oldVal)
 	base := len(oldCol)
 	for i := 0; i < k; i++ {
 		for j := 0; j < m; j++ {
 			colIdx[base+i*m+j] = newBeg[j] + codes[i*m+j] - 1
-			val[base+i*m+j] = 1
 		}
 		rowPtr[nOld+i+1] = base + (i+1)*m
 	}
@@ -281,7 +278,7 @@ func (a *Appender) AppendRows(vals [][]string) (*AppendResult, error) {
 	a.feats = feats
 	a.encs = encs
 	a.enc = &Encoding{
-		X:    matrix.NewCSR(nOld+k, l, rowPtr, colIdx, val),
+		X:    matrix.NewCSR(nOld+k, l, rowPtr, colIdx),
 		Beg:  newBeg,
 		End:  newEnd,
 		Doms: append([]int(nil), newDom...),

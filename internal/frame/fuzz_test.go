@@ -80,19 +80,20 @@ func FuzzCSVToDataset(f *testing.F) {
 		if enc.Width() != ds.OneHotWidth() {
 			t.Fatalf("one-hot width %d vs %d", enc.Width(), ds.OneHotWidth())
 		}
-		// Every row must have exactly one set column per feature, and the
-		// column must decode back to the original code via FeatureOf/ValueOf.
+		// Every row must have exactly one set column per feature, in
+		// ascending order, and the column must decode back to the original
+		// code via FeatureOf/ValueOf.
 		m := ds.NumFeatures()
-		rowPtr, colIdx, val := enc.X.Components()
+		rowPtr, colIdx := enc.X.Components()
 		for i := 0; i < ds.NumRows(); i++ {
 			if rowPtr[i+1]-rowPtr[i] != m {
 				t.Fatalf("row %d has %d nonzeros, want %d (one per feature)", i, rowPtr[i+1]-rowPtr[i], m)
 			}
 			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-				if val[k] != 1 {
-					t.Fatalf("row %d: one-hot value %v, want 1", i, val[k])
-				}
 				c := colIdx[k]
+				if k > rowPtr[i] && c <= colIdx[k-1] {
+					t.Fatalf("row %d: one-hot columns %v not strictly ascending", i, colIdx[rowPtr[i]:rowPtr[i+1]])
+				}
 				j := enc.FeatureOf(c)
 				if got, want := enc.ValueOf(c), ds.X0.At(i, j); got != want {
 					t.Fatalf("row %d feature %d: one-hot column %d decodes to %d, X0 has %d", i, j, c, got, want)

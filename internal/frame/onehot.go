@@ -65,18 +65,16 @@ func OneHot(d *Dataset) (*Encoding, error) {
 	n := d.NumRows()
 	rowPtr := make([]int, n+1)
 	colIdx := make([]int, n*m)
-	val := make([]float64, n*m)
 	for i := 0; i < n; i++ {
 		row := d.X0.Row(i)
 		base := i * m
 		for j, code := range row {
 			colIdx[base+j] = enc.Beg[j] + code - 1
-			val[base+j] = 1
 		}
 		// Columns within a row are ascending because Beg is ascending and
 		// codes stay within their feature block.
 		rowPtr[i+1] = base + m
 	}
-	enc.X = matrix.NewCSR(n, l, rowPtr, colIdx, val)
+	enc.X = matrix.NewCSR(n, l, rowPtr, colIdx)
 	return enc, nil
 }

@@ -109,7 +109,7 @@ func TestOneHotDecodesBack(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			cols, _ := enc.X.RowEntries(i)
+			cols := enc.X.RowEntries(i)
 			if len(cols) != m {
 				return false
 			}

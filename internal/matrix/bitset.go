@@ -20,10 +20,9 @@ type ColumnBits struct {
 	bits       []uint64 // cols*words; column c occupies bits[c*words:(c+1)*words]
 }
 
-// PackColumns packs every column of a CSR matrix into bitsets. Stored zeros
-// (possible after triple summation) are not set, matching the CSR kernels'
-// treatment of explicit zeros. Bits past the last row in the ragged tail
-// word (rows % 64 != 0) are always zero, so popcounts never overcount.
+// PackColumns packs every column of a CSR matrix into bitsets. Bits past the
+// last row in the ragged tail word (rows % 64 != 0) are always zero, so
+// popcounts never overcount.
 func PackColumns(x *CSR) *ColumnBits {
 	words := (x.rows + 63) / 64
 	cb := &ColumnBits{
@@ -32,17 +31,21 @@ func PackColumns(x *CSR) *ColumnBits {
 		words: words,
 		bits:  make([]uint64, x.cols*words),
 	}
-	for i := 0; i < x.rows; i++ {
+	cb.packRows(x, 0)
+	return cb
+}
+
+// packRows sets the bits of x's rows [from, x.Rows()); the storage must
+// already hold that many rows per column.
+func (cb *ColumnBits) packRows(x *CSR, from int) {
+	bits, words := cb.bits, cb.words
+	for i := from; i < x.rows; i++ {
 		w := i >> 6
 		bit := uint64(1) << uint(i&63)
-		cols, vals := x.RowEntries(i)
-		for k, c := range cols {
-			if vals[k] != 0 {
-				cb.bits[c*words+w] |= bit
-			}
+		for _, c := range x.RowEntries(i) {
+			bits[c*words+w] |= bit
 		}
 	}
-	return cb
 }
 
 // Rows returns the row count of the packed matrix.

@@ -59,16 +59,7 @@ func (cb *ColumnBits) AppendRows(x *CSR) error {
 		cb.bits = nb
 		cb.words = newWords
 	}
-	for i := cb.rows; i < x.rows; i++ {
-		w := i >> 6
-		bit := uint64(1) << uint(i&63)
-		cols, vals := x.RowEntries(i)
-		for k, c := range cols {
-			if vals[k] != 0 {
-				cb.bits[c*cb.words+w] |= bit
-			}
-		}
-	}
+	cb.packRows(x, cb.rows)
 	cb.rows = x.rows
 	return nil
 }

@@ -11,13 +11,12 @@ import (
 func csrPrefixWithRemap(full *CSR, upto, newCols int, remap []int) *CSR {
 	var ts []Triple
 	for i := 0; i < upto; i++ {
-		cols, vals := full.RowEntries(i)
-		for k, c := range cols {
+		for _, c := range full.RowEntries(i) {
 			nc := c
 			if remap != nil {
 				nc = remap[c]
 			}
-			ts = append(ts, Triple{Row: i, Col: nc, Val: vals[k]})
+			ts = append(ts, Triple{Row: i, Col: nc})
 		}
 	}
 	return CSRFromTriples(upto, newCols, ts)
@@ -25,7 +24,7 @@ func csrPrefixWithRemap(full *CSR, upto, newCols int, remap []int) *CSR {
 
 // TestAppendRowsMatchesPack: growing a packed bitset row-batch by row-batch
 // must land bit-identical to packing the accumulated matrix from scratch,
-// across word-boundary crossings and stored zeros.
+// across word-boundary crossings.
 func TestAppendRowsMatchesPack(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range []struct {
@@ -37,7 +36,7 @@ func TestAppendRowsMatchesPack(t *testing.T) {
 		{rows: 64, cols: 3, cuts: []int{1, 64}},                 // exact word fill
 		{rows: 200, cols: 9, cuts: []int{199, 200}},
 	} {
-		full := randomCSR01(rng, tc.rows, tc.cols, 0.3, true)
+		full := randomCSR01(rng, tc.rows, tc.cols, 0.3)
 		first := csrPrefixWithRemap(full, tc.cuts[0], tc.cols, nil)
 		cb := PackColumns(first)
 		for _, cut := range tc.cuts[1:] {
@@ -62,7 +61,7 @@ func TestRemapColsThenAppend(t *testing.T) {
 	remap := []int{0, 1, 3, 4, 6} // blocks shifted as by two mid-block insertions
 	nOld, nNew := 70, 70+61       // crosses a word boundary too
 
-	full := randomCSR01(rng, nNew, newCols, 0.3, false)
+	full := randomCSR01(rng, nNew, newCols, 0.3)
 	// Old rows must not touch the new columns (codes allocated by the append);
 	// rebuild the prefix restricted to remap targets, as real growth behaves.
 	inOld := make(map[int]bool, len(remap))
@@ -71,12 +70,11 @@ func TestRemapColsThenAppend(t *testing.T) {
 	}
 	var ts []Triple
 	for i := 0; i < nNew; i++ {
-		cols, vals := full.RowEntries(i)
-		for k, c := range cols {
+		for _, c := range full.RowEntries(i) {
 			if i < nOld && !inOld[c] {
 				continue
 			}
-			ts = append(ts, Triple{Row: i, Col: c, Val: vals[k]})
+			ts = append(ts, Triple{Row: i, Col: c})
 		}
 	}
 	final := CSRFromTriples(nNew, newCols, ts)
@@ -91,9 +89,8 @@ func TestRemapColsThenAppend(t *testing.T) {
 	}
 	var oldTs []Triple
 	for i := 0; i < nOld; i++ {
-		cols, vals := final.RowEntries(i)
-		for k, c := range cols {
-			oldTs = append(oldTs, Triple{Row: i, Col: inv[c], Val: vals[k]})
+		for _, c := range final.RowEntries(i) {
+			oldTs = append(oldTs, Triple{Row: i, Col: inv[c]})
 		}
 	}
 	cb := PackColumns(CSRFromTriples(nOld, oldCols, oldTs))
@@ -110,7 +107,7 @@ func TestRemapColsThenAppend(t *testing.T) {
 }
 
 func TestRemapColsErrors(t *testing.T) {
-	cb := PackColumns(CSRFromTriples(4, 3, []Triple{{Row: 0, Col: 0, Val: 1}}))
+	cb := PackColumns(CSRFromTriples(4, 3, []Triple{{Row: 0, Col: 0}}))
 	if err := cb.RemapCols(4, []int{0, 1}); err == nil {
 		t.Error("short remap: want error")
 	}

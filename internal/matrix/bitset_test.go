@@ -20,18 +20,13 @@ func popCount(cb *ColumnBits, c int) int {
 	return n
 }
 
-// randomCSR01 builds a random 0/1 CSR matrix with the given density,
-// optionally planting explicit stored zeros (which PackColumns must skip,
-// matching the CSR kernels' treatment).
-func randomCSR01(rng *rand.Rand, rows, cols int, density float64, storedZeros bool) *CSR {
+// randomCSR01 builds a random 0/1 CSR matrix with the given density.
+func randomCSR01(rng *rand.Rand, rows, cols int, density float64) *CSR {
 	var ts []Triple
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
-			switch {
-			case rng.Float64() < density:
-				ts = append(ts, Triple{Row: i, Col: j, Val: 1})
-			case storedZeros && rng.Float64() < 0.05:
-				ts = append(ts, Triple{Row: i, Col: j, Val: 0})
+			if rng.Float64() < density {
+				ts = append(ts, Triple{Row: i, Col: j})
 			}
 		}
 	}
@@ -40,14 +35,14 @@ func randomCSR01(rng *rand.Rand, rows, cols int, density float64, storedZeros bo
 
 // TestPackColumnsMatchesCSR: every bit of the packed form equals the dense
 // 0/1 view of the matrix, across ragged tail shapes (rows % 64 != 0), exact
-// word multiples, empty columns, and stored zeros.
+// word multiples and empty columns.
 func TestPackColumnsMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	shapes := []struct{ rows, cols int }{
 		{1, 1}, {63, 3}, {64, 3}, {65, 3}, {128, 5}, {200, 8}, {1000, 12},
 	}
 	for _, sh := range shapes {
-		x := randomCSR01(rng, sh.rows, sh.cols, 0.2, true)
+		x := randomCSR01(rng, sh.rows, sh.cols, 0.2)
 		cb := PackColumns(x)
 		if cb.Rows() != sh.rows || cb.Cols() != sh.cols {
 			t.Fatalf("%dx%d: packed shape %dx%d", sh.rows, sh.cols, cb.Rows(), cb.Cols())
@@ -73,7 +68,7 @@ func TestPackColumnsRaggedTailZero(t *testing.T) {
 	for _, rows := range []int{1, 63, 65, 127, 130} {
 		var ts []Triple
 		for i := 0; i < rows; i++ {
-			ts = append(ts, Triple{Row: i, Col: 0, Val: 1})
+			ts = append(ts, Triple{Row: i, Col: 0})
 		}
 		cb := PackColumns(CSRFromTriples(rows, 1, ts))
 		if got := popCount(cb, 0); got != rows {
@@ -117,16 +112,11 @@ func FuzzBitsetPack(f *testing.F) {
 		rows := int(rowsRaw%300) + 1
 		cols := int(colsRaw%12) + 1
 		var ts []Triple
-		// Cells drive both placement and value: odd bytes store 1, bytes
-		// divisible by 16 store an explicit zero (packed as unset).
+		// Cells drive placement: odd bytes store a one, even bytes leave
+		// their cell empty, and a cell hit twice is stored once.
 		for k, b := range cells {
-			i := (k * 131) % rows
-			j := int(b) % cols
-			switch {
-			case b%2 == 1:
-				ts = append(ts, Triple{Row: i, Col: j, Val: 1})
-			case b%16 == 0:
-				ts = append(ts, Triple{Row: i, Col: j, Val: 0})
+			if b%2 == 1 {
+				ts = append(ts, Triple{Row: (k * 131) % rows, Col: int(b) % cols})
 			}
 		}
 		x := CSRFromTriples(rows, cols, ts)

@@ -2,9 +2,11 @@
 // that SliceLine's enumeration algorithm is built on. It implements the
 // primitive set used by the paper's DML/R scripts — contingency tables,
 // matrix multiplication, column/row aggregates, element-wise comparisons,
-// cumulative sums — for both dense and compressed-sparse-row operands, with
-// shared-memory parallel kernels for the hot paths, plus the packed column
-// bitsets behind the AND+popcount evaluation kernel.
+// cumulative sums — with shared-memory parallel kernels for the hot paths,
+// plus the packed column bitsets behind the AND+popcount evaluation kernel.
+// Dense matrices hold float64 values. The CSR is a 0/1 pattern: it stores
+// only the ascending column ids of each row's ones, since the one-hot X and
+// the slice matrix S it represents hold nothing but ones.
 //
 // Dimension mismatches are programming errors and panic, mirroring the
 // behaviour of established Go numeric libraries; data-dependent failures

@@ -92,37 +92,14 @@ func MulCSRT(a, b *CSR) *Dense {
 	out := NewDense(a.rows, b.rows)
 	ParallelFor(a.rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			cols, vals := a.RowEntries(i)
 			oi := out.Row(i)
-			for k, c := range cols {
-				av := vals[k]
-				bRows, bVals := bt.RowEntries(c)
-				for t, r := range bRows {
-					oi[r] += av * bVals[t]
+			for _, c := range a.RowEntries(i) {
+				for _, r := range bt.RowEntries(c) {
+					oi[r]++
 				}
 			}
 		}
 	})
-	return out
-}
-
-// VecMatCSR computes eᵀ·m for a row vector e, returning a slice of length
-// m.Cols. It implements the paper's (eᵀ ⊙ X)ᵀ slice-error aggregation.
-func VecMatCSR(e []float64, m *CSR) []float64 {
-	if len(e) != m.rows {
-		panic(fmt.Sprintf("matrix: VecMatCSR vector length %d vs %d rows", len(e), m.rows))
-	}
-	out := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		ei := e[i]
-		if ei == 0 {
-			continue
-		}
-		cols, vals := m.RowEntries(i)
-		for k, j := range cols {
-			out[j] += ei * vals[k]
-		}
-	}
 	return out
 }
 
@@ -134,10 +111,9 @@ func MulCSRVec(m *CSR, v []float64) []float64 {
 	out := make([]float64, m.rows)
 	ParallelFor(m.rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			cols, vals := m.RowEntries(i)
 			s := 0.0
-			for k, j := range cols {
-				s += vals[k] * v[j]
+			for _, j := range m.RowEntries(i) {
+				s += v[j]
 			}
 			out[i] = s
 		}

@@ -63,25 +63,6 @@ func TestMulCSRTMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestVecMatCSRMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 40; trial++ {
-		r, c := 1+rng.Intn(9), 1+rng.Intn(9)
-		m := randomCSR(rng, r, c, 0.5)
-		e := make([]float64, r)
-		for i := range e {
-			e[i] = rng.Float64()
-		}
-		got := VecMatCSR(e, m)
-		want := naiveMul(NewDenseData(1, r, e), m.ToDense())
-		for j := 0; j < c; j++ {
-			if diff := got[j] - want.At(0, j); diff > 1e-12 || diff < -1e-12 {
-				t.Fatalf("trial %d: VecMatCSR[%d] = %v, want %v", trial, j, got[j], want.At(0, j))
-			}
-		}
-	}
-}
-
 func TestMulCSRVecMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	m := randomCSR(rng, 7, 5, 0.5)

@@ -5,40 +5,38 @@ import (
 	"sort"
 )
 
-// CSR is a compressed-sparse-row matrix. Column indices within each row are
-// stored in ascending order. It is the workhorse representation for the
-// one-hot encoded dataset X and the slice matrix S, both of which are
-// extremely sparse 0/1 matrices in SliceLine.
+// CSR is a compressed-sparse-row 0/1 pattern matrix: each row stores the
+// ascending column ids of its ones, and no values. It is the workhorse
+// representation for the one-hot encoded dataset X and the slice matrix S,
+// both of which are extremely sparse 0/1 matrices in SliceLine.
 type CSR struct {
 	rows, cols int
 	rowPtr     []int
 	colIdx     []int
-	val        []float64
 }
 
 // NewCSR assembles a CSR matrix from raw components without copying. The
-// caller guarantees rowPtr has length rows+1, rowPtr[rows] == len(colIdx) ==
-// len(val), and column indices are sorted within each row.
-func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) *CSR {
+// caller guarantees rowPtr has length rows+1, rowPtr[rows] == len(colIdx),
+// and column ids are strictly ascending within each row.
+func NewCSR(rows, cols int, rowPtr, colIdx []int) *CSR {
 	if len(rowPtr) != rows+1 {
 		panic(fmt.Sprintf("matrix: rowPtr length %d for %d rows", len(rowPtr), rows))
 	}
-	if rowPtr[rows] != len(colIdx) || len(colIdx) != len(val) {
+	if rowPtr[rows] != len(colIdx) {
 		panic("matrix: inconsistent CSR buffers")
 	}
-	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
+	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx}
 }
 
-// Triple is one (row, col, value) entry used to build sparse matrices. It is
-// the Go analogue of the paper's table(rix, cix) contingency-table primitive.
+// Triple is one (row, col) entry used to build sparse matrices. It is the Go
+// analogue of the paper's table(rix, cix) primitive restricted to a 0/1
+// result.
 type Triple struct {
 	Row, Col int
-	Val      float64
 }
 
-// CSRFromTriples builds an r×c CSR matrix from unordered triples. Values at
-// duplicate coordinates are summed, exactly like table() counts duplicate
-// index pairs.
+// CSRFromTriples builds an r×c CSR matrix from unordered triples. A
+// coordinate listed more than once is stored once.
 func CSRFromTriples(r, c int, ts []Triple) *CSR {
 	counts := make([]int, r+1)
 	for _, t := range ts {
@@ -51,80 +49,49 @@ func CSRFromTriples(r, c int, ts []Triple) *CSR {
 		counts[i+1] += counts[i]
 	}
 	colIdx := make([]int, len(ts))
-	val := make([]float64, len(ts))
 	next := make([]int, r)
 	copy(next, counts[:r])
 	for _, t := range ts {
-		p := next[t.Row]
-		colIdx[p] = t.Col
-		val[p] = t.Val
+		colIdx[next[t.Row]] = t.Col
 		next[t.Row]++
 	}
-	m := &CSR{rows: r, cols: c, rowPtr: counts, colIdx: colIdx, val: val}
-	m.sortAndMergeRows()
-	return m
-}
-
-// sortAndMergeRows sorts each row's entries by column and sums duplicates.
-func (m *CSR) sortAndMergeRows() {
-	newPtr := make([]int, m.rows+1)
+	// Sort each row and drop repeated ids, compacting in place.
+	rowPtr := make([]int, r+1)
 	w := 0
-	for i := 0; i < m.rows; i++ {
-		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-		row := rowView{cols: m.colIdx[lo:hi], vals: m.val[lo:hi]}
-		sort.Sort(row)
-		newPtr[i] = w
-		for k := lo; k < hi; k++ {
-			if w > newPtr[i] && m.colIdx[w-1] == m.colIdx[k] {
-				m.val[w-1] += m.val[k]
-				continue
+	for i := 0; i < r; i++ {
+		row := colIdx[counts[i]:counts[i+1]]
+		sort.Ints(row)
+		for _, j := range row {
+			if w == rowPtr[i] || colIdx[w-1] != j {
+				colIdx[w] = j
+				w++
 			}
-			m.colIdx[w] = m.colIdx[k]
-			m.val[w] = m.val[k]
-			w++
 		}
+		rowPtr[i+1] = w
 	}
-	newPtr[m.rows] = w
-	m.rowPtr = newPtr
-	m.colIdx = m.colIdx[:w]
-	m.val = m.val[:w]
+	return &CSR{rows: r, cols: c, rowPtr: rowPtr, colIdx: colIdx[:w]}
 }
 
-type rowView struct {
-	cols []int
-	vals []float64
-}
-
-func (r rowView) Len() int           { return len(r.cols) }
-func (r rowView) Less(i, j int) bool { return r.cols[i] < r.cols[j] }
-func (r rowView) Swap(i, j int) {
-	r.cols[i], r.cols[j] = r.cols[j], r.cols[i]
-	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
-}
-
-// CSRFromDense converts a dense matrix, dropping exact zeros.
+// CSRFromDense converts a dense matrix, storing every nonzero as a one.
 func CSRFromDense(d *Dense) *CSR {
 	rowPtr := make([]int, d.rows+1)
 	var colIdx []int
-	var val []float64
 	for i := 0; i < d.rows; i++ {
-		ri := d.Row(i)
-		for j, v := range ri {
+		for j, v := range d.Row(i) {
 			if v != 0 {
 				colIdx = append(colIdx, j)
-				val = append(val, v)
 			}
 		}
 		rowPtr[i+1] = len(colIdx)
 	}
-	return &CSR{rows: d.rows, cols: d.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
+	return &CSR{rows: d.rows, cols: d.cols, rowPtr: rowPtr, colIdx: colIdx}
 }
 
-// Components returns the raw CSR buffers (rowPtr, colIdx, values) without
-// copying, for serialization; reconstruct with NewCSR. Callers must not
-// mutate the returned slices.
-func (m *CSR) Components() (rowPtr, colIdx []int, val []float64) {
-	return m.rowPtr, m.colIdx, m.val
+// Components returns the raw CSR buffers (rowPtr, colIdx) without copying,
+// for serialization; reconstruct with NewCSR. Callers must not mutate the
+// returned slices.
+func (m *CSR) Components() (rowPtr, colIdx []int) {
+	return m.rowPtr, m.colIdx
 }
 
 // Rows returns the number of rows.
@@ -133,28 +100,27 @@ func (m *CSR) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *CSR) Cols() int { return m.cols }
 
-// NNZ returns the number of stored (non-zero) entries.
-func (m *CSR) NNZ() int { return len(m.val) }
+// NNZ returns the number of stored entries (ones).
+func (m *CSR) NNZ() int { return len(m.colIdx) }
 
 // RowNNZ returns the nonzero count of row i.
 func (m *CSR) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
 
-// RowEntries returns the column indices and values of row i, aliasing the
+// RowEntries returns the ascending column ids of row i's ones, aliasing the
 // matrix storage.
-func (m *CSR) RowEntries(i int) ([]int, []float64) {
+func (m *CSR) RowEntries(i int) []int {
 	if i < 0 || i >= m.rows {
 		panic(fmt.Sprintf("matrix: row %d out of bounds %d", i, m.rows))
 	}
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	return m.colIdx[lo:hi], m.val[lo:hi]
+	return m.colIdx[m.rowPtr[i]:m.rowPtr[i+1]]
 }
 
-// At returns the element at row i, column j (O(log nnz(row))).
+// At returns the element at row i, column j: 1 for a stored entry, else 0
+// (O(log nnz(row))).
 func (m *CSR) At(i, j int) float64 {
-	cols, vals := m.RowEntries(i)
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
-		return vals[k]
+	cols := m.RowEntries(i)
+	if k := sort.SearchInts(cols, j); k < len(cols) && cols[k] == j {
+		return 1
 	}
 	return 0
 }
@@ -163,10 +129,9 @@ func (m *CSR) At(i, j int) float64 {
 func (m *CSR) ToDense() *Dense {
 	d := NewDense(m.rows, m.cols)
 	for i := 0; i < m.rows; i++ {
-		cols, vals := m.RowEntries(i)
 		ri := d.Row(i)
-		for k, j := range cols {
-			ri[j] = vals[k]
+		for _, j := range m.RowEntries(i) {
+			ri[j] = 1
 		}
 	}
 	return d
@@ -182,19 +147,15 @@ func (m *CSR) T() *CSR {
 		counts[j+1] += counts[j]
 	}
 	colIdx := make([]int, len(m.colIdx))
-	val := make([]float64, len(m.val))
 	next := make([]int, m.cols)
 	copy(next, counts[:m.cols])
 	for i := 0; i < m.rows; i++ {
-		cols, vals := m.RowEntries(i)
-		for k, j := range cols {
-			p := next[j]
-			colIdx[p] = i
-			val[p] = vals[k]
+		for _, j := range m.RowEntries(i) {
+			colIdx[next[j]] = i
 			next[j]++
 		}
 	}
-	return &CSR{rows: m.cols, cols: m.rows, rowPtr: counts, colIdx: colIdx, val: val}
+	return &CSR{rows: m.cols, cols: m.rows, rowPtr: counts, colIdx: colIdx}
 }
 
 // SelectRows returns a new CSR with the rows at the given indices, in order.
@@ -209,13 +170,10 @@ func (m *CSR) SelectRows(idx []int) *CSR {
 		rowPtr[k+1] = nnz
 	}
 	colIdx := make([]int, 0, nnz)
-	val := make([]float64, 0, nnz)
 	for _, i := range idx {
-		cols, vals := m.RowEntries(i)
-		colIdx = append(colIdx, cols...)
-		val = append(val, vals...)
+		colIdx = append(colIdx, m.RowEntries(i)...)
 	}
-	return &CSR{rows: len(idx), cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
+	return &CSR{rows: len(idx), cols: m.cols, rowPtr: rowPtr, colIdx: colIdx}
 }
 
 // SelectCols returns a new CSR restricted to the given columns; column k of
@@ -241,22 +199,18 @@ func (m *CSR) SelectCols(idx []int) *CSR {
 	}
 	rowPtr := make([]int, m.rows+1)
 	colIdx := make([]int, 0, nnz)
-	val := make([]float64, 0, nnz)
 	for i := 0; i < m.rows; i++ {
-		cols, vals := m.RowEntries(i)
-		for k, j := range cols {
+		for _, j := range m.RowEntries(i) {
 			if nj := remap[j]; nj >= 0 {
 				colIdx = append(colIdx, nj)
-				val = append(val, vals[k])
 			}
 		}
 		rowPtr[i+1] = len(colIdx)
 	}
-	return &CSR{rows: m.rows, cols: len(idx), rowPtr: rowPtr, colIdx: colIdx, val: val}
+	return &CSR{rows: m.rows, cols: len(idx), rowPtr: rowPtr, colIdx: colIdx}
 }
 
-// Equal reports whether m and o represent the same matrix (shape and values,
-// ignoring explicitly stored zeros).
+// Equal reports whether m and o represent the same matrix.
 func (m *CSR) Equal(o *CSR) bool {
 	if m.rows != o.rows || m.cols != o.cols {
 		return false

@@ -2,17 +2,18 @@ package matrix
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
 func TestCSRFromTriplesBasic(t *testing.T) {
 	m := CSRFromTriples(3, 3, []Triple{
-		{Row: 0, Col: 1, Val: 2},
-		{Row: 2, Col: 0, Val: 5},
-		{Row: 0, Col: 0, Val: 1},
+		{Row: 0, Col: 1},
+		{Row: 2, Col: 0},
+		{Row: 0, Col: 0},
 	})
-	want := NewDenseData(3, 3, []float64{1, 2, 0, 0, 0, 0, 5, 0, 0})
+	want := NewDenseData(3, 3, []float64{1, 1, 0, 0, 0, 0, 1, 0, 0})
 	if !m.ToDense().Equal(want) {
 		t.Fatalf("CSRFromTriples = %v, want %v", m.ToDense(), want)
 	}
@@ -22,17 +23,21 @@ func TestCSRFromTriplesBasic(t *testing.T) {
 }
 
 func TestCSRFromTriplesSumsDuplicates(t *testing.T) {
-	// table(rix, cix) semantics: duplicates accumulate.
-	m := CSRFromTriples(2, 2, []Triple{
-		{Row: 1, Col: 1, Val: 1},
-		{Row: 1, Col: 1, Val: 1},
-		{Row: 1, Col: 1, Val: 1},
+	// A pattern matrix: a repeated coordinate is stored once.
+	m := CSRFromTriples(2, 3, []Triple{
+		{Row: 1, Col: 1},
+		{Row: 1, Col: 2},
+		{Row: 1, Col: 1},
+		{Row: 1, Col: 1},
 	})
-	if got := m.At(1, 1); got != 3 {
-		t.Fatalf("At(1,1) = %v, want 3", got)
+	if got := m.At(1, 1); got != 1 {
+		t.Fatalf("At(1,1) = %v, want 1", got)
 	}
-	if m.NNZ() != 1 {
-		t.Fatalf("NNZ = %d, want 1 after merging", m.NNZ())
+	if got := m.RowEntries(1); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("row 1 = %v, want [1 2]", got)
+	}
+	if m.NNZ() != 2 {
+		t.Fatalf("NNZ = %d, want 2 after merging", m.NNZ())
 	}
 }
 
@@ -42,14 +47,14 @@ func TestCSRFromTriplesOutOfBoundsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	CSRFromTriples(2, 2, []Triple{{Row: 2, Col: 0, Val: 1}})
+	CSRFromTriples(2, 2, []Triple{{Row: 2, Col: 0}})
 }
 
 func TestCSRRoundTripDense(t *testing.T) {
 	d := NewDenseData(3, 4, []float64{
-		0, 1, 0, 2,
+		0, 1, 0, 1,
 		0, 0, 0, 0,
-		3, 0, 4, 0,
+		1, 0, 1, 0,
 	})
 	m := CSRFromDense(d)
 	if !m.ToDense().Equal(d) {
@@ -62,11 +67,11 @@ func TestCSRRoundTripDense(t *testing.T) {
 
 func TestCSRAt(t *testing.T) {
 	m := CSRFromTriples(2, 5, []Triple{
-		{Row: 0, Col: 4, Val: 9},
-		{Row: 0, Col: 1, Val: 3},
+		{Row: 0, Col: 4},
+		{Row: 0, Col: 1},
 	})
-	if got := m.At(0, 1); got != 3 {
-		t.Errorf("At(0,1) = %v, want 3", got)
+	if got := m.At(0, 1); got != 1 {
+		t.Errorf("At(0,1) = %v, want 1", got)
 	}
 	if got := m.At(0, 2); got != 0 {
 		t.Errorf("At(0,2) = %v, want 0", got)
@@ -81,7 +86,7 @@ func randomCSR(rng *rand.Rand, rows, cols int, density float64) *CSR {
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			if rng.Float64() < density {
-				ts = append(ts, Triple{Row: i, Col: j, Val: float64(rng.Intn(9) + 1)})
+				ts = append(ts, Triple{Row: i, Col: j})
 			}
 		}
 	}
@@ -111,30 +116,30 @@ func TestCSRTransposeInvolution(t *testing.T) {
 }
 
 func TestCSRSelectRows(t *testing.T) {
-	m := CSRFromDense(NewDenseData(3, 2, []float64{1, 0, 0, 2, 3, 4}))
+	m := CSRFromDense(NewDenseData(3, 2, []float64{1, 0, 0, 1, 1, 1}))
 	got := m.SelectRows([]int{2, 2, 0})
-	want := NewDenseData(3, 2, []float64{3, 4, 3, 4, 1, 0})
+	want := NewDenseData(3, 2, []float64{1, 1, 1, 1, 1, 0})
 	if !got.ToDense().Equal(want) {
 		t.Fatalf("SelectRows = %v, want %v", got.ToDense(), want)
 	}
 }
 
 func TestCSRSelectCols(t *testing.T) {
-	m := CSRFromDense(NewDenseData(2, 4, []float64{1, 2, 3, 4, 5, 6, 7, 8}))
+	m := CSRFromDense(NewDenseData(2, 4, []float64{1, 1, 0, 1, 0, 0, 1, 1}))
 	got := m.SelectCols([]int{1, 3})
-	want := NewDenseData(2, 2, []float64{2, 4, 6, 8})
+	want := NewDenseData(2, 2, []float64{1, 1, 0, 1})
 	if !got.ToDense().Equal(want) {
 		t.Fatalf("SelectCols = %v, want %v", got.ToDense(), want)
 	}
 
 	// A larger matrix: the result matches the dense projection, and the
 	// allocations do not grow with the nonzeros (a remap, rowPtr, exactly
-	// sized colIdx/val and the header).
+	// sized colIdx and the header).
 	d := NewDense(1000, 8)
 	for i := 0; i < d.Rows(); i++ {
 		for j := 0; j < d.Cols(); j++ {
 			if (i+j)%3 != 0 {
-				d.Set(i, j, float64(1+i%7))
+				d.Set(i, j, 1)
 			}
 		}
 	}
@@ -163,7 +168,7 @@ func TestCSRRowEntriesSorted(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		m := randomCSR(rng, 6, 12, 0.5)
 		for i := 0; i < m.Rows(); i++ {
-			cols, _ := m.RowEntries(i)
+			cols := m.RowEntries(i)
 			for k := 1; k < len(cols); k++ {
 				if cols[k-1] >= cols[k] {
 					t.Fatalf("trial %d row %d: columns not strictly increasing: %v", trial, i, cols)

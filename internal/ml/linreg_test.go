@@ -24,7 +24,7 @@ func onehotDesign(rng *rand.Rand, n int, doms []int) (*matrix.CSR, [][]int) {
 		for j, d := range doms {
 			c := rng.Intn(d)
 			codes[i][j] = c
-			ts = append(ts, matrix.Triple{Row: i, Col: begs[j] + c, Val: 1})
+			ts = append(ts, matrix.Triple{Row: i, Col: begs[j] + c})
 		}
 	}
 	return matrix.CSRFromTriples(n, l, ts), codes

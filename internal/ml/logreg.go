@@ -78,7 +78,7 @@ func TrainMlogit(x *matrix.CSR, y []float64, cfg MlogitConfig) (*Mlogit, error) 
 		// Scores: n×k, computed as X·Wᵀ using the sparse rows.
 		matrix.ParallelFor(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				cols, _ := x.RowEntries(i)
+				cols := x.RowEntries(i)
 				pi := probs.Row(i)
 				for c := 0; c < k; c++ {
 					s := b[c]
@@ -96,7 +96,7 @@ func TrainMlogit(x *matrix.CSR, y []float64, cfg MlogitConfig) (*Mlogit, error) 
 		grad := matrix.NewDense(k, l)
 		gb := make([]float64, k)
 		for i := 0; i < n; i++ {
-			cols, _ := x.RowEntries(i)
+			cols := x.RowEntries(i)
 			pi := probs.Row(i)
 			for c := 0; c < k; c++ {
 				g := pi[c]
@@ -148,7 +148,7 @@ func (m *Mlogit) Predict(x *matrix.CSR) []float64 {
 	k := m.W.Rows()
 	matrix.ParallelFor(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			cols, _ := x.RowEntries(i)
+			cols := x.RowEntries(i)
 			best, bc := math.Inf(-1), 0
 			for c := 0; c < k; c++ {
 				s := m.B[c]
