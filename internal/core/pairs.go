@@ -1,19 +1,11 @@
 package core
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
 
-// group accumulates the per-candidate state of the deduplication matrix M of
-// Section 4.3: the minima over all enumerated parents (used by the upper
-// bounds of Equation 3/8) and the number of parent pairs that produced the
-// candidate, from which np follows (see pairCandidates). Its columns sit at
-// the same index of the level's colSet, so a group holds no pointers.
-type group struct {
-	ssUB  float64
-	seUB  float64
-	smUB  float64
-	pairs int32
-	dead  bool // a pair-level bound already failed; the group bound can only be tighter
-}
+	"sliceline/internal/matrix"
+)
 
 // pruneStats breaks the pruned pair-candidates of one level down by the rule
 // that removed them — the per-rule numbers behind Figure 3, exposed as level
@@ -21,7 +13,7 @@ type group struct {
 type pruneStats struct {
 	pairSize  int // failed the size bound at pair level (dedup off or L == 2)
 	pairScore int // failed the score bound at pair level (dedup off or L == 2)
-	dead      int // group condemned by a failing pair-level bound
+	dead      int // some pair of the candidate's parents failed a pair-level bound
 	size      int // failed the group size bound ⌈ss⌉ >= σ
 	score     int // failed the group score bound ⌈sc⌉ > sc_k ∧ ⌈sc⌉ >= 0
 	parents   int // missing-parent handling (np != L)
@@ -32,227 +24,128 @@ func (p pruneStats) total() int {
 	return p.pairSize + p.pairScore + p.dead + p.size + p.score + p.parents
 }
 
+// generated is the number of candidates a level (or shard) generated
+// before pruning, given its n survivors — the count MaxCandidatesPerLevel
+// caps: every merged slice with dedup, and without it every pair that
+// passed the pair-level bounds.
+func (p pruneStats) generated(n int) int { return n + p.dead + p.size + p.score + p.parents }
+
+func (p *pruneStats) add(q pruneStats) {
+	p.pairSize += q.pairSize
+	p.pairScore += q.pairScore
+	p.dead += q.dead
+	p.size += q.size
+	p.score += q.score
+	p.parents += q.parents
+}
+
+// joinShard is the number of consecutive kept slices that one unit of join
+// work takes as first parents. Workers claim shards in any order, but the
+// output is assembled shard by shard, so it does not depend on how many
+// workers ran or how they were scheduled.
+const joinShard = 64
+
 // pairCandidates generates, deduplicates and prunes the level-L slice
 // candidates from the evaluated level-(L-1) slices, following Section 4.3:
 //
 //  1. prune invalid inputs by minimum support and non-zero error
 //     (S = removeEmpty(S · (R[,4] >= σ ∧ R[,2] > 0))),
 //  2. self-join compatible slices — pairs with exactly L-2 overlapping
-//     predicates (I = upper.tri((S Sᵀ) = L-2), Equation 6), realized as a
-//     sparse row-wise join over flat per-column posting lists,
+//     predicates (I = upper.tri((S Sᵀ) = L-2), Equation 6). Two slices
+//     overlap in L-2 predicates exactly when they share one of their
+//     (L-2)-column subsets, so the join files each kept slice under its L-1
+//     subsets and pairs the members of each subset bucket: it meets every
+//     partner pair once and visits nothing else,
 //  3. merge pairs into combined slices (P) and discard slices with multiple
-//     assignments per original feature,
-//  4. deduplicate via canonical slice identity (the paper's ND-array IDs
-//     followed by recoding; here the sorted column list is the ID, looked up
-//     in an open-addressing table over the level's column arena) while
-//     accumulating min-bounds and the parent-pair count: the np surviving
-//     parents of an L-column slice pairwise share L-2 columns and the join
-//     visits each unordered pair once, so np = L exactly when the count
-//     reaches L(L-1)/2 — the paper's rowSums(M·(P1+P2) ≠ 0), derived rather
-//     than materialized, and
+//     assignments per original feature. Both parents are feature-disjoint
+//     and differ in one column each, so the merged slice is valid iff those
+//     two columns belong to distinct features,
+//  4. deduplicate (the paper's ND-array IDs and dedup matrix M) by emitting
+//     each merged slice from one canonical parent pair: the two of its kept
+//     parents with the smallest keep indices. Its other L-2 parents are
+//     looked up in an index of the kept slices, which yields np — the
+//     paper's rowSums(M·(P1+P2) ≠ 0) — and the min-bounds over all kept
+//     parents without a level-wide table, and
 //  5. prune by Equation 9: ⌈ss⌉ >= σ ∧ ⌈sc⌉ > sc_k ∧ ⌈sc⌉ >= 0 ∧ np = L.
 //
-// No step allocates per pair or per candidate. It returns the surviving
-// candidates, whose column lists share one right-sized arena, and a per-rule
-// pruning breakdown. A nil level signals that candidate generation exceeded
-// MaxCandidatesPerLevel and enumeration must truncate.
+// Without dedup — the DisableDedup ablation, or L == 2, where the 2-column
+// union identifies its basic-slice pair — every valid pair is its own
+// candidate, bounded by its two parents. The join runs on up to
+// matrix.MaxWorkers goroutines and allocates nothing per pair, candidate or
+// shard. It returns the surviving candidates, whose column lists share one
+// right-sized arena, and a per-rule pruning breakdown. A nil level signals
+// that candidate generation exceeded MaxCandidatesPerLevel and enumeration
+// must truncate.
 func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneStats) {
 	cfg := st.cfg
-
-	// Step 1: input filtering.
-	var keep []int
 	minSS := float64(cfg.Sigma)
 	if cfg.DisableSizePruning {
 		minSS = 1
 	}
+	nk := 0
+	for i := range prev.cols {
+		if prev.ss[i] >= minSS && prev.se[i] > 0 {
+			nk++
+		}
+	}
+	keep := make([]int, 0, nk)
 	for i := range prev.cols {
 		if prev.ss[i] >= minSS && prev.se[i] > 0 {
 			keep = append(keep, i)
 		}
 	}
 
-	// Without dedup no matrix M is needed: either the ablation disabled it
-	// (config 5: every pair is its own candidate, bounds from its two
-	// parents only), or L == 2, where the 2-column union uniquely identifies
-	// its basic-slice pair so no duplicates can arise and both parents are
-	// always enumerated (np = 2 = L).
-	dedup := L > 2 && !cfg.DisableDedup
-	set := colSet{width: L}
-	var groups []group // insertion order for deterministic output
-	var pr pruneStats
-	union := make([]int, L) // merge scratch shared by every pair
-
-	addPair := func(i, j int) {
-		ssUB := math.Min(prev.ss[i], prev.ss[j])
-		seUB := math.Min(prev.se[i], prev.se[j])
-		smUB := math.Min(prev.sm[i], prev.sm[j])
-		// Early pair-level pruning: the group bound is the min over all its
-		// pairs, so one failing pair condemns the whole candidate. Only
-		// applicable when the corresponding pruning is enabled.
-		dead, deadBySize := false, false
-		if !cfg.DisableSizePruning && ssUB < float64(cfg.Sigma) {
-			dead, deadBySize = true, true
-		}
-		if !dead && !cfg.DisableScorePruning {
-			ub := st.sc.upperBound(ssUB, seUB, smUB)
-			if ub <= sck || ub < 0 {
-				dead = true
-			}
-		}
-		if !dedup {
-			if dead {
-				if deadBySize {
-					pr.pairSize++
-				} else {
-					pr.pairScore++
-				}
-				return
-			}
-			set.add(union)
-			groups = append(groups, group{ssUB: ssUB, seUB: seUB, smUB: smUB})
-			return
-		}
-		k, added := set.index(union)
-		if added {
-			groups = append(groups, group{ssUB: math.Inf(1), seUB: math.Inf(1), smUB: math.Inf(1)})
-		}
-		g := &groups[k]
-		if dead {
-			g.dead = true
-		}
-		if ssUB < g.ssUB {
-			g.ssUB = ssUB
-		}
-		if seUB < g.seUB {
-			g.seUB = seUB
-		}
-		if smUB < g.smUB {
-			g.smUB = smUB
-		}
-		g.pairs++
+	shards := (nk + joinShard - 1) / joinShard
+	workers := max(min(matrix.MaxWorkers(), shards), 1)
+	j := &join{
+		prev: prev, keep: keep, L: L, cfg: cfg, featOf: st.featOf, sc: st.sc, sck: sck,
+		dedup:  L > 2 && !cfg.DisableDedup,
+		shards: make([]shardOut, shards),
+		arenas: make([]joinArena, workers),
 	}
-
-	if L == 2 {
-		// Basic slices overlap in L-2 = 0 predicates: every cross-feature
-		// pair is compatible.
-		for a := 0; a < len(keep); a++ {
-			if len(groups) > cfg.MaxCandidatesPerLevel {
-				return nil, pruneStats{}
-			}
-			i := keep[a]
-			fi := st.featOf[prev.cols[i][0]]
-			for b := a + 1; b < len(keep); b++ {
-				j := keep[b]
-				if st.featOf[prev.cols[j][0]] == fi {
-					continue
-				}
-				if mergeInto(union, prev.cols[i], prev.cols[j]) {
-					addPair(i, j)
-				}
-			}
-		}
-	} else {
-		// Sparse self-join: for each kept slice, count co-occurrences with
-		// later kept slices through per-column posting lists; partners are
-		// those sharing exactly L-2 columns (the = (L-2) comparison on SSᵀ).
-		// The postings are flat: column c's kept slices, in ascending order,
-		// are post[head[c]:end[c]].
-		nCols := len(st.featOf)
-		head := make([]int32, nCols+1)
+	j.buildBuckets()
+	if j.dedup {
+		// A deduplicated frontier holds distinct slices, so entry k of the
+		// index is kept slice k.
+		j.parents = newColSet(L-1, nk)
 		for _, i := range keep {
-			for _, c := range prev.cols[i] {
-				head[c+1]++
-			}
-		}
-		for c := 0; c < nCols; c++ {
-			head[c+1] += head[c]
-		}
-		post := make([]int32, head[nCols])
-		end := make([]int32, nCols)
-		copy(end, head)
-		for a, i := range keep {
-			for _, c := range prev.cols[i] {
-				post[end[c]] = int32(a)
-				end[c]++
-			}
-		}
-		counts := make([]int32, len(keep))
-		stamp := make([]int32, len(keep))
-		for s := range stamp {
-			stamp[s] = -1
-		}
-		var touched []int32
-		for a, i := range keep {
-			if len(groups) > cfg.MaxCandidatesPerLevel {
-				return nil, pruneStats{}
-			}
-			touched = touched[:0]
-			for _, c := range prev.cols[i] {
-				// Slices are visited in ascending order, so every earlier
-				// slice of column c has been popped and a heads its list.
-				head[c]++
-				for _, b := range post[head[c]:end[c]] {
-					if stamp[b] != int32(a) {
-						stamp[b] = int32(a)
-						counts[b] = 0
-						touched = append(touched, b)
-					}
-					counts[b]++
-				}
-			}
-			for _, b := range touched {
-				if counts[b] != int32(L-2) {
-					continue
-				}
-				// Reject unions where two columns map to the same original
-				// feature (step 3's rowSums(P[,beg:end]) <= 1 check).
-				if !mergeInto(union, prev.cols[i], prev.cols[keep[b]]) || !st.featuresDisjoint(union) {
-					continue
-				}
-				addPair(i, keep[b])
-			}
+			j.parents.index(prev.cols[i])
 		}
 	}
-
-	// For L == 2 the feature-validity check happened inline (cross-feature
-	// pairs only); for L >= 3 it happened before addPair. Now apply the
-	// group-level pruning of Equation 9, compacting the survivors' columns
-	// to the front of the arena.
-	allPairs := int32(L * (L - 1) / 2)
-	n := 0
-	var ubs []float64
-	for k := range groups {
-		g := &groups[k]
-		if g.dead {
-			pr.dead++
-			continue
-		}
-		if !cfg.DisableSizePruning && g.ssUB < float64(cfg.Sigma) {
-			pr.size++
-			continue
-		}
-		ub := st.sc.upperBound(g.ssUB, g.seUB, g.smUB)
-		if !cfg.DisableScorePruning {
-			if ub <= sck || ub < 0 {
-				pr.score++
-				continue
+	if workers == 1 {
+		j.work(0)
+	} else {
+		matrix.ParallelFor(workers, func(lo, hi int) {
+			for w := lo; w < hi; w++ {
+				j.work(w)
 			}
-		}
-		if dedup && !cfg.DisableParentHandling && g.pairs != allPairs {
-			// Missing-parent handling: a level-L slice has L parents, met
-			// in L(L-1)/2 pairs; if any parent was pruned earlier, every
-			// extension is prunable too.
-			pr.parents++
-			continue
-		}
-		copy(set.arena[n*L:(n+1)*L], set.at(k))
-		if cfg.PriorityEnumeration {
-			ubs = append(ubs, ub)
-		}
-		n++
+		})
+	}
+	if j.generated.Load() > int64(cfg.MaxCandidatesPerLevel) {
+		return nil, pruneStats{}
+	}
+
+	// Copy the survivors, shard by shard, into one right-sized arena.
+	var pr pruneStats
+	n := 0
+	for _, sh := range j.shards {
+		pr.add(sh.pr)
+		n += sh.hi - sh.lo
 	}
 	flat := make([]int, n*L)
-	copy(flat, set.arena)
+	var ubs []float64
+	if cfg.PriorityEnumeration {
+		ubs = make([]float64, n)
+	}
+	k := 0
+	for _, sh := range j.shards {
+		ar := &j.arenas[sh.worker]
+		copy(flat[k*L:], ar.cols[sh.lo*L:sh.hi*L])
+		if cfg.PriorityEnumeration {
+			copy(ubs[k:], ar.ub[sh.lo:sh.hi])
+		}
+		k += sh.hi - sh.lo
+	}
 	out := newLevel(n)
 	for k := range out.cols {
 		out.cols[k] = flat[k*L : (k+1)*L : (k+1)*L]
@@ -261,26 +154,267 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 	return out, pr
 }
 
-// featuresDisjoint reports whether every column of a sorted union belongs to
-// a distinct original feature. Columns of one feature are contiguous, so in
-// sorted order any clash is adjacent.
-func (st *state) featuresDisjoint(union []int) bool {
-	for k := 1; k < len(union); k++ {
-		if st.featOf[union[k-1]] == st.featOf[union[k]] {
-			return false
-		}
-	}
-	return true
+// join is one level's candidate generation: its read-only inputs, the
+// subset buckets and parent index built from them, and what the workers
+// write. Workers read their inputs from here, not from the run's state,
+// which thereby stays on its caller's stack.
+type join struct {
+	prev   *level
+	keep   []int // kept slice indices into prev, ascending
+	L      int
+	cfg    Config
+	featOf []int
+	sc     scorer
+	sck    float64
+	dedup  bool
+
+	// Subset buckets. Slot s = a*(L-1)+d stands for kept slice a without
+	// its d-th column. A bucket lists the slots of one (L-2)-column subset
+	// in ascending keep index: slot s sits at member index at[s] of a bucket
+	// that ends at end[s], and member m is kept slice member[m], whose
+	// column outside the subset is extra[m].
+	at, end, member, extra []int32
+
+	parents colSet // entry k: kept slice k's columns (dedup only)
+
+	next      atomic.Int64 // next shard to claim
+	generated atomic.Int64 // candidates generated before pruning
+	shards    []shardOut
+	arenas    []joinArena // one per worker
 }
 
-// mergeInto writes the sorted union of the sorted column lists a and b into
-// dst and reports whether the union has exactly len(dst) entries.
-func mergeInto(dst, a, b []int) bool {
+// shardOut records one shard's work: the worker that did it, its survivors'
+// range in that worker's arena (in candidates) and its per-rule counts.
+type shardOut struct {
+	worker, lo, hi int
+	pr             pruneStats
+}
+
+// joinArena holds one worker's survivors: L columns per candidate and,
+// under PriorityEnumeration, one score upper bound.
+type joinArena struct {
+	cols []int
+	ub   []float64
+}
+
+// buildBuckets files every kept slice under each of its (L-2)-column
+// subsets. At L == 2 every subset is empty: one bucket holds every kept
+// slice.
+func (j *join) buildBuckets() {
+	w := j.L - 1
+	ns := len(j.keep) * w
+	buf := make([]int32, 4*ns)
+	j.at, j.end, j.member, j.extra = buf[:ns], buf[ns:2*ns], buf[2*ns:3*ns], buf[3*ns:]
+	bucket := j.end // each slot's bucket id until end replaces it
+	nb := 1         // at L == 2 every slot is in bucket 0
+	if j.L > 2 {
+		subsets := newColSet(j.L-2, ns)
+		sub := make([]int, j.L-2)
+		for a, i := range j.keep {
+			cols := j.prev.cols[i]
+			for d := 0; d < w; d++ {
+				copy(sub, cols[:d])
+				copy(sub[d:], cols[d+1:])
+				b, _ := subsets.index(sub)
+				bucket[a*w+d] = int32(b)
+			}
+		}
+		nb = subsets.len()
+	}
+	// Counting sort of the slots by bucket; filling bucket b advances
+	// start[b+1] from b's first member index to its end.
+	start := make([]int32, nb+2)
+	for _, b := range bucket {
+		start[b+2]++
+	}
+	for b := 2; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	for a, i := range j.keep {
+		cols := j.prev.cols[i]
+		for d := 0; d < w; d++ {
+			s := a*w + d
+			m := start[bucket[s]+1]
+			start[bucket[s]+1]++
+			j.at[s], j.member[m], j.extra[m] = m, int32(a), int32(cols[d])
+		}
+	}
+	for s, b := range bucket {
+		j.end[s] = start[b+1]
+	}
+}
+
+// work claims shards until none is left and joins each shard's kept slices
+// with their later partners. It stops early once the level has generated
+// more candidates than MaxCandidatesPerLevel: the level is then discarded
+// whatever the remaining shards hold. Everything a worker writes per pair
+// lives in locals or in its own scratch, which a trailing cache line keeps
+// apart from any other worker's.
+func (j *join) work(w int) {
+	L, limit := j.L, int64(j.cfg.MaxCandidatesPerLevel)
+	prev, keep, featOf := j.prev, j.keep, j.featOf
+	at, end, member, extra := j.at, j.end, j.member, j.extra
+	scratch := make([]int, 3*L+8) // the merged slice, a lookup key, the kept parents
+	union, key, par := scratch[:L], scratch[L:2*L-1], scratch[2*L:3*L]
+	cols, ubs := j.arenas[w].cols, j.arenas[w].ub
+	for {
+		s := int(j.next.Add(1)) - 1
+		if s >= len(j.shards) {
+			break
+		}
+		lo := len(cols) / L
+		var pr pruneStats
+		for a := s * joinShard; a < min((s+1)*joinShard, len(keep)); a++ {
+			if gen := int64(pr.generated(len(cols)/L - lo)); gen+j.generated.Load() > limit {
+				j.generated.Add(gen)
+				return
+			}
+			ca := prev.cols[keep[a]]
+			for d := range ca {
+				sa := a*(L-1) + d
+				fa := featOf[ca[d]]
+				for m := at[sa] + 1; m < end[sa]; m++ {
+					if featOf[extra[m]] == fa {
+						continue
+					}
+					b := int(member[m])
+					mergeInto(union, ca, prev.cols[keep[b]])
+					par[0], par[1] = a, b
+					np := 2
+					if j.dedup {
+						var canonical bool
+						if np, canonical = j.otherParents(union, ca, d, b, key, par); !canonical {
+							continue
+						}
+					}
+					if ub, ok := j.prune(par[:np], &pr); ok {
+						cols = append(reserve(cols, L), union...)
+						if j.cfg.PriorityEnumeration {
+							ubs = append(reserve(ubs, 1), ub)
+						}
+					}
+				}
+			}
+		}
+		j.shards[s] = shardOut{worker: w, lo: lo, hi: len(cols) / L, pr: pr}
+		j.generated.Add(int64(pr.generated(len(cols)/L - lo)))
+	}
+	j.arenas[w] = joinArena{cols: cols, ub: ubs}
+}
+
+// otherParents looks up the kept parents of the merged slice union other
+// than its partners a (columns ca, joined without column d) and b: each
+// lacks one of the columns a and b share. It appends them to par after a
+// and b and returns np, the number of kept parents. It stops and reports
+// false as soon as one of them lies below b, which makes another pair the
+// canonical one.
+func (j *join) otherParents(union, ca []int, d, b int, key, par []int) (np int, canonical bool) {
+	np = 2
+	for q, c := range ca {
+		if q == d {
+			continue
+		}
+		withoutCol(key, union, c)
+		if p := j.parents.find(key); p >= 0 {
+			if p < b {
+				return np, false
+			}
+			par[np] = p
+			np++
+		}
+	}
+	return np, true
+}
+
+// prune applies the bounds to the candidate whose kept parents are par and
+// counts the rule that removes it in pr. First come the pair-level bounds
+// of the Section 4.3 join, to every pair of parents as the paper's
+// pair-wise join meets them: the size bound, then the score bound. Then
+// Equation 9 over the minima of all kept parents: size, score, and with
+// dedup the missing-parent rule np = L. It reports whether the candidate
+// survives, and its score upper bound.
+func (j *join) prune(par []int, pr *pruneStats) (float64, bool) {
+	prev, cfg, sigma := j.prev, &j.cfg, float64(j.cfg.Sigma)
+	ub, pairUB := 0.0, false // the last pair's score bound, if computed
+	for x, p := range par {
+		for _, q := range par[x+1:] {
+			i, k := j.keep[p], j.keep[q]
+			ss := math.Min(prev.ss[i], prev.ss[k])
+			bySize, byScore := !cfg.DisableSizePruning && ss < sigma, false
+			if !bySize && !cfg.DisableScorePruning {
+				ub, pairUB = j.sc.upperBound(ss, math.Min(prev.se[i], prev.se[k]), math.Min(prev.sm[i], prev.sm[k])), true
+				byScore = ub <= j.sck || ub < 0
+			}
+			if !bySize && !byScore {
+				continue
+			}
+			// A failing pair is pruned itself without dedup; with dedup it
+			// condemns the merged slice.
+			switch {
+			case j.dedup:
+				pr.dead++
+			case bySize:
+				pr.pairSize++
+			default:
+				pr.pairScore++
+			}
+			return 0, false
+		}
+	}
+	ss, se, sm := math.Inf(1), math.Inf(1), math.Inf(1)
+	for _, p := range par {
+		i := j.keep[p]
+		ss, se, sm = math.Min(ss, prev.ss[i]), math.Min(se, prev.se[i]), math.Min(sm, prev.sm[i])
+	}
+	if !cfg.DisableSizePruning && ss < sigma {
+		pr.size++
+		return 0, false
+	}
+	if len(par) > 2 || !pairUB {
+		// Two parents bound the candidate exactly as their pair does.
+		ub = j.sc.upperBound(ss, se, sm)
+	}
+	if !cfg.DisableScorePruning && (ub <= j.sck || ub < 0) {
+		pr.score++
+		return 0, false
+	}
+	if j.dedup && !cfg.DisableParentHandling && len(par) != j.L {
+		// Missing-parent handling: a parent pruned earlier makes every
+		// extension prunable too.
+		pr.parents++
+		return 0, false
+	}
+	return ub, true
+}
+
+// reserve returns s with room for n more elements, doubling its capacity
+// when it has to grow, so an arena of c elements grows O(log c) times.
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	grown := make([]T, len(s), 2*cap(s)+joinShard*n)
+	copy(grown, s)
+	return grown
+}
+
+// withoutCol writes the sorted column list cols without column c into dst,
+// which has room for one column less.
+func withoutCol(dst, cols []int, c int) {
+	n := 0
+	for _, x := range cols {
+		if x != c {
+			dst[n] = x
+			n++
+		}
+	}
+}
+
+// mergeInto writes the sorted union of the sorted column lists a and b,
+// which has exactly len(dst) entries, into dst.
+func mergeInto(dst, a, b []int) {
 	n, i, j := 0, 0, 0
 	for i < len(a) || j < len(b) {
-		if n == len(dst) {
-			return false
-		}
 		switch {
 		case j == len(b) || (i < len(a) && a[i] < b[j]):
 			dst[n] = a[i]
@@ -295,26 +429,30 @@ func mergeInto(dst, a, b []int) bool {
 		}
 		n++
 	}
-	return n == len(dst)
 }
 
-// colSet is the insertion-ordered set of one level's candidate column
-// lists, all of one width: entry k is arena[k*width:(k+1)*width]. index
-// deduplicates through an open-addressing table of entry indices whose keys
-// are the arena's lists, compared in full on every probe, so any width and
-// any column id work; add appends without deduplication. A set is filled
-// through one of the two, never both.
+// colSet is an insertion-ordered set of column lists, all of one width:
+// entry k is arena[k*width:(k+1)*width]. An open-addressing table of entry
+// indices, keyed by the arena's lists and compared in full on every probe,
+// finds them, so any width and any column id work.
 type colSet struct {
 	width int
 	arena []int
 	slots []int32 // entry index + 1 per slot, 0 = empty; len is a power of two
 }
 
+// newColSet returns an empty set that holds n entries without growing.
+func newColSet(width, n int) colSet {
+	size := 64
+	for size < 2*n {
+		size *= 2
+	}
+	return colSet{width: width, arena: make([]int, 0, width*n), slots: make([]int32, size)}
+}
+
 func (s *colSet) len() int { return len(s.arena) / s.width }
 
 func (s *colSet) at(k int) []int { return s.arena[k*s.width : (k+1)*s.width] }
-
-func (s *colSet) add(cols []int) { s.arena = append(s.arena, cols...) }
 
 // index returns the entry index of cols, appending a copy of cols when it is
 // absent; added reports whether it did. The table stays at most half full.
@@ -322,17 +460,31 @@ func (s *colSet) index(cols []int) (k int, added bool) {
 	if 2*(s.len()+1) > len(s.slots) {
 		s.grow()
 	}
+	p := s.probe(cols)
+	if e := s.slots[p]; e != 0 {
+		return int(e - 1), false
+	}
+	k = s.len()
+	s.slots[p] = int32(k + 1)
+	s.arena = append(s.arena, cols...)
+	return k, true
+}
+
+// find returns the entry index of cols, or -1 when cols is absent.
+func (s *colSet) find(cols []int) int {
+	if len(s.slots) == 0 {
+		return -1
+	}
+	return int(s.slots[s.probe(cols)]) - 1
+}
+
+// probe returns the slot that holds cols or, when cols is absent, the empty
+// slot where it belongs.
+func (s *colSet) probe(cols []int) uint64 {
 	mask := uint64(len(s.slots) - 1)
 	for p := hashCols(cols) & mask; ; p = (p + 1) & mask {
-		e := s.slots[p]
-		if e == 0 {
-			k = s.len()
-			s.slots[p] = int32(k + 1)
-			s.arena = append(s.arena, cols...)
-			return k, true
-		}
-		if equalCols(s.at(int(e-1)), cols) {
-			return int(e - 1), false
+		if e := s.slots[p]; e == 0 || equalCols(s.at(int(e-1)), cols) {
+			return p
 		}
 	}
 }

@@ -1,41 +1,41 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
+
+	"sliceline/internal/matrix"
 )
 
 func TestMergeInto(t *testing.T) {
 	cases := []struct {
 		name string
 		a, b []int
-		want int
-		out  []int // nil: the union does not have want entries
+		out  []int
 	}{
-		{"one shared column", []int{1, 2}, []int{1, 3}, 3, []int{1, 2, 3}},
-		{"union too large", []int{1, 2}, []int{3, 4}, 3, nil},
-		{"union too small", []int{1, 2}, []int{1, 2}, 3, nil},
-		{"level-2 join", []int{0}, []int{5}, 2, []int{0, 5}},
-		{"level-2 join, reversed", []int{5}, []int{0}, 2, []int{0, 5}},
-		{"interleaved", []int{1, 4, 9}, []int{1, 4, 7}, 4, []int{1, 4, 7, 9}},
+		{"one shared column", []int{1, 2}, []int{1, 3}, []int{1, 2, 3}},
+		{"level-2 join", []int{0}, []int{5}, []int{0, 5}},
+		{"level-2 join, reversed", []int{5}, []int{0}, []int{0, 5}},
+		{"interleaved", []int{1, 4, 9}, []int{1, 4, 7}, []int{1, 4, 7, 9}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			dst := make([]int, c.want)
-			ok := mergeInto(dst, c.a, c.b)
-			if ok != (c.out != nil) {
-				t.Fatalf("mergeInto(%v, %v) into %d = %v, want %v", c.a, c.b, c.want, ok, c.out != nil)
-			}
-			if ok && !reflect.DeepEqual(dst, c.out) {
+			dst := make([]int, len(c.out))
+			mergeInto(dst, c.a, c.b)
+			if !reflect.DeepEqual(dst, c.out) {
 				t.Fatalf("mergeInto(%v, %v) wrote %v, want %v", c.a, c.b, dst, c.out)
 			}
 		})
 	}
 }
 
-// TestColSetIndex checks the dedup table: index must hand out one index per
-// distinct list, in insertion order, however the lists hash.
+// TestColSetIndex checks the column-list table: index must hand out one
+// index per distinct list, in insertion order, however the lists hash, and
+// find must return it, or -1 before the list is added.
 func TestColSetIndex(t *testing.T) {
 	// Many distinct lists force the table through several doublings.
 	var many [][]int
@@ -74,6 +74,13 @@ func TestColSetIndex(t *testing.T) {
 			s := colSet{width: c.width}
 			distinct := 0
 			for n, cols := range c.lists {
+				wantFind := -1 // a list not yet added
+				if c.want[n] < distinct {
+					wantFind = c.want[n]
+				}
+				if got := s.find(cols); got != wantFind {
+					t.Fatalf("list %d %v: find = %d before index, want %d", n, cols, got, wantFind)
+				}
 				k, added := s.index(cols)
 				if k != c.want[n] {
 					t.Fatalf("list %d %v: index %d, want %d", n, cols, k, c.want[n])
@@ -86,6 +93,9 @@ func TestColSetIndex(t *testing.T) {
 				}
 				if !equalCols(s.at(k), cols) {
 					t.Fatalf("entry %d holds %v, want %v", k, s.at(k), cols)
+				}
+				if got := s.find(cols); got != k {
+					t.Fatalf("list %d %v: find = %d after index, want %d", n, cols, got, k)
 				}
 			}
 			if s.len() != distinct {
@@ -141,19 +151,6 @@ func TestPairCandidatesAllocs(t *testing.T) {
 	}
 }
 
-func TestFeaturesDisjoint(t *testing.T) {
-	st := &state{featOf: []int{0, 0, 1, 1, 2}}
-	if !st.featuresDisjoint([]int{0, 2, 4}) {
-		t.Error("columns of distinct features reported as clashing")
-	}
-	if st.featuresDisjoint([]int{0, 1}) {
-		t.Error("two columns of feature 0 reported disjoint")
-	}
-	if st.featuresDisjoint([]int{2, 3, 4}) {
-		t.Error("columns 2,3 share feature 1")
-	}
-}
-
 func TestLessCols(t *testing.T) {
 	if !lessCols([]int{1, 2}, []int{1, 3}) {
 		t.Error("lexicographic comparison failed")
@@ -163,5 +160,294 @@ func TestLessCols(t *testing.T) {
 	}
 	if lessCols([]int{2}, []int{1, 5}) {
 		t.Error("ordering inverted")
+	}
+}
+
+// naivePairCandidates states pairCandidates' semantics in their plainest
+// form: every pair of kept slices in O(n²); partners share L-2 columns and
+// have a feature-disjoint union; with dedup, each union accumulates its
+// min-bounds, parent-pair count and dead flag in a map. It returns the
+// surviving candidates as sorted keys (see candKey), the per-rule counts and
+// the number of candidates generated before pruning, which
+// MaxCandidatesPerLevel caps.
+func naivePairCandidates(st *state, prev *level, L int, sck float64) ([]string, pruneStats, int) {
+	cfg := st.cfg
+	sigma := float64(cfg.Sigma)
+	minSS := sigma
+	if cfg.DisableSizePruning {
+		minSS = 1
+	}
+	var keep []int
+	for i := range prev.cols {
+		if prev.ss[i] >= minSS && prev.se[i] > 0 {
+			keep = append(keep, i)
+		}
+	}
+	dedup := L > 2 && !cfg.DisableDedup
+	type cand struct {
+		cols       []int
+		ss, se, sm float64
+		pairs      int
+		dead       bool
+	}
+	groups := map[string]*cand{}
+	var cands []*cand // first-seen order; every surviving pair without dedup
+	var pr pruneStats
+	for x, i := range keep {
+		for _, j := range keep[x+1:] {
+			var extra []int // columns of j not in i
+			for _, c := range prev.cols[j] {
+				shared := false
+				for _, d := range prev.cols[i] {
+					shared = shared || c == d
+				}
+				if !shared {
+					extra = append(extra, c)
+				}
+			}
+			if len(extra) != 1 {
+				continue
+			}
+			cols := append(append([]int(nil), prev.cols[i]...), extra[0])
+			sort.Ints(cols)
+			disjoint := true
+			for x, c := range cols {
+				for _, d := range cols[x+1:] {
+					disjoint = disjoint && st.featOf[c] != st.featOf[d]
+				}
+			}
+			if !disjoint {
+				continue
+			}
+			ss := math.Min(prev.ss[i], prev.ss[j])
+			se := math.Min(prev.se[i], prev.se[j])
+			sm := math.Min(prev.sm[i], prev.sm[j])
+			bySize := !cfg.DisableSizePruning && ss < sigma
+			byScore := false
+			if !bySize && !cfg.DisableScorePruning {
+				ub := st.sc.upperBound(ss, se, sm)
+				byScore = ub <= sck || ub < 0
+			}
+			if !dedup {
+				switch {
+				case bySize:
+					pr.pairSize++
+				case byScore:
+					pr.pairScore++
+				default:
+					cands = append(cands, &cand{cols: cols, ss: ss, se: se, sm: sm})
+				}
+				continue
+			}
+			key := fmt.Sprint(cols)
+			g := groups[key]
+			if g == nil {
+				g = &cand{cols: cols, ss: math.Inf(1), se: math.Inf(1), sm: math.Inf(1)}
+				groups[key] = g
+				cands = append(cands, g)
+			}
+			g.ss, g.se, g.sm = math.Min(g.ss, ss), math.Min(g.se, se), math.Min(g.sm, sm)
+			g.pairs++
+			g.dead = g.dead || bySize || byScore
+		}
+	}
+	out := []string{}
+	for _, g := range cands {
+		if g.dead {
+			pr.dead++
+			continue
+		}
+		if !cfg.DisableSizePruning && g.ss < sigma {
+			pr.size++
+			continue
+		}
+		ub := st.sc.upperBound(g.ss, g.se, g.sm)
+		if !cfg.DisableScorePruning && (ub <= sck || ub < 0) {
+			pr.score++
+			continue
+		}
+		if dedup && !cfg.DisableParentHandling && g.pairs != L*(L-1)/2 {
+			pr.parents++
+			continue
+		}
+		out = append(out, candKey(g.cols, ub, cfg.PriorityEnumeration))
+	}
+	sort.Strings(out)
+	return out, pr, len(cands)
+}
+
+// candKey names a candidate by its columns and, under PriorityEnumeration,
+// the exact bits of its score upper bound.
+func candKey(cols []int, ub float64, priority bool) string {
+	if !priority {
+		return fmt.Sprint(cols)
+	}
+	return fmt.Sprint(cols, math.Float64bits(ub))
+}
+
+// randomFrontier draws a shuffled level-(L-1) frontier of distinct,
+// feature-disjoint slices over featOf's columns, with random statistics:
+// some slices fail input filtering, and a frontier drawn sparsely leaves
+// many level-L candidates with missing parents.
+func randomFrontier(rng *rand.Rand, featOf []int, dom, L, size int) *level {
+	features := len(featOf) / dom
+	prev := &level{}
+	seen := map[string]bool{}
+	for tries := 0; prev.size() < size && tries < 20*size; tries++ {
+		feats := rng.Perm(features)[:L-1]
+		sort.Ints(feats)
+		cols := make([]int, L-1)
+		for k, f := range feats {
+			cols[k] = f*dom + rng.Intn(dom)
+		}
+		if key := fmt.Sprint(cols); !seen[key] {
+			seen[key] = true
+			ss := float64(1 + rng.Intn(300))
+			se := ss * rng.Float64()
+			if rng.Intn(10) == 0 {
+				se = 0
+			}
+			prev.cols = append(prev.cols, cols)
+			prev.ss = append(prev.ss, ss)
+			prev.se = append(prev.se, se)
+			prev.sm = append(prev.sm, 0.05+0.95*rng.Float64())
+		}
+	}
+	return prev
+}
+
+// withDuplicates returns prev with about a tenth of its slices repeated, in
+// shuffled order: the shape of a frontier generated under DisableDedup.
+func withDuplicates(rng *rand.Rand, prev *level) *level {
+	out := &level{}
+	add := func(i int) {
+		out.cols = append(out.cols, prev.cols[i])
+		out.ss = append(out.ss, prev.ss[i])
+		out.se = append(out.se, prev.se[i])
+		out.sm = append(out.sm, prev.sm[i])
+	}
+	for i := range prev.cols {
+		add(i)
+		if rng.Intn(10) == 0 {
+			add(i)
+		}
+	}
+	rng.Shuffle(out.size(), func(a, b int) {
+		out.cols[a], out.cols[b] = out.cols[b], out.cols[a]
+		out.ss[a], out.ss[b] = out.ss[b], out.ss[a]
+		out.se[a], out.se[b] = out.se[b], out.se[a]
+		out.sm[a], out.sm[b] = out.sm[b], out.sm[a]
+	})
+	return out
+}
+
+// TestPairCandidatesMatchNaive checks the production join against
+// naivePairCandidates on random shuffled frontiers under every pruning
+// switch, and requires the same output order, bounds and per-rule counts at
+// 1, 2 and 7 workers. It is the only test of the per-rule counts: the
+// reference comparison in TestLevelCountsMatchReference sees only
+// Candidates and Valid.
+func TestPairCandidatesMatchNaive(t *testing.T) {
+	defer matrix.SetMaxWorkers(matrix.SetMaxWorkers(1))
+	configs := []Config{
+		{},
+		{DisableSizePruning: true},
+		{DisableScorePruning: true},
+		{DisableParentHandling: true},
+		{DisableDedup: true},
+		{DisableSizePruning: true, DisableScorePruning: true, DisableParentHandling: true, DisableDedup: true},
+		{PriorityEnumeration: true},
+	}
+	const n = 1000
+	e := make([]float64, n)
+	for i := range e {
+		e[i] = 0.3
+	}
+	rng := rand.New(rand.NewSource(23))
+	levels, maxShards := 0, 0
+	var fired pruneStats
+	for trial := 0; trial < 16; trial++ {
+		L := 2 + trial%4
+		features, dom := 5+rng.Intn(4), 2+rng.Intn(3)
+		size := 150 + rng.Intn(250)
+		if L == 2 {
+			features, dom = 30+rng.Intn(30), 2+rng.Intn(3)
+		}
+		featOf := make([]int, features*dom)
+		for c := range featOf {
+			featOf[c] = c / dom
+		}
+		frontier := randomFrontier(rng, featOf, dom, L, size)
+		if L == 2 {
+			frontier = randomFrontier(rng, featOf, dom, L, len(featOf))
+		}
+		for ci, base := range configs {
+			cfg := base
+			cfg.K, cfg.Sigma, cfg.Alpha = 4, 5+rng.Intn(40), 0.8+0.19*rng.Float64()
+			cfg = cfg.WithDefaults(n)
+			prev := frontier
+			if cfg.DisableDedup && L > 2 {
+				prev = withDuplicates(rng, frontier)
+			}
+			st := &state{cfg: cfg, sc: newScorer(n, e, cfg.Alpha, cfg.Sigma), featOf: featOf}
+			sck := rng.Float64()
+			want, wantPr, generated := naivePairCandidates(st, prev, L, sck)
+			fired.add(wantPr)
+			maxShards = max(maxShards, (prev.size()+joinShard-1)/joinShard)
+
+			var first *level
+			var firstPr pruneStats
+			for _, workers := range []int{1, 2, 7} {
+				matrix.SetMaxWorkers(workers)
+				got, pr := st.pairCandidates(prev, L, sck)
+				if got == nil {
+					t.Fatalf("trial %d config %d (L=%d): uncapped generation returned nil", trial, ci, L)
+				}
+				if pr != wantPr {
+					t.Fatalf("trial %d config %d (L=%d, %d workers): prune counts %+v, naive %+v", trial, ci, L, workers, pr, wantPr)
+				}
+				keys := make([]string, got.size())
+				for k, cols := range got.cols {
+					ub := 0.0
+					if cfg.PriorityEnumeration {
+						ub = got.ub[k]
+					}
+					keys[k] = candKey(cols, ub, cfg.PriorityEnumeration)
+				}
+				sort.Strings(keys)
+				if !reflect.DeepEqual(keys, want) {
+					t.Fatalf("trial %d config %d (L=%d, %d workers): %d candidates differ from naive %d",
+						trial, ci, L, workers, len(keys), len(want))
+				}
+				if first == nil {
+					first, firstPr = got, pr
+				} else if !reflect.DeepEqual(got.cols, first.cols) || !reflect.DeepEqual(got.ub, first.ub) || pr != firstPr {
+					t.Fatalf("trial %d config %d (L=%d): output at %d workers differs from 1 worker", trial, ci, L, workers)
+				}
+			}
+
+			// The cap counts candidates before pruning: the naive count
+			// passes, one less returns nil at every worker count.
+			for _, limit := range []int{generated, generated - 1} {
+				capped := *st
+				capped.cfg.MaxCandidatesPerLevel = limit
+				for _, workers := range []int{1, 2, 7} {
+					matrix.SetMaxWorkers(workers)
+					if got, _ := capped.pairCandidates(prev, L, sck); (got == nil) != (limit < generated) {
+						t.Fatalf("trial %d config %d (L=%d, %d workers): cap %d of %d returned nil = %v",
+							trial, ci, L, workers, limit, generated, got == nil)
+					}
+				}
+			}
+			if L > 2 && len(want) > 0 {
+				levels++
+			}
+		}
+	}
+	// Input filtering keeps only slices of size >= σ when size pruning is
+	// on, so neither size rule can fire; the others must.
+	if levels < 40 || maxShards < 5 || fired.pairScore == 0 || fired.dead == 0 || fired.parents == 0 {
+		t.Fatalf("fixture too thin: %d levels >= 3 with candidates, at most %d shards, rules fired %+v",
+			levels, maxShards, fired)
 	}
 }

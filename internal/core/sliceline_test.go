@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sliceline/internal/fptol"
@@ -336,6 +337,83 @@ func TestMaxCandidatesTruncates(t *testing.T) {
 	if !res.Truncated {
 		t.Fatal("expected truncation with tiny candidate budget")
 	}
+}
+
+// TestMaxCandidatesBoundary pins what MaxCandidatesPerLevel counts: the
+// candidates a level generates before pruning, that is, its distinct merged
+// slices with dedup (evaluated plus pruned) and its surviving pairs without
+// (evaluated). A cap equal to level 3's count keeps the run whole; one below
+// it truncates at level 3 before anything there is evaluated.
+func TestMaxCandidatesBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cases := [2]int{} // per mode: dedup, DisableDedup
+	for trial := 0; trial < 200 && (cases[0] < 10 || cases[1] < 10); trial++ {
+		noDedup := trial%2 == 1
+		ds, e := randomDataset(rng, 80+rng.Intn(120), 4+rng.Intn(3), 4)
+		cfg := Config{
+			K: 1 + rng.Intn(4), Sigma: 2 + rng.Intn(5), Alpha: 0.5 + 0.49*rng.Float64(),
+			MaxLevel: 3, DisableDedup: noDedup,
+		}
+		full, err := runDS(ds, e, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Truncated || len(full.Levels) < 3 {
+			continue
+		}
+		l3 := full.Levels[2]
+		g := l3.Candidates
+		if !noDedup {
+			g += l3.Pruned
+		}
+		if full.Levels[1].Candidates >= g-1 {
+			continue // level 2 would hit the lower cap first
+		}
+		mode := 0
+		if noDedup {
+			mode = 1
+		}
+		cases[mode]++
+
+		cfg.MaxCandidatesPerLevel = g
+		at, err := runDS(ds, e, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at.Truncated || !sameCounts(at.Levels, full.Levels) || !reflect.DeepEqual(scoresOf(at.TopK), scoresOf(full.TopK)) {
+			t.Fatalf("trial %d (DisableDedup %v): cap %d = level 3's count changed the run: levels %+v, uncapped %+v",
+				trial, noDedup, g, at.Levels, full.Levels)
+		}
+
+		cfg.MaxCandidatesPerLevel = g - 1
+		below, err := runDS(ds, e, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !below.Truncated || len(below.Levels) != 3 || !sameCounts(below.Levels[:2], full.Levels[:2]) ||
+			below.Levels[2].Level != 3 || below.Levels[2].Candidates != 0 {
+			t.Fatalf("trial %d (DisableDedup %v): cap %d (one below level 3's count): truncated %v, levels %+v",
+				trial, noDedup, g-1, below.Truncated, below.Levels)
+		}
+	}
+	if cases[0] < 10 || cases[1] < 10 {
+		t.Fatalf("fixture too thin: %d dedup and %d DisableDedup cases, want 10 each", cases[0], cases[1])
+	}
+}
+
+// sameCounts compares per-level statistics without their elapsed times.
+func sameCounts(a, b []LevelStats) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		x.Elapsed, y.Elapsed = 0, 0
+		if x != y {
+			return false
+		}
+	}
+	return true
 }
 
 // TestBlockSizesAgree: evaluation must be independent of the hybrid block

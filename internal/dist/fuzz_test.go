@@ -71,7 +71,7 @@ func FuzzServiceLoad(f *testing.F) {
 					cand[j] = int(in.next()) % a.Cols
 				}
 				sort.Ints(cand)
-				if checkCands([][]int{cand}, a.Cols) == nil {
+				if checkCands([][]int{cand}, level, a.Cols) == nil {
 					cands = append(cands, cand)
 				}
 			}

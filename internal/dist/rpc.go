@@ -81,9 +81,20 @@ type EvalArgs struct {
 }
 
 // checkCands rejects candidates a partition of nCols columns cannot
-// evaluate: each must list strictly ascending column ids in [0, nCols).
-func checkCands(cols [][]int, nCols int) error {
+// evaluate at the given level: the level must be at least 1, and each
+// candidate must list exactly level strictly ascending column ids in
+// [0, nCols). The two kernels read the level differently — the CSR kernel
+// counts a row when exactly level of the listed columns are set in it, the
+// bitset kernel when all of them are — so a candidate of another length
+// would get kernel-dependent statistics.
+func checkCands(cols [][]int, level, nCols int) error {
+	if level < 1 {
+		return fmt.Errorf("dist: evaluation level %d is below 1", level)
+	}
 	for s, cand := range cols {
+		if len(cand) != level {
+			return fmt.Errorf("dist: candidate %d %v has %d columns at level %d", s, cand, len(cand), level)
+		}
 		for i, c := range cand {
 			if c < 0 || c >= nCols || (i > 0 && c <= cand[i-1]) {
 				return fmt.Errorf("dist: candidate %d %v is not strictly ascending in [0, %d)", s, cand, nCols)
@@ -199,7 +210,7 @@ func (s *Service) Eval(args *EvalArgs, reply *EvalReply) error {
 	if !ok {
 		return fmt.Errorf("dist: worker holds no partition %d", args.Part)
 	}
-	if err := checkCands(args.Cols, k.Cols()); err != nil {
+	if err := checkCands(args.Cols, args.Level, k.Cols()); err != nil {
 		return err
 	}
 	n := len(args.Cols)

@@ -192,7 +192,7 @@ func TestServerShutdownGraceful(t *testing.T) {
 
 	evalErr := make(chan error, 1)
 	go func() {
-		_, _, _, err := w.Eval(context.Background(), 0, [][]int{{0}, {1}, {0, 1}}, 2, 0)
+		_, _, _, err := w.Eval(context.Background(), 0, [][]int{{0}, {1}, {0}, {1}}, 1, 0)
 		evalErr <- err
 	}()
 	time.Sleep(2 * time.Millisecond) // let the call reach the server
@@ -278,6 +278,24 @@ func TestServiceRejectsMalformedCalls(t *testing.T) {
 		var reply EvalReply
 		if err := svc.Eval(&EvalArgs{Part: 7, Cols: cols, Level: 1}, &reply); err == nil {
 			t.Errorf("Eval accepted candidates %v on a 2-column partition", cols)
+		}
+	}
+	// The kernels read Level differently, so a candidate whose length is
+	// not Level has no kernel-independent statistics: {0, 1} at Level 1 is
+	// "exactly one of the columns" to the CSR kernel and "both columns" to
+	// the bitset one.
+	for _, tc := range []struct {
+		name  string
+		cols  [][]int
+		level int
+	}{
+		{"candidate length differs from Level", [][]int{{0}, {0, 1}}, 1},
+		{"candidate shorter than Level", [][]int{{0, 1}, {1}}, 2},
+		{"Level below 1", [][]int{}, 0},
+	} {
+		var reply EvalReply
+		if err := svc.Eval(&EvalArgs{Part: 7, Cols: tc.cols, Level: tc.level}, &reply); err == nil {
+			t.Errorf("Eval accepted a call with %s: candidates %v at Level %d", tc.name, tc.cols, tc.level)
 		}
 	}
 
