@@ -19,7 +19,7 @@ import (
 // levels — the pack cost is O(nnz + rows·cols/64) against per-level scans it
 // saves. A Kernel is safe for concurrent Eval calls on disjoint output slices.
 type Kernel struct {
-	x    *matrix.CSR
+	x    *matrix.CSR // nil for a Kernel over packed columns (NewPackedKernel)
 	e, w []float64
 
 	bitset   bool // density heuristic, fixed at construction
@@ -35,6 +35,14 @@ type Kernel struct {
 func NewKernel(x *matrix.CSR, e, w []float64) *Kernel {
 	bitset := bitsetProfitable(x)
 	return &Kernel{x: x, e: e, w: w, bitset: bitset, binary: bitset && binaryValues(e) && binaryValues(w)}
+}
+
+// NewPackedKernel wraps an unweighted partition whose columns arrive
+// already packed (the Dist-PFor wire's bitset payload). It takes the bitset
+// path, and the binary loop for 0/1 errors: the choice NewKernel makes on
+// the CSR the columns were packed from. It keeps no CSR.
+func NewPackedKernel(cb *matrix.ColumnBits, e []float64) *Kernel {
+	return &Kernel{e: e, bits: cb, bitset: true, binary: binaryValues(e)}
 }
 
 // rowVals is the row side of a bitset evaluation: the errors, the optional
@@ -84,10 +92,20 @@ func bitsetProfitable(x *matrix.CSR) bool {
 }
 
 // Rows returns the partition's row count.
-func (k *Kernel) Rows() int { return k.x.Rows() }
+func (k *Kernel) Rows() int {
+	if k.x == nil {
+		return k.bits.Rows()
+	}
+	return k.x.Rows()
+}
 
 // Cols returns the partition's column count.
-func (k *Kernel) Cols() int { return k.x.Cols() }
+func (k *Kernel) Cols() int {
+	if k.x == nil {
+		return k.bits.Cols()
+	}
+	return k.x.Cols()
+}
 
 // UsesBitset reports which path Eval takes.
 func (k *Kernel) UsesBitset() bool { return k.bitset }
@@ -108,7 +126,9 @@ func (k *Kernel) Backend() string {
 // the 0/1 error and weight words of a binary Kernel.
 func (k *Kernel) Bits() *matrix.ColumnBits {
 	k.packOnce.Do(func() {
-		k.bits = matrix.PackColumns(k.x)
+		if k.bits == nil {
+			k.bits = matrix.PackColumns(k.x)
+		}
 		if k.binary {
 			k.eb = packBinary(k.e)
 			if k.w != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -138,5 +139,46 @@ func TestKernelPacksOnce(t *testing.T) {
 	}
 	if k.Rows() != 200 {
 		t.Fatalf("Rows() = %d", k.Rows())
+	}
+}
+
+// TestPackedKernelMatchesNewKernel: a Kernel over already-packed columns
+// takes the path NewKernel picks for the dense CSR they were packed from —
+// the bitset kernel, binary exactly on 0/1 errors — and returns its bits.
+func TestPackedKernelMatchesNewKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ds, e := randomDataset(rng, 300, 4, 3)
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binaryE := make([]float64, len(e))
+	for i := range e {
+		binaryE[i] = float64(rng.Intn(2))
+	}
+	var cols [][]int
+	for a := 0; a < enc.X.Cols(); a++ {
+		for b := a + 1; b < enc.X.Cols(); b++ {
+			cols = append(cols, []int{a, b})
+		}
+	}
+	for _, errs := range [][]float64{e, binaryE} {
+		want := NewKernel(enc.X, errs, nil)
+		got := NewPackedKernel(matrix.PackColumns(enc.X), errs)
+		if !got.UsesBitset() || !want.UsesBitset() || got.Binary() != want.Binary() || got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+			t.Fatalf("packed kernel bitset %v binary %v on %d×%d, NewKernel bitset %v binary %v on %d×%d",
+				got.UsesBitset(), got.Binary(), got.Rows(), got.Cols(), want.UsesBitset(), want.Binary(), want.Rows(), want.Cols())
+		}
+		n := len(cols)
+		ss, se, sm := make([]float64, n), make([]float64, n), make([]float64, n)
+		gss, gse, gsm := make([]float64, n), make([]float64, n), make([]float64, n)
+		want.Eval(cols, 2, 0, ss, se, sm)
+		got.Eval(cols, 2, 0, gss, gse, gsm)
+		for s := range cols {
+			if math.Float64bits(ss[s]) != math.Float64bits(gss[s]) || math.Float64bits(se[s]) != math.Float64bits(gse[s]) ||
+				math.Float64bits(sm[s]) != math.Float64bits(gsm[s]) {
+				t.Fatalf("candidate %v: packed (%v, %v, %v), NewKernel (%v, %v, %v)", cols[s], gss[s], gse[s], gsm[s], ss[s], se[s], sm[s])
+			}
+		}
 	}
 }

@@ -38,10 +38,8 @@ func setPruneAttrs(sp *obs.Span, pr pruneStats) {
 	if sp == nil {
 		return
 	}
-	sp.SetInt("pruned_pair_size", int64(pr.pairSize))
 	sp.SetInt("pruned_pair_score", int64(pr.pairScore))
 	sp.SetInt("pruned_dead_pair", int64(pr.dead))
-	sp.SetInt("pruned_size", int64(pr.size))
 	sp.SetInt("pruned_score", int64(pr.score))
 	sp.SetInt("pruned_parents", int64(pr.parents))
 }

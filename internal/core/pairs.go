@@ -9,32 +9,30 @@ import (
 
 // pruneStats breaks the pruned pair-candidates of one level down by the rule
 // that removed them — the per-rule numbers behind Figure 3, exposed as level
-// span attributes by the observability layer.
+// span attributes by the observability layer. Equation 9's size bound has
+// no count: the join keeps only slices with ss >= σ, so the minimum over any
+// pair or group of kept parents meets it.
 type pruneStats struct {
-	pairSize  int // failed the size bound at pair level (dedup off or L == 2)
 	pairScore int // failed the score bound at pair level (dedup off or L == 2)
-	dead      int // some pair of the candidate's parents failed a pair-level bound
-	size      int // failed the group size bound ⌈ss⌉ >= σ
+	dead      int // some pair of the candidate's parents failed the score bound
 	score     int // failed the group score bound ⌈sc⌉ > sc_k ∧ ⌈sc⌉ >= 0
 	parents   int // missing-parent handling (np != L)
 }
 
 // total is the overall pruned count recorded in LevelStats.Pruned.
 func (p pruneStats) total() int {
-	return p.pairSize + p.pairScore + p.dead + p.size + p.score + p.parents
+	return p.pairScore + p.dead + p.score + p.parents
 }
 
 // generated is the number of candidates a level (or shard) generated
 // before pruning, given its n survivors — the count MaxCandidatesPerLevel
 // caps: every merged slice with dedup, and without it every pair that
-// passed the pair-level bounds.
-func (p pruneStats) generated(n int) int { return n + p.dead + p.size + p.score + p.parents }
+// passed the pair-level bound.
+func (p pruneStats) generated(n int) int { return n + p.dead + p.score + p.parents }
 
 func (p *pruneStats) add(q pruneStats) {
-	p.pairSize += q.pairSize
 	p.pairScore += q.pairScore
 	p.dead += q.dead
-	p.size += q.size
 	p.score += q.score
 	p.parents += q.parents
 }
@@ -327,35 +325,27 @@ func (j *join) otherParents(union, ca []int, d, b int, key, par []int) (np int, 
 }
 
 // prune applies the bounds to the candidate whose kept parents are par and
-// counts the rule that removes it in pr. First come the pair-level bounds
-// of the Section 4.3 join, to every pair of parents as the paper's
-// pair-wise join meets them: the size bound, then the score bound. Then
-// Equation 9 over the minima of all kept parents: size, score, and with
-// dedup the missing-parent rule np = L. It reports whether the candidate
-// survives, and its score upper bound.
+// counts the rule that removes it in pr. First comes the pair-level score
+// bound of the Section 4.3 join, to every pair of parents as the paper's
+// pair-wise join meets them. Then Equation 9 over the minima of all kept
+// parents: score, and with dedup the missing-parent rule np = L. Its size
+// bound always holds here (see pruneStats). It reports whether the
+// candidate survives, and its score upper bound.
 func (j *join) prune(par []int, pr *pruneStats) (float64, bool) {
-	prev, cfg, sigma := j.prev, &j.cfg, float64(j.cfg.Sigma)
+	prev, cfg := j.prev, &j.cfg
 	ub, pairUB := 0.0, false // the last pair's score bound, if computed
-	for x, p := range par {
+	for x := 0; x < len(par) && !cfg.DisableScorePruning; x++ {
 		for _, q := range par[x+1:] {
-			i, k := j.keep[p], j.keep[q]
-			ss := math.Min(prev.ss[i], prev.ss[k])
-			bySize, byScore := !cfg.DisableSizePruning && ss < sigma, false
-			if !bySize && !cfg.DisableScorePruning {
-				ub, pairUB = j.sc.upperBound(ss, math.Min(prev.se[i], prev.se[k]), math.Min(prev.sm[i], prev.sm[k])), true
-				byScore = ub <= j.sck || ub < 0
-			}
-			if !bySize && !byScore {
+			i, k := j.keep[par[x]], j.keep[q]
+			ub, pairUB = j.sc.upperBound(math.Min(prev.ss[i], prev.ss[k]), math.Min(prev.se[i], prev.se[k]), math.Min(prev.sm[i], prev.sm[k])), true
+			if ub > j.sck && ub >= 0 {
 				continue
 			}
 			// A failing pair is pruned itself without dedup; with dedup it
 			// condemns the merged slice.
-			switch {
-			case j.dedup:
+			if j.dedup {
 				pr.dead++
-			case bySize:
-				pr.pairSize++
-			default:
+			} else {
 				pr.pairScore++
 			}
 			return 0, false
@@ -365,10 +355,6 @@ func (j *join) prune(par []int, pr *pruneStats) (float64, bool) {
 	for _, p := range par {
 		i := j.keep[p]
 		ss, se, sm = math.Min(ss, prev.ss[i]), math.Min(se, prev.se[i]), math.Min(sm, prev.sm[i])
-	}
-	if !cfg.DisableSizePruning && ss < sigma {
-		pr.size++
-		return 0, false
 	}
 	if len(par) > 2 || !pairUB {
 		// Two parents bound the candidate exactly as their pair does.

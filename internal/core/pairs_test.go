@@ -163,14 +163,21 @@ func TestLessCols(t *testing.T) {
 	}
 }
 
+// naiveSizeTally counts how often naivePairCandidates' size bound fails: for
+// a pair of parents, and for a merged slice's parents as a group.
+// pairCandidates has no such rule, because its input filter makes the bound
+// always hold, so both must stay 0.
+type naiveSizeTally struct{ pair, group int }
+
 // naivePairCandidates states pairCandidates' semantics in their plainest
-// form: every pair of kept slices in O(n²); partners share L-2 columns and
-// have a feature-disjoint union; with dedup, each union accumulates its
-// min-bounds, parent-pair count and dead flag in a map. It returns the
-// surviving candidates as sorted keys (see candKey), the per-rule counts and
-// the number of candidates generated before pruning, which
-// MaxCandidatesPerLevel caps.
-func naivePairCandidates(st *state, prev *level, L int, sck float64) ([]string, pruneStats, int) {
+// form, the paper's literal rule set: every pair of kept slices in O(n²);
+// partners share L-2 columns and have a feature-disjoint union; with dedup,
+// each union accumulates its min-bounds, parent-pair count and dead flag in
+// a map; every bound of Equation 9 is applied, the size bound included. It
+// returns the surviving candidates as sorted keys (see candKey), the
+// per-rule counts, the size-bound tallies and the number of candidates
+// generated before pruning, which MaxCandidatesPerLevel caps.
+func naivePairCandidates(st *state, prev *level, L int, sck float64) ([]string, pruneStats, naiveSizeTally, int) {
 	cfg := st.cfg
 	sigma := float64(cfg.Sigma)
 	minSS := sigma
@@ -193,6 +200,7 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64) ([]string, 
 	groups := map[string]*cand{}
 	var cands []*cand // first-seen order; every surviving pair without dedup
 	var pr pruneStats
+	var sizes naiveSizeTally
 	for x, i := range keep {
 		for _, j := range keep[x+1:] {
 			var extra []int // columns of j not in i
@@ -224,14 +232,15 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64) ([]string, 
 			sm := math.Min(prev.sm[i], prev.sm[j])
 			bySize := !cfg.DisableSizePruning && ss < sigma
 			byScore := false
-			if !bySize && !cfg.DisableScorePruning {
+			if bySize {
+				sizes.pair++
+			} else if !cfg.DisableScorePruning {
 				ub := st.sc.upperBound(ss, se, sm)
 				byScore = ub <= sck || ub < 0
 			}
 			if !dedup {
 				switch {
 				case bySize:
-					pr.pairSize++
 				case byScore:
 					pr.pairScore++
 				default:
@@ -258,7 +267,7 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64) ([]string, 
 			continue
 		}
 		if !cfg.DisableSizePruning && g.ss < sigma {
-			pr.size++
+			sizes.group++
 			continue
 		}
 		ub := st.sc.upperBound(g.ss, g.se, g.sm)
@@ -273,7 +282,7 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64) ([]string, 
 		out = append(out, candKey(g.cols, ub, cfg.PriorityEnumeration))
 	}
 	sort.Strings(out)
-	return out, pr, len(cands)
+	return out, pr, sizes, len(cands)
 }
 
 // candKey names a candidate by its columns and, under PriorityEnumeration,
@@ -391,7 +400,10 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 			}
 			st := &state{cfg: cfg, sc: newScorer(n, e, cfg.Alpha, cfg.Sigma), featOf: featOf}
 			sck := rng.Float64()
-			want, wantPr, generated := naivePairCandidates(st, prev, L, sck)
+			want, wantPr, sizes, generated := naivePairCandidates(st, prev, L, sck)
+			if sizes != (naiveSizeTally{}) {
+				t.Fatalf("trial %d config %d (L=%d): the size bound pruned %+v, want none", trial, ci, L, sizes)
+			}
 			fired.add(wantPr)
 			maxShards = max(maxShards, (prev.size()+joinShard-1)/joinShard)
 
@@ -445,7 +457,7 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 		}
 	}
 	// Input filtering keeps only slices of size >= σ when size pruning is
-	// on, so neither size rule can fire; the others must.
+	// on, so neither size rule can fire (checked above); the others must.
 	if levels < 40 || maxShards < 5 || fired.pairScore == 0 || fired.dead == 0 || fired.parents == 0 {
 		t.Fatalf("fixture too thin: %d levels >= 3 with candidates, at most %d shards, rules fired %+v",
 			levels, maxShards, fired)

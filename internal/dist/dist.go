@@ -991,8 +991,12 @@ func (w *InProcessWorker) Load(_ context.Context, part int, x *matrix.CSR, e []f
 
 // Eval implements Worker.
 func (w *InProcessWorker) Eval(_ context.Context, part int, cols [][]int, level, blockSize int) (ss, se, sm []float64, err error) {
+	args, err := evalArgs(part, cols, level, blockSize)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	var reply EvalReply
-	err = w.svc.Eval(&EvalArgs{Part: part, Cols: cols, Level: level, BlockSize: blockSize}, &reply)
+	err = w.svc.Eval(args, &reply)
 	return reply.SS, reply.SE, reply.SM, err
 }
 

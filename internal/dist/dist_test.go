@@ -2,13 +2,16 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 
 	"sliceline/internal/core"
 	"sliceline/internal/fptol"
 	"sliceline/internal/frame"
+	"sliceline/internal/matrix"
 )
 
 func randomDataset(rng *rand.Rand, n, m, maxDom int) (*frame.Dataset, []float64) {
@@ -153,6 +156,107 @@ func TestTCPClusterMatchesBuiltin(t *testing.T) {
 	}
 	if !equalScores(scores(got.TopK), scores(ref.TopK)) {
 		t.Fatalf("tcp cluster scores %v differ from builtin %v", scores(got.TopK), scores(ref.TopK))
+	}
+}
+
+// kernelProbe is a Worker that records the kernel core.NewKernel picks on
+// each partition shipped through it.
+type kernelProbe struct {
+	Worker
+	bitset, binary []bool
+}
+
+func (w *kernelProbe) Load(ctx context.Context, part int, x *matrix.CSR, e []float64) error {
+	k := core.NewKernel(x, e, nil)
+	w.bitset = append(w.bitset, k.UsesBitset())
+	w.binary = append(w.binary, k.Binary())
+	return w.Worker.Load(ctx, part, x, e)
+}
+
+// TestTCPClusterPayloads ships each Load payload over TCP and runs each
+// non-binary kernel loop on the workers, and requires the builtin plan's
+// bits at 1, 2 and 4 workers. The errors are multiples of 1/16, which
+// float64 sums exactly in any grouping, so the partition merge must match
+// the single-process run bit for bit although the general loops run.
+func TestTCPClusterPayloads(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		rows, feats int
+		dom, sigma  int
+		bitset      bool
+	}{
+		// Three features of 100 values: the average column holds 1/100 of
+		// the rows, below the bitset kernel's 1/64 break-even, so every
+		// partition ships int32 CSR ids and runs the CSR kernel.
+		{name: "int32 CSR ids", rows: 8000, feats: 3, dom: 70, sigma: 2},
+		// Four values per feature: dense columns ship as packed words and
+		// run the bitset kernel's general loop on the fractional errors.
+		{name: "packed words", rows: 2000, feats: 4, dom: 4, sigma: 10, bitset: true},
+	} {
+		rng := rand.New(rand.NewSource(11))
+		ds := &frame.Dataset{Name: "payload", X0: frame.NewIntMatrix(tc.rows, tc.feats), Features: make([]frame.Feature, tc.feats)}
+		for j := range ds.Features {
+			ds.Features[j] = frame.Feature{Name: fmt.Sprintf("f%d", j), Domain: tc.dom}
+			for i := 0; i < tc.rows; i++ {
+				ds.X0.Set(i, j, 1+rng.Intn(tc.dom))
+			}
+		}
+		// Rows with f0 = 1 or f1 = 1 err more, so the top-K is not empty.
+		e := make([]float64, tc.rows)
+		for i := range e {
+			e[i] = float64(rng.Intn(12)) / 16
+			if ds.X0.At(i, 0) == 1 || ds.X0.At(i, 1) == 1 {
+				e[i] += float64(rng.Intn(20)) / 16
+			}
+		}
+		cfg := core.Config{K: 6, Sigma: tc.sigma, Alpha: 0.99}
+		ref, err := runDS(ds, e, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nw := range []int{1, 2, 4} {
+			addrs, shutdown := startWorkers(t, nw)
+			probes := make([]*kernelProbe, nw)
+			workers := make([]Worker, nw)
+			for i, a := range addrs {
+				w, err := Dial(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				probes[i] = &kernelProbe{Worker: w}
+				workers[i] = probes[i]
+			}
+			cl, err := NewClusterOpts(workers, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := cfg
+			c.Evaluator = cl
+			got, err := runDS(ds, e, c)
+			cl.Close()
+			shutdown()
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", tc.name, nw, err)
+			}
+			for i, p := range probes {
+				if len(p.bitset) != 1 || p.bitset[0] != tc.bitset || p.binary[0] {
+					t.Fatalf("%s, %d workers: worker %d loaded partitions with bitset %v binary %v, want one with bitset %v, not binary",
+						tc.name, nw, i, p.bitset, p.binary, tc.bitset)
+				}
+			}
+			if len(got.TopK) == 0 || !reflect.DeepEqual(got.TopK, ref.TopK) {
+				t.Fatalf("%s, %d workers: top-K\n%+v\nbuiltin\n%+v", tc.name, nw, got.TopK, ref.TopK)
+			}
+			if len(got.Levels) != len(ref.Levels) {
+				t.Fatalf("%s, %d workers: %d levels, builtin %d", tc.name, nw, len(got.Levels), len(ref.Levels))
+			}
+			for l, lv := range got.Levels {
+				want := ref.Levels[l]
+				if lv.Candidates != want.Candidates || lv.Valid != want.Valid || lv.Pruned != want.Pruned {
+					t.Fatalf("%s, %d workers: level %d counts %+v, builtin %+v", tc.name, nw, lv.Level, lv, want)
+				}
+			}
+		}
 	}
 }
 

@@ -3,10 +3,12 @@ package dist
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/rpc"
@@ -20,64 +22,165 @@ import (
 	"sliceline/internal/obs"
 )
 
-// LoadArgs ships a row partition to a remote worker (gob-encoded). The
-// one-hot partition is a 0/1 pattern, so its CSR buffers carry no values.
+// wireVersion numbers the layout of LoadArgs and EvalArgs. Both carry it,
+// and a worker refuses any other value, including the zero of a driver that
+// predates it: a skewed fleet fails at its first call, naming both versions.
+const wireVersion = 1
+
+// LoadArgs ships a row partition to a remote worker (gob-encoded) as what the
+// worker's kernel reads, in little-endian byte arrays that gob copies in one
+// piece. Exactly one payload is set: Bits, the packed ColumnBits words of
+// column 0, then column 1, …, when core.NewKernel picks the bitset kernel for
+// the partition; otherwise RowPtr32 and ColIdx32, the int32 row pointers and
+// ascending column ids of its one-hot CSR. The field names differ from the
+// unversioned wire's []int RowPtr and ColIdx, so an older driver's Load
+// decodes and is then refused by its version.
 type LoadArgs struct {
-	Part       int
-	Rows, Cols int
-	RowPtr     []int
-	ColIdx     []int
-	Err        []float64
+	Version            int
+	Part               int
+	Rows, Cols         int
+	Bits               []byte
+	RowPtr32, ColIdx32 []byte
+	Err                []float64
 }
 
-// loadArgs packs one partition for Service.Load.
+// loadArgs packs one partition for Service.Load by the kernel's own rule.
 func loadArgs(part int, x *matrix.CSR, e []float64) *LoadArgs {
+	a := &LoadArgs{Version: wireVersion, Part: part, Rows: x.Rows(), Cols: x.Cols(), Err: e}
+	if k := core.NewKernel(x, e, nil); k.UsesBitset() {
+		cb := k.Bits()
+		a.Bits = make([]byte, 0, 8*cb.Cols()*cb.Words())
+		for c := 0; c < cb.Cols(); c++ {
+			for _, w := range cb.Col(c) {
+				a.Bits = binary.LittleEndian.AppendUint64(a.Bits, w)
+			}
+		}
+		return a
+	}
 	rowPtr, colIdx := x.Components()
-	return &LoadArgs{Part: part, Rows: x.Rows(), Cols: x.Cols(), RowPtr: rowPtr, ColIdx: colIdx, Err: e}
+	a.RowPtr32 = appendInt32s(make([]byte, 0, 4*len(rowPtr)), rowPtr)
+	a.ColIdx32 = appendInt32s(make([]byte, 0, 4*len(colIdx)), colIdx)
+	return a
 }
 
-// check rejects a partition the worker could not hold without panicking or
-// miscounting later: CSR buffers that disagree with each other, a row whose
-// column ids are not strictly ascending in [0, Cols) (a repeated id would
-// count the row for candidates it does not hold), or errors that are not
-// finite and non-negative.
-func (a *LoadArgs) check() error {
-	if a.Rows < 0 || a.Cols < 0 {
-		return fmt.Errorf("dist: bad partition: %d rows and %d columns", a.Rows, a.Cols)
+// checkVersion refuses a message of another wire version.
+func checkVersion(v int) error {
+	if v != wireVersion {
+		return fmt.Errorf("dist: the driver speaks wire version %d and this worker version %d: upgrade the driver and workers together", v, wireVersion)
 	}
-	if len(a.RowPtr) != a.Rows+1 {
-		return fmt.Errorf("dist: bad partition: %d rowPtr entries for %d rows", len(a.RowPtr), a.Rows)
+	return nil
+}
+
+// kernel decodes the partition into the kernel the worker evaluates it
+// with, refusing one it could not hold without panicking or miscounting
+// later. Every buffer is sized by the bytes received, never by Rows or
+// Cols, and the byte counts must be whole elements that agree with Rows and
+// Cols. Packed words must not set a bit past the last row: the bitset
+// kernel would count a row that does not exist, and its general loop would
+// read past the errors. CSR row pointers must rise from 0 to the id count,
+// and each row's column ids must be strictly ascending in [0, Cols): a
+// repeated id would count the row for candidates it does not hold. Errors
+// must be finite and non-negative.
+func (a *LoadArgs) kernel() (*core.Kernel, error) {
+	if err := checkVersion(a.Version); err != nil {
+		return nil, err
+	}
+	// Candidate ids travel as int32, so the column space must fit one.
+	if a.Rows < 0 || a.Cols < 0 || a.Cols > math.MaxInt32 {
+		return nil, fmt.Errorf("dist: bad partition: %d rows and %d columns", a.Rows, a.Cols)
 	}
 	if len(a.Err) != a.Rows {
-		return fmt.Errorf("dist: bad partition: %d errors for %d rows", len(a.Err), a.Rows)
+		return nil, fmt.Errorf("dist: bad partition: %d errors for %d rows", len(a.Err), a.Rows)
 	}
-	if a.RowPtr[0] != 0 || a.RowPtr[a.Rows] != len(a.ColIdx) {
-		return fmt.Errorf("dist: bad partition: rowPtr spans [%d, %d] over %d column ids",
-			a.RowPtr[0], a.RowPtr[a.Rows], len(a.ColIdx))
+	if err := core.CheckValues(a.Err, core.ErrBadErrorVector); err != nil {
+		return nil, err
+	}
+	if len(a.Bits) > 0 {
+		if len(a.RowPtr32) > 0 || len(a.ColIdx32) > 0 {
+			return nil, errors.New("dist: bad partition: both packed words and CSR ids")
+		}
+		if len(a.Bits)%8 != 0 {
+			return nil, fmt.Errorf("dist: bad partition: %d bytes of packed words", len(a.Bits))
+		}
+		words := make([]uint64, len(a.Bits)/8)
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint64(a.Bits[8*i:])
+		}
+		cb, err := matrix.NewColumnBits(a.Rows, a.Cols, words)
+		if err != nil {
+			return nil, fmt.Errorf("dist: bad partition: %w", err)
+		}
+		return core.NewPackedKernel(cb, a.Err), nil
+	}
+	if len(a.RowPtr32) != 4*(a.Rows+1) || len(a.ColIdx32)%4 != 0 {
+		return nil, fmt.Errorf("dist: bad partition: %d bytes of row pointers and %d of column ids for %d rows",
+			len(a.RowPtr32), len(a.ColIdx32), a.Rows)
+	}
+	rowPtr, colIdx := int32s(a.RowPtr32), int32s(a.ColIdx32)
+	if rowPtr[0] != 0 || rowPtr[a.Rows] != len(colIdx) {
+		return nil, fmt.Errorf("dist: bad partition: rowPtr spans [%d, %d] over %d column ids",
+			rowPtr[0], rowPtr[a.Rows], len(colIdx))
 	}
 	for i := 0; i < a.Rows; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		if hi < lo || hi > len(a.ColIdx) {
-			return fmt.Errorf("dist: bad partition: rowPtr decreases or overruns the column ids at row %d", i)
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		if hi < lo || hi > len(colIdx) {
+			return nil, fmt.Errorf("dist: bad partition: rowPtr decreases or overruns the column ids at row %d", i)
 		}
 		for k := lo; k < hi; k++ {
-			if c := a.ColIdx[k]; c < 0 || c >= a.Cols || (k > lo && c <= a.ColIdx[k-1]) {
-				return fmt.Errorf("dist: bad partition: row %d column id %d is outside [0, %d) or not above its predecessor", i, c, a.Cols)
+			if c := colIdx[k]; c < 0 || c >= a.Cols || (k > lo && c <= colIdx[k-1]) {
+				return nil, fmt.Errorf("dist: bad partition: row %d column id %d is outside [0, %d) or not above its predecessor", i, c, a.Cols)
 			}
 		}
 	}
-	return core.CheckValues(a.Err, core.ErrBadErrorVector)
+	return core.NewKernel(matrix.NewCSR(a.Rows, a.Cols, rowPtr, colIdx), a.Err, nil), nil
 }
 
 // LoadReply acknowledges a Load.
 type LoadReply struct{}
 
-// EvalArgs broadcasts slice candidates to a worker.
+// EvalArgs broadcasts one level's slice candidates to a worker as a single
+// arena: Cands holds n × Level little-endian int32 column ids, candidate s
+// at ids [s·Level, (s+1)·Level). Its name differs from the unversioned
+// wire's [][]int Cols for the same reason LoadArgs' fields do.
 type EvalArgs struct {
+	Version   int
 	Part      int
-	Cols      [][]int
 	Level     int
 	BlockSize int
+	Cands     []byte
+}
+
+// evalArgs lays the candidates out in one arena. Each must list level ids:
+// the arena has no per-candidate lengths to carry another width.
+func evalArgs(part int, cols [][]int, level, blockSize int) (*EvalArgs, error) {
+	for s, cand := range cols {
+		if len(cand) != level {
+			return nil, fmt.Errorf("dist: candidate %d %v has %d columns at level %d", s, cand, len(cand), level)
+		}
+	}
+	a := &EvalArgs{Version: wireVersion, Part: part, Level: level, BlockSize: blockSize,
+		Cands: make([]byte, 0, 4*level*len(cols))}
+	for _, cand := range cols {
+		a.Cands = appendInt32s(a.Cands, cand)
+	}
+	return a, nil
+}
+
+// cands decodes the arena into one []int and capacity-capped per-candidate
+// views of it, then checks them against a partition of nCols columns.
+func (a *EvalArgs) cands(nCols int) ([][]int, error) {
+	if a.Level < 1 {
+		return nil, fmt.Errorf("dist: evaluation level %d is below 1", a.Level)
+	}
+	if len(a.Cands)%4 != 0 || len(a.Cands)/4%a.Level != 0 {
+		return nil, fmt.Errorf("dist: %d candidate bytes are not whole candidates of %d int32 ids", len(a.Cands), a.Level)
+	}
+	ids, L := int32s(a.Cands), a.Level
+	cols := make([][]int, len(ids)/L)
+	for s := range cols {
+		cols[s] = ids[s*L : (s+1)*L : (s+1)*L]
+	}
+	return cols, checkCands(cols, L, nCols)
 }
 
 // checkCands rejects candidates a partition of nCols columns cannot
@@ -102,6 +205,23 @@ func checkCands(cols [][]int, level, nCols int) error {
 		}
 	}
 	return nil
+}
+
+// appendInt32s appends v to dst as little-endian int32s.
+func appendInt32s(dst []byte, v []int) []byte {
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(x)))
+	}
+	return dst
+}
+
+// int32s decodes little-endian int32s; callers check len(b) % 4 == 0.
+func int32s(b []byte) []int {
+	out := make([]int, len(b)/4)
+	for i := range out {
+		out[i] = int(int32(binary.LittleEndian.Uint32(b[4*i:])))
+	}
+	return out
 }
 
 // EvalReply carries the partial statistics of one partition.
@@ -151,7 +271,8 @@ type Service struct {
 // partition is rejected before anything is stored or evicted: net/rpc runs
 // service methods without a recover, so a panic here would end the worker.
 func (s *Service) Load(args *LoadArgs, _ *LoadReply) error {
-	if err := args.check(); err != nil {
+	k, err := args.kernel()
+	if err != nil {
 		return err
 	}
 	s.ob.loads.Inc()
@@ -164,8 +285,7 @@ func (s *Service) Load(args *LoadArgs, _ *LoadReply) error {
 	if _, held := s.parts[args.Part]; !held && s.maxParts > 0 && len(s.parts) >= s.maxParts {
 		s.evictLRULocked()
 	}
-	x := matrix.NewCSR(args.Rows, args.Cols, args.RowPtr, args.ColIdx)
-	s.parts[args.Part] = core.NewKernel(x, args.Err, nil)
+	s.parts[args.Part] = k
 	s.touchLocked(args.Part)
 	rows := 0
 	for _, k := range s.parts {
@@ -201,6 +321,9 @@ func (s *Service) touchLocked(key int) {
 // panic inside a kernel goroutine, where nothing can recover it.
 func (s *Service) Eval(args *EvalArgs, reply *EvalReply) error {
 	s.ob.evals.Inc()
+	if err := checkVersion(args.Version); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	k, ok := s.parts[args.Part]
 	if ok {
@@ -210,16 +333,17 @@ func (s *Service) Eval(args *EvalArgs, reply *EvalReply) error {
 	if !ok {
 		return fmt.Errorf("dist: worker holds no partition %d", args.Part)
 	}
-	if err := checkCands(args.Cols, args.Level, k.Cols()); err != nil {
+	cols, err := args.cands(k.Cols())
+	if err != nil {
 		return err
 	}
-	n := len(args.Cols)
+	n := len(cols)
 	s.ob.cands.Add(int64(n))
 	reply.SS = make([]float64, n)
 	reply.SE = make([]float64, n)
 	reply.SM = make([]float64, n)
 	start := time.Now()
-	k.Eval(args.Cols, args.Level, args.BlockSize, reply.SS, reply.SE, reply.SM)
+	k.Eval(cols, args.Level, args.BlockSize, reply.SS, reply.SE, reply.SM)
 	s.ob.evalSecs.Observe(time.Since(start).Seconds())
 	return nil
 }
@@ -682,9 +806,12 @@ func (w *RemoteWorker) Load(ctx context.Context, part int, x *matrix.CSR, e []fl
 
 // Eval implements Worker.
 func (w *RemoteWorker) Eval(ctx context.Context, part int, cols [][]int, level, blockSize int) (ss, se, sm []float64, err error) {
-	var reply EvalReply
-	err = w.call(ctx, "Worker.Eval", &EvalArgs{Part: part, Cols: cols, Level: level, BlockSize: blockSize}, &reply)
+	args, err := evalArgs(part, cols, level, blockSize)
 	if err != nil {
+		return nil, nil, nil, err
+	}
+	var reply EvalReply
+	if err = w.call(ctx, "Worker.Eval", args, &reply); err != nil {
 		return nil, nil, nil, fmt.Errorf("dist: eval on %s: %w", w.addr, err)
 	}
 	return reply.SS, reply.SE, reply.SM, nil

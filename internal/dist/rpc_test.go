@@ -1,15 +1,25 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"net"
+	"net/rpc"
 	"reflect"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"sliceline/internal/core"
 	"sliceline/internal/matrix"
 )
 
@@ -214,38 +224,61 @@ func TestServerShutdownGraceful(t *testing.T) {
 // reply, never a panic — net/rpc calls service methods without a recover, so
 // a panic would end the worker process. A rejected call stores nothing and
 // leaves held partitions intact, and the same Service then serves
-// well-formed calls with correct statistics.
+// well-formed calls with correct statistics, from either payload.
 func TestServiceRejectsMalformedCalls(t *testing.T) {
 	// Four rows over two one-hot columns: rows 0 and 2 in column 0, rows 1,
 	// 2 and 3 in column 1.
 	good := func() *LoadArgs {
 		return &LoadArgs{
-			Part: 7, Rows: 4, Cols: 2,
-			RowPtr: []int{0, 1, 2, 4, 5},
-			ColIdx: []int{0, 1, 0, 1, 1},
-			Err:    []float64{1, 0, 1, 0.5},
+			Version: wireVersion, Part: 7, Rows: 4, Cols: 2,
+			RowPtr32: appendInt32s(nil, []int{0, 1, 2, 4, 5}),
+			ColIdx32: appendInt32s(nil, []int{0, 1, 0, 1, 1}),
+			Err:      []float64{1, 0, 1, 0.5},
 		}
 	}
+	// The same partition as packed words: column 0 is 0b0101, column 1
+	// 0b1110.
+	packed := func() *LoadArgs {
+		a := good()
+		a.RowPtr32, a.ColIdx32 = nil, nil
+		a.Bits = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 0b0101), 0b1110)
+		return a
+	}
+	set32 := func(b []byte, i, v int) { binary.LittleEndian.PutUint32(b[4*i:], uint32(int32(v))) }
 	badLoads := []struct {
 		name   string
+		base   func() *LoadArgs
 		mutate func(*LoadArgs)
 	}{
-		{"rowPtr ends past the column ids", func(a *LoadArgs) { a.RowPtr[4] = 6 }},
-		{"rowPtr starts above zero", func(a *LoadArgs) { a.RowPtr[0] = 1 }},
-		{"rowPtr decreases", func(a *LoadArgs) { a.RowPtr[2] = 0 }},
-		{"short rowPtr", func(a *LoadArgs) { a.RowPtr = a.RowPtr[:4] }},
-		{"column id past Cols", func(a *LoadArgs) { a.ColIdx[3] = 2 }},
-		{"negative column id", func(a *LoadArgs) { a.ColIdx[0] = -1 }},
-		{"repeated column id in a row", func(a *LoadArgs) { a.ColIdx[3] = 0 }},
-		{"descending column ids in a row", func(a *LoadArgs) { a.ColIdx[2], a.ColIdx[3] = 1, 0 }},
-		{"negative row count", func(a *LoadArgs) { a.Rows, a.RowPtr, a.Err = -1, nil, nil }},
-		{"short error vector", func(a *LoadArgs) { a.Err = a.Err[:3] }},
-		{"NaN error", func(a *LoadArgs) { a.Err[1] = math.NaN() }},
-		{"negative error", func(a *LoadArgs) { a.Err[1] = -1 }},
+		{"rowPtr ends past the column ids", good, func(a *LoadArgs) { set32(a.RowPtr32, 4, 6) }},
+		{"rowPtr starts above zero", good, func(a *LoadArgs) { set32(a.RowPtr32, 0, 1) }},
+		{"rowPtr decreases", good, func(a *LoadArgs) { set32(a.RowPtr32, 2, 0) }},
+		{"short rowPtr", good, func(a *LoadArgs) { a.RowPtr32 = a.RowPtr32[:16] }},
+		{"rowPtr bytes not whole int32s", good, func(a *LoadArgs) { a.RowPtr32 = append(a.RowPtr32, 0) }},
+		{"column id bytes not whole int32s", good, func(a *LoadArgs) { a.ColIdx32 = a.ColIdx32[:19] }},
+		{"column id past Cols", good, func(a *LoadArgs) { set32(a.ColIdx32, 3, 2) }},
+		{"negative column id", good, func(a *LoadArgs) { set32(a.ColIdx32, 0, -1) }},
+		{"repeated column id in a row", good, func(a *LoadArgs) { set32(a.ColIdx32, 3, 0) }},
+		{"descending column ids in a row", good, func(a *LoadArgs) { set32(a.ColIdx32, 2, 1); set32(a.ColIdx32, 3, 0) }},
+		{"no payload", good, func(a *LoadArgs) { a.RowPtr32, a.ColIdx32 = nil, nil }},
+		{"both payloads", good, func(a *LoadArgs) { a.Bits = packed().Bits }},
+		{"Cols past the int32 ids", good, func(a *LoadArgs) { a.Cols = math.MaxInt32 + 1 }},
+		{"one packed word short", packed, func(a *LoadArgs) { a.Bits = a.Bits[:8] }},
+		{"one packed word extra", packed, func(a *LoadArgs) { a.Bits = append(a.Bits, make([]byte, 8)...) }},
+		{"packed bytes not whole words", packed, func(a *LoadArgs) { a.Bits = a.Bits[:15] }},
+		{"packed bit past the last row", packed, func(a *LoadArgs) { a.Bits[0] |= 1 << 4 }},
+		{"packed words for another column count", packed, func(a *LoadArgs) { a.Cols = 3 }},
+		{"packed words for another row count", packed, func(a *LoadArgs) { a.Rows, a.Err = 65, make([]float64, 65) }},
+		{"negative row count", good, func(a *LoadArgs) { a.Rows, a.RowPtr32, a.Err = -1, nil, nil }},
+		{"short error vector", good, func(a *LoadArgs) { a.Err = a.Err[:3] }},
+		{"NaN error", packed, func(a *LoadArgs) { a.Err[1] = math.NaN() }},
+		{"negative error", good, func(a *LoadArgs) { a.Err[1] = -1 }},
+		{"an unversioned driver", good, func(a *LoadArgs) { a.Version = 0 }},
+		{"a newer wire version", packed, func(a *LoadArgs) { a.Version = wireVersion + 1 }},
 	}
 	var svc Service
 	for _, tc := range badLoads {
-		a := good()
+		a := tc.base()
 		tc.mutate(a)
 		if err := svc.Load(a, &LoadReply{}); err == nil {
 			t.Errorf("Load accepted a partition with %s", tc.name)
@@ -256,63 +289,278 @@ func TestServiceRejectsMalformedCalls(t *testing.T) {
 		t.Fatalf("rejected loads stored partitions %v (err %v)", held.Keys, err)
 	}
 
-	if err := svc.Load(good(), &LoadReply{}); err != nil {
-		t.Fatalf("well-formed Load: %v", err)
-	}
-	// Re-shipping the held key with a bad partition must keep the old one.
-	for _, tc := range badLoads {
-		a := good()
-		tc.mutate(a)
-		if err := svc.Load(a, &LoadReply{}); err == nil {
-			t.Errorf("Load over a held key accepted a partition with %s", tc.name)
+	for _, base := range []func() *LoadArgs{good, packed} {
+		if err := svc.Load(base(), &LoadReply{}); err != nil {
+			t.Fatalf("well-formed Load: %v", err)
+		}
+		// Re-shipping the held key with a bad partition must keep the old one.
+		for _, tc := range badLoads {
+			a := tc.base()
+			tc.mutate(a)
+			if err := svc.Load(a, &LoadReply{}); err == nil {
+				t.Errorf("Load over a held key accepted a partition with %s", tc.name)
+			}
+		}
+		arena := func(ids ...int) []byte { return appendInt32s(nil, ids) }
+		// Several candidates per call: the kernel shards them across
+		// goroutines, where an out-of-range column used to panic beyond any
+		// recover.
+		for _, tc := range []struct {
+			name  string
+			cands []byte
+			level int
+		}{
+			{"a column id past Cols", arena(0, 1, 5), 1},
+			{"a negative column id", arena(0, -1, 1), 1},
+			{"descending ids", arena(1, 0, 0, 1), 2},
+			{"a repeated id", arena(0, 0, 0, 1), 2},
+			{"bytes that are not whole int32s", arena(0, 1)[:7], 1},
+			{"ids that are not whole candidates", arena(0, 1, 1), 2},
+			{"Level 0", arena(), 0},
+			{"a negative Level", arena(0, 1), -1},
+		} {
+			var reply EvalReply
+			args := &EvalArgs{Version: wireVersion, Part: 7, Level: tc.level, Cands: tc.cands}
+			if err := svc.Eval(args, &reply); err == nil {
+				t.Errorf("Eval accepted %s on a 2-column partition", tc.name)
+			}
+		}
+		for _, version := range []int{0, wireVersion + 1} {
+			args := &EvalArgs{Version: version, Part: 7, Level: 1, Cands: arena(0)}
+			if err := svc.Eval(args, &EvalReply{}); err == nil || !strings.Contains(err.Error(), "wire version") {
+				t.Errorf("Eval at wire version %d: err %v, want a version error", version, err)
+			}
+		}
+		// The arena carries no per-candidate lengths, so the driver refuses
+		// to lay out a candidate whose width is not Level: the kernels read
+		// such a candidate differently.
+		if _, err := evalArgs(7, [][]int{{0}, {0, 1}}, 1, 0); err == nil {
+			t.Error("evalArgs laid out a 2-column candidate at Level 1")
+		}
+
+		for _, tc := range []struct {
+			cols       [][]int
+			ss, se, sm []float64
+		}{
+			{[][]int{{0}, {1}}, []float64{2, 3}, []float64{2, 1.5}, []float64{1, 1}},
+			{[][]int{{0, 1}}, []float64{1}, []float64{1}, []float64{1}},
+		} {
+			args, err := evalArgs(7, tc.cols, len(tc.cols[0]), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply EvalReply
+			if err := svc.Eval(args, &reply); err != nil {
+				t.Fatalf("well-formed Eval %v: %v", tc.cols, err)
+			}
+			if !reflect.DeepEqual(reply.SS, tc.ss) || !reflect.DeepEqual(reply.SE, tc.se) || !reflect.DeepEqual(reply.SM, tc.sm) {
+				t.Fatalf("Eval %v = (%v, %v, %v), want (%v, %v, %v)",
+					tc.cols, reply.SS, reply.SE, reply.SM, tc.ss, tc.se, tc.sm)
+			}
 		}
 	}
-	// Several candidates per call: the kernel shards them across goroutines,
-	// where an out-of-range column used to panic beyond any recover.
-	for _, cols := range [][][]int{
-		{{0}, {1}, {5}},
-		{{0}, {-1}, {1}},
-		{{1, 0}, {0}, {1}},
-		{{0, 0}, {0}, {1}},
-	} {
-		var reply EvalReply
-		if err := svc.Eval(&EvalArgs{Part: 7, Cols: cols, Level: 1}, &reply); err == nil {
-			t.Errorf("Eval accepted candidates %v on a 2-column partition", cols)
-		}
+}
+
+// unversionedLoadArgs is the Load message of the wire before it had a
+// version: a []int CSR and the errors.
+type unversionedLoadArgs struct {
+	Part, Rows, Cols int
+	RowPtr, ColIdx   []int
+	Err              []float64
+}
+
+// versionErr reports whether err is the worker's refusal of wire version v,
+// naming both versions and the remedy.
+func versionErr(err error, v int) bool {
+	return err != nil && strings.Contains(err.Error(), fmt.Sprintf("wire version %d and this worker version %d", v, wireVersion)) &&
+		strings.Contains(err.Error(), "upgrade the driver and workers together")
+}
+
+// TestServiceRefusesOtherWireVersions: an unversioned driver's Load decodes
+// into LoadArgs without a gob type error and is refused by its version, as
+// is a newer driver's Load or Eval, and each refusal names both versions.
+func TestServiceRefusesOtherWireVersions(t *testing.T) {
+	var buf bytes.Buffer
+	old := unversionedLoadArgs{Part: 3, Rows: 2, Cols: 2, RowPtr: []int{0, 1, 2}, ColIdx: []int{0, 1}, Err: []float64{1, 0}}
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
 	}
-	// The kernels read Level differently, so a candidate whose length is
-	// not Level has no kernel-independent statistics: {0, 1} at Level 1 is
-	// "exactly one of the columns" to the CSR kernel and "both columns" to
-	// the bitset one.
-	for _, tc := range []struct {
-		name  string
-		cols  [][]int
-		level int
-	}{
-		{"candidate length differs from Level", [][]int{{0}, {0, 1}}, 1},
-		{"candidate shorter than Level", [][]int{{0, 1}, {1}}, 2},
-		{"Level below 1", [][]int{}, 0},
-	} {
-		var reply EvalReply
-		if err := svc.Eval(&EvalArgs{Part: 7, Cols: tc.cols, Level: tc.level}, &reply); err == nil {
-			t.Errorf("Eval accepted a call with %s: candidates %v at Level %d", tc.name, tc.cols, tc.level)
-		}
+	var args LoadArgs
+	if err := gob.NewDecoder(&buf).Decode(&args); err != nil {
+		t.Fatalf("an unversioned Load does not decode: %v", err)
+	}
+	if args.Part != 3 || args.Rows != 2 || args.Cols != 2 || len(args.Err) != 2 {
+		t.Fatalf("an unversioned Load decoded as %+v", args)
+	}
+	var svc Service
+	if err := svc.Load(&args, &LoadReply{}); !versionErr(err, 0) {
+		t.Fatalf("unversioned Load: err %v, want a version refusal", err)
 	}
 
+	x := matrix.CSRFromDense(matrix.NewDenseData(2, 2, []float64{1, 0, 0, 1}))
+	newer := loadArgs(3, x, []float64{1, 0})
+	newer.Version = wireVersion + 1
+	if err := svc.Load(newer, &LoadReply{}); !versionErr(err, wireVersion+1) {
+		t.Fatalf("newer Load: err %v, want a version refusal", err)
+	}
+	if err := svc.Load(loadArgs(3, x, []float64{1, 0}), &LoadReply{}); err != nil {
+		t.Fatal(err)
+	}
+	eval, err := evalArgs(3, [][]int{{0}}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval.Version = wireVersion + 1
+	if err := svc.Eval(eval, &EvalReply{}); !versionErr(err, wireVersion+1) {
+		t.Fatalf("newer Eval: err %v, want a version refusal", err)
+	}
+}
+
+// unversionedDriver is a RemoteWorker whose Load sends the unversioned
+// wire's message.
+type unversionedDriver struct{ *RemoteWorker }
+
+func (w unversionedDriver) Load(ctx context.Context, part int, x *matrix.CSR, e []float64) error {
+	rowPtr, colIdx := x.Components()
+	old := &unversionedLoadArgs{Part: part, Rows: x.Rows(), Cols: x.Cols(), RowPtr: rowPtr, ColIdx: colIdx, Err: e}
+	return w.call(ctx, "Worker.Load", old, &LoadReply{})
+}
+
+// TestTCPSetupReportsWireVersionSkew: over TCP the worker's refusal reaches
+// the caller, so a skewed fleet fails Setup with an error that says which
+// partition no worker accepts and, wrapped inside, why.
+func TestTCPSetupReportsWireVersionSkew(t *testing.T) {
+	addrs, shutdown := startWorkers(t, 1)
+	defer shutdown()
+	w, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewClusterOpts([]Worker{unversionedDriver{w}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	x := matrix.CSRFromDense(matrix.NewDenseData(2, 2, []float64{1, 0, 0, 1}))
+	err = cl.Setup(context.Background(), x, []float64{1, 0})
+	if err == nil || !strings.Contains(err.Error(), "no live worker accepts partition 0") {
+		t.Fatalf("Setup on a skewed fleet: err %v", err)
+	}
+	var se rpc.ServerError
+	if !errors.As(err, &se) || !versionErr(se, 0) {
+		t.Fatalf("Setup error %v does not wrap the worker's version refusal", err)
+	}
+}
+
+// TestLoadArgsPayloadFollowsKernel: the driver ships packed words exactly
+// when core.NewKernel picks the bitset kernel for the partition, int32 CSR
+// ids otherwise, and never both; the worker's kernel makes the same choice.
+func TestLoadArgsPayloadFollowsKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
 	for _, tc := range []struct {
-		cols       [][]int
-		ss, se, sm []float64
+		name       string
+		rows, cols int
+		perRow     int
 	}{
-		{[][]int{{0}, {1}}, []float64{2, 3}, []float64{2, 1.5}, []float64{1, 1}},
-		{[][]int{{0, 1}}, []float64{1}, []float64{1}, []float64{1}},
+		{"dense one-hot", 300, 12, 3},
+		{"sparse wide domains", 300, 400, 2},
+		{"at the break-even density", 64, 64, 1},
+		{"no rows", 0, 5, 0},
+		{"no columns", 7, 0, 0},
 	} {
-		var reply EvalReply
-		if err := svc.Eval(&EvalArgs{Part: 7, Cols: tc.cols, Level: len(tc.cols[0])}, &reply); err != nil {
-			t.Fatalf("well-formed Eval %v: %v", tc.cols, err)
+		data := make([]float64, tc.rows*tc.cols)
+		for i := 0; i < tc.rows; i++ {
+			for _, c := range rng.Perm(tc.cols)[:tc.perRow] {
+				data[i*tc.cols+c] = 1
+			}
 		}
-		if !reflect.DeepEqual(reply.SS, tc.ss) || !reflect.DeepEqual(reply.SE, tc.se) || !reflect.DeepEqual(reply.SM, tc.sm) {
-			t.Fatalf("Eval %v = (%v, %v, %v), want (%v, %v, %v)",
-				tc.cols, reply.SS, reply.SE, reply.SM, tc.ss, tc.se, tc.sm)
+		x := matrix.CSRFromDense(matrix.NewDenseData(tc.rows, tc.cols, data))
+		e := make([]float64, tc.rows)
+		for i := range e {
+			e[i] = float64(rng.Intn(2))
 		}
+		want := core.NewKernel(x, e, nil).UsesBitset()
+		a := loadArgs(1, x, e)
+		packed, csr := len(a.Bits) > 0, len(a.RowPtr32) > 0
+		if packed != want || csr == want || (packed && len(a.ColIdx32) > 0) {
+			t.Errorf("%s: kernel bitset %v, payload packed %v csr %v", tc.name, want, packed, csr)
+		}
+		k, err := a.kernel()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if k.UsesBitset() != want || k.Rows() != tc.rows || k.Cols() != tc.cols {
+			t.Errorf("%s: worker kernel bitset %v on %d×%d, driver's %v on %d×%d",
+				tc.name, k.UsesBitset(), k.Rows(), k.Cols(), want, tc.rows, tc.cols)
+		}
+	}
+}
+
+// TestEvalWireAllocsFlat: a gob round trip of one level's EvalArgs, the
+// worker's Eval on it and the reply's round trip allocate the same small
+// number of times at 1k and at 20k candidates — the arena is one byte
+// array, not a slice per candidate.
+func TestEvalWireAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	// A collection empties sync.Pool, and gob then regrows a pooled encode
+	// buffer: a count that depends on when the collector runs.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer matrix.SetMaxWorkers(matrix.SetMaxWorkers(1))
+	// Four features of 55 values: dense enough for the bitset kernel, whose
+	// level loop allocates nothing, and wide enough for 20k pairs.
+	const rows, feats, dom = 256, 4, 55
+	const cols = feats * dom
+	rng := rand.New(rand.NewSource(4))
+	data := make([]float64, rows*cols)
+	e := make([]float64, rows)
+	for i := 0; i < rows; i++ {
+		for f := 0; f < feats; f++ {
+			data[i*cols+f*dom+rng.Intn(dom)] = 1
+		}
+		e[i] = float64(rng.Intn(2))
+	}
+	var svc Service
+	if err := svc.Load(loadArgs(0, matrix.CSRFromDense(matrix.NewDenseData(rows, cols, data)), e), &LoadReply{}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		cands := make([][]int, 0, n)
+		for a := 0; a < cols && len(cands) < n; a++ {
+			for b := a + 1; b < cols && len(cands) < n; b++ {
+				cands = append(cands, []int{a, b})
+			}
+		}
+		args, err := evalArgs(0, cands, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req, resp bytes.Buffer
+		reqEnc, reqDec := gob.NewEncoder(&req), gob.NewDecoder(&req)
+		respEnc, respDec := gob.NewEncoder(&resp), gob.NewDecoder(&resp)
+		return testing.AllocsPerRun(10, func() {
+			var got EvalArgs
+			var reply, back EvalReply
+			if err := reqEnc.Encode(args); err != nil {
+				t.Fatal(err)
+			}
+			if err := reqDec.Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Eval(&got, &reply); err != nil {
+				t.Fatal(err)
+			}
+			if err := respEnc.Encode(&reply); err != nil {
+				t.Fatal(err)
+			}
+			if err := respDec.Decode(&back); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(20000)
+	if small != large || large > 40 {
+		t.Fatalf("an Eval round trip allocates %.0f times at 1k candidates and %.0f at 20k, want one small constant", small, large)
 	}
 }

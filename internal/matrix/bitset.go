@@ -35,6 +35,32 @@ func PackColumns(x *CSR) *ColumnBits {
 	return cb
 }
 
+// NewColumnBits wraps packed words in PackColumns' layout without copying:
+// column c is words[c*⌈rows/64⌉ : (c+1)*⌈rows/64⌉], row i is bit i%64 of its
+// column's word i/64. It refuses a word count other than cols·⌈rows/64⌉ and
+// any bit set past the last row, which would count a row that does not
+// exist.
+func NewColumnBits(rows, cols int, words []uint64) (*ColumnBits, error) {
+	if rows < 0 || cols < 0 {
+		return nil, fmt.Errorf("matrix: ColumnBits of %d rows and %d columns", rows, cols)
+	}
+	per, tail := rows/64, uint(rows&63)
+	if tail != 0 {
+		per++
+	}
+	if (per == 0 && len(words) != 0) || (per > 0 && (len(words)%per != 0 || len(words)/per != cols)) {
+		return nil, fmt.Errorf("matrix: %d packed words for %d rows × %d columns", len(words), rows, cols)
+	}
+	if tail != 0 {
+		for c := 0; c < cols; c++ {
+			if words[(c+1)*per-1]>>tail != 0 {
+				return nil, fmt.Errorf("matrix: column %d sets a bit past row %d", c, rows-1)
+			}
+		}
+	}
+	return &ColumnBits{rows: rows, cols: cols, words: per, bits: words}, nil
+}
+
 // packRows sets the bits of x's rows [from, x.Rows()); the storage must
 // already hold that many rows per column.
 func (cb *ColumnBits) packRows(x *CSR, from int) {

@@ -102,6 +102,52 @@ func TestPackColumnsEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
+// TestNewColumnBits: packed words taken back out of PackColumns rebuild the
+// same bitset, and the constructor refuses a word count other than
+// cols·⌈rows/64⌉, a bit past the last row and negative shapes.
+func TestNewColumnBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, shape := range [][2]int{{70, 5}, {64, 3}, {1, 1}, {0, 4}, {9, 0}} {
+		rows, cols := shape[0], shape[1]
+		want := PackColumns(randomCSR01(rng, rows, cols, 0.4))
+		var words []uint64
+		for c := 0; c < cols; c++ {
+			words = append(words, want.Col(c)...)
+		}
+		got, err := NewColumnBits(rows, cols, words)
+		if err != nil {
+			t.Fatalf("%d×%d: %v", rows, cols, err)
+		}
+		if got.Rows() != rows || got.Cols() != cols || got.Words() != want.Words() {
+			t.Fatalf("%d×%d: rebuilt as %d×%d with %d words per column", rows, cols, got.Rows(), got.Cols(), got.Words())
+		}
+		for c := 0; c < cols; c++ {
+			for i := 0; i < rows; i++ {
+				if bitAt(got, c, i) != bitAt(want, c, i) {
+					t.Fatalf("%d×%d: bit (%d,%d) differs", rows, cols, c, i)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		rows, cols int
+		words      []uint64
+	}{
+		{"one word short", 70, 2, make([]uint64, 3)},
+		{"one word extra", 70, 2, make([]uint64, 5)},
+		{"words for no rows", 0, 2, make([]uint64, 1)},
+		{"a bit past the last row", 70, 2, []uint64{0, 0, 0, 1 << 6}},
+		{"the top bit of a ragged tail", 1, 1, []uint64{1 << 63}},
+		{"negative rows", -1, 2, nil},
+		{"negative columns", 64, -1, nil},
+	} {
+		if _, err := NewColumnBits(tc.rows, tc.cols, tc.words); err == nil {
+			t.Errorf("NewColumnBits accepted %s", tc.name)
+		}
+	}
+}
+
 // FuzzBitsetPack feeds arbitrary byte strings as matrix shapes and cell
 // contents and asserts PackColumns agrees with the CSR view bit-for-bit.
 func FuzzBitsetPack(f *testing.F) {
