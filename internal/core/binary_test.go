@@ -52,15 +52,11 @@ func checkBinaryMatchesGeneral(t testing.TB, x *matrix.CSR, e, w []float64, cand
 		t.Fatalf("cand %v (weighted %v): binary %v, general %v", cand, w != nil, got, full)
 	}
 
-	prefix := make([]int, from)
-	for i := range prefix {
-		prefix[i] = i
-	}
 	var pw []float64
 	if w != nil {
 		pw = w[:from]
 	}
-	pcb := matrix.PackColumns(x.SelectRows(prefix))
+	pcb := matrix.PackColumns(x.RowRange(0, from))
 	pgen, pbin := generalAndBinary(e[:from], pw)
 	seedG := eval(pcb, pgen, 0, [3]float64{})
 	seedB := eval(pcb, pbin, 0, [3]float64{})

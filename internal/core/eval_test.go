@@ -42,8 +42,8 @@ func TestEvalPartitionAdditive(t *testing.T) {
 	EvalPartitionWeighted(enc.X, e, nil, cols, 2, 0, ssW, seW, smW)
 
 	half := n / 2
-	top := enc.X.SelectRows(seqInts(0, half))
-	bot := enc.X.SelectRows(seqInts(half, n))
+	top := enc.X.RowRange(0, half)
+	bot := enc.X.RowRange(half, n)
 	ss := make([]float64, 2)
 	se := make([]float64, 2)
 	sm := make([]float64, 2)
@@ -61,12 +61,4 @@ func TestEvalPartitionAdditive(t *testing.T) {
 			t.Errorf("slice %d: partitioned sm %v vs whole %v", i, sm[i], smW[i])
 		}
 	}
-}
-
-func seqInts(lo, hi int) []int {
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 
 	"sliceline/internal/frame"
@@ -13,26 +11,32 @@ import (
 // same question answered — "are these the inputs of that earlier run?" — so
 // they share one definition and one test, instead of drifting apart.
 
-// sigHasher wraps an FNV-64a stream with the fixed-width little-endian
-// encoders every signature in this package uses.
-type sigHasher struct {
-	h interface {
-		Write([]byte) (int, error)
-		Sum64() uint64
+// sigHasher is an FNV-64a state with the fixed-width little-endian encoders
+// every signature in this package uses. It hashes in place, so a signature
+// allocates nothing however many words it covers.
+type sigHasher struct{ h uint64 }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func newSigHasher() sigHasher { return sigHasher{h: fnvOffset64} }
+
+// u64 hashes v's eight little-endian bytes, as hash/fnv's New64a would.
+func (s *sigHasher) u64(v uint64) {
+	h := s.h
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
 	}
+	s.h = h
 }
 
-func newSigHasher() sigHasher { return sigHasher{h: fnv.New64a()} }
+func (s *sigHasher) f64(v float64) { s.u64(math.Float64bits(v)) }
 
-func (s sigHasher) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	s.h.Write(b[:])
-}
-
-func (s sigHasher) f64(v float64) { s.u64(math.Float64bits(v)) }
-
-func (s sigHasher) flag(v bool) {
+func (s *sigHasher) flag(v bool) {
 	if v {
 		s.u64(1)
 	} else {
@@ -40,7 +44,7 @@ func (s sigHasher) flag(v bool) {
 	}
 }
 
-func (s sigHasher) sum() uint64 { return s.h.Sum64() }
+func (s *sigHasher) sum() uint64 { return s.h }
 
 // DataSignature fingerprints the data inputs of an enumeration run: the
 // one-hot matrix (dimensions and CSR components), the error vector and the

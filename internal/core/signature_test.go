@@ -169,3 +169,14 @@ func TestSignatureGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestDataSignatureZeroAllocs: the signature hashes in place. The server
+// computes it on every registration, append and journal restore, where one
+// allocation per hashed word would dominate the request's garbage.
+func TestDataSignatureZeroAllocs(t *testing.T) {
+	enc, e := sigDataset(t)
+	w := []float64{1, 1, 1, 2}
+	if allocs := testing.AllocsPerRun(20, func() { DataSignature(enc, e, w) }); allocs != 0 {
+		t.Fatalf("DataSignature made %.0f allocations per call, want 0", allocs)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sliceline/internal/fptol"
@@ -481,5 +482,47 @@ func TestAlphaOneIgnoresSize(t *testing.T) {
 	}
 	if !approxEqualScores(scoresOf(res.TopK), scoresOf(want)) {
 		t.Fatalf("alpha=1: %v vs %v", scoresOf(res.TopK), scoresOf(want))
+	}
+}
+
+// allocatedBytes returns the fewest bytes any of three calls of f allocated.
+func allocatedBytes(f func()) uint64 {
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for r := 0; r < 3; r++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestRunFullWidthCopiesNoIds: when every basic slice is valid, X[, cI] is
+// the encoding itself, so a run to level 1 allocates less than one copy of
+// the one-hot ids.
+func TestRunFullWidthCopiesNoIds(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	ds, _ := randomDataset(rng, 4096, 8, 4)
+	e := make([]float64, ds.NumRows())
+	for i := range e {
+		e[i] = 0.5 + rng.Float64()/2 // every basic slice has error
+	}
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 4, Sigma: 1, Alpha: 0.95, MaxLevel: 1}
+	var res *Result
+	got := allocatedBytes(func() {
+		if res, err = Run(context.Background(), enc, ds.Features, e, nil, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Levels[0].Valid != enc.Width() {
+		t.Fatalf("%d of %d basic slices are valid; the guard needs every column kept", res.Levels[0].Valid, enc.Width())
+	}
+	if idBytes := uint64(8 * enc.X.NNZ()); got >= idBytes {
+		t.Fatalf("Run to level 1 allocated %d bytes, want less than one copy of the ids (%d bytes)", got, idBytes)
 	}
 }

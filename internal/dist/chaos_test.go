@@ -358,9 +358,10 @@ func TestChaosAllWorkersFaulty(t *testing.T) {
 	}
 }
 
-// TestChaosFlappyTransport: a TCP worker whose first connection drops
-// mid-stream — torn gob frames and all — must be recovered by the bounded
-// redial, and the run must match the fault-free reference exactly.
+// TestChaosFlappyTransport: a TCP worker whose first connection tears the
+// reply the driver is waiting for — a half-written gob frame, then a close —
+// must be recovered by the bounded redial, and the run must match the
+// fault-free reference exactly.
 func TestChaosFlappyTransport(t *testing.T) {
 	ds, e := chaosDataset(37, 300, 3, 3)
 	cfg := core.Config{K: 4, Sigma: 3, Alpha: 0.9}
@@ -371,7 +372,9 @@ func TestChaosFlappyTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	flappy := &faults.Listener{Listener: lis, Scripts: []faults.ConnScript{
-		{CloseAfterReads: 2}, // first conn dies mid-stream; later conns are clean
+		// Write 1 is the Load reply and write 2 the level-2 Eval reply: the
+		// driver waits on that Eval, so it must redial. Later conns are clean.
+		{TearWrite: 2},
 	}}
 	srv, err := dist.NewServer(flappy)
 	if err != nil {

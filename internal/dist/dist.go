@@ -242,7 +242,8 @@ func (c *Cluster) callCtx(ctx context.Context) (context.Context, context.CancelF
 
 // Setup partitions X and e row-wise and ships the partitions, the
 // data-locality setup of the paper's distributed plan. The driver retains
-// the partitions so they can fail over to healthy workers.
+// the partitions so they can fail over to healthy workers. A partition is a
+// row-range view of x and e: it copies no column ids.
 //
 // Partitioning is balanced: sizes differ by at most one row, and no worker
 // is shipped an empty partition — with fewer rows than partitions only the
@@ -288,7 +289,7 @@ func (c *Cluster) Setup(ctx context.Context, x *matrix.CSR, e []float64) error {
 	lo := 0
 	for k := 0; k < nParts; k++ {
 		hi := lo + sizes[k]
-		part := partition{x: x.SelectRows(seq(lo, hi)), e: e[lo:hi]}
+		part := partition{x: x.RowRange(lo, hi), e: e[lo:hi]}
 		lo = hi
 		wi, err := c.shipPartition(ctx, sp, k, nParts, part)
 		if err != nil {
@@ -1013,13 +1014,5 @@ func (w *InProcessWorker) Parts(context.Context) ([]int, error) {
 
 // Close implements Worker.
 func (w *InProcessWorker) Close() error { return nil }
-
-func seq(lo, hi int) []int {
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
-}
 
 var _ core.ExternalEvaluator = (*Cluster)(nil)

@@ -3,9 +3,11 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sliceline/internal/core"
@@ -84,6 +86,44 @@ func TestInProcessClusterMatchesBuiltin(t *testing.T) {
 		if !equalScores(scores(got.TopK), scores(ref.TopK)) {
 			t.Fatalf("%d workers: scores %v differ from builtin %v", nWorkers, scores(got.TopK), scores(ref.TopK))
 		}
+	}
+}
+
+// allocatedBytes returns the fewest bytes any of three calls of f allocated.
+func allocatedBytes(f func()) uint64 {
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for r := 0; r < 3; r++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestSetupCopiesNoIds: Setup cuts each partition as a row-range view of X,
+// so shipping X to in-process workers allocates less than one copy of its
+// one-hot ids.
+func TestSetupCopiesNoIds(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ds, e := randomDataset(rng, 4096, 8, 4)
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewClusterOpts([]Worker{&InProcessWorker{}, &InProcessWorker{}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	got := allocatedBytes(func() {
+		if err := cl.Setup(context.Background(), enc.X, e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if idBytes := uint64(8 * enc.X.NNZ()); got >= idBytes {
+		t.Fatalf("Setup allocated %d bytes, want less than one copy of the ids (%d bytes)", got, idBytes)
 	}
 }
 

@@ -385,9 +385,13 @@ var _ dist.Worker = (*Worker)(nil)
 
 // ConnScript scripts transport faults for one accepted connection.
 type ConnScript struct {
-	ReadDelay       time.Duration // added before every Read
-	WriteDelay      time.Duration // added before every Write
-	CloseAfterReads int           // close the conn after this many Reads; 0 = never
+	ReadDelay  time.Duration // added before every Read
+	WriteDelay time.Duration // added before every Write
+	// TearWrite, when > 0, tears the conn at its TearWrite-th Write: half
+	// of that Write's bytes go out, then the conn closes. A worker server
+	// writes only replies, so on a server-side conn the tear always lands
+	// on a call its client is still waiting for.
+	TearWrite int
 }
 
 // Listener wraps a net.Listener and applies per-connection scripts in
@@ -429,19 +433,11 @@ type conn struct {
 	net.Conn
 	script ConnScript
 
-	mu    sync.Mutex
-	reads int
+	mu     sync.Mutex
+	writes int
 }
 
 func (c *conn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	c.reads++
-	kill := c.script.CloseAfterReads > 0 && c.reads > c.script.CloseAfterReads
-	c.mu.Unlock()
-	if kill {
-		c.Conn.Close()
-		return 0, fmt.Errorf("%w: connection dropped mid-stream", ErrInjected)
-	}
 	if c.script.ReadDelay > 0 {
 		time.Sleep(c.script.ReadDelay)
 	}
@@ -451,6 +447,15 @@ func (c *conn) Read(p []byte) (int, error) {
 func (c *conn) Write(p []byte) (int, error) {
 	if c.script.WriteDelay > 0 {
 		time.Sleep(c.script.WriteDelay)
+	}
+	c.mu.Lock()
+	c.writes++
+	tear := c.writes == c.script.TearWrite
+	c.mu.Unlock()
+	if tear {
+		n, _ := c.Conn.Write(p[:len(p)/2])
+		c.Conn.Close()
+		return n, fmt.Errorf("%w: connection torn mid-write", ErrInjected)
 	}
 	return c.Conn.Write(p)
 }

@@ -2,7 +2,9 @@ package frame
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -97,6 +99,84 @@ func FuzzCSVToDataset(f *testing.F) {
 				j := enc.FeatureOf(c)
 				if got, want := enc.ValueOf(c), ds.X0.At(i, j); got != want {
 					t.Fatalf("row %d feature %d: one-hot column %d decodes to %d, X0 has %d", i, j, c, got, want)
+				}
+			}
+		}
+	})
+}
+
+// FuzzOneHot checks that OneHot, which range-checks codes while it writes
+// the ids, accepts exactly the datasets Validate accepts and fails with
+// Validate's error text. The seed draws the shape, the domains, the codes
+// and the labels; the flags in bad break them: domains below 1, several
+// cells holding 0, a negative code or one above the domain, a label count
+// that misses the row count, a feature count that misses X0's columns, and
+// a nil X0. On success row i's ids must be Beg[j] + code - 1.
+func FuzzOneHot(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(3), uint8(0))
+	f.Add(int64(2), uint8(8), uint8(4), uint8(0x02)) // bad cells
+	f.Add(int64(3), uint8(4), uint8(3), uint8(0x01)) // bad domains
+	f.Add(int64(2), uint8(0), uint8(4), uint8(0x01)) // bad domains, no rows
+	f.Add(int64(4), uint8(6), uint8(2), uint8(0x10)) // label count
+	f.Add(int64(5), uint8(3), uint8(3), uint8(0x20)) // feature count
+	f.Add(int64(6), uint8(0), uint8(0), uint8(0x40)) // nil X0
+	f.Add(int64(7), uint8(7), uint8(5), uint8(0x1f)) // all at once
+	f.Fuzz(func(t *testing.T, seed int64, rows, cols, bad uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n, m := int(rows%10), int(cols%6)
+		ds := &Dataset{Name: "fuzz", X0: NewIntMatrix(n, m), Features: make([]Feature, m)}
+		for j := range ds.Features {
+			dom := 1 + rng.Intn(4)
+			if bad&0x01 != 0 && rng.Intn(3) == 0 {
+				dom = -rng.Intn(2) // 0 or -1
+			}
+			ds.Features[j] = Feature{Name: fmt.Sprintf("f%d", j), Domain: dom}
+			for i := 0; i < n; i++ {
+				ds.X0.Set(i, j, 1+rng.Intn(max(dom, 1)))
+			}
+		}
+		if bad&0x02 != 0 && n*m > 0 {
+			for k := 1 + int(bad>>2&0x03); k > 0; k-- {
+				i, j := rng.Intn(n), rng.Intn(m)
+				switch rng.Intn(3) {
+				case 0:
+					ds.X0.Set(i, j, 0)
+				case 1:
+					ds.X0.Set(i, j, -1-rng.Intn(3))
+				default:
+					ds.X0.Set(i, j, ds.Features[j].Domain+1+rng.Intn(3))
+				}
+			}
+		}
+		if bad&0x10 != 0 {
+			ds.Y = make([]float64, rng.Intn(n+3)) // usually not n
+		} else if rng.Intn(2) == 0 {
+			ds.Y = make([]float64, n)
+		}
+		if bad&0x20 != 0 {
+			ds.Features = append(ds.Features, Feature{Name: "extra", Domain: 1})
+		}
+		if bad&0x40 != 0 {
+			ds.X0 = nil
+		}
+
+		want := ds.Validate()
+		enc, err := OneHot(ds)
+		if (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
+			t.Fatalf("OneHot error %v, Validate error %v", err, want)
+		}
+		if err != nil {
+			return
+		}
+		if enc.X.Rows() != n || enc.Width() != ds.OneHotWidth() || enc.X.NNZ() != n*m {
+			t.Fatalf("encoding is %dx%d with %d ids, want %dx%d with %d",
+				enc.X.Rows(), enc.Width(), enc.X.NNZ(), n, ds.OneHotWidth(), n*m)
+		}
+		for i := 0; i < n; i++ {
+			ids := enc.X.RowEntries(i)
+			for j, code := range ds.X0.Row(i) {
+				if len(ids) != m || ids[j] != enc.Beg[j]+code-1 {
+					t.Fatalf("row %d has ids %v for codes %v with offsets %v", i, ids, ds.X0.Row(i), enc.Beg)
 				}
 			}
 		}

@@ -45,9 +45,14 @@ func (e *Encoding) ValueOf(c int) int {
 // `X ← onehot(X0 + fb)` step of Algorithm 1 lines 1-5. Every row of X has
 // exactly m nonzeros (one per feature), so nnz = n·m and the density is 1/l
 // per feature block, matching the ultra-sparse matrices the paper evaluates.
+//
+// OneHot accepts exactly the datasets Validate accepts. It range-checks each
+// code as it writes the ids, so valid data is read once, row by row; on any
+// failure it returns Validate's error, which names the first bad code in
+// Validate's feature-major order.
 func OneHot(d *Dataset) (*Encoding, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
+	if d.X0 == nil || d.X0.Cols != len(d.Features) || d.Y != nil && len(d.Y) != d.X0.Rows {
+		return nil, d.Validate()
 	}
 	m := d.NumFeatures()
 	enc := &Encoding{
@@ -57,6 +62,9 @@ func OneHot(d *Dataset) (*Encoding, error) {
 	}
 	l := 0
 	for j, f := range d.Features {
+		if f.Domain < 1 {
+			return nil, d.Validate()
+		}
 		enc.Beg[j] = l
 		l += f.Domain
 		enc.End[j] = l
@@ -65,15 +73,18 @@ func OneHot(d *Dataset) (*Encoding, error) {
 	n := d.NumRows()
 	rowPtr := make([]int, n+1)
 	colIdx := make([]int, n*m)
+	beg, doms := enc.Beg, enc.Doms
 	for i := 0; i < n; i++ {
-		row := d.X0.Row(i)
-		base := i * m
-		for j, code := range row {
-			colIdx[base+j] = enc.Beg[j] + code - 1
+		ids := colIdx[i*m : (i+1)*m]
+		for j, code := range d.X0.Row(i) {
+			if code < 1 || code > doms[j] {
+				return nil, d.Validate()
+			}
+			ids[j] = beg[j] + code - 1
 		}
 		// Columns within a row are ascending because Beg is ascending and
 		// codes stay within their feature block.
-		rowPtr[i+1] = base + m
+		rowPtr[i+1] = (i + 1) * m
 	}
 	enc.X = matrix.NewCSR(n, l, rowPtr, colIdx)
 	return enc, nil

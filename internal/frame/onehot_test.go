@@ -57,8 +57,8 @@ func TestOneHotRowNNZEqualsFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < enc.X.Rows(); i++ {
-		if enc.X.RowNNZ(i) != 2 {
-			t.Fatalf("row %d nnz = %d, want 2", i, enc.X.RowNNZ(i))
+		if got := len(enc.X.RowEntries(i)); got != 2 {
+			t.Fatalf("row %d nnz = %d, want 2", i, got)
 		}
 	}
 }

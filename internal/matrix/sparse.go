@@ -9,6 +9,9 @@ import (
 // ascending column ids of its ones, and no values. It is the workhorse
 // representation for the one-hot encoded dataset X and the slice matrix S,
 // both of which are extremely sparse 0/1 matrices in SliceLine.
+//
+// No CSR is mutated after construction, so a selection or a row range may
+// share storage with the matrix it was taken from.
 type CSR struct {
 	rows, cols int
 	rowPtr     []int
@@ -103,9 +106,6 @@ func (m *CSR) Cols() int { return m.cols }
 // NNZ returns the number of stored entries (ones).
 func (m *CSR) NNZ() int { return len(m.colIdx) }
 
-// RowNNZ returns the nonzero count of row i.
-func (m *CSR) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
-
 // RowEntries returns the ascending column ids of row i's ones, aliasing the
 // matrix storage.
 func (m *CSR) RowEntries(i int) []int {
@@ -158,26 +158,24 @@ func (m *CSR) T() *CSR {
 	return &CSR{rows: m.cols, cols: m.rows, rowPtr: counts, colIdx: colIdx}
 }
 
-// SelectRows returns a new CSR with the rows at the given indices, in order.
-func (m *CSR) SelectRows(idx []int) *CSR {
-	rowPtr := make([]int, len(idx)+1)
-	nnz := 0
-	for k, i := range idx {
-		if i < 0 || i >= m.rows {
-			panic(fmt.Sprintf("matrix: SelectRows index %d out of bounds %d", i, m.rows))
-		}
-		nnz += m.RowNNZ(i)
-		rowPtr[k+1] = nnz
+// RowRange returns rows [lo, hi) as a view: it owns only its rebased row
+// pointers and shares m's column ids. The ids' capacity ends at row hi, so
+// appending to the view's ids cannot write into m.
+func (m *CSR) RowRange(lo, hi int) *CSR {
+	if lo < 0 || lo > hi || hi > m.rows {
+		panic(fmt.Sprintf("matrix: RowRange [%d,%d) out of bounds %d", lo, hi, m.rows))
 	}
-	colIdx := make([]int, 0, nnz)
-	for _, i := range idx {
-		colIdx = append(colIdx, m.RowEntries(i)...)
+	base, end := m.rowPtr[lo], m.rowPtr[hi]
+	rowPtr := make([]int, hi-lo+1)
+	for k, p := range m.rowPtr[lo : hi+1] {
+		rowPtr[k] = p - base
 	}
-	return &CSR{rows: len(idx), cols: m.cols, rowPtr: rowPtr, colIdx: colIdx}
+	return &CSR{rows: hi - lo, cols: m.cols, rowPtr: rowPtr, colIdx: m.colIdx[base:end:end]}
 }
 
-// SelectCols returns a new CSR restricted to the given columns; column k of
-// the result is column idx[k] of m. idx must be strictly increasing.
+// SelectCols returns m restricted to the given columns; column k of the
+// result is column idx[k] of m. idx must be strictly increasing. When idx
+// keeps every column the result is m itself; otherwise it is a new CSR.
 func (m *CSR) SelectCols(idx []int) *CSR {
 	remap := make([]int, m.cols) // new column per old column, -1 = dropped
 	for j := range remap {
@@ -190,6 +188,9 @@ func (m *CSR) SelectCols(idx []int) *CSR {
 		}
 		remap[j] = k
 		prev = j
+	}
+	if len(idx) == m.cols {
+		return m
 	}
 	nnz := 0
 	for _, j := range m.colIdx[:m.rowPtr[m.rows]] {

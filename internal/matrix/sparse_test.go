@@ -115,12 +115,52 @@ func TestCSRTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestCSRSelectRows(t *testing.T) {
-	m := CSRFromDense(NewDenseData(3, 2, []float64{1, 0, 0, 1, 1, 1}))
-	got := m.SelectRows([]int{2, 2, 0})
-	want := NewDenseData(3, 2, []float64{1, 1, 1, 1, 1, 0})
-	if !got.ToDense().Equal(want) {
-		t.Fatalf("SelectRows = %v, want %v", got.ToDense(), want)
+// TestCSRRowRange: a row range equals the rows it names, at the edges and
+// when empty, and is a view: it shares the parent's column ids, and their
+// capacity ends at the range's last row.
+func TestCSRRowRange(t *testing.T) {
+	// Row 2 is empty, so ranges starting or ending there share a boundary.
+	m := CSRFromDense(NewDenseData(5, 3, []float64{
+		1, 0, 1,
+		0, 1, 0,
+		0, 0, 0,
+		1, 1, 1,
+		0, 0, 1,
+	}))
+	d := m.ToDense()
+	rowPtr, ids := m.Components()
+	for _, r := range []struct{ lo, hi int }{
+		{0, 0}, {2, 2}, {5, 5}, // empty
+		{1, 2}, {2, 3}, // single row, the second one empty
+		{0, 2}, {3, 5}, // first and last rows
+		{0, 5}, // full
+	} {
+		v := m.RowRange(r.lo, r.hi)
+		var rows []int
+		for i := r.lo; i < r.hi; i++ {
+			rows = append(rows, i)
+		}
+		if !v.ToDense().Equal(SelectRows(d, rows)) {
+			t.Fatalf("RowRange(%d, %d) = %v, want rows %v of %v", r.lo, r.hi, v.ToDense(), rows, d)
+		}
+		_, vids := v.Components()
+		if len(vids) != rowPtr[r.hi]-rowPtr[r.lo] || cap(vids) != len(vids) {
+			t.Fatalf("RowRange(%d, %d) ids have length %d and capacity %d, want both %d",
+				r.lo, r.hi, len(vids), cap(vids), rowPtr[r.hi]-rowPtr[r.lo])
+		}
+		if len(vids) > 0 && &vids[0] != &ids[rowPtr[r.lo]] {
+			t.Fatalf("RowRange(%d, %d) copied the parent's ids instead of sharing them", r.lo, r.hi)
+		}
+	}
+	for _, r := range []struct{ lo, hi int }{{-1, 2}, {3, 2}, {0, 6}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("RowRange(%d, %d) did not panic", r.lo, r.hi)
+				}
+			}()
+			m.RowRange(r.lo, r.hi)
+		}()
 	}
 }
 
@@ -150,6 +190,11 @@ func TestCSRSelectCols(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { big.SelectCols(idx) }); allocs > 6 {
 		t.Fatalf("SelectCols made %.0f allocations on %d nonzeros, want <= 6", allocs, big.NNZ())
+	}
+
+	// Keeping every column selects the matrix itself.
+	if all := []int{0, 1, 2, 3, 4, 5, 6, 7}; big.SelectCols(all) != big {
+		t.Fatal("SelectCols over every column copied the matrix instead of returning it")
 	}
 }
 
