@@ -55,8 +55,10 @@ type Config struct {
 
 	// MaxCandidatesPerLevel aborts enumeration when a level would evaluate
 	// more candidates than this bound, instead of exhausting memory — the
-	// paper's unpruned configs "ran out-of-memory after 4 levels". <= 0
-	// defaults to 2 million.
+	// paper's unpruned configs "ran out-of-memory after 4 levels". The join
+	// counts the candidates it forms before pruning them; the unions of a
+	// slice whose own score bound cannot beat sc_k are never formed and do
+	// not count. <= 0 defaults to 2 million.
 	MaxCandidatesPerLevel int
 
 	// Budget, when positive, bounds the enumeration wall clock: the run
@@ -228,7 +230,7 @@ type LevelStats struct {
 	Level      int
 	Candidates int           // slices evaluated at this level
 	Valid      int           // evaluated slices with |S| >= sigma and se > 0
-	Pruned     int           // pair-candidates removed before evaluation
+	Pruned     int           // candidates the join formed and pruned before evaluation
 	Elapsed    time.Duration // cumulative elapsed time through this level
 }
 

@@ -23,7 +23,7 @@ func newCoreObs(r *obs.Registry) coreObs {
 		runs:       r.Counter("sl_core_runs_total", "SliceLine enumeration runs started."),
 		levels:     r.Counter("sl_core_levels_total", "Lattice levels enumerated."),
 		candidates: r.Counter("sl_core_candidates_total", "Slice candidates evaluated."),
-		pruned:     r.Counter("sl_core_pruned_total", "Pair-candidates pruned before evaluation."),
+		pruned:     r.Counter("sl_core_pruned_total", "Candidates the join formed and pruned before evaluation."),
 		threshold:  r.Gauge("sl_core_topk_threshold", "Current top-K score pruning threshold sc_k."),
 		levelSecs:  r.Histogram("sl_core_level_seconds", "Wall time per lattice level.", nil),
 		evalSecs:   r.Histogram("sl_core_eval_seconds", "Wall time per candidate-evaluation call.", nil),
@@ -42,4 +42,5 @@ func setPruneAttrs(sp *obs.Span, pr pruneStats) {
 	sp.SetInt("pruned_dead_pair", int64(pr.dead))
 	sp.SetInt("pruned_score", int64(pr.score))
 	sp.SetInt("pruned_parents", int64(pr.parents))
+	sp.SetInt("dropped_parents", int64(pr.dropped))
 }

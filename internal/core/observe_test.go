@@ -244,3 +244,34 @@ func TestCoreTracingAndMetrics(t *testing.T) {
 		t.Fatalf("candidates counter %d vs result total %d", got, res.TotalCandidates())
 	}
 }
+
+// TestDroppedParentsAttr checks the dropped_parents attribute of the
+// core.level spans: on a default run the join's input filter drops parents
+// whose own score bound cannot beat sc_k, and without score pruning it drops
+// none.
+func TestDroppedParentsAttr(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	ds, e := randomDataset(rng, 400, 5, 4)
+	for _, noScore := range []bool{false, true} {
+		tr := obs.NewJSONTracer()
+		cfg := Config{K: 4, Sigma: 8, Alpha: 0.95, DisableScorePruning: noScore, Tracer: tr}
+		if _, err := runDS(ds, e, nil, cfg); err != nil {
+			t.Fatal(err)
+		}
+		dropped, levels := int64(0), 0
+		for _, s := range tr.Spans() {
+			if s.Name != "core.level" || s.AttrInt("level", -1) < 2 {
+				continue // level 1 has no join
+			}
+			n := s.AttrInt("dropped_parents", -1)
+			if n < 0 {
+				t.Fatalf("DisableScorePruning %v: level %d span has no dropped_parents", noScore, s.AttrInt("level", -1))
+			}
+			dropped += n
+			levels++
+		}
+		if levels < 2 || (noScore && dropped != 0) || (!noScore && dropped == 0) {
+			t.Fatalf("DisableScorePruning %v: %d parents dropped over %d levels", noScore, dropped, levels)
+		}
+	}
+}

@@ -11,12 +11,15 @@ import (
 // that removed them — the per-rule numbers behind Figure 3, exposed as level
 // span attributes by the observability layer. Equation 9's size bound has
 // no count: the join keeps only slices with ss >= σ, so the minimum over any
-// pair or group of kept parents meets it.
+// pair or group of kept parents meets it. dropped counts parents, not
+// candidates: the input slices the join left out because no extension of
+// theirs could pass the score bound, so their unions were never formed.
 type pruneStats struct {
 	pairScore int // failed the score bound at pair level (dedup off or L == 2)
 	dead      int // some pair of the candidate's parents failed the score bound
 	score     int // failed the group score bound ⌈sc⌉ > sc_k ∧ ⌈sc⌉ >= 0
 	parents   int // missing-parent handling (np != L)
+	dropped   int // input slices whose own score bound cannot beat sc_k
 }
 
 // total is the overall pruned count recorded in LevelStats.Pruned.
@@ -35,6 +38,7 @@ func (p *pruneStats) add(q pruneStats) {
 	p.dead += q.dead
 	p.score += q.score
 	p.parents += q.parents
+	p.dropped += q.dropped
 }
 
 // joinShard is the number of consecutive kept slices that one unit of join
@@ -47,7 +51,8 @@ const joinShard = 64
 // candidates from the evaluated level-(L-1) slices, following Section 4.3:
 //
 //  1. prune invalid inputs by minimum support and non-zero error
-//     (S = removeEmpty(S · (R[,4] >= σ ∧ R[,2] > 0))),
+//     (S = removeEmpty(S · (R[,4] >= σ ∧ R[,2] > 0))), and inputs whose own
+//     score bound cannot beat sc_k (see below),
 //  2. self-join compatible slices — pairs with exactly L-2 overlapping
 //     predicates (I = upper.tri((S Sᵀ) = L-2), Equation 6). Two slices
 //     overlap in L-2 predicates exactly when they share one of their
@@ -68,36 +73,52 @@ const joinShard = 64
 //
 // Without dedup — the DisableDedup ablation, or L == 2, where the 2-column
 // union identifies its basic-slice pair — every valid pair is its own
-// candidate, bounded by its two parents. The join runs on up to
-// matrix.MaxWorkers goroutines and allocates nothing per pair, candidate or
-// shard. It returns the surviving candidates, whose column lists share one
-// right-sized arena, and a per-rule pruning breakdown. A nil level signals
-// that candidate generation exceeded MaxCandidatesPerLevel and enumeration
-// must truncate.
+// candidate, bounded by its two parents.
+//
+// ⌈sc⌉ is non-decreasing in each of its arguments, and a candidate's bounds
+// are minima over its parents, so no union of a slice whose own bound fails
+// by more than scorer.boundMargin can pass: without dedup each of its pairs
+// fails the pair-level bound, and with dedup each of its unions is dead, or
+// now lacks that parent and fails np = L. Such slices are dropped from the
+// input, and their unions are never formed. The filter is off whenever that
+// argument's premise is: without score pruning, and at dedup levels without
+// missing-parent handling. The survivors, their bounds and their order are
+// those of the unfiltered join; only the pruned counts shrink.
+//
+// The join runs on up to matrix.MaxWorkers goroutines and allocates nothing
+// per pair, candidate or shard. It returns the surviving candidates, whose
+// column lists share one right-sized arena, and a per-rule pruning
+// breakdown. A nil level signals that candidate generation exceeded
+// MaxCandidatesPerLevel and enumeration must truncate.
 func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneStats) {
 	cfg := st.cfg
 	minSS := float64(cfg.Sigma)
 	if cfg.DisableSizePruning {
 		minSS = 1
 	}
-	nk := 0
+	dedup := L > 2 && !cfg.DisableDedup
+	filter := !cfg.DisableScorePruning && (!dedup || !cfg.DisableParentHandling)
+	// Sized for every input slice, so one pass decides each slice once and
+	// the filter costs no allocation.
+	keep := make([]int, 0, len(prev.cols))
+	dropped := 0
 	for i := range prev.cols {
-		if prev.ss[i] >= minSS && prev.se[i] > 0 {
-			nk++
+		if !(prev.ss[i] >= minSS && prev.se[i] > 0) {
+			continue
 		}
-	}
-	keep := make([]int, 0, nk)
-	for i := range prev.cols {
-		if prev.ss[i] >= minSS && prev.se[i] > 0 {
-			keep = append(keep, i)
+		if filter && !st.sc.canExtend(prev.ss[i], prev.se[i], prev.sm[i], sck) {
+			dropped++
+			continue
 		}
+		keep = append(keep, i)
 	}
+	nk := len(keep)
 
 	shards := (nk + joinShard - 1) / joinShard
 	workers := max(min(matrix.MaxWorkers(), shards), 1)
 	j := &join{
 		prev: prev, keep: keep, L: L, cfg: cfg, featOf: st.featOf, sc: st.sc, sck: sck,
-		dedup:  L > 2 && !cfg.DisableDedup,
+		dedup:  dedup,
 		shards: make([]shardOut, shards),
 		arenas: make([]joinArena, workers),
 	}
@@ -124,7 +145,7 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 	}
 
 	// Copy the survivors, shard by shard, into one right-sized arena.
-	var pr pruneStats
+	pr := pruneStats{dropped: dropped}
 	n := 0
 	for _, sh := range j.shards {
 		pr.add(sh.pr)

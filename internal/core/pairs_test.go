@@ -173,24 +173,37 @@ type naiveSizeTally struct{ pair, group int }
 // form, the paper's literal rule set: every pair of kept slices in O(n²);
 // partners share L-2 columns and have a feature-disjoint union; with dedup,
 // each union accumulates its min-bounds, parent-pair count and dead flag in
-// a map; every bound of Equation 9 is applied, the size bound included. It
-// returns the surviving candidates as sorted keys (see candKey), the
-// per-rule counts, the size-bound tallies and the number of candidates
-// generated before pruning, which MaxCandidatesPerLevel caps.
-func naivePairCandidates(st *state, prev *level, L int, sck float64) ([]string, pruneStats, naiveSizeTally, int) {
+// a map; every bound of Equation 9 is applied, the size bound included.
+// With filter, a slice that passes σ and se > 0 is still dropped from the
+// input when its own bound fails the score bound by more than the rounding
+// margin, wherever score pruning is on and, at dedup levels, missing-parent
+// handling too. It returns the surviving candidates as sorted keys (see
+// candKey), the per-rule counts, the size-bound tallies and the number of
+// candidates generated before pruning, which MaxCandidatesPerLevel caps.
+func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool) ([]string, pruneStats, naiveSizeTally, int) {
 	cfg := st.cfg
 	sigma := float64(cfg.Sigma)
 	minSS := sigma
 	if cfg.DisableSizePruning {
 		minSS = 1
 	}
+	dedup := L > 2 && !cfg.DisableDedup
+	filter = filter && !cfg.DisableScorePruning && !(dedup && cfg.DisableParentHandling)
+	var pr pruneStats
 	var keep []int
 	for i := range prev.cols {
-		if prev.ss[i] >= minSS && prev.se[i] > 0 {
-			keep = append(keep, i)
+		if prev.ss[i] < minSS || prev.se[i] <= 0 {
+			continue
 		}
+		if filter {
+			ub, d := st.sc.upperBound(prev.ss[i], prev.se[i], prev.sm[i]), st.sc.boundMargin(prev.sm[i])
+			if ub <= sck-d || ub < -d {
+				pr.dropped++
+				continue
+			}
+		}
+		keep = append(keep, i)
 	}
-	dedup := L > 2 && !cfg.DisableDedup
 	type cand struct {
 		cols       []int
 		ss, se, sm float64
@@ -199,7 +212,6 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64) ([]string, 
 	}
 	groups := map[string]*cand{}
 	var cands []*cand // first-seen order; every surviving pair without dedup
-	var pr pruneStats
 	var sizes naiveSizeTally
 	for x, i := range keep {
 		for _, j := range keep[x+1:] {
@@ -352,10 +364,13 @@ func withDuplicates(rng *rand.Rand, prev *level) *level {
 
 // TestPairCandidatesMatchNaive checks the production join against
 // naivePairCandidates on random shuffled frontiers under every pruning
-// switch, and requires the same output order, bounds and per-rule counts at
-// 1, 2 and 7 workers. It is the only test of the per-rule counts: the
-// reference comparison in TestLevelCountsMatchReference sees only
-// Candidates and Valid.
+// switch, at 1, 2 and 7 workers. The survivors and their bounds must equal
+// those of the unfiltered naive join, so the input filter never changes
+// what is evaluated; the per-rule counts and the cap boundary must equal
+// the filtered model's; and the output order must not depend on the worker
+// count. It is the only test of the per-rule counts: the reference
+// comparison in TestLevelCountsMatchReference sees only Candidates and
+// Valid.
 func TestPairCandidatesMatchNaive(t *testing.T) {
 	defer matrix.SetMaxWorkers(matrix.SetMaxWorkers(1))
 	configs := []Config{
@@ -400,9 +415,15 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 			}
 			st := &state{cfg: cfg, sc: newScorer(n, e, cfg.Alpha, cfg.Sigma), featOf: featOf}
 			sck := rng.Float64()
-			want, wantPr, sizes, generated := naivePairCandidates(st, prev, L, sck)
-			if sizes != (naiveSizeTally{}) {
-				t.Fatalf("trial %d config %d (L=%d): the size bound pruned %+v, want none", trial, ci, L, sizes)
+			want, _, sizes, _ := naivePairCandidates(st, prev, L, sck, false)
+			filtered, wantPr, filteredSizes, generated := naivePairCandidates(st, prev, L, sck, true)
+			if sizes != (naiveSizeTally{}) || filteredSizes != (naiveSizeTally{}) {
+				t.Fatalf("trial %d config %d (L=%d): the size bound pruned %+v unfiltered and %+v filtered, want none",
+					trial, ci, L, sizes, filteredSizes)
+			}
+			if !reflect.DeepEqual(filtered, want) {
+				t.Fatalf("trial %d config %d (L=%d): the filtered naive join keeps %d candidates, unfiltered %d",
+					trial, ci, L, len(filtered), len(want))
 			}
 			fired.add(wantPr)
 			maxShards = max(maxShards, (prev.size()+joinShard-1)/joinShard)
@@ -438,8 +459,8 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 				}
 			}
 
-			// The cap counts candidates before pruning: the naive count
-			// passes, one less returns nil at every worker count.
+			// The cap counts candidates before pruning: the filtered naive
+			// count passes, one less returns nil at every worker count.
 			for _, limit := range []int{generated, generated - 1} {
 				capped := *st
 				capped.cfg.MaxCandidatesPerLevel = limit
@@ -457,8 +478,9 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 		}
 	}
 	// Input filtering keeps only slices of size >= σ when size pruning is
-	// on, so neither size rule can fire (checked above); the others must.
-	if levels < 40 || maxShards < 5 || fired.pairScore == 0 || fired.dead == 0 || fired.parents == 0 {
+	// on, so neither size rule can fire (checked above); the others must,
+	// and the score filter must drop parents.
+	if levels < 40 || maxShards < 5 || fired.pairScore == 0 || fired.dead == 0 || fired.parents == 0 || fired.dropped == 0 {
 		t.Fatalf("fixture too thin: %d levels >= 3 with candidates, at most %d shards, rules fired %+v",
 			levels, maxShards, fired)
 	}

@@ -107,3 +107,29 @@ func (s scorer) upperBound(ssUB, seUB, smUB float64) float64 {
 	}
 	return best
 }
+
+// boundMargin bounds how far rounding can lift upperBound at the statistics
+// of any extension of a slice with max error sm above upperBound at the
+// slice's own. In real arithmetic ⌈sc⌉ is non-decreasing in each argument
+// and an extension's bounds are minima over its parents, so the margin
+// would be 0; in floating point fl(fl(x·m)/x) is not monotone in x, and an
+// extension just below the slice's breakpoint can score a few ulps higher.
+// Every term upperBound adds has magnitude at most α·sm/ē, (1−α)·n/σ or 1
+// at sizes >= σ >= 1, and each is formed by a handful of roundings, so the
+// error of either bound is a few dozen ulps of their sum; 2^−40 is 2^13 ulps
+// of it. With ē = 0 there is no error term to bound, and the margin is +Inf.
+func (s scorer) boundMargin(sm float64) float64 {
+	if s.avgErr == 0 {
+		return math.Inf(1)
+	}
+	return 0x1p-40 * (s.alpha*sm/s.avgErr + (1-s.alpha)*s.n/s.sigma + 2)
+}
+
+// canExtend reports whether an extension of a slice with statistics ss, se
+// and sm may still pass Equation 9's score bound ⌈sc⌉ > sck ∧ ⌈sc⌉ >= 0. It
+// reports false only when the slice's own bound fails it by more than
+// boundMargin, so every extension's bound fails it too.
+func (s scorer) canExtend(ss, se, sm, sck float64) bool {
+	ub, d := s.upperBound(ss, se, sm), s.boundMargin(sm)
+	return ub > sck-d && ub >= -d
+}

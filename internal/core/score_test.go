@@ -123,6 +123,80 @@ func TestUpperBoundTightAtParent(t *testing.T) {
 	}
 }
 
+// TestBoundMarginCoversRounding checks the margin of the join's input
+// filter: an extension's ⌈sc⌉, whose statistics are at or below its
+// parent's, never exceeds the parent's ⌈sc⌉ by more than the parent's
+// boundMargin, and so the filter never drops a parent with an extension that
+// passes the score bound. One family is adversarial: the child's size is one
+// integer step below the parent's breakpoint e/m, with e = fl(s′·m) nudged up
+// a few ulps, where fl(fl(x·m)/x) rounds the child's error term above the
+// parent's. The other draws child and parent uniformly. Some draw must see
+// the child's bound above the parent's, or the margin would carry no load.
+func TestBoundMarginCoversRounding(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	above := 0
+	check := func(s scorer, parent, child [3]float64) {
+		t.Helper()
+		ubP, ubC := s.upperBound(parent[0], parent[1], parent[2]), s.upperBound(child[0], child[1], child[2])
+		d := s.boundMargin(parent[2])
+		if ubC > ubP+d {
+			t.Fatalf("%+v: child %v bound %v exceeds parent %v bound %v by %g, margin %g",
+				s, child, ubC, parent, ubP, ubC-ubP, d)
+		}
+		if ubC > ubP {
+			above++
+		}
+		// At the filter's edge a dropped parent's child must fail the bound.
+		if sck := ubP + d; !s.canExtend(parent[0], parent[1], parent[2], sck) && ubC > sck && ubC >= 0 {
+			t.Fatalf("%+v: parent %v dropped at sc_k %v, child %v bound %v passes", s, parent, sck, child, ubC)
+		}
+	}
+	for i := 0; i < 200_000; i++ {
+		n := 2 + rng.Intn(1_000_000)
+		sigma := 1 + rng.Intn(min(n-1, 100))
+		alpha := 1 - math.Ldexp(1, -1-rng.Intn(50)) // up to 1 − 2^−50
+		if rng.Intn(2) == 0 {
+			alpha = 0.001 + 0.999*rng.Float64()
+		}
+		s := scorer{n: float64(n), avgErr: math.Ldexp(0.5+rng.Float64(), -rng.Intn(20)), alpha: alpha, sigma: float64(sigma)}
+
+		m := math.Ldexp(0.5+rng.Float64(), -rng.Intn(4))
+		bp := sigma + 1 + rng.Intn(n-sigma)
+		e := float64(bp) * m
+		for k := rng.Intn(4); k > 0; k-- {
+			e = math.Nextafter(e, math.Inf(1))
+		}
+		check(s, [3]float64{float64(bp + rng.Intn(n-bp+1)), e, m}, [3]float64{float64(bp - 1), e, m})
+
+		ss := 1 + rng.Intn(n)
+		sm := rng.Float64()
+		se := float64(ss) * sm * rng.Float64()
+		check(s, [3]float64{float64(ss), se, sm},
+			[3]float64{float64(1 + rng.Intn(ss)), se * rng.Float64(), sm * rng.Float64()})
+	}
+	if above == 0 {
+		t.Fatal("no draw has a child bound above its parent's: the fixture does not exercise the margin")
+	}
+}
+
+// TestBoundMarginWithoutErrorTerm covers ē = 0 and sm = 0: the margin is
+// never NaN, and with ē = 0 the filter keeps every parent.
+func TestBoundMarginWithoutErrorTerm(t *testing.T) {
+	for _, avg := range []float64{0, 0.25} {
+		s := scorer{n: 1000, avgErr: avg, alpha: 0.95, sigma: 10}
+		for _, sm := range []float64{0, 1} {
+			if d := s.boundMargin(sm); math.IsNaN(d) || (avg > 0 && math.IsInf(d, 0)) {
+				t.Fatalf("ē %v, sm %v: margin %v", avg, sm, d)
+			}
+			for _, sck := range []float64{0, 5, 1e300} {
+				if avg == 0 && !s.canExtend(50, 0, sm, sck) {
+					t.Fatalf("ē = 0, sm %v, sc_k %v: parent dropped", sm, sck)
+				}
+			}
+		}
+	}
+}
+
 func constVec(n int, v float64) []float64 {
 	out := make([]float64, n)
 	for i := range out {

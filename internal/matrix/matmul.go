@@ -3,6 +3,7 @@ package matrix
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -27,6 +28,12 @@ func MaxWorkers() int { return int(atomic.LoadInt64(&maxWorkers)) }
 // to MaxWorkers goroutines. fn must be safe for concurrent invocation on
 // disjoint ranges. It is exported so higher layers (slice evaluation, the
 // simulated cluster) share one parallelism policy.
+//
+// A panic in fn on a worker goroutine does not end the process: the other
+// chunks run to completion, and then ParallelFor panics on its caller with
+// a *WorkerPanic that holds the first value recovered and the stack of the
+// goroutine that raised it. A single chunk runs on the caller, so its panic
+// propagates as it is.
 func ParallelFor(n int, fn func(lo, hi int)) {
 	w := MaxWorkers()
 	if w > n {
@@ -38,20 +45,53 @@ func ParallelFor(n int, fn func(lo, hi int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
+	// The wait group and the panic slot share one heap object, so catching
+	// panics costs a run that does not panic no allocation.
+	r := new(parallelRun)
 	chunk := (n + w - 1) / w
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+		r.wg.Add(1)
+		go r.run(fn, lo, hi)
 	}
-	wg.Wait()
+	r.wg.Wait()
+	if r.panicked.Load() {
+		panic(&r.first)
+	}
+}
+
+// WorkerPanic is the value ParallelFor panics with when fn panicked on one
+// of its worker goroutines: the value that goroutine panicked with, and its
+// stack, which the caller's own stack trace does not show.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
+}
+
+// parallelRun is the state one ParallelFor call shares with its goroutines.
+// first is written once, by the goroutine that sets panicked, and read after
+// the wait group has seen every goroutine finish.
+type parallelRun struct {
+	wg       sync.WaitGroup
+	panicked atomic.Bool
+	first    WorkerPanic
+}
+
+func (r *parallelRun) run(fn func(lo, hi int), lo, hi int) {
+	defer r.wg.Done()
+	defer func() {
+		if v := recover(); v != nil && r.panicked.CompareAndSwap(false, true) {
+			r.first = WorkerPanic{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	fn(lo, hi)
 }
 
 // MatMul computes the dense product a·b.

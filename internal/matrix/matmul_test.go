@@ -1,7 +1,10 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +107,54 @@ func TestParallelForCoversRangeOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParallelForPropagatesPanic panics in one chunk while the others wait
+// for that panic to start. The caller's recover must receive the value and
+// the panicking goroutine's stack, and only after every other chunk ran.
+func TestParallelForPropagatesPanic(t *testing.T) {
+	for _, workers := range []int{2, 7} {
+		t.Run(fmt.Sprint(workers, " workers"), func(t *testing.T) {
+			defer SetMaxWorkers(SetMaxWorkers(workers))
+			const n = 100
+			var covered [n]atomic.Int32
+			var panicHi atomic.Int64 // end of the chunk that panics
+			panicking := make(chan struct{})
+			func() {
+				defer func() {
+					p, ok := recover().(*WorkerPanic)
+					if !ok || p.Value != "chunk 0" || !strings.Contains(string(p.Stack), "panicInChunk") {
+						t.Fatalf("recovered %#v, want a *WorkerPanic of \"chunk 0\" raised in panicInChunk", p)
+					}
+					for i := range covered {
+						want := int32(1)
+						if int64(i) < panicHi.Load() {
+							want = 0 // the panicking chunk covers nothing
+						}
+						if c := covered[i].Load(); c != want {
+							t.Fatalf("index %d covered %d times when ParallelFor panicked, want %d", i, c, want)
+						}
+					}
+				}()
+				ParallelFor(n, func(lo, hi int) {
+					if lo == 0 {
+						panicHi.Store(int64(hi))
+						panicInChunk(panicking)
+					}
+					<-panicking
+					for i := lo; i < hi; i++ {
+						covered[i].Add(1)
+					}
+				})
+				t.Fatal("ParallelFor returned normally after a chunk panicked")
+			}()
+		})
+	}
+}
+
+func panicInChunk(panicking chan struct{}) {
+	close(panicking)
+	panic("chunk 0")
 }
 
 func TestSetMaxWorkers(t *testing.T) {
