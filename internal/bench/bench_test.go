@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"sliceline/internal/core"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -108,5 +110,33 @@ func TestSeedDefault(t *testing.T) {
 	}
 	if (Options{Seed: 9}).seed() != 9 {
 		t.Error("explicit seed not honored")
+	}
+}
+
+// TestTop1MarksTruncated: a truncated run's top-1 cells carry "*" and the
+// table gets the footnote; a complete run's cells and an empty top-K do not.
+func TestTop1MarksTruncated(t *testing.T) {
+	top := []core.Slice{{Score: 1.5, Size: 42}}
+	var marks top1Marks
+	if score, size := marks.cells(&core.Result{TopK: top}); score != "1.500" || size != "42" {
+		t.Fatalf("complete run: cells %q %q", score, size)
+	}
+	if score, size := marks.cells(&core.Result{Truncated: true}); score != "-" || size != "-" {
+		t.Fatalf("empty truncated run: cells %q %q", score, size)
+	}
+	var buf bytes.Buffer
+	marks.footnote(&buf)
+	if buf.Len() != 0 {
+		t.Fatalf("footnote without a marked cell: %q", buf.String())
+	}
+	if score, size := marks.cells(&core.Result{TopK: top, Truncated: true}); score != "1.500*" || size != "42*" {
+		t.Fatalf("truncated run: cells %q %q", score, size)
+	}
+	if got := marks.topResult(&core.Result{TopK: top, Truncated: true}); got != "score 1.500* size 42*" {
+		t.Fatalf("truncated run: top result %q", got)
+	}
+	marks.footnote(&buf)
+	if got := buf.String(); got != "* truncated by candidate budget\n" {
+		t.Fatalf("footnote %q", got)
 	}
 }

@@ -150,6 +150,40 @@ func runFig3b(w io.Writer, opt Options) error {
 	return tw.Flush()
 }
 
+// top1Marks formats the top-1 cells of the result tables. The cells of a run
+// that MaxCandidatesPerLevel truncated carry a "*": its top-1 comes from an
+// incomplete enumeration and can fall below the complete run's. footnote
+// ends a table that has such a cell.
+type top1Marks struct{ truncated bool }
+
+// cells returns res's top-1 score and size, or "-" for an empty top-K.
+func (m *top1Marks) cells(res *core.Result) (score, size string) {
+	if len(res.TopK) == 0 {
+		return "-", "-"
+	}
+	mark := ""
+	if res.Truncated {
+		m.truncated = true
+		mark = "*"
+	}
+	return fmt.Sprintf("%.3f%s", res.TopK[0].Score, mark), fmt.Sprintf("%d%s", res.TopK[0].Size, mark)
+}
+
+// topResult is the one-cell form of cells, "score S size N".
+func (m *top1Marks) topResult(res *core.Result) string {
+	if len(res.TopK) == 0 {
+		return "-"
+	}
+	score, size := m.cells(res)
+	return "score " + score + " size " + size
+}
+
+func (m *top1Marks) footnote(w io.Writer) {
+	if m.truncated {
+		fmt.Fprintln(w, "* truncated by candidate budget")
+	}
+}
+
 func printLevels(w io.Writer, name string, res *core.Result) error {
 	tw := table(w)
 	fmt.Fprintf(tw, "%s\tlevel\tcandidates\tvalid\tpruned\telapsed\n", name)
@@ -213,6 +247,7 @@ func runFig5(w io.Writer, opt Options) error {
 		gens = append(gens, datagen.Covtype(sc.covtype, opt.seed()))
 	}
 	tw := table(w)
+	var marks top1Marks
 	fmt.Fprint(tw, "dataset")
 	for _, a := range alphas {
 		fmt.Fprintf(tw, "\ta=%.2f", a)
@@ -232,17 +267,14 @@ func runFig5(w io.Writer, opt Options) error {
 			if err != nil {
 				return err
 			}
-			if len(res.TopK) > 0 {
-				scoreRow += fmt.Sprintf("\t%.3f", res.TopK[0].Score)
-				sizeRow += fmt.Sprintf("\t%d", res.TopK[0].Size)
-			} else {
-				scoreRow += "\t-"
-				sizeRow += "\t-"
-			}
+			score, size := marks.cells(res)
+			scoreRow += "\t" + score
+			sizeRow += "\t" + size
 		}
 		fmt.Fprintln(tw, scoreRow)
 		fmt.Fprintln(tw, sizeRow)
 	}
+	marks.footnote(tw)
 	return tw.Flush()
 }
 
@@ -257,6 +289,7 @@ func runSigma(w io.Writer, opt Options) error {
 		gens = append(gens, datagen.USCensus(scaleFor(opt).uscensus, opt.seed()))
 	}
 	tw := table(w)
+	var marks top1Marks
 	fmt.Fprintln(tw, "dataset\tsigma/n\tsigma\ttop-1 score\tevaluated\telapsed\ttruncated")
 	for _, g := range gens {
 		enc, err := frame.OneHot(g.DS)
@@ -276,14 +309,12 @@ func runSigma(w io.Writer, opt Options) error {
 			if err != nil {
 				return err
 			}
-			top1 := "-"
-			if len(res.TopK) > 0 {
-				top1 = fmt.Sprintf("%.3f", res.TopK[0].Score)
-			}
+			top1, _ := marks.cells(res)
 			fmt.Fprintf(tw, "%s\t%.0e\t%d\t%s\t%d\t%s\t%v\n",
 				g.DS.Name, f, sigma, top1, res.TotalCandidates(), fmtDur(time.Since(start)), res.Truncated)
 		}
 	}
+	marks.footnote(tw)
 	return tw.Flush()
 }
 
@@ -303,6 +334,7 @@ func runFig6a(w io.Writer, opt Options) error {
 		{datagen.Criteo(sc.criteo, opt.seed()), 3},
 	}
 	tw := table(w)
+	var marks top1Marks
 	fmt.Fprintln(tw, "dataset\tn\tl\tlevels\telapsed\ttop-1 score\tevaluated")
 	for _, r := range runs {
 		start := time.Now()
@@ -310,14 +342,12 @@ func runFig6a(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		top1 := "-"
-		if len(res.TopK) > 0 {
-			top1 = fmt.Sprintf("%.3f", res.TopK[0].Score)
-		}
+		top1, _ := marks.cells(res)
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%s\t%s\t%d\n",
 			r.g.DS.Name, r.g.DS.NumRows(), r.g.DS.OneHotWidth(),
 			len(res.Levels), fmtDur(time.Since(start)), top1, res.TotalCandidates())
 	}
+	marks.footnote(tw)
 	return tw.Flush()
 }
 
@@ -406,6 +436,7 @@ func runFig7b(w io.Writer, opt Options) error {
 	cfg := core.Config{Alpha: 0.95, MaxLevel: 3}
 
 	tw := table(w)
+	var marks top1Marks
 	fmt.Fprintln(tw, "strategy\tworkers\telapsed\ttop-1 score")
 	report := func(name string, workers int, ev core.ExternalEvaluator) error {
 		c := cfg
@@ -417,10 +448,7 @@ func runFig7b(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		top1 := "-"
-		if len(res.TopK) > 0 {
-			top1 = fmt.Sprintf("%.3f", res.TopK[0].Score)
-		}
+		top1, _ := marks.cells(res)
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", name, workers, fmtDur(time.Since(start)), top1)
 		return nil
 	}
@@ -447,6 +475,7 @@ func runFig7b(w io.Writer, opt Options) error {
 		cluster.Close()
 		shutdown()
 	}
+	marks.footnote(tw)
 	return tw.Flush()
 }
 
@@ -516,6 +545,7 @@ func runMLSys(w io.Writer, opt Options) error {
 		return err
 	}
 	tw := table(w)
+	var marks top1Marks
 	fmt.Fprintln(tw, "system\telapsed\ttop result")
 
 	start := time.Now()
@@ -524,22 +554,14 @@ func runMLSys(w io.Writer, opt Options) error {
 		return err
 	}
 	fused := time.Since(start)
-	top := "-"
-	if len(res.TopK) > 0 {
-		top = fmt.Sprintf("score %.3f size %d", res.TopK[0].Score, res.TopK[0].Size)
-	}
-	fmt.Fprintf(tw, "SliceLine (fused sparse)\t%s\t%s\n", fmtDur(fused), top)
+	fmt.Fprintf(tw, "SliceLine (fused sparse)\t%s\t%s\n", fmtDur(fused), marks.topResult(res))
 
 	start = time.Now()
 	resD, err := core.Run(context.Background(), enc, g.DS.Features, g.Err, nil, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3, Evaluator: &DenseIntermediates{}}))
 	if err != nil {
 		return err
 	}
-	topD := "-"
-	if len(resD.TopK) > 0 {
-		topD = fmt.Sprintf("score %.3f size %d", resD.TopK[0].Score, resD.TopK[0].Size)
-	}
-	fmt.Fprintf(tw, "SliceLine (dense intermediates)\t%s\t%s\n", fmtDur(time.Since(start)), topD)
+	fmt.Fprintf(tw, "SliceLine (dense intermediates)\t%s\t%s\n", fmtDur(time.Since(start)), marks.topResult(resD))
 
 	start = time.Now()
 	sf, err := baseline.Run(g.DS, g.Err, baseline.Config{K: 4, MaxLevel: 3})
@@ -562,5 +584,6 @@ func runMLSys(w io.Writer, opt Options) error {
 		topDT = fmt.Sprintf("mean err %.3f size %d", worst[0].MeanError, worst[0].Size)
 	}
 	fmt.Fprintf(tw, "Decision tree (non-overlapping)\t%s\t%s\n", fmtDur(time.Since(start)), topDT)
+	marks.footnote(tw)
 	return tw.Flush()
 }

@@ -275,3 +275,51 @@ func TestDroppedParentsAttr(t *testing.T) {
 		}
 	}
 }
+
+// TestTruncatedLevelKeepsDroppedParents: a level whose join exceeds
+// MaxCandidatesPerLevel still reports the parents the join's input filter
+// dropped. The filter runs before the join, so the count equals the
+// uncapped run's for that level.
+func TestTruncatedLevelKeepsDroppedParents(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	ds, e := randomDataset(rng, 400, 5, 4)
+	level3 := func(capped int) (*obs.Span, *Result) {
+		t.Helper()
+		tr := obs.NewJSONTracer()
+		res, err := runDS(ds, e, nil, Config{K: 4, Sigma: 8, Alpha: 0.95, MaxLevel: 3, MaxCandidatesPerLevel: capped, Tracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range tr.Spans() {
+			if s.Name == "core.level" && s.AttrInt("level", -1) == 3 {
+				return s, res
+			}
+		}
+		t.Fatalf("cap %d: no level-3 span", capped)
+		return nil, nil
+	}
+	full, res := level3(0)
+	if res.Truncated || len(res.Levels) < 3 {
+		t.Fatalf("uncapped run: truncated %v after %d levels", res.Truncated, len(res.Levels))
+	}
+	want := full.AttrInt("dropped_parents", -1)
+	if want <= 0 {
+		t.Fatalf("uncapped level 3 dropped %d parents; the test needs some", want)
+	}
+	// Level 3 deduplicates, so it generates its candidates plus the pruned
+	// ones; one fewer truncates it, and levels 1–2 stay within the cap.
+	l3 := res.Levels[2]
+	budget := l3.Candidates + l3.Pruned - 1
+	for _, ls := range res.Levels[:2] {
+		if ls.Candidates+ls.Pruned > budget {
+			t.Fatalf("level %d generates %d candidates, above the level-3 cap %d", ls.Level, ls.Candidates+ls.Pruned, budget)
+		}
+	}
+	capped, cres := level3(budget)
+	if !cres.Truncated || len(cres.Levels) != 3 || cres.Levels[2].Candidates != 0 {
+		t.Fatalf("cap %d: truncated %v, levels %+v; want level 3 truncated in generation", budget, cres.Truncated, cres.Levels)
+	}
+	if got := capped.AttrInt("dropped_parents", -1); got != want {
+		t.Fatalf("truncated level 3 reports %d dropped parents, the uncapped run %d", got, want)
+	}
+}

@@ -89,7 +89,8 @@ const joinShard = 64
 // per pair, candidate or shard. It returns the surviving candidates, whose
 // column lists share one right-sized arena, and a per-rule pruning
 // breakdown. A nil level signals that candidate generation exceeded
-// MaxCandidatesPerLevel and enumeration must truncate.
+// MaxCandidatesPerLevel and enumeration must truncate; its breakdown then
+// carries only the dropped-parent count.
 func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneStats) {
 	cfg := st.cfg
 	minSS := float64(cfg.Sigma)
@@ -141,7 +142,9 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 		})
 	}
 	if j.generated.Load() > int64(cfg.MaxCandidatesPerLevel) {
-		return nil, pruneStats{}
+		// The input filter ran before the join, so its count is exact; the
+		// per-rule counts depend on where the workers stopped and stay 0.
+		return nil, pruneStats{dropped: dropped}
 	}
 
 	// Copy the survivors, shard by shard, into one right-sized arena.

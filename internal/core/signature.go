@@ -80,6 +80,35 @@ func DataSignature(enc *frame.Encoding, e, w []float64) uint64 {
 	return s.sum()
 }
 
+// ChainSignature is the data signature of a generation that appends rows
+// [from, n) of enc and e to a parent generation whose signature is parent:
+// it hashes parent, the generation's row count, one-hot width and feature
+// block offsets, then each appended row's one-hot ids and error, row by
+// row. So an append hashes only its own rows. The Beg offsets pin how a
+// grown domain moved the parent's ids: column c of feature j moves to
+// enc.Beg[j] + c − Beg_parent[j].
+//
+// A chained signature names the generation's content together with its
+// batch history: the same rows reached through different batches get
+// different signatures. A cache keyed on it can miss, but never aliases
+// different data.
+func ChainSignature(parent uint64, enc *frame.Encoding, e []float64, from int) uint64 {
+	s := newSigHasher()
+	s.u64(parent)
+	s.u64(uint64(enc.X.Rows()))
+	s.u64(uint64(enc.X.Cols()))
+	for _, b := range enc.Beg {
+		s.u64(uint64(b))
+	}
+	for i := from; i < enc.X.Rows(); i++ {
+		for _, c := range enc.X.RowEntries(i) {
+			s.u64(uint64(c))
+		}
+		s.f64(e[i])
+	}
+	return s.sum()
+}
+
 // ConfigSignature fingerprints the configuration switches that alter which
 // candidates are generated, evaluated, or how their statistics are summed.
 // The config must have defaults resolved (WithDefaults) so that, e.g., an

@@ -180,3 +180,58 @@ func TestDataSignatureZeroAllocs(t *testing.T) {
 		t.Fatalf("DataSignature made %.0f allocations per call, want 0", allocs)
 	}
 }
+
+// TestChainSignature: a generation's chained signature depends on its
+// parent's and on every cell and error of the appended batch, including a
+// batch that grows a domain, and nothing else: it reads only the batch.
+func TestChainSignature(t *testing.T) {
+	base := [][]string{{"a", "x"}, {"b", "y"}, {"a", "y"}}
+	baseErrs := []float64{1, 0, 0.5}
+	chain := func(parent uint64, batch [][]string, errs []float64) uint64 {
+		t.Helper()
+		cols := []frame.Column{{Name: "f", Kind: frame.Categorical}, {Name: "g", Kind: frame.Categorical}}
+		for _, r := range base {
+			cols[0].Strings = append(cols[0].Strings, r[0])
+			cols[1].Strings = append(cols[1].Strings, r[1])
+		}
+		fr, err := frame.NewFrame(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := frame.FromFrame(fr, "", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := frame.OneHot(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ap, err := frame.NewAppender(ds, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ap.AppendRows(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ChainSignature(parent, res.Enc, append(append([]float64(nil), baseErrs...), errs...), len(base))
+	}
+	batch := [][]string{{"b", "x"}, {"a", "y"}}
+	errs := []float64{0, 1}
+	want := chain(7, batch, errs)
+	if chain(7, batch, errs) != want {
+		t.Fatal("same batch chains differently")
+	}
+	for name, got := range map[string]uint64{
+		"parent":      chain(8, batch, errs),
+		"one cell":    chain(7, [][]string{{"b", "x"}, {"b", "y"}}, errs),
+		"one error":   chain(7, batch, []float64{0, 0.5}),
+		"grown":       chain(7, [][]string{{"b", "x"}, {"c", "y"}}, errs),
+		"longer":      chain(7, append(batch, []string{"a", "x"}), append(errs, 0)),
+		"grown other": chain(7, [][]string{{"b", "z"}, {"a", "y"}}, errs),
+	} {
+		if got == want {
+			t.Errorf("changing the %s did not change the chained signature", name)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package frame
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"sliceline/internal/matrix"
@@ -63,8 +64,9 @@ func (ce *ColumnEncoder) binCode(v float64) int {
 // the shift from the two encodings' Beg offsets.
 type AppendResult struct {
 	// DS and Enc are the accumulated dataset and one-hot encoding after the
-	// append. Both are fresh values; snapshots taken before the append stay
-	// valid and unchanged.
+	// append: new values whose X0 codes and CSR components are
+	// capacity-capped views of the appender's shared arrays. Values handed
+	// out before the append stay valid and unchanged.
 	DS  *Dataset
 	Enc *Encoding
 	// NewRows is the number of rows this batch appended.
@@ -75,11 +77,17 @@ type AppendResult struct {
 
 // Appender encodes appended rows against a dataset's frozen column encoders,
 // maintaining the accumulated integer matrix and one-hot encoding across
-// batches. Appends are copy-on-write: every batch produces fresh Dataset and
-// Encoding values, so concurrent readers of an earlier snapshot are never
-// invalidated. Encoding an appended batch is O(batch + nnz) — the nnz term
-// only when a domain grows (existing one-hot columns shift to keep the
-// per-feature block layout, so the column index array is rewritten).
+// batches. The CSR row pointers, column ids and X0 codes are append-only
+// arrays that every generation shares: a batch appends its rows into their
+// spare capacity, and each published Dataset and Encoding is a
+// capacity-capped view (s[:n:n]) of the prefix it covers. So no holder of an
+// earlier generation sees an element change, an append through its view
+// copies instead of writing the shared tail, and concurrent readers of an
+// earlier generation are never invalidated. An appended batch costs
+// O(batch), amortized over the arrays' growth; a grown domain adds O(nnz),
+// because existing one-hot columns shift to keep the per-feature block
+// layout and the column ids are remapped into a fresh array (row pointers
+// and codes stay shared). Only one goroutine may append at a time.
 //
 // The invariant that makes incremental maintenance tractable downstream: the
 // accumulated encoding after any sequence of appends is byte-identical to
@@ -93,6 +101,11 @@ type Appender struct {
 	cat   []map[string]int // per-feature label→code index (nil for numeric)
 	x0    *IntMatrix
 	enc   *Encoding
+
+	// rowPtr, colIdx and codes back every generation's CSR components and
+	// X0 codes. Only AppendRows writes them, and only past the length of
+	// any published view.
+	rowPtr, colIdx, codes []int
 }
 
 // NewAppender wraps a dataset and its one-hot encoding for appends. The
@@ -105,6 +118,8 @@ func NewAppender(ds *Dataset, enc *Encoding) (*Appender, error) {
 	if len(ds.Encoders) != len(ds.Features) {
 		return nil, fmt.Errorf("frame: dataset %s has %d encoders vs %d features", ds.Name, len(ds.Encoders), len(ds.Features))
 	}
+	rowPtr, colIdx := enc.X.Components()
+	nc := ds.X0.Rows * ds.X0.Cols
 	a := &Appender{
 		name:  ds.Name,
 		feats: append([]Feature(nil), ds.Features...),
@@ -112,6 +127,11 @@ func NewAppender(ds *Dataset, enc *Encoding) (*Appender, error) {
 		cat:   make([]map[string]int, len(ds.Features)),
 		x0:    ds.X0,
 		enc:   enc,
+		// Clipped, so the first append copies rather than writing into
+		// spare capacity the caller's arrays may share with other data.
+		rowPtr: slices.Clip(rowPtr),
+		colIdx: slices.Clip(colIdx),
+		codes:  ds.X0.Data[:nc:nc],
 	}
 	for j, ce := range a.encs {
 		if ce.Kind == Categorical {
@@ -149,9 +169,12 @@ func (a *Appender) AppendRows(vals [][]string) (*AppendResult, error) {
 		return nil, fmt.Errorf("frame: empty append batch")
 	}
 	m := len(a.feats)
-	// Pass 1: encode every cell against the frozen encoders, staging domain
-	// growth in copied label tables so a failed batch leaves no trace.
-	codes := make([]int, 0, len(vals)*m)
+	// Pass 1: encode every cell against the frozen encoders, staging the
+	// codes past the end of the shared codes array (no view covers them)
+	// and domain growth in copied label tables, so a failed batch leaves no
+	// trace.
+	nOld := a.x0.Rows
+	codes := slices.Grow(a.codes, len(vals)*m)
 	newDom := make([]int, m)
 	newLabels := make([][]string, m) // staged categorical labels (nil = unchanged)
 	for j := range a.feats {
@@ -225,31 +248,30 @@ func (a *Appender) AppendRows(vals [][]string) (*AppendResult, error) {
 		}
 	}
 
-	// New CSR: remapped copy of the old entries plus one block of m entries
-	// per appended row (columns ascend because feature blocks ascend).
-	nOld := a.x0.Rows
+	// Extend the CSR: one block of m ids per appended row (columns ascend
+	// because feature blocks ascend). A grown domain first remaps the old
+	// ids into a fresh array, so earlier generations keep their view.
 	k := len(vals)
-	oldPtr, oldCol := oldEnc.X.Components()
-	rowPtr := make([]int, nOld+k+1)
-	copy(rowPtr, oldPtr)
-	colIdx := make([]int, len(oldCol)+k*m)
-	if remap == nil {
-		copy(colIdx, oldCol)
-	} else {
-		for i, c := range oldCol {
+	if remap != nil {
+		colIdx := make([]int, len(a.colIdx), max(cap(a.colIdx), len(a.colIdx)+k*m))
+		for i, c := range a.colIdx {
 			colIdx[i] = remap[c]
 		}
+		a.colIdx = colIdx
 	}
-	base := len(oldCol)
+	a.colIdx = slices.Grow(a.colIdx, k*m)
+	a.rowPtr = slices.Grow(a.rowPtr, k)
+	batch := codes[nOld*m:]
 	for i := 0; i < k; i++ {
 		for j := 0; j < m; j++ {
-			colIdx[base+i*m+j] = newBeg[j] + codes[i*m+j] - 1
+			a.colIdx = append(a.colIdx, newBeg[j]+batch[i*m+j]-1)
 		}
-		rowPtr[nOld+i+1] = base + (i+1)*m
+		a.rowPtr = append(a.rowPtr, len(a.colIdx))
 	}
+	a.codes = codes
 
-	// Commit feature metadata (copy-on-write: fresh slices, so snapshots of
-	// the previous generation keep their view).
+	// Commit feature metadata (fresh slices, so the previous generation
+	// keeps its own).
 	feats := append([]Feature(nil), a.feats...)
 	encs := append([]ColumnEncoder(nil), a.encs...)
 	for j := range feats {
@@ -272,13 +294,12 @@ func (a *Appender) AppendRows(vals [][]string) (*AppendResult, error) {
 		}
 	}
 
-	// Grow X0 (copy-on-write via append: earlier snapshots keep their length).
-	data := append(append(make([]int, 0, len(a.x0.Data)+k*m), a.x0.Data...), codes...)
-	a.x0 = &IntMatrix{Rows: nOld + k, Cols: m, Data: data}
+	// Publish capped views of the shared arrays.
+	a.x0 = &IntMatrix{Rows: nOld + k, Cols: m, Data: slices.Clip(a.codes)}
 	a.feats = feats
 	a.encs = encs
 	a.enc = &Encoding{
-		X:    matrix.NewCSR(nOld+k, l, rowPtr, colIdx),
+		X:    matrix.NewCSR(nOld+k, l, slices.Clip(a.rowPtr), slices.Clip(a.colIdx)),
 		Beg:  newBeg,
 		End:  newEnd,
 		Doms: append([]int(nil), newDom...),

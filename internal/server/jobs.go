@@ -49,6 +49,7 @@ type job struct {
 	// snap is the dataset generation captured at submission: batch jobs
 	// evaluate exactly this generation no matter what is appended
 	// meanwhile, and the cache key and journal record pin its signature.
+	// Its data goes once the job is terminal (release).
 	snap dsSnapshot
 	// baseSnap is the baseline dataset's snapshot for diff jobs: its error
 	// vector supplies the baseline model's per-row errors.
@@ -74,7 +75,6 @@ type job struct {
 	mu         sync.Mutex
 	state      jobState
 	cached     bool
-	result     *core.Result
 	resultJSON []byte
 	errMsg     string
 	gen        int // dataset generation resultJSON covers (monitor refreshes)
@@ -108,12 +108,22 @@ func (j *job) info() JobInfo {
 }
 
 // setRefreshed records a monitor's latest maintained result (non-terminal).
-func (j *job) setRefreshed(res *core.Result, js []byte, gen int) {
+func (j *job) setRefreshed(js []byte, gen int) {
 	j.mu.Lock()
-	j.result = res
 	j.resultJSON = js
 	j.gen = gen
 	j.mu.Unlock()
+}
+
+// release drops the job's dataset data, and a diff job's baseline data, so
+// a job holds a generation only while it can still evaluate it. Every
+// terminal path calls it; what stays is what the job reports and journals:
+// id, spec, state, result JSON, generation and signatures. Only the job's
+// own goroutine reads the data, and every other caller makes the job
+// terminal before that goroutine could read it, so the write takes no lock.
+func (j *job) release() {
+	j.snap.genData = nil
+	j.baseSnap.genData = nil
 }
 
 func (j *job) currentState() jobState {
@@ -249,9 +259,9 @@ func (s *Server) submit(spec JobSpec) (*job, int, error) {
 		if hit, ok := s.cache.get(j.key); ok {
 			j.cached = true
 			j.state = jobDone
-			j.result = hit.res
 			j.resultJSON = hit.json
 			j.gen = j.snap.Gen
+			j.release()
 			j.events.replay(hit.res.Levels)
 			j.events.finish(string(jobDone), "")
 			close(j.done)
@@ -362,6 +372,9 @@ func (s *Server) cancelJob(j *job) jobState {
 	if st == jobQueued {
 		j.state = jobCancelled
 		j.errMsg = "cancelled while queued"
+		// The worker reads the state under j.mu before it touches the
+		// data, and now skips the job.
+		j.release()
 		j.mu.Unlock()
 		if j.cancel != nil {
 			j.cancel()
@@ -454,11 +467,11 @@ func (s *Server) finishJob(j *job, res *core.Result, err error) {
 	j.state = st
 	j.errMsg = msg
 	if st == jobDone {
-		j.result = res
 		j.resultJSON = js
 		j.gen = j.snap.Gen
 	}
 	j.mu.Unlock()
+	j.release()
 
 	if st == jobDone {
 		if j.cacheable() {

@@ -63,7 +63,11 @@ func (s *Server) runMonitor(j *job) {
 		return
 	}
 
-	for snap := j.snap; ; {
+	// The loop holds the generation it is on; the job keeps only the
+	// identity it journals, so a monitor pins one generation at a time.
+	snap := j.snap
+	j.release()
+	for {
 		res, err := inc.Run(j.ctx, snap.Enc, snap.DS.Features, snap.ErrVec)
 		if err != nil {
 			s.finishJob(j, nil, err)
@@ -74,7 +78,7 @@ func (s *Server) runMonitor(j *job) {
 			s.finishJob(j, nil, err)
 			return
 		}
-		j.setRefreshed(res, js, snap.Gen)
+		j.setRefreshed(js, snap.Gen)
 		j.events.addResult(resultEvent{Generation: snap.Gen, Rows: len(snap.ErrVec), Result: js})
 		s.ob.refreshes.Inc()
 

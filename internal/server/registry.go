@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -22,20 +23,24 @@ import (
 // Entries registered in err-column mode are mutable: POST
 // /v1/datasets/{id}/rows appends rows, advancing the entry's generation. The
 // ID stays the content address of the base upload — the (BaseSig, Gen) pair
-// names a generation — while Sig is recomputed per generation over the
-// accumulated content, so result-cache keys and warm-worker partition
-// addresses (dist placement seeds) from earlier generations can never alias
-// the new data. All generation state is guarded by mu; jobs capture an
-// immutable snapshot at submission.
+// names a generation — while Sig chains from the previous generation's over
+// the appended rows (core.ChainSignature), so result-cache keys and
+// warm-worker partition addresses (dist placement seeds) from earlier
+// generations can never alias the new data. All generation state is guarded
+// by mu, and only the holder of mu appends; jobs capture an immutable
+// snapshot at submission.
 type datasetEntry struct {
 	ID      string // ds_<base signature>, stable across generations
 	Name    string
 	ErrCol  string // err-column registration mode; "" = train-mode (not appendable)
 	BaseSig uint64
 
-	mu     sync.Mutex
-	DS     *frame.Dataset
-	Enc    *frame.Encoding
+	mu  sync.Mutex
+	DS  *frame.Dataset
+	Enc *frame.Encoding
+	// ErrVec, genEnd and genAt are append-only, like the appender's arrays:
+	// an append extends them in place, and snapshots hold capacity-capped
+	// views of the prefix their generation covers.
 	ErrVec []float64
 	Sig    uint64 // data signature of the current generation
 	Gen    int    // applied appends; 0 is the registered base
@@ -46,19 +51,26 @@ type datasetEntry struct {
 	change chan struct{} // closed and replaced on every append (monitor wakeup)
 }
 
-// dsSnapshot is an immutable view of one dataset generation. Jobs capture it
-// at submission, so a concurrent append never changes what a running job
-// evaluates. The slices are never mutated after the snapshot is taken
-// (appends are copy-on-write throughout).
+// dsSnapshot is one dataset generation as a job holds it: the identity the
+// job reports and journals, and the data it evaluates. Jobs capture it at
+// submission, so a concurrent append never changes what a running job
+// evaluates, and drop the data once they are terminal (job.release).
 type dsSnapshot struct {
-	ID     string
+	ID  string
+	Sig uint64
+	Gen int
+	*genData
+}
+
+// genData is the data of one dataset generation. Every slice in it is a
+// capacity-capped view of an append-only array, so its elements never
+// change and an append through it copies.
+type genData struct {
 	DS     *frame.Dataset
 	Enc    *frame.Encoding
 	ErrVec []float64
-	Sig    uint64
-	Gen    int
-	GenEnd []int
-	GenAt  []time.Time
+	GenEnd []int       // GenEnd[g] = accumulated row count at generation g
+	GenAt  []time.Time // GenAt[g] = when generation g became current
 }
 
 // snapshot captures the current generation.
@@ -70,14 +82,16 @@ func (d *datasetEntry) snapshot() dsSnapshot {
 
 func (d *datasetEntry) snapshotLocked() dsSnapshot {
 	return dsSnapshot{
-		ID:     d.ID,
-		DS:     d.DS,
-		Enc:    d.Enc,
-		ErrVec: d.ErrVec,
-		Sig:    d.Sig,
-		Gen:    d.Gen,
-		GenEnd: append([]int(nil), d.genEnd...),
-		GenAt:  append([]time.Time(nil), d.genAt...),
+		ID:  d.ID,
+		Sig: d.Sig,
+		Gen: d.Gen,
+		genData: &genData{
+			DS:     d.DS,
+			Enc:    d.Enc,
+			ErrVec: slices.Clip(d.ErrVec),
+			GenEnd: slices.Clip(d.genEnd),
+			GenAt:  slices.Clip(d.genAt),
+		},
 	}
 }
 
@@ -97,8 +111,9 @@ func (d *datasetEntry) appendable() bool {
 }
 
 // appendRows applies one batch of raw rows plus their error values,
-// advancing the entry's generation. The error vector, dataset and encoding
-// are replaced copy-on-write, so earlier snapshots stay valid.
+// advancing the entry's generation. The dataset, encoding and error vector
+// are extended in place past every earlier snapshot's view, and the new
+// signature hashes only the batch, so an append costs what it adds.
 func (d *datasetEntry) appendRows(rows [][]string, errs []float64, at time.Time) (AppendInfo, error) {
 	if len(rows) != len(errs) {
 		return AppendInfo{}, fmt.Errorf("server: %d rows vs %d error values", len(rows), len(errs))
@@ -115,10 +130,9 @@ func (d *datasetEntry) appendRows(rows [][]string, errs []float64, at time.Time)
 	if err != nil {
 		return AppendInfo{}, err
 	}
-	errVec := make([]float64, 0, len(d.ErrVec)+len(errs))
-	errVec = append(append(errVec, d.ErrVec...), errs...)
-	d.DS, d.Enc, d.ErrVec = res.DS, res.Enc, errVec
-	d.Sig = core.DataSignature(res.Enc, errVec, nil)
+	from := len(d.ErrVec)
+	d.DS, d.Enc, d.ErrVec = res.DS, res.Enc, append(d.ErrVec, errs...)
+	d.Sig = core.ChainSignature(d.Sig, res.Enc, d.ErrVec, from)
 	d.Gen++
 	d.genEnd = append(d.genEnd, res.Enc.X.Rows())
 	d.genAt = append(d.genAt, at)
@@ -299,7 +313,9 @@ func finishEntry(ds *frame.Dataset, enc *frame.Encoding, errVec []float64, name,
 	ds.Name = name
 	d := &datasetEntry{
 		ID: id, Name: name, ErrCol: errCol, BaseSig: sig,
-		DS: ds, Enc: enc, ErrVec: errVec, Sig: sig,
+		// Clipped, so the first append copies instead of writing into
+		// spare capacity the caller may share.
+		DS: ds, Enc: enc, ErrVec: slices.Clip(errVec), Sig: sig,
 		genEnd: []int{ds.NumRows()},
 		genAt:  []time.Time{time.Now()},
 		change: make(chan struct{}),

@@ -210,7 +210,7 @@ func (s *Server) restoreJobs(recs []*journalJob) {
 			if _, haveDS := s.reg.get(rec.Spec.Dataset); st == jobDone && haveDS && len(rec.ResultJSON) > 0 {
 				var res core.Result
 				if json.Unmarshal(rec.ResultJSON, &res) == nil {
-					j.result, j.resultJSON = &res, rec.ResultJSON
+					j.resultJSON = rec.ResultJSON
 					// A result pinned to an older generation is re-served by
 					// id but must not answer fresh submissions (legacy
 					// records carry no signature and predate appends).
@@ -220,6 +220,7 @@ func (s *Server) restoreJobs(recs []*journalJob) {
 					j.events.replay(res.Levels)
 				}
 			}
+			j.release()
 			j.events.finish(string(st), msg)
 			close(j.done)
 			s.addJob(j, nil)
