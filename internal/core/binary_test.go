@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -12,16 +14,10 @@ import (
 	"sliceline/internal/obs"
 )
 
-// generalAndBinary returns the rowVals of (e, w) for the general loop and
-// for the binary loop, packed as Kernel.Bits packs them.
-func generalAndBinary(e, w []float64) (general, binary rowVals) {
-	general = rowVals{e: e, w: w}
-	binary = general
-	binary.eb = packBinary(e)
-	if w != nil {
-		binary.wb = packBinary(w)
-	}
-	return general, binary
+// memoVals returns the rowVals of 0/1 errors e for the incremental memo's
+// binary loop, packed as Incremental.Run packs them.
+func memoVals(e []float64) rowVals {
+	return rowVals{e: e, eb: packBinary(e)}
 }
 
 // sameBits reports whether two statistics triples agree bit for bit.
@@ -34,40 +30,51 @@ func sameBits(a, b [3]float64) bool {
 	return true
 }
 
-// checkBinaryMatchesGeneral evaluates cand over x with both loops: once over
-// all rows from row 0, and once as the incremental memo does, continuing
-// from row from with the seeds of a first pass over the rows [0, from). Every
-// statistic must have the same bits in both loops, and the continuation must
-// equal the full pass.
+// layoutEval evaluates cand with the batch Kernel's binary loop over x packed
+// in the binary layout.
+func layoutEval(x *matrix.CSR, e, w []float64, cand []int) [3]float64 {
+	cb, errRows := packBinaryLayout(x, e, w)
+	var ss, se, sm [1]float64
+	evalBinaryRange(cb, errRows, [][]int{cand}, 0, 1, ss[:], se[:], sm[:])
+	return [3]float64{ss[0], se[0], sm[0]}
+}
+
+// checkBinaryMatchesGeneral evaluates cand over x with the general
+// row-ordered loop and with both binary loops: the batch Kernel's loop over
+// the binary layout, and — unweighted, as the incremental memo runs it —
+// binaryCounts over row order, once over all rows from row 0 and once
+// continuing from row from with the seeds of a first pass over the rows
+// [0, from). Every statistic must have the same bits in every loop, and the
+// continuation must equal the full pass.
 func checkBinaryMatchesGeneral(t testing.TB, x *matrix.CSR, e, w []float64, cand []int, from int) {
 	t.Helper()
 	cb := matrix.PackColumns(x)
-	gen, bin := generalAndBinary(e, w)
 	eval := func(cb *matrix.ColumnBits, r rowVals, from int, seed [3]float64) [3]float64 {
 		ss, se, sm := evalBitsetFrom(cb, r, cand, from, seed[0], seed[1], seed[2])
 		return [3]float64{ss, se, sm}
 	}
-	full := eval(cb, gen, 0, [3]float64{})
-	if got := eval(cb, bin, 0, [3]float64{}); !sameBits(full, got) {
-		t.Fatalf("cand %v (weighted %v): binary %v, general %v", cand, w != nil, got, full)
+	full := eval(cb, rowVals{e: e, w: w}, 0, [3]float64{})
+	if got := layoutEval(x, e, w, cand); !sameBits(full, got) {
+		t.Fatalf("cand %v (weighted %v): binary layout %v, general %v", cand, w != nil, got, full)
+	}
+	if w != nil {
+		return // the memo's loop is unweighted
+	}
+	if got := eval(cb, memoVals(e), 0, [3]float64{}); !sameBits(full, got) {
+		t.Fatalf("cand %v: memo binary loop %v, general %v", cand, got, full)
 	}
 
-	var pw []float64
-	if w != nil {
-		pw = w[:from]
-	}
 	pcb := matrix.PackColumns(x.RowRange(0, from))
-	pgen, pbin := generalAndBinary(e[:from], pw)
-	seedG := eval(pcb, pgen, 0, [3]float64{})
-	seedB := eval(pcb, pbin, 0, [3]float64{})
+	seedG := eval(pcb, rowVals{e: e[:from]}, 0, [3]float64{})
+	seedB := eval(pcb, memoVals(e[:from]), 0, [3]float64{})
 	if !sameBits(seedG, seedB) {
 		t.Fatalf("cand %v rows [0,%d): binary seeds %v, general %v", cand, from, seedB, seedG)
 	}
-	contG := eval(cb, gen, from, seedG)
-	contB := eval(cb, bin, from, seedB)
+	contG := eval(cb, rowVals{e: e}, from, seedG)
+	contB := eval(cb, memoVals(e), from, seedB)
 	if !sameBits(contG, contB) || !sameBits(contG, full) {
-		t.Fatalf("cand %v from %d (weighted %v): binary continuation %v, general %v, full pass %v",
-			cand, from, w != nil, contB, contG, full)
+		t.Fatalf("cand %v from %d: binary continuation %v, general %v, full pass %v",
+			cand, from, contB, contG, full)
 	}
 }
 
@@ -205,15 +212,71 @@ func checkKernelMatchesGeneral(t *testing.T, enc *frame.Encoding, e, w []float64
 	}
 }
 
-// FuzzBinaryKernel drives checkBinaryMatchesGeneral with fuzzed data: a 0/1
-// matrix of up to 300 rows and 8 columns, 0/1 errors and optional 0/1
-// weights drawn from the data bytes, a candidate of any width given as a
-// column mask (more than three columns take the tiled loop), and any
-// continuation row.
+// checkKernelEval evaluates cand through NewKernel(x, e, w).Eval — whichever
+// path the density selects, the binary layout on dense 0/1 data — and, for
+// an unweighted binary Kernel, through the Kernel a Dist-PFor worker builds
+// from its shipped layout. Both must return the general loop's bits.
+func checkKernelEval(t testing.TB, x *matrix.CSR, e, w []float64, cand []int) {
+	t.Helper()
+	var want [3]float64
+	want[0], want[1], want[2] = evalBitsetFrom(matrix.PackColumns(x), rowVals{e: e, w: w}, cand, 0, 0, 0, 0)
+	k := NewKernel(x, e, w)
+	kernels := []*Kernel{k}
+	if k.Binary() && w == nil {
+		pk, err := NewPackedBinaryKernel(k.Bits(), k.ErrRows())
+		if err != nil {
+			t.Fatalf("rebuilding the shipped layout: %v", err)
+		}
+		kernels = append(kernels, pk)
+	}
+	for _, k := range kernels {
+		var ss, se, sm [1]float64
+		k.Eval([][]int{cand}, len(cand), 0, ss[:], se[:], sm[:])
+		if got := [3]float64{ss[0], se[0], sm[0]}; !sameBits(got, want) {
+			t.Fatalf("cand %v (weighted %v, binary %v, packed %v): Kernel.Eval %v, general %v",
+				cand, w != nil, k.Binary(), k.x == nil, got, want)
+		}
+	}
+}
+
+// binaryFuzzData lays out FuzzBinaryKernel's data bytes so that matrix
+// bit (i, j) is x(i, j), error i is e(i) and weight i is w(i), with no byte
+// shared between them.
+func binaryFuzzData(rows, cols int, x func(i, j int) bool, e, w func(i int) bool) []byte {
+	data := make([]byte, (rows*cols+3*rows+7)/8)
+	set := func(b int) { data[b/8] |= 1 << (b % 8) }
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if x(i, j) {
+				set(i*cols + j)
+			}
+		}
+		if e(i) {
+			set(rows*cols + 3*i)
+		}
+		if !w(i) {
+			set(rows*cols + 3*i + 1)
+		}
+	}
+	return data
+}
+
+// FuzzBinaryKernel drives checkBinaryMatchesGeneral and checkKernelEval with
+// fuzzed data: a 0/1 matrix of up to 300 rows and 8 columns, 0/1 errors and
+// optional 0/1 weights drawn from the data bytes, a candidate of any width
+// given as a column mask (more than three columns take the tiled loop), and
+// any continuation row. Seeds include an empty erring block (no row erred)
+// and an empty other block (every row of weight 1 erred).
 func FuzzBinaryKernel(f *testing.F) {
 	f.Add(uint16(200), uint8(5), []byte{0x5a, 0xc3, 0x0f, 0xf0, 0x99}, uint8(0x03), uint16(65), false)
 	f.Add(uint16(129), uint8(8), []byte{0xff, 0x01, 0x80, 0x7e}, uint8(0x1f), uint16(64), true)
 	f.Add(uint16(63), uint8(1), []byte{0xaa}, uint8(0x01), uint16(0), true)
+	dense := func(i, j int) bool { return (i+j)%3 != 0 }
+	never := func(int) bool { return false }
+	always := func(int) bool { return true }
+	f.Add(uint16(130), uint8(4), binaryFuzzData(130, 4, dense, never, always), uint8(0x0f), uint16(64), false)
+	f.Add(uint16(130), uint8(4), binaryFuzzData(130, 4, dense, always, always), uint8(0x07), uint16(65), false)
+	f.Add(uint16(130), uint8(4), binaryFuzzData(130, 4, dense, always, func(i int) bool { return i%5 != 0 }), uint8(0x03), uint16(1), true)
 	f.Fuzz(func(t *testing.T, rows16 uint16, cols8 uint8, data []byte, candMask uint8, from16 uint16, weighted bool) {
 		if len(data) == 0 {
 			return
@@ -252,7 +315,135 @@ func FuzzBinaryKernel(f *testing.F) {
 			return
 		}
 		checkBinaryMatchesGeneral(t, x, e, w, cand, int(from16)%(rows+1))
+		checkKernelEval(t, x, e, w, cand)
 	})
+}
+
+// TestBinaryLayoutMatchesGeneral pins a binary Kernel's Eval to the general
+// bitset kernel and the fused CSR kernel bit for bit at levels 1–6 (levels 4
+// and up take the tiled loop), around every word boundary the layout has:
+// n ∈ {63, 64, 65, 127, 128, 129} rows, with 0, 1, 63, 64, 65 or all n rows
+// erring, unweighted, with 0/1 window weights, and with a window that retires
+// every row but one. 4200 rows span two 64-word tiles, with the erring block
+// ending in the first tile, on the tile boundary and in the second tile.
+func TestBinaryLayoutMatchesGeneral(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{63, 64, 65, 127, 128, 129, 4200} {
+		ds, _ := randomDataset(rng, n, 7, 3)
+		enc, err := frame.OneHot(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Candidates drawn from rows, so wide ones match rows too.
+		levels := make([][][]int, 7)
+		for L := 1; L <= 6; L++ {
+			for c := 0; c < 25; c++ {
+				row := enc.X.RowEntries(rng.Intn(n))
+				var cand []int
+				for _, f := range rng.Perm(len(row))[:L] {
+					cand = append(cand, row[f])
+				}
+				sort.Ints(cand)
+				levels[L] = append(levels[L], cand)
+			}
+		}
+		window := make([]float64, n)
+		for i := rng.Intn(n / 2); i < n; i++ {
+			if rng.Intn(6) != 0 {
+				window[i] = 1
+			}
+		}
+		lastOnly := make([]float64, n)
+		lastOnly[rng.Intn(n)] = 1
+		nErrs := []int{0, 1, 63, 64, 65, n}
+		if n > 4096 {
+			nErrs = []int{100, 4096, 4150}
+		}
+		for _, nErr := range nErrs {
+			if nErr > n {
+				continue
+			}
+			e := make([]float64, n)
+			for i := range e {
+				if rng.Intn(4) == 0 {
+					e[i] = math.Copysign(0, -1)
+				}
+			}
+			for _, i := range rng.Perm(n)[:nErr] {
+				e[i] = 1
+			}
+			for wi, w := range [][]float64{nil, window, lastOnly} {
+				k := NewKernel(enc.X, e, w)
+				wantErr := 0
+				for i, ei := range e {
+					if ei == 1 && (w == nil || w[i] == 1) {
+						wantErr++
+					}
+				}
+				if !k.Binary() || k.ErrRows() != wantErr {
+					t.Fatalf("n %d, %d erring, weights %d: Binary() %v, ErrRows() %d, want true and %d", n, nErr, wi, k.Binary(), k.ErrRows(), wantErr)
+				}
+				cb := matrix.PackColumns(enc.X)
+				for L := 1; L <= 6; L++ {
+					cols := levels[L]
+					m := len(cols)
+					var got, bitset, fused [3][]float64
+					for _, out := range []*[3][]float64{&got, &bitset, &fused} {
+						*out = [3][]float64{make([]float64, m), make([]float64, m), make([]float64, m)}
+					}
+					k.Eval(cols, L, 0, got[0], got[1], got[2])
+					EvalBitsetWeighted(cb, e, w, cols, bitset[0], bitset[1], bitset[2])
+					EvalPartitionWeighted(enc.X, e, w, cols, L, 0, fused[0], fused[1], fused[2])
+					for s := range cols {
+						g := [3]float64{got[0][s], got[1][s], got[2][s]}
+						b := [3]float64{bitset[0][s], bitset[1][s], bitset[2][s]}
+						f := [3]float64{fused[0][s], fused[1][s], fused[2][s]}
+						if !sameBits(g, b) || !sameBits(g, f) {
+							t.Fatalf("n %d, %d erring, weights %d, L%d cand %v: binary layout %v, bitset %v, fused %v",
+								n, nErr, wi, L, cols[s], g, b, f)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBinaryKernelPacksOnlyColumns: a binary Kernel holds its columns in the
+// binary layout and nothing beside them — no packed error or weight vector —
+// and the layout is no larger than the row-ordered packing: ⌈rows/64⌉ words
+// per column over the rows of weight 1.
+func TestBinaryKernelPacksOnlyColumns(t *testing.T) {
+	kt := reflect.TypeOf(Kernel{})
+	for i := 0; i < kt.NumField(); i++ {
+		if f := kt.Field(i); f.Type == reflect.TypeOf([]uint64(nil)) {
+			t.Errorf("Kernel field %s holds packed words beside its columns", f.Name)
+		}
+	}
+	rng := rand.New(rand.NewSource(47))
+	ds, cont := randomDataset(rng, 300, 4, 3)
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := make([]float64, 300)
+	for i := 100; i < 300; i++ {
+		window[i] = 1
+	}
+	for _, tc := range []struct {
+		w    []float64
+		rows int
+	}{{nil, 300}, {window, 200}} {
+		k := NewKernel(enc.X, binaryErrors(cont), tc.w)
+		cb := k.Bits()
+		if !k.Binary() || cb.Rows() != tc.rows || cb.Cols() != enc.X.Cols() || cb.Words() != (tc.rows+63)/64 {
+			t.Errorf("weighted %v: binary %v, layout %d rows × %d columns of %d words, want %d × %d of %d",
+				tc.w != nil, k.Binary(), cb.Rows(), cb.Cols(), cb.Words(), tc.rows, enc.X.Cols(), (tc.rows+63)/64)
+		}
+		if k.Rows() != 300 {
+			t.Errorf("weighted %v: Rows() = %d, want the partition's 300", tc.w != nil, k.Rows())
+		}
+	}
 }
 
 // TestEvalSpanReportsBinary: the core.eval span carries a binary attribute

@@ -77,7 +77,7 @@ func (st *state) evalSlices(ctx context.Context, lv *level, L int) error {
 	default:
 		// Kernel selection by density: packed-bitset AND+popcount when the
 		// reduced columns are dense enough, the fused CSR kernel otherwise;
-		// 0/1 errors and weights take the bitset kernel's binary loop. The
+		// 0/1 errors and weights take the bitset kernel's binary layout. The
 		// packing happens once, on the first level.
 		sp.SetStr("backend", st.kernel.Backend())
 		sp.SetBool("binary", st.kernel.Binary())

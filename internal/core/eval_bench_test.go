@@ -117,20 +117,49 @@ func binaryErrors(e []float64) []float64 {
 	return out
 }
 
-// benchEvalBitsetBinary drives the binary loop over the general benchmarks'
-// data and candidates, with errors thresholded to 0/1. Packing happens once
-// outside the timed loop, as in Kernel.Bits. Throughput is bytes of packed
-// words scanned: per candidate, every word of each of its columns and of the
-// error vector.
+// benchEvalBitsetBinary drives the batch Kernel's binary loop over the
+// general benchmarks' data and candidates, with errors thresholded to 0/1.
+// Packing the binary layout happens once outside the timed loop, as in
+// Kernel.Bits. Throughput is bytes of packed words read: per candidate,
+// every word of each of its columns, once.
 func benchEvalBitsetBinary(b *testing.B, level int) {
 	x, e, cols := benchEvalData(b, 2000, 6, 5, level)
-	cb := matrix.PackColumns(x)
-	_, r := generalAndBinary(binaryErrors(e), nil)
-	var scanned int64
+	cb, errRows := packBinaryLayout(x, binaryErrors(e), nil)
+	var read int64
 	for _, c := range cols {
-		scanned += int64(len(c)+1) * int64(cb.Words()) * 8
+		read += int64(len(c)) * int64(cb.Words()) * 8
 	}
-	b.SetBytes(scanned)
+	b.SetBytes(read)
+	ss := make([]float64, len(cols))
+	se := make([]float64, len(cols))
+	sm := make([]float64, len(cols))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range ss {
+			ss[j], se[j], sm[j] = 0, 0, 0
+		}
+		evalBinaryRange(cb, errRows, cols, 0, len(cols), ss, se, sm)
+	}
+}
+
+func BenchmarkEvalBitsetBinaryL2(b *testing.B) { benchEvalBitsetBinary(b, 2) }
+func BenchmarkEvalBitsetBinaryL3(b *testing.B) { benchEvalBitsetBinary(b, 3) }
+
+// BenchmarkEvalMemoBinaryL2 drives the incremental memo's binary loop
+// (binaryCounts over row-ordered columns and packed errors) over the same
+// level-2 data and candidates, every candidate from row 0. Throughput is
+// bytes of packed words read: per candidate, every word of each of its
+// columns and of the errors.
+func BenchmarkEvalMemoBinaryL2(b *testing.B) {
+	x, e, cols := benchEvalData(b, 2000, 6, 5, 2)
+	cb := matrix.PackColumns(x)
+	r := memoVals(binaryErrors(e))
+	var read int64
+	for _, c := range cols {
+		read += int64(len(c)+1) * int64(cb.Words()) * 8
+	}
+	b.SetBytes(read)
 	ss := make([]float64, len(cols))
 	se := make([]float64, len(cols))
 	sm := make([]float64, len(cols))
@@ -143,9 +172,6 @@ func benchEvalBitsetBinary(b *testing.B, level int) {
 		evalBitsetRange(cb, r, cols, 0, len(cols), ss, se, sm)
 	}
 }
-
-func BenchmarkEvalBitsetBinaryL2(b *testing.B) { benchEvalBitsetBinary(b, 2) }
-func BenchmarkEvalBitsetBinaryL3(b *testing.B) { benchEvalBitsetBinary(b, 3) }
 
 // TestEvalBitsetSerialZeroAlloc pins the bitset level loop's steady-state
 // allocation count at exactly zero — the property the committed bench
@@ -182,9 +208,9 @@ func TestEvalBitsetSerialZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEvalBitsetBinaryZeroAlloc pins the binary level loop, unweighted and
-// with 0/1 weights, at zero allocations: the packed words are built once per
-// Kernel, never per level.
+// TestEvalBitsetBinaryZeroAlloc pins the binary layout's level loop,
+// unweighted and with 0/1 weights, at zero allocations: the layout is packed
+// once per Kernel, never per level.
 func TestEvalBitsetBinaryZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ds, e := randomDataset(rng, 500, 5, 4)
@@ -200,19 +226,17 @@ func TestEvalBitsetBinaryZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	cb := matrix.PackColumns(enc.X)
 	window := make([]float64, len(e))
 	for i := 100; i < len(e); i++ {
 		window[i] = 1 // rows below 100 retired, as in a sliding window
 	}
-	_, unweighted := generalAndBinary(binaryErrors(e), nil)
-	_, weighted := generalAndBinary(binaryErrors(e), window)
 	ss := make([]float64, len(cols))
 	se := make([]float64, len(cols))
 	sm := make([]float64, len(cols))
-	for name, r := range map[string]rowVals{"unweighted": unweighted, "weighted": weighted} {
+	for name, w := range map[string][]float64{"unweighted": nil, "weighted": window} {
+		cb, errRows := packBinaryLayout(enc.X, binaryErrors(e), w)
 		allocs := testing.AllocsPerRun(20, func() {
-			evalBitsetRange(cb, r, cols, 0, len(cols), ss, se, sm)
+			evalBinaryRange(cb, errRows, cols, 0, len(cols), ss, se, sm)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: binary level loop allocates %.1f per op, want 0", name, allocs)

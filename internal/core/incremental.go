@@ -23,7 +23,9 @@ type memoEntry struct {
 // ids are stable modulo domain-growth remaps, which rekey the memo). The
 // packed bitset covers the full one-hot width; Incremental.advance remaps and
 // extends it in place for each new generation. eb holds the generation's
-// packed errors when every one is 0 or 1, selecting the binary loop.
+// packed errors when every one is 0 or 1, selecting binaryCounts: the memo
+// keeps row order, which its continuations need, rather than the batch
+// Kernel's binary layout.
 type sliceMemo struct {
 	bits    *matrix.ColumnBits
 	eb      []uint64
@@ -70,12 +72,13 @@ func (m *sliceMemo) rekey(remap []int) {
 // evalLevel is the incremental counterpart of Kernel.Eval: every candidate of
 // a level is looked up by its original column ids; a memoized candidate scans
 // only the rows appended since its last evaluation, seeded with the stored
-// statistics, an unseen candidate scans from row 0. Both run evalBitsetFrom,
-// the loop Kernel.Eval runs from row 0 — the binary one when the
-// generation's errors are all 0 or 1, as they then are in every earlier
-// generation too — so both land bit-identical to a from-scratch evaluation.
-// Candidates are sharded across workers like EvalBitsetWeighted — the map is
-// read concurrently and updated serially afterwards.
+// statistics, an unseen candidate scans from row 0. Both run evalBitsetFrom
+// over row-ordered columns — its binary loop when the generation's errors are
+// all 0 or 1, as they then are in every earlier generation too — and both
+// land bit-identical to a from-scratch evaluation, whose Kernel returns the
+// same bits from the binary layout. Candidates are sharded across workers
+// like EvalBitsetWeighted — the map is read concurrently and updated serially
+// afterwards.
 func (m *sliceMemo) evalLevel(orig []int, e []float64, lv *level) {
 	nc := lv.size()
 	if nc == 0 {

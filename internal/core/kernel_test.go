@@ -143,8 +143,10 @@ func TestKernelPacksOnce(t *testing.T) {
 }
 
 // TestPackedKernelMatchesNewKernel: a Kernel over already-packed columns
-// takes the path NewKernel picks for the dense CSR they were packed from —
-// the bitset kernel, binary exactly on 0/1 errors — and returns its bits.
+// returns the bits of the Kernel NewKernel builds over the dense CSR they
+// were packed from — row-ordered columns through the general bitset loop for
+// either kind of errors, and the binary layout (NewKernel's own packing)
+// through the binary loop for 0/1 errors, which is the path NewKernel takes.
 func TestPackedKernelMatchesNewKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ds, e := randomDataset(rng, 300, 4, 3)
@@ -164,21 +166,38 @@ func TestPackedKernelMatchesNewKernel(t *testing.T) {
 	}
 	for _, errs := range [][]float64{e, binaryE} {
 		want := NewKernel(enc.X, errs, nil)
-		got := NewPackedKernel(matrix.PackColumns(enc.X), errs)
-		if !got.UsesBitset() || !want.UsesBitset() || got.Binary() != want.Binary() || got.Rows() != want.Rows() || got.Cols() != want.Cols() {
-			t.Fatalf("packed kernel bitset %v binary %v on %d×%d, NewKernel bitset %v binary %v on %d×%d",
-				got.UsesBitset(), got.Binary(), got.Rows(), got.Cols(), want.UsesBitset(), want.Binary(), want.Rows(), want.Cols())
-		}
-		n := len(cols)
-		ss, se, sm := make([]float64, n), make([]float64, n), make([]float64, n)
-		gss, gse, gsm := make([]float64, n), make([]float64, n), make([]float64, n)
-		want.Eval(cols, 2, 0, ss, se, sm)
-		got.Eval(cols, 2, 0, gss, gse, gsm)
-		for s := range cols {
-			if math.Float64bits(ss[s]) != math.Float64bits(gss[s]) || math.Float64bits(se[s]) != math.Float64bits(gse[s]) ||
-				math.Float64bits(sm[s]) != math.Float64bits(gsm[s]) {
-				t.Fatalf("candidate %v: packed (%v, %v, %v), NewKernel (%v, %v, %v)", cols[s], gss[s], gse[s], gsm[s], ss[s], se[s], sm[s])
+		packed := []*Kernel{NewPackedKernel(matrix.PackColumns(enc.X), errs)}
+		if want.Binary() {
+			k, err := NewPackedBinaryKernel(want.Bits(), want.ErrRows())
+			if err != nil {
+				t.Fatal(err)
 			}
+			packed = append(packed, k)
+		}
+		for _, got := range packed {
+			if !got.UsesBitset() || !want.UsesBitset() || got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+				t.Fatalf("packed kernel bitset %v on %d×%d, NewKernel bitset %v on %d×%d",
+					got.UsesBitset(), got.Rows(), got.Cols(), want.UsesBitset(), want.Rows(), want.Cols())
+			}
+			n := len(cols)
+			ss, se, sm := make([]float64, n), make([]float64, n), make([]float64, n)
+			gss, gse, gsm := make([]float64, n), make([]float64, n), make([]float64, n)
+			want.Eval(cols, 2, 0, ss, se, sm)
+			got.Eval(cols, 2, 0, gss, gse, gsm)
+			for s := range cols {
+				if math.Float64bits(ss[s]) != math.Float64bits(gss[s]) || math.Float64bits(se[s]) != math.Float64bits(gse[s]) ||
+					math.Float64bits(sm[s]) != math.Float64bits(gsm[s]) {
+					t.Fatalf("candidate %v (binary %v): packed (%v, %v, %v), NewKernel (%v, %v, %v)", cols[s], got.Binary(), gss[s], gse[s], gsm[s], ss[s], se[s], sm[s])
+				}
+			}
+		}
+	}
+	if !NewKernel(enc.X, binaryE, nil).Binary() || NewPackedKernel(matrix.PackColumns(enc.X), binaryE).Binary() {
+		t.Fatal("only NewKernel and NewPackedBinaryKernel take the binary loop on 0/1 errors")
+	}
+	for _, bad := range []int{-1, enc.X.Rows() + 1} {
+		if _, err := NewPackedBinaryKernel(matrix.PackColumns(enc.X), bad); err == nil {
+			t.Errorf("NewPackedBinaryKernel accepted %d erring rows of %d", bad, enc.X.Rows())
 		}
 	}
 }

@@ -8,12 +8,15 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"sliceline/internal/core"
 	"sliceline/internal/fptol"
 	"sliceline/internal/frame"
 	"sliceline/internal/matrix"
+	"sliceline/internal/membership"
+	"sliceline/internal/obs"
 )
 
 func randomDataset(rng *rand.Rand, n, m, maxDom int) (*frame.Dataset, []float64) {
@@ -200,16 +203,20 @@ func TestTCPClusterMatchesBuiltin(t *testing.T) {
 }
 
 // kernelProbe is a Worker that records the kernel core.NewKernel picks on
-// each partition shipped through it.
+// each partition shipped through it. Failovers re-ship partitions
+// concurrently, so the records take a lock.
 type kernelProbe struct {
 	Worker
+	mu             sync.Mutex
 	bitset, binary []bool
 }
 
 func (w *kernelProbe) Load(ctx context.Context, part int, x *matrix.CSR, e []float64) error {
 	k := core.NewKernel(x, e, nil)
+	w.mu.Lock()
 	w.bitset = append(w.bitset, k.UsesBitset())
 	w.binary = append(w.binary, k.Binary())
+	w.mu.Unlock()
 	return w.Worker.Load(ctx, part, x, e)
 }
 
@@ -296,6 +303,143 @@ func TestTCPClusterPayloads(t *testing.T) {
 					t.Fatalf("%s, %d workers: level %d counts %+v, builtin %+v", tc.name, nw, lv.Level, lv, want)
 				}
 			}
+		}
+	}
+}
+
+// startServers spawns n stoppable TCP worker servers on ephemeral localhost
+// ports; Stop on one acts as that worker process dying.
+func startServers(t *testing.T, n int) ([]string, []*Server) {
+	t.Helper()
+	addrs, srvs := make([]string, n), make([]*Server, n)
+	for i := range srvs {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srvs[i], err = NewServer(lis); err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = lis.Addr().String()
+		go srvs[i].Serve() //nolint:errcheck // lifetime bound to Stop
+		t.Cleanup(srvs[i].Stop)
+	}
+	return addrs, srvs
+}
+
+// TestTCPBinaryLayoutMatchesLocal: with 0/1 errors every partition ships as
+// the kernel's binary layout, and a run over two TCP workers equals the
+// local run bit for bit — top-K and every level's counts — also when a
+// worker dies after level 1 and its partition is re-shipped to the other
+// (failover), and when both die on an elastic fleet and the driver
+// evaluates the partitions itself (degraded).
+func TestTCPBinaryLayoutMatchesLocal(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const rows, feats, dom = 3000, 5, 4
+	ds := &frame.Dataset{Name: "binary", X0: frame.NewIntMatrix(rows, feats), Features: make([]frame.Feature, feats)}
+	for j := range ds.Features {
+		ds.Features[j] = frame.Feature{Name: fmt.Sprintf("f%d", j), Domain: dom}
+		for i := 0; i < rows; i++ {
+			ds.X0.Set(i, j, 1+rng.Intn(dom))
+		}
+	}
+	e := make([]float64, rows)
+	for i := range e {
+		if p := 0.1 + 0.4*float64(ds.X0.At(i, 0)%2); rng.Float64() < p {
+			e[i] = 1
+		}
+	}
+	cfg := core.Config{K: 6, Sigma: 10, Alpha: 0.95}
+	ref, err := runDS(ds, e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Levels) < 4 {
+		t.Fatalf("the local run reached level %d; the wide-candidate loop needs 4", len(ref.Levels))
+	}
+	// dialProbes dials addrs, recording the kernel of every partition
+	// shipped through each worker.
+	dialProbes := func(addrs []string) ([]Worker, []*kernelProbe) {
+		workers, probes := make([]Worker, len(addrs)), make([]*kernelProbe, len(addrs))
+		for i, a := range addrs {
+			w, err := Dial(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probes[i] = &kernelProbe{Worker: w}
+			workers[i] = probes[i]
+		}
+		return workers, probes
+	}
+	for _, tc := range []struct {
+		name    string
+		elastic bool
+		kill    []int  // servers stopped after level 1
+		counter string // a counter the run must raise
+	}{
+		{name: "two workers"},
+		{name: "failover re-ship", kill: []int{0}, counter: "sl_dist_failovers_total"},
+		{name: "degraded", elastic: true, kill: []int{0, 1}, counter: "sl_dist_degraded_total"},
+	} {
+		addrs, srvs := startServers(t, 2)
+		workers, probes := dialProbes(addrs)
+		reg := obs.NewRegistry()
+		var cl *Cluster
+		if tc.elastic {
+			byAddr := map[string]Worker{addrs[0]: workers[0], addrs[1]: workers[1]}
+			cl, err = NewElasticCluster(func(_ context.Context, m membership.Member) (Worker, error) {
+				return byAddr[m.Addr], nil
+			}, Options{Metrics: reg})
+			if err == nil {
+				cl.ApplyView(context.Background(), membership.View{Version: 1, Members: []membership.Member{
+					{ID: "m0", Addr: addrs[0], Incarnation: 1}, {ID: "m1", Addr: addrs[1], Incarnation: 1},
+				}})
+			}
+		} else {
+			cl, err = NewClusterOpts(workers, Options{Metrics: reg})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Evaluator = cl
+		c.OnLevel = func(ls core.LevelStats) {
+			if ls.Level == 1 {
+				for _, k := range tc.kill {
+					srvs[k].Stop()
+				}
+			}
+		}
+		got, err := runDS(ds, e, c)
+		cl.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got.TopK, ref.TopK) {
+			t.Fatalf("%s: top-K\n%+v\nlocal\n%+v", tc.name, got.TopK, ref.TopK)
+		}
+		if len(got.Levels) != len(ref.Levels) {
+			t.Fatalf("%s: %d levels, local %d", tc.name, len(got.Levels), len(ref.Levels))
+		}
+		for l, lv := range got.Levels {
+			if want := ref.Levels[l]; lv.Candidates != want.Candidates || lv.Valid != want.Valid || lv.Pruned != want.Pruned {
+				t.Fatalf("%s: level %d counts %+v, local %+v", tc.name, lv.Level, lv, want)
+			}
+		}
+		loads := 0
+		for i, p := range probes {
+			loads += len(p.binary)
+			for _, b := range p.binary {
+				if !b {
+					t.Fatalf("%s: worker %d loaded a partition that is not binary (%v)", tc.name, i, p.binary)
+				}
+			}
+		}
+		if loads == 0 {
+			t.Fatalf("%s: no partition was shipped", tc.name)
+		}
+		if tc.counter != "" && reg.Counter(tc.counter, "").Value() == 0 {
+			t.Fatalf("%s: %s stayed 0", tc.name, tc.counter)
 		}
 	}
 }

@@ -12,7 +12,9 @@ import (
 // Mode bits of the fuzz targets: rawIDs takes column ids straight from the
 // bytes, in any order and range; binaryErrs draws 0/1 errors instead of
 // fractional ones; packed ships the partition as packed words instead of
-// int32 CSR ids. The bits above them pick a corruption of the message.
+// int32 CSR ids — with binaryErrs, in the kernel's binary layout and without
+// errors, as the driver ships 0/1 errors. The bits above them pick a
+// corruption of the message.
 const (
 	fuzzRawIDs     = 1
 	fuzzBinaryErrs = 2
@@ -39,8 +41,9 @@ func (b *fuzzBytes) next() byte {
 // for bit, to a brute-force count over the shipped rows in ascending row
 // order, under whichever kernel loop the payload and errors select: rows
 // hold at most four ids, so a narrow partition shipped as CSR ids takes the
-// bitset kernel and a wide one the CSR kernel, and packed words always take
-// the bitset kernel — its binary loop on 0/1 errors.
+// bitset kernel and a wide one the CSR kernel, packed words in row order
+// take the bitset kernel's general loop, and the binary layout its binary
+// loop.
 func FuzzServiceLoad(f *testing.F) {
 	// A 2-row, 100-column partition, sparse enough for the CSR kernel,
 	// whose row 0 repeats column 0, evaluated for the level-2 candidate
@@ -49,8 +52,9 @@ func FuzzServiceLoad(f *testing.F) {
 	f.Add(uint8(2), uint8(100), uint8(fuzzRawIDs), fuzzSeed([][]int{{0, 0}, {5}}, []byte{8, 8}, nil, [][]int{{0, 5}}))
 	// Well-formed partitions with matching candidates, one per kernel loop:
 	// CSR ids over 200 columns (the CSR kernel), over 20 columns (the bitset
-	// kernel's general loop), and packed words (with 0/1 errors, its binary
-	// loop).
+	// kernel; with 0/1 errors the worker packs the binary layout itself),
+	// packed words in row order (the general loop) and the binary layout
+	// (the binary loop).
 	rows := [][]int{{3, 14, 19}, {3, 19}, {14}, {}, {3, 14, 19}, {14, 19}}
 	errs := []byte{12, 5, 16, 7, 3, 8}
 	cands := [][]int{{3}, {14}, {19}, {3, 14}, {3, 19}, {14, 19}, {3, 14, 19}}
@@ -77,19 +81,50 @@ func FuzzServiceLoad(f *testing.F) {
 		9:  {0},       // the first two column ids swapped
 		10: {0},       // wire version 0
 		11: nil,       // both payloads
+		12: {1},       // binary: one erring row more than the partition has
+		13: {0},       // binary: errors shipped beside the layout
 	}
 	for fault := uint8(1); fault < loadFaults; fault++ {
-		f.Add(uint8(len(rows)), uint8(20), fuzzRawIDs|fault<<fuzzFaultShift, fuzzSeed(rows, errs, params[fault], cands))
-		f.Add(uint8(len(rows)), uint8(20), fuzzRawIDs|fuzzPacked|fault<<fuzzFaultShift, fuzzSeed(rows, errs, params[fault], cands))
+		for _, mode := range []uint8{fuzzRawIDs, fuzzRawIDs | fuzzPacked, fuzzRawIDs | fuzzPacked | fuzzBinaryErrs} {
+			f.Add(uint8(len(rows)), uint8(20), mode|fault<<fuzzFaultShift, fuzzSeed(rows, errs, params[fault], cands))
+		}
 	}
+	// The binary layout's own refusals with their other parameters: a
+	// negative erring-row count, CSR row pointers or column ids beside the
+	// layout, and a message of wire version 1, which shipped 0/1 errors as
+	// an error vector.
+	binaryLayout := uint8(fuzzRawIDs | fuzzPacked | fuzzBinaryErrs)
+	for _, tc := range []struct {
+		fault  uint8
+		params []byte
+	}{{12, []byte{0}}, {13, []byte{1}}, {13, []byte{2}}, {10, []byte{1}}} {
+		f.Add(uint8(len(rows)), uint8(20), binaryLayout|tc.fault<<fuzzFaultShift, fuzzSeed(rows, errs, tc.params, cands))
+	}
+	// A binary layout whose erring block ends inside a word, a bit set in
+	// its padding past the last row, and layouts whose erring block (no row
+	// erred) or other block (every row erred) is empty.
+	long := make([][]int, 70)
+	longErrs := make([]byte, 70)
+	for i := range long {
+		long[i] = rows[i%len(rows)]
+		longErrs[i] = byte(i % 3 % 2)
+	}
+	f.Add(uint8(70), uint8(20), binaryLayout, fuzzSeed(long, longErrs, nil, cands))
+	f.Add(uint8(70), uint8(20), binaryLayout|7<<fuzzFaultShift, fuzzSeed(long, longErrs, []byte{3, 0}, cands))
+	f.Add(uint8(len(rows)), uint8(20), binaryLayout, fuzzSeed(rows, make([]byte, len(rows)), nil, cands))
+	f.Add(uint8(len(rows)), uint8(20), binaryLayout, fuzzSeed(rows, []byte{1, 1, 1, 1, 1, 1}, nil, cands))
 	f.Add(uint8(40), uint8(12), uint8(0), []byte{4, 0, 1, 2, 9, 3, 1, 0, 3, 8, 2, 3, 4, 1, 0, 2, 5, 0, 7, 4})
 	f.Fuzz(func(t *testing.T, rowsRaw, colsRaw, mode uint8, data []byte) {
 		in := fuzzBytes(data)
 		rowPtr, colIdx, e := decodePartition(&in, int(rowsRaw), int(colsRaw), mode)
 		a := &LoadArgs{Version: wireVersion, Part: 1, Rows: int(rowsRaw), Cols: int(colsRaw), Err: e}
-		if mode&fuzzPacked != 0 {
+		switch {
+		case mode&fuzzPacked != 0 && mode&fuzzBinaryErrs != 0:
+			a.Binary, a.Err = true, nil
+			a.Bits, a.ErrRows = packLayout(a.Rows, a.Cols, rowPtr, colIdx, e)
+		case mode&fuzzPacked != 0:
 			a.Bits = packWords(a.Rows, a.Cols, rowPtr, colIdx)
-		} else {
+		default:
 			a.RowPtr32, a.ColIdx32 = appendInt32s(nil, rowPtr), appendInt32s(nil, colIdx)
 		}
 		corruptLoad(&in, a, mode>>fuzzFaultShift)
@@ -225,7 +260,7 @@ func FuzzServiceEval(f *testing.F) {
 // Corruption counts: codes 1 … loadFaults-1 of corruptLoad and
 // 1 … evalFaults-1 of FuzzServiceEval.
 const (
-	loadFaults = 12
+	loadFaults = 14
 	evalFaults = 5
 )
 
@@ -310,6 +345,30 @@ func packWords(rows, cols int, rowPtr, colIdx []int) []byte {
 	return out
 }
 
+// packLayout packs like packWords, but in the kernel's binary layout: the
+// rows with error 1 first, in ascending row order, then the rest. It returns
+// the words and the erring-row count.
+func packLayout(rows, cols int, rowPtr, colIdx []int, e []float64) ([]byte, int) {
+	var order []int
+	for _, erred := range []bool{true, false} {
+		for i := 0; i < rows; i++ {
+			if (e[i] == 1) == erred {
+				order = append(order, i)
+			}
+		}
+	}
+	errRows := 0
+	lptr, lids := []int{0}, []int(nil)
+	for _, i := range order {
+		if e[i] == 1 {
+			errRows++
+		}
+		lids = append(lids, colIdx[rowPtr[i]:rowPtr[i+1]]...)
+		lptr = append(lptr, len(lids))
+	}
+	return packWords(rows, cols, lptr, lids), errRows
+}
+
 // corruptLoad applies corruption code fault (0 leaves the message intact)
 // to a Load message, reading its parameters from the fuzz bytes.
 func corruptLoad(in *fuzzBytes, a *LoadArgs, fault uint8) {
@@ -391,12 +450,28 @@ func corruptLoad(in *fuzzBytes, a *LoadArgs, fault uint8) {
 		} else {
 			a.Bits = make([]byte, 8*a.Cols*((a.Rows+63)/64))
 		}
+	case 12: // an erring-row count outside [0, Rows]
+		if a.Binary {
+			a.ErrRows = []int{-1, a.Rows + 1, a.Rows + 1 + int(in.next()), math.MinInt}[in.next()%4]
+		}
+	case 13: // a binary layout that also carries errors or CSR ids
+		if a.Binary {
+			switch in.next() % 3 {
+			case 0:
+				a.Err = make([]float64, a.Rows)
+			case 1:
+				a.RowPtr32 = appendInt32s(nil, make([]int, a.Rows+1))
+			default:
+				a.ColIdx32 = appendInt32s(nil, []int{0})
+			}
+		}
 	}
 }
 
 // bruteForceEval counts the rows of a held partition that hold every id of
 // cand, in ascending row order, with unit weights: (size, error sum, max
-// error). It reads whichever payload the partition was shipped with.
+// error). It reads whichever payload the partition was shipped with; in a
+// binary layout the first ErrRows rows have error 1 and the rest error 0.
 func bruteForceEval(a *LoadArgs, cand []int) (ss, se, sm float64) {
 	per := (a.Rows + 63) / 64
 	rowPtr, colIdx := int32s(a.RowPtr32), int32s(a.ColIdx32)
@@ -412,6 +487,12 @@ func bruteForceEval(a *LoadArgs, cand []int) (ss, se, sm float64) {
 		}
 		return false
 	}
+	errAt := func(i int) float64 {
+		if a.Binary {
+			return float64(min(1, max(0, a.ErrRows-i)))
+		}
+		return a.Err[i]
+	}
 	for i := 0; i < a.Rows; i++ {
 		all := true
 		for _, c := range cand {
@@ -419,9 +500,9 @@ func bruteForceEval(a *LoadArgs, cand []int) (ss, se, sm float64) {
 		}
 		if all {
 			ss++
-			se += a.Err[i]
-			if a.Err[i] > sm {
-				sm = a.Err[i]
+			se += errAt(i)
+			if errAt(i) > sm {
+				sm = errAt(i)
 			}
 		}
 	}

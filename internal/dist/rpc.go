@@ -25,20 +25,32 @@ import (
 // wireVersion numbers the layout of LoadArgs and EvalArgs. Both carry it,
 // and a worker refuses any other value, including the zero of a driver that
 // predates it: a skewed fleet fails at its first call, naming both versions.
-const wireVersion = 1
+// Version 2 ships a 0/1-error partition as the kernel's binary layout.
+const wireVersion = 2
 
 // LoadArgs ships a row partition to a remote worker (gob-encoded) as what the
 // worker's kernel reads, in little-endian byte arrays that gob copies in one
-// piece. Exactly one payload is set: Bits, the packed ColumnBits words of
-// column 0, then column 1, …, when core.NewKernel picks the bitset kernel for
-// the partition; otherwise RowPtr32 and ColIdx32, the int32 row pointers and
-// ascending column ids of its one-hot CSR. The field names differ from the
-// unversioned wire's []int RowPtr and ColIdx, so an older driver's Load
-// decodes and is then refused by its version.
+// piece. Exactly one payload is set, by the kernel core.NewKernel picks for
+// the partition:
+//
+//   - Binary, for the bitset kernel over 0/1 errors: Bits holds the packed
+//     columns in the kernel's binary layout (column 0's words, then column
+//     1's, …, each with the ErrRows rows that erred first) and no Err is
+//     shipped, since the layout carries every error;
+//   - Bits alone, for the bitset kernel over continuous errors: the columns
+//     packed in row order, with Err;
+//   - RowPtr32 and ColIdx32, for the CSR kernel: the int32 row pointers and
+//     ascending column ids of the one-hot CSR, with Err.
+//
+// The field names differ from the unversioned wire's []int RowPtr and
+// ColIdx, so an older driver's Load decodes and is then refused by its
+// version.
 type LoadArgs struct {
 	Version            int
 	Part               int
 	Rows, Cols         int
+	Binary             bool
+	ErrRows            int
 	Bits               []byte
 	RowPtr32, ColIdx32 []byte
 	Err                []float64
@@ -46,21 +58,32 @@ type LoadArgs struct {
 
 // loadArgs packs one partition for Service.Load by the kernel's own rule.
 func loadArgs(part int, x *matrix.CSR, e []float64) *LoadArgs {
-	a := &LoadArgs{Version: wireVersion, Part: part, Rows: x.Rows(), Cols: x.Cols(), Err: e}
-	if k := core.NewKernel(x, e, nil); k.UsesBitset() {
-		cb := k.Bits()
-		a.Bits = make([]byte, 0, 8*cb.Cols()*cb.Words())
-		for c := 0; c < cb.Cols(); c++ {
-			for _, w := range cb.Col(c) {
-				a.Bits = binary.LittleEndian.AppendUint64(a.Bits, w)
-			}
-		}
-		return a
+	a := &LoadArgs{Version: wireVersion, Part: part, Rows: x.Rows(), Cols: x.Cols()}
+	k := core.NewKernel(x, e, nil)
+	switch {
+	case k.Binary():
+		a.Binary, a.ErrRows, a.Bits = true, k.ErrRows(), packedBytes(k.Bits())
+	case k.UsesBitset():
+		a.Bits, a.Err = packedBytes(k.Bits()), e
+	default:
+		rowPtr, colIdx := x.Components()
+		a.RowPtr32 = appendInt32s(make([]byte, 0, 4*len(rowPtr)), rowPtr)
+		a.ColIdx32 = appendInt32s(make([]byte, 0, 4*len(colIdx)), colIdx)
+		a.Err = e
 	}
-	rowPtr, colIdx := x.Components()
-	a.RowPtr32 = appendInt32s(make([]byte, 0, 4*len(rowPtr)), rowPtr)
-	a.ColIdx32 = appendInt32s(make([]byte, 0, 4*len(colIdx)), colIdx)
 	return a
+}
+
+// packedBytes lays packed columns out as little-endian words, column by
+// column.
+func packedBytes(cb *matrix.ColumnBits) []byte {
+	out := make([]byte, 0, 8*cb.Cols()*cb.Words())
+	for c := 0; c < cb.Cols(); c++ {
+		for _, w := range cb.Col(c) {
+			out = binary.LittleEndian.AppendUint64(out, w)
+		}
+	}
+	return out
 }
 
 // checkVersion refuses a message of another wire version.
@@ -77,10 +100,13 @@ func checkVersion(v int) error {
 // Cols, and the byte counts must be whole elements that agree with Rows and
 // Cols. Packed words must not set a bit past the last row: the bitset
 // kernel would count a row that does not exist, and its general loop would
-// read past the errors. CSR row pointers must rise from 0 to the id count,
-// and each row's column ids must be strictly ascending in [0, Cols): a
-// repeated id would count the row for candidates it does not hold. Errors
-// must be finite and non-negative.
+// read past the errors. A binary payload must count between 0 and Rows
+// erring rows and carry neither errors nor CSR ids; its erring and other
+// rows share the boundary word, so the bits past the last row are its only
+// padding. CSR row pointers must rise from 0 to the id count, and each row's
+// column ids must be strictly ascending in [0, Cols): a repeated id would
+// count the row for candidates it does not hold. Errors must be finite and
+// non-negative.
 func (a *LoadArgs) kernel() (*core.Kernel, error) {
 	if err := checkVersion(a.Version); err != nil {
 		return nil, err
@@ -88,6 +114,20 @@ func (a *LoadArgs) kernel() (*core.Kernel, error) {
 	// Candidate ids travel as int32, so the column space must fit one.
 	if a.Rows < 0 || a.Cols < 0 || a.Cols > math.MaxInt32 {
 		return nil, fmt.Errorf("dist: bad partition: %d rows and %d columns", a.Rows, a.Cols)
+	}
+	if a.Binary {
+		if len(a.Err) > 0 || len(a.RowPtr32) > 0 || len(a.ColIdx32) > 0 {
+			return nil, errors.New("dist: bad partition: a binary layout with errors or CSR ids")
+		}
+		cb, err := a.packed()
+		if err != nil {
+			return nil, err
+		}
+		k, err := core.NewPackedBinaryKernel(cb, a.ErrRows)
+		if err != nil {
+			return nil, fmt.Errorf("dist: bad partition: %w", err)
+		}
+		return k, nil
 	}
 	if len(a.Err) != a.Rows {
 		return nil, fmt.Errorf("dist: bad partition: %d errors for %d rows", len(a.Err), a.Rows)
@@ -99,16 +139,9 @@ func (a *LoadArgs) kernel() (*core.Kernel, error) {
 		if len(a.RowPtr32) > 0 || len(a.ColIdx32) > 0 {
 			return nil, errors.New("dist: bad partition: both packed words and CSR ids")
 		}
-		if len(a.Bits)%8 != 0 {
-			return nil, fmt.Errorf("dist: bad partition: %d bytes of packed words", len(a.Bits))
-		}
-		words := make([]uint64, len(a.Bits)/8)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(a.Bits[8*i:])
-		}
-		cb, err := matrix.NewColumnBits(a.Rows, a.Cols, words)
+		cb, err := a.packed()
 		if err != nil {
-			return nil, fmt.Errorf("dist: bad partition: %w", err)
+			return nil, err
 		}
 		return core.NewPackedKernel(cb, a.Err), nil
 	}
@@ -133,6 +166,23 @@ func (a *LoadArgs) kernel() (*core.Kernel, error) {
 		}
 	}
 	return core.NewKernel(matrix.NewCSR(a.Rows, a.Cols, rowPtr, colIdx), a.Err, nil), nil
+}
+
+// packed decodes Bits into Rows × Cols packed columns, refusing a word count
+// other than Cols·⌈Rows/64⌉ and any bit set past the last row.
+func (a *LoadArgs) packed() (*matrix.ColumnBits, error) {
+	if len(a.Bits)%8 != 0 {
+		return nil, fmt.Errorf("dist: bad partition: %d bytes of packed words", len(a.Bits))
+	}
+	words := make([]uint64, len(a.Bits)/8)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(a.Bits[8*i:])
+	}
+	cb, err := matrix.NewColumnBits(a.Rows, a.Cols, words)
+	if err != nil {
+		return nil, fmt.Errorf("dist: bad partition: %w", err)
+	}
+	return cb, nil
 }
 
 // LoadReply acknowledges a Load.

@@ -378,7 +378,8 @@ func versionErr(err error, v int) bool {
 
 // TestServiceRefusesOtherWireVersions: an unversioned driver's Load decodes
 // into LoadArgs without a gob type error and is refused by its version, as
-// is a newer driver's Load or Eval, and each refusal names both versions.
+// is a version-1 or a newer driver's Load and a newer Eval, and each refusal
+// names both versions.
 func TestServiceRefusesOtherWireVersions(t *testing.T) {
 	var buf bytes.Buffer
 	old := unversionedLoadArgs{Part: 3, Rows: 2, Cols: 2, RowPtr: []int{0, 1, 2}, ColIdx: []int{0, 1}, Err: []float64{1, 0}}
@@ -398,10 +399,12 @@ func TestServiceRefusesOtherWireVersions(t *testing.T) {
 	}
 
 	x := matrix.CSRFromDense(matrix.NewDenseData(2, 2, []float64{1, 0, 0, 1}))
-	newer := loadArgs(3, x, []float64{1, 0})
-	newer.Version = wireVersion + 1
-	if err := svc.Load(newer, &LoadReply{}); !versionErr(err, wireVersion+1) {
-		t.Fatalf("newer Load: err %v, want a version refusal", err)
+	for _, v := range []int{1, wireVersion + 1} {
+		other := loadArgs(3, x, []float64{1, 0})
+		other.Version = v
+		if err := svc.Load(other, &LoadReply{}); !versionErr(err, v) {
+			t.Fatalf("version %d Load: err %v, want a version refusal", v, err)
+		}
 	}
 	if err := svc.Load(loadArgs(3, x, []float64{1, 0}), &LoadReply{}); err != nil {
 		t.Fatal(err)
@@ -454,7 +457,9 @@ func TestTCPSetupReportsWireVersionSkew(t *testing.T) {
 
 // TestLoadArgsPayloadFollowsKernel: the driver ships packed words exactly
 // when core.NewKernel picks the bitset kernel for the partition, int32 CSR
-// ids otherwise, and never both; the worker's kernel makes the same choice.
+// ids otherwise, and never both; a binary partition (the bitset kernel over
+// 0/1 errors) ships its binary layout and no errors, any other partition its
+// errors. The worker's kernel makes the same choice.
 func TestLoadArgsPayloadFollowsKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, tc := range []struct {
@@ -475,24 +480,42 @@ func TestLoadArgsPayloadFollowsKernel(t *testing.T) {
 			}
 		}
 		x := matrix.CSRFromDense(matrix.NewDenseData(tc.rows, tc.cols, data))
-		e := make([]float64, tc.rows)
-		for i := range e {
-			e[i] = float64(rng.Intn(2))
+		binaryE, contE := make([]float64, tc.rows), make([]float64, tc.rows)
+		for i := range binaryE {
+			binaryE[i] = float64(rng.Intn(2))
+			contE[i] = float64(rng.Intn(8)) / 4
 		}
-		want := core.NewKernel(x, e, nil).UsesBitset()
-		a := loadArgs(1, x, e)
-		packed, csr := len(a.Bits) > 0, len(a.RowPtr32) > 0
-		if packed != want || csr == want || (packed && len(a.ColIdx32) > 0) {
-			t.Errorf("%s: kernel bitset %v, payload packed %v csr %v", tc.name, want, packed, csr)
+		if tc.rows > 0 {
+			contE[0] = 0.5 // at least one error that is not 0 or 1
 		}
-		k, err := a.kernel()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		for _, e := range [][]float64{binaryE, contE} {
+			want := core.NewKernel(x, e, nil)
+			a := loadArgs(1, x, e)
+			packed, csr := len(a.Bits) > 0, len(a.RowPtr32) > 0
+			if packed != want.UsesBitset() || csr == want.UsesBitset() || (packed && len(a.ColIdx32) > 0) {
+				t.Errorf("%s: kernel bitset %v, payload packed %v csr %v", tc.name, want.UsesBitset(), packed, csr)
+			}
+			if a.Binary != want.Binary() || (a.Binary && (a.Err != nil || a.ErrRows != want.ErrRows())) || (!a.Binary && len(a.Err) != tc.rows) {
+				t.Errorf("%s: kernel binary %v with %d erring rows, payload binary %v with %d erring rows and %d errors",
+					tc.name, want.Binary(), want.ErrRows(), a.Binary, a.ErrRows, len(a.Err))
+			}
+			k, err := a.kernel()
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if k.UsesBitset() != want.UsesBitset() || k.Binary() != want.Binary() || k.Rows() != tc.rows || k.Cols() != tc.cols {
+				t.Errorf("%s: worker kernel bitset %v binary %v on %d×%d, driver's %v %v on %d×%d",
+					tc.name, k.UsesBitset(), k.Binary(), k.Rows(), k.Cols(), want.UsesBitset(), want.Binary(), tc.rows, tc.cols)
+			}
 		}
-		if k.UsesBitset() != want || k.Rows() != tc.rows || k.Cols() != tc.cols {
-			t.Errorf("%s: worker kernel bitset %v on %d×%d, driver's %v on %d×%d",
-				tc.name, k.UsesBitset(), k.Rows(), k.Cols(), want, tc.rows, tc.cols)
-		}
+	}
+	// The dense partition exercises both rules.
+	x := matrix.CSRFromDense(matrix.NewDenseData(2, 1, []float64{1, 1}))
+	if a := loadArgs(1, x, []float64{1, 0}); !a.Binary || a.Err != nil || a.ErrRows != 1 {
+		t.Errorf("0/1 errors on a bitset partition: payload binary %v with %d erring rows and errors %v", a.Binary, a.ErrRows, a.Err)
+	}
+	if a := loadArgs(1, x, []float64{0.5, 0}); a.Binary || len(a.Bits) == 0 || len(a.Err) != 2 {
+		t.Errorf("continuous errors on a bitset partition: payload binary %v, %d packed bytes, errors %v", a.Binary, len(a.Bits), a.Err)
 	}
 }
 

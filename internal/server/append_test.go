@@ -547,6 +547,149 @@ func TestJournalRestoresPreChainRecords(t *testing.T) {
 	}
 }
 
+// TestRegisterJournalsBaseDuringAppends: a registration journals its
+// generation 0 even while appends land on the entry it made reachable. Per
+// dataset, one client registers; a second registers identical content the
+// moment the entry is reachable, gets it back, and appends at once, as the
+// append handler does. A server restarted on the journal must start, and
+// reach every dataset's generation with the same signature. Run it under
+// -race: the journal write and the append touch the entry concurrently.
+func TestRegisterJournalsBaseDuringAppends(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Pool: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	const datasets = 8
+	build := func(i int) *datasetEntry {
+		d, err := buildDataset(strings.NewReader(testCSV(24+i)), registerOptions{Err: "err"})
+		if err != nil {
+			t.Fatalf("building dataset %d: %v", i, err)
+		}
+		return d
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < datasets; i++ {
+		first, second := build(i), build(i)
+		rows, errs, err := parseAppendCSV(strings.NewReader(appendBatchCSV(40+i, 5, "")), first.DS.Features, "err")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, err := s.registerDataset(first); err != nil {
+				t.Errorf("register: %v", err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for {
+				if _, ok := s.reg.get(second.ID); ok {
+					break
+				}
+				runtime.Gosched()
+			}
+			info, err := s.registerDataset(second)
+			if err != nil || !info.Reused {
+				t.Errorf("second registration: reused %v, err %v", info.Reused, err)
+				return
+			}
+			d, _ := s.reg.get(second.ID)
+			at := time.Now()
+			ainfo, err := d.appendRows(rows, errs, at)
+			if err == nil {
+				err = s.journal.saveAppend(d.ID, ainfo.Generation, rows, errs, at.UnixNano())
+			}
+			if err != nil {
+				t.Errorf("append: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	want := map[string]DatasetInfo{}
+	for _, d := range s.reg.list() {
+		want[d.ID] = d.info()
+	}
+	if len(want) != datasets {
+		t.Fatalf("%d datasets registered, want %d", len(want), datasets)
+	}
+	ctx, cancel := newShutdownCtx()
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	s2, err := New(Config{Pool: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer s2.Shutdown(ctx) //nolint:errcheck // nothing runs
+	for id, w := range want {
+		d, ok := s2.reg.get(id)
+		if !ok {
+			t.Fatalf("%s not restored", id)
+		}
+		if got := d.info(); got.Generation != 1 || got.Generation != w.Generation || got.Signature != w.Signature {
+			t.Errorf("%s restarted at generation %d with signature %s, want %d and %s", id, got.Generation, got.Signature, w.Generation, w.Signature)
+		}
+	}
+}
+
+// TestJournalRestoresJobGeneration: a done job reports the dataset
+// generation it ran on after a restart, not the dataset's current one, and
+// a record journaled before jobs recorded their generation reports 0.
+func TestJournalRestoresJobGeneration(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Pool: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := newHTTPTestServer(t, s)
+	info, code := registerCSV(t, ts, testCSV(24), "err=err")
+	if code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	appendBatch := func(offset int) {
+		t.Helper()
+		if _, code, raw := postAppend(t, ts, info.ID, appendBatchCSV(offset, 6, "")); code != http.StatusOK {
+			t.Fatalf("append: status %d (%s)", code, raw)
+		}
+	}
+	appendBatch(30)
+	spec := JobSpec{Dataset: info.ID, Config: JobConfig{K: 4, Sigma: 2}}
+	j, _, _ := postJob(t, ts, spec)
+	done := waitJob(t, ts, j.ID, 30*time.Second)
+	if done.Status != string(jobDone) || done.Generation != 1 {
+		t.Fatalf("job: %q at generation %d (%s)", done.Status, done.Generation, done.Error)
+	}
+	appendBatch(40)
+	appendBatch(50)
+	ctx, cancel := newShutdownCtx()
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	legacy := &journalJob{Version: journalVersion, ID: "job-60", Spec: spec, Status: string(jobDone), ResultJSON: done.Result}
+	if err := writeGob(filepath.Join(dir, legacy.ID+journalJobSuffix), legacy); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newTestServer(t, Config{Pool: 1, JournalDir: dir})
+	d, _ := s2.reg.get(info.ID)
+	if g := d.info().Generation; g != 3 {
+		t.Fatalf("restored dataset at generation %d, want 3", g)
+	}
+	if got := getJob(t, ts2, j.ID); got.Status != string(jobDone) || got.Generation != 1 {
+		t.Fatalf("restored job: %q at generation %d, want done at 1", got.Status, got.Generation)
+	}
+	if got := getJob(t, ts2, legacy.ID); got.Status != string(jobDone) || got.Generation != 0 {
+		t.Fatalf("restored legacy record: %q at generation %d, want done at 0", got.Status, got.Generation)
+	}
+}
+
 // BenchmarkRestoreAppends measures what a journaled server pays before it
 // serves: server.New over a journal of one Adult-size dataset (32,561 rows)
 // plus 32 appends of 64 rows, replayed through the append path.

@@ -54,7 +54,9 @@ type journalDataset struct {
 
 // journalJob is the on-disk form of a job record. DataSig pins the dataset
 // generation the job ran against, so a completed job restored after further
-// appends does not seed the result cache under the newer generation's key.
+// appends does not seed the result cache under the newer generation's key,
+// and Gen numbers that generation, so a restored done job reports it. A
+// record journaled before Gen existed decodes it as 0.
 type journalJob struct {
 	Version    int
 	ID         string
@@ -64,6 +66,7 @@ type journalJob struct {
 	ErrMsg     string
 	ResultJSON []byte
 	DataSig    uint64
+	Gen        int
 }
 
 // journalAppend is one appended row batch. Rows are the raw CSV cell values
@@ -138,13 +141,15 @@ func readGob(path string, v any) error {
 	return gob.NewDecoder(f).Decode(v)
 }
 
-// saveDataset journals a registered dataset. A nil journal is a no-op.
-func (j *journal) saveDataset(d *datasetEntry) error {
+// saveDataset journals a registered dataset's base: its generation 0, as
+// the entry's snapshot captured it, so appends landing meanwhile do not
+// reach the file. A nil journal is a no-op.
+func (j *journal) saveDataset(d *datasetEntry, base *genData) error {
 	if j == nil {
 		return nil
 	}
 	return writeGob(j.datasetPath(d.ID), &journalDataset{
-		Version: journalVersion, ID: d.ID, Name: d.Name, DS: d.DS, ErrVec: d.ErrVec, ErrCol: d.ErrCol,
+		Version: journalVersion, ID: d.ID, Name: d.Name, DS: base.DS, ErrVec: base.ErrVec, ErrCol: d.ErrCol,
 	})
 }
 
@@ -216,6 +221,7 @@ func (j *journal) writeJob(jb *job, st jobState, errMsg string, resultJSON []byt
 		Cached:  jb.cached,
 		ErrMsg:  errMsg,
 		DataSig: jb.snap.Sig,
+		Gen:     jb.snap.Gen,
 	}
 	if st == jobDone {
 		rec.ResultJSON = resultJSON

@@ -210,7 +210,7 @@ func (s *Server) restoreJobs(recs []*journalJob) {
 			if _, haveDS := s.reg.get(rec.Spec.Dataset); st == jobDone && haveDS && len(rec.ResultJSON) > 0 {
 				var res core.Result
 				if json.Unmarshal(rec.ResultJSON, &res) == nil {
-					j.resultJSON = rec.ResultJSON
+					j.resultJSON, j.gen = rec.ResultJSON, rec.Gen
 					// A result pinned to an older generation is re-served by
 					// id but must not answer fresh submissions (legacy
 					// records carry no signature and predate appends).
@@ -260,14 +260,18 @@ func (s *Server) distCapable() bool {
 }
 
 // registerDataset builds, registers and journals a dataset entry, returning
-// its info with Reused set when the content was already present.
+// its info with Reused set when the content was already present. It
+// journals generation 0 as captured before the entry became reachable: from
+// then on a client registering identical content gets the entry back and
+// may append to it while the journal is written.
 func (s *Server) registerDataset(d *datasetEntry) (DatasetInfo, error) {
+	base := d.snapshot()
 	canonical, existed := s.reg.add(d)
 	info := canonical.info()
 	info.Reused = existed
 	if !existed {
 		s.ob.datasets.Inc()
-		if err := s.journal.saveDataset(canonical); err != nil {
+		if err := s.journal.saveDataset(d, base.genData); err != nil {
 			return info, err
 		}
 	}
