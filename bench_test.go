@@ -183,13 +183,13 @@ func BenchmarkFig6EndToEnd(b *testing.B) {
 }
 
 // BenchmarkFig6BlockSize sweeps the hybrid evaluation block size b
-// (Figure 6b).
+// (Figure 6b) on the fused CSR kernel, the only kernel that reads it.
 func BenchmarkFig6BlockSize(b *testing.B) {
 	gen()
 	for _, bs := range []int{1, 4, 16, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("b=%d", bs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mustRun(b, adultG, sliceline.Config{Alpha: 0.95, MaxLevel: 3, BlockSize: bs})
+				mustRun(b, adultG, sliceline.Config{Alpha: 0.95, MaxLevel: 3, Evaluator: &bench.CSREvaluator{BlockSize: bs}})
 			}
 		})
 	}
@@ -214,16 +214,14 @@ func BenchmarkFig7Rows(b *testing.B) {
 // Dist-PFor over in-process row-partitioned workers.
 func BenchmarkFig7Strategies(b *testing.B) {
 	gen()
-	// One shared block size isolates orchestration costs (see fig7b).
-	const blockSize = 256
 	b.Run("MT-Ops", func(b *testing.B) {
-		cfg := sliceline.Config{Alpha: 0.95, MaxLevel: 3, Evaluator: &bench.BarrierEvaluator{BlockSize: blockSize}}
+		cfg := sliceline.Config{Alpha: 0.95, MaxLevel: 3, Evaluator: &bench.BarrierEvaluator{BlockSize: 256}}
 		for i := 0; i < b.N; i++ {
 			mustRun(b, censusG, cfg)
 		}
 	})
 	b.Run("MT-PFor", func(b *testing.B) {
-		cfg := sliceline.Config{Alpha: 0.95, MaxLevel: 3, BlockSize: blockSize}
+		cfg := sliceline.Config{Alpha: 0.95, MaxLevel: 3}
 		for i := 0; i < b.N; i++ {
 			mustRun(b, censusG, cfg)
 		}
@@ -234,7 +232,7 @@ func BenchmarkFig7Strategies(b *testing.B) {
 			for i := range workers {
 				workers[i] = &dist.InProcessWorker{}
 			}
-			cluster, err := dist.NewClusterOpts(workers, dist.Options{BlockSize: blockSize})
+			cluster, err := dist.NewClusterOpts(workers, dist.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -74,7 +74,7 @@ func TestGracefulDrainOnSIGTERM(t *testing.T) {
 
 	evalDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := w.Eval(ctx, 0, [][]int{{0}, {1}, {0}, {1}}, 1, 0)
+		_, _, _, err := w.Eval(ctx, 0, [][]int{{0}, {1}, {0}, {1}}, 1)
 		evalDone <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let the call reach the worker

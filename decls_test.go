@@ -15,7 +15,6 @@ import (
 // keyed "<package dir>.<name>" or "<package dir>.<receiver>.<method>", each
 // with the reason it stays.
 var unreferencedAllowed = map[string]string{
-	"internal/bench.IDs":                "sorted experiment listing; only bench's own test calls it (a deletion candidate)",
 	"internal/datagen.RegisterSeedFlag": "difftest's tests register -seed with it; cmd binaries define their own -seed",
 	"internal/frame.WriteCSV":           "round-trip oracle for the CSV reader in frame's and datasets' tests",
 	"internal/matrix.NewDenseData":      "builds dense test inputs and oracles in matrix, dist, faults, sim and slworker tests",
@@ -26,7 +25,6 @@ var unreferencedAllowed = map[string]string{
 	"internal/baseline.(*Tree).Depth":            "the tree tests check MaxDepth with it",
 	"internal/core.(*Incremental).Stats":         "memo hit/miss counts that the streaming differential test asserts reuse with",
 	"internal/dist.(*Cluster).LiveMembers":       "the membership tests read a fleet's view through it",
-	"internal/matrix.(*Dense).EqualApprox":       "tolerance comparison of dense matrices; only its own test calls it (a deletion candidate)",
 	"internal/membership.(*Announcer).Announces": "the announcer tests wait for delivered announces with it",
 	"internal/obs.(*Span).AttrInt":               "span-attribute reader the dist, difftest and obs tests check traces with",
 }

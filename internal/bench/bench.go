@@ -8,7 +8,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -67,16 +66,6 @@ func Lookup(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment ids, sorted.
-func IDs() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.ID
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RunAll executes every experiment, writing a header per experiment. With

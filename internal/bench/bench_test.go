@@ -39,15 +39,6 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-func TestIDsSorted(t *testing.T) {
-	ids := IDs()
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Fatalf("IDs not strictly sorted: %v", ids)
-		}
-	}
-}
-
 func TestTable1Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow in -short mode")

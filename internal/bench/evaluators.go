@@ -9,7 +9,7 @@ import (
 )
 
 // This file holds the evaluators that exist only to reproduce the paper's
-// plan comparisons. Both plug into core.Config.Evaluator; neither is a
+// plan comparisons. All plug into core.Config.Evaluator; none is a
 // production path.
 
 var errEvalBeforeSetup = errors.New("bench: Eval before Setup")
@@ -56,12 +56,42 @@ func (d *DenseIntermediates) Eval(_ context.Context, cols [][]int, level int) (s
 	return ss, se, sm, nil
 }
 
+// CSREvaluator is the hybrid plan of Section 4.4: the fused CSR kernel
+// (core.EvalPartitionWeighted) with candidates grouped into blocks of
+// BlockSize, each block sharing one scan of X. b = 1 is the task-parallel
+// plan and b = nrow(S) one shared scan; BlockSize <= 0 selects the kernel's
+// automatic size. The built-in evaluation takes this kernel only on sparse
+// data, and always at the automatic size, so the Figure 6(b) sweep drives it
+// here. Every b returns the same bits. It is unweighted, like every external
+// evaluator.
+type CSREvaluator struct {
+	BlockSize int
+	x         *matrix.CSR
+	e         []float64
+}
+
+// Setup implements core.ExternalEvaluator.
+func (c *CSREvaluator) Setup(_ context.Context, x *matrix.CSR, e []float64) error {
+	c.x, c.e = x, e
+	return nil
+}
+
+// Eval implements core.ExternalEvaluator.
+func (c *CSREvaluator) Eval(_ context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
+	if c.x == nil {
+		return nil, nil, nil, errEvalBeforeSetup
+	}
+	n := len(cols)
+	ss, se, sm = make([]float64, n), make([]float64, n), make([]float64, n)
+	core.EvalPartitionWeighted(c.x, c.e, nil, cols, level, c.BlockSize, ss, se, sm)
+	return ss, se, sm, nil
+}
+
 // BarrierEvaluator is the MT-Ops plan of Figure 7(b): multi-threaded
 // operations with a synchronization barrier after every block of BlockSize
 // candidates, so blocks run strictly one after another, each internally
-// parallel. (MT-PFor, the parallel-for over blocks without barriers, is core's
-// built-in evaluation at Config.BlockSize = b.) BlockSize <= 0 selects
-// core.DefaultBlockSize.
+// parallel. (MT-PFor, the parallel-for over blocks without barriers, is
+// core's built-in evaluation.) BlockSize <= 0 selects core.DefaultBlockSize.
 type BarrierEvaluator struct {
 	BlockSize int
 	kernel    *core.Kernel
@@ -86,14 +116,15 @@ func (b *BarrierEvaluator) Eval(_ context.Context, cols [][]int, level int) (ss,
 	}
 	for s0 := 0; s0 < n; s0 += size {
 		s1 := min(s0+size, n)
-		// Block size 0 lets the kernel spread this one operation over all
-		// workers; the loop itself is the barrier.
-		b.kernel.Eval(cols[s0:s1], level, 0, ss[s0:s1], se[s0:s1], sm[s0:s1])
+		// The kernel spreads this one operation over all workers; the loop
+		// itself is the barrier.
+		b.kernel.Eval(cols[s0:s1], level, ss[s0:s1], se[s0:s1], sm[s0:s1])
 	}
 	return ss, se, sm, nil
 }
 
 var (
 	_ core.ExternalEvaluator = (*DenseIntermediates)(nil)
+	_ core.ExternalEvaluator = (*CSREvaluator)(nil)
 	_ core.ExternalEvaluator = (*BarrierEvaluator)(nil)
 )

@@ -59,7 +59,7 @@ func TestBarrierEvaluatorMatchesBuiltin(t *testing.T) {
 }
 
 func TestBarrierEvaluatorEvalBeforeSetup(t *testing.T) {
-	for _, ev := range []core.ExternalEvaluator{&bench.BarrierEvaluator{}, &bench.DenseIntermediates{}} {
+	for _, ev := range []core.ExternalEvaluator{&bench.BarrierEvaluator{}, &bench.CSREvaluator{}, &bench.DenseIntermediates{}} {
 		if _, _, _, err := ev.Eval(context.Background(), [][]int{{0}}, 1); err == nil {
 			t.Errorf("%T: expected error for Eval before Setup", ev)
 		}

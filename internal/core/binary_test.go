@@ -201,7 +201,7 @@ func checkKernelMatchesGeneral(t *testing.T, enc *frame.Encoding, e, w []float64
 		n := len(cols)
 		ssK, seK, smK := make([]float64, n), make([]float64, n), make([]float64, n)
 		ssG, seG, smG := make([]float64, n), make([]float64, n), make([]float64, n)
-		k.Eval(cols, level, 0, ssK, seK, smK)
+		k.Eval(cols, level, ssK, seK, smK)
 		EvalBitsetWeighted(cb, e, w, cols, ssG, seG, smG)
 		for j := range cols {
 			if !sameBits([3]float64{ssK[j], seK[j], smK[j]}, [3]float64{ssG[j], seG[j], smG[j]}) {
@@ -231,7 +231,7 @@ func checkKernelEval(t testing.TB, x *matrix.CSR, e, w []float64, cand []int) {
 	}
 	for _, k := range kernels {
 		var ss, se, sm [1]float64
-		k.Eval([][]int{cand}, len(cand), 0, ss[:], se[:], sm[:])
+		k.Eval([][]int{cand}, len(cand), ss[:], se[:], sm[:])
 		if got := [3]float64{ss[0], se[0], sm[0]}; !sameBits(got, want) {
 			t.Fatalf("cand %v (weighted %v, binary %v, packed %v): Kernel.Eval %v, general %v",
 				cand, w != nil, k.Binary(), k.x == nil, got, want)
@@ -391,7 +391,7 @@ func TestBinaryLayoutMatchesGeneral(t *testing.T) {
 					for _, out := range []*[3][]float64{&got, &bitset, &fused} {
 						*out = [3][]float64{make([]float64, m), make([]float64, m), make([]float64, m)}
 					}
-					k.Eval(cols, L, 0, got[0], got[1], got[2])
+					k.Eval(cols, L, got[0], got[1], got[2])
 					EvalBitsetWeighted(cb, e, w, cols, bitset[0], bitset[1], bitset[2])
 					EvalPartitionWeighted(enc.X, e, w, cols, L, 0, fused[0], fused[1], fused[2])
 					for s := range cols {
@@ -531,7 +531,7 @@ func TestBinaryKernelConcurrentFirstEval(t *testing.T) {
 		wg.Add(1)
 		go func(o [3][]float64) {
 			defer wg.Done()
-			k.Eval(cols, 2, 0, o[0], o[1], o[2])
+			k.Eval(cols, 2, o[0], o[1], o[2])
 		}(out[g])
 	}
 	wg.Wait()

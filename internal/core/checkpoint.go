@@ -131,7 +131,6 @@ func (c *checkpointer) load(tk *topK, frontier *level, res *Result) (int, error)
 	frontier.se = st.Frontier.Se
 	frontier.sm = st.Frontier.Sm
 	frontier.ss = st.Frontier.Ss
-	frontier.ub = nil
 	res.Levels = st.Levels
 	res.Truncated = st.Truncated
 	return st.Level, nil

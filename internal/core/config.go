@@ -39,13 +39,6 @@ type Config struct {
 	// MaxLevel caps the lattice level (the paper's ⌈L⌉). <= 0 means
 	// unbounded, i.e. min(m, ...) terminates the loop.
 	MaxLevel int
-	// BlockSize is the hybrid evaluation block size b of Section 4.4 for
-	// the fused CSR kernel: 1 is pure task-parallel, nrow(S) one shared
-	// scan, and the paper's experiments default to 16. <= 0 selects an
-	// automatic size that balances scan sharing against parallelism:
-	// roughly nrow(S)/(4*workers), at least 16, at most nrow(S)/workers.
-	// It changes execution plan, never results.
-	BlockSize int
 
 	// Ablation switches (Figure 3). The zero value enables everything.
 	DisableSizePruning    bool // drop ⌈ss⌉ >= σ candidate pruning and σ input filtering
@@ -80,14 +73,6 @@ type Config struct {
 	// at that point. It runs synchronously on the enumeration goroutine.
 	// On a resumed run it fires only for newly enumerated levels.
 	OnSnapshot func(Snapshot)
-
-	// PriorityEnumeration evaluates each level's candidates in descending
-	// order of their score upper bound, in chunks, re-pruning the remaining
-	// candidates with the improved top-K threshold between chunks. This
-	// implements the paper's proposed future-work direction of
-	// priority-based enumeration (Section 7) inside the level-wise
-	// framework; results are identical, only less work may be done.
-	PriorityEnumeration bool
 
 	// Evaluator, when non-nil, delegates slice evaluation — for example to
 	// the distributed backends of package dist. The enumeration, pruning
@@ -148,7 +133,6 @@ func (c Config) WithDefaults(n int) Config {
 	if c.Alpha > 1 {
 		c.Alpha = 1
 	}
-	// BlockSize <= 0 means auto; resolved per level in evalSlices.
 	if c.MaxCandidatesPerLevel <= 0 {
 		c.MaxCandidatesPerLevel = 2_000_000
 	}

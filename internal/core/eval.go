@@ -32,8 +32,9 @@ type ExternalEvaluator interface {
 //	ss = colSums(I)   se = (eᵀ I)ᵀ   sm = colMaxs(I · e)
 //
 // The implementation is the fused, block-parallel form: slices are grouped
-// into blocks of cfg.BlockSize (b=1 reproduces the task-parallel plan of
-// Algorithm 1 lines 16-18, b=nrow(S) one shared scan), each block scans X
+// into blocks of b slices (b=1 reproduces the task-parallel plan of
+// Algorithm 1 lines 16-18, b=nrow(S) one shared scan; EvalPartitionWeighted
+// chooses b from the candidate and worker counts), each block scans X
 // once and counts predicate matches through a per-block inverted column
 // index, never materializing the n × nrow(S) indicator I. Row-partitioned
 // data parallelism is the distributed backends' job (package dist). Dense
@@ -81,7 +82,7 @@ func (st *state) evalSlices(ctx context.Context, lv *level, L int) error {
 		// packing happens once, on the first level.
 		sp.SetStr("backend", st.kernel.Backend())
 		sp.SetBool("binary", st.kernel.Binary())
-		st.kernel.Eval(lv.cols, L, st.cfg.BlockSize, lv.ss, lv.se, lv.sm)
+		st.kernel.Eval(lv.cols, L, lv.ss, lv.se, lv.sm)
 	}
 	st.ob.evalSecs.Observe(time.Since(evalStart).Seconds())
 	sp.End()

@@ -157,9 +157,9 @@ type Incremental struct {
 // NewIncremental builds an incremental evaluator. The configuration is
 // captured once and reused every generation (σ defaulting still tracks the
 // growing row count, exactly as a batch run would resolve it).
-// Configurations that delegate or reorder evaluation — external evaluators,
-// priority enumeration, checkpoint/resume — are rejected: the memo is the
-// evaluation path.
+// Configurations that delegate evaluation or persist its state — external
+// evaluators, checkpoint/resume — are rejected: the memo is the evaluation
+// path.
 func NewIncremental(cfg Config) (*Incremental, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -167,8 +167,6 @@ func NewIncremental(cfg Config) (*Incremental, error) {
 	switch {
 	case cfg.Evaluator != nil:
 		return nil, fmt.Errorf("core: incremental runs cannot use an external evaluator")
-	case cfg.PriorityEnumeration:
-		return nil, fmt.Errorf("core: incremental runs cannot use priority enumeration")
 	case cfg.CheckpointPath != "" || cfg.Resume:
 		return nil, fmt.Errorf("core: incremental runs cannot use checkpoint/resume")
 	}

@@ -211,7 +211,6 @@ func TestIncrementalMemoReuse(t *testing.T) {
 func TestIncrementalRejectsConfigs(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"external":   {Evaluator: stubEvaluator{}},
-		"priority":   {PriorityEnumeration: true},
 		"checkpoint": {CheckpointPath: t.TempDir() + "/ck"},
 		"resume":     {Resume: true},
 	} {

@@ -209,9 +209,9 @@ func (k *Kernel) ErrRows() int {
 
 // Eval evaluates the level-L candidates, accumulating into ss/se/sm (callers
 // pass zeroed slices of length len(cols)), with the same statistics contract
-// as EvalPartitionWeighted. blockSize only applies to the CSR path; the
+// as EvalPartitionWeighted. The CSR path takes its automatic block size; the
 // bitset path parallelizes over candidates instead of sharing scans.
-func (k *Kernel) Eval(cols [][]int, level, blockSize int, ss, se, sm []float64) {
+func (k *Kernel) Eval(cols [][]int, level int, ss, se, sm []float64) {
 	switch {
 	case k.binary:
 		cb, errRows := k.Bits(), k.ErrRows()
@@ -221,7 +221,7 @@ func (k *Kernel) Eval(cols [][]int, level, blockSize int, ss, se, sm []float64) 
 	case k.bitset:
 		EvalBitsetWeighted(k.Bits(), k.e, k.w, cols, ss, se, sm)
 	default:
-		EvalPartitionWeighted(k.x, k.e, k.w, cols, level, blockSize, ss, se, sm)
+		EvalPartitionWeighted(k.x, k.e, k.w, cols, level, 0, ss, se, sm)
 	}
 }
 

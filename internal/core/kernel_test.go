@@ -182,8 +182,8 @@ func TestPackedKernelMatchesNewKernel(t *testing.T) {
 			n := len(cols)
 			ss, se, sm := make([]float64, n), make([]float64, n), make([]float64, n)
 			gss, gse, gsm := make([]float64, n), make([]float64, n), make([]float64, n)
-			want.Eval(cols, 2, 0, ss, se, sm)
-			got.Eval(cols, 2, 0, gss, gse, gsm)
+			want.Eval(cols, 2, ss, se, sm)
+			got.Eval(cols, 2, gss, gse, gsm)
 			for s := range cols {
 				if math.Float64bits(ss[s]) != math.Float64bits(gss[s]) || math.Float64bits(se[s]) != math.Float64bits(gse[s]) ||
 					math.Float64bits(sm[s]) != math.Float64bits(gsm[s]) {

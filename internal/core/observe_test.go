@@ -70,7 +70,7 @@ func TestEvalSlicesNilObserversAddZeroAllocs(t *testing.T) {
 
 	base := testing.AllocsPerRun(20, func() {
 		zeroLevel(lv)
-		st.kernel.Eval(lv.cols, 2, st.cfg.BlockSize, lv.ss, lv.se, lv.sm)
+		st.kernel.Eval(lv.cols, 2, lv.ss, lv.se, lv.sm)
 		for i := range lv.sc {
 			lv.sc[i] = st.sc.score(lv.ss[i], lv.se[i])
 		}

@@ -121,7 +121,7 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 		prev: prev, keep: keep, L: L, cfg: cfg, featOf: st.featOf, sc: st.sc, sck: sck,
 		dedup:  dedup,
 		shards: make([]shardOut, shards),
-		arenas: make([]joinArena, workers),
+		arenas: make([][]int, workers),
 	}
 	j.buildBuckets()
 	if j.dedup {
@@ -155,24 +155,15 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 		n += sh.hi - sh.lo
 	}
 	flat := make([]int, n*L)
-	var ubs []float64
-	if cfg.PriorityEnumeration {
-		ubs = make([]float64, n)
-	}
 	k := 0
 	for _, sh := range j.shards {
-		ar := &j.arenas[sh.worker]
-		copy(flat[k*L:], ar.cols[sh.lo*L:sh.hi*L])
-		if cfg.PriorityEnumeration {
-			copy(ubs[k:], ar.ub[sh.lo:sh.hi])
-		}
+		copy(flat[k*L:], j.arenas[sh.worker][sh.lo*L:sh.hi*L])
 		k += sh.hi - sh.lo
 	}
 	out := newLevel(n)
 	for k := range out.cols {
 		out.cols[k] = flat[k*L : (k+1)*L : (k+1)*L]
 	}
-	out.ub = ubs
 	return out, pr
 }
 
@@ -202,7 +193,7 @@ type join struct {
 	next      atomic.Int64 // next shard to claim
 	generated atomic.Int64 // candidates generated before pruning
 	shards    []shardOut
-	arenas    []joinArena // one per worker
+	arenas    [][]int // per worker, its survivors' columns, L per candidate
 }
 
 // shardOut records one shard's work: the worker that did it, its survivors'
@@ -210,13 +201,6 @@ type join struct {
 type shardOut struct {
 	worker, lo, hi int
 	pr             pruneStats
-}
-
-// joinArena holds one worker's survivors: L columns per candidate and,
-// under PriorityEnumeration, one score upper bound.
-type joinArena struct {
-	cols []int
-	ub   []float64
 }
 
 // buildBuckets files every kept slice under each of its (L-2)-column
@@ -278,7 +262,7 @@ func (j *join) work(w int) {
 	at, end, member, extra := j.at, j.end, j.member, j.extra
 	scratch := make([]int, 3*L+8) // the merged slice, a lookup key, the kept parents
 	union, key, par := scratch[:L], scratch[L:2*L-1], scratch[2*L:3*L]
-	cols, ubs := j.arenas[w].cols, j.arenas[w].ub
+	cols := j.arenas[w]
 	for {
 		s := int(j.next.Add(1)) - 1
 		if s >= len(j.shards) {
@@ -309,11 +293,8 @@ func (j *join) work(w int) {
 							continue
 						}
 					}
-					if ub, ok := j.prune(par[:np], &pr); ok {
+					if j.prune(par[:np], &pr) {
 						cols = append(reserve(cols, L), union...)
-						if j.cfg.PriorityEnumeration {
-							ubs = append(reserve(ubs, 1), ub)
-						}
 					}
 				}
 			}
@@ -321,7 +302,7 @@ func (j *join) work(w int) {
 		j.shards[s] = shardOut{worker: w, lo: lo, hi: len(cols) / L, pr: pr}
 		j.generated.Add(int64(pr.generated(len(cols)/L - lo)))
 	}
-	j.arenas[w] = joinArena{cols: cols, ub: ubs}
+	j.arenas[w] = cols
 }
 
 // otherParents looks up the kept parents of the merged slice union other
@@ -354,14 +335,14 @@ func (j *join) otherParents(union, ca []int, d, b int, key, par []int) (np int, 
 // pair-wise join meets them. Then Equation 9 over the minima of all kept
 // parents: score, and with dedup the missing-parent rule np = L. Its size
 // bound always holds here (see pruneStats). It reports whether the
-// candidate survives, and its score upper bound.
-func (j *join) prune(par []int, pr *pruneStats) (float64, bool) {
+// candidate survives.
+func (j *join) prune(par []int, pr *pruneStats) bool {
 	prev, cfg := j.prev, &j.cfg
-	ub, pairUB := 0.0, false // the last pair's score bound, if computed
+	ub := 0.0 // the last pair's score bound
 	for x := 0; x < len(par) && !cfg.DisableScorePruning; x++ {
 		for _, q := range par[x+1:] {
 			i, k := j.keep[par[x]], j.keep[q]
-			ub, pairUB = j.sc.upperBound(math.Min(prev.ss[i], prev.ss[k]), math.Min(prev.se[i], prev.se[k]), math.Min(prev.sm[i], prev.sm[k])), true
+			ub = j.sc.upperBound(math.Min(prev.ss[i], prev.ss[k]), math.Min(prev.se[i], prev.se[k]), math.Min(prev.sm[i], prev.sm[k]))
 			if ub > j.sck && ub >= 0 {
 				continue
 			}
@@ -372,38 +353,40 @@ func (j *join) prune(par []int, pr *pruneStats) (float64, bool) {
 			} else {
 				pr.pairScore++
 			}
-			return 0, false
+			return false
 		}
 	}
-	ss, se, sm := math.Inf(1), math.Inf(1), math.Inf(1)
-	for _, p := range par {
-		i := j.keep[p]
-		ss, se, sm = math.Min(ss, prev.ss[i]), math.Min(se, prev.se[i]), math.Min(sm, prev.sm[i])
-	}
-	if len(par) > 2 || !pairUB {
+	if !cfg.DisableScorePruning {
 		// Two parents bound the candidate exactly as their pair does.
-		ub = j.sc.upperBound(ss, se, sm)
-	}
-	if !cfg.DisableScorePruning && (ub <= j.sck || ub < 0) {
-		pr.score++
-		return 0, false
+		if len(par) > 2 {
+			ss, se, sm := math.Inf(1), math.Inf(1), math.Inf(1)
+			for _, p := range par {
+				i := j.keep[p]
+				ss, se, sm = math.Min(ss, prev.ss[i]), math.Min(se, prev.se[i]), math.Min(sm, prev.sm[i])
+			}
+			ub = j.sc.upperBound(ss, se, sm)
+		}
+		if ub <= j.sck || ub < 0 {
+			pr.score++
+			return false
+		}
 	}
 	if j.dedup && !cfg.DisableParentHandling && len(par) != j.L {
 		// Missing-parent handling: a parent pruned earlier makes every
 		// extension prunable too.
 		pr.parents++
-		return 0, false
+		return false
 	}
-	return ub, true
+	return true
 }
 
 // reserve returns s with room for n more elements, doubling its capacity
 // when it has to grow, so an arena of c elements grows O(log c) times.
-func reserve[T any](s []T, n int) []T {
+func reserve(s []int, n int) []int {
 	if len(s)+n <= cap(s) {
 		return s
 	}
-	grown := make([]T, len(s), 2*cap(s)+joinShard*n)
+	grown := make([]int, len(s), 2*cap(s)+joinShard*n)
 	copy(grown, s)
 	return grown
 }

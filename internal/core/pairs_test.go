@@ -177,8 +177,8 @@ type naiveSizeTally struct{ pair, group int }
 // With filter, a slice that passes σ and se > 0 is still dropped from the
 // input when its own bound fails the score bound by more than the rounding
 // margin, wherever score pruning is on and, at dedup levels, missing-parent
-// handling too. It returns the surviving candidates as sorted keys (see
-// candKey), the per-rule counts, the size-bound tallies and the number of
+// handling too. It returns the surviving candidates' column lists as sorted
+// keys, the per-rule counts, the size-bound tallies and the number of
 // candidates generated before pruning, which MaxCandidatesPerLevel caps.
 func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool) ([]string, pruneStats, naiveSizeTally, int) {
 	cfg := st.cfg
@@ -291,19 +291,10 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool
 			pr.parents++
 			continue
 		}
-		out = append(out, candKey(g.cols, ub, cfg.PriorityEnumeration))
+		out = append(out, fmt.Sprint(g.cols))
 	}
 	sort.Strings(out)
 	return out, pr, sizes, len(cands)
-}
-
-// candKey names a candidate by its columns and, under PriorityEnumeration,
-// the exact bits of its score upper bound.
-func candKey(cols []int, ub float64, priority bool) string {
-	if !priority {
-		return fmt.Sprint(cols)
-	}
-	return fmt.Sprint(cols, math.Float64bits(ub))
 }
 
 // randomFrontier draws a shuffled level-(L-1) frontier of distinct,
@@ -364,7 +355,7 @@ func withDuplicates(rng *rand.Rand, prev *level) *level {
 
 // TestPairCandidatesMatchNaive checks the production join against
 // naivePairCandidates on random shuffled frontiers under every pruning
-// switch, at 1, 2 and 7 workers. The survivors and their bounds must equal
+// switch, at 1, 2 and 7 workers. The survivors must equal
 // those of the unfiltered naive join, so the input filter never changes
 // what is evaluated; the per-rule counts and the cap boundary must equal
 // the filtered model's; and the output order must not depend on the worker
@@ -380,7 +371,6 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 		{DisableParentHandling: true},
 		{DisableDedup: true},
 		{DisableSizePruning: true, DisableScorePruning: true, DisableParentHandling: true, DisableDedup: true},
-		{PriorityEnumeration: true},
 	}
 	const n = 1000
 	e := make([]float64, n)
@@ -441,11 +431,7 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 				}
 				keys := make([]string, got.size())
 				for k, cols := range got.cols {
-					ub := 0.0
-					if cfg.PriorityEnumeration {
-						ub = got.ub[k]
-					}
-					keys[k] = candKey(cols, ub, cfg.PriorityEnumeration)
+					keys[k] = fmt.Sprint(cols)
 				}
 				sort.Strings(keys)
 				if !reflect.DeepEqual(keys, want) {
@@ -454,7 +440,7 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 				}
 				if first == nil {
 					first, firstPr = got, pr
-				} else if !reflect.DeepEqual(got.cols, first.cols) || !reflect.DeepEqual(got.ub, first.ub) || pr != firstPr {
+				} else if !reflect.DeepEqual(got.cols, first.cols) || pr != firstPr {
 					t.Fatalf("trial %d config %d (L=%d): output at %d workers differs from 1 worker", trial, ci, L, workers)
 				}
 			}

@@ -116,9 +116,9 @@ func ChainSignature(parent uint64, enc *frame.Encoding, e []float64, from int) u
 //
 // MaxLevel is deliberately excluded — resuming with a deeper level cap
 // legitimately extends a shallower run, because the per-level state is
-// identical up to the old cap. BlockSize and the evaluator are excluded too:
-// re-running under a different execution plan produces the same result. Local
-// plans (any kernel, block size or worker count) are bit-identical; a
+// identical up to the old cap. The evaluator is excluded too: re-running
+// under a different execution plan produces the same result. Local plans
+// (any kernel, block size or worker count) are bit-identical; a
 // row-partitioned external evaluator sums per-partition partials and may
 // differ in the last ULPs of summed statistics. Callers that must distinguish
 // depth-capped results (the server's result cache) combine this with
@@ -133,7 +133,7 @@ func ConfigSignature(cfg Config) uint64 {
 	s.flag(cfg.DisableScorePruning)
 	s.flag(cfg.DisableParentHandling)
 	s.flag(cfg.DisableDedup)
-	s.flag(cfg.PriorityEnumeration)
+	s.flag(false) // the retired priority-enumeration switch; keeps old signatures valid
 	return s.sum()
 }
 

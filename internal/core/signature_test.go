@@ -90,7 +90,6 @@ func TestConfigSignatureSensitivity(t *testing.T) {
 		"ScorePrune":  {K: base.K, Sigma: base.Sigma, Alpha: base.Alpha, MaxCandidatesPerLevel: base.MaxCandidatesPerLevel, DisableScorePruning: true},
 		"ParentPrune": {K: base.K, Sigma: base.Sigma, Alpha: base.Alpha, MaxCandidatesPerLevel: base.MaxCandidatesPerLevel, DisableParentHandling: true},
 		"Dedup":       {K: base.K, Sigma: base.Sigma, Alpha: base.Alpha, MaxCandidatesPerLevel: base.MaxCandidatesPerLevel, DisableDedup: true},
-		"Priority":    {K: base.K, Sigma: base.Sigma, Alpha: base.Alpha, MaxCandidatesPerLevel: base.MaxCandidatesPerLevel, PriorityEnumeration: true},
 	}
 	for name, cfg := range mutations {
 		if ConfigSignature(cfg) == baseSig {
@@ -98,13 +97,12 @@ func TestConfigSignatureSensitivity(t *testing.T) {
 		}
 	}
 
-	// Execution-plan and depth fields are excluded by design: MaxLevel
-	// extension resume and cross-plan resume both rely on it.
+	// The depth field is excluded by design: MaxLevel extension resume
+	// relies on it.
 	equiv := base
 	equiv.MaxLevel = 3
-	equiv.BlockSize = 64
 	if ConfigSignature(equiv) != baseSig {
-		t.Fatal("MaxLevel/BlockSize must not affect the config signature")
+		t.Fatal("MaxLevel must not affect the config signature")
 	}
 }
 

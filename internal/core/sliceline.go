@@ -20,7 +20,6 @@ type level struct {
 	se   []float64
 	sm   []float64
 	ss   []float64
-	ub   []float64 // score upper bounds, only under PriorityEnumeration
 }
 
 func (l *level) size() int { return len(l.cols) }
@@ -348,22 +347,12 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 		}
 		// Evaluation spans parent under the level span via the context.
 		lctx := obs.ContextWith(ctx, lsp)
-		if cfg.PriorityEnumeration {
-			evaluated, extraPruned, err := st.evalWithPriority(lctx, cand, lvl, tk)
-			if err != nil {
-				lsp.End()
-				return nil, err
-			}
-			cand = evaluated
-			pruned += extraPruned
-		} else {
-			if err := st.evalSlices(lctx, cand, lvl); err != nil {
-				lsp.End()
-				return nil, err
-			}
-			for i := range cand.cols {
-				tk.offer(cand.cols[i], cand.sc[i], cand.ss[i], cand.se[i], cand.sm[i])
-			}
+		if err := st.evalSlices(lctx, cand, lvl); err != nil {
+			lsp.End()
+			return nil, err
+		}
+		for i := range cand.cols {
+			tk.offer(cand.cols[i], cand.sc[i], cand.ss[i], cand.se[i], cand.sm[i])
 		}
 		ls := LevelStats{
 			Level:      lvl,

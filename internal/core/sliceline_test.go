@@ -10,6 +10,7 @@ import (
 
 	"sliceline/internal/fptol"
 	"sliceline/internal/frame"
+	"sliceline/internal/matrix"
 )
 
 // randomDataset builds a small random dataset plus a non-negative error
@@ -417,24 +418,47 @@ func sameCounts(a, b []LevelStats) bool {
 	return true
 }
 
-// TestBlockSizesAgree: evaluation must be independent of the hybrid block
-// size b (task-parallel, blocked, and data-parallel plans are equivalent).
+// blockEvaluator runs the fused CSR kernel at block size b as an external
+// evaluator: the built-in evaluation always takes the automatic size.
+type blockEvaluator struct {
+	b int
+	x *matrix.CSR
+	e []float64
+}
+
+func (ev *blockEvaluator) Setup(_ context.Context, x *matrix.CSR, e []float64) error {
+	ev.x, ev.e = x, e
+	return nil
+}
+
+func (ev *blockEvaluator) Eval(_ context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
+	n := len(cols)
+	ss, se, sm = make([]float64, n), make([]float64, n), make([]float64, n)
+	EvalPartitionWeighted(ev.x, ev.e, nil, cols, level, ev.b, ss, se, sm)
+	return ss, se, sm, nil
+}
+
+// TestBlockSizesAgree: a run must not depend on the fused CSR kernel's
+// block size b (the task-parallel, blocked and one-scan plans of Section
+// 4.4 are equivalent): at every b it returns the built-in evaluation's bits.
 func TestBlockSizesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	ds, e := randomDataset(rng, 250, 4, 4)
-	var ref []float64
+	cfg := Config{K: 6, Sigma: 3, Alpha: 0.9}
+	ref, err := runDS(ds, e, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range []int{1, 2, 7, 16, 1 << 20} {
-		res, err := runDS(ds, e, nil, Config{K: 6, Sigma: 3, Alpha: 0.9, BlockSize: b})
+		c := cfg
+		c.Evaluator = &blockEvaluator{b: b}
+		res, err := runDS(ds, e, nil, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := scoresOf(res.TopK)
-		if ref == nil {
-			ref = got
-			continue
-		}
-		if !approxEqualScores(got, ref) {
-			t.Fatalf("block size %d scores %v differ from %v", b, got, ref)
+		if !reflect.DeepEqual(res.TopK, ref.TopK) || !sameCounts(res.Levels, ref.Levels) || res.Gap != ref.Gap {
+			t.Fatalf("block size %d: top-K %v, levels %+v, gap %v; built-in %v, %+v, %v",
+				b, res.TopK, res.Levels, res.Gap, ref.TopK, ref.Levels, ref.Gap)
 		}
 	}
 }

@@ -64,9 +64,9 @@ func TestTopKSkipsWhenFullAndWorse(t *testing.T) {
 	}
 }
 
-// TestTopKIndependentOfOfferOrder: priority enumeration offers candidates in
-// bound order, level-wise enumeration in generation order, and both must keep
-// the same slices. Offering one set of slices — with an exact (score, size)
+// TestTopKIndependentOfOfferOrder: the top-K receives candidates in the
+// join's output order, which no result may depend on. Offering one set of
+// slices — with an exact (score, size)
 // tie across rank K — in every order must give identical entries: the
 // lexicographically smallest tied columns hold rank K.
 func TestTopKIndependentOfOfferOrder(t *testing.T) {

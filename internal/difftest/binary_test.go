@@ -21,11 +21,11 @@ func binaryOpts(o GenOpts) GenOpts {
 // CSR kernel) and dense (the §5.4 program) compute the same statistics
 // without it, and on integer counts every summation order is exact, so both
 // must match builtin/auto bit for bit: they pin the binary loop to the
-// general ones end to end. The blocked/* plans and the Dist-PFor clusters,
-// whose partition partials are integers too, must be bit-identical as well,
-// and so must priority: integer counts make exact score ties common, and the
-// top-K keeps the same member of a tie whatever order candidates arrive in.
-// Tiny binary cases are checked against brute force, and outside -short the
+// general ones end to end. The kernel/csr/b=* plans and the Dist-PFor
+// clusters, whose partition partials are integers too, must be
+// bit-identical as well: integer counts make exact score ties common, and
+// the top-K keeps the same member of a tie whatever order candidates arrive
+// in. Tiny binary cases are checked against brute force, and outside -short the
 // TCP plans run as well. The ablation rotates over every single-rule switch;
 // the everything-off configuration only adds candidates, not kernel paths,
 // and TestDiffBackendsAgree already sweeps it.
@@ -81,6 +81,72 @@ func TestDiffBinaryErrors(t *testing.T) {
 				failf(t, testName, seed, "plan %s vs brute force (%s): %v", plan.Name, a.name, err)
 			}
 		}
+	}
+}
+
+// permuteRows returns a copy of the case whose rows (of X0, E and, when
+// weighted, W) are shuffled by a permutation drawn from rng.
+func permuteRows(c *Case, rng *rand.Rand) *Case {
+	out := c.Clone()
+	m := c.DS.X0.Cols
+	for to, from := range rng.Perm(len(c.E)) {
+		copy(out.DS.X0.Data[to*m:(to+1)*m], c.DS.X0.Data[from*m:(from+1)*m])
+		out.E[to] = c.E[from]
+		if c.W != nil {
+			out.W[to] = c.W[from]
+		}
+	}
+	return out
+}
+
+// TestDiffRowPermutationBinary: shuffling the rows changes nothing on 0/1
+// errors. Every statistic is then an integer count (integer weights keep
+// weighted sums integers too), which float64 adds exactly in any order, so
+// the top-K with its p- and q-values, every level's counts, the gap, N, the
+// average error and σ must be bit-identical. It checks builtin/auto on
+// weighted and unweighted cases and cluster/inproc-2, whose partitions take
+// different rows once shuffled, on unweighted ones. slperf's -seed model
+// assumes this invariance.
+func TestDiffRowPermutationBinary(t *testing.T) {
+	const testName = "TestDiffRowPermutationBinary"
+	builtin, cluster := BuiltinPlans()[0], ClusterPlans(2)[0]
+	found := 0
+	for _, seed := range Seeds(seedCount(60, 8)) {
+		opts := binaryOpts(Defaults)
+		opts.Weighted, opts.IntWeights = seed%3 == 0, true
+		c := Generate(seed, opts)
+		shuffled := permuteRows(c, rand.New(rand.NewSource(seed)))
+		plans := []Plan{builtin}
+		if c.W == nil {
+			plans = append(plans, cluster)
+		}
+		for _, plan := range plans {
+			want, err := plan.Run(c)
+			if err != nil {
+				failf(t, testName, seed, "plan %s: %v", plan.Name, err)
+				continue
+			}
+			got, err := plan.Run(shuffled)
+			if err != nil {
+				failf(t, testName, seed, "plan %s on shuffled rows: %v", plan.Name, err)
+				continue
+			}
+			found += len(want.TopK)
+			if err := CompareAnnotated(want, got); err != nil {
+				failf(t, testName, seed, "plan %s: shuffled rows change the top-K: %v", plan.Name, err)
+			}
+			if !reflect.DeepEqual(levelCounts(want), levelCounts(got)) {
+				failf(t, testName, seed, "plan %s: shuffled rows change the level counts: %+v, want %+v",
+					plan.Name, levelCounts(got), levelCounts(want))
+			}
+			if got.N != want.N || got.AvgError != want.AvgError || got.Sigma != want.Sigma {
+				failf(t, testName, seed, "plan %s: shuffled rows give N %d, avg error %v, σ %d; want %d, %v, %d",
+					plan.Name, got.N, got.AvgError, got.Sigma, want.N, want.AvgError, want.Sigma)
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("every top-K was empty: the sweep compares nothing")
 	}
 }
 

@@ -2,8 +2,8 @@
 //
 // SliceLine's headline claim is that the pruned, linear-algebra enumeration
 // is an *exact* algorithm: every pruning rule (size, score upper bound,
-// missing-parent) is result-preserving, and every execution plan — blocked
-// evaluation at any block size with either local kernel, dense chunked
+// missing-parent) is result-preserving, and every execution plan — either
+// local kernel, the fused CSR kernel at any block size, dense chunked
 // evaluation, and row-partitioned distributed clusters over in-process or
 // TCP workers — must return the same top-K slices. The local plans must
 // return the same bits. This

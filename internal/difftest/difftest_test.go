@@ -51,9 +51,9 @@ func failf(t *testing.T, testName string, seed int64, format string, args ...int
 }
 
 // TestDiffBackendsAgree is the heart of the harness: on every seed, every
-// execution plan — blocked evaluation at several block sizes, the CSR kernel,
-// dense intermediates, priority enumeration, and in-process Dist-PFor
-// clusters with 1–4 workers — must produce the same top-K as the builtin
+// execution plan — the fused CSR kernel at its automatic and several fixed
+// block sizes, dense intermediates, and in-process Dist-PFor clusters with
+// 1–4 workers — must produce the same top-K as the builtin
 // plan, under a rotating pruning-ablation configuration. Plans marked Exact
 // must match it bit for bit, gap and annotations included.
 func TestDiffBackendsAgree(t *testing.T) {

@@ -11,17 +11,15 @@ import (
 	"sliceline/internal/dist"
 	"sliceline/internal/faults"
 	"sliceline/internal/frame"
-	"sliceline/internal/matrix"
 )
 
 // Plan is one named execution backend. Run executes the case's
 // configuration through that backend and returns the result; backends that
 // allocate external resources (TCP workers) clean them up before returning.
+// Only builtin/auto honors row weights: every other plan is an external
+// evaluator, which core refuses to combine with weights.
 type Plan struct {
 	Name string
-	// Weighted reports whether the plan supports row-weighted cases;
-	// external evaluators do not (core rejects the combination by design).
-	Weighted bool
 	// Exact reports that the plan must be bit-identical to builtin/auto:
 	// the local kernels add every slice's rows in the same order whatever
 	// the kernel, block size or worker count.
@@ -51,66 +49,36 @@ func runBuiltin(c *Case, mutate func(*core.Config)) (*core.Result, error) {
 	return runDS(c.DS, c.E, c.W, cfg)
 }
 
-// BuiltinPlans enumerates the single-process execution plans of Section 4.4:
-// the built-in evaluation at several block sizes — b=1 is the task-parallel
-// plan, a huge b one shared scan, intermediate values the hybrid — plus
-// priority-ordered enumeration, the dense-intermediates program of
-// Section 5.4 and the fused CSR kernel driven as an external evaluator. The
-// built-in kernel picks bitset or CSR by density; every local plan must
-// return the same bits.
+// BuiltinPlans enumerates the single-process execution plans: the built-in
+// evaluation, the dense-intermediates program of Section 5.4, and the fused
+// CSR kernel driven as an external evaluator (bench.CSREvaluator) at the
+// automatic block size and at the block sizes of Section 4.4's hybrid plan —
+// b=1 is the task-parallel plan, b=nrow one shared scan, intermediate values
+// the hybrid. The built-in path takes the CSR kernel only on sparse data, so
+// the kernel/csr plans keep it covered end to end on every case, and they
+// must return builtin/auto's bits, whichever kernel its density picks.
 func BuiltinPlans() []Plan {
 	plans := []Plan{
-		{Name: "builtin/auto", Weighted: true, run: func(c *Case) (*core.Result, error) {
+		{Name: "builtin/auto", run: func(c *Case) (*core.Result, error) {
 			return runBuiltin(c, nil)
 		}},
 		{Name: "dense", run: func(c *Case) (*core.Result, error) {
 			return runBuiltin(c, func(cfg *core.Config) { cfg.Evaluator = &bench.DenseIntermediates{} })
 		}},
-		{Name: "priority", Weighted: true, run: func(c *Case) (*core.Result, error) {
-			return runBuiltin(c, func(cfg *core.Config) { cfg.PriorityEnumeration = true })
-		}},
-		CSRKernelPlan(),
 	}
-	for _, b := range []int{1, 3, 16, 1 << 30} {
-		b := b
-		name := fmt.Sprintf("blocked/b=%d", b)
-		if b == 1<<30 {
-			name = "blocked/b=nrow"
+	for _, b := range []int{0, 1, 3, 16, 1 << 30} {
+		name := fmt.Sprintf("kernel/csr/b=%d", b)
+		switch b {
+		case 0:
+			name = "kernel/csr"
+		case 1 << 30:
+			name = "kernel/csr/b=nrow"
 		}
-		plans = append(plans, Plan{Name: name, Weighted: true, Exact: true, run: func(c *Case) (*core.Result, error) {
-			return runBuiltin(c, func(cfg *core.Config) { cfg.BlockSize = b })
+		plans = append(plans, Plan{Name: name, Exact: true, run: func(c *Case) (*core.Result, error) {
+			return runBuiltin(c, func(cfg *core.Config) { cfg.Evaluator = &bench.CSREvaluator{BlockSize: b} })
 		}})
 	}
 	return plans
-}
-
-// CSRKernelPlan runs the fused CSR kernel (core.EvalPartitionWeighted) as an
-// external evaluator. The built-in path only takes that kernel on sparse
-// data, so this plan keeps it covered end to end on every case; its results
-// must be bit-identical to builtin/auto.
-func CSRKernelPlan() Plan {
-	return Plan{Name: "kernel/csr", Exact: true, run: func(c *Case) (*core.Result, error) {
-		return runBuiltin(c, func(cfg *core.Config) { cfg.Evaluator = &csrEvaluator{} })
-	}}
-}
-
-// csrEvaluator is core.ExternalEvaluator over the fused CSR kernel at the
-// automatic block size.
-type csrEvaluator struct {
-	x *matrix.CSR
-	e []float64
-}
-
-func (ev *csrEvaluator) Setup(_ context.Context, x *matrix.CSR, e []float64) error {
-	ev.x, ev.e = x, e
-	return nil
-}
-
-func (ev *csrEvaluator) Eval(_ context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
-	n := len(cols)
-	ss, se, sm = make([]float64, n), make([]float64, n), make([]float64, n)
-	core.EvalPartitionWeighted(ev.x, ev.e, nil, cols, level, 0, ss, se, sm)
-	return ss, se, sm, nil
 }
 
 // ClusterPlans enumerates Dist-PFor over in-process workers, one plan per

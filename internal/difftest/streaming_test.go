@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sliceline/internal/bench"
 	"sliceline/internal/core"
 	"sliceline/internal/frame"
 )
@@ -161,7 +162,7 @@ func TestDiffStreamingGenerations(t *testing.T) {
 				failf(t, testName, seed, "generation %d: per-level counts differ: incremental %+v, frozen %+v", gen, levelCounts(got), levelCounts(ref))
 			}
 			csrCfg := sc.cfg
-			csrCfg.Evaluator = &csrEvaluator{}
+			csrCfg.Evaluator = &bench.CSREvaluator{}
 			alt, err := core.Run(context.Background(), curEnc, curFeats, sc.e, nil, csrCfg)
 			if err != nil {
 				failf(t, testName, seed, "generation %d: kernel/csr run: %v", gen, err)

@@ -4,8 +4,7 @@
 // partition of X and e. Workers may live in-process or behind TCP
 // (gob-encoded RPC), modelling Spark's broadcast-based distributed matrix
 // multiplications including serialization and network overheads. (The
-// paper's local MT-PFor plan is core's built-in evaluation at
-// Config.BlockSize = b.)
+// paper's local MT-PFor plan is core's built-in evaluation.)
 //
 // Cluster implements core.ExternalEvaluator, so it plugs directly into
 // core.Config.Evaluator while enumeration, pruning, and top-K maintenance
@@ -46,10 +45,6 @@ import (
 // behavior. The zero value disables every timeout and mitigation, matching
 // the pre-robustness semantics.
 type Options struct {
-	// BlockSize is the per-worker evaluation block size. <= 0 selects the
-	// automatic size on each worker.
-	BlockSize int
-
 	// CallTimeout bounds every Load/Eval/Ping RPC. A call exceeding it is
 	// treated as a worker failure and fails over. 0 means no deadline.
 	CallTimeout time.Duration
@@ -194,7 +189,7 @@ type Worker interface {
 	Load(ctx context.Context, part int, x *matrix.CSR, e []float64) error
 	// Eval evaluates the candidates against the worker's copy of partition
 	// part.
-	Eval(ctx context.Context, part int, cols [][]int, level, blockSize int) (ss, se, sm []float64, err error)
+	Eval(ctx context.Context, part int, cols [][]int, level int) (ss, se, sm []float64, err error)
 	// Ping probes liveness; the cluster's heartbeat checker calls it
 	// between levels.
 	Ping(ctx context.Context) error
@@ -321,9 +316,8 @@ func (c *Cluster) shipPartition(ctx context.Context, sp *obs.Span, k, nParts int
 	// worker that still caches this exact partition from an earlier job (or
 	// before a flap) reports warm and keeps it. A claim gone stale by
 	// eviction is harmless — the first Eval on it fails and reloads in place.
-	// Bare keys name a partition only within one Setup, so they never
-	// re-attach here.
-	if wi >= 0 && c.opts.PlacementSeed != 0 && c.warmAt(wi, c.wireKey(k)) {
+	// Bare keys never re-attach (warmAt).
+	if wi >= 0 && c.warmAt(wi, c.wireKey(k)) {
 		sp.Event(fmt.Sprintf("partition %d re-attached warm on worker %d", k, wi))
 		c.ob.warmAttach.Inc()
 		c.decide(Decision{Kind: DecideWarmAttach, Part: k, Worker: wi, Target: -1})
@@ -365,8 +359,14 @@ func (c *Cluster) placeLocked(p, nParts int) int {
 }
 
 // warmAt reports whether the in-view worker in slot wi said it holds wire
-// key key when it was last dialed or rejoined.
+// key key when it was last dialed or rejoined. Only a content-addressed key
+// (PlacementSeed set) counts: a bare partition index names a partition only
+// within one Setup, and a worker may hold that index from an earlier Setup
+// on other data.
 func (c *Cluster) warmAt(wi, key int) bool {
+	if c.opts.PlacementSeed == 0 {
+		return false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.inView[wi] && c.held[wi][key]
@@ -519,7 +519,7 @@ func (c *Cluster) tryEval(ctx context.Context, wi, p int, cols [][]int, level in
 	}()
 	cctx, cancel := c.callCtx(obs.ContextWith(ctx, sp))
 	defer cancel()
-	ss, se, sm, err = w.Eval(cctx, c.wireKey(p), cols, level, c.opts.BlockSize)
+	ss, se, sm, err = w.Eval(cctx, c.wireKey(p), cols, level)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -718,7 +718,7 @@ func (c *Cluster) evalLocal(p int, cols [][]int, level int) (ss, se, sm []float6
 	ss = make([]float64, n)
 	se = make([]float64, n)
 	sm = make([]float64, n)
-	k.Eval(cols, level, c.opts.BlockSize, ss, se, sm)
+	k.Eval(cols, level, ss, se, sm)
 	return ss, se, sm
 }
 
@@ -991,8 +991,8 @@ func (w *InProcessWorker) Load(_ context.Context, part int, x *matrix.CSR, e []f
 }
 
 // Eval implements Worker.
-func (w *InProcessWorker) Eval(_ context.Context, part int, cols [][]int, level, blockSize int) (ss, se, sm []float64, err error) {
-	args, err := evalArgs(part, cols, level, blockSize)
+func (w *InProcessWorker) Eval(_ context.Context, part int, cols [][]int, level int) (ss, se, sm []float64, err error) {
+	args, err := evalArgs(part, cols, level)
 	if err != nil {
 		return nil, nil, nil, err
 	}

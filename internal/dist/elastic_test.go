@@ -154,8 +154,9 @@ func TestElasticFlapReattachesWarm(t *testing.T) {
 	reg := obs.NewRegistry()
 	w1 := &countingWorker{InProcessWorker: &dist.InProcessWorker{}}
 	w2 := &dist.InProcessWorker{}
+	// Only content-addressed keys re-attach warm.
 	ec, err := dist.NewElasticCluster(
-		testDialer(map[string]dist.Worker{"w1": w1, "w2": w2}), dist.Options{Metrics: reg})
+		testDialer(map[string]dist.Worker{"w1": w1, "w2": w2}), dist.Options{PlacementSeed: 0x5eed, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +188,72 @@ func TestElasticFlapReattachesWarm(t *testing.T) {
 	}
 	if n := reg.Counter("sl_dist_warm_attach_total", "").Value(); n == 0 {
 		t.Fatal("flapped worker was re-shipped data it still held (no warm attach)")
+	}
+}
+
+// TestElasticUnseededRejoinReships: without a PlacementSeed, partition keys
+// are bare indices, and a member that rejoins may still hold those indices
+// from an earlier Setup on other data. So an unseeded fleet never
+// re-attaches warm: the rejoining member is shipped the current job's rows
+// and the job returns its one-member reference result.
+func TestElasticUnseededRejoinReships(t *testing.T) {
+	wideDS, wideE := chaosDataset(97, 400, 6, 6)
+	narrowDS, narrowE := chaosDataset(98, 400, 3, 4)
+	// Plant slices on the narrow data so its top-K is not empty.
+	for i := range narrowE {
+		if narrowDS.X0.At(i, 0) == 1 {
+			narrowE[i] += 1
+		}
+	}
+	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
+	ref := elasticRef(t, cfg, dsPair{narrowDS, narrowE})
+	if len(ref.TopK) == 0 {
+		t.Fatal("the reference top-K is empty; the fixture cannot tell wrong rows from right ones")
+	}
+
+	reg := obs.NewRegistry()
+	w1 := &countingWorker{InProcessWorker: &dist.InProcessWorker{}}
+	w2 := &dist.InProcessWorker{}
+	ec, err := dist.NewElasticCluster(
+		testDialer(map[string]dist.Worker{"w1": w1, "w2": w2}), dist.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+
+	// Job A on the wider dataset leaves partitions under bare keys on both
+	// members; then w1 leaves the view, its process and partitions intact.
+	ec.ApplyView(context.Background(), view(1, fleetMember("w1", 1), fleetMember("w2", 1)))
+	a := cfg
+	a.Evaluator = ec
+	if _, err := runDS(wideDS, wideE, a); err != nil {
+		t.Fatal(err)
+	}
+	ec.ApplyView(context.Background(), view(2, fleetMember("w2", 1)))
+	loadsBefore := w1.loads.Load()
+
+	// Job B on the narrower dataset; w1 rejoins after its first level.
+	b := cfg
+	b.Evaluator = ec
+	rejoined := false
+	b.OnLevel = func(core.LevelStats) {
+		if !rejoined {
+			rejoined = true
+			ec.ApplyView(context.Background(), view(3, fleetMember("w1", 1), fleetMember("w2", 1)))
+		}
+	}
+	got, err := runDS(narrowDS, narrowE, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.TopK, ref.TopK) {
+		t.Fatalf("top-K after an unseeded rejoin differs from the reference:\n got %v\nwant %v", got.TopK, ref.TopK)
+	}
+	if n := reg.Counter("sl_dist_warm_attach_total", "").Value(); n != 0 {
+		t.Fatalf("an unseeded fleet re-attached %d partitions warm by bare key", n)
+	}
+	if w1.loads.Load() == loadsBefore {
+		t.Fatal("the rejoining member was never shipped job B's rows")
 	}
 }
 

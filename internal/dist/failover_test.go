@@ -19,11 +19,11 @@ type flakyWorker struct {
 	dead bool
 }
 
-func (w *flakyWorker) Eval(ctx context.Context, part int, cols [][]int, level, blockSize int) ([]float64, []float64, []float64, error) {
+func (w *flakyWorker) Eval(ctx context.Context, part int, cols [][]int, level int) ([]float64, []float64, []float64, error) {
 	if w.dead {
 		return nil, nil, nil, errors.New("injected worker crash")
 	}
-	return w.InProcessWorker.Eval(ctx, part, cols, level, blockSize)
+	return w.InProcessWorker.Eval(ctx, part, cols, level)
 }
 
 func (w *flakyWorker) Load(ctx context.Context, part int, x *matrix.CSR, e []float64) error {
@@ -125,7 +125,7 @@ type countdownWorker struct {
 	failAfter int
 }
 
-func (w *countdownWorker) Eval(ctx context.Context, part int, cols [][]int, level, blockSize int) ([]float64, []float64, []float64, error) {
+func (w *countdownWorker) Eval(ctx context.Context, part int, cols [][]int, level int) ([]float64, []float64, []float64, error) {
 	w.callMu.Lock()
 	w.calls++
 	crashed := w.calls > w.failAfter
@@ -133,7 +133,7 @@ func (w *countdownWorker) Eval(ctx context.Context, part int, cols [][]int, leve
 	if crashed {
 		return nil, nil, nil, errors.New("injected crash mid-level")
 	}
-	return w.InProcessWorker.Eval(ctx, part, cols, level, blockSize)
+	return w.InProcessWorker.Eval(ctx, part, cols, level)
 }
 
 // TestClusterWorkerDeathMidLevel: a worker crashing in the middle of
@@ -183,8 +183,8 @@ type shortWorker struct {
 	InProcessWorker
 }
 
-func (w *shortWorker) Eval(ctx context.Context, part int, cols [][]int, level, blockSize int) ([]float64, []float64, []float64, error) {
-	ss, se, sm, err := w.InProcessWorker.Eval(ctx, part, cols, level, blockSize)
+func (w *shortWorker) Eval(ctx context.Context, part int, cols [][]int, level int) ([]float64, []float64, []float64, error) {
+	ss, se, sm, err := w.InProcessWorker.Eval(ctx, part, cols, level)
 	if err != nil {
 		return nil, nil, nil, err
 	}

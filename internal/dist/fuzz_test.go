@@ -135,7 +135,6 @@ func FuzzServiceLoad(f *testing.F) {
 		for call := 0; call < 3; call++ {
 			level := 1 + int(in.next()%3)
 			n := int(in.next() % 8)
-			blockSize := int(in.next() % 4)
 			var cands [][]int
 			for s := 0; s < n; s++ {
 				cand := make([]int, level)
@@ -147,7 +146,7 @@ func FuzzServiceLoad(f *testing.F) {
 					cands = append(cands, cand)
 				}
 			}
-			args, err := evalArgs(a.Part, cands, level, blockSize)
+			args, err := evalArgs(a.Part, cands, level)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,15 +165,15 @@ func FuzzServiceLoad(f *testing.F) {
 // arena, and every arena it accepts must evaluate bit for bit to the
 // brute-force count. The partition bytes are FuzzServiceLoad's layout
 // (payload and corruption bits ignored: loadArgs picks the payload); each
-// Eval call then reads a level byte, a candidate count, a block size, a
-// corruption byte and the ids.
+// Eval call then reads a level byte, a candidate count, a corruption byte
+// and the ids.
 func FuzzServiceEval(f *testing.F) {
 	rows := [][]int{{3, 14, 19}, {3, 19}, {14}, {}, {3, 14, 19}, {14, 19}}
 	errs := []byte{12, 5, 16, 7, 3, 8}
 	calls := []byte{
-		1, 3, 1, 0, 3, 14, 19, // level 1: {3}, {14}, {19}
-		2, 3, 0, 0, 3, 14, 3, 19, 14, 19, // level 2
-		3, 1, 2, 0, 3, 14, 19, // level 3
+		1, 3, 0, 3, 14, 19, // level 1: {3}, {14}, {19}
+		2, 3, 0, 3, 14, 3, 19, 14, 19, // level 2
+		3, 1, 0, 3, 14, 19, // level 3
 	}
 	// One seed per kernel loop: CSR ids over 200 columns (the CSR kernel),
 	// over 20 columns with fractional errors (the bitset general loop) and
@@ -184,7 +183,7 @@ func FuzzServiceEval(f *testing.F) {
 	}
 	// One seed per arena corruption.
 	for fault := byte(1); fault < evalFaults; fault++ {
-		f.Add(uint8(len(rows)), uint8(20), uint8(fuzzRawIDs), append(fuzzRows(rows, errs), 2, 3, 0, fault, 3, 14, 3, 19, 14, 19, 1))
+		f.Add(uint8(len(rows)), uint8(20), uint8(fuzzRawIDs), append(fuzzRows(rows, errs), 2, 3, fault, 3, 14, 3, 19, 14, 19, 1))
 	}
 	f.Fuzz(func(t *testing.T, rowsRaw, colsRaw, mode uint8, data []byte) {
 		in := fuzzBytes(data)
@@ -204,7 +203,6 @@ func FuzzServiceEval(f *testing.F) {
 		for call := 0; call < 3; call++ {
 			level := int(in.next() % 4)
 			n := int(in.next() % 8)
-			blockSize := int(in.next() % 4)
 			fault := in.next() % evalFaults
 			var cands [][]int
 			wellFormed := level >= 1
@@ -217,7 +215,7 @@ func FuzzServiceEval(f *testing.F) {
 				wellFormed = wellFormed && checkCands([][]int{cand}, len(cand), a.Cols) == nil
 				cands = append(cands, cand)
 			}
-			args := &EvalArgs{Version: wireVersion, Part: 1, Level: level, BlockSize: blockSize}
+			args := &EvalArgs{Version: wireVersion, Part: 1, Level: level}
 			for _, cand := range cands {
 				args.Cands = appendInt32s(args.Cands, cand)
 			}
@@ -294,7 +292,7 @@ func fuzzSeed(rows [][]int, errs, params []byte, cands [][]int) []byte {
 				}
 			}
 		}
-		out = append(append(out, byte(level-1), byte(n), byte(level)), ids...)
+		out = append(append(out, byte(level-1), byte(n)), ids...)
 	}
 	return out
 }

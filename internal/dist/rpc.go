@@ -191,24 +191,26 @@ type LoadReply struct{}
 // EvalArgs broadcasts one level's slice candidates to a worker as a single
 // arena: Cands holds n × Level little-endian int32 column ids, candidate s
 // at ids [s·Level, (s+1)·Level). Its name differs from the unversioned
-// wire's [][]int Cols for the same reason LoadArgs' fields do.
+// wire's [][]int Cols for the same reason LoadArgs' fields do. Dropping the
+// block size an older driver sent kept version 2: gob skips a field its
+// receiver lacks, and an older worker reads the missing one as 0, the
+// automatic size, which never changes a statistic.
 type EvalArgs struct {
-	Version   int
-	Part      int
-	Level     int
-	BlockSize int
-	Cands     []byte
+	Version int
+	Part    int
+	Level   int
+	Cands   []byte
 }
 
 // evalArgs lays the candidates out in one arena. Each must list level ids:
 // the arena has no per-candidate lengths to carry another width.
-func evalArgs(part int, cols [][]int, level, blockSize int) (*EvalArgs, error) {
+func evalArgs(part int, cols [][]int, level int) (*EvalArgs, error) {
 	for s, cand := range cols {
 		if len(cand) != level {
 			return nil, fmt.Errorf("dist: candidate %d %v has %d columns at level %d", s, cand, len(cand), level)
 		}
 	}
-	a := &EvalArgs{Version: wireVersion, Part: part, Level: level, BlockSize: blockSize,
+	a := &EvalArgs{Version: wireVersion, Part: part, Level: level,
 		Cands: make([]byte, 0, 4*level*len(cols))}
 	for _, cand := range cols {
 		a.Cands = appendInt32s(a.Cands, cand)
@@ -393,7 +395,7 @@ func (s *Service) Eval(args *EvalArgs, reply *EvalReply) error {
 	reply.SE = make([]float64, n)
 	reply.SM = make([]float64, n)
 	start := time.Now()
-	k.Eval(cols, args.Level, args.BlockSize, reply.SS, reply.SE, reply.SM)
+	k.Eval(cols, args.Level, reply.SS, reply.SE, reply.SM)
 	s.ob.evalSecs.Observe(time.Since(start).Seconds())
 	return nil
 }
@@ -855,8 +857,8 @@ func (w *RemoteWorker) Load(ctx context.Context, part int, x *matrix.CSR, e []fl
 }
 
 // Eval implements Worker.
-func (w *RemoteWorker) Eval(ctx context.Context, part int, cols [][]int, level, blockSize int) (ss, se, sm []float64, err error) {
-	args, err := evalArgs(part, cols, level, blockSize)
+func (w *RemoteWorker) Eval(ctx context.Context, part int, cols [][]int, level int) (ss, se, sm []float64, err error) {
+	args, err := evalArgs(part, cols, level)
 	if err != nil {
 		return nil, nil, nil, err
 	}

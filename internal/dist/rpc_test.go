@@ -202,7 +202,7 @@ func TestServerShutdownGraceful(t *testing.T) {
 
 	evalErr := make(chan error, 1)
 	go func() {
-		_, _, _, err := w.Eval(context.Background(), 0, [][]int{{0}, {1}, {0}, {1}}, 1, 0)
+		_, _, _, err := w.Eval(context.Background(), 0, [][]int{{0}, {1}, {0}, {1}}, 1)
 		evalErr <- err
 	}()
 	time.Sleep(2 * time.Millisecond) // let the call reach the server
@@ -334,7 +334,7 @@ func TestServiceRejectsMalformedCalls(t *testing.T) {
 		// The arena carries no per-candidate lengths, so the driver refuses
 		// to lay out a candidate whose width is not Level: the kernels read
 		// such a candidate differently.
-		if _, err := evalArgs(7, [][]int{{0}, {0, 1}}, 1, 0); err == nil {
+		if _, err := evalArgs(7, [][]int{{0}, {0, 1}}, 1); err == nil {
 			t.Error("evalArgs laid out a 2-column candidate at Level 1")
 		}
 
@@ -345,7 +345,7 @@ func TestServiceRejectsMalformedCalls(t *testing.T) {
 			{[][]int{{0}, {1}}, []float64{2, 3}, []float64{2, 1.5}, []float64{1, 1}},
 			{[][]int{{0, 1}}, []float64{1}, []float64{1}, []float64{1}},
 		} {
-			args, err := evalArgs(7, tc.cols, len(tc.cols[0]), 0)
+			args, err := evalArgs(7, tc.cols, len(tc.cols[0]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,13 +409,80 @@ func TestServiceRefusesOtherWireVersions(t *testing.T) {
 	if err := svc.Load(loadArgs(3, x, []float64{1, 0}), &LoadReply{}); err != nil {
 		t.Fatal(err)
 	}
-	eval, err := evalArgs(3, [][]int{{0}}, 1, 0)
+	eval, err := evalArgs(3, [][]int{{0}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eval.Version = wireVersion + 1
 	if err := svc.Eval(eval, &EvalReply{}); !versionErr(err, wireVersion+1) {
 		t.Fatalf("newer Eval: err %v, want a version refusal", err)
+	}
+}
+
+// blockSizeEvalArgs is version 2's Eval message as drivers that still sent
+// a CSR block size shipped it.
+type blockSizeEvalArgs struct {
+	Version, Part, Level, BlockSize int
+	Cands                           []byte
+}
+
+// TestEvalArgsWithoutBlockSizeKeepsVersion: dropping the block size left
+// the Eval message at version 2, because gob skips a field its receiver
+// lacks. An older driver's message, block size set, decodes on this worker
+// and evaluates to the same bits as this driver's; this driver's message
+// decodes on an older worker with block size 0, the automatic size.
+func TestEvalArgsWithoutBlockSizeKeepsVersion(t *testing.T) {
+	// 200 columns over 6 rows with fractional errors: the CSR kernel, the
+	// only one that read a block size.
+	x := matrix.CSRFromTriples(6, 200, []matrix.Triple{
+		{Row: 0, Col: 3}, {Row: 0, Col: 14}, {Row: 1, Col: 3}, {Row: 1, Col: 90},
+		{Row: 2, Col: 14}, {Row: 3, Col: 3}, {Row: 3, Col: 14}, {Row: 3, Col: 90},
+		{Row: 4, Col: 14}, {Row: 4, Col: 90}, {Row: 5, Col: 3},
+	})
+	e := []float64{0.5, 0.25, 1, 0.75, 0.125, 0}
+	if core.NewKernel(x, e, nil).UsesBitset() {
+		t.Fatal("the partition takes the bitset kernel; the test needs the CSR kernel")
+	}
+	var svc Service
+	if err := svc.Load(loadArgs(3, x, e), &LoadReply{}); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := evalArgs(3, [][]int{{3, 14}, {3, 90}, {14, 90}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want EvalReply
+	if err := svc.Eval(cur, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	old := blockSizeEvalArgs{Version: cur.Version, Part: cur.Part, Level: cur.Level, BlockSize: 64, Cands: cur.Cands}
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	var got EvalArgs
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatalf("an older driver's Eval does not decode: %v", err)
+	}
+	var reply EvalReply
+	if err := svc.Eval(&got, &reply); err != nil {
+		t.Fatalf("an older driver's Eval is refused: %v", err)
+	}
+	if !reflect.DeepEqual(reply, want) {
+		t.Fatalf("an older driver's Eval returned %+v, this driver's %+v", reply, want)
+	}
+
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(cur); err != nil {
+		t.Fatal(err)
+	}
+	var back blockSizeEvalArgs
+	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+		t.Fatalf("this driver's Eval does not decode on an older worker: %v", err)
+	}
+	if want := (blockSizeEvalArgs{Version: wireVersion, Part: 3, Level: 2, Cands: cur.Cands}); !reflect.DeepEqual(back, want) {
+		t.Fatalf("this driver's Eval decoded on an older worker as %+v, want %+v", back, want)
 	}
 }
 
@@ -555,7 +622,7 @@ func TestEvalWireAllocsFlat(t *testing.T) {
 				cands = append(cands, []int{a, b})
 			}
 		}
-		args, err := evalArgs(0, cands, 2, 0)
+		args, err := evalArgs(0, cands, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,11 +2,8 @@ package dist
 
 import (
 	"context"
-	"math/rand"
-	"reflect"
 	"testing"
 
-	"sliceline/internal/core"
 	"sliceline/internal/matrix"
 )
 
@@ -21,13 +18,13 @@ func TestClusterEvalBeforeSetup(t *testing.T) {
 }
 
 // inProcessCluster builds a Dist-PFor cluster of n in-process workers.
-func inProcessCluster(t *testing.T, n, blockSize int) *Cluster {
+func inProcessCluster(t *testing.T, n int) *Cluster {
 	t.Helper()
 	workers := make([]Worker, n)
 	for i := range workers {
 		workers[i] = &InProcessWorker{}
 	}
-	cl, err := NewClusterOpts(workers, Options{BlockSize: blockSize})
+	cl, err := NewClusterOpts(workers, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +53,7 @@ func TestClusterPartitioningBalanced(t *testing.T) {
 		{10, 3}, {11, 3}, {12, 3}, {7, 7}, {3, 5}, {1, 4}, {0, 3}, {100, 7},
 	}
 	for _, tc := range cases {
-		cl := inProcessCluster(t, tc.workers, 0)
+		cl := inProcessCluster(t, tc.workers)
 		x, e := oneHot(tc.rows)
 		if err := cl.Setup(context.Background(), x, e); err != nil {
 			t.Fatalf("rows=%d workers=%d: Setup: %v", tc.rows, tc.workers, err)
@@ -97,7 +94,7 @@ func TestClusterPartitioningBalanced(t *testing.T) {
 // TestClusterFewerRowsThanWorkers: with n < workers only n workers receive a
 // partition, yet Eval still aggregates every row exactly.
 func TestClusterFewerRowsThanWorkers(t *testing.T) {
-	cl := inProcessCluster(t, 5, 0)
+	cl := inProcessCluster(t, 5)
 	x, e := oneHot(3) // rows hit columns 0,1,0
 	if err := cl.Setup(context.Background(), x, e); err != nil {
 		t.Fatal(err)
@@ -114,7 +111,7 @@ func TestClusterFewerRowsThanWorkers(t *testing.T) {
 // TestClusterZeroRows: an empty dataset is degenerate but must not crash —
 // no partitions are shipped and every statistic is zero.
 func TestClusterZeroRows(t *testing.T) {
-	cl := inProcessCluster(t, 3, 0)
+	cl := inProcessCluster(t, 3)
 	x, e := oneHot(0)
 	if err := cl.Setup(context.Background(), x, e); err != nil {
 		t.Fatal(err)
@@ -132,7 +129,7 @@ func TestClusterZeroRows(t *testing.T) {
 
 // TestClusterSingleRow: one row, many workers.
 func TestClusterSingleRow(t *testing.T) {
-	cl := inProcessCluster(t, 4, 0)
+	cl := inProcessCluster(t, 4)
 	x, e := oneHot(1)
 	if err := cl.Setup(context.Background(), x, e); err != nil {
 		t.Fatal(err)
@@ -143,38 +140,5 @@ func TestClusterSingleRow(t *testing.T) {
 	}
 	if ss[0] != 1 || ss[1] != 0 || se[0] != 1 || se[1] != 0 {
 		t.Fatalf("ss=%v se=%v, want [1 0] each", ss, se)
-	}
-}
-
-// TestStrategiesBlockSizeExceedsCandidates: a block size far larger than the
-// candidate count must degrade to a single block — on the built-in local plan
-// (MT-PFor) and on Dist-PFor — and still match the builtin plan at its
-// automatic block size.
-func TestStrategiesBlockSizeExceedsCandidates(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	ds, e := randomDataset(rng, 200, 3, 3)
-	cfg := core.Config{K: 4, Sigma: 3, Alpha: 0.9}
-	ref, err := runDS(ds, e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const huge = 1 << 20
-	local := cfg
-	local.BlockSize = huge
-	got, err := runDS(ds, e, local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.TopK, ref.TopK) {
-		t.Fatalf("MT-PFor with oversized block: top-K %v differs from builtin %v", got.TopK, ref.TopK)
-	}
-	clustered := cfg
-	clustered.Evaluator = inProcessCluster(t, 3, huge)
-	got, err = runDS(ds, e, clustered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalScores(scores(got.TopK), scores(ref.TopK)) {
-		t.Fatalf("Dist-PFor with oversized block: scores %v differ from builtin %v", scores(got.TopK), scores(ref.TopK))
 	}
 }

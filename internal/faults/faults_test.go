@@ -76,11 +76,11 @@ func TestExplicitScheduleFaults(t *testing.T) {
 		if err := load(w); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := w.Eval(ctx, 0, cols, 1, 0); !errors.Is(err, ErrInjected) {
+		if _, _, _, err := w.Eval(ctx, 0, cols, 1); !errors.Is(err, ErrInjected) {
 			t.Fatalf("want ErrInjected, got %v", err)
 		}
 		// The next call is fault-free.
-		ss, _, _, err := w.Eval(ctx, 0, cols, 1, 0)
+		ss, _, _, err := w.Eval(ctx, 0, cols, 1)
 		if err != nil || ss[0] != 2 {
 			t.Fatalf("recovery call: ss=%v err=%v", ss, err)
 		}
@@ -94,7 +94,7 @@ func TestExplicitScheduleFaults(t *testing.T) {
 		}
 		// The load executed despite the reported crash: Eval on the inner
 		// worker succeeds without a reload.
-		if _, _, _, err := inner.Eval(ctx, 0, cols, 1, 0); err != nil {
+		if _, _, _, err := inner.Eval(ctx, 0, cols, 1); err != nil {
 			t.Fatalf("partition was not actually loaded: %v", err)
 		}
 	})
@@ -104,7 +104,7 @@ func TestExplicitScheduleFaults(t *testing.T) {
 		if err := load(w); err != nil {
 			t.Fatal(err)
 		}
-		ss, _, _, err := w.Eval(ctx, 0, cols, 1, 0)
+		ss, _, _, err := w.Eval(ctx, 0, cols, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestExplicitScheduleFaults(t *testing.T) {
 		if err := load(w); err != nil {
 			t.Fatal(err)
 		}
-		ss, se, _, err := w.Eval(ctx, 0, cols, 1, 0)
+		ss, se, _, err := w.Eval(ctx, 0, cols, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestExplicitScheduleFaults(t *testing.T) {
 		hctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 		defer cancel()
 		start := time.Now()
-		_, _, _, err := w.Eval(hctx, 0, cols, 1, 0)
+		_, _, _, err := w.Eval(hctx, 0, cols, 1)
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("want DeadlineExceeded, got %v", err)
 		}
@@ -150,7 +150,7 @@ func TestExplicitScheduleFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		if _, _, _, err := w.Eval(ctx, 0, cols, 1, 0); err != nil {
+		if _, _, _, err := w.Eval(ctx, 0, cols, 1); err != nil {
 			t.Fatal(err)
 		}
 		if time.Since(start) < 25*time.Millisecond {
@@ -178,7 +178,7 @@ func TestCallCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, _, err := w.Eval(ctx, 0, [][]int{{0}}, 1, 0); err != nil {
+		if _, _, _, err := w.Eval(ctx, 0, [][]int{{0}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

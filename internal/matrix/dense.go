@@ -16,7 +16,6 @@ package matrix
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -108,19 +107,6 @@ func (d *Dense) Equal(o *Dense) bool {
 	}
 	for i, v := range d.data {
 		if v != o.data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// EqualApprox reports whether d and o agree element-wise within tol.
-func (d *Dense) EqualApprox(o *Dense, tol float64) bool {
-	if d.rows != o.rows || d.cols != o.cols {
-		return false
-	}
-	for i, v := range d.data {
-		if math.Abs(v-o.data[i]) > tol {
 			return false
 		}
 	}

@@ -122,14 +122,14 @@ func TestSelectRowsCols(t *testing.T) {
 func TestEqualApprox(t *testing.T) {
 	a := NewDenseData(1, 2, []float64{1, 2})
 	b := NewDenseData(1, 2, []float64{1.0000001, 2})
-	if !a.EqualApprox(b, 1e-6) {
-		t.Error("EqualApprox(1e-6) = false, want true")
+	if !equalApprox(a, b, 1e-6) {
+		t.Error("equalApprox(1e-6) = false, want true")
 	}
-	if a.EqualApprox(b, 1e-9) {
-		t.Error("EqualApprox(1e-9) = true, want false")
+	if equalApprox(a, b, 1e-9) {
+		t.Error("equalApprox(1e-9) = true, want false")
 	}
-	if a.EqualApprox(NewDense(2, 1), 1) {
-		t.Error("EqualApprox with shape mismatch = true, want false")
+	if equalApprox(a, NewDense(2, 1), 1) {
+		t.Error("equalApprox with shape mismatch = true, want false")
 	}
 }
 

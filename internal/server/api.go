@@ -37,9 +37,7 @@ type JobConfig struct {
 	Sigma                 int     `json:"sigma,omitempty"`
 	Alpha                 float64 `json:"alpha,omitempty"`
 	MaxLevel              int     `json:"max_level,omitempty"`
-	BlockSize             int     `json:"block_size,omitempty"`
 	MaxCandidatesPerLevel int     `json:"max_candidates_per_level,omitempty"`
-	PriorityEnumeration   bool    `json:"priority,omitempty"`
 	// Significance is the Benjamini-Hochberg FDR level behind each result
 	// slice's "significant" marker; 0 selects the library default (0.05).
 	// Must be in [0, 1).
@@ -53,9 +51,7 @@ func (jc JobConfig) ToCore() core.Config {
 		Sigma:                 jc.Sigma,
 		Alpha:                 jc.Alpha,
 		MaxLevel:              jc.MaxLevel,
-		BlockSize:             jc.BlockSize,
 		MaxCandidatesPerLevel: jc.MaxCandidatesPerLevel,
-		PriorityEnumeration:   jc.PriorityEnumeration,
 		Significance:          jc.Significance,
 	}
 }
@@ -184,10 +180,6 @@ func (s JobSpec) validate() error {
 		}
 		if s.Window != nil {
 			return fmt.Errorf("%w: monitor jobs track the full dataset; window is not supported", ErrBadJobSpec)
-		}
-		// The incremental evaluator owns the execution plan.
-		if s.Config.PriorityEnumeration {
-			return fmt.Errorf("%w: monitor jobs cannot use priority evaluation", ErrBadJobSpec)
 		}
 	case ModeAnytime:
 		if s.SpecVersion < 2 {

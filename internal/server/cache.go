@@ -13,11 +13,11 @@ import (
 // Results, so the cache keys on it explicitly; likewise the job mode, the
 // baseline dataset signature (diff jobs) and the resolved significance level
 // (it flips per-slice Significant markers) are outside the core signature
-// but result-affecting, so they key explicitly too. Execution-plan fields
-// (BlockSize, evaluator, PriorityEnumeration-chunking) are equivalent by
-// design: a cached local result satisfies an identical distributed
-// submission. Local plans are bit-identical; only the row-partitioned
-// distributed evaluator may differ in the last ULPs of summed statistics. Anytime results never enter the cache at all — they
+// but result-affecting, so they key explicitly too. The evaluator is an
+// execution plan and equivalent by design: a cached local result satisfies
+// an identical distributed submission. Local plans are bit-identical; only
+// the row-partitioned distributed evaluator may differ in the last ULPs of
+// summed statistics. Anytime results never enter the cache at all — they
 // depend on wall-clock budgets.
 type cacheKey struct {
 	dataSig  uint64

@@ -111,16 +111,15 @@ func TestEndToEnd(t *testing.T) {
 	rows := entry.DS.NumRows()
 
 	// Six job specs: four local, two distributed. Their result-affecting
-	// configs are pairwise distinct (evaluator and BlockSize are outside
-	// the cache key by design), so no submission is answered by another's
-	// cache entry.
+	// configs are pairwise distinct (the evaluator is outside the cache key
+	// by design), so no submission is answered by another's cache entry.
 	specs := []JobSpec{
 		{Dataset: info.ID, Evaluator: EvalLocal, Config: JobConfig{K: 4, Sigma: 3}},
 		{Dataset: info.ID, Evaluator: EvalLocal, Config: JobConfig{K: 6, Sigma: 2, MaxLevel: 2}},
 		{Dataset: info.ID, Evaluator: EvalLocal, Config: JobConfig{K: 3, Sigma: 4, Alpha: 0.9}},
-		{Dataset: info.ID, Evaluator: EvalLocal, Config: JobConfig{K: 5, Sigma: 3, PriorityEnumeration: true}},
-		{Dataset: info.ID, Evaluator: EvalDist, Config: JobConfig{K: 4, Sigma: 2, BlockSize: 8}},
-		{Dataset: info.ID, Evaluator: EvalDist, Config: JobConfig{K: 5, Sigma: 2, MaxLevel: 2, BlockSize: 8}},
+		{Dataset: info.ID, Evaluator: EvalLocal, Config: JobConfig{K: 5, Sigma: 3}},
+		{Dataset: info.ID, Evaluator: EvalDist, Config: JobConfig{K: 4, Sigma: 2}},
+		{Dataset: info.ID, Evaluator: EvalDist, Config: JobConfig{K: 5, Sigma: 2, MaxLevel: 2}},
 	}
 
 	// Submit all jobs concurrently.
@@ -182,7 +181,7 @@ func TestEndToEnd(t *testing.T) {
 	for i, spec := range specs {
 		cfg := spec.Config.ToCore().WithDefaults(rows)
 		if spec.Evaluator == EvalDist {
-			cluster, err := dist.DialCluster(workers, dist.Options{BlockSize: cfg.BlockSize})
+			cluster, err := dist.DialCluster(workers, dist.Options{})
 			if err != nil {
 				t.Fatalf("reference cluster: %v", err)
 			}

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"time"
 
 	"sliceline/internal/core"
 	"sliceline/internal/dist"
+	"sliceline/internal/matrix"
 	"sliceline/internal/obs"
 )
 
@@ -418,11 +420,34 @@ func (s *Server) worker() {
 func (s *Server) runOne(j *job) {
 	s.ob.inflight.Add(1)
 	start := time.Now()
-	res, err := s.runJob(j.ctx, j)
+	res, err := func() (res *core.Result, err error) {
+		defer s.recoverJob(j, &err)
+		return s.runJob(j.ctx, j)
+	}()
 	s.ob.inflight.Add(-1)
 	s.ob.jobSecs.Observe(time.Since(start).Seconds())
 	j.cancel()
 	s.finishJob(j, res, err)
+}
+
+// recoverJob, deferred around a job's run, turns a panic into the job's
+// error, so the job fails alone and the server keeps serving. The error is
+// "internal error: <value>"; the stack goes to the log, and
+// sl_server_jobs_panicked_total counts the panic. A kernel shard's panic,
+// which matrix.ParallelFor re-raises as a *matrix.WorkerPanic, reports the
+// shard's value and stack.
+func (s *Server) recoverJob(j *job, err *error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	stack := debug.Stack()
+	if wp, ok := v.(*matrix.WorkerPanic); ok {
+		v, stack = wp.Value, wp.Stack
+	}
+	s.ob.panicked.Inc()
+	log.Printf("server: job %s panicked: %v\n%s", j.id, v, stack)
+	*err = fmt.Errorf("internal error: %v", v)
 }
 
 // finishJob journals a job's terminal state, then records it and feeds the

@@ -114,10 +114,11 @@ func TestJournalRestartResumesUnfinishedJobs(t *testing.T) {
 }
 
 // TestJournalRestoresLegacyJobConfig: a job record journaled before the
-// dense and bitset kernel knobs were retired still restores and completes —
-// gob drops the fields the current JobConfig no longer has.
+// dense and bitset kernel knobs, the block size and priority enumeration
+// were retired still restores and completes — gob drops the fields the
+// current JobConfig no longer has.
 func TestJournalRestoresLegacyJobConfig(t *testing.T) {
-	// The JobSpec shape of those records, with the two retired fields.
+	// The JobSpec shape of those records, with the four retired fields.
 	type legacyJobConfig struct {
 		K, Sigma              int
 		Alpha                 float64
@@ -152,7 +153,7 @@ func TestJournalRestoresLegacyJobConfig(t *testing.T) {
 		ID:      "job-3",
 		Spec: legacyJobSpec{
 			Dataset: info.ID,
-			Config:  legacyJobConfig{K: 4, Sigma: 3, DenseEval: true, Bitset: "on"},
+			Config:  legacyJobConfig{K: 4, Sigma: 3, BlockSize: 8, PriorityEnumeration: true, DenseEval: true, Bitset: "on"},
 		},
 		Status: string(jobRunning),
 	}

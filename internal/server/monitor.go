@@ -68,7 +68,10 @@ func (s *Server) runMonitor(j *job) {
 	snap := j.snap
 	j.release()
 	for {
-		res, err := inc.Run(j.ctx, snap.Enc, snap.DS.Features, snap.ErrVec)
+		res, err := func() (res *core.Result, err error) {
+			defer s.recoverJob(j, &err)
+			return inc.Run(j.ctx, snap.Enc, snap.DS.Features, snap.ErrVec)
+		}()
 		if err != nil {
 			s.finishJob(j, nil, err)
 			return

@@ -12,6 +12,7 @@ type serverObs struct {
 	rejected    *obs.Counter
 	done        *obs.Counter
 	failed      *obs.Counter
+	panicked    *obs.Counter
 	cancelled   *obs.Counter
 	cacheHits   *obs.Counter
 	cacheMiss   *obs.Counter
@@ -34,6 +35,7 @@ func newServerObs(r *obs.Registry) serverObs {
 		rejected:  r.Counter("sl_server_jobs_rejected_total", "Jobs rejected by admission control (HTTP 429)."),
 		done:      r.Counter("sl_server_jobs_done_total", "Jobs completed successfully."),
 		failed:    r.Counter("sl_server_jobs_failed_total", "Jobs that ended in an error."),
+		panicked:  r.Counter("sl_server_jobs_panicked_total", "Jobs whose run panicked; each also ends failed."),
 		cancelled: r.Counter("sl_server_jobs_cancelled_total", "Jobs cancelled via DELETE or shutdown."),
 		cacheHits: r.Counter("sl_server_cache_hits_total", "Submissions served from the result cache without re-enumeration."),
 		cacheMiss: r.Counter("sl_server_cache_misses_total", "Submissions that required a fresh enumeration."),

@@ -12,10 +12,12 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sliceline/internal/core"
+	"sliceline/internal/matrix"
 	"sliceline/internal/obs"
 )
 
@@ -250,8 +252,9 @@ func TestSubmitValidation(t *testing.T) {
 	if _, code, _ := postJob(t, ts, `{"dataset":"`+info.ID+`","surprise":1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", code)
 	}
-	// The retired kernel knobs are unknown fields now, not silently ignored.
-	for _, knob := range []string{`"bitset":"on"`, `"dense":true`} {
+	// The retired kernel and plan knobs are unknown fields now, not
+	// silently ignored.
+	for _, knob := range []string{`"bitset":"on"`, `"dense":true`, `"block_size":16`, `"priority":true`} {
 		body := `{"dataset":"` + info.ID + `","config":{` + knob + `}}`
 		if _, err := DecodeJobSpec(strings.NewReader(body)); !errors.Is(err, ErrBadJobSpec) || !strings.Contains(err.Error(), "unknown field") {
 			t.Errorf("config {%s}: DecodeJobSpec error %v, want an unknown-field ErrBadJobSpec", knob, err)
@@ -468,5 +471,55 @@ func TestJobListOmitsResults(t *testing.T) {
 	}
 	if full := getJob(t, ts, j.ID); full.Result == nil {
 		t.Error("single-job view misses the result")
+	}
+}
+
+// TestPanickingJobFailsAlone: a job whose run panics inside a kernel shard
+// ends failed with the panic's value and no stack, the panic is counted, the
+// in-flight gauge returns to zero, and the next job on the same server
+// completes.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	defer matrix.SetMaxWorkers(matrix.SetMaxWorkers(2)) // ParallelFor runs shards on goroutines
+	reg := obs.NewRegistry()
+	s, ts := newTestServer(t, Config{Pool: 1, Metrics: reg})
+	runReal := s.runJob
+	var calls atomic.Int32
+	s.runJob = func(ctx context.Context, j *job) (*core.Result, error) {
+		if calls.Add(1) == 1 {
+			matrix.ParallelFor(2, func(lo, hi int) {
+				if lo > 0 {
+					panic("shard boom")
+				}
+			})
+		}
+		return runReal(ctx, j)
+	}
+	info, code := registerCSV(t, ts, testCSV(40), "err=err")
+	if code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	spec := JobSpec{Dataset: info.ID, Config: JobConfig{K: 4, Sigma: 3}}
+
+	first, code, body := postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("first job: status %d (%s)", code, body)
+	}
+	got := waitJob(t, ts, first.ID, 30*time.Second)
+	if got.Status != string(jobFailed) || got.Error != "internal error: shard boom" {
+		t.Fatalf("panicking job: status %q, error %q; want failed with %q", got.Status, got.Error, "internal error: shard boom")
+	}
+	if v := reg.Counter("sl_server_jobs_panicked_total", "").Value(); v != 1 {
+		t.Errorf("sl_server_jobs_panicked_total = %d, want 1", v)
+	}
+	if v := reg.Gauge("sl_server_inflight_jobs", "").Value(); v != 0 {
+		t.Errorf("sl_server_inflight_jobs = %v after the panic, want 0", v)
+	}
+
+	next, code, body := postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("next job: status %d (%s)", code, body)
+	}
+	if got := waitJob(t, ts, next.ID, 30*time.Second); got.Status != string(jobDone) {
+		t.Fatalf("next job after the panic: status %q (%s), want done", got.Status, got.Error)
 	}
 }

@@ -39,8 +39,8 @@ import (
 
 // Re-exported core types. See the internal/core documentation for details.
 type (
-	// Config holds the SliceLine parameters (K, Sigma, Alpha, MaxLevel,
-	// BlockSize) and advanced switches.
+	// Config holds the SliceLine parameters (K, Sigma, Alpha, MaxLevel) and
+	// advanced switches.
 	Config = core.Config
 	// Result is the outcome of a run: the top-K slices plus per-level
 	// enumeration statistics.
