@@ -97,7 +97,8 @@ func (c *checkpointer) save(lvl int, tk *topK, frontier *level, res *Result) err
 
 // load restores a checkpoint into the run's top-K and frontier, returning the
 // last completed level, or 0 when no checkpoint file exists (fresh start).
-// A checkpoint written for different data or configuration is an error.
+// A file it refuses — undecodable, another version, another signature or an
+// invalid level — is an error wrapping ErrBadCheckpoint.
 func (c *checkpointer) load(tk *topK, frontier *level, res *Result) (int, error) {
 	f, err := os.Open(c.path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -109,16 +110,16 @@ func (c *checkpointer) load(tk *topK, frontier *level, res *Result) (int, error)
 	defer f.Close()
 	var st checkpointState
 	if err := gob.NewDecoder(f).Decode(&st); err != nil {
-		return 0, fmt.Errorf("core: decoding checkpoint %s: %w", c.path, err)
+		return 0, fmt.Errorf("core: decoding checkpoint %s: %w: %w", c.path, err, ErrBadCheckpoint)
 	}
 	if st.Version != checkpointVersion {
-		return 0, fmt.Errorf("core: checkpoint %s has version %d, this build writes %d", c.path, st.Version, checkpointVersion)
+		return 0, fmt.Errorf("core: checkpoint %s has version %d, this build writes %d: %w", c.path, st.Version, checkpointVersion, ErrBadCheckpoint)
 	}
 	if st.Sig != c.sig {
-		return 0, fmt.Errorf("core: checkpoint %s was written for different data or configuration (signature %x vs %x); refusing to resume", c.path, st.Sig, c.sig)
+		return 0, fmt.Errorf("core: checkpoint %s was written for different data or configuration (signature %x vs %x); refusing to resume: %w", c.path, st.Sig, c.sig, ErrBadCheckpoint)
 	}
 	if st.Level < 1 {
-		return 0, fmt.Errorf("core: checkpoint %s has invalid level %d", c.path, st.Level)
+		return 0, fmt.Errorf("core: checkpoint %s has invalid level %d: %w", c.path, st.Level, ErrBadCheckpoint)
 	}
 	tk.entries = tk.entries[:0]
 	for _, e := range st.TopK {

@@ -2,14 +2,17 @@ package core
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sliceline/internal/frame"
+	"sliceline/internal/matrix"
 )
 
 // TestCheckpointResumeByteIdentical: a run killed between levels and resumed
@@ -127,16 +130,16 @@ func TestCheckpointSignatureMismatch(t *testing.T) {
 		e2[0] += 0.5
 		r := cfg
 		r.Resume = true
-		if _, err := runDS(ds, e2, nil, r); err == nil {
-			t.Fatal("expected signature mismatch for different error vector")
+		if _, err := runDS(ds, e2, nil, r); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("different error vector: got %v, want a signature mismatch wrapping ErrBadCheckpoint", err)
 		}
 	})
 	t.Run("different-config", func(t *testing.T) {
 		r := cfg
 		r.Resume = true
 		r.Alpha = 0.5
-		if _, err := runDS(ds, e, nil, r); err == nil {
-			t.Fatal("expected signature mismatch for different alpha")
+		if _, err := runDS(ds, e, nil, r); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("different alpha: got %v, want a signature mismatch wrapping ErrBadCheckpoint", err)
 		}
 	})
 }
@@ -198,8 +201,63 @@ func TestCheckpointCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, CheckpointPath: path, Resume: true}
-	if _, err := runDS(ds, e, nil, cfg); err == nil {
-		t.Fatal("expected error decoding corrupt checkpoint")
+	if _, err := runDS(ds, e, nil, cfg); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("corrupt checkpoint: got %v, want a decoding error wrapping ErrBadCheckpoint", err)
+	}
+}
+
+// setupCounter is an ExternalEvaluator that only counts Setup calls.
+type setupCounter struct{ setups int }
+
+func (s *setupCounter) Setup(context.Context, *matrix.CSR, []float64) error {
+	s.setups++
+	return nil
+}
+
+func (s *setupCounter) Eval(context.Context, [][]int, int) ([]float64, []float64, []float64, error) {
+	return nil, nil, nil, errors.New("setupCounter does not evaluate")
+}
+
+// TestCheckpointRefusalsWrapSentinel: a checkpoint of another version or
+// with an invalid level is refused with ErrBadCheckpoint too, so a caller
+// can tell every refusal (drop the file and run from level 1) from an I/O
+// failure. The refusal comes before any level is reported and before an
+// external evaluator is set up, so such a rerun repeats no side effect.
+func TestCheckpointRefusalsWrapSentinel(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	ds, e := randomDataset(rng, 300, 4, 3)
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, Resume: true}
+	sig := Signature(enc, e, nil, cfg.WithDefaults(len(e)))
+	for _, tc := range []struct {
+		st   checkpointState
+		want string
+	}{
+		{checkpointState{Version: checkpointVersion + 1, Sig: sig, Level: 1}, "this build writes"},
+		{checkpointState{Version: checkpointVersion, Sig: sig, Level: 0}, "invalid level"},
+	} {
+		st := tc.st
+		cfg.CheckpointPath = filepath.Join(t.TempDir(), "ck.gob")
+		f, err := os.Create(cfg.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(f).Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		levels, ev := 0, &setupCounter{}
+		cfg.OnLevel = func(LevelStats) { levels++ }
+		cfg.Evaluator = ev
+		if _, err := Run(context.Background(), enc, ds.Features, e, nil, cfg); !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("version %d, level %d: got %v, want %q wrapping ErrBadCheckpoint", st.Version, st.Level, err, tc.want)
+		}
+		if levels != 0 || ev.setups != 0 {
+			t.Errorf("version %d, level %d: %d levels reported and %d evaluator set-ups before the refusal, want 0 and 0", st.Version, st.Level, levels, ev.setups)
+		}
 	}
 }
 

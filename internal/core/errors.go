@@ -41,6 +41,11 @@ var (
 	// two enumerations would share one checkpoint file, so diff runs do not
 	// checkpoint.
 	ErrDiffCheckpoint = errors.New("diff runs do not support checkpoints")
+	// ErrBadCheckpoint marks a checkpoint file a resumed run refuses: it
+	// does not decode, has another checkpoint version or an invalid level,
+	// or was written for other data or configuration. Dropping the file and
+	// running from level 1 gives the same result.
+	ErrBadCheckpoint = errors.New("checkpoint cannot resume this run")
 )
 
 // CheckValues applies the input rule shared by error vectors and row

@@ -79,7 +79,7 @@ func (st *state) evalSlices(ctx context.Context, lv *level, L int) error {
 		// Kernel selection by density: packed-bitset AND+popcount when the
 		// reduced columns are dense enough, the fused CSR kernel otherwise;
 		// 0/1 errors and weights take the bitset kernel's binary layout. The
-		// packing happens once, on the first level.
+		// packing happened once, at init.
 		sp.SetStr("backend", st.kernel.Backend())
 		sp.SetBool("binary", st.kernel.Binary())
 		st.kernel.Eval(lv.cols, L, lv.ss, lv.se, lv.sm)

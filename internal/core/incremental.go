@@ -134,12 +134,15 @@ type IncrementalStats struct {
 // The maintained result is bit-identical to a from-scratch Run over the
 // same generation. The mechanism: level-1 statistics, the σ-filter, scoring
 // and the pruning/enumeration control flow are recomputed from scratch each
-// generation through the exact same code path as a batch run — they are
-// O(nnz) and O(candidates), cheap — while the expensive part, the
-// per-candidate row scans of levels >= 2, is memoized. A candidate evaluated
-// at a prior generation scans only the appended rows, seeded with its stored
-// statistics; sequential-continuation accumulation makes that bit-identical
-// to a full scan. Lattice regions whose parents stay pruned are never
+// generation through the exact same code path as a batch run — level 1
+// from popcounts of the memo's own full-width bits on 0/1 errors over a
+// dense width and by the O(nnz) row pass otherwise, neither touching the
+// memo's entries nor packing a second copy; the rest is O(candidates),
+// cheap — while the expensive part, the per-candidate row scans of levels
+// >= 2, is memoized. A candidate evaluated at a prior generation scans only
+// the appended rows, seeded with its stored statistics;
+// sequential-continuation accumulation makes that bit-identical to a full
+// scan. Lattice regions whose parents stay pruned are never
 // scanned at all; a region whose parent statistics move past a stored
 // pruning bound re-enters enumeration automatically (the control flow
 // re-runs every generation) and resumes from whatever scan state the memo

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sync"
+	"slices"
 
 	"sliceline/internal/matrix"
 )
@@ -25,29 +25,47 @@ import (
 // Binary counts are integers, which float64 adds exactly in any order, so the
 // layout returns the bits of the row-ordered loops.
 //
-// The packing happens at most once per Kernel, on its first bitset
-// evaluation, and is shared by all subsequent levels — the pack cost is
-// O(nnz + rows·cols/64) against per-level scans it saves. A Kernel is safe
+// The bitset path packs its columns once, when the Kernel is built, and
+// every level reads that packing — the pack cost is O(nnz + rows·cols/64)
+// against per-level scans it saves. core.Run builds one Kernel over the full
+// one-hot width, evaluates the basic slices through it (evalBasic) and then
+// narrows it to the columns that clear σ in place (narrow). A Kernel is safe
 // for concurrent Eval calls on disjoint output slices.
 type Kernel struct {
 	x    *matrix.CSR // nil for a Kernel over packed columns
 	e, w []float64
 
-	bitset   bool // density heuristic, fixed at construction
-	binary   bool // bitset with 0/1 errors and weights, fixed at construction
-	packOnce sync.Once
-	bits     *matrix.ColumnBits // row order, or the binary layout of a binary Kernel
-	errRows  int                // binary layout: rows [0, errRows) of bits erred
+	bitset  bool               // density heuristic, decided at construction and by narrow
+	binary  bool               // bitset with 0/1 errors and weights
+	bits    *matrix.ColumnBits // bitset path: row order, or the binary layout of a binary Kernel
+	errRows int                // binary layout: rows [0, errRows) of bits erred
 }
 
 // NewKernel wraps a partition (one-hot matrix, error vector, optional row
 // weights), selecting the kernel by the matrix's column density and the
-// binary layout by the error and weight values. The layout places every row
-// by its error and weight, so it needs one of each per row.
+// binary layout by the error and weight values, and packs the columns when
+// it selects the bitset path. The layout places every row by its error and
+// weight, so it needs one of each per row.
 func NewKernel(x *matrix.CSR, e, w []float64) *Kernel {
-	bitset := bitsetProfitable(x)
-	perRow := len(e) == x.Rows() && (w == nil || len(w) == x.Rows())
-	return &Kernel{x: x, e: e, w: w, bitset: bitset, binary: bitset && perRow && binaryValues(e) && binaryValues(w)}
+	k := &Kernel{x: x, e: e, w: w, bitset: bitsetProfitable(x)}
+	k.pack()
+	return k
+}
+
+// pack packs x's columns for the bitset path — in the binary layout when
+// every error and weight is 0 or 1, in row order otherwise — and does nothing
+// on the CSR path.
+func (k *Kernel) pack() {
+	if !k.bitset {
+		return
+	}
+	perRow := len(k.e) == k.x.Rows() && (k.w == nil || len(k.w) == k.x.Rows())
+	k.binary = perRow && binaryValues(k.e) && binaryValues(k.w)
+	if k.binary {
+		k.bits, k.errRows = packBinaryLayout(k.x, k.e, k.w)
+	} else {
+		k.bits = matrix.PackColumns(k.x)
+	}
 }
 
 // NewPackedKernel wraps an unweighted partition whose columns arrive already
@@ -146,11 +164,16 @@ func packBinaryLayout(x *matrix.CSR, e, w []float64) (*matrix.ColumnBits, int) {
 // one-hot features with domains below ~64 are above it, ultra-high-cardinality
 // features (large Criteo-style domains) fall below it.
 func bitsetProfitable(x *matrix.CSR) bool {
-	n, c := x.Rows(), x.Cols()
-	if n == 0 || c == 0 {
+	return denseEnough(x.NNZ(), x.Rows(), x.Cols())
+}
+
+// denseEnough is bitsetProfitable's rule on counts: nnz entries over a
+// rows × cols matrix reach column density 1/64.
+func denseEnough(nnz, rows, cols int) bool {
+	if rows == 0 || cols == 0 {
 		return false
 	}
-	return float64(x.NNZ())*64 >= float64(n)*float64(c)
+	return float64(nnz)*64 >= float64(rows)*float64(cols)
 }
 
 // Rows returns the partition's row count.
@@ -163,10 +186,10 @@ func (k *Kernel) Rows() int {
 
 // Cols returns the partition's column count.
 func (k *Kernel) Cols() int {
-	if k.x == nil {
-		return k.bits.Cols()
+	if k.bits == nil {
+		return k.x.Cols()
 	}
-	return k.x.Cols()
+	return k.bits.Cols()
 }
 
 // UsesBitset reports which path Eval takes.
@@ -184,27 +207,124 @@ func (k *Kernel) Backend() string {
 	return "fused"
 }
 
-// Bits returns the packed columns, packing them on first use: in the binary
-// layout for a binary Kernel (its first ErrRows rows erred, and its rows of
-// weight 0 are left out), in row order otherwise.
-func (k *Kernel) Bits() *matrix.ColumnBits {
-	k.packOnce.Do(func() {
-		switch {
-		case k.bits != nil:
-		case k.binary:
-			k.bits, k.errRows = packBinaryLayout(k.x, k.e, k.w)
-		default:
-			k.bits = matrix.PackColumns(k.x)
-		}
-	})
-	return k.bits
-}
+// Bits returns the bitset path's packed columns: in the binary layout for a
+// binary Kernel (its first ErrRows rows erred, and its rows of weight 0 are
+// left out), in row order otherwise. It is nil on the CSR path.
+func (k *Kernel) Bits() *matrix.ColumnBits { return k.bits }
 
 // ErrRows returns how many leading rows of a binary Kernel's packed columns
-// erred, packing them on first use; 0 for any other Kernel.
-func (k *Kernel) ErrRows() int {
-	k.Bits()
-	return k.errRows
+// erred; 0 for any other Kernel.
+func (k *Kernel) ErrRows() int { return k.errRows }
+
+// evalBasic evaluates every column as a one-predicate slice, level 1 of the
+// enumeration (Equation 4: ss = colSums(X), se = eᵀX, sm = colMaxs(X ∘ e)),
+// which is Equation 10 with S = I. It accumulates into ss/se/sm, zeroed
+// slices of length Cols(). The binary layout counts each column's erring
+// block and whole column with popcounts; every other Kernel takes the row
+// pass over x.
+func (k *Kernel) evalBasic(ss, se, sm []float64) {
+	if !k.binary {
+		basicRowPass(k.x, k.e, k.w, ss, se, sm)
+		return
+	}
+	var cand [1]int
+	for c := range ss {
+		cand[0] = c
+		cs, ce := layoutCounts(k.bits, cand[:], k.errRows)
+		ss[c], se[c] = float64(cs), float64(ce)
+		if ce > 0 {
+			sm[c] = 1
+		}
+	}
+}
+
+// basicRowPass evaluates every column of x as a one-predicate slice in one
+// pass over the rows, accumulating into ss/se/sm: row i adds w[i] to ss and
+// w[i]·e[i] to se of each of its columns (w[i] = 1 when w is nil) and
+// raises their sm to e[i]; zero-weight (retired) rows are skipped like in
+// every aggregate. Each column adds its rows in ascending order, as every
+// level does, so level 1 has the bits of a one-column candidate at any level.
+func basicRowPass(x *matrix.CSR, e, w []float64, ss, se, sm []float64) {
+	for i := 0; i < x.Rows(); i++ {
+		wi := 1.0
+		if w != nil {
+			if wi = w[i]; wi == 0 {
+				continue
+			}
+		}
+		ei := e[i]
+		wei := wi * ei
+		for _, c := range x.RowEntries(i) {
+			ss[c] += wi
+			se[c] += wei
+			if ei > sm[c] {
+				sm[c] = ei
+			}
+		}
+	}
+}
+
+// evalBasicBits evaluates every column of the incremental memo's row-ordered
+// bits as a one-predicate slice from its packed 0/1 errors eb, with
+// binaryCounts, accumulating into ss/se/sm.
+func evalBasicBits(cb *matrix.ColumnBits, eb []uint64, ss, se, sm []float64) {
+	var cand [1]int
+	for c := range ss {
+		cand[0] = c
+		cs, ce := binaryCounts(cb, eb, cand[:], 0)
+		ss[c], se[c] = float64(cs), float64(ce)
+		if ce > 0 {
+			sm[c] = 1
+		}
+	}
+}
+
+// narrow restricts the Kernel to the columns keep (strictly increasing), in
+// place, and returns the entries of X[, keep]; column k becomes column
+// keep[k]. The path is decided again by the kept columns' density, as for a
+// Kernel built over X[, keep]. The bitset path moves the kept columns'
+// packed words down over the dropped ones and counts their entries
+// (keptNNZ); if they are dense enough it keeps its words, binary flag and
+// erring-row count, since the rows, and so the layout, are unchanged.
+// Otherwise, and on the CSR path, the Kernel selects the kept columns of x
+// and packs them if the bitset path now wins. narrow must not run
+// concurrently with Eval.
+func (k *Kernel) narrow(keep []int) (nnz int) {
+	if k.bitset {
+		k.bits.KeepCols(keep)
+		if nnz = k.keptNNZ(keep); denseEnough(nnz, k.x.Rows(), len(keep)) {
+			return nnz
+		}
+		k.bitset, k.binary, k.bits, k.errRows = false, false, nil, 0
+	}
+	k.x = k.x.SelectCols(keep)
+	k.bitset = bitsetProfitable(k.x)
+	k.pack()
+	return k.x.NNZ()
+}
+
+// keptNNZ counts the entries of X[, keep] once the packed words hold only
+// the kept columns: their set bits, plus the kept entries of the rows of
+// weight 0 that a binary layout leaves out.
+func (k *Kernel) keptNNZ(keep []int) int {
+	nnz := 0
+	for c := range keep {
+		nnz += onesCount(k.bits.Col(c))
+	}
+	if k.bits.Rows() == k.x.Rows() {
+		return nnz
+	}
+	for i, wi := range k.w {
+		if wi != 0 {
+			continue
+		}
+		for _, c := range k.x.RowEntries(i) {
+			if _, ok := slices.BinarySearch(keep, c); ok {
+				nnz++
+			}
+		}
+	}
+	return nnz
 }
 
 // Eval evaluates the level-L candidates, accumulating into ss/se/sm (callers
@@ -214,12 +334,11 @@ func (k *Kernel) ErrRows() int {
 func (k *Kernel) Eval(cols [][]int, level int, ss, se, sm []float64) {
 	switch {
 	case k.binary:
-		cb, errRows := k.Bits(), k.ErrRows()
 		matrix.ParallelFor(len(cols), func(lo, hi int) {
-			evalBinaryRange(cb, errRows, cols, lo, hi, ss, se, sm)
+			evalBinaryRange(k.bits, k.errRows, cols, lo, hi, ss, se, sm)
 		})
 	case k.bitset:
-		EvalBitsetWeighted(k.Bits(), k.e, k.w, cols, ss, se, sm)
+		EvalBitsetWeighted(k.bits, k.e, k.w, cols, ss, se, sm)
 	default:
 		EvalPartitionWeighted(k.x, k.e, k.w, cols, level, 0, ss, se, sm)
 	}

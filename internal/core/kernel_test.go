@@ -124,8 +124,9 @@ func TestBitsetKernelMatchesCSR(t *testing.T) {
 	}
 }
 
-// TestKernelPacksOnce: the packed representation is built lazily and shared
-// across Eval calls — repeated Bits() returns the same backing object.
+// TestKernelPacksOnce: the packed representation is built once, with the
+// Kernel, and shared across Eval calls — repeated Bits() returns the same
+// backing object.
 func TestKernelPacksOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds, e := randomDataset(rng, 200, 4, 3)

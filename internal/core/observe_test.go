@@ -323,3 +323,86 @@ func TestTruncatedLevelKeepsDroppedParents(t *testing.T) {
 		t.Fatalf("truncated level 3 reports %d dropped parents, the uncapped run %d", got, want)
 	}
 }
+
+// TestRunSpanReportsKernel: the kernel is chosen at init, so the core.run
+// span says which one levels >= 2 run — backend and binary — with the
+// column densities that chose the paths, the full width's for level 1 and
+// X[, cI]'s for the rest, exactly once each, on a 0/1-error and on a
+// continuous-error run. The core.eval spans keep their own backend and
+// binary attributes.
+func TestRunSpanReportsKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	ds, cont := randomDataset(rng, 400, 4, 3)
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	density := float64(enc.X.NNZ()) / (float64(enc.X.Rows()) * float64(enc.Width()))
+	for _, tc := range []struct {
+		name   string
+		e      []float64
+		binary int64
+	}{
+		{"0/1 errors", binaryErrors(cont), 1},
+		{"continuous errors", cont, 0},
+	} {
+		ss0, se0, _ := rowPassBasic(enc.X, tc.e, nil)
+		var cI []int
+		for c := range ss0 {
+			if ss0[c] >= 8 && se0[c] > 0 {
+				cI = append(cI, c)
+			}
+		}
+		kept := float64(enc.X.SelectCols(cI).NNZ()) / (float64(enc.X.Rows()) * float64(len(cI)))
+		tr := obs.NewJSONTracer()
+		if _, err := Run(context.Background(), enc, ds.Features, tc.e, nil, Config{K: 4, Sigma: 8, MaxLevel: 2, Tracer: tr}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var run *obs.Span
+		evals := 0
+		for _, sp := range tr.Spans() {
+			switch sp.Name {
+			case "core.run":
+				run = sp
+			case "core.eval":
+				evals++
+				if !hasStrAttr(sp, "backend", "bitset") || sp.AttrInt("binary", -1) != tc.binary {
+					t.Errorf("%s: core.eval attributes %+v, want backend bitset and binary %d", tc.name, sp.Attrs(), tc.binary)
+				}
+			}
+		}
+		if run == nil || evals == 0 {
+			t.Fatalf("%s: core.run span %v, %d core.eval spans", tc.name, run != nil, evals)
+		}
+		counts := map[string]int{}
+		for _, a := range run.Attrs() {
+			counts[a.Key]++
+		}
+		for _, key := range []string{"backend", "binary", "density", "kept_density"} {
+			if counts[key] != 1 {
+				t.Errorf("%s: core.run carries %d %q attributes, want 1", tc.name, counts[key], key)
+			}
+		}
+		if !hasStrAttr(run, "backend", "bitset") || run.AttrInt("binary", -1) != tc.binary {
+			t.Errorf("%s: core.run attributes %+v, want backend bitset and binary %d", tc.name, run.Attrs(), tc.binary)
+		}
+		for _, a := range run.Attrs() {
+			if a.Key == "density" && (a.Kind != obs.KindFloat || a.Flt != density || a.Flt*64 < 1) {
+				t.Errorf("%s: core.run density %+v, want %v (at least 1/64, the bitset path's)", tc.name, a, density)
+			}
+			if a.Key == "kept_density" && (a.Kind != obs.KindFloat || a.Flt != kept || a.Flt*64 < 1) {
+				t.Errorf("%s: core.run kept_density %+v, want %v (at least 1/64, the bitset path's)", tc.name, a, kept)
+			}
+		}
+	}
+}
+
+// hasStrAttr reports whether sp carries the string attribute key = want.
+func hasStrAttr(sp *obs.Span, key, want string) bool {
+	for _, a := range sp.Attrs() {
+		if a.Key == key && a.Kind == obs.KindStr && a.Str == want {
+			return true
+		}
+	}
+	return false
+}

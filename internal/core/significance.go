@@ -16,9 +16,10 @@ import (
 // global totals — so no candidate is ever re-scanned during enumeration.
 // Only the sum of squares is not tracked by the hot kernels (adding a fourth
 // accumulator would tax every candidate of every level for a statistic only
-// the K winners need); it is recovered by one O(nnz) pass over the reduced
-// matrix for the K final slices, on the driver, identically in every
-// execution plan.
+// the K winners need). On 0/1 errors it is the error sum itself: e² = e, so
+// Σ w_i·e_i² adds the terms of se in se's order and has its bits. Otherwise
+// it is recovered by one O(nnz) pass over the one-hot matrix for the K final
+// slices, on the driver, identically in every execution plan.
 
 // annotate fills PValue/QValue/Significant on the decoded slices, which must
 // be aligned index-for-index with the top-K entries they were decoded from.
@@ -39,14 +40,28 @@ func (st *state) annotate(slices []Slice, entries []tkEntry) {
 	}
 }
 
-// sliceSquares computes the weighted error sum of squares Σ w_i·e_i² over
-// each entry's member rows in one pass over the reduced one-hot matrix. A
-// row belongs to an entry iff the row's column set contains all the entry's
-// columns (conjunctive predicates).
+// sliceSquares returns the weighted error sum of squares Σ w_i·e_i² over
+// each entry's member rows: se itself on 0/1 errors, otherwise one pass over
+// the one-hot matrix, whose row i belongs to an entry iff its columns
+// contain all the entry's columns mapped back through cI (conjunctive
+// predicates).
 func (st *state) sliceSquares(entries []tkEntry) []float64 {
 	sq := make([]float64, len(entries))
 	if len(entries) == 0 {
 		return sq
+	}
+	if binaryValues(st.e) {
+		for j := range entries {
+			sq[j] = entries[j].se
+		}
+		return sq
+	}
+	orig := make([][]int, len(entries))
+	for j := range entries {
+		orig[j] = make([]int, len(entries[j].cols))
+		for k, c := range entries[j].cols {
+			orig[j][k] = st.origCols[c]
+		}
 	}
 	n := st.x.Rows()
 	for i := 0; i < n; i++ {
@@ -63,8 +78,8 @@ func (st *state) sliceSquares(entries []tkEntry) []float64 {
 		}
 		cols := st.x.RowEntries(i)
 		wee := wi * ei * ei
-		for j := range entries {
-			if containsSorted(cols, entries[j].cols) {
+		for j := range orig {
+			if containsSorted(cols, orig[j]) {
 				sq[j] += wee
 			}
 		}

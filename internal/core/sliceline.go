@@ -40,8 +40,8 @@ func newLevel(n int) *level {
 type state struct {
 	cfg      Config
 	sc       scorer
-	x        *matrix.CSR // reduced one-hot matrix, n × l'
-	kernel   *Kernel     // built-in evaluation kernel over x (bitset/CSR selection)
+	x        *matrix.CSR // the full one-hot matrix, n × l
+	kernel   *Kernel     // built-in evaluation kernel over X[, cI] (bitset/CSR selection)
 	e        []float64
 	w        []float64 // optional row weights (nil = unit weights)
 	featOf   []int     // original feature per reduced column
@@ -131,7 +131,7 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	}
 	start := time.Now()
 
-	st := &state{cfg: cfg, sc: sc, e: e, w: w, m: enc.NumFeatures(), memo: memo, ob: newCoreObs(cfg.Metrics)}
+	st := &state{cfg: cfg, sc: sc, x: enc.X, e: e, w: w, m: enc.NumFeatures(), memo: memo, ob: newCoreObs(cfg.Metrics)}
 	st.sigLevel = cfg.Significance
 	if st.sigLevel == 0 {
 		st.sigLevel = DefaultSignificance
@@ -167,29 +167,33 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	res := &Result{N: int(sc.n), AvgError: sc.avgErr, Sigma: cfg.Sigma, Alpha: cfg.Alpha}
 
 	// b) Initialization: evaluate all basic (1-predicate) slices
-	// (Equation 4) in one pass over the rows of X: ss0 = colSums(X),
-	// se0 = (eᵀ X)ᵀ and sm0 the per-column max error. Row i contributes
-	// w[i] to ss0 and w[i]·e[i] to se0 (w[i] = 1 when unweighted);
-	// zero-weight (retired) rows are skipped like in every aggregate.
-	ss0 := make([]float64, enc.Width())
-	se0 := make([]float64, enc.Width())
-	sm0 := make([]float64, enc.Width())
-	for i := 0; i < n; i++ {
-		wi := 1.0
-		if w != nil {
-			if wi = w[i]; wi == 0 {
-				continue
-			}
-		}
-		ei := e[i]
-		wei := wi * ei
-		for _, c := range enc.X.RowEntries(i) {
-			ss0[c] += wi
-			se0[c] += wei
-			if ei > sm0[c] {
-				sm0[c] = ei
-			}
-		}
+	// (Equation 4: ss0 = colSums(X), se0 = (eᵀ X)ᵀ, sm0 the per-column max
+	// error), which is Equation 10 with S = I: through one Kernel over the
+	// full one-hot width. Incremental runs count 0/1 errors over a dense
+	// width with popcounts of the memo's own full-width bits, which hold
+	// every generation's rows; they, and runs whose external evaluator packs
+	// its own partitions of X[, cI], otherwise take the row pass and build
+	// no Kernel.
+	width := enc.Width()
+	ss0 := make([]float64, width)
+	se0 := make([]float64, width)
+	sm0 := make([]float64, width)
+	switch {
+	case memo != nil && memo.eb != nil && bitsetProfitable(enc.X):
+		evalBasicBits(memo.bits, memo.eb, ss0, se0, sm0)
+	case memo != nil, cfg.Evaluator != nil:
+		basicRowPass(enc.X, e, w, ss0, se0, sm0)
+	default:
+		st.kernel = NewKernel(enc.X, e, w)
+		st.kernel.evalBasic(ss0, se0, sm0)
+	}
+	if memo != nil {
+		runSpan.SetStr("backend", "memo")
+		runSpan.SetBool("binary", memo.eb != nil)
+	}
+	if width > 0 {
+		// The full width's column density, which chose level 1's path.
+		runSpan.SetFloat("density", float64(enc.X.NNZ())/(float64(n)*float64(width)))
 	}
 
 	// cI: valid basic slices (line 12 of Algorithm 1). With size pruning
@@ -199,23 +203,9 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 		minSS = 1
 	}
 	var cI []int
-	for j := 0; j < enc.Width(); j++ {
+	for j := 0; j < width; j++ {
 		if ss0[j] >= minSS && se0[j] > 0 {
 			cI = append(cI, j)
-		}
-	}
-
-	// Project X, the offsets and statistics to the reduced column space.
-	st.x = enc.X.SelectCols(cI)
-	st.kernel = NewKernel(st.x, e, w)
-	// The run span rides the context from here on, so external evaluators
-	// (and through them the distributed runtime) parent their spans under
-	// the enumeration that issued the work.
-	ctx = obs.ContextWith(ctx, runSpan)
-	if cfg.Evaluator != nil {
-		st.eval = cfg.Evaluator
-		if err := st.eval.Setup(ctx, st.x, e); err != nil {
-			return nil, fmt.Errorf("core: evaluator setup: %w", err)
 		}
 	}
 	st.origCols = cI
@@ -253,6 +243,29 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 			st.ob.ckLoads.Inc()
 		}
 		resumedLevel = lvl
+	}
+
+	// Project the evaluation to the reduced column space X[, cI], once any
+	// checkpoint has been accepted: the built-in kernel narrows in place,
+	// and an external evaluator gets the reduced matrix, built for it. The
+	// run span rides the context from here on, so external evaluators (and
+	// through them the distributed runtime) parent their spans under the
+	// enumeration that issued the work.
+	ctx = obs.ContextWith(ctx, runSpan)
+	if st.kernel != nil {
+		nnz := st.kernel.narrow(cI)
+		runSpan.SetStr("backend", st.kernel.Backend())
+		runSpan.SetBool("binary", st.kernel.Binary())
+		if len(cI) > 0 {
+			// X[, cI]'s column density, which chose the path of levels >= 2.
+			runSpan.SetFloat("kept_density", float64(nnz)/(float64(n)*float64(len(cI))))
+		}
+	}
+	if cfg.Evaluator != nil {
+		st.eval = cfg.Evaluator
+		if err := st.eval.Setup(ctx, enc.X.SelectCols(cI), e); err != nil {
+			return nil, fmt.Errorf("core: evaluator setup: %w", err)
+		}
 	}
 
 	if resumedLevel == 0 {

@@ -522,6 +522,64 @@ func allocatedBytes(f func()) uint64 {
 	return best
 }
 
+// TestRunDroppedColumnsCopiesNoIds: a bitset-path run evaluates level 1
+// through one Kernel over the full width and narrows it to the columns σ
+// keeps by moving their packed words, so even when σ drops a quarter of the
+// columns a run to level 2 allocates less than one copy of the kept ids
+// (what X[, cI] would cost) and packs its columns once: it allocates less
+// than the full width's packing plus the kept columns' packing.
+func TestRunDroppedColumnsCopiesNoIds(t *testing.T) {
+	const n, m = 1 << 16, 8
+	rng := rand.New(rand.NewSource(12))
+	ds := &frame.Dataset{Name: "rare", X0: frame.NewIntMatrix(n, m), Features: make([]frame.Feature, m)}
+	for j := range ds.Features {
+		ds.Features[j] = frame.Feature{Name: featureName(j), Domain: 4}
+		for i := 0; i < n; i++ {
+			v := 1 + rng.Intn(3)
+			if rng.Float64() < 0.0005 {
+				v = 4 // about 33 rows, below σ
+			}
+			ds.X0.Set(i, j, v)
+		}
+	}
+	e := make([]float64, n)
+	for i := range e {
+		if rng.Float64() < 0.2 {
+			e[i] = 1
+		}
+	}
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 4, Sigma: 100, MaxLevel: 2}
+	var res *Result
+	got := allocatedBytes(func() {
+		if res, err = Run(context.Background(), enc, ds.Features, e, nil, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	kept := res.Levels[0].Valid
+	if len(res.Levels) != 2 || res.Levels[1].Candidates == 0 || 4*(enc.Width()-kept) < enc.Width() {
+		t.Fatalf("levels %+v keep %d of %d columns; the guard needs level 2 and a quarter of the columns dropped", res.Levels, kept, enc.Width())
+	}
+	keptIDs := 0
+	for i := 0; i < n; i++ {
+		for _, c := range enc.X.RowEntries(i) {
+			if enc.ValueOf(c) != 4 {
+				keptIDs++
+			}
+		}
+	}
+	if idBytes := uint64(8 * keptIDs); got >= idBytes {
+		t.Fatalf("Run to level 2 allocated %d bytes, want less than one copy of the kept ids (%d bytes)", got, idBytes)
+	}
+	words := uint64(8 * ((n + 63) / 64))
+	if packs := words * uint64(enc.Width()+kept); got >= packs {
+		t.Fatalf("Run to level 2 allocated %d bytes, want less than a full-width and a kept-column packing (%d bytes)", got, packs)
+	}
+}
+
 // TestRunFullWidthCopiesNoIds: when every basic slice is valid, X[, cI] is
 // the encoding itself, so a run to level 1 allocates less than one copy of
 // the one-hot ids.

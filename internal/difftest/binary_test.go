@@ -2,8 +2,11 @@ package difftest
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"sliceline/internal/core"
@@ -147,6 +150,122 @@ func TestDiffRowPermutationBinary(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("every top-K was empty: the sweep compares nothing")
+	}
+}
+
+// relabelFeatures returns a copy of the case whose features are reordered
+// and whose codes are relabeled within each feature, by permutations drawn
+// from rng; each feature keeps its name. back maps a predicate of the copy
+// to the original's feature and code.
+func relabelFeatures(c *Case, rng *rand.Rand) (out *Case, back func(core.Predicate) [2]int) {
+	out = c.Clone()
+	m := c.DS.NumFeatures()
+	order := rng.Perm(m)      // feature j of the copy is feature order[j]
+	codes := make([][]int, m) // code v of feature f is code codes[f][v-1]+1 of the copy
+	for f, ft := range c.DS.Features {
+		codes[f] = rng.Perm(ft.Domain)
+	}
+	for j, f := range order {
+		out.DS.Features[j] = c.DS.Features[f]
+		for i := 0; i < c.DS.NumRows(); i++ {
+			out.DS.X0.Set(i, j, codes[f][c.DS.X0.At(i, f)-1]+1)
+		}
+	}
+	return out, func(p core.Predicate) [2]int {
+		f := order[p.Feature]
+		for v, to := range codes[f] {
+			if to+1 == p.Value {
+				return [2]int{f, v + 1}
+			}
+		}
+		return [2]int{f, 0}
+	}
+}
+
+// TestDiffFeatureRelabelingBinary: reordering the features and relabeling
+// the codes within each feature change no statistic on 0/1 errors, where
+// every sum is an integer count. The per-level candidate, valid and pruned
+// counts, N, the average error, σ, the gap and the sorted top-K scores must
+// be bit-identical, and every slice scoring strictly above the K-th score
+// must decode — through the reduced-to-one-hot column map — to the same
+// predicates with the same statistics. Only the K-th member of an exact tie
+// may differ, because ties break by column order. It checks builtin/auto on
+// weighted and unweighted cases and cluster/inproc-2 on unweighted ones.
+func TestDiffFeatureRelabelingBinary(t *testing.T) {
+	const testName = "TestDiffFeatureRelabelingBinary"
+	builtin, cluster := BuiltinPlans()[0], ClusterPlans(2)[0]
+	above := 0
+	for _, seed := range Seeds(seedCount(60, 8)) {
+		// Domains up to 8 leave values too rare for σ or without an erring
+		// row, so cI drops columns and the reduced ids differ from the
+		// one-hot ones in both orders.
+		opts := binaryOpts(Defaults)
+		opts.MaxDomain = 8
+		opts.Weighted, opts.IntWeights = seed%3 == 0, true
+		c := Generate(seed, opts)
+		relabeled, back := relabelFeatures(c, rand.New(rand.NewSource(seed)))
+		plans := []Plan{builtin}
+		if c.W == nil {
+			plans = append(plans, cluster)
+		}
+		for _, plan := range plans {
+			want, err := plan.Run(c)
+			if err != nil {
+				failf(t, testName, seed, "plan %s: %v", plan.Name, err)
+				continue
+			}
+			got, err := plan.Run(relabeled)
+			if err != nil {
+				failf(t, testName, seed, "plan %s on relabeled features: %v", plan.Name, err)
+				continue
+			}
+			if !reflect.DeepEqual(levelCounts(want), levelCounts(got)) {
+				failf(t, testName, seed, "plan %s: relabeling changes the level counts: %+v, want %+v",
+					plan.Name, levelCounts(got), levelCounts(want))
+			}
+			if got.N != want.N || got.AvgError != want.AvgError || got.Sigma != want.Sigma || got.Gap != want.Gap {
+				failf(t, testName, seed, "plan %s: relabeling gives N %d, avg error %v, σ %d, gap %v; want %d, %v, %d, %v",
+					plan.Name, got.N, got.AvgError, got.Sigma, got.Gap, want.N, want.AvgError, want.Sigma, want.Gap)
+			}
+			if len(got.TopK) != len(want.TopK) {
+				failf(t, testName, seed, "plan %s: relabeling gives %d slices, want %d", plan.Name, len(got.TopK), len(want.TopK))
+				continue
+			}
+			for i := range want.TopK {
+				if math.Float64bits(got.TopK[i].Score) != math.Float64bits(want.TopK[i].Score) {
+					failf(t, testName, seed, "plan %s: rank %d scores %v, want %v", plan.Name, i, got.TopK[i].Score, want.TopK[i].Score)
+				}
+			}
+			if len(want.TopK) == 0 {
+				continue
+			}
+			kth := want.TopK[len(want.TopK)-1].Score
+			key := func(s core.Slice, pred func(core.Predicate) [2]int) string {
+				var ps [][2]int
+				for _, p := range s.Predicates {
+					ps = append(ps, pred(p))
+				}
+				sort.Slice(ps, func(a, b int) bool { return ps[a][0] < ps[b][0] })
+				return fmt.Sprintf("%v size %d error %v max %v", ps, s.Size, s.TotalError, s.MaxError)
+			}
+			id := func(p core.Predicate) [2]int { return [2]int{p.Feature, p.Value} }
+			var wantKeys, gotKeys []string
+			for i := range want.TopK {
+				if want.TopK[i].Score > kth {
+					wantKeys = append(wantKeys, key(want.TopK[i], id))
+					gotKeys = append(gotKeys, key(got.TopK[i], back))
+				}
+			}
+			above += len(wantKeys)
+			sort.Strings(wantKeys)
+			sort.Strings(gotKeys)
+			if !reflect.DeepEqual(wantKeys, gotKeys) {
+				failf(t, testName, seed, "plan %s: the slices above the K-th score decode to %v, want %v", plan.Name, gotKeys, wantKeys)
+			}
+		}
+	}
+	if above == 0 {
+		t.Fatal("no slice scored above the K-th: the sweep compares no predicates")
 	}
 }
 

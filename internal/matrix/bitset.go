@@ -74,6 +74,27 @@ func (cb *ColumnBits) packRows(x *CSR, from int) {
 	}
 }
 
+// KeepCols narrows the packed matrix to the given columns in place: column k
+// becomes column idx[k], whose words move down over the dropped ones, so no
+// row is re-read and nothing is allocated. idx must be strictly increasing.
+// The storage keeps its capacity; Col still returns only the kept columns.
+func (cb *ColumnBits) KeepCols(idx []int) {
+	prev := -1
+	for k, j := range idx {
+		if j <= prev || j >= cb.cols {
+			panic(fmt.Sprintf("matrix: KeepCols indices must be increasing and in range, got %v", idx))
+		}
+		prev = j
+		// j >= k, so the source never lies below the destination and the
+		// columns still to move are not yet overwritten.
+		if j != k {
+			copy(cb.bits[k*cb.words:(k+1)*cb.words], cb.bits[j*cb.words:(j+1)*cb.words])
+		}
+	}
+	cb.cols = len(idx)
+	cb.bits = cb.bits[:len(idx)*cb.words]
+}
+
 // Rows returns the row count of the packed matrix.
 func (cb *ColumnBits) Rows() int { return cb.rows }
 

@@ -184,3 +184,59 @@ func FuzzBitsetPack(f *testing.F) {
 		}
 	})
 }
+
+// TestKeepColsMatchesSelectCols: narrowing a packed matrix in place gives
+// the packing of the CSR restricted to the same columns, bit for bit, over
+// ragged and exact word counts, the empty and the full column set, and
+// allocates nothing.
+func TestKeepColsMatchesSelectCols(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, shape := range [][2]int{{70, 9}, {64, 6}, {1, 3}, {0, 4}} {
+		rows, cols := shape[0], shape[1]
+		x := randomCSR01(rng, rows, cols, 0.4)
+		for _, idx := range [][]int{{}, {0}, {cols - 1}, {0, 2}, {1, 2, cols - 1}, allCols(cols)} {
+			if len(idx) > 1 && idx[len(idx)-1] <= idx[len(idx)-2] {
+				continue // not increasing on this few columns
+			}
+			// AllocsPerRun calls f twice: a warm-up and the measured run.
+			packs := []*ColumnBits{PackColumns(x), PackColumns(x)}
+			if allocs := testing.AllocsPerRun(1, func() {
+				packs[0].KeepCols(idx)
+				packs = packs[1:]
+			}); allocs != 0 {
+				t.Fatalf("%d×%d keep %v: KeepCols allocated %v times", rows, cols, idx, allocs)
+			}
+			cb := PackColumns(x)
+			cb.KeepCols(idx)
+			want := PackColumns(x.SelectCols(idx))
+			if cb.Rows() != rows || cb.Cols() != len(idx) || cb.Words() != want.Words() {
+				t.Fatalf("%d×%d keep %v: %d×%d with %d words per column", rows, cols, idx, cb.Rows(), cb.Cols(), cb.Words())
+			}
+			for c := range idx {
+				for i := 0; i < rows; i++ {
+					if bitAt(cb, c, i) != bitAt(want, c, i) {
+						t.Fatalf("%d×%d keep %v: bit (%d,%d) differs", rows, cols, idx, c, i)
+					}
+				}
+			}
+		}
+	}
+	for _, bad := range [][]int{{1, 1}, {2, 1}, {-1}, {4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("KeepCols(%v) on 4 columns did not panic", bad)
+				}
+			}()
+			PackColumns(randomCSR01(rng, 10, 4, 0.5)).KeepCols(bad)
+		}()
+	}
+}
+
+func allCols(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}

@@ -623,7 +623,20 @@ func (s *Server) runJobReal(ctx context.Context, j *job) (*core.Result, error) {
 			return nil, err
 		}
 	}
-	return core.Run(ctx, j.snap.Enc, j.snap.DS.Features, j.snap.ErrVec, w, cfg)
+	res, err := core.Run(ctx, j.snap.Enc, j.snap.DS.Features, j.snap.ErrVec, w, cfg)
+	if cfg.Resume && errors.Is(err, core.ErrBadCheckpoint) {
+		// A checkpoint core refuses (torn, another version, other data or
+		// configuration) costs the levels it held, not the job: the
+		// refusal comes before any level is reported or any partition
+		// shipped, so a run from level 1 gives the result a fresh job would.
+		log.Printf("server: job %s: discarding its checkpoint and running from level 1: %v", j.id, err)
+		sp.Event("checkpoint discarded: running from level 1")
+		s.journal.dropCheckpoint(j.id)
+		s.ob.ckDiscarded.Inc()
+		cfg.Resume = false
+		res, err = core.Run(ctx, j.snap.Enc, j.snap.DS.Features, j.snap.ErrVec, w, cfg)
+	}
+	return res, err
 }
 
 // windowWeights turns a WindowSpec into a 0/1 row-weight vector over the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sliceline/internal/core"
 	"sliceline/internal/obs"
 )
 
@@ -110,6 +111,71 @@ func TestJournalRestartResumesUnfinishedJobs(t *testing.T) {
 	}
 	if seq := jobSeq(next.ID); seq <= 7 {
 		t.Errorf("post-restart job id %s does not continue the sequence", next.ID)
+	}
+}
+
+// TestJournalRestartDiscardsRefusedCheckpoint: a journaled running job whose
+// checkpoint core refuses — torn mid-write, or written for another
+// configuration — drops the file and runs from level 1 instead of failing,
+// finishing with the result of a fresh job and counting
+// sl_server_checkpoints_discarded_total once each.
+func TestJournalRestartDiscardsRefusedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{Config: JobConfig{K: 4, Sigma: 3}}
+	s, ts := newTestServer(t, Config{JournalDir: dir})
+	info, code := registerCSV(t, ts, testCSV(40), "err=err")
+	if code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	spec.Dataset = info.ID
+	j, code, body := postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%s)", code, body)
+	}
+	fresh := waitJob(t, ts, j.ID, 30*time.Second)
+	if fresh.Status != string(jobDone) {
+		t.Fatalf("fresh job finished %q: %s", fresh.Status, fresh.Error)
+	}
+
+	// A checkpoint of the same data under another configuration: it decodes
+	// and carries levels, but its signature is not the job's.
+	d, _ := s.reg.get(info.ID)
+	snap := d.snapshot()
+	foreign := filepath.Join(t.TempDir(), "foreign.ck")
+	cfg := core.Config{K: 4, Sigma: 3, Alpha: 0.5, CheckpointPath: foreign}
+	if _, err := core.Run(context.Background(), snap.Enc, snap.DS.Features, snap.ErrVec, nil, cfg); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := os.ReadFile(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, data := range map[string][]byte{"job-7": ck[:len(ck)/2], "job-8": ck} {
+		rec := &journalJob{Version: journalVersion, ID: id, Spec: spec, Status: string(jobRunning)}
+		if err := writeGob(filepath.Join(dir, id+journalJobSuffix), rec); err != nil {
+			t.Fatalf("forging journal record: %v", err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id+".ck"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reg := obs.NewRegistry()
+	_, ts2 := newTestServer(t, Config{JournalDir: dir, Metrics: reg})
+	for id, kind := range map[string]string{"job-7": "torn", "job-8": "foreign-signature"} {
+		got := waitJob(t, ts2, id, 30*time.Second)
+		if got.Status != string(jobDone) {
+			t.Fatalf("job with a %s checkpoint finished %q: %s", kind, got.Status, got.Error)
+		}
+		if canonicalResult(t, got.Result) != canonicalResult(t, fresh.Result) {
+			t.Errorf("job with a %s checkpoint: result differs from a fresh run's", kind)
+		}
+		if _, err := os.Stat(filepath.Join(dir, id+".ck")); !os.IsNotExist(err) {
+			t.Errorf("job with a %s checkpoint: checkpoint still on disk (stat: %v)", kind, err)
+		}
+	}
+	if v := reg.Counter("sl_server_checkpoints_discarded_total", "").Value(); v != 2 {
+		t.Errorf("sl_server_checkpoints_discarded_total = %d, want 2", v)
 	}
 }
 

@@ -17,6 +17,7 @@ type serverObs struct {
 	cacheHits   *obs.Counter
 	cacheMiss   *obs.Counter
 	resumed     *obs.Counter
+	ckDiscarded *obs.Counter
 	journalErrs *obs.Counter
 	appends     *obs.Counter
 	refreshes   *obs.Counter
@@ -40,6 +41,8 @@ func newServerObs(r *obs.Registry) serverObs {
 		cacheHits: r.Counter("sl_server_cache_hits_total", "Submissions served from the result cache without re-enumeration."),
 		cacheMiss: r.Counter("sl_server_cache_misses_total", "Submissions that required a fresh enumeration."),
 		resumed:   r.Counter("sl_server_jobs_resumed_total", "Journaled jobs re-enqueued after a server restart."),
+		ckDiscarded: r.Counter("sl_server_checkpoints_discarded_total",
+			"Resumed jobs whose checkpoint could not resume them; each reran from level 1."),
 		journalErrs: r.Counter("sl_server_journal_errors_total",
 			"Journal writes that failed (the job kept serving; the next save retries the file)."),
 		appends:    r.Counter("sl_server_appends_total", "Dataset append batches applied."),

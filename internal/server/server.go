@@ -193,7 +193,8 @@ func (s *Server) restoreDatasetsAndLoadJobs() ([]*journalJob, error) {
 //     generation, within the monitor cap (its in-memory incremental state is
 //     not journaled);
 //   - any other unfinished job re-enqueues with Resume set, continuing from
-//     its last completed lattice level.
+//     its last completed lattice level; a checkpoint that core refuses is
+//     dropped when the job runs, and the job runs from level 1.
 func (s *Server) restoreJobs(recs []*journalJob) {
 	for _, rec := range recs {
 		j, _, err := s.newJob(rec.Spec)
