@@ -8,8 +8,11 @@ import (
 	"os"
 )
 
-// checkpointVersion guards the on-disk layout; a mismatch refuses to resume.
-const checkpointVersion = 1
+// checkpointVersion guards the on-disk layout and the meaning of what it
+// stores; a mismatch refuses to resume. Version 2: LevelStats.Pruned no
+// longer counts unions that lack a parent, so a version-1 file's completed
+// levels would mix the two definitions.
+const checkpointVersion = 2
 
 // checkpointState is the gob-encoded on-disk form of a run's state after one
 // completed lattice level. Restoring it and re-running the remaining levels

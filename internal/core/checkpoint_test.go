@@ -237,6 +237,7 @@ func TestCheckpointRefusalsWrapSentinel(t *testing.T) {
 		want string
 	}{
 		{checkpointState{Version: checkpointVersion + 1, Sig: sig, Level: 1}, "this build writes"},
+		{checkpointState{Version: 1, Sig: sig, Level: 1}, "this build writes"},
 		{checkpointState{Version: checkpointVersion, Sig: sig, Level: 0}, "invalid level"},
 	} {
 		st := tc.st

@@ -49,9 +49,11 @@ type Config struct {
 	// MaxCandidatesPerLevel aborts enumeration when a level would evaluate
 	// more candidates than this bound, instead of exhausting memory — the
 	// paper's unpruned configs "ran out-of-memory after 4 levels". The join
-	// counts the candidates it forms before pruning them; the unions of a
-	// slice whose own score bound cannot beat sc_k are never formed and do
-	// not count. <= 0 defaults to 2 million.
+	// counts the candidates it bounds before pruning them (with dedup a
+	// level's Candidates + Pruned, without it the pairs that pass the
+	// pair-level bound); the unions of a slice whose own score bound cannot
+	// beat sc_k, and unions that lack a parent, do not count. <= 0 defaults
+	// to 2 million.
 	MaxCandidatesPerLevel int
 
 	// Budget, when positive, bounds the enumeration wall clock: the run
@@ -212,10 +214,18 @@ type Snapshot struct {
 // the quantities plotted in Figures 3/4 and Table 2.
 type LevelStats struct {
 	Level      int
-	Candidates int           // slices evaluated at this level
-	Valid      int           // evaluated slices with |S| >= sigma and se > 0
-	Pruned     int           // candidates the join formed and pruned before evaluation
-	Elapsed    time.Duration // cumulative elapsed time through this level
+	Candidates int // slices evaluated at this level
+	Valid      int // evaluated slices with |S| >= sigma and se > 0
+	// Pruned counts the candidates the join bounded and pruned by Equation
+	// 9's score bound before evaluation: pairs failing the pair-level
+	// bound, merged slices with a failing parent pair (dead) and merged
+	// slices failing as a group. Unions dropped for a missing parent are not
+	// counted, so with missing-parent handling on the count covers only
+	// candidates whose parents were all kept, and it does not depend on how
+	// the columns are numbered. At dedup levels Config.MaxCandidatesPerLevel
+	// caps Candidates + Pruned, at pair levels Candidates.
+	Pruned  int
+	Elapsed time.Duration // cumulative elapsed time through this level
 }
 
 // Result is the output of a SliceLine run.

@@ -23,7 +23,7 @@ func newCoreObs(r *obs.Registry) coreObs {
 		runs:       r.Counter("sl_core_runs_total", "SliceLine enumeration runs started."),
 		levels:     r.Counter("sl_core_levels_total", "Lattice levels enumerated."),
 		candidates: r.Counter("sl_core_candidates_total", "Slice candidates evaluated."),
-		pruned:     r.Counter("sl_core_pruned_total", "Candidates the join formed and pruned before evaluation."),
+		pruned:     r.Counter("sl_core_pruned_total", "Candidates the join bounded and pruned by score before evaluation."),
 		threshold:  r.Gauge("sl_core_topk_threshold", "Current top-K score pruning threshold sc_k."),
 		levelSecs:  r.Histogram("sl_core_level_seconds", "Wall time per lattice level.", nil),
 		evalSecs:   r.Histogram("sl_core_eval_seconds", "Wall time per candidate-evaluation call.", nil),
@@ -33,7 +33,10 @@ func newCoreObs(r *obs.Registry) coreObs {
 }
 
 // setPruneAttrs exposes a level's per-rule pruning breakdown as span
-// attributes. A nil span skips the work entirely.
+// attributes. pruned_parents counts the unions the prefix join met from
+// their prefix pair that lack another parent; unlike the other rules it
+// depends on column order, and LevelStats.Pruned leaves it out. A nil span
+// skips the work entirely.
 func setPruneAttrs(sp *obs.Span, pr pruneStats) {
 	if sp == nil {
 		return

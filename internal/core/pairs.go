@@ -11,27 +11,33 @@ import (
 // that removed them — the per-rule numbers behind Figure 3, exposed as level
 // span attributes by the observability layer. Equation 9's size bound has
 // no count: the join keeps only slices with ss >= σ, so the minimum over any
-// pair or group of kept parents meets it. dropped counts parents, not
-// candidates: the input slices the join left out because no extension of
-// theirs could pass the score bound, so their unions were never formed.
+// pair or group of kept parents meets it. With the prefix join, dead and
+// score count only candidates whose L parents are all kept, so neither
+// depends on column order. parents does: it counts the unions the prefix
+// join met from their prefix pair and dropped because another parent is not
+// kept, and which unions those are depends on how the columns are numbered.
+// It is therefore in neither total() nor generated(). dropped counts
+// parents, not candidates: the input slices the join left out because no
+// extension of theirs could pass the score bound, so their unions were
+// never formed.
 type pruneStats struct {
 	pairScore int // failed the score bound at pair level (dedup off or L == 2)
 	dead      int // some pair of the candidate's parents failed the score bound
 	score     int // failed the group score bound ⌈sc⌉ > sc_k ∧ ⌈sc⌉ >= 0
-	parents   int // missing-parent handling (np != L)
+	parents   int // met by its prefix pair, but another parent is not kept
 	dropped   int // input slices whose own score bound cannot beat sc_k
 }
 
 // total is the overall pruned count recorded in LevelStats.Pruned.
 func (p pruneStats) total() int {
-	return p.pairScore + p.dead + p.score + p.parents
+	return p.pairScore + p.dead + p.score
 }
 
 // generated is the number of candidates a level (or shard) generated
 // before pruning, given its n survivors — the count MaxCandidatesPerLevel
-// caps: every merged slice with dedup, and without it every pair that
-// passed the pair-level bound.
-func (p pruneStats) generated(n int) int { return n + p.dead + p.score + p.parents }
+// caps: with dedup every merged slice the join bounds, and without it every
+// pair that passed the pair-level bound.
+func (p pruneStats) generated(n int) int { return n + p.dead + p.score }
 
 func (p *pruneStats) add(q pruneStats) {
 	p.pairScore += q.pairScore
@@ -56,20 +62,31 @@ const joinShard = 64
 //  2. self-join compatible slices — pairs with exactly L-2 overlapping
 //     predicates (I = upper.tri((S Sᵀ) = L-2), Equation 6). Two slices
 //     overlap in L-2 predicates exactly when they share one of their
-//     (L-2)-column subsets, so the join files each kept slice under its L-1
-//     subsets and pairs the members of each subset bucket: it meets every
-//     partner pair once and visits nothing else,
+//     (L-2)-column subsets, so the join files kept slices under subsets
+//     and pairs the members of each subset bucket,
 //  3. merge pairs into combined slices (P) and discard slices with multiple
 //     assignments per original feature. Both parents are feature-disjoint
 //     and differ in one column each, so the merged slice is valid iff those
 //     two columns belong to distinct features,
-//  4. deduplicate (the paper's ND-array IDs and dedup matrix M) by emitting
-//     each merged slice from one canonical parent pair: the two of its kept
-//     parents with the smallest keep indices. Its other L-2 parents are
-//     looked up in an index of the kept slices, which yields np — the
-//     paper's rowSums(M·(P1+P2) ≠ 0) — and the min-bounds over all kept
-//     parents without a level-wide table, and
-//  5. prune by Equation 9: ⌈ss⌉ >= σ ∧ ⌈sc⌉ > sc_k ∧ ⌈sc⌉ >= 0 ∧ np = L.
+//  4. deduplicate (the paper's ND-array IDs and dedup matrix M) by forming
+//     each merged slice from one pair of its parents. With missing-parent
+//     handling on, a candidate needs all L parents, so the join is
+//     Apriori-gen's prefix join: each kept slice is filed under its first
+//     L-2 columns only, and each union is met exactly once, from its prefix
+//     pair (the union without its last column and without its second to
+//     last). Its other L-2 parents are found in the buckets of the first
+//     parent's other (L-2)-column subsets; a union that lacks one fails
+//     np = L and is dropped before any bound is computed. Under
+//     DisableParentHandling the join files each kept slice under all of its
+//     L-1 subsets, meets each union once per pair of its kept parents,
+//     forms it from the canonical pair (the two with the smallest keep
+//     indices) and looks up its other parents in an index of the kept
+//     slices. Either way the join finds np — the paper's
+//     rowSums(M·(P1+P2) ≠ 0) — and the min-bounds over all kept parents
+//     without a level-wide table, and
+//  5. prune by Equation 9: ⌈ss⌉ >= σ ∧ ⌈sc⌉ > sc_k ∧ ⌈sc⌉ >= 0 ∧ np = L,
+//     with the score bound over all parents first, and over each pair of
+//     them only when that one is within scorer.boundMargin of failing.
 //
 // Without dedup — the DisableDedup ablation, or L == 2, where the 2-column
 // union identifies its basic-slice pair — every valid pair is its own
@@ -98,7 +115,8 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 		minSS = 1
 	}
 	dedup := L > 2 && !cfg.DisableDedup
-	filter := !cfg.DisableScorePruning && (!dedup || !cfg.DisableParentHandling)
+	prefix := dedup && !cfg.DisableParentHandling
+	filter := !cfg.DisableScorePruning && (!dedup || prefix)
 	// Sized for every input slice, so one pass decides each slice once and
 	// the filter costs no allocation.
 	keep := make([]int, 0, len(prev.cols))
@@ -119,12 +137,12 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 	workers := max(min(matrix.MaxWorkers(), shards), 1)
 	j := &join{
 		prev: prev, keep: keep, L: L, cfg: cfg, featOf: st.featOf, sc: st.sc, sck: sck,
-		dedup:  dedup,
+		dedup: dedup, prefix: prefix,
 		shards: make([]shardOut, shards),
 		arenas: make([][]int, workers),
 	}
 	j.buildBuckets()
-	if j.dedup {
+	if j.dedup && !prefix {
 		// A deduplicated frontier holds distinct slices, so entry k of the
 		// index is kept slice k.
 		j.parents = newColSet(L-1, nk)
@@ -170,7 +188,10 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 // join is one level's candidate generation: its read-only inputs, the
 // subset buckets and parent index built from them, and what the workers
 // write. Workers read their inputs from here, not from the run's state,
-// which thereby stays on its caller's stack.
+// which thereby stays on its caller's stack. With prefix set it is the
+// prefix join, which meets each union once; otherwise it meets each union
+// once per pair of its kept parents and, with dedup, keeps the canonical
+// pair's meeting.
 type join struct {
 	prev   *level
 	keep   []int // kept slice indices into prev, ascending
@@ -180,15 +201,23 @@ type join struct {
 	sc     scorer
 	sck    float64
 	dedup  bool
+	prefix bool // dedup with missing-parent handling: join on (L-2)-prefixes
 
-	// Subset buckets. Slot s = a*(L-1)+d stands for kept slice a without
-	// its d-th column. A bucket lists the slots of one (L-2)-column subset
-	// in ascending keep index: slot s sits at member index at[s] of a bucket
-	// that ends at end[s], and member m is kept slice member[m], whose
-	// column outside the subset is extra[m].
+	// Subset buckets. A kept slice has one slot per subset it is filed
+	// under: slot s = a*w+d-lo stands for kept slice a without its d-th
+	// column, for d in [lo, L-1): every d (lo = 0, w = L-1), or in the
+	// prefix join only d = L-2, its (L-2)-prefix (lo = L-2, w = 1). A
+	// bucket lists the slots of one (L-2)-column subset: slot s sits at
+	// member index at[s] of a bucket that ends at end[s], and member m is
+	// kept slice member[m], whose column outside the subset is extra[m].
+	// Members sit in ascending keep index, and in the prefix join in
+	// ascending extra column. Bucket b spans members [first[b], first[b+1]).
+	// At L > 2, subsets numbers the buckets by their columns.
 	at, end, member, extra []int32
+	first                  []int32
+	subsets                colSet
 
-	parents colSet // entry k: kept slice k's columns (dedup only)
+	parents colSet // entry k: kept slice k's columns (canonical pair only)
 
 	next      atomic.Int64 // next shard to claim
 	generated atomic.Int64 // candidates generated before pruning
@@ -203,51 +232,81 @@ type shardOut struct {
 	pr             pruneStats
 }
 
-// buildBuckets files every kept slice under each of its (L-2)-column
-// subsets. At L == 2 every subset is empty: one bucket holds every kept
-// slice.
+// buildBuckets files every kept slice under its (L-2)-column subsets: its
+// prefix alone in the prefix join, else each of them. At L == 2 every subset
+// is empty: one bucket holds every kept slice.
 func (j *join) buildBuckets() {
-	w := j.L - 1
-	ns := len(j.keep) * w
+	lo, w := 0, j.L-1
+	if j.prefix {
+		lo, w = j.L-2, 1
+	}
+	nk := len(j.keep)
+	ns := nk * w
 	buf := make([]int32, 4*ns)
 	j.at, j.end, j.member, j.extra = buf[:ns], buf[ns:2*ns], buf[2*ns:3*ns], buf[3*ns:]
 	bucket := j.end // each slot's bucket id until end replaces it
 	nb := 1         // at L == 2 every slot is in bucket 0
 	if j.L > 2 {
-		subsets := newColSet(j.L-2, ns)
+		j.subsets = newColSet(j.L-2, ns)
 		sub := make([]int, j.L-2)
 		for a, i := range j.keep {
 			cols := j.prev.cols[i]
-			for d := 0; d < w; d++ {
+			for d := lo; d < lo+w; d++ {
 				copy(sub, cols[:d])
 				copy(sub[d:], cols[d+1:])
-				b, _ := subsets.index(sub)
-				bucket[a*w+d] = int32(b)
+				b, _ := j.subsets.index(sub)
+				bucket[a*w+d-lo] = int32(b)
 			}
 		}
-		nb = subsets.len()
+		nb = j.subsets.len()
 	}
 	// Counting sort of the slots by bucket; filling bucket b advances
-	// start[b+1] from b's first member index to its end.
-	start := make([]int32, nb+2)
+	// first[b+1] from b's first member index to its end, which is bucket
+	// b+1's first.
+	j.first = make([]int32, nb+2)
 	for _, b := range bucket {
-		start[b+2]++
+		j.first[b+2]++
 	}
-	for b := 2; b < len(start); b++ {
-		start[b] += start[b-1]
+	for b := 2; b < len(j.first); b++ {
+		j.first[b] += j.first[b-1]
 	}
-	for a, i := range j.keep {
-		cols := j.prev.cols[i]
-		for d := 0; d < w; d++ {
-			s := a*w + d
-			m := start[bucket[s]+1]
-			start[bucket[s]+1]++
+	fill := func(a int) {
+		cols := j.prev.cols[j.keep[a]]
+		for d := lo; d < lo+w; d++ {
+			s := a*w + d - lo
+			m := j.first[bucket[s]+1]
+			j.first[bucket[s]+1]++
 			j.at[s], j.member[m], j.extra[m] = m, int32(a), int32(cols[d])
 		}
 	}
-	for s, b := range bucket {
-		j.end[s] = start[b+1]
+	if j.prefix {
+		// Fill in ascending extra column, by a counting sort on it, so each
+		// bucket lists its members in that order.
+		buf := make([]int32, nk+len(j.featOf)+1)
+		order, at := buf[:nk], buf[nk:]
+		for _, i := range j.keep {
+			at[j.prev.cols[i][lo]+1]++
+		}
+		for c := 1; c < len(at); c++ {
+			at[c] += at[c-1]
+		}
+		for a, i := range j.keep {
+			c := j.prev.cols[i][lo]
+			order[at[c]] = int32(a)
+			at[c]++
+		}
+		for _, a := range order {
+			fill(int(a))
+		}
+	} else {
+		for a := range j.keep {
+			fill(a)
+		}
 	}
+	for s, b := range bucket {
+		j.end[s] = j.first[b+1]
+	}
+	j.first = j.first[:nb+1]
 }
 
 // work claims shards until none is left and joins each shard's kept slices
@@ -258,10 +317,10 @@ func (j *join) buildBuckets() {
 // apart from any other worker's.
 func (j *join) work(w int) {
 	L, limit := j.L, int64(j.cfg.MaxCandidatesPerLevel)
-	prev, keep, featOf := j.prev, j.keep, j.featOf
-	at, end, member, extra := j.at, j.end, j.member, j.extra
-	scratch := make([]int, 3*L+8) // the merged slice, a lookup key, the kept parents
-	union, key, par := scratch[:L], scratch[L:2*L-1], scratch[2*L:3*L]
+	// The merged slice, a lookup key, the kept parents, and in the prefix
+	// join a cursor and an end per sibling bucket.
+	scratch := make([]int, 5*L+8)
+	sc := joinScratch{scratch[:L], scratch[L : 2*L-1], scratch[2*L : 3*L], scratch[3*L : 4*L-2], scratch[4*L : 5*L-2]}
 	cols := j.arenas[w]
 	for {
 		s := int(j.next.Add(1)) - 1
@@ -270,39 +329,110 @@ func (j *join) work(w int) {
 		}
 		lo := len(cols) / L
 		var pr pruneStats
-		for a := s * joinShard; a < min((s+1)*joinShard, len(keep)); a++ {
+		for a := s * joinShard; a < min((s+1)*joinShard, len(j.keep)); a++ {
 			if gen := int64(pr.generated(len(cols)/L - lo)); gen+j.generated.Load() > limit {
 				j.generated.Add(gen)
 				return
 			}
-			ca := prev.cols[keep[a]]
-			for d := range ca {
-				sa := a*(L-1) + d
-				fa := featOf[ca[d]]
-				for m := at[sa] + 1; m < end[sa]; m++ {
-					if featOf[extra[m]] == fa {
-						continue
-					}
-					b := int(member[m])
-					mergeInto(union, ca, prev.cols[keep[b]])
-					par[0], par[1] = a, b
-					np := 2
-					if j.dedup {
-						var canonical bool
-						if np, canonical = j.otherParents(union, ca, d, b, key, par); !canonical {
-							continue
-						}
-					}
-					if j.prune(par[:np], &pr) {
-						cols = append(reserve(cols, L), union...)
-					}
-				}
+			if j.prefix {
+				cols = j.joinPrefix(a, cols, &pr, sc)
+			} else {
+				cols = j.joinSubsets(a, cols, &pr, sc)
 			}
 		}
 		j.shards[s] = shardOut{worker: w, lo: lo, hi: len(cols) / L, pr: pr}
 		j.generated.Add(int64(pr.generated(len(cols)/L - lo)))
 	}
 	j.arenas[w] = cols
+}
+
+// joinScratch is one worker's scratch space (see work).
+type joinScratch struct{ union, key, par, cur, stop []int }
+
+// joinPrefix joins kept slice a with the later members of its prefix
+// bucket, whose extra columns are larger than its own, and appends the
+// survivors to cols. The union with partner b is a's columns plus b's extra
+// column xb. Its other L-2 parents, the union without each of a's first
+// L-2 columns, are filed under a's columns without that column, a sibling
+// bucket, with xb as their extra. So one walk over each sibling bucket, in
+// step with the partners, both in ascending extra column, finds them all.
+func (j *join) joinPrefix(a int, cols []int, pr *pruneStats, sc joinScratch) []int {
+	if j.at[a]+1 == j.end[a] {
+		return cols // a is its bucket's last member
+	}
+	L := j.L
+	ca := j.prev.cols[j.keep[a]]
+	fa := j.featOf[ca[L-2]]
+	// A sibling bucket that does not exist leaves every union of a without
+	// that parent.
+	siblings, key := true, sc.key[:L-2]
+	for q := 0; q < L-2 && siblings; q++ {
+		copy(key, ca[:q])
+		copy(key[q:], ca[q+1:])
+		b := j.subsets.find(key)
+		if siblings = b >= 0; siblings {
+			sc.cur[q], sc.stop[q] = int(j.first[b]), int(j.first[b+1])
+		}
+	}
+	copy(sc.union, ca)
+	for m := j.at[a] + 1; m < j.end[a]; m++ {
+		xb := int(j.extra[m])
+		if j.featOf[xb] == fa {
+			continue
+		}
+		sc.par[0], sc.par[1] = a, int(j.member[m])
+		found := siblings
+		for q := 0; q < L-2 && found; q++ {
+			c, stop := sc.cur[q], sc.stop[q]
+			for c < stop && int(j.extra[c]) < xb {
+				c++
+			}
+			sc.cur[q] = c
+			if found = c < stop && int(j.extra[c]) == xb; found {
+				sc.par[2+q] = int(j.member[c])
+			}
+		}
+		if !found {
+			pr.parents++
+			continue
+		}
+		if j.prune(sc.par, pr) {
+			sc.union[L-1] = xb
+			cols = append(reserve(cols, L), sc.union...)
+		}
+	}
+	return cols
+}
+
+// joinSubsets joins kept slice a with its later partners in each of its
+// subset buckets and appends the survivors to cols: every valid pair
+// without dedup, and with dedup each union from its canonical pair.
+func (j *join) joinSubsets(a int, cols []int, pr *pruneStats, sc joinScratch) []int {
+	L := j.L
+	ca := j.prev.cols[j.keep[a]]
+	for d := range ca {
+		sa := a*(L-1) + d
+		fa := j.featOf[ca[d]]
+		for m := j.at[sa] + 1; m < j.end[sa]; m++ {
+			if j.featOf[j.extra[m]] == fa {
+				continue
+			}
+			b := int(j.member[m])
+			mergeInto(sc.union, ca, j.prev.cols[j.keep[b]])
+			sc.par[0], sc.par[1] = a, b
+			np := 2
+			if j.dedup {
+				var canonical bool
+				if np, canonical = j.otherParents(sc.union, ca, d, b, sc.key, sc.par); !canonical {
+					continue
+				}
+			}
+			if j.prune(sc.par[:np], pr) {
+				cols = append(reserve(cols, L), sc.union...)
+			}
+		}
+	}
+	return cols
 }
 
 // otherParents looks up the kept parents of the merged slice union other
@@ -329,56 +459,61 @@ func (j *join) otherParents(union, ca []int, d, b int, key, par []int) (np int, 
 	return np, true
 }
 
-// prune applies the bounds to the candidate whose kept parents are par and
-// counts the rule that removes it in pr. First comes the pair-level score
-// bound of the Section 4.3 join, to every pair of parents as the paper's
-// pair-wise join meets them. Then Equation 9 over the minima of all kept
-// parents: score, and with dedup the missing-parent rule np = L. Its size
-// bound always holds here (see pruneStats). It reports whether the
-// candidate survives.
+// prune applies Equation 9's score bound to the candidate whose kept
+// parents are par, as the paper's pair-wise join applies it to every pair
+// of them and then to the group, and counts the rule that removes it in pr.
+// It reports whether the candidate survives. The size bound always holds
+// here (see pruneStats), and the missing-parent rule ran before.
+//
+// The bound over the minima of all parents comes first. In real arithmetic
+// it is at most every pair's, so when it clears sc_k and 0 by
+// scorer.boundMargin, taken at the parents' largest sm, every pair's
+// computed bound clears them too, and the candidate survives without
+// another bound. Only otherwise are the pairs bounded one by one: a failing
+// pair is pruned itself without dedup, and with dedup it makes the
+// candidate dead. Two parents bound the candidate exactly as their pair
+// does.
 func (j *join) prune(par []int, pr *pruneStats) bool {
-	prev, cfg := j.prev, &j.cfg
-	ub := 0.0 // the last pair's score bound
-	for x := 0; x < len(par) && !cfg.DisableScorePruning; x++ {
-		for _, q := range par[x+1:] {
-			i, k := j.keep[par[x]], j.keep[q]
-			ub = j.sc.upperBound(math.Min(prev.ss[i], prev.ss[k]), math.Min(prev.se[i], prev.se[k]), math.Min(prev.sm[i], prev.sm[k]))
-			if ub > j.sck && ub >= 0 {
-				continue
+	if j.cfg.DisableScorePruning {
+		return true
+	}
+	prev := j.prev
+	ss, se, sm, smMax := math.Inf(1), math.Inf(1), math.Inf(1), 0.0
+	for _, p := range par {
+		i := j.keep[p]
+		ss, se, sm, smMax = min(ss, prev.ss[i]), min(se, prev.se[i]), min(sm, prev.sm[i]), max(smMax, prev.sm[i])
+	}
+	ub := j.sc.upperBound(ss, se, sm)
+	if len(par) > 2 {
+		if d := j.sc.boundMargin(smMax); ub > j.sck+d && ub >= d {
+			return true
+		}
+		for x, p := range par {
+			for _, q := range par[x+1:] {
+				i, k := j.keep[p], j.keep[q]
+				if !j.beats(j.sc.upperBound(min(prev.ss[i], prev.ss[k]), min(prev.se[i], prev.se[k]), min(prev.sm[i], prev.sm[k]))) {
+					pr.dead++
+					return false
+				}
 			}
-			// A failing pair is pruned itself without dedup; with dedup it
-			// condemns the merged slice.
-			if j.dedup {
-				pr.dead++
-			} else {
-				pr.pairScore++
-			}
-			return false
 		}
 	}
-	if !cfg.DisableScorePruning {
-		// Two parents bound the candidate exactly as their pair does.
-		if len(par) > 2 {
-			ss, se, sm := math.Inf(1), math.Inf(1), math.Inf(1)
-			for _, p := range par {
-				i := j.keep[p]
-				ss, se, sm = math.Min(ss, prev.ss[i]), math.Min(se, prev.se[i]), math.Min(sm, prev.sm[i])
-			}
-			ub = j.sc.upperBound(ss, se, sm)
-		}
-		if ub <= j.sck || ub < 0 {
-			pr.score++
-			return false
-		}
+	switch {
+	case j.beats(ub):
+		return true
+	case len(par) > 2:
+		pr.score++
+	case j.dedup:
+		pr.dead++
+	default:
+		pr.pairScore++
 	}
-	if j.dedup && !cfg.DisableParentHandling && len(par) != j.L {
-		// Missing-parent handling: a parent pruned earlier makes every
-		// extension prunable too.
-		pr.parents++
-		return false
-	}
-	return true
+	return false
 }
+
+// beats reports whether the score bound ub passes Equation 9's score rule,
+// ⌈sc⌉ > sc_k ∧ ⌈sc⌉ >= 0.
+func (j *join) beats(ub float64) bool { return ub > j.sck && ub >= 0 }
 
 // reserve returns s with room for n more elements, doubling its capacity
 // when it has to grow, so an arena of c elements grows O(log c) times.

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
+	"sliceline/internal/datagen"
+	"sliceline/internal/frame"
 	"sliceline/internal/matrix"
 )
 
@@ -174,12 +178,17 @@ type naiveSizeTally struct{ pair, group int }
 // partners share L-2 columns and have a feature-disjoint union; with dedup,
 // each union accumulates its min-bounds, parent-pair count and dead flag in
 // a map; every bound of Equation 9 is applied, the size bound included.
-// With filter, a slice that passes σ and se > 0 is still dropped from the
-// input when its own bound fails the score bound by more than the rounding
-// margin, wherever score pruning is on and, at dedup levels, missing-parent
-// handling too. It returns the surviving candidates' column lists as sorted
-// keys, the per-rule counts, the size-bound tallies and the number of
-// candidates generated before pruning, which MaxCandidatesPerLevel caps.
+// With dedup and missing-parent handling, the bounds and their counts apply
+// only to unions whose L parents are all kept; a union with a kept prefix
+// pair (the union without its last column and without its second to last)
+// and another parent missing counts as parents, and any other union is not
+// counted. With filter, a slice that passes σ and se > 0 is still dropped
+// from the input when its own bound fails the score bound by more than the
+// rounding margin, wherever score pruning is on and, at dedup levels,
+// missing-parent handling too. It returns the surviving candidates' column
+// lists as sorted keys, the per-rule counts, the size-bound tallies and the
+// number of candidates generated before pruning, which
+// MaxCandidatesPerLevel caps.
 func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool) ([]string, pruneStats, naiveSizeTally, int) {
 	cfg := st.cfg
 	sigma := float64(cfg.Sigma)
@@ -188,9 +197,11 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool
 		minSS = 1
 	}
 	dedup := L > 2 && !cfg.DisableDedup
+	prefix := dedup && !cfg.DisableParentHandling
 	filter = filter && !cfg.DisableScorePruning && !(dedup && cfg.DisableParentHandling)
 	var pr pruneStats
 	var keep []int
+	kept := map[string]bool{}
 	for i := range prev.cols {
 		if prev.ss[i] < minSS || prev.se[i] <= 0 {
 			continue
@@ -203,6 +214,7 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool
 			}
 		}
 		keep = append(keep, i)
+		kept[fmt.Sprint(prev.cols[i])] = true
 	}
 	type cand struct {
 		cols       []int
@@ -273,7 +285,17 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool
 		}
 	}
 	out := []string{}
+	generated := 0
 	for _, g := range cands {
+		if prefix && g.pairs != L*(L-1)/2 {
+			noLast := g.cols[:L-1]
+			noSecondLast := append(append([]int(nil), g.cols[:L-2]...), g.cols[L-1])
+			if kept[fmt.Sprint(noLast)] && kept[fmt.Sprint(noSecondLast)] {
+				pr.parents++
+			}
+			continue
+		}
+		generated++
 		if g.dead {
 			pr.dead++
 			continue
@@ -287,14 +309,38 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool
 			pr.score++
 			continue
 		}
-		if dedup && !cfg.DisableParentHandling && g.pairs != L*(L-1)/2 {
-			pr.parents++
-			continue
-		}
 		out = append(out, fmt.Sprint(g.cols))
 	}
 	sort.Strings(out)
-	return out, pr, sizes, len(cands)
+	return out, pr, sizes, generated
+}
+
+// roundingInversion draws from TestBoundMarginCoversRounding's adversarial
+// family until the child's score bound lies above its parent's, which is
+// >= 0: a scorer, parent statistics (ss, e, m) with ss at or above the
+// breakpoint e/m, and the child (bp-1, e, m) one integer step below it.
+func roundingInversion(rng *rand.Rand) (sc scorer, parent, child [3]float64) {
+	for {
+		n := 2 + rng.Intn(1_000_000)
+		sigma := 1 + rng.Intn(min(n-1, 100))
+		alpha := 1 - math.Ldexp(1, -1-rng.Intn(50))
+		if rng.Intn(2) == 0 {
+			alpha = 0.001 + 0.999*rng.Float64()
+		}
+		sc = scorer{n: float64(n), avgErr: math.Ldexp(0.5+rng.Float64(), -rng.Intn(20)), alpha: alpha, sigma: float64(sigma)}
+		m := math.Ldexp(0.5+rng.Float64(), -rng.Intn(4))
+		bp := sigma + 1 + rng.Intn(n-sigma)
+		e := float64(bp) * m
+		for k := rng.Intn(4); k > 0; k-- {
+			e = math.Nextafter(e, math.Inf(1))
+		}
+		parent = [3]float64{float64(bp + rng.Intn(n-bp+1)), e, m}
+		child = [3]float64{float64(bp - 1), e, m}
+		ubP, ubC := sc.upperBound(parent[0], parent[1], parent[2]), sc.upperBound(child[0], child[1], child[2])
+		if ubC > ubP && ubP >= 0 {
+			return sc, parent, child
+		}
+	}
 }
 
 // randomFrontier draws a shuffled level-(L-1) frontier of distinct,
@@ -361,7 +407,11 @@ func withDuplicates(rng *rand.Rand, prev *level) *level {
 // the filtered model's; and the output order must not depend on the worker
 // count. It is the only test of the per-rule counts: the reference
 // comparison in TestLevelCountsMatchReference sees only Candidates and
-// Valid.
+// Valid. One more frontier comes from TestBoundMarginCoversRounding's
+// adversarial family: a pair of a candidate's parents fails the score bound
+// by rounding while the bound over all of them passes by less than the
+// margin, so the candidate is dead, and the join's one-bound shortcut must
+// not accept it.
 func TestPairCandidatesMatchNaive(t *testing.T) {
 	defer matrix.SetMaxWorkers(matrix.SetMaxWorkers(1))
 	configs := []Config{
@@ -380,6 +430,66 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	levels, maxShards := 0, 0
 	var fired pruneStats
+	check := func(trial, ci int, st *state, prev *level, L int, sck float64) pruneStats {
+		t.Helper()
+		want, _, sizes, _ := naivePairCandidates(st, prev, L, sck, false)
+		filtered, wantPr, filteredSizes, generated := naivePairCandidates(st, prev, L, sck, true)
+		if sizes != (naiveSizeTally{}) || filteredSizes != (naiveSizeTally{}) {
+			t.Fatalf("trial %d config %d (L=%d): the size bound pruned %+v unfiltered and %+v filtered, want none",
+				trial, ci, L, sizes, filteredSizes)
+		}
+		if !reflect.DeepEqual(filtered, want) {
+			t.Fatalf("trial %d config %d (L=%d): the filtered naive join keeps %d candidates, unfiltered %d",
+				trial, ci, L, len(filtered), len(want))
+		}
+		fired.add(wantPr)
+		maxShards = max(maxShards, (prev.size()+joinShard-1)/joinShard)
+
+		var first *level
+		var firstPr pruneStats
+		for _, workers := range []int{1, 2, 7} {
+			matrix.SetMaxWorkers(workers)
+			got, pr := st.pairCandidates(prev, L, sck)
+			if got == nil {
+				t.Fatalf("trial %d config %d (L=%d): uncapped generation returned nil", trial, ci, L)
+			}
+			if pr != wantPr {
+				t.Fatalf("trial %d config %d (L=%d, %d workers): prune counts %+v, naive %+v", trial, ci, L, workers, pr, wantPr)
+			}
+			keys := make([]string, got.size())
+			for k, cols := range got.cols {
+				keys[k] = fmt.Sprint(cols)
+			}
+			sort.Strings(keys)
+			if !reflect.DeepEqual(keys, want) {
+				t.Fatalf("trial %d config %d (L=%d, %d workers): %d candidates differ from naive %d",
+					trial, ci, L, workers, len(keys), len(want))
+			}
+			if first == nil {
+				first, firstPr = got, pr
+			} else if !reflect.DeepEqual(got.cols, first.cols) || pr != firstPr {
+				t.Fatalf("trial %d config %d (L=%d): output at %d workers differs from 1 worker", trial, ci, L, workers)
+			}
+		}
+
+		// The cap counts candidates before pruning: the filtered naive
+		// count passes, one less returns nil at every worker count.
+		for _, limit := range []int{generated, generated - 1} {
+			capped := *st
+			capped.cfg.MaxCandidatesPerLevel = limit
+			for _, workers := range []int{1, 2, 7} {
+				matrix.SetMaxWorkers(workers)
+				if got, _ := capped.pairCandidates(prev, L, sck); (got == nil) != (limit < generated) {
+					t.Fatalf("trial %d config %d (L=%d, %d workers): cap %d of %d returned nil = %v",
+						trial, ci, L, workers, limit, generated, got == nil)
+				}
+			}
+		}
+		if L > 2 && len(want) > 0 {
+			levels++
+		}
+		return wantPr
+	}
 	for trial := 0; trial < 16; trial++ {
 		L := 2 + trial%4
 		features, dom := 5+rng.Intn(4), 2+rng.Intn(3)
@@ -404,65 +514,36 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 				prev = withDuplicates(rng, frontier)
 			}
 			st := &state{cfg: cfg, sc: newScorer(n, e, cfg.Alpha, cfg.Sigma), featOf: featOf}
-			sck := rng.Float64()
-			want, _, sizes, _ := naivePairCandidates(st, prev, L, sck, false)
-			filtered, wantPr, filteredSizes, generated := naivePairCandidates(st, prev, L, sck, true)
-			if sizes != (naiveSizeTally{}) || filteredSizes != (naiveSizeTally{}) {
-				t.Fatalf("trial %d config %d (L=%d): the size bound pruned %+v unfiltered and %+v filtered, want none",
-					trial, ci, L, sizes, filteredSizes)
-			}
-			if !reflect.DeepEqual(filtered, want) {
-				t.Fatalf("trial %d config %d (L=%d): the filtered naive join keeps %d candidates, unfiltered %d",
-					trial, ci, L, len(filtered), len(want))
-			}
-			fired.add(wantPr)
-			maxShards = max(maxShards, (prev.size()+joinShard-1)/joinShard)
-
-			var first *level
-			var firstPr pruneStats
-			for _, workers := range []int{1, 2, 7} {
-				matrix.SetMaxWorkers(workers)
-				got, pr := st.pairCandidates(prev, L, sck)
-				if got == nil {
-					t.Fatalf("trial %d config %d (L=%d): uncapped generation returned nil", trial, ci, L)
-				}
-				if pr != wantPr {
-					t.Fatalf("trial %d config %d (L=%d, %d workers): prune counts %+v, naive %+v", trial, ci, L, workers, pr, wantPr)
-				}
-				keys := make([]string, got.size())
-				for k, cols := range got.cols {
-					keys[k] = fmt.Sprint(cols)
-				}
-				sort.Strings(keys)
-				if !reflect.DeepEqual(keys, want) {
-					t.Fatalf("trial %d config %d (L=%d, %d workers): %d candidates differ from naive %d",
-						trial, ci, L, workers, len(keys), len(want))
-				}
-				if first == nil {
-					first, firstPr = got, pr
-				} else if !reflect.DeepEqual(got.cols, first.cols) || pr != firstPr {
-					t.Fatalf("trial %d config %d (L=%d): output at %d workers differs from 1 worker", trial, ci, L, workers)
-				}
-			}
-
-			// The cap counts candidates before pruning: the filtered naive
-			// count passes, one less returns nil at every worker count.
-			for _, limit := range []int{generated, generated - 1} {
-				capped := *st
-				capped.cfg.MaxCandidatesPerLevel = limit
-				for _, workers := range []int{1, 2, 7} {
-					matrix.SetMaxWorkers(workers)
-					if got, _ := capped.pairCandidates(prev, L, sck); (got == nil) != (limit < generated) {
-						t.Fatalf("trial %d config %d (L=%d, %d workers): cap %d of %d returned nil = %v",
-							trial, ci, L, workers, limit, generated, got == nil)
-					}
-				}
-			}
-			if L > 2 && len(want) > 0 {
-				levels++
-			}
+			check(trial, ci, st, prev, L, rng.Float64())
 		}
 	}
+
+	// The adversarial frontier: the union {0, 1, 2} of three features. Its
+	// prefix pair {0, 1} and {0, 2} has the parent's statistics of a draw,
+	// {1, 2} the child's, whose bound lies above the parent's by rounding.
+	// At sc_k = the parent's bound, the prefix pair fails the score bound
+	// while the bound over all three parents passes by less than the margin.
+	sc, parent, child := roundingInversion(rand.New(rand.NewSource(29)))
+	ubP, ubC := sc.upperBound(parent[0], parent[1], parent[2]), sc.upperBound(child[0], child[1], child[2])
+	if d := sc.boundMargin(parent[2]); !(ubC > ubP && ubC-ubP < d) {
+		t.Fatalf("adversarial draw: child bound %v, parent bound %v, margin %g", ubC, ubP, d)
+	}
+	adversarial := &level{cols: [][]int{{0, 1}, {0, 2}, {1, 2}}}
+	for _, stats := range [][3]float64{parent, parent, child} {
+		adversarial.ss = append(adversarial.ss, stats[0])
+		adversarial.se = append(adversarial.se, stats[1])
+		adversarial.sm = append(adversarial.sm, stats[2])
+	}
+	for ci, base := range configs {
+		cfg := base
+		cfg.K, cfg.Sigma, cfg.Alpha = 4, int(sc.sigma), sc.alpha
+		st := &state{cfg: cfg.WithDefaults(int(sc.n)), sc: sc, featOf: []int{0, 1, 2}}
+		pr := check(16, ci, st, adversarial, 3, ubP)
+		if !cfg.DisableDedup && !cfg.DisableScorePruning && pr.dead != 1 {
+			t.Fatalf("adversarial frontier, config %d: prune counts %+v, want the union dead", ci, pr)
+		}
+	}
+
 	// Input filtering keeps only slices of size >= σ when size pruning is
 	// on, so neither size rule can fire (checked above); the others must,
 	// and the score filter must drop parents.
@@ -470,4 +551,71 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 		t.Fatalf("fixture too thin: %d levels >= 3 with candidates, at most %d shards, rules fired %+v",
 			levels, maxShards, fired)
 	}
+}
+
+// BenchmarkPairCandidates times candidate generation alone, from the
+// frontier a real run joins: Covtype's 10,000-row level 2 joined to level 3,
+// where the join forms about 109k candidates, and Adult's level 3 at K 8,
+// α 0.99 joined to level 4, a deep configuration that prunes weakly.
+// ns/candidate divides the time by the surviving candidates, which do not
+// depend on how the join finds them.
+func BenchmarkPairCandidates(b *testing.B) {
+	cases := []struct {
+		name, dataset string
+		rows          int
+		cfg           Config
+		L             int
+	}{
+		{"covtype-10k-L3", "covtype", 10_000, Config{}, 3},
+		{"adult-k8-a0.99-L4", "adult", 0, Config{K: 8, Alpha: 0.99}, 4},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			st, prev, sck := joinFrontier(b, c.dataset, c.rows, c.cfg, c.L)
+			var cand *level
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cand, _ = st.pairCandidates(prev, c.L, sck)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(max(cand.size(), 1)), "ns/candidate")
+		})
+	}
+}
+
+// joinFrontier runs SliceLine on a synthetic dataset (seed 1) through level
+// L-1 and returns what its join to level L starts from: the run's state,
+// the level-(L-1) frontier and sc_k, read back from the run's checkpoint.
+func joinFrontier(b *testing.B, dataset string, rows int, cfg Config, L int) (*state, *level, float64) {
+	b.Helper()
+	g, err := datagen.ByName(dataset, rows, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := frame.OneHot(g.DS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := enc.X.Rows()
+	cfg.MaxLevel, cfg.CheckpointPath = L-1, filepath.Join(b.TempDir(), "ck.gob")
+	if _, err := Run(context.Background(), enc, g.DS.Features, g.Err, nil, cfg); err != nil {
+		b.Fatal(err)
+	}
+	cfg = cfg.WithDefaults(n)
+	ck := &checkpointer{path: cfg.CheckpointPath, sig: Signature(enc, g.Err, nil, cfg)}
+	tk, prev := newTopK(cfg.K, float64(cfg.Sigma)), &level{}
+	if lvl, err := ck.load(tk, prev, &Result{}); err != nil || lvl != L-1 {
+		b.Fatalf("checkpoint at level %d (%v), want level %d", lvl, err, L-1)
+	}
+	// The frontier's columns index cI, the basic slices that pass σ and
+	// se > 0.
+	ss0, se0, sm0 := make([]float64, enc.Width()), make([]float64, enc.Width()), make([]float64, enc.Width())
+	basicRowPass(enc.X, g.Err, nil, ss0, se0, sm0)
+	var featOf []int
+	for j := range ss0 {
+		if ss0[j] >= float64(cfg.Sigma) && se0[j] > 0 {
+			featOf = append(featOf, enc.FeatureOf(j))
+		}
+	}
+	return &state{cfg: cfg, sc: newScorer(n, g.Err, cfg.Alpha, cfg.Sigma), featOf: featOf}, prev, tk.threshold()
 }

@@ -349,7 +349,7 @@ func TestMaxCandidatesTruncates(t *testing.T) {
 func TestMaxCandidatesBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cases := [2]int{} // per mode: dedup, DisableDedup
-	for trial := 0; trial < 200 && (cases[0] < 10 || cases[1] < 10); trial++ {
+	for trial := 0; trial < 1000 && (cases[0] < 10 || cases[1] < 10); trial++ {
 		noDedup := trial%2 == 1
 		ds, e := randomDataset(rng, 80+rng.Intn(120), 4+rng.Intn(3), 4)
 		cfg := Config{
