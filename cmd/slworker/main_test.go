@@ -74,7 +74,10 @@ func TestGracefulDrainOnSIGTERM(t *testing.T) {
 
 	evalDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := w.Eval(ctx, 0, [][]int{{0}, {1}, {0}, {1}}, 1)
+		// The level-1 candidates {0}, {1}, {0}, {1} as the wire's
+		// little-endian int32 arena.
+		cands := []byte{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0}
+		_, _, _, err := w.Eval(ctx, 0, cands, 1)
 		evalDone <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let the call reach the worker

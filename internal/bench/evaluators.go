@@ -31,21 +31,19 @@ func (d *DenseIntermediates) Setup(_ context.Context, x *matrix.CSR, e []float64
 }
 
 // Eval implements core.ExternalEvaluator.
-func (d *DenseIntermediates) Eval(_ context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
+func (d *DenseIntermediates) Eval(_ context.Context, ids []int32, level int) (ss, se, sm []float64, err error) {
 	if d.x == nil {
 		return nil, nil, nil, errEvalBeforeSetup
 	}
 	const chunk = 512
-	n := len(cols)
+	n := len(ids) / level
 	ss, se, sm = make([]float64, n), make([]float64, n), make([]float64, n)
 	for s0 := 0; s0 < n; s0 += chunk {
 		s1 := min(s0+chunk, n)
 		// Materialize S for the chunk as CSR, then XSᵀ densely.
 		var ts []matrix.Triple
-		for s := s0; s < s1; s++ {
-			for _, c := range cols[s] {
-				ts = append(ts, matrix.Triple{Row: s - s0, Col: c})
-			}
+		for k, c := range ids[s0*level : s1*level] {
+			ts = append(ts, matrix.Triple{Row: k / level, Col: int(c)})
 		}
 		sMat := matrix.CSRFromTriples(s1-s0, d.x.Cols(), ts)
 		ind := matrix.EqScalar(matrix.MulCSRT(d.x, sMat), float64(level)) // I = ((X Sᵀ) = L)
@@ -77,13 +75,13 @@ func (c *CSREvaluator) Setup(_ context.Context, x *matrix.CSR, e []float64) erro
 }
 
 // Eval implements core.ExternalEvaluator.
-func (c *CSREvaluator) Eval(_ context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
+func (c *CSREvaluator) Eval(_ context.Context, ids []int32, level int) (ss, se, sm []float64, err error) {
 	if c.x == nil {
 		return nil, nil, nil, errEvalBeforeSetup
 	}
-	n := len(cols)
+	n := len(ids) / level
 	ss, se, sm = make([]float64, n), make([]float64, n), make([]float64, n)
-	core.EvalPartitionWeighted(c.x, c.e, nil, cols, level, c.BlockSize, ss, se, sm)
+	core.EvalPartitionWeighted(c.x, c.e, nil, ids, level, c.BlockSize, ss, se, sm)
 	return ss, se, sm, nil
 }
 
@@ -104,11 +102,11 @@ func (b *BarrierEvaluator) Setup(_ context.Context, x *matrix.CSR, e []float64) 
 }
 
 // Eval implements core.ExternalEvaluator.
-func (b *BarrierEvaluator) Eval(_ context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
+func (b *BarrierEvaluator) Eval(_ context.Context, ids []int32, level int) (ss, se, sm []float64, err error) {
 	if b.kernel == nil {
 		return nil, nil, nil, errEvalBeforeSetup
 	}
-	n := len(cols)
+	n := len(ids) / level
 	ss, se, sm = make([]float64, n), make([]float64, n), make([]float64, n)
 	size := b.BlockSize
 	if size <= 0 {
@@ -118,7 +116,7 @@ func (b *BarrierEvaluator) Eval(_ context.Context, cols [][]int, level int) (ss,
 		s1 := min(s0+size, n)
 		// The kernel spreads this one operation over all workers; the loop
 		// itself is the barrier.
-		b.kernel.Eval(cols[s0:s1], level, ss[s0:s1], se[s0:s1], sm[s0:s1])
+		b.kernel.Eval(ids[s0*level:s1*level], level, ss[s0:s1], se[s0:s1], sm[s0:s1])
 	}
 	return ss, se, sm, nil
 }

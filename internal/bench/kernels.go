@@ -25,8 +25,8 @@ type kernelWorkload struct {
 	ds      *frame.Dataset
 	x       *matrix.CSR
 	e, w    []float64
-	pairs   [][]int // all level-2 cross-feature column pairs
-	triples [][]int // all level-3 cross-feature column triples
+	pairs   []int32 // all level-2 cross-feature column pairs, as one arena
+	triples []int32 // all level-3 cross-feature column triples, as one arena
 	packed  *matrix.ColumnBits
 }
 
@@ -73,38 +73,38 @@ func newKernelWorkload(seed int64) (*kernelWorkload, error) {
 			if enc.FeatureOf(c1) == enc.FeatureOf(c2) {
 				continue
 			}
-			wl.pairs = append(wl.pairs, []int{c1, c2})
+			wl.pairs = append(wl.pairs, int32(c1), int32(c2))
 			for c3 := c2 + 1; c3 < width; c3++ {
 				if enc.FeatureOf(c3) == enc.FeatureOf(c1) || enc.FeatureOf(c3) == enc.FeatureOf(c2) {
 					continue
 				}
-				wl.triples = append(wl.triples, []int{c1, c2, c3})
+				wl.triples = append(wl.triples, int32(c1), int32(c2), int32(c3))
 			}
 		}
 	}
 	return wl, nil
 }
 
-// kernelCase is one gated benchmark: a name and the op it measures.
+// kernelCase is one gated benchmark: a name, the level-L candidate arena
+// and the op it measures.
 type kernelCase struct {
 	name string
-	cols [][]int
-	run  func(wl *kernelWorkload, cols [][]int, ss, se, sm []float64)
+	ids  []int32
+	L    int
+	run  func(wl *kernelWorkload, ids []int32, L int, ss, se, sm []float64)
 }
 
-func csrOp(level int) func(*kernelWorkload, [][]int, []float64, []float64, []float64) {
-	return func(wl *kernelWorkload, cols [][]int, ss, se, sm []float64) {
-		core.EvalPartitionWeighted(wl.x, wl.e, nil, cols, level, core.DefaultBlockSize, ss, se, sm)
-	}
+func csrOp(wl *kernelWorkload, ids []int32, L int, ss, se, sm []float64) {
+	core.EvalPartitionWeighted(wl.x, wl.e, nil, ids, L, core.DefaultBlockSize, ss, se, sm)
 }
 
-func bitsetOp(weighted bool) func(*kernelWorkload, [][]int, []float64, []float64, []float64) {
-	return func(wl *kernelWorkload, cols [][]int, ss, se, sm []float64) {
+func bitsetOp(weighted bool) func(*kernelWorkload, []int32, int, []float64, []float64, []float64) {
+	return func(wl *kernelWorkload, ids []int32, L int, ss, se, sm []float64) {
 		w := wl.w
 		if !weighted {
 			w = nil
 		}
-		core.EvalBitsetSerial(wl.bits(), wl.e, w, cols, ss, se, sm)
+		core.EvalBitsetSerial(wl.bits(), wl.e, w, ids, L, ss, se, sm)
 	}
 }
 
@@ -127,11 +127,11 @@ func KernelSuite(seed int64) ([]benchfmt.Benchmark, error) {
 		return nil, err
 	}
 	cases := []kernelCase{
-		{name: "eval/csr/pairs-l2", cols: wl.pairs, run: csrOp(2)},
-		{name: "eval/bitset/pairs-l2", cols: wl.pairs, run: bitsetOp(false)},
-		{name: "eval/csr/triples-l3", cols: wl.triples, run: csrOp(3)},
-		{name: "eval/bitset/triples-l3", cols: wl.triples, run: bitsetOp(false)},
-		{name: "eval/bitset/weighted-pairs-l2", cols: wl.pairs, run: bitsetOp(true)},
+		{name: "eval/csr/pairs-l2", ids: wl.pairs, L: 2, run: csrOp},
+		{name: "eval/bitset/pairs-l2", ids: wl.pairs, L: 2, run: bitsetOp(false)},
+		{name: "eval/csr/triples-l3", ids: wl.triples, L: 3, run: csrOp},
+		{name: "eval/bitset/triples-l3", ids: wl.triples, L: 3, run: bitsetOp(false)},
+		{name: "eval/bitset/weighted-pairs-l2", ids: wl.pairs, L: 2, run: bitsetOp(true)},
 	}
 	// Pin the measured region single-threaded and pre-pack the bitsets so
 	// neither worker fan-out nor one-time setup leaks into any timed loop.
@@ -141,9 +141,8 @@ func KernelSuite(seed int64) ([]benchfmt.Benchmark, error) {
 	out := make([]benchfmt.Benchmark, 0, len(cases))
 	for _, kc := range cases {
 		kc := kc
-		ss := make([]float64, len(kc.cols))
-		se := make([]float64, len(kc.cols))
-		sm := make([]float64, len(kc.cols))
+		n := len(kc.ids) / kc.L
+		ss, se, sm := make([]float64, n), make([]float64, n), make([]float64, n)
 		// Best of kernelRepeats runs: min ns/op is the standard
 		// noise-robust statistic, and the gate compares two best-of-N
 		// measurements, so scheduler hiccups on shared CI runners do not
@@ -158,7 +157,7 @@ func KernelSuite(seed int64) ([]benchfmt.Benchmark, error) {
 					for j := range ss {
 						ss[j], se[j], sm[j] = 0, 0, 0
 					}
-					kc.run(wl, kc.cols, ss, se, sm)
+					kc.run(wl, kc.ids, kc.L, ss, se, sm)
 				}
 			})
 			ns := float64(r.NsPerOp())

@@ -36,7 +36,7 @@ func (st *state) gapBound(frontier *level, completedLevel int, threshold float64
 		return 0
 	}
 	gap := 0.0
-	for i := range frontier.cols {
+	for i := range frontier.ss {
 		ub := st.sc.upperBound(frontier.ss[i], frontier.se[i], frontier.sm[i])
 		if g := ub - threshold; g > gap {
 			gap = g

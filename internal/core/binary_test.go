@@ -35,7 +35,7 @@ func sameBits(a, b [3]float64) bool {
 func layoutEval(x *matrix.CSR, e, w []float64, cand []int) [3]float64 {
 	cb, errRows := packBinaryLayout(x, e, w)
 	var ss, se, sm [1]float64
-	evalBinaryRange(cb, errRows, [][]int{cand}, 0, 1, ss[:], se[:], sm[:])
+	evalBinaryRange(cb, errRows, ids32(cand), len(cand), 0, 1, ss[:], se[:], sm[:])
 	return [3]float64{ss[0], se[0], sm[0]}
 }
 
@@ -50,7 +50,7 @@ func checkBinaryMatchesGeneral(t testing.TB, x *matrix.CSR, e, w []float64, cand
 	t.Helper()
 	cb := matrix.PackColumns(x)
 	eval := func(cb *matrix.ColumnBits, r rowVals, from int, seed [3]float64) [3]float64 {
-		ss, se, sm := evalBitsetFrom(cb, r, cand, from, seed[0], seed[1], seed[2])
+		ss, se, sm := evalBitsetFrom(cb, r, ids32(cand), from, seed[0], seed[1], seed[2])
 		return [3]float64{ss, se, sm}
 	}
 	full := eval(cb, rowVals{e: e, w: w}, 0, [3]float64{})
@@ -201,8 +201,8 @@ func checkKernelMatchesGeneral(t *testing.T, enc *frame.Encoding, e, w []float64
 		n := len(cols)
 		ssK, seK, smK := make([]float64, n), make([]float64, n), make([]float64, n)
 		ssG, seG, smG := make([]float64, n), make([]float64, n), make([]float64, n)
-		k.Eval(cols, level, ssK, seK, smK)
-		EvalBitsetWeighted(cb, e, w, cols, ssG, seG, smG)
+		k.Eval(ids32(cols...), level, ssK, seK, smK)
+		EvalBitsetWeighted(cb, e, w, ids32(cols...), level, ssG, seG, smG)
 		for j := range cols {
 			if !sameBits([3]float64{ssK[j], seK[j], smK[j]}, [3]float64{ssG[j], seG[j], smG[j]}) {
 				t.Fatalf("L%d cand %v (binary %v): kernel (%v, %v, %v), general (%v, %v, %v)",
@@ -219,7 +219,7 @@ func checkKernelMatchesGeneral(t *testing.T, enc *frame.Encoding, e, w []float64
 func checkKernelEval(t testing.TB, x *matrix.CSR, e, w []float64, cand []int) {
 	t.Helper()
 	var want [3]float64
-	want[0], want[1], want[2] = evalBitsetFrom(matrix.PackColumns(x), rowVals{e: e, w: w}, cand, 0, 0, 0, 0)
+	want[0], want[1], want[2] = evalBitsetFrom(matrix.PackColumns(x), rowVals{e: e, w: w}, ids32(cand), 0, 0, 0, 0)
 	k := NewKernel(x, e, w)
 	kernels := []*Kernel{k}
 	if k.Binary() && w == nil {
@@ -231,7 +231,7 @@ func checkKernelEval(t testing.TB, x *matrix.CSR, e, w []float64, cand []int) {
 	}
 	for _, k := range kernels {
 		var ss, se, sm [1]float64
-		k.Eval([][]int{cand}, len(cand), ss[:], se[:], sm[:])
+		k.Eval(ids32(cand), len(cand), ss[:], se[:], sm[:])
 		if got := [3]float64{ss[0], se[0], sm[0]}; !sameBits(got, want) {
 			t.Fatalf("cand %v (weighted %v, binary %v, packed %v): Kernel.Eval %v, general %v",
 				cand, w != nil, k.Binary(), k.x == nil, got, want)
@@ -391,9 +391,9 @@ func TestBinaryLayoutMatchesGeneral(t *testing.T) {
 					for _, out := range []*[3][]float64{&got, &bitset, &fused} {
 						*out = [3][]float64{make([]float64, m), make([]float64, m), make([]float64, m)}
 					}
-					k.Eval(cols, L, got[0], got[1], got[2])
-					EvalBitsetWeighted(cb, e, w, cols, bitset[0], bitset[1], bitset[2])
-					EvalPartitionWeighted(enc.X, e, w, cols, L, 0, fused[0], fused[1], fused[2])
+					k.Eval(ids32(cols...), L, got[0], got[1], got[2])
+					EvalBitsetWeighted(cb, e, w, ids32(cols...), L, bitset[0], bitset[1], bitset[2])
+					EvalPartitionWeighted(enc.X, e, w, ids32(cols...), L, 0, fused[0], fused[1], fused[2])
 					for s := range cols {
 						g := [3]float64{got[0][s], got[1][s], got[2][s]}
 						b := [3]float64{bitset[0][s], bitset[1][s], bitset[2][s]}
@@ -517,13 +517,14 @@ func TestBinaryKernelConcurrentFirstEval(t *testing.T) {
 	}
 	n := len(cols)
 	ssG, seG, smG := make([]float64, n), make([]float64, n), make([]float64, n)
-	EvalBitsetWeighted(matrix.PackColumns(enc.X), e, nil, cols, ssG, seG, smG)
+	EvalBitsetWeighted(matrix.PackColumns(enc.X), e, nil, ids32(cols...), 2, ssG, seG, smG)
 
 	k := NewKernel(enc.X, e, nil)
 	if !k.Binary() {
 		t.Fatal("Binary() = false on 0/1 errors")
 	}
 	const callers = 4
+	ids := ids32(cols...)
 	out := make([][3][]float64, callers)
 	var wg sync.WaitGroup
 	for g := range out {
@@ -531,7 +532,7 @@ func TestBinaryKernelConcurrentFirstEval(t *testing.T) {
 		wg.Add(1)
 		go func(o [3][]float64) {
 			defer wg.Done()
-			k.Eval(cols, 2, o[0], o[1], o[2])
+			k.Eval(ids, 2, o[0], o[1], o[2])
 		}(out[g])
 	}
 	wg.Wait()

@@ -11,15 +11,18 @@ import (
 // checkpointVersion guards the on-disk layout and the meaning of what it
 // stores; a mismatch refuses to resume. Version 2: LevelStats.Pruned no
 // longer counts unions that lack a parent, so a version-1 file's completed
-// levels would mix the two definitions.
-const checkpointVersion = 2
+// levels would mix the two definitions. Version 3: the frontier is its
+// width and one int32 arena, under a new field name, so a version-2 file
+// still decodes (gob skips its [][]int Cols) and is refused by its version.
+const checkpointVersion = 3
 
 // checkpointState is the gob-encoded on-disk form of a run's state after one
 // completed lattice level. Restoring it and re-running the remaining levels
 // reproduces the uninterrupted run exactly: enumeration is level-local (the
 // level-L candidates depend only on the level-(L-1) frontier and the top-K
 // threshold), and gob round-trips float64 bit-exactly, so a resumed run's
-// top-K is byte-identical.
+// top-K is byte-identical. The frontier is stored as the level's width and
+// arena, and each top-K entry as its column ids.
 type checkpointState struct {
 	Version int
 	Sig     uint64
@@ -33,7 +36,7 @@ type checkpointState struct {
 }
 
 type checkpointEntry struct {
-	Cols  []int
+	Cols  []int32
 	Score float64
 	SS    float64
 	SE    float64
@@ -41,11 +44,12 @@ type checkpointEntry struct {
 }
 
 type checkpointLevel struct {
-	Cols [][]int
-	Sc   []float64
-	Se   []float64
-	Sm   []float64
-	Ss   []float64
+	Width int     // columns per slice: the stored level
+	IDs   []int32 // Width ids per slice (the level's arena)
+	Sc    []float64
+	Se    []float64
+	Sm    []float64
+	Ss    []float64
 }
 
 // checkpointer persists enumeration state level by level. A nil checkpointer
@@ -74,8 +78,8 @@ func (c *checkpointer) save(lvl int, tk *topK, frontier *level, res *Result) err
 		})
 	}
 	st.Frontier = checkpointLevel{
-		Cols: frontier.cols,
-		Sc:   frontier.sc, Se: frontier.se, Sm: frontier.sm, Ss: frontier.ss,
+		Width: frontier.L, IDs: frontier.cols,
+		Sc: frontier.sc, Se: frontier.se, Sm: frontier.sm, Ss: frontier.ss,
 	}
 	tmp := c.path + ".tmp"
 	f, err := os.Create(tmp)
@@ -100,9 +104,11 @@ func (c *checkpointer) save(lvl int, tk *topK, frontier *level, res *Result) err
 
 // load restores a checkpoint into the run's top-K and frontier, returning the
 // last completed level, or 0 when no checkpoint file exists (fresh start).
-// A file it refuses — undecodable, another version, another signature or an
-// invalid level — is an error wrapping ErrBadCheckpoint.
-func (c *checkpointer) load(tk *topK, frontier *level, res *Result) (int, error) {
+// A file it refuses is an error wrapping ErrBadCheckpoint: undecodable,
+// another version, another signature, an invalid level, a frontier whose
+// width is not the level or whose ids and statistics disagree in count, or
+// a frontier or top-K candidate that fails CheckCands against nCols.
+func (c *checkpointer) load(tk *topK, frontier *level, res *Result, nCols int) (int, error) {
 	f, err := os.Open(c.path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
@@ -124,17 +130,25 @@ func (c *checkpointer) load(tk *topK, frontier *level, res *Result) (int, error)
 	if st.Level < 1 {
 		return 0, fmt.Errorf("core: checkpoint %s has invalid level %d: %w", c.path, st.Level, ErrBadCheckpoint)
 	}
+	fr, n := st.Frontier, len(st.Frontier.Ss)
+	if fr.Width != st.Level || len(fr.Sc) != n || len(fr.Se) != n || len(fr.Sm) != n || len(fr.IDs)%fr.Width != 0 || len(fr.IDs)/fr.Width != n {
+		return 0, fmt.Errorf("core: checkpoint %s has a level-%d frontier of width %d with %d ids and %d/%d/%d/%d statistics: %w",
+			c.path, st.Level, fr.Width, len(fr.IDs), len(fr.Sc), len(fr.Se), len(fr.Sm), n, ErrBadCheckpoint)
+	}
+	if err := CheckCands(fr.IDs, fr.Width, nCols); err != nil {
+		return 0, fmt.Errorf("core: checkpoint %s frontier: %w: %w", c.path, err, ErrBadCheckpoint)
+	}
 	tk.entries = tk.entries[:0]
 	for _, e := range st.TopK {
+		if err := CheckCands(e.Cols, len(e.Cols), nCols); err != nil {
+			return 0, fmt.Errorf("core: checkpoint %s top-K: %w: %w", c.path, err, ErrBadCheckpoint)
+		}
 		tk.entries = append(tk.entries, tkEntry{
 			cols: e.Cols, score: e.Score, ss: e.SS, se: e.SE, sm: e.SM,
 		})
 	}
-	frontier.cols = st.Frontier.Cols
-	frontier.sc = st.Frontier.Sc
-	frontier.se = st.Frontier.Se
-	frontier.sm = st.Frontier.Sm
-	frontier.ss = st.Frontier.Ss
+	frontier.L, frontier.cols = fr.Width, fr.IDs
+	frontier.sc, frontier.se, frontier.sm, frontier.ss = fr.Sc, fr.Se, fr.Sm, fr.Ss
 	res.Levels = st.Levels
 	res.Truncated = st.Truncated
 	return st.Level, nil

@@ -214,15 +214,33 @@ func (s *setupCounter) Setup(context.Context, *matrix.CSR, []float64) error {
 	return nil
 }
 
-func (s *setupCounter) Eval(context.Context, [][]int, int) ([]float64, []float64, []float64, error) {
+func (s *setupCounter) Eval(context.Context, []int32, int) ([]float64, []float64, []float64, error) {
 	return nil, nil, nil, errors.New("setupCounter does not evaluate")
 }
 
-// TestCheckpointRefusalsWrapSentinel: a checkpoint of another version or
-// with an invalid level is refused with ErrBadCheckpoint too, so a caller
-// can tell every refusal (drop the file and run from level 1) from an I/O
-// failure. The refusal comes before any level is reported and before an
-// external evaluator is set up, so such a rerun repeats no side effect.
+// checkpointV2 is a version-2 checkpoint's on-disk shape, whose frontier
+// held one column list per slice.
+type checkpointV2 struct {
+	Version int
+	Sig     uint64
+	Level   int
+	TopK    []struct {
+		Cols              []int
+		Score, SS, SE, SM float64
+	}
+	Frontier struct {
+		Cols           [][]int
+		Sc, Se, Sm, Ss []float64
+	}
+}
+
+// TestCheckpointRefusalsWrapSentinel: a checkpoint of another version, with
+// an invalid level, or with a frontier or top-K the run could not continue
+// from is refused with ErrBadCheckpoint too, so a caller can tell every
+// refusal (drop the file and run from level 1) from an I/O failure. A
+// version-2 file, whose frontier is a [][]int, still decodes and is refused
+// by its version. The refusal comes before any level is reported and before
+// an external evaluator is set up, so such a rerun repeats no side effect.
 func TestCheckpointRefusalsWrapSentinel(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	ds, e := randomDataset(rng, 300, 4, 3)
@@ -232,21 +250,37 @@ func TestCheckpointRefusalsWrapSentinel(t *testing.T) {
 	}
 	cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, Resume: true}
 	sig := Signature(enc, e, nil, cfg.WithDefaults(len(e)))
+	v2 := checkpointV2{Version: 2, Sig: sig, Level: 2}
+	v2.Frontier.Cols = [][]int{{0, 3}, {1, 4}}
+	v2.Frontier.Sc, v2.Frontier.Se, v2.Frontier.Sm, v2.Frontier.Ss = []float64{1, 1}, []float64{5, 5}, []float64{1, 1}, []float64{9, 9}
+	one, two := []float64{1}, []float64{1, 1}
+	frontier := func(width int, ids []int32, ss []float64) checkpointLevel {
+		return checkpointLevel{Width: width, IDs: ids, Sc: one, Se: one, Sm: one, Ss: ss}
+	}
 	for _, tc := range []struct {
-		st   checkpointState
+		name string
+		st   any
 		want string
 	}{
-		{checkpointState{Version: checkpointVersion + 1, Sig: sig, Level: 1}, "this build writes"},
-		{checkpointState{Version: 1, Sig: sig, Level: 1}, "this build writes"},
-		{checkpointState{Version: checkpointVersion, Sig: sig, Level: 0}, "invalid level"},
+		{"a newer version", checkpointState{Version: checkpointVersion + 1, Sig: sig, Level: 1}, "this build writes"},
+		{"version 1", checkpointState{Version: 1, Sig: sig, Level: 1}, "this build writes"},
+		{"a version-2 frontier of column lists", v2, "this build writes"},
+		{"level 0", checkpointState{Version: checkpointVersion, Sig: sig, Level: 0}, "invalid level"},
+		{"a frontier width other than the level", checkpointState{Version: checkpointVersion, Sig: sig, Level: 2,
+			Frontier: frontier(1, []int32{0}, one)}, "level-2 frontier of width 1"},
+		{"a short statistics vector", checkpointState{Version: checkpointVersion, Sig: sig, Level: 2,
+			Frontier: checkpointLevel{Width: 2, IDs: []int32{0, 3, 1, 4}, Sc: two, Se: two, Sm: two, Ss: one}}, "statistics"},
+		{"an out-of-range frontier id", checkpointState{Version: checkpointVersion, Sig: sig, Level: 1,
+			Frontier: frontier(1, []int32{1 << 20}, one)}, "strictly ascending"},
+		{"an out-of-range top-K id", checkpointState{Version: checkpointVersion, Sig: sig, Level: 1,
+			Frontier: frontier(1, []int32{0}, one), TopK: []checkpointEntry{{Cols: []int32{-1}, Score: 1, SS: 9}}}, "strictly ascending"},
 	} {
-		st := tc.st
 		cfg.CheckpointPath = filepath.Join(t.TempDir(), "ck.gob")
 		f, err := os.Create(cfg.CheckpointPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := gob.NewEncoder(f).Encode(&st); err != nil {
+		if err := gob.NewEncoder(f).Encode(tc.st); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
@@ -254,12 +288,48 @@ func TestCheckpointRefusalsWrapSentinel(t *testing.T) {
 		cfg.OnLevel = func(LevelStats) { levels++ }
 		cfg.Evaluator = ev
 		if _, err := Run(context.Background(), enc, ds.Features, e, nil, cfg); !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("version %d, level %d: got %v, want %q wrapping ErrBadCheckpoint", st.Version, st.Level, err, tc.want)
+			t.Errorf("%s: got %v, want %q wrapping ErrBadCheckpoint", tc.name, err, tc.want)
 		}
 		if levels != 0 || ev.setups != 0 {
-			t.Errorf("version %d, level %d: %d levels reported and %d evaluator set-ups before the refusal, want 0 and 0", st.Version, st.Level, levels, ev.setups)
+			t.Errorf("%s: %d levels reported and %d evaluator set-ups before the refusal, want 0 and 0", tc.name, levels, ev.setups)
 		}
 	}
+}
+
+// FuzzCheckpointLoad resumes a run from arbitrary checkpoint bytes, seeded
+// with the checkpoint a three-level run leaves. Every input either resumes
+// without error or is refused wrapping ErrBadCheckpoint; none panics.
+func FuzzCheckpointLoad(f *testing.F) {
+	rng := rand.New(rand.NewSource(76))
+	ds, e := randomDataset(rng, 300, 4, 3)
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, MaxLevel: 3, CheckpointPath: filepath.Join(f.TempDir(), "seed.gob")}
+	res, err := Run(context.Background(), enc, ds.Features, e, nil, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(res.Levels) != 3 {
+		f.Fatalf("the seed run completed %d levels, want 3", len(res.Levels))
+	}
+	seed, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	cfg.Resume = true
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := cfg
+		c.CheckpointPath = filepath.Join(t.TempDir(), "ck.gob")
+		if err := os.WriteFile(c.CheckpointPath, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(context.Background(), enc, ds.Features, e, nil, c); err != nil && !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("resume failed without ErrBadCheckpoint: %v", err)
+		}
+	})
 }
 
 // TestCheckpointAtomicOverwrite: each level's save fully replaces the file;

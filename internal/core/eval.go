@@ -20,9 +20,11 @@ import (
 // cancelled run does not leave RPCs in flight.
 type ExternalEvaluator interface {
 	Setup(ctx context.Context, x *matrix.CSR, e []float64) error
-	// Eval returns, per candidate (a sorted list of reduced one-hot
-	// columns), the slice size, total error and maximum tuple error.
-	Eval(ctx context.Context, cols [][]int, level int) (ss, se, sm []float64, err error)
+	// Eval returns, per candidate, the slice size, total error and maximum
+	// tuple error. ids is the level's arena: len(ids)/level candidates of
+	// level strictly ascending reduced one-hot columns each, candidate s at
+	// ids[s·level, (s+1)·level). Implementations must not modify it.
+	Eval(ctx context.Context, ids []int32, level int) (ss, se, sm []float64, err error)
 }
 
 // evalSlices evaluates all level-L candidates against the reduced one-hot
@@ -31,15 +33,16 @@ type ExternalEvaluator interface {
 //	I  = ((X Sᵀ) = L)
 //	ss = colSums(I)   se = (eᵀ I)ᵀ   sm = colMaxs(I · e)
 //
-// The implementation is the fused, block-parallel form: slices are grouped
-// into blocks of b slices (b=1 reproduces the task-parallel plan of
-// Algorithm 1 lines 16-18, b=nrow(S) one shared scan; EvalPartitionWeighted
-// chooses b from the candidate and worker counts), each block scans X
-// once and counts predicate matches through a per-block inverted column
-// index, never materializing the n × nrow(S) indicator I. Row-partitioned
-// data parallelism is the distributed backends' job (package dist). Dense
-// columns take the packed-bitset kernel instead, and 0/1 errors its exact
-// popcount loop; every plan returns the same bits.
+// The built-in Kernel never materializes the n × nrow(S) indicator I. It
+// picks its kernel once, by the reduced columns' density: dense columns take
+// the packed-bitset kernel, which ANDs each candidate's column words (and on
+// 0/1 errors counts them with its exact popcount loop); sparse ones the
+// fused CSR kernel, which groups slices into blocks, scans X once per block
+// and counts predicate matches through a per-block inverted column index
+// (EvalPartitionWeighted). An external evaluator or the incremental memo may
+// take the level instead. Row-partitioned data parallelism is the
+// distributed backends' job (package dist); every plan returns the same
+// bits.
 func (st *state) evalSlices(ctx context.Context, lv *level, L int) error {
 	nSlices := lv.size()
 	if nSlices == 0 {
@@ -92,9 +95,10 @@ func (st *state) evalSlices(ctx context.Context, lv *level, L int) error {
 	return nil
 }
 
-// EvalPartitionWeighted is the fused CSR kernel: it evaluates candidates
-// against one row partition of the one-hot matrix, accumulating into ss/se/sm
-// (callers pass zeroed slices of length len(cols)). Row i contributes w[i] to
+// EvalPartitionWeighted is the fused CSR kernel: it evaluates the level-L
+// candidates of the arena ids (candidate s at ids[s·L, (s+1)·L)) against one
+// row partition of the one-hot matrix, accumulating into ss/se/sm (callers
+// pass zeroed slices of length len(ids)/L). Row i contributes w[i] to
 // slice sizes and w[i]·e[i] to slice errors (nil w means unit weights). The
 // maximum tuple error sm ignores the magnitude of positive weights but
 // excludes zero-weight (retired) rows entirely. blockSize <= 0 selects the
@@ -105,8 +109,8 @@ func (st *state) evalSlices(ctx context.Context, lv *level, L int) error {
 // scans its rows serially in ascending order — the accumulation order of
 // EvalBitsetWeighted — so the statistics are bit-identical for every block
 // size, worker count and kernel choice.
-func EvalPartitionWeighted(x *matrix.CSR, e, w []float64, cols [][]int, level, blockSize int, ss, se, sm []float64) {
-	nSlices := len(cols)
+func EvalPartitionWeighted(x *matrix.CSR, e, w []float64, ids []int32, L, blockSize int, ss, se, sm []float64) {
+	nSlices := len(ids) / L
 	if nSlices == 0 {
 		return
 	}
@@ -128,7 +132,7 @@ func EvalPartitionWeighted(x *matrix.CSR, e, w []float64, cols [][]int, level, b
 			if s1 > nSlices {
 				s1 = nSlices
 			}
-			evalBlockSerial(x, e, w, cols, level, s0, s1, ss, se, sm)
+			evalBlockSerial(x, e, w, ids, L, s0, s1, ss, se, sm)
 		}
 	})
 }
@@ -141,15 +145,13 @@ type blockIndex struct {
 	counts   []int32
 }
 
-func buildBlockIndex(nCols int, cols [][]int, s0, s1 int) *blockIndex {
+func buildBlockIndex(nCols int, ids []int32, L, s0, s1 int) *blockIndex {
 	bi := &blockIndex{
 		postings: make([][]int32, nCols),
 		counts:   make([]int32, s1-s0),
 	}
-	for s := s0; s < s1; s++ {
-		for _, c := range cols[s] {
-			bi.postings[c] = append(bi.postings[c], int32(s-s0))
-		}
+	for k, c := range ids[s0*L : s1*L] {
+		bi.postings[c] = append(bi.postings[c], int32(k/L))
 	}
 	return bi
 }
@@ -168,8 +170,8 @@ func (bi *blockIndex) scanRow(cols []int) {
 }
 
 // evalBlockSerial scans the full partition once for slices [s0,s1), serially.
-func evalBlockSerial(x *matrix.CSR, e, w []float64, cols [][]int, L, s0, s1 int, ss, se, sm []float64) {
-	bi := buildBlockIndex(x.Cols(), cols, s0, s1)
+func evalBlockSerial(x *matrix.CSR, e, w []float64, ids []int32, L, s0, s1 int, ss, se, sm []float64) {
+	bi := buildBlockIndex(x.Cols(), ids, L, s0, s1)
 	n := x.Rows()
 	want := int32(L)
 	for i := 0; i < n; i++ {

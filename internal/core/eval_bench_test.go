@@ -59,6 +59,7 @@ func benchWeights(e []float64, weighted bool) []float64 {
 // regression here multiplies across every level of every run.
 func benchEvalPartition(b *testing.B, blockSize, level int, weighted bool) {
 	x, e, cols := benchEvalData(b, 2000, 6, 5, level)
+	ids := ids32(cols...)
 	w := benchWeights(e, weighted)
 	ss := make([]float64, len(cols))
 	se := make([]float64, len(cols))
@@ -69,7 +70,7 @@ func benchEvalPartition(b *testing.B, blockSize, level int, weighted bool) {
 		for j := range ss {
 			ss[j], se[j], sm[j] = 0, 0, 0
 		}
-		EvalPartitionWeighted(x, e, w, cols, level, blockSize, ss, se, sm)
+		EvalPartitionWeighted(x, e, w, ids, level, blockSize, ss, se, sm)
 	}
 }
 
@@ -86,6 +87,7 @@ func BenchmarkEvalPartitionTriplesL3(b *testing.B) {
 // Kernel caches its ColumnBits across levels of a run.
 func benchEvalBitset(b *testing.B, level int, weighted bool) {
 	x, e, cols := benchEvalData(b, 2000, 6, 5, level)
+	ids := ids32(cols...)
 	w := benchWeights(e, weighted)
 	cb := matrix.PackColumns(x)
 	ss := make([]float64, len(cols))
@@ -97,7 +99,7 @@ func benchEvalBitset(b *testing.B, level int, weighted bool) {
 		for j := range ss {
 			ss[j], se[j], sm[j] = 0, 0, 0
 		}
-		EvalBitsetSerial(cb, e, w, cols, ss, se, sm)
+		EvalBitsetSerial(cb, e, w, ids, level, ss, se, sm)
 	}
 }
 
@@ -124,6 +126,7 @@ func binaryErrors(e []float64) []float64 {
 // every word of each of its columns, once.
 func benchEvalBitsetBinary(b *testing.B, level int) {
 	x, e, cols := benchEvalData(b, 2000, 6, 5, level)
+	ids := ids32(cols...)
 	cb, errRows := packBinaryLayout(x, binaryErrors(e), nil)
 	var read int64
 	for _, c := range cols {
@@ -139,7 +142,7 @@ func benchEvalBitsetBinary(b *testing.B, level int) {
 		for j := range ss {
 			ss[j], se[j], sm[j] = 0, 0, 0
 		}
-		evalBinaryRange(cb, errRows, cols, 0, len(cols), ss, se, sm)
+		evalBinaryRange(cb, errRows, ids, len(cols[0]), 0, len(cols), ss, se, sm)
 	}
 }
 
@@ -153,6 +156,7 @@ func BenchmarkEvalBitsetBinaryL3(b *testing.B) { benchEvalBitsetBinary(b, 3) }
 // columns and of the errors.
 func BenchmarkEvalMemoBinaryL2(b *testing.B) {
 	x, e, cols := benchEvalData(b, 2000, 6, 5, 2)
+	ids := ids32(cols...)
 	cb := matrix.PackColumns(x)
 	r := memoVals(binaryErrors(e))
 	var read int64
@@ -169,7 +173,7 @@ func BenchmarkEvalMemoBinaryL2(b *testing.B) {
 		for j := range ss {
 			ss[j], se[j], sm[j] = 0, 0, 0
 		}
-		evalBitsetRange(cb, r, cols, 0, len(cols), ss, se, sm)
+		evalBitsetRange(cb, r, ids, 2, 0, len(cols), ss, se, sm)
 	}
 }
 
@@ -192,6 +196,7 @@ func TestEvalBitsetSerialZeroAlloc(t *testing.T) {
 		}
 	}
 	cb := matrix.PackColumns(enc.X)
+	ids := ids32(pairs...)
 	ss := make([]float64, len(pairs))
 	se := make([]float64, len(pairs))
 	sm := make([]float64, len(pairs))
@@ -200,7 +205,7 @@ func TestEvalBitsetSerialZeroAlloc(t *testing.T) {
 		"weighted":   benchWeights(e, true),
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
-			EvalBitsetSerial(cb, e, w, pairs, ss, se, sm)
+			EvalBitsetSerial(cb, e, w, ids, 2, ss, se, sm)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: EvalBitsetSerial allocates %.1f per op, want 0", name, allocs)
@@ -226,6 +231,7 @@ func TestEvalBitsetBinaryZeroAlloc(t *testing.T) {
 			}
 		}
 	}
+	ids := ids32(cols...)
 	window := make([]float64, len(e))
 	for i := 100; i < len(e); i++ {
 		window[i] = 1 // rows below 100 retired, as in a sliding window
@@ -236,7 +242,7 @@ func TestEvalBitsetBinaryZeroAlloc(t *testing.T) {
 	for name, w := range map[string][]float64{"unweighted": nil, "weighted": window} {
 		cb, errRows := packBinaryLayout(enc.X, binaryErrors(e), w)
 		allocs := testing.AllocsPerRun(20, func() {
-			evalBinaryRange(cb, errRows, cols, 0, len(cols), ss, se, sm)
+			evalBinaryRange(cb, errRows, ids, len(cols[0]), 0, len(cols), ss, se, sm)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: binary level loop allocates %.1f per op, want 0", name, allocs)

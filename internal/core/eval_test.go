@@ -12,6 +12,17 @@ func encodeForTest(ds *frame.Dataset) (*frame.Encoding, error) {
 	return frame.OneHot(ds)
 }
 
+// ids32 lays candidates of one width out as the kernels' arena.
+func ids32(cols ...[]int) []int32 {
+	var ids []int32
+	for _, cand := range cols {
+		for _, c := range cand {
+			ids = append(ids, int32(c))
+		}
+	}
+	return ids
+}
+
 // TestEvalPartitionAdditive: evaluating two disjoint row partitions and
 // summing the statistics must equal evaluating the whole matrix — the
 // property the distributed backend depends on.
@@ -39,7 +50,7 @@ func TestEvalPartitionAdditive(t *testing.T) {
 	ssW := make([]float64, 2)
 	seW := make([]float64, 2)
 	smW := make([]float64, 2)
-	EvalPartitionWeighted(enc.X, e, nil, cols, 2, 0, ssW, seW, smW)
+	EvalPartitionWeighted(enc.X, e, nil, ids32(cols...), 2, 0, ssW, seW, smW)
 
 	half := n / 2
 	top := enc.X.RowRange(0, half)
@@ -47,8 +58,8 @@ func TestEvalPartitionAdditive(t *testing.T) {
 	ss := make([]float64, 2)
 	se := make([]float64, 2)
 	sm := make([]float64, 2)
-	EvalPartitionWeighted(top, e[:half], nil, cols, 2, 0, ss, se, sm)
-	EvalPartitionWeighted(bot, e[half:], nil, cols, 2, 0, ss, se, sm)
+	EvalPartitionWeighted(top, e[:half], nil, ids32(cols...), 2, 0, ss, se, sm)
+	EvalPartitionWeighted(bot, e[half:], nil, ids32(cols...), 2, 0, ss, se, sm)
 	for i := 0; i < 2; i++ {
 		if ss[i] != ssW[i] {
 			t.Errorf("slice %d: partitioned ss %v vs whole %v", i, ss[i], ssW[i])

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sliceline/internal/fptol"
@@ -67,7 +68,7 @@ func FuzzTopK(f *testing.F) {
 		tk := newTopK(k, sigma)
 		for i := 0; i+2 < len(data); i += 3 {
 			score := float64(data[i])/16 - 1 // includes zero and negatives
-			cols := []int{int(data[i+1]) % 6, 6 + int(data[i+2])%6}
+			cols := []int32{int32(data[i+1]) % 6, 6 + int32(data[i+2])%6}
 			ss := float64(int(data[i+1])%12) + sigma - 2 // straddles sigma
 			se := score * ss
 			tk.offer(cols, score, ss, se, 1)
@@ -87,7 +88,7 @@ func FuzzTopK(f *testing.F) {
 			}
 			for j := i + 1; j < len(tk.entries); j++ {
 				o := tk.entries[j]
-				if e.score == o.score && equalCols(e.cols, o.cols) {
+				if e.score == o.score && slices.Equal(e.cols, o.cols) {
 					t.Fatalf("slice %v occupies slots %d and %d with score %v", e.cols, i, j, e.score)
 				}
 			}

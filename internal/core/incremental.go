@@ -18,55 +18,44 @@ type memoEntry struct {
 }
 
 // sliceMemo carries per-candidate slice statistics across generations of an
-// incremental run. Keys are the candidate's ORIGINAL one-hot column ids (the
-// reduced column space changes per generation as the σ-filter moves, original
-// ids are stable modulo domain-growth remaps, which rekey the memo). The
-// packed bitset covers the full one-hot width; Incremental.advance remaps and
-// extends it in place for each new generation. eb holds the generation's
-// packed errors when every one is 0 or 1, selecting binaryCounts: the memo
-// keeps row order, which its continuations need, rather than the batch
-// Kernel's binary layout.
+// incremental run. Candidates are memoized by their ORIGINAL one-hot column
+// ids (the reduced column space changes per generation as the σ-filter
+// moves, original ids are stable modulo domain-growth remaps, which rewrite
+// the memo in place): sets[L-1] holds every candidate of L columns, from any
+// level and generation. The packed bitset covers the full one-hot width;
+// Incremental.advance remaps and extends it in place for each new
+// generation. eb holds the generation's packed errors when every one is 0 or
+// 1, selecting binaryCounts: the memo keeps row order, which its
+// continuations need, rather than the batch Kernel's binary layout.
 type sliceMemo struct {
-	bits    *matrix.ColumnBits
-	eb      []uint64
-	entries map[string]memoEntry
-	hits    int // candidates continued from a memo entry, cumulative
-	misses  int // candidates evaluated from row 0, cumulative
+	bits   *matrix.ColumnBits
+	eb     []uint64
+	sets   []memoSet
+	hits   int // candidates continued from a memo entry, cumulative
+	misses int // candidates evaluated from row 0, cumulative
 }
 
-// memoKey encodes sorted original column ids into a compact map key.
-func memoKey(cols []int) string {
-	b := make([]byte, 4*len(cols))
-	for i, c := range cols {
-		b[i*4] = byte(c)
-		b[i*4+1] = byte(c >> 8)
-		b[i*4+2] = byte(c >> 16)
-		b[i*4+3] = byte(c >> 24)
-	}
-	return string(b)
+// memoSet memoizes the candidates of one width: entries[k] is the state of
+// the candidate at entry k of cols.
+type memoSet struct {
+	cols    colSet
+	entries []memoEntry
 }
 
-// memoKeyCols decodes a memo key back into column ids, appending to dst.
-func memoKeyCols(dst []int, key string) []int {
-	for i := 0; i+4 <= len(key); i += 4 {
-		c := int(key[i]) | int(key[i+1])<<8 | int(key[i+2])<<16 | int(key[i+3])<<24
-		dst = append(dst, c)
-	}
-	return dst
-}
-
-// rekey rewrites every memo key through a domain-growth column remap.
-func (m *sliceMemo) rekey(remap []int) {
-	out := make(map[string]memoEntry, len(m.entries))
-	var cols []int
-	for k, ent := range m.entries {
-		cols = memoKeyCols(cols[:0], k)
-		for i, c := range cols {
-			cols[i] = remap[c]
+// remap rewrites every memoized candidate's ids through a domain-growth
+// column remap, in place, and rebuilds each set's table. The remap is
+// strictly increasing, so every candidate stays sorted: offsets within a
+// feature keep, and each feature's block starts past the previous block's
+// grown end.
+func (m *sliceMemo) remap(remap []int) {
+	for i := range m.sets {
+		cs := &m.sets[i].cols
+		for k, c := range cs.arena {
+			cs.arena[k] = int32(remap[c])
 		}
-		out[memoKey(cols)] = ent
+		clear(cs.slots)
+		cs.rehash()
 	}
-	m.entries = out
 }
 
 // evalLevel is the incremental counterpart of Kernel.Eval: every candidate of
@@ -77,42 +66,55 @@ func (m *sliceMemo) rekey(remap []int) {
 // all 0 or 1, as they then are in every earlier generation too — and both
 // land bit-identical to a from-scratch evaluation, whose Kernel returns the
 // same bits from the binary layout. Candidates are sharded across workers
-// like EvalBitsetWeighted — the map is read concurrently and updated serially
-// afterwards.
+// like EvalBitsetWeighted — the set is read concurrently and updated serially
+// afterwards, so a level whose candidates all hit allocates nothing per
+// candidate.
 func (m *sliceMemo) evalLevel(orig []int, e []float64, lv *level) {
-	nc := lv.size()
+	nc, L := lv.size(), lv.L
 	if nc == 0 {
 		return
 	}
+	for len(m.sets) < L {
+		m.sets = append(m.sets, memoSet{cols: colSet{width: len(m.sets) + 1}})
+	}
+	set := &m.sets[L-1]
+	toOrig := func(dst []int32, s int) {
+		for i, c := range lv.slice(s) {
+			dst[i] = int32(orig[c])
+		}
+	}
 	n := m.bits.Rows()
 	r := rowVals{e: e, eb: m.eb}
-	keys := make([]string, nc)
-	hits := make([]bool, nc)
+	hit := make([]int32, nc) // per candidate, its entry + 1 on a hit, else 0
 	matrix.ParallelFor(nc, func(lo, hi int) {
-		var buf []int
+		buf := make([]int32, L)
 		for s := lo; s < hi; s++ {
-			buf = buf[:0]
-			for _, c := range lv.cols[s] {
-				buf = append(buf, orig[c])
-			}
-			key := memoKey(buf)
-			keys[s] = key
+			toOrig(buf, s)
 			var from int
 			var ss, se, sm float64
-			if ent, ok := m.entries[key]; ok && ent.rows <= n {
+			if k := set.cols.find(buf); k >= 0 && set.entries[k].rows <= n {
+				ent := set.entries[k]
 				from, ss, se, sm = ent.rows, ent.ss, ent.se, ent.sm
-				hits[s] = true
+				hit[s] = int32(k + 1)
 			}
 			lv.ss[s], lv.se[s], lv.sm[s] = evalBitsetFrom(m.bits, r, buf, from, ss, se, sm)
 		}
 	})
-	for s := 0; s < nc; s++ {
-		m.entries[keys[s]] = memoEntry{rows: n, ss: lv.ss[s], se: lv.se[s], sm: lv.sm[s]}
-		if hits[s] {
+	buf := make([]int32, L)
+	for s, h := range hit {
+		ent := memoEntry{rows: n, ss: lv.ss[s], se: lv.se[s], sm: lv.sm[s]}
+		if h > 0 {
+			set.entries[h-1] = ent
 			m.hits++
-		} else {
-			m.misses++
+			continue
 		}
+		toOrig(buf, s)
+		if k, added := set.cols.index(buf); added {
+			set.entries = append(set.entries, ent)
+		} else {
+			set.entries[k] = ent
+		}
+		m.misses++
 	}
 }
 
@@ -120,7 +122,7 @@ func (m *sliceMemo) evalLevel(orig []int, e []float64, lv *level) {
 // observability and tests.
 type IncrementalStats struct {
 	Rows    int // row count of the last generation run
-	Entries int // memoized candidates
+	Entries int // memoized candidates, over every width
 	Hits    int // cumulative candidate evaluations continued from the memo
 	Misses  int // cumulative candidate evaluations scanned from row 0
 }
@@ -173,14 +175,18 @@ func NewIncremental(cfg Config) (*Incremental, error) {
 	case cfg.CheckpointPath != "" || cfg.Resume:
 		return nil, fmt.Errorf("core: incremental runs cannot use checkpoint/resume")
 	}
-	return &Incremental{cfg: cfg, memo: &sliceMemo{entries: make(map[string]memoEntry)}}, nil
+	return &Incremental{cfg: cfg, memo: &sliceMemo{}}, nil
 }
 
 // Stats returns the current memo statistics.
 func (inc *Incremental) Stats() IncrementalStats {
+	entries := 0
+	for _, set := range inc.memo.sets {
+		entries += len(set.entries)
+	}
 	return IncrementalStats{
 		Rows:    len(inc.e),
-		Entries: len(inc.memo.entries),
+		Entries: entries,
 		Hits:    inc.memo.hits,
 		Misses:  inc.memo.misses,
 	}
@@ -209,8 +215,8 @@ func (inc *Incremental) Run(ctx context.Context, enc *frame.Encoding, feats []fr
 // advance moves the memo to a new generation. Its bitset covers the full
 // one-hot width, so a grown domain is a column remap derived from the two
 // encodings' block offsets: column c of feature j moves to
-// enc.Beg[j] + c - old.Beg[j]. The memo is rekeyed through the same remap
-// and the bitset then extended with the appended rows.
+// enc.Beg[j] + c - old.Beg[j]. The memo's candidates are remapped through
+// the same map and the bitset then extended with the appended rows.
 func (inc *Incremental) advance(enc *frame.Encoding, e []float64) error {
 	old := inc.enc
 	if old == nil {
@@ -244,7 +250,7 @@ func (inc *Incremental) advance(enc *frame.Encoding, e []float64) error {
 		if err := inc.memo.bits.RemapCols(enc.Width(), remap); err != nil {
 			return err
 		}
-		inc.memo.rekey(remap)
+		inc.memo.remap(remap)
 	}
 	if err := inc.memo.bits.AppendRows(enc.X); err != nil {
 		return err

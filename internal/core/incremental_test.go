@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sliceline/internal/frame"
+	"sliceline/internal/matrix"
 )
 
 // catFrameOf builds a categorical-only frame from row-major cells.
@@ -301,4 +302,50 @@ func TestIncrementalRunValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdenticalResults(t, 2, got, want)
+}
+
+// TestMemoAllHitAllocsFlat: evaluating a level on which every candidate hits
+// the memo allocates the same small number of times at 1k and at 20k
+// candidates — a hit looks its candidate up by its original ids without
+// building a key.
+func TestMemoAllHitAllocsFlat(t *testing.T) {
+	defer matrix.SetMaxWorkers(matrix.SetMaxWorkers(1))
+	// Five features of 55 values: wide enough for 20k cross-feature pairs.
+	const rows, feats, dom = 256, 5, 55
+	const width = feats * dom
+	rng := rand.New(rand.NewSource(4))
+	data := make([]float64, rows*width)
+	e := make([]float64, rows)
+	for i := 0; i < rows; i++ {
+		for f := 0; f < feats; f++ {
+			data[i*width+f*dom+rng.Intn(dom)] = 1
+		}
+		e[i] = float64(rng.Intn(2))
+	}
+	x := matrix.CSRFromDense(matrix.NewDenseData(rows, width, data))
+	m := &sliceMemo{bits: matrix.PackColumns(x), eb: packBinary(e)}
+	orig := make([]int, width)
+	for c := range orig {
+		orig[c] = c
+	}
+	allocs := func(n int) float64 {
+		var ids []int32
+		for a := 0; a < width && len(ids) < 2*n; a++ {
+			for b := (a/dom + 1) * dom; b < width && len(ids) < 2*n; b++ {
+				ids = append(ids, int32(a), int32(b))
+			}
+		}
+		lv := newLevel(2, ids)
+		m.evalLevel(orig, e, lv) // memoizes every candidate not yet seen
+		hits := m.hits
+		a := testing.AllocsPerRun(10, func() { m.evalLevel(orig, e, lv) })
+		if m.hits-hits != 11*n {
+			t.Fatalf("%d hits over 11 evaluations of %d memoized candidates, want %d", m.hits-hits, n, 11*n)
+		}
+		return a
+	}
+	small, large := allocs(1000), allocs(20000)
+	if small != large || large > 8 {
+		t.Fatalf("an all-hit level allocates %.0f times at 1k candidates and %.0f at 20k, want one small constant", small, large)
+	}
 }

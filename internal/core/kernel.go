@@ -227,9 +227,9 @@ func (k *Kernel) evalBasic(ss, se, sm []float64) {
 		basicRowPass(k.x, k.e, k.w, ss, se, sm)
 		return
 	}
-	var cand [1]int
+	var cand [1]int32
 	for c := range ss {
-		cand[0] = c
+		cand[0] = int32(c)
 		cs, ce := layoutCounts(k.bits, cand[:], k.errRows)
 		ss[c], se[c] = float64(cs), float64(ce)
 		if ce > 0 {
@@ -268,9 +268,9 @@ func basicRowPass(x *matrix.CSR, e, w []float64, ss, se, sm []float64) {
 // bits as a one-predicate slice from its packed 0/1 errors eb, with
 // binaryCounts, accumulating into ss/se/sm.
 func evalBasicBits(cb *matrix.ColumnBits, eb []uint64, ss, se, sm []float64) {
-	var cand [1]int
+	var cand [1]int32
 	for c := range ss {
-		cand[0] = c
+		cand[0] = int32(c)
 		cs, ce := binaryCounts(cb, eb, cand[:], 0)
 		ss[c], se[c] = float64(cs), float64(ce)
 		if ce > 0 {
@@ -327,20 +327,21 @@ func (k *Kernel) keptNNZ(keep []int) int {
 	return nnz
 }
 
-// Eval evaluates the level-L candidates, accumulating into ss/se/sm (callers
-// pass zeroed slices of length len(cols)), with the same statistics contract
-// as EvalPartitionWeighted. The CSR path takes its automatic block size; the
+// Eval evaluates the level-L candidates of the arena ids (candidate s at
+// ids[s·L, (s+1)·L)), accumulating into ss/se/sm (callers pass zeroed slices
+// of length len(ids)/L), with the same statistics contract as
+// EvalPartitionWeighted. The CSR path takes its automatic block size; the
 // bitset path parallelizes over candidates instead of sharing scans.
-func (k *Kernel) Eval(cols [][]int, level int, ss, se, sm []float64) {
+func (k *Kernel) Eval(ids []int32, L int, ss, se, sm []float64) {
 	switch {
 	case k.binary:
-		matrix.ParallelFor(len(cols), func(lo, hi int) {
-			evalBinaryRange(k.bits, k.errRows, cols, lo, hi, ss, se, sm)
+		matrix.ParallelFor(len(ids)/L, func(lo, hi int) {
+			evalBinaryRange(k.bits, k.errRows, ids, L, lo, hi, ss, se, sm)
 		})
 	case k.bitset:
-		EvalBitsetWeighted(k.bits, k.e, k.w, cols, ss, se, sm)
+		EvalBitsetWeighted(k.bits, k.e, k.w, ids, L, ss, se, sm)
 	default:
-		EvalPartitionWeighted(k.x, k.e, k.w, cols, level, 0, ss, se, sm)
+		EvalPartitionWeighted(k.x, k.e, k.w, ids, L, 0, ss, se, sm)
 	}
 }
 
@@ -349,12 +350,9 @@ func (k *Kernel) Eval(cols [][]int, level int, ss, se, sm []float64) {
 // having erred (layoutCounts). The maximum tuple error is 1 exactly when a
 // matching row erred, as in the general loop. It accumulates into ss/se/sm
 // like evalBitsetRange and performs no allocations.
-func evalBinaryRange(cb *matrix.ColumnBits, errRows int, cols [][]int, s0, s1 int, ss, se, sm []float64) {
+func evalBinaryRange(cb *matrix.ColumnBits, errRows int, ids []int32, L, s0, s1 int, ss, se, sm []float64) {
 	for s := s0; s < s1; s++ {
-		if len(cols[s]) == 0 {
-			continue
-		}
-		cs, ce := layoutCounts(cb, cols[s], errRows)
+		cs, ce := layoutCounts(cb, ids[s*L:(s+1)*L], errRows)
 		ss[s] += float64(cs)
 		se[s] += float64(ce)
 		if ce > 0 && sm[s] < 1 {
@@ -374,7 +372,7 @@ func evalBinaryRange(cb *matrix.ColumnBits, errRows int, cols [][]int, s0, s1 in
 // to three columns — levels 1–3, where most candidates of a run sit — take
 // the fused loop; wider ones AND a stack tile at a time (andTile), so no
 // word loop calls out and nothing is allocated.
-func layoutCounts(cb *matrix.ColumnBits, cand []int, errRows int) (cs, ce int) {
+func layoutCounts(cb *matrix.ColumnBits, cand []int32, errRows int) (cs, ce int) {
 	full, mask := errRows>>6, uint64(1)<<uint(errRows&63)-1
 	words := cb.Words()
 	if len(cand) > 3 {
@@ -394,9 +392,9 @@ func layoutCounts(cb *matrix.ColumnBits, cand []int, errRows int) (cs, ce int) {
 	}
 	// Shorter candidates repeat their last column: x & x == x.
 	last := len(cand) - 1
-	a := cb.Col(cand[0])
-	b := cb.Col(cand[min(1, last)])
-	c := cb.Col(cand[min(2, last)])
+	a := cb.Col(int(cand[0]))
+	b := cb.Col(int(cand[min(1, last)]))
+	c := cb.Col(int(cand[min(2, last)]))
 	ce = andCount(a[:full], b[:full], c[:full])
 	cs = ce
 	if full < words {
@@ -425,15 +423,23 @@ func onesCount(t []uint64) (n int) {
 	return n
 }
 
-// andTile fills t with words [k, k+len(t)) of the AND of cand's columns, one
-// column at a time.
-func andTile(t []uint64, cb *matrix.ColumnBits, cand []int, k int) {
-	copy(t, cb.Col(cand[0])[k:])
-	for _, c := range cand[1:] {
-		src := cb.Col(c)[k:]
-		src = src[:len(t)]
+// andTile fills t with words [k, k+len(t)) of the AND of cand's columns,
+// three columns per pass; where cand runs out, the last pass repeats its
+// last column (x & x == x).
+func andTile(t []uint64, cb *matrix.ColumnBits, cand []int32, k int) {
+	n, last := len(t), len(cand)-1
+	for j := 0; j <= last; j += 3 {
+		a := cb.Col(int(cand[j]))[k : k+n]
+		b := cb.Col(int(cand[min(j+1, last)]))[k : k+n]
+		c := cb.Col(int(cand[min(j+2, last)]))[k : k+n]
+		if j == 0 {
+			for i := range t {
+				t[i] = a[i] & b[i] & c[i]
+			}
+			continue
+		}
 		for i := range t {
-			t[i] &= src[i]
+			t[i] &= a[i] & b[i] & c[i]
 		}
 	}
 }
@@ -449,27 +455,27 @@ func andTile(t []uint64, cb *matrix.ColumnBits, cand []int, k int) {
 // EvalPartitionWeighted (callers pass zeroed slices; nil w means unit
 // weights). It always runs the general loop; a Kernel with 0/1 errors and
 // weights runs the binary layout's loop instead.
-func EvalBitsetWeighted(cb *matrix.ColumnBits, e, w []float64, cols [][]int, ss, se, sm []float64) {
+func EvalBitsetWeighted(cb *matrix.ColumnBits, e, w []float64, ids []int32, L int, ss, se, sm []float64) {
 	r := rowVals{e: e, w: w}
-	matrix.ParallelFor(len(cols), func(lo, hi int) {
-		evalBitsetRange(cb, r, cols, lo, hi, ss, se, sm)
+	matrix.ParallelFor(len(ids)/L, func(lo, hi int) {
+		evalBitsetRange(cb, r, ids, L, lo, hi, ss, se, sm)
 	})
 }
 
 // EvalBitsetSerial evaluates all candidates on the calling goroutine. It is
 // the allocation-free level loop the bench regression gate pins at
 // 0 allocs/op, and the kernel the parallel wrapper shards.
-func EvalBitsetSerial(cb *matrix.ColumnBits, e, w []float64, cols [][]int, ss, se, sm []float64) {
-	evalBitsetRange(cb, rowVals{e: e, w: w}, cols, 0, len(cols), ss, se, sm)
+func EvalBitsetSerial(cb *matrix.ColumnBits, e, w []float64, ids []int32, L int, ss, se, sm []float64) {
+	evalBitsetRange(cb, rowVals{e: e, w: w}, ids, L, 0, len(ids)/L, ss, se, sm)
 }
 
 // evalBitsetRange evaluates candidates [s0,s1), each as one evalBitsetFrom
 // pass from row 0 seeded with its accumulators. Callers pass zeroed
 // accumulators, so every candidate gets the addition sequence of a plain
 // full pass. It performs no allocations.
-func evalBitsetRange(cb *matrix.ColumnBits, r rowVals, cols [][]int, s0, s1 int, ss, se, sm []float64) {
+func evalBitsetRange(cb *matrix.ColumnBits, r rowVals, ids []int32, L, s0, s1 int, ss, se, sm []float64) {
 	for s := s0; s < s1; s++ {
-		ss[s], se[s], sm[s] = evalBitsetFrom(cb, r, cols[s], 0, ss[s], se[s], sm[s])
+		ss[s], se[s], sm[s] = evalBitsetFrom(cb, r, ids[s*L:(s+1)*L], 0, ss[s], se[s], sm[s])
 	}
 }
 
@@ -490,7 +496,7 @@ func evalBitsetRange(cb *matrix.ColumnBits, r rowVals, cols [][]int, s0, s1 int,
 // partial sum of the general loop is an integer below 2^53, which float64
 // adds exactly in any grouping, and the general maximum rises to 1 exactly
 // when a matching row erred — so both loops return the same bits.
-func evalBitsetFrom(cb *matrix.ColumnBits, r rowVals, cand []int, from int, seedSS, seedSE, seedSM float64) (float64, float64, float64) {
+func evalBitsetFrom(cb *matrix.ColumnBits, r rowVals, cand []int32, from int, seedSS, seedSE, seedSM float64) (float64, float64, float64) {
 	sumS, sumE, maxE := seedSS, seedSE, seedSM
 	nc := len(cand)
 	if nc == 0 || from >= cb.Rows() {
@@ -505,13 +511,13 @@ func evalBitsetFrom(cb *matrix.ColumnBits, r rowVals, cand []int, from int, seed
 	}
 	e, w := r.e, r.w
 	words := cb.Words()
-	a := cb.Col(cand[0])
+	a := cb.Col(int(cand[0]))
 	var b, c []uint64
 	if nc > 1 {
-		b = cb.Col(cand[1])
+		b = cb.Col(int(cand[1]))
 	}
 	if nc > 2 {
-		c = cb.Col(cand[2])
+		c = cb.Col(int(cand[2]))
 	}
 	w0 := from >> 6
 	mask0 := ^uint64(0) << uint(from&63)
@@ -528,7 +534,7 @@ func evalBitsetFrom(cb *matrix.ColumnBits, r rowVals, cand []int, from int, seed
 			if c != nil && m != 0 {
 				m &= c[k]
 				for j := 3; j < nc && m != 0; j++ {
-					m &= cb.Col(cand[j])[k]
+					m &= cb.Col(int(cand[j]))[k]
 				}
 			}
 		}
@@ -570,7 +576,7 @@ func evalBitsetFrom(cb *matrix.ColumnBits, r rowVals, cand []int, from int, seed
 // are masked out of the first word; the ragged tail is zero in every packed
 // column. Candidates of up to three columns take the fused loop here, wider
 // ones a stack tile at a time.
-func binaryCounts(cb *matrix.ColumnBits, eb []uint64, cand []int, from int) (cs, ce int) {
+func binaryCounts(cb *matrix.ColumnBits, eb []uint64, cand []int32, from int) (cs, ce int) {
 	k0, words := from>>6, cb.Words()
 	mask := ^uint64(0) << uint(from&63)
 	if len(cand) > 3 {
@@ -591,9 +597,9 @@ func binaryCounts(cb *matrix.ColumnBits, eb []uint64, cand []int, from int) (cs,
 	eb = eb[k0:words]
 	// Shorter candidates repeat their last column: x & x == x.
 	last := len(cand) - 1
-	a := cb.Col(cand[0])[k0:words]
-	b := cb.Col(cand[min(1, last)])[k0:words]
-	c := cb.Col(cand[min(2, last)])[k0:words]
+	a := cb.Col(int(cand[0]))[k0:words]
+	b := cb.Col(int(cand[min(1, last)]))[k0:words]
+	c := cb.Col(int(cand[min(2, last)]))[k0:words]
 	for k := range eb {
 		m := a[k] & b[k] & c[k] & mask
 		mask = ^uint64(0)

@@ -109,8 +109,8 @@ func TestBitsetKernelMatchesCSR(t *testing.T) {
 					nc := len(cols)
 					ssB, seB, smB := make([]float64, nc), make([]float64, nc), make([]float64, nc)
 					ssC, seC, smC := make([]float64, nc), make([]float64, nc), make([]float64, nc)
-					EvalBitsetWeighted(in.cb, in.e, in.w, cols, ssB, seB, smB)
-					EvalPartitionWeighted(in.x, in.e, in.w, cols, level, blockSize, ssC, seC, smC)
+					EvalBitsetWeighted(in.cb, in.e, in.w, ids32(cols...), level, ssB, seB, smB)
+					EvalPartitionWeighted(in.x, in.e, in.w, ids32(cols...), level, blockSize, ssC, seC, smC)
 					for j := 0; j < nc; j++ {
 						if ssB[j] != ssC[j] || seB[j] != seC[j] || smB[j] != smC[j] {
 							t.Fatalf("workers %d block %d trial %d (weighted %v) L%d cand %v: bitset (%v, %v, %v) vs csr (%v, %v, %v)",
@@ -183,8 +183,8 @@ func TestPackedKernelMatchesNewKernel(t *testing.T) {
 			n := len(cols)
 			ss, se, sm := make([]float64, n), make([]float64, n), make([]float64, n)
 			gss, gse, gsm := make([]float64, n), make([]float64, n), make([]float64, n)
-			want.Eval(cols, 2, ss, se, sm)
-			got.Eval(cols, 2, gss, gse, gsm)
+			want.Eval(ids32(cols...), 2, ss, se, sm)
+			got.Eval(ids32(cols...), 2, gss, gse, gsm)
 			for s := range cols {
 				if math.Float64bits(ss[s]) != math.Float64bits(gss[s]) || math.Float64bits(se[s]) != math.Float64bits(gse[s]) ||
 					math.Float64bits(sm[s]) != math.Float64bits(gsm[s]) {

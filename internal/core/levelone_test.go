@@ -237,8 +237,8 @@ func TestLevelOneMatchesRowPass(t *testing.T) {
 		n := len(pairs)
 		ss, se, sm := make([]float64, n), make([]float64, n), make([]float64, n)
 		rss, rse, rsm := make([]float64, n), make([]float64, n), make([]float64, n)
-		k.Eval(pairs, 2, ss, se, sm)
-		NewKernel(reduced, tc.e, tc.w).Eval(pairs, 2, rss, rse, rsm)
+		k.Eval(ids32(pairs...), 2, ss, se, sm)
+		NewKernel(reduced, tc.e, tc.w).Eval(ids32(pairs...), 2, rss, rse, rsm)
 		for s := range pairs {
 			if !same(ss[s], rss[s]) || !same(se[s], rse[s]) || !same(sm[s], rsm[s]) {
 				t.Fatalf("%s: level-2 candidate %v: narrowed (%v, %v, %v), built over X[, cI] (%v, %v, %v)",

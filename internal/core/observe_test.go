@@ -42,18 +42,11 @@ func evalAllocFixture(tb testing.TB) (*state, *level) {
 		e:      e,
 		kernel: NewKernel(enc.X, e, nil),
 	}
-	lv := &level{
-		cols: pairs,
-		sc:   make([]float64, len(pairs)),
-		se:   make([]float64, len(pairs)),
-		sm:   make([]float64, len(pairs)),
-		ss:   make([]float64, len(pairs)),
-	}
-	return st, lv
+	return st, newLevel(2, ids32(pairs...))
 }
 
 func zeroLevel(lv *level) {
-	for i := range lv.cols {
+	for i := range lv.ss {
 		lv.sc[i], lv.se[i], lv.sm[i], lv.ss[i] = 0, 0, 0, 0
 	}
 }
@@ -155,7 +148,7 @@ func TestValidateSentinels(t *testing.T) {
 type stubEvaluator struct{}
 
 func (stubEvaluator) Setup(context.Context, *matrix.CSR, []float64) error { return nil }
-func (stubEvaluator) Eval(context.Context, [][]int, int) ([]float64, []float64, []float64, error) {
+func (stubEvaluator) Eval(context.Context, []int32, int) ([]float64, []float64, []float64, error) {
 	return nil, nil, nil, nil
 }
 

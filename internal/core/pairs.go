@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"sliceline/internal/matrix"
@@ -103,8 +104,9 @@ const joinShard = 64
 // those of the unfiltered join; only the pruned counts shrink.
 //
 // The join runs on up to matrix.MaxWorkers goroutines and allocates nothing
-// per pair, candidate or shard. It returns the surviving candidates, whose
-// column lists share one right-sized arena, and a per-rule pruning
+// per pair, candidate or shard. It returns the surviving candidates as one
+// level: the workers' survivors copied shard by shard into one right-sized
+// int32 arena, which the level keeps as is, and a per-rule pruning
 // breakdown. A nil level signals that candidate generation exceeded
 // MaxCandidatesPerLevel and enumeration must truncate; its breakdown then
 // carries only the dropped-parent count.
@@ -119,9 +121,9 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 	filter := !cfg.DisableScorePruning && (!dedup || prefix)
 	// Sized for every input slice, so one pass decides each slice once and
 	// the filter costs no allocation.
-	keep := make([]int, 0, len(prev.cols))
+	keep := make([]int, 0, prev.size())
 	dropped := 0
-	for i := range prev.cols {
+	for i := range prev.ss {
 		if !(prev.ss[i] >= minSS && prev.se[i] > 0) {
 			continue
 		}
@@ -139,7 +141,7 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 		prev: prev, keep: keep, L: L, cfg: cfg, featOf: st.featOf, sc: st.sc, sck: sck,
 		dedup: dedup, prefix: prefix,
 		shards: make([]shardOut, shards),
-		arenas: make([][]int, workers),
+		arenas: make([][]int32, workers),
 	}
 	j.buildBuckets()
 	if j.dedup && !prefix {
@@ -147,7 +149,7 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 		// index is kept slice k.
 		j.parents = newColSet(L-1, nk)
 		for _, i := range keep {
-			j.parents.index(prev.cols[i])
+			j.parents.index(prev.slice(i))
 		}
 	}
 	if workers == 1 {
@@ -172,17 +174,13 @@ func (st *state) pairCandidates(prev *level, L int, sck float64) (*level, pruneS
 		pr.add(sh.pr)
 		n += sh.hi - sh.lo
 	}
-	flat := make([]int, n*L)
+	flat := make([]int32, n*L)
 	k := 0
 	for _, sh := range j.shards {
 		copy(flat[k*L:], j.arenas[sh.worker][sh.lo*L:sh.hi*L])
 		k += sh.hi - sh.lo
 	}
-	out := newLevel(n)
-	for k := range out.cols {
-		out.cols[k] = flat[k*L : (k+1)*L : (k+1)*L]
-	}
-	return out, pr
+	return newLevel(L, flat), pr
 }
 
 // join is one level's candidate generation: its read-only inputs, the
@@ -222,7 +220,7 @@ type join struct {
 	next      atomic.Int64 // next shard to claim
 	generated atomic.Int64 // candidates generated before pruning
 	shards    []shardOut
-	arenas    [][]int // per worker, its survivors' columns, L per candidate
+	arenas    [][]int32 // per worker, its survivors' columns, L per candidate
 }
 
 // shardOut records one shard's work: the worker that did it, its survivors'
@@ -248,9 +246,9 @@ func (j *join) buildBuckets() {
 	nb := 1         // at L == 2 every slot is in bucket 0
 	if j.L > 2 {
 		j.subsets = newColSet(j.L-2, ns)
-		sub := make([]int, j.L-2)
+		sub := make([]int32, j.L-2)
 		for a, i := range j.keep {
-			cols := j.prev.cols[i]
+			cols := j.prev.slice(i)
 			for d := lo; d < lo+w; d++ {
 				copy(sub, cols[:d])
 				copy(sub[d:], cols[d+1:])
@@ -271,12 +269,12 @@ func (j *join) buildBuckets() {
 		j.first[b] += j.first[b-1]
 	}
 	fill := func(a int) {
-		cols := j.prev.cols[j.keep[a]]
+		cols := j.prev.slice(j.keep[a])
 		for d := lo; d < lo+w; d++ {
 			s := a*w + d - lo
 			m := j.first[bucket[s]+1]
 			j.first[bucket[s]+1]++
-			j.at[s], j.member[m], j.extra[m] = m, int32(a), int32(cols[d])
+			j.at[s], j.member[m], j.extra[m] = m, int32(a), cols[d]
 		}
 	}
 	if j.prefix {
@@ -285,13 +283,13 @@ func (j *join) buildBuckets() {
 		buf := make([]int32, nk+len(j.featOf)+1)
 		order, at := buf[:nk], buf[nk:]
 		for _, i := range j.keep {
-			at[j.prev.cols[i][lo]+1]++
+			at[j.prev.slice(i)[lo]+1]++
 		}
 		for c := 1; c < len(at); c++ {
 			at[c] += at[c-1]
 		}
 		for a, i := range j.keep {
-			c := j.prev.cols[i][lo]
+			c := j.prev.slice(i)[lo]
 			order[at[c]] = int32(a)
 			at[c]++
 		}
@@ -317,10 +315,10 @@ func (j *join) buildBuckets() {
 // apart from any other worker's.
 func (j *join) work(w int) {
 	L, limit := j.L, int64(j.cfg.MaxCandidatesPerLevel)
-	// The merged slice, a lookup key, the kept parents, and in the prefix
+	// The merged slice and a lookup key; the kept parents, and in the prefix
 	// join a cursor and an end per sibling bucket.
-	scratch := make([]int, 5*L+8)
-	sc := joinScratch{scratch[:L], scratch[L : 2*L-1], scratch[2*L : 3*L], scratch[3*L : 4*L-2], scratch[4*L : 5*L-2]}
+	ids, idx := make([]int32, 2*L+16), make([]int, 3*L+8)
+	sc := joinScratch{ids[:L], ids[L : 2*L-1], idx[:L], idx[L : 2*L-2], idx[2*L : 3*L-2]}
 	cols := j.arenas[w]
 	for {
 		s := int(j.next.Add(1)) - 1
@@ -347,7 +345,10 @@ func (j *join) work(w int) {
 }
 
 // joinScratch is one worker's scratch space (see work).
-type joinScratch struct{ union, key, par, cur, stop []int }
+type joinScratch struct {
+	union, key     []int32
+	par, cur, stop []int
+}
 
 // joinPrefix joins kept slice a with the later members of its prefix
 // bucket, whose extra columns are larger than its own, and appends the
@@ -356,12 +357,12 @@ type joinScratch struct{ union, key, par, cur, stop []int }
 // L-2 columns, are filed under a's columns without that column, a sibling
 // bucket, with xb as their extra. So one walk over each sibling bucket, in
 // step with the partners, both in ascending extra column, finds them all.
-func (j *join) joinPrefix(a int, cols []int, pr *pruneStats, sc joinScratch) []int {
+func (j *join) joinPrefix(a int, cols []int32, pr *pruneStats, sc joinScratch) []int32 {
 	if j.at[a]+1 == j.end[a] {
 		return cols // a is its bucket's last member
 	}
 	L := j.L
-	ca := j.prev.cols[j.keep[a]]
+	ca := j.prev.slice(j.keep[a])
 	fa := j.featOf[ca[L-2]]
 	// A sibling bucket that does not exist leaves every union of a without
 	// that parent.
@@ -376,7 +377,7 @@ func (j *join) joinPrefix(a int, cols []int, pr *pruneStats, sc joinScratch) []i
 	}
 	copy(sc.union, ca)
 	for m := j.at[a] + 1; m < j.end[a]; m++ {
-		xb := int(j.extra[m])
+		xb := j.extra[m]
 		if j.featOf[xb] == fa {
 			continue
 		}
@@ -384,11 +385,11 @@ func (j *join) joinPrefix(a int, cols []int, pr *pruneStats, sc joinScratch) []i
 		found := siblings
 		for q := 0; q < L-2 && found; q++ {
 			c, stop := sc.cur[q], sc.stop[q]
-			for c < stop && int(j.extra[c]) < xb {
+			for c < stop && j.extra[c] < xb {
 				c++
 			}
 			sc.cur[q] = c
-			if found = c < stop && int(j.extra[c]) == xb; found {
+			if found = c < stop && j.extra[c] == xb; found {
 				sc.par[2+q] = int(j.member[c])
 			}
 		}
@@ -407,9 +408,9 @@ func (j *join) joinPrefix(a int, cols []int, pr *pruneStats, sc joinScratch) []i
 // joinSubsets joins kept slice a with its later partners in each of its
 // subset buckets and appends the survivors to cols: every valid pair
 // without dedup, and with dedup each union from its canonical pair.
-func (j *join) joinSubsets(a int, cols []int, pr *pruneStats, sc joinScratch) []int {
+func (j *join) joinSubsets(a int, cols []int32, pr *pruneStats, sc joinScratch) []int32 {
 	L := j.L
-	ca := j.prev.cols[j.keep[a]]
+	ca := j.prev.slice(j.keep[a])
 	for d := range ca {
 		sa := a*(L-1) + d
 		fa := j.featOf[ca[d]]
@@ -418,7 +419,7 @@ func (j *join) joinSubsets(a int, cols []int, pr *pruneStats, sc joinScratch) []
 				continue
 			}
 			b := int(j.member[m])
-			mergeInto(sc.union, ca, j.prev.cols[j.keep[b]])
+			mergeInto(sc.union, ca, j.prev.slice(j.keep[b]))
 			sc.par[0], sc.par[1] = a, b
 			np := 2
 			if j.dedup {
@@ -441,7 +442,7 @@ func (j *join) joinSubsets(a int, cols []int, pr *pruneStats, sc joinScratch) []
 // and b and returns np, the number of kept parents. It stops and reports
 // false as soon as one of them lies below b, which makes another pair the
 // canonical one.
-func (j *join) otherParents(union, ca []int, d, b int, key, par []int) (np int, canonical bool) {
+func (j *join) otherParents(union, ca []int32, d, b int, key []int32, par []int) (np int, canonical bool) {
 	np = 2
 	for q, c := range ca {
 		if q == d {
@@ -517,18 +518,18 @@ func (j *join) beats(ub float64) bool { return ub > j.sck && ub >= 0 }
 
 // reserve returns s with room for n more elements, doubling its capacity
 // when it has to grow, so an arena of c elements grows O(log c) times.
-func reserve(s []int, n int) []int {
+func reserve(s []int32, n int) []int32 {
 	if len(s)+n <= cap(s) {
 		return s
 	}
-	grown := make([]int, len(s), 2*cap(s)+joinShard*n)
+	grown := make([]int32, len(s), 2*cap(s)+joinShard*n)
 	copy(grown, s)
 	return grown
 }
 
 // withoutCol writes the sorted column list cols without column c into dst,
 // which has room for one column less.
-func withoutCol(dst, cols []int, c int) {
+func withoutCol(dst, cols []int32, c int32) {
 	n := 0
 	for _, x := range cols {
 		if x != c {
@@ -540,7 +541,7 @@ func withoutCol(dst, cols []int, c int) {
 
 // mergeInto writes the sorted union of the sorted column lists a and b,
 // which has exactly len(dst) entries, into dst.
-func mergeInto(dst, a, b []int) {
+func mergeInto(dst, a, b []int32) {
 	n, i, j := 0, 0, 0
 	for i < len(a) || j < len(b) {
 		switch {
@@ -565,7 +566,7 @@ func mergeInto(dst, a, b []int) {
 // finds them, so any width and any column id work.
 type colSet struct {
 	width int
-	arena []int
+	arena []int32
 	slots []int32 // entry index + 1 per slot, 0 = empty; len is a power of two
 }
 
@@ -575,16 +576,16 @@ func newColSet(width, n int) colSet {
 	for size < 2*n {
 		size *= 2
 	}
-	return colSet{width: width, arena: make([]int, 0, width*n), slots: make([]int32, size)}
+	return colSet{width: width, arena: make([]int32, 0, width*n), slots: make([]int32, size)}
 }
 
 func (s *colSet) len() int { return len(s.arena) / s.width }
 
-func (s *colSet) at(k int) []int { return s.arena[k*s.width : (k+1)*s.width] }
+func (s *colSet) at(k int) []int32 { return s.arena[k*s.width : (k+1)*s.width] }
 
 // index returns the entry index of cols, appending a copy of cols when it is
 // absent; added reports whether it did. The table stays at most half full.
-func (s *colSet) index(cols []int) (k int, added bool) {
+func (s *colSet) index(cols []int32) (k int, added bool) {
 	if 2*(s.len()+1) > len(s.slots) {
 		s.grow()
 	}
@@ -599,7 +600,7 @@ func (s *colSet) index(cols []int) (k int, added bool) {
 }
 
 // find returns the entry index of cols, or -1 when cols is absent.
-func (s *colSet) find(cols []int) int {
+func (s *colSet) find(cols []int32) int {
 	if len(s.slots) == 0 {
 		return -1
 	}
@@ -608,24 +609,29 @@ func (s *colSet) find(cols []int) int {
 
 // probe returns the slot that holds cols or, when cols is absent, the empty
 // slot where it belongs.
-func (s *colSet) probe(cols []int) uint64 {
+func (s *colSet) probe(cols []int32) uint64 {
 	mask := uint64(len(s.slots) - 1)
 	for p := hashCols(cols) & mask; ; p = (p + 1) & mask {
-		if e := s.slots[p]; e == 0 || equalCols(s.at(int(e-1)), cols) {
+		if e := s.slots[p]; e == 0 || slices.Equal(s.at(int(e-1)), cols) {
 			return p
 		}
 	}
 }
 
 // grow doubles the table (the first one has 64 slots) and reinserts every
-// entry in index order.
+// entry.
 func (s *colSet) grow() {
 	size := 2 * len(s.slots)
 	if size == 0 {
 		size = 64
 	}
 	s.slots = make([]int32, size)
-	mask := uint64(size - 1)
+	s.rehash()
+}
+
+// rehash inserts every entry, in index order, into the empty table.
+func (s *colSet) rehash() {
+	mask := uint64(len(s.slots) - 1)
 	for k := 0; k < s.len(); k++ {
 		p := hashCols(s.at(k)) & mask
 		for s.slots[p] != 0 {
@@ -638,7 +644,7 @@ func (s *colSet) grow() {
 // hashCols mixes a column list into 64 bits, one multiply-xorshift round per
 // column, so the low bits that pick a table slot depend on every bit of
 // every column.
-func hashCols(cols []int) uint64 {
+func hashCols(cols []int32) uint64 {
 	h := uint64(len(cols))
 	for _, c := range cols {
 		h = (h ^ uint64(c)) * 0x9e3779b97f4a7c15
@@ -647,20 +653,7 @@ func hashCols(cols []int) uint64 {
 	return h
 }
 
-// equalCols reports whether two sorted column lists denote the same slice.
-func equalCols(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func lessCols(a, b []int) bool {
+func lessCols(a, b []int32) bool {
 	for k := 0; k < len(a) && k < len(b); k++ {
 		if a[k] != b[k] {
 			return a[k] < b[k]

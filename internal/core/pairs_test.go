@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -18,17 +19,17 @@ import (
 func TestMergeInto(t *testing.T) {
 	cases := []struct {
 		name string
-		a, b []int
-		out  []int
+		a, b []int32
+		out  []int32
 	}{
-		{"one shared column", []int{1, 2}, []int{1, 3}, []int{1, 2, 3}},
-		{"level-2 join", []int{0}, []int{5}, []int{0, 5}},
-		{"level-2 join, reversed", []int{5}, []int{0}, []int{0, 5}},
-		{"interleaved", []int{1, 4, 9}, []int{1, 4, 7}, []int{1, 4, 7, 9}},
+		{"one shared column", []int32{1, 2}, []int32{1, 3}, []int32{1, 2, 3}},
+		{"level-2 join", []int32{0}, []int32{5}, []int32{0, 5}},
+		{"level-2 join, reversed", []int32{5}, []int32{0}, []int32{0, 5}},
+		{"interleaved", []int32{1, 4, 9}, []int32{1, 4, 7}, []int32{1, 4, 7, 9}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			dst := make([]int, len(c.out))
+			dst := make([]int32, len(c.out))
 			mergeInto(dst, c.a, c.b)
 			if !reflect.DeepEqual(dst, c.out) {
 				t.Fatalf("mergeInto(%v, %v) wrote %v, want %v", c.a, c.b, dst, c.out)
@@ -42,10 +43,10 @@ func TestMergeInto(t *testing.T) {
 // find must return it, or -1 before the list is added.
 func TestColSetIndex(t *testing.T) {
 	// Many distinct lists force the table through several doublings.
-	var many [][]int
+	var many [][]int32
 	var manyIdx []int
 	for k := 0; k < 1000; k++ {
-		many = append(many, []int{k / 100, 100 + k/10%10, 200 + k%10})
+		many = append(many, []int32{int32(k / 100), int32(100 + k/10%10), int32(200 + k%10)})
 		manyIdx = append(manyIdx, k)
 	}
 	many = append(many, many[0], many[999], many[500])
@@ -53,10 +54,10 @@ func TestColSetIndex(t *testing.T) {
 
 	// Two distinct lists with the same home slot in the first table: the
 	// second must probe past the first, and both must stay findable.
-	first := []int{0, 1}
-	var clash []int
+	first := []int32{0, 1}
+	var clash []int32
 	for c := 2; clash == nil; c++ {
-		if cand := []int{0, c}; hashCols(cand)&63 == hashCols(first)&63 {
+		if cand := []int32{0, int32(c)}; hashCols(cand)&63 == hashCols(first)&63 {
 			clash = cand
 		}
 	}
@@ -64,14 +65,14 @@ func TestColSetIndex(t *testing.T) {
 	cases := []struct {
 		name  string
 		width int
-		lists [][]int
+		lists [][]int32
 		want  []int // index of each list, in order
 	}{
-		{"equal lists share an index", 3, [][]int{{1, 2, 3}, {1, 2, 3}}, []int{0, 0}},
-		{"one column differs", 3, [][]int{{1, 2, 3}, {1, 2, 4}, {0, 2, 3}, {1, 2, 3}}, []int{0, 1, 2, 0}},
-		{"ids at or above 2^24", 2, [][]int{{1 << 20, 1 << 24}, {1 << 20, 1<<24 + 1}, {1 << 20, 1 << 30}, {1 << 20, 1<<24 + 1}}, []int{0, 1, 2, 1}},
+		{"equal lists share an index", 3, [][]int32{{1, 2, 3}, {1, 2, 3}}, []int{0, 0}},
+		{"one column differs", 3, [][]int32{{1, 2, 3}, {1, 2, 4}, {0, 2, 3}, {1, 2, 3}}, []int{0, 1, 2, 0}},
+		{"ids at or above 2^24", 2, [][]int32{{1 << 20, 1 << 24}, {1 << 20, 1<<24 + 1}, {1 << 20, 1 << 30}, {1 << 20, 1<<24 + 1}}, []int{0, 1, 2, 1}},
 		{"growth keeps indices and order", 3, many, manyIdx},
-		{"probing compares full lists", 2, [][]int{first, clash, first, clash}, []int{0, 1, 0, 1}},
+		{"probing compares full lists", 2, [][]int32{first, clash, first, clash}, []int{0, 1, 0, 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -95,7 +96,7 @@ func TestColSetIndex(t *testing.T) {
 				if added {
 					distinct++
 				}
-				if !equalCols(s.at(k), cols) {
+				if !slices.Equal(s.at(k), cols) {
 					t.Fatalf("entry %d holds %v, want %v", k, s.at(k), cols)
 				}
 				if got := s.find(cols); got != k {
@@ -121,14 +122,14 @@ func TestPairCandidatesAllocs(t *testing.T) {
 	// Level 2: every cross-feature column pair, all surviving input
 	// filtering, with varied statistics.
 	rng := rand.New(rand.NewSource(5))
-	prev := &level{}
+	prev := &level{L: 2}
 	for c1 := range featOf {
 		for c2 := c1 + 1; c2 < len(featOf); c2++ {
 			if featOf[c1] == featOf[c2] {
 				continue
 			}
 			ss := float64(50 + rng.Intn(250))
-			prev.cols = append(prev.cols, []int{c1, c2})
+			prev.cols = append(prev.cols, int32(c1), int32(c2))
 			prev.ss = append(prev.ss, ss)
 			prev.se = append(prev.se, ss*(0.2+0.6*rng.Float64()))
 			prev.sm = append(prev.sm, 1)
@@ -156,15 +157,24 @@ func TestPairCandidatesAllocs(t *testing.T) {
 }
 
 func TestLessCols(t *testing.T) {
-	if !lessCols([]int{1, 2}, []int{1, 3}) {
+	if !lessCols([]int32{1, 2}, []int32{1, 3}) {
 		t.Error("lexicographic comparison failed")
 	}
-	if !lessCols([]int{1}, []int{1, 0}) {
+	if !lessCols([]int32{1}, []int32{1, 0}) {
 		t.Error("prefix must compare smaller")
 	}
-	if lessCols([]int{2}, []int{1, 5}) {
+	if lessCols([]int32{2}, []int32{1, 5}) {
 		t.Error("ordering inverted")
 	}
+}
+
+// colsOf returns slice i of lv as a fresh []int.
+func colsOf(lv *level, i int) []int {
+	out := make([]int, lv.L)
+	for k, c := range lv.slice(i) {
+		out[k] = int(c)
+	}
+	return out
 }
 
 // naiveSizeTally counts how often naivePairCandidates' size bound fails: for
@@ -202,7 +212,7 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool
 	var pr pruneStats
 	var keep []int
 	kept := map[string]bool{}
-	for i := range prev.cols {
+	for i := range prev.ss {
 		if prev.ss[i] < minSS || prev.se[i] <= 0 {
 			continue
 		}
@@ -214,7 +224,7 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool
 			}
 		}
 		keep = append(keep, i)
-		kept[fmt.Sprint(prev.cols[i])] = true
+		kept[fmt.Sprint(colsOf(prev, i))] = true
 	}
 	type cand struct {
 		cols       []int
@@ -228,9 +238,9 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool
 	for x, i := range keep {
 		for _, j := range keep[x+1:] {
 			var extra []int // columns of j not in i
-			for _, c := range prev.cols[j] {
+			for _, c := range colsOf(prev, j) {
 				shared := false
-				for _, d := range prev.cols[i] {
+				for _, d := range colsOf(prev, i) {
 					shared = shared || c == d
 				}
 				if !shared {
@@ -240,7 +250,7 @@ func naivePairCandidates(st *state, prev *level, L int, sck float64, filter bool
 			if len(extra) != 1 {
 				continue
 			}
-			cols := append(append([]int(nil), prev.cols[i]...), extra[0])
+			cols := append(append([]int(nil), colsOf(prev, i)...), extra[0])
 			sort.Ints(cols)
 			disjoint := true
 			for x, c := range cols {
@@ -349,7 +359,7 @@ func roundingInversion(rng *rand.Rand) (sc scorer, parent, child [3]float64) {
 // many level-L candidates with missing parents.
 func randomFrontier(rng *rand.Rand, featOf []int, dom, L, size int) *level {
 	features := len(featOf) / dom
-	prev := &level{}
+	prev := &level{L: L - 1}
 	seen := map[string]bool{}
 	for tries := 0; prev.size() < size && tries < 20*size; tries++ {
 		feats := rng.Perm(features)[:L-1]
@@ -365,7 +375,7 @@ func randomFrontier(rng *rand.Rand, featOf []int, dom, L, size int) *level {
 			if rng.Intn(10) == 0 {
 				se = 0
 			}
-			prev.cols = append(prev.cols, cols)
+			prev.cols = append(prev.cols, ids32(cols)...)
 			prev.ss = append(prev.ss, ss)
 			prev.se = append(prev.se, se)
 			prev.sm = append(prev.sm, 0.05+0.95*rng.Float64())
@@ -377,21 +387,25 @@ func randomFrontier(rng *rand.Rand, featOf []int, dom, L, size int) *level {
 // withDuplicates returns prev with about a tenth of its slices repeated, in
 // shuffled order: the shape of a frontier generated under DisableDedup.
 func withDuplicates(rng *rand.Rand, prev *level) *level {
-	out := &level{}
+	out := &level{L: prev.L}
 	add := func(i int) {
-		out.cols = append(out.cols, prev.cols[i])
+		out.cols = append(out.cols, prev.slice(i)...)
 		out.ss = append(out.ss, prev.ss[i])
 		out.se = append(out.se, prev.se[i])
 		out.sm = append(out.sm, prev.sm[i])
 	}
-	for i := range prev.cols {
+	for i := range prev.ss {
 		add(i)
 		if rng.Intn(10) == 0 {
 			add(i)
 		}
 	}
+	tmp := make([]int32, out.L)
 	rng.Shuffle(out.size(), func(a, b int) {
-		out.cols[a], out.cols[b] = out.cols[b], out.cols[a]
+		ca, cb := out.slice(a), out.slice(b)
+		copy(tmp, ca)
+		copy(ca, cb)
+		copy(cb, tmp)
 		out.ss[a], out.ss[b] = out.ss[b], out.ss[a]
 		out.se[a], out.se[b] = out.se[b], out.se[a]
 		out.sm[a], out.sm[b] = out.sm[b], out.sm[a]
@@ -457,8 +471,8 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 				t.Fatalf("trial %d config %d (L=%d, %d workers): prune counts %+v, naive %+v", trial, ci, L, workers, pr, wantPr)
 			}
 			keys := make([]string, got.size())
-			for k, cols := range got.cols {
-				keys[k] = fmt.Sprint(cols)
+			for k := range keys {
+				keys[k] = fmt.Sprint(got.slice(k))
 			}
 			sort.Strings(keys)
 			if !reflect.DeepEqual(keys, want) {
@@ -528,7 +542,7 @@ func TestPairCandidatesMatchNaive(t *testing.T) {
 	if d := sc.boundMargin(parent[2]); !(ubC > ubP && ubC-ubP < d) {
 		t.Fatalf("adversarial draw: child bound %v, parent bound %v, margin %g", ubC, ubP, d)
 	}
-	adversarial := &level{cols: [][]int{{0, 1}, {0, 2}, {1, 2}}}
+	adversarial := &level{L: 2, cols: []int32{0, 1, 0, 2, 1, 2}}
 	for _, stats := range [][3]float64{parent, parent, child} {
 		adversarial.ss = append(adversarial.ss, stats[0])
 		adversarial.se = append(adversarial.se, stats[1])
@@ -603,10 +617,6 @@ func joinFrontier(b *testing.B, dataset string, rows int, cfg Config, L int) (*s
 	}
 	cfg = cfg.WithDefaults(n)
 	ck := &checkpointer{path: cfg.CheckpointPath, sig: Signature(enc, g.Err, nil, cfg)}
-	tk, prev := newTopK(cfg.K, float64(cfg.Sigma)), &level{}
-	if lvl, err := ck.load(tk, prev, &Result{}); err != nil || lvl != L-1 {
-		b.Fatalf("checkpoint at level %d (%v), want level %d", lvl, err, L-1)
-	}
 	// The frontier's columns index cI, the basic slices that pass σ and
 	// se > 0.
 	ss0, se0, sm0 := make([]float64, enc.Width()), make([]float64, enc.Width()), make([]float64, enc.Width())
@@ -616,6 +626,10 @@ func joinFrontier(b *testing.B, dataset string, rows int, cfg Config, L int) (*s
 		if ss0[j] >= float64(cfg.Sigma) && se0[j] > 0 {
 			featOf = append(featOf, enc.FeatureOf(j))
 		}
+	}
+	tk, prev := newTopK(cfg.K, float64(cfg.Sigma)), &level{}
+	if lvl, err := ck.load(tk, prev, &Result{}, len(featOf)); err != nil || lvl != L-1 {
+		b.Fatalf("checkpoint at level %d (%v), want level %d", lvl, err, L-1)
 	}
 	return &state{cfg: cfg, sc: newScorer(n, g.Err, cfg.Alpha, cfg.Sigma), featOf: featOf}, prev, tk.threshold()
 }

@@ -137,14 +137,14 @@ func (f *faultyEvaluator) Setup(ctx context.Context, x *matrix.CSR, e []float64)
 	return nil
 }
 
-func (f *faultyEvaluator) Eval(ctx context.Context, cols [][]int, level int) ([]float64, []float64, []float64, error) {
+func (f *faultyEvaluator) Eval(ctx context.Context, ids []int32, level int) ([]float64, []float64, []float64, error) {
 	if f.failEval {
 		return nil, nil, nil, errors.New("injected eval failure")
 	}
 	if f.short {
 		return []float64{1}, []float64{1}, []float64{1}, nil
 	}
-	n := len(cols)
+	n := len(ids) / level
 	return make([]float64, n), make([]float64, n), make([]float64, n), nil
 }
 

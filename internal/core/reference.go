@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"sliceline/internal/frame"
@@ -103,7 +102,7 @@ func RunReference(ds *frame.Dataset, e []float64, cfg Config) (*Result, error) {
 
 	tk := newTopK(cfg.K, float64(cfg.Sigma))
 	for k := 0; k < nBasic; k++ {
-		tk.offer([]int{k}, r.At(k, 0), r.At(k, 3), r.At(k, 1), r.At(k, 2))
+		tk.offer([]int32{int32(k)}, r.At(k, 0), r.At(k, 3), r.At(k, 1), r.At(k, 2))
 	}
 	res.Levels = append(res.Levels, LevelStats{
 		Level: 1, Candidates: l, Valid: nBasic, Elapsed: time.Since(start),
@@ -369,14 +368,13 @@ func recipRowMax(m *matrix.Dense, v []float64) []float64 {
 	return out
 }
 
-func denseRowCols(s *matrix.Dense, k int) []int {
-	var cols []int
+func denseRowCols(s *matrix.Dense, k int) []int32 {
+	var cols []int32
 	for j, v := range s.Row(k) {
 		if v != 0 {
-			cols = append(cols, j)
+			cols = append(cols, int32(j))
 		}
 	}
-	sort.Ints(cols)
 	return cols
 }
 

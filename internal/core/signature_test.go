@@ -124,7 +124,7 @@ func TestCheckpointUsesSharedSignature(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sig.ck")
 
 	ck := &checkpointer{path: path, sig: Signature(enc, e, nil, cfg)}
-	if err := ck.save(1, newTopK(2, 1), &level{}, &Result{}); err != nil {
+	if err := ck.save(1, newTopK(2, 1), &level{L: 1}, &Result{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); err != nil {
@@ -133,7 +133,7 @@ func TestCheckpointUsesSharedSignature(t *testing.T) {
 
 	// Same signature loads.
 	load := &checkpointer{path: path, sig: Signature(enc, e, nil, cfg)}
-	if lvl, err := load.load(newTopK(2, 1), &level{}, &Result{}); err != nil || lvl != 1 {
+	if lvl, err := load.load(newTopK(2, 1), &level{}, &Result{}, enc.Width()); err != nil || lvl != 1 {
 		t.Fatalf("load with matching signature: level %d, err %v", lvl, err)
 	}
 
@@ -141,7 +141,7 @@ func TestCheckpointUsesSharedSignature(t *testing.T) {
 	other := cfg
 	other.K = cfg.K + 1
 	bad := &checkpointer{path: path, sig: Signature(enc, e, nil, other)}
-	if _, err := bad.load(newTopK(2, 1), &level{}, &Result{}); err == nil {
+	if _, err := bad.load(newTopK(2, 1), &level{}, &Result{}, enc.Width()); err == nil {
 		t.Fatal("checkpoint with mismatched signature was accepted")
 	}
 }

@@ -56,13 +56,6 @@ func (st *state) sliceSquares(entries []tkEntry) []float64 {
 		}
 		return sq
 	}
-	orig := make([][]int, len(entries))
-	for j := range entries {
-		orig[j] = make([]int, len(entries[j].cols))
-		for k, c := range entries[j].cols {
-			orig[j][k] = st.origCols[c]
-		}
-	}
 	n := st.x.Rows()
 	for i := 0; i < n; i++ {
 		ei := st.e[i]
@@ -78,8 +71,8 @@ func (st *state) sliceSquares(entries []tkEntry) []float64 {
 		}
 		cols := st.x.RowEntries(i)
 		wee := wi * ei * ei
-		for j := range orig {
-			if containsSorted(cols, orig[j]) {
+		for j := range entries {
+			if containsSorted(cols, entries[j].cols, st.origCols) {
 				sq[j] += wee
 			}
 		}
@@ -88,10 +81,11 @@ func (st *state) sliceSquares(entries []tkEntry) []float64 {
 }
 
 // containsSorted reports whether the ascending list sup contains every
-// element of the ascending list sub.
-func containsSorted(sup, sub []int) bool {
+// element of the ascending list sub mapped through the increasing map orig.
+func containsSorted(sup []int, sub []int32, orig []int) bool {
 	k := 0
-	for _, want := range sub {
+	for _, c := range sub {
+		want := orig[c]
 		for k < len(sup) && sup[k] < want {
 			k++
 		}

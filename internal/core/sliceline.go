@@ -12,28 +12,53 @@ import (
 )
 
 // level holds the enumerated slices of one lattice level in the reduced
-// one-hot column space: per slice its sorted column list and evaluated
-// statistics (the paper's S and R = [sc, se, sm, ss]).
+// one-hot column space: the paper's S as one arena of n·L column ids, slice
+// s at cols[s·L, (s+1)·L), which every consumer from pairCandidates to the
+// checkpoint reads as is, and per slice its statistics R = [sc, se, sm, ss].
 type level struct {
-	cols [][]int
+	L    int     // columns per slice
+	cols []int32 // n·L reduced column ids, strictly ascending per slice
 	sc   []float64
 	se   []float64
 	sm   []float64
 	ss   []float64
 }
 
-func (l *level) size() int { return len(l.cols) }
+func (l *level) size() int { return len(l.ss) }
 
-// newLevel allocates a level of n slices with zeroed statistics; the caller
-// fills in the column lists.
-func newLevel(n int) *level {
-	return &level{
-		cols: make([][]int, n),
-		sc:   make([]float64, n),
-		se:   make([]float64, n),
-		sm:   make([]float64, n),
-		ss:   make([]float64, n),
+// slice returns slice s's columns as a capacity-capped view of the arena,
+// so an append by a holder copies instead of overwriting a neighbour.
+func (l *level) slice(s int) []int32 { return l.cols[s*l.L : (s+1)*l.L : (s+1)*l.L] }
+
+// newLevel wraps the arena cols of slices of L columns each with zeroed
+// statistics, which share one allocation.
+func newLevel(L int, cols []int32) *level {
+	n := len(cols) / L
+	r := make([]float64, 4*n)
+	return &level{L: L, cols: cols, sc: r[:n:n], se: r[n : 2*n : 2*n], sm: r[2*n : 3*n : 3*n], ss: r[3*n:]}
+}
+
+// CheckCands checks that ids is an arena of whole candidates of L columns,
+// each strictly ascending in [0, nCols): a repeated id gets kernel-dependent
+// statistics (the CSR kernel counts exactly L matches, the bitset kernel
+// ANDs), and an out-of-range one panics. Workers check wire input with it,
+// and resumed runs their checkpoint.
+func CheckCands(ids []int32, L, nCols int) error {
+	if L < 1 {
+		return fmt.Errorf("core: candidate width %d is below 1", L)
 	}
+	if len(ids)%L != 0 {
+		return fmt.Errorf("core: %d column ids are not whole candidates of %d", len(ids), L)
+	}
+	for s := 0; s < len(ids); s += L {
+		cand := ids[s : s+L]
+		for i, c := range cand {
+			if c < 0 || int(c) >= nCols || (i > 0 && c <= cand[i-1]) {
+				return fmt.Errorf("core: candidate %d %v is not strictly ascending in [0, %d)", s/L, cand, nCols)
+			}
+		}
+	}
+	return nil
 }
 
 // state carries the immutable inputs of one enumeration run.
@@ -121,6 +146,11 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("core: %w", ErrEmptyDataset)
+	}
+	// Candidates hold reduced column ids, and the memo original ones, as
+	// int32.
+	if enc.Width() > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d one-hot columns exceed the int32 column ids candidates hold", enc.Width())
 	}
 	cfg = cfg.WithDefaults(int(totalW))
 	var sc scorer
@@ -211,13 +241,12 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	st.origCols = cI
 	st.featOf = make([]int, len(cI))
 	st.valOf = make([]int, len(cI))
-	cur := newLevel(len(cI))
-	basic := make([]int, len(cI)) // level 1's column arena: slice k is {k}
+	basic := make([]int32, len(cI)) // level 1's arena: slice k is {k}
+	cur := newLevel(1, basic)
 	for k, j := range cI {
 		st.featOf[k] = enc.FeatureOf(j)
 		st.valOf[k] = enc.ValueOf(j)
-		basic[k] = k
-		cur.cols[k] = basic[k : k+1 : k+1]
+		basic[k] = int32(k)
 		cur.sc[k] = sc.score(ss0[j], se0[j])
 		cur.se[k] = se0[j]
 		cur.sm[k] = sm0[j]
@@ -233,7 +262,7 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	resumedLevel := 0
 	if cfg.Resume && ck != nil {
 		csp := runSpan.Child("core.checkpoint.load")
-		lvl, err := ck.load(tk, cur, res)
+		lvl, err := ck.load(tk, cur, res, len(cI))
 		csp.SetInt("level", int64(lvl))
 		csp.End()
 		if err != nil {
@@ -271,8 +300,8 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	if resumedLevel == 0 {
 		lsp := runSpan.Child("core.level")
 		lsp.SetInt("level", 1)
-		for i := range cur.cols {
-			tk.offer(cur.cols[i], cur.sc[i], cur.ss[i], cur.se[i], cur.sm[i])
+		for i := range cur.ss {
+			tk.offer(cur.slice(i), cur.sc[i], cur.ss[i], cur.se[i], cur.sm[i])
 		}
 		ls := LevelStats{
 			Level:      1,
@@ -364,8 +393,8 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 			lsp.End()
 			return nil, err
 		}
-		for i := range cand.cols {
-			tk.offer(cand.cols[i], cand.sc[i], cand.ss[i], cand.se[i], cand.sm[i])
+		for i := range cand.ss {
+			tk.offer(cand.slice(i), cand.sc[i], cand.ss[i], cand.se[i], cand.sm[i])
 		}
 		ls := LevelStats{
 			Level:      lvl,
@@ -433,7 +462,7 @@ func (st *state) recordLevel(res *Result, ls LevelStats) {
 
 func countValid(l *level, sigma float64) int {
 	valid := 0
-	for i := range l.cols {
+	for i := range l.ss {
 		if l.ss[i] >= sigma && l.se[i] > 0 {
 			valid++
 		}

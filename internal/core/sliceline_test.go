@@ -431,10 +431,10 @@ func (ev *blockEvaluator) Setup(_ context.Context, x *matrix.CSR, e []float64) e
 	return nil
 }
 
-func (ev *blockEvaluator) Eval(_ context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
-	n := len(cols)
+func (ev *blockEvaluator) Eval(_ context.Context, ids []int32, level int) (ss, se, sm []float64, err error) {
+	n := len(ids) / level
 	ss, se, sm = make([]float64, n), make([]float64, n), make([]float64, n)
-	EvalPartitionWeighted(ev.x, ev.e, nil, cols, level, ev.b, ss, se, sm)
+	EvalPartitionWeighted(ev.x, ev.e, nil, ids, level, ev.b, ss, se, sm)
 	return ss, se, sm, nil
 }
 

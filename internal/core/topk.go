@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // topK maintains the current best K slices under the problem constraints
 // sc > 0 and |S| >= sigma (Section 4.5). Its minimum retained score is the
@@ -11,8 +14,10 @@ type topK struct {
 	entries []tkEntry
 }
 
+// tkEntry is one retained slice. cols is a capacity-capped view of its
+// level's arena (level.slice), shared, never written.
 type tkEntry struct {
-	cols  []int
+	cols  []int32
 	score float64
 	ss    float64
 	se    float64
@@ -24,7 +29,7 @@ func newTopK(k int, sigma float64) *topK {
 }
 
 // offer considers one evaluated slice for inclusion.
-func (t *topK) offer(cols []int, score, ss, se, sm float64) {
+func (t *topK) offer(cols []int32, score, ss, se, sm float64) {
 	if score <= 0 || ss < t.sigma {
 		return
 	}
@@ -37,7 +42,7 @@ func (t *topK) offer(cols []int, score, ss, se, sm float64) {
 	// statistics; without this check the duplicates would crowd genuinely
 	// distinct slices out of the top-K and break the exactness guarantee.
 	for i := range t.entries {
-		if t.entries[i].score == score && equalCols(t.entries[i].cols, cols) {
+		if t.entries[i].score == score && slices.Equal(t.entries[i].cols, cols) {
 			return
 		}
 	}
@@ -56,7 +61,7 @@ func (t *topK) offer(cols []int, score, ss, se, sm float64) {
 // descending, then columns ascending. The early reject of a full list and
 // the insertion search share it, so which member of an exact (score, size)
 // tie holds rank K does not depend on the order slices are offered in.
-func (e *tkEntry) worse(score, ss float64, cols []int) bool {
+func (e *tkEntry) worse(score, ss float64, cols []int32) bool {
 	if e.score != score {
 		return e.score < score
 	}

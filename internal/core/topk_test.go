@@ -7,8 +7,8 @@ import (
 
 func TestTopKRejectsInvalid(t *testing.T) {
 	tk := newTopK(3, 10)
-	tk.offer([]int{0}, -1, 50, 5, 1) // non-positive score
-	tk.offer([]int{1}, 2, 5, 5, 1)   // below sigma
+	tk.offer([]int32{0}, -1, 50, 5, 1) // non-positive score
+	tk.offer([]int32{1}, 2, 5, 5, 1)   // below sigma
 	if len(tk.entries) != 0 {
 		t.Fatalf("entries = %d, want 0", len(tk.entries))
 	}
@@ -19,9 +19,9 @@ func TestTopKRejectsInvalid(t *testing.T) {
 
 func TestTopKOrdersAndTruncates(t *testing.T) {
 	tk := newTopK(2, 1)
-	tk.offer([]int{0}, 1, 10, 1, 1)
-	tk.offer([]int{1}, 3, 10, 1, 1)
-	tk.offer([]int{2}, 2, 10, 1, 1)
+	tk.offer([]int32{0}, 1, 10, 1, 1)
+	tk.offer([]int32{1}, 3, 10, 1, 1)
+	tk.offer([]int32{2}, 2, 10, 1, 1)
 	if len(tk.entries) != 2 {
 		t.Fatalf("entries = %d, want 2", len(tk.entries))
 	}
@@ -37,7 +37,7 @@ func TestTopKThresholdMonotone(t *testing.T) {
 	tk := newTopK(2, 1)
 	prev := tk.threshold()
 	for _, sc := range []float64{0.5, 1.5, 1.0, 2.5, 3.0, 0.2} {
-		tk.offer([]int{int(sc * 10)}, sc, 10, 1, 1)
+		tk.offer([]int32{int32(sc * 10)}, sc, 10, 1, 1)
 		if th := tk.threshold(); th < prev {
 			t.Fatalf("threshold decreased from %v to %v", prev, th)
 		} else {
@@ -48,8 +48,8 @@ func TestTopKThresholdMonotone(t *testing.T) {
 
 func TestTopKTieBreakPrefersLargerSlices(t *testing.T) {
 	tk := newTopK(1, 1)
-	tk.offer([]int{0}, 1, 10, 1, 1)
-	tk.offer([]int{1}, 1, 20, 1, 1)
+	tk.offer([]int32{0}, 1, 10, 1, 1)
+	tk.offer([]int32{1}, 1, 20, 1, 1)
 	if tk.entries[0].ss != 20 {
 		t.Fatalf("kept size %v, want 20 (larger wins ties)", tk.entries[0].ss)
 	}
@@ -57,8 +57,8 @@ func TestTopKTieBreakPrefersLargerSlices(t *testing.T) {
 
 func TestTopKSkipsWhenFullAndWorse(t *testing.T) {
 	tk := newTopK(1, 1)
-	tk.offer([]int{0}, 5, 10, 1, 1)
-	tk.offer([]int{1}, 4, 10, 1, 1)
+	tk.offer([]int32{0}, 5, 10, 1, 1)
+	tk.offer([]int32{1}, 4, 10, 1, 1)
 	if len(tk.entries) != 1 || tk.entries[0].score != 5 {
 		t.Fatalf("entries = %+v", tk.entries)
 	}
@@ -71,18 +71,18 @@ func TestTopKSkipsWhenFullAndWorse(t *testing.T) {
 // lexicographically smallest tied columns hold rank K.
 func TestTopKIndependentOfOfferOrder(t *testing.T) {
 	type offer struct {
-		cols      []int
+		cols      []int32
 		score, ss float64
 	}
 	offers := []offer{
-		{[]int{0, 3}, 2, 10},
-		{[]int{1}, 1, 10},
-		{[]int{2}, 1, 10},
-		{[]int{0}, 1, 10},
-		{[]int{1, 4}, 1, 10},
-		{[]int{5}, 1, 20},
+		{[]int32{0, 3}, 2, 10},
+		{[]int32{1}, 1, 10},
+		{[]int32{2}, 1, 10},
+		{[]int32{0}, 1, 10},
+		{[]int32{1, 4}, 1, 10},
+		{[]int32{5}, 1, 20},
 	}
-	want := [][]int{{0, 3}, {5}, {0}}
+	want := [][]int32{{0, 3}, {5}, {0}}
 	var permute func(order []int, k int)
 	permute = func(order []int, k int) {
 		if k == len(order) {
@@ -91,7 +91,7 @@ func TestTopKIndependentOfOfferOrder(t *testing.T) {
 				o := offers[i]
 				tk.offer(o.cols, o.score, o.ss, o.score*o.ss, 1)
 			}
-			got := make([][]int, len(tk.entries))
+			got := make([][]int32, len(tk.entries))
 			for i, e := range tk.entries {
 				got[i] = e.cols
 			}

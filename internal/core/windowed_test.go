@@ -82,22 +82,23 @@ func TestZeroWeightExcludedFromMaxError(t *testing.T) {
 	sm := make([]float64, 3)
 	// EvalPartitionWeighted takes one level for all candidates; evaluate the
 	// singles and the pair in separate calls.
-	EvalPartitionWeighted(x, e, w, cols[:2], 1, 1, ss[:2], se[:2], sm[:2])
-	EvalPartitionWeighted(x, e, w, cols[2:], 2, 1, ss[2:], se[2:], sm[2:])
+	EvalPartitionWeighted(x, e, w, ids32(cols[:2]...), 1, 1, ss[:2], se[:2], sm[:2])
+	EvalPartitionWeighted(x, e, w, ids32(cols[2:]...), 2, 1, ss[2:], se[2:], sm[2:])
 	check("fused", ss, se, sm)
 
 	for i := range ss {
 		ss[i], se[i], sm[i] = 0, 0, 0
 	}
 	cb := matrix.PackColumns(x)
-	EvalBitsetWeighted(cb, e, w, cols, ss, se, sm)
+	EvalBitsetWeighted(cb, e, w, ids32(cols[:2]...), 1, ss[:2], se[:2], sm[:2])
+	EvalBitsetWeighted(cb, e, w, ids32(cols[2:]...), 2, ss[2:], se[2:], sm[2:])
 	check("bitset", ss, se, sm)
 
 	for i := range ss {
 		ss[i], se[i], sm[i] = 0, 0, 0
 	}
 	for i, c := range cols {
-		ss[i], se[i], sm[i] = evalBitsetFrom(cb, rowVals{e: e, w: w}, c, 0, 0, 0, 0)
+		ss[i], se[i], sm[i] = evalBitsetFrom(cb, rowVals{e: e, w: w}, ids32(c), 0, 0, 0, 0)
 	}
 	check("bitsetFrom", ss, se, sm)
 }

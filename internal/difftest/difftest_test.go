@@ -258,8 +258,14 @@ func TestDiffBitsetWeighted(t *testing.T) {
 			n := len(cols)
 			ssB, seB, smB := make([]float64, n), make([]float64, n), make([]float64, n)
 			ssC, seC, smC := make([]float64, n), make([]float64, n), make([]float64, n)
-			core.EvalBitsetWeighted(cb, c.E, c.W, cols, ssB, seB, smB)
-			core.EvalPartitionWeighted(enc.X, c.E, c.W, cols, level, 0, ssC, seC, smC)
+			var ids []int32
+			for _, cand := range cols {
+				for _, col := range cand {
+					ids = append(ids, int32(col))
+				}
+			}
+			core.EvalBitsetWeighted(cb, c.E, c.W, ids, level, ssB, seB, smB)
+			core.EvalPartitionWeighted(enc.X, c.E, c.W, ids, level, 0, ssC, seC, smC)
 			for j := range cols {
 				if ssB[j] != ssC[j] || seB[j] != seC[j] || smB[j] != smC[j] {
 					failf(t, "TestDiffBitsetWeighted", seed, "L%d cand %v: bitset (%v, %v, %v) vs csr (%v, %v, %v)",

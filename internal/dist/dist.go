@@ -187,9 +187,11 @@ type partition struct {
 type Worker interface {
 	// Load ships partition part to the worker.
 	Load(ctx context.Context, part int, x *matrix.CSR, e []float64) error
-	// Eval evaluates the candidates against the worker's copy of partition
-	// part.
-	Eval(ctx context.Context, part int, cols [][]int, level int) (ss, se, sm []float64, err error)
+	// Eval evaluates one level's candidates against the worker's copy of
+	// partition part. cands is the level's arena as EvalArgs.Cands carries
+	// it, encoded once per level and shared by every call of that level:
+	// implementations must not modify it.
+	Eval(ctx context.Context, part int, cands []byte, level int) (ss, se, sm []float64, err error)
 	// Ping probes liveness; the cluster's heartbeat checker calls it
 	// between levels.
 	Ping(ctx context.Context) error
@@ -418,7 +420,9 @@ func (c *Cluster) partitionCount() int {
 }
 
 // Eval broadcasts the candidates, evaluates every partition concurrently,
-// and sums the partial (ss, se) vectors and maxes the sm vectors. A failed
+// and sums the partial (ss, se) vectors and maxes the sm vectors. The arena
+// ids is encoded into the wire's bytes once, and every partition call,
+// in-place reload retry, failover and hedge of the level sends those. A failed
 // worker is marked dead and its partition retried on a healthy worker; a
 // straggling partition is speculatively re-executed on a second worker when
 // hedging is enabled (first well-formed result wins).
@@ -429,7 +433,7 @@ func (c *Cluster) partitionCount() int {
 // evaluations of the same candidates return se values differing in the last
 // ULPs. The differential test harness asserts run-to-run determinism per
 // plan, faults or not.
-func (c *Cluster) Eval(ctx context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
+func (c *Cluster) Eval(ctx context.Context, ids []int32, level int) (ss, se, sm []float64, err error) {
 	c.mu.Lock()
 	ready := c.ready
 	nParts := len(c.parts)
@@ -437,13 +441,13 @@ func (c *Cluster) Eval(ctx context.Context, cols [][]int, level int) (ss, se, sm
 	if !ready {
 		return nil, nil, nil, errors.New("dist: Eval before Setup")
 	}
+	n := len(ids) / level
 	esp := c.startSpan(ctx, "dist.eval")
 	defer esp.End()
 	esp.SetInt("level", int64(level))
-	esp.SetInt("candidates", int64(len(cols)))
+	esp.SetInt("candidates", int64(n))
 	esp.SetInt("partitions", int64(nParts))
 	ctx = obs.ContextWith(ctx, esp)
-	n := len(cols)
 	ss = make([]float64, n)
 	se = make([]float64, n)
 	sm = make([]float64, n)
@@ -454,6 +458,7 @@ func (c *Cluster) Eval(ctx context.Context, cols [][]int, level int) (ss, se, sm
 	type partial struct {
 		ss, se, sm []float64
 	}
+	cands := appendInt32s(make([]byte, 0, 4*len(ids)), ids)
 	hc := c.newHedger(nParts)
 	partials := make([]partial, nParts)
 	var mu sync.Mutex
@@ -463,7 +468,7 @@ func (c *Cluster) Eval(ctx context.Context, cols [][]int, level int) (ss, se, sm
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			pss, pse, psm, werr := c.evalPartitionHedged(ctx, hc, p, cols, level)
+			pss, pse, psm, werr := c.evalPartitionHedged(ctx, hc, p, ids, cands, level)
 			if werr != nil {
 				mu.Lock()
 				if firstErr == nil {
@@ -491,19 +496,20 @@ func (c *Cluster) Eval(ctx context.Context, cols [][]int, level int) (ss, se, sm
 	return ss, se, sm, nil
 }
 
-// tryEval runs one Eval on worker wi and validates the result shape and
-// domain. A worker answering with partial results (wrong vector lengths) or
-// corrupt statistics (NaN, infinite, or negative values — e.g. a torn or
-// garbled reply) is treated exactly like a crashed worker: silently folding
-// malformed vectors into the aggregate would corrupt every slice statistic
-// downstream.
-func (c *Cluster) tryEval(ctx context.Context, wi, p int, cols [][]int, level int) (ss, se, sm []float64, err error) {
+// tryEval runs one Eval of the level's candidates, encoded as cands, on
+// worker wi and validates the result shape and domain. A worker answering
+// with partial results (wrong vector lengths) or corrupt statistics (NaN,
+// infinite, or negative values — e.g. a torn or garbled reply) is treated
+// exactly like a crashed worker: silently folding malformed vectors into
+// the aggregate would corrupt every slice statistic downstream.
+func (c *Cluster) tryEval(ctx context.Context, wi, p int, cands []byte, level int) (ss, se, sm []float64, err error) {
+	n := len(cands) / 4 / level
 	sp := obs.FromContext(ctx).Child("dist.rpc")
 	sp.SetStr("op", "eval")
 	sp.SetInt("worker", int64(wi))
 	sp.SetInt("partition", int64(p))
 	sp.SetInt("level", int64(level))
-	sp.SetInt("candidates", int64(len(cols)))
+	sp.SetInt("candidates", int64(n))
 	w, g := c.slot(wi)
 	g.Add(1)
 	start := time.Now()
@@ -519,13 +525,13 @@ func (c *Cluster) tryEval(ctx context.Context, wi, p int, cols [][]int, level in
 	}()
 	cctx, cancel := c.callCtx(obs.ContextWith(ctx, sp))
 	defer cancel()
-	ss, se, sm, err = w.Eval(cctx, c.wireKey(p), cols, level)
+	ss, se, sm, err = w.Eval(cctx, c.wireKey(p), cands, level)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if len(ss) != len(cols) || len(se) != len(cols) || len(sm) != len(cols) {
+	if len(ss) != n || len(se) != n || len(sm) != n {
 		return nil, nil, nil, fmt.Errorf("dist: worker %d returned %d/%d/%d statistics for %d candidates",
-			wi, len(ss), len(se), len(sm), len(cols))
+			wi, len(ss), len(se), len(sm), n)
 	}
 	for i := range ss {
 		if !validStat(ss[i]) || !validStat(se[i]) || !validStat(sm[i]) {
@@ -600,13 +606,13 @@ func (c *Cluster) nextLive(avoid int) int {
 	return NextLiveWorker(c.alive, avoid)
 }
 
-// evalPartitionChain evaluates one partition, failing over to other live
-// workers when the assigned one errors, times out, or returns malformed
-// statistics. avoid (when >= 0) excludes one worker from selection — hedged
-// requests must not land on the straggler they are hedging against. It
-// returns the worker that produced the result so the caller can update the
-// assignment.
-func (c *Cluster) evalPartitionChain(ctx context.Context, p int, cols [][]int, level, avoid int) (ss, se, sm []float64, winner int, err error) {
+// evalPartitionChain evaluates one partition on the level's arena ids, sent
+// as its encoding cands, failing over to other live workers when the
+// assigned one errors, times out, or returns malformed statistics. avoid
+// (when >= 0) excludes one worker from selection — hedged requests must not
+// land on the straggler they are hedging against. It returns the worker
+// that produced the result so the caller can update the assignment.
+func (c *Cluster) evalPartitionChain(ctx context.Context, p int, ids []int32, cands []byte, level, avoid int) (ss, se, sm []float64, winner int, err error) {
 	sp := obs.FromContext(ctx) // the partition (or hedge) span, nil when tracing is off
 	for attempt := 0; attempt <= c.workerCount(); attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -620,7 +626,7 @@ func (c *Cluster) evalPartitionChain(ctx context.Context, p int, cols [][]int, l
 		ok := wi >= 0 && c.alive[wi] && wi != avoid
 		c.mu.Unlock()
 		if ok {
-			ss, se, sm, err = c.tryEval(ctx, wi, p, cols, level)
+			ss, se, sm, err = c.tryEval(ctx, wi, p, cands, level)
 			if err == nil {
 				return ss, se, sm, wi, nil
 			}
@@ -638,7 +644,7 @@ func (c *Cluster) evalPartitionChain(ctx context.Context, p int, cols [][]int, l
 			c.ob.retries.Inc()
 			c.decide(Decision{Kind: DecideRetryInPlace, Part: p, Worker: wi, Target: -1})
 			if lerr := c.loadPartition(ctx, wi, p); lerr == nil {
-				ss, se, sm, err = c.tryEval(ctx, wi, p, cols, level)
+				ss, se, sm, err = c.tryEval(ctx, wi, p, cands, level)
 				if err == nil {
 					return ss, se, sm, wi, nil
 				}
@@ -662,7 +668,7 @@ func (c *Cluster) evalPartitionChain(ctx context.Context, p int, cols [][]int, l
 				sp.Event(fmt.Sprintf("degraded: evaluating partition %d on the driver", p))
 				c.ob.degraded.Inc()
 				c.decide(Decision{Kind: DecideDegrade, Part: p, Worker: -1, Target: -1})
-				ss, se, sm = c.evalLocal(p, cols, level)
+				ss, se, sm = c.evalLocal(p, ids, level)
 				return ss, se, sm, -1, nil
 			}
 			if err == nil {
@@ -691,7 +697,7 @@ func (c *Cluster) evalPartitionChain(ctx context.Context, p int, cols [][]int, l
 		sp.Event(fmt.Sprintf("degraded: partition %d failed on every worker, evaluating on the driver", p))
 		c.ob.degraded.Inc()
 		c.decide(Decision{Kind: DecideDegrade, Part: p, Worker: -1, Target: -1})
-		ss, se, sm = c.evalLocal(p, cols, level)
+		ss, se, sm = c.evalLocal(p, ids, level)
 		return ss, se, sm, -1, nil
 	}
 	return nil, nil, nil, -1, fmt.Errorf("dist: partition %d failed on every worker: %w", p, err)
@@ -702,7 +708,7 @@ func (c *Cluster) evalPartitionChain(ctx context.Context, p int, cols [][]int, l
 // InProcessWorker and the worker-side Service, so a degraded run's
 // statistics are bit-identical to a healthy one's. The
 // kernel is built lazily on first degradation and cached per partition.
-func (c *Cluster) evalLocal(p int, cols [][]int, level int) (ss, se, sm []float64) {
+func (c *Cluster) evalLocal(p int, ids []int32, level int) (ss, se, sm []float64) {
 	c.mu.Lock()
 	if c.local == nil {
 		c.local = make([]*core.Kernel, len(c.parts))
@@ -714,11 +720,11 @@ func (c *Cluster) evalLocal(p int, cols [][]int, level int) (ss, se, sm []float6
 		c.local[p] = k
 	}
 	c.mu.Unlock()
-	n := len(cols)
+	n := len(ids) / level
 	ss = make([]float64, n)
 	se = make([]float64, n)
 	sm = make([]float64, n)
-	k.Eval(cols, level, ss, se, sm)
+	k.Eval(ids, level, ss, se, sm)
 	return ss, se, sm
 }
 
@@ -739,7 +745,7 @@ const hedgeRecheck = 2 * time.Millisecond
 // needed) and the first well-formed result wins. The loser is cancelled;
 // its result, if any, is discarded whole — never merged — so determinism is
 // preserved.
-func (c *Cluster) evalPartitionHedged(ctx context.Context, hc *HedgePolicy, p int, cols [][]int, level int) (ss, se, sm []float64, err error) {
+func (c *Cluster) evalPartitionHedged(ctx context.Context, hc *HedgePolicy, p int, ids []int32, cands []byte, level int) (ss, se, sm []float64, err error) {
 	type outcome struct {
 		ss, se, sm []float64
 		winner     int
@@ -755,7 +761,7 @@ func (c *Cluster) evalPartitionHedged(ctx context.Context, hc *HedgePolicy, p in
 	defer pcancel()
 	primary := make(chan outcome, 1)
 	go func() {
-		oss, ose, osm, wi, oerr := c.evalPartitionChain(pctx, p, cols, level, -1)
+		oss, ose, osm, wi, oerr := c.evalPartitionChain(pctx, p, ids, cands, level, -1)
 		primary <- outcome{oss, ose, osm, wi, oerr}
 	}()
 	// A nil policy (hedging off) never arms the timer, so the loop below
@@ -831,7 +837,7 @@ func (c *Cluster) evalPartitionHedged(ctx context.Context, hc *HedgePolicy, p in
 			ch := make(chan outcome, 1)
 			hedge = ch
 			go func() {
-				oss, ose, osm, wi, oerr := c.evalPartitionChain(hctx, p, cols, level, straggler)
+				oss, ose, osm, wi, oerr := c.evalPartitionChain(hctx, p, ids, cands, level, straggler)
 				ch <- outcome{oss, ose, osm, wi, oerr}
 			}()
 		case <-ctx.Done():
@@ -991,13 +997,9 @@ func (w *InProcessWorker) Load(_ context.Context, part int, x *matrix.CSR, e []f
 }
 
 // Eval implements Worker.
-func (w *InProcessWorker) Eval(_ context.Context, part int, cols [][]int, level int) (ss, se, sm []float64, err error) {
-	args, err := evalArgs(part, cols, level)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+func (w *InProcessWorker) Eval(_ context.Context, part int, cands []byte, level int) (ss, se, sm []float64, err error) {
 	var reply EvalReply
-	err = w.svc.Eval(args, &reply)
+	err = w.svc.Eval(&EvalArgs{Version: wireVersion, Part: part, Level: level, Cands: cands}, &reply)
 	return reply.SS, reply.SE, reply.SM, err
 }
 

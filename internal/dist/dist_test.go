@@ -138,7 +138,7 @@ func TestClusterValidation(t *testing.T) {
 
 func TestWorkerEvalBeforeLoad(t *testing.T) {
 	w := &InProcessWorker{}
-	if _, _, _, err := w.Eval(context.Background(), 0, [][]int{{0}}, 1); err == nil {
+	if _, _, _, err := w.Eval(context.Background(), 0, appendInt32s(nil, []int32{0}), 1); err == nil {
 		t.Fatal("expected error for eval before load")
 	}
 }
@@ -458,7 +458,7 @@ func TestRemoteEvalBeforeLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, _, _, err := w.Eval(context.Background(), 0, [][]int{{0}}, 1); err == nil {
+	if _, _, _, err := w.Eval(context.Background(), 0, appendInt32s(nil, []int32{0}), 1); err == nil {
 		t.Fatal("expected error for remote eval before load")
 	}
 }

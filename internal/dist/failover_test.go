@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sliceline/internal/core"
 	"sliceline/internal/matrix"
@@ -19,11 +21,11 @@ type flakyWorker struct {
 	dead bool
 }
 
-func (w *flakyWorker) Eval(ctx context.Context, part int, cols [][]int, level int) ([]float64, []float64, []float64, error) {
+func (w *flakyWorker) Eval(ctx context.Context, part int, cands []byte, level int) ([]float64, []float64, []float64, error) {
 	if w.dead {
 		return nil, nil, nil, errors.New("injected worker crash")
 	}
-	return w.InProcessWorker.Eval(ctx, part, cols, level)
+	return w.InProcessWorker.Eval(ctx, part, cands, level)
 }
 
 func (w *flakyWorker) Load(ctx context.Context, part int, x *matrix.CSR, e []float64) error {
@@ -73,7 +75,7 @@ func TestClusterFailoverMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1.dead = true
-	ss, se, _, err := cl.Eval(context.Background(), [][]int{{0}, {1}}, 1)
+	ss, se, _, err := cl.Eval(context.Background(), []int32{0, 1}, 1)
 	if err != nil {
 		t.Fatalf("failover Eval: %v", err)
 	}
@@ -125,7 +127,7 @@ type countdownWorker struct {
 	failAfter int
 }
 
-func (w *countdownWorker) Eval(ctx context.Context, part int, cols [][]int, level int) ([]float64, []float64, []float64, error) {
+func (w *countdownWorker) Eval(ctx context.Context, part int, cands []byte, level int) ([]float64, []float64, []float64, error) {
 	w.callMu.Lock()
 	w.calls++
 	crashed := w.calls > w.failAfter
@@ -133,7 +135,7 @@ func (w *countdownWorker) Eval(ctx context.Context, part int, cols [][]int, leve
 	if crashed {
 		return nil, nil, nil, errors.New("injected crash mid-level")
 	}
-	return w.InProcessWorker.Eval(ctx, part, cols, level)
+	return w.InProcessWorker.Eval(ctx, part, cands, level)
 }
 
 // TestClusterWorkerDeathMidLevel: a worker crashing in the middle of
@@ -183,8 +185,8 @@ type shortWorker struct {
 	InProcessWorker
 }
 
-func (w *shortWorker) Eval(ctx context.Context, part int, cols [][]int, level int) ([]float64, []float64, []float64, error) {
-	ss, se, sm, err := w.InProcessWorker.Eval(ctx, part, cols, level)
+func (w *shortWorker) Eval(ctx context.Context, part int, cands []byte, level int) ([]float64, []float64, []float64, error) {
+	ss, se, sm, err := w.InProcessWorker.Eval(ctx, part, cands, level)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -213,7 +215,7 @@ func TestClusterPartialResultsFailover(t *testing.T) {
 	if err := cl.Setup(context.Background(), x, ev); err != nil {
 		t.Fatal(err)
 	}
-	ss, se, _, err := cl.Eval(context.Background(), [][]int{{0}, {1}}, 1)
+	ss, se, _, err := cl.Eval(context.Background(), []int32{0, 1}, 1)
 	if err != nil {
 		t.Fatalf("partial-result failover Eval: %v", err)
 	}
@@ -270,7 +272,7 @@ func TestClusterReloadsAmnesiacWorker(t *testing.T) {
 	w0.svc.mu.Lock()
 	w0.svc.parts = nil
 	w0.svc.mu.Unlock()
-	ss, se, _, err := cl.Eval(context.Background(), [][]int{{0}}, 1)
+	ss, se, _, err := cl.Eval(context.Background(), []int32{0}, 1)
 	if err != nil {
 		t.Fatalf("Eval after amnesia: %v", err)
 	}
@@ -360,7 +362,7 @@ func TestTCPWorkerRestartReconnect(t *testing.T) {
 	if err := cl.Setup(context.Background(), x, ev); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := cl.Eval(context.Background(), [][]int{{0}, {1}}, 1); err != nil {
+	if _, _, _, err := cl.Eval(context.Background(), []int32{0, 1}, 1); err != nil {
 		t.Fatalf("Eval before restart: %v", err)
 	}
 
@@ -370,7 +372,7 @@ func TestTCPWorkerRestartReconnect(t *testing.T) {
 	srv2 := restartServer(t, addr)
 	defer srv2.Stop()
 
-	ss, se, _, err := cl.Eval(context.Background(), [][]int{{0}, {1}}, 1)
+	ss, se, _, err := cl.Eval(context.Background(), []int32{0, 1}, 1)
 	if err != nil {
 		t.Fatalf("Eval after restart: %v (reconnect + reload should recover)", err)
 	}
@@ -539,7 +541,119 @@ func TestClusterAllWorkersDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	w0.dead = true
-	if _, _, _, err := cl.Eval(context.Background(), [][]int{{0}}, 1); err == nil {
+	if _, _, _, err := cl.Eval(context.Background(), []int32{0}, 1); err == nil {
 		t.Fatal("expected error when all workers are dead")
+	}
+}
+
+// recordingWorker wraps an InProcessWorker and records the backing array of
+// every Eval's candidate bytes. Its first failEvals Evals fail, every call
+// fails once dead is set, and its first Eval stalls for stall (or until its
+// context ends) before evaluating.
+type recordingWorker struct {
+	InProcessWorker
+	mu        sync.Mutex
+	arrays    []*byte
+	failEvals int
+	dead      bool
+	stall     time.Duration
+}
+
+func (w *recordingWorker) Eval(ctx context.Context, part int, cands []byte, level int) ([]float64, []float64, []float64, error) {
+	w.mu.Lock()
+	w.arrays = append(w.arrays, unsafe.SliceData(cands))
+	fail := w.dead || w.failEvals > 0
+	w.failEvals--
+	stall := w.stall
+	w.stall = 0
+	w.mu.Unlock()
+	if fail {
+		return nil, nil, nil, errors.New("injected eval failure")
+	}
+	select {
+	case <-time.After(stall):
+	case <-ctx.Done():
+		return nil, nil, nil, ctx.Err()
+	}
+	return w.InProcessWorker.Eval(ctx, part, cands, level)
+}
+
+func (w *recordingWorker) Load(ctx context.Context, part int, x *matrix.CSR, e []float64) error {
+	w.mu.Lock()
+	dead := w.dead
+	w.mu.Unlock()
+	if dead {
+		return errors.New("injected load failure")
+	}
+	return w.InProcessWorker.Load(ctx, part, x, e)
+}
+
+// TestClusterEncodesLevelOnce: a level's candidates are encoded into the
+// wire's bytes once, and every Eval of the level — the partition calls, an
+// in-place reload retry, a failover and a hedge — receives that one array.
+func TestClusterEncodesLevelOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const rows, cols = 30, 4
+	data := make([]float64, rows*cols)
+	e := make([]float64, rows)
+	for i := 0; i < rows; i++ {
+		data[i*cols+rng.Intn(2)] = 1
+		data[i*cols+2+rng.Intn(2)] = 1
+		e[i] = float64(rng.Intn(2))
+	}
+	x := matrix.CSRFromDense(matrix.NewDenseData(rows, cols, data))
+	// Worker 0 fails its first Eval and is reloaded in place, worker 1 dies
+	// after Setup and its partition fails over, and worker 2 straggles, so
+	// its partition is hedged.
+	ws := []*recordingWorker{{failEvals: 1}, {}, {stall: 10 * time.Second}}
+	var mu sync.Mutex
+	seen := map[DecisionKind]bool{}
+	cl, err := NewClusterOpts([]Worker{ws[0], ws[1], ws[2]}, Options{
+		HedgeDelay: 20 * time.Millisecond,
+		OnDecision: func(d Decision) {
+			mu.Lock()
+			seen[d.Kind] = true
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Setup(context.Background(), x, e); err != nil {
+		t.Fatal(err)
+	}
+	ws[1].mu.Lock()
+	ws[1].dead = true
+	ws[1].mu.Unlock()
+	ids := []int32{0, 2, 0, 3, 1, 2, 1, 3}
+	ss, se, sm, err := cl.Eval(context.Background(), ids, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSS, wantSE, wantSM := make([]float64, 4), make([]float64, 4), make([]float64, 4)
+	core.NewKernel(x, e, nil).Eval(ids, 2, wantSS, wantSE, wantSM)
+	if !reflect.DeepEqual(ss, wantSS) || !reflect.DeepEqual(se, wantSE) || !reflect.DeepEqual(sm, wantSM) {
+		t.Fatalf("Eval = (%v, %v, %v), want (%v, %v, %v)", ss, se, sm, wantSS, wantSE, wantSM)
+	}
+	for _, k := range []DecisionKind{DecideRetryInPlace, DecideFailover, DecideHedge} {
+		if !seen[k] {
+			t.Fatalf("the level took no %v decision; decisions %v", k, seen)
+		}
+	}
+	var arrays []*byte
+	for _, w := range ws {
+		w.mu.Lock()
+		arrays = append(arrays, w.arrays...)
+		w.mu.Unlock()
+	}
+	// Three partition calls, the retry on worker 0, the failover's call and
+	// the hedge's.
+	if len(arrays) < 6 {
+		t.Fatalf("%d Eval calls, want at least 6", len(arrays))
+	}
+	for i, a := range arrays {
+		if a != arrays[0] {
+			t.Fatalf("Eval call %d received candidate array %p, call 0 %p: the level was encoded more than once", i, a, arrays[0])
+		}
 	}
 }

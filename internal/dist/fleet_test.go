@@ -36,7 +36,7 @@ func TestFixedFleetIgnoresViews(t *testing.T) {
 	if !cl.aliveAt(0) || !cl.aliveAt(1) {
 		t.Fatal("Setup did not presume every worker of a fixed fleet live")
 	}
-	ss, se, _, err := cl.Eval(ctx, [][]int{{0}, {1}}, 1)
+	ss, se, _, err := cl.Eval(ctx, []int32{0, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"sliceline/internal/core"
 	"sliceline/internal/matrix"
 )
 
@@ -142,14 +143,11 @@ func FuzzServiceLoad(f *testing.F) {
 					cand[j] = int(in.next()) % a.Cols
 				}
 				sort.Ints(cand)
-				if checkCands([][]int{cand}, level, a.Cols) == nil {
+				if core.CheckCands(int32s[int32](appendInt32s(nil, cand)), level, a.Cols) == nil {
 					cands = append(cands, cand)
 				}
 			}
-			args, err := evalArgs(a.Part, cands, level)
-			if err != nil {
-				t.Fatal(err)
-			}
+			args := evalCands(a.Part, level, cands...)
 			var reply EvalReply
 			if err := svc.Eval(args, &reply); err != nil {
 				t.Fatalf("Eval of valid candidates %v: %v", cands, err)
@@ -212,7 +210,7 @@ func FuzzServiceEval(f *testing.F) {
 					cand[j] = int(in.next()) % a.Cols
 				}
 				sort.Ints(cand)
-				wellFormed = wellFormed && checkCands([][]int{cand}, len(cand), a.Cols) == nil
+				wellFormed = wellFormed && core.CheckCands(int32s[int32](appendInt32s(nil, cand)), len(cand), a.Cols) == nil
 				cands = append(cands, cand)
 			}
 			args := &EvalArgs{Version: wireVersion, Part: 1, Level: level}
@@ -248,7 +246,7 @@ func FuzzServiceEval(f *testing.F) {
 			}
 			accepted := make([][]int, len(args.Cands)/4/args.Level)
 			for s := range accepted {
-				accepted[s] = int32s(args.Cands[4*args.Level*s : 4*args.Level*(s+1)])
+				accepted[s] = int32s[int](args.Cands[4*args.Level*s : 4*args.Level*(s+1)])
 			}
 			checkBruteForce(t, a, accepted, reply)
 		}
@@ -472,7 +470,7 @@ func corruptLoad(in *fuzzBytes, a *LoadArgs, fault uint8) {
 // binary layout the first ErrRows rows have error 1 and the rest error 0.
 func bruteForceEval(a *LoadArgs, cand []int) (ss, se, sm float64) {
 	per := (a.Rows + 63) / 64
-	rowPtr, colIdx := int32s(a.RowPtr32), int32s(a.ColIdx32)
+	rowPtr, colIdx := int32s[int](a.RowPtr32), int32s[int](a.ColIdx32)
 	holds := func(i, c int) bool {
 		if len(a.Bits) > 0 {
 			w := binary.LittleEndian.Uint64(a.Bits[8*(c*per+i/64):])

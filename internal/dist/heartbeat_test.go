@@ -130,7 +130,7 @@ func TestHeartbeatEvictionRacesEvalCompletion(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		ss, se, _, err := cl.Eval(context.Background(), [][]int{{0}, {1}}, 1)
+		ss, se, _, err := cl.Eval(context.Background(), []int32{0, 1}, 1)
 		if err != nil {
 			t.Errorf("eval %d during eviction: %v", i, err)
 			break
@@ -168,7 +168,7 @@ func TestHeartbeatResurrectsLastWorker(t *testing.T) {
 	if cl.aliveAt(0) {
 		t.Fatal("sole worker still alive after a failed probe with HeartbeatStrikes=1")
 	}
-	if _, _, _, err := cl.Eval(context.Background(), [][]int{{0}}, 1); err == nil {
+	if _, _, _, err := cl.Eval(context.Background(), []int32{0}, 1); err == nil {
 		t.Fatal("Eval succeeded with every worker dead")
 	}
 
@@ -180,7 +180,7 @@ func TestHeartbeatResurrectsLastWorker(t *testing.T) {
 	if n := reg.Counter("sl_dist_resurrections_total", "").Value(); n != 1 {
 		t.Fatalf("resurrections = %d, want 1", n)
 	}
-	ss, se, _, err := cl.Eval(context.Background(), [][]int{{0}, {1}}, 1)
+	ss, se, _, err := cl.Eval(context.Background(), []int32{0, 1}, 1)
 	if err != nil {
 		t.Fatalf("Eval after resurrection: %v", err)
 	}

@@ -149,7 +149,7 @@ func (a *LoadArgs) kernel() (*core.Kernel, error) {
 		return nil, fmt.Errorf("dist: bad partition: %d bytes of row pointers and %d of column ids for %d rows",
 			len(a.RowPtr32), len(a.ColIdx32), a.Rows)
 	}
-	rowPtr, colIdx := int32s(a.RowPtr32), int32s(a.ColIdx32)
+	rowPtr, colIdx := int32s[int](a.RowPtr32), int32s[int](a.ColIdx32)
 	if rowPtr[0] != 0 || rowPtr[a.Rows] != len(colIdx) {
 		return nil, fmt.Errorf("dist: bad partition: rowPtr spans [%d, %d] over %d column ids",
 			rowPtr[0], rowPtr[a.Rows], len(colIdx))
@@ -188,13 +188,13 @@ func (a *LoadArgs) packed() (*matrix.ColumnBits, error) {
 // LoadReply acknowledges a Load.
 type LoadReply struct{}
 
-// EvalArgs broadcasts one level's slice candidates to a worker as a single
-// arena: Cands holds n × Level little-endian int32 column ids, candidate s
-// at ids [s·Level, (s+1)·Level). Its name differs from the unversioned
-// wire's [][]int Cols for the same reason LoadArgs' fields do. Dropping the
-// block size an older driver sent kept version 2: gob skips a field its
-// receiver lacks, and an older worker reads the missing one as 0, the
-// automatic size, which never changes a statistic.
+// EvalArgs broadcasts one level's slice candidates to a worker as the core
+// arena (core.CheckCands): Cands holds n × Level little-endian int32 column
+// ids, candidate s at ids [s·Level, (s+1)·Level). Its name differs from the
+// unversioned wire's [][]int Cols for the same reason LoadArgs' fields do.
+// Dropping the block size an older driver sent kept version 2: gob skips a
+// field its receiver lacks, and an older worker reads the missing one as 0,
+// the automatic size, which never changes a statistic.
 type EvalArgs struct {
 	Version int
 	Part    int
@@ -202,76 +202,20 @@ type EvalArgs struct {
 	Cands   []byte
 }
 
-// evalArgs lays the candidates out in one arena. Each must list level ids:
-// the arena has no per-candidate lengths to carry another width.
-func evalArgs(part int, cols [][]int, level int) (*EvalArgs, error) {
-	for s, cand := range cols {
-		if len(cand) != level {
-			return nil, fmt.Errorf("dist: candidate %d %v has %d columns at level %d", s, cand, len(cand), level)
-		}
-	}
-	a := &EvalArgs{Version: wireVersion, Part: part, Level: level,
-		Cands: make([]byte, 0, 4*level*len(cols))}
-	for _, cand := range cols {
-		a.Cands = appendInt32s(a.Cands, cand)
-	}
-	return a, nil
-}
-
-// cands decodes the arena into one []int and capacity-capped per-candidate
-// views of it, then checks them against a partition of nCols columns.
-func (a *EvalArgs) cands(nCols int) ([][]int, error) {
-	if a.Level < 1 {
-		return nil, fmt.Errorf("dist: evaluation level %d is below 1", a.Level)
-	}
-	if len(a.Cands)%4 != 0 || len(a.Cands)/4%a.Level != 0 {
-		return nil, fmt.Errorf("dist: %d candidate bytes are not whole candidates of %d int32 ids", len(a.Cands), a.Level)
-	}
-	ids, L := int32s(a.Cands), a.Level
-	cols := make([][]int, len(ids)/L)
-	for s := range cols {
-		cols[s] = ids[s*L : (s+1)*L : (s+1)*L]
-	}
-	return cols, checkCands(cols, L, nCols)
-}
-
-// checkCands rejects candidates a partition of nCols columns cannot
-// evaluate at the given level: the level must be at least 1, and each
-// candidate must list exactly level strictly ascending column ids in
-// [0, nCols). The two kernels read the level differently — the CSR kernel
-// counts a row when exactly level of the listed columns are set in it, the
-// bitset kernel when all of them are — so a candidate of another length
-// would get kernel-dependent statistics.
-func checkCands(cols [][]int, level, nCols int) error {
-	if level < 1 {
-		return fmt.Errorf("dist: evaluation level %d is below 1", level)
-	}
-	for s, cand := range cols {
-		if len(cand) != level {
-			return fmt.Errorf("dist: candidate %d %v has %d columns at level %d", s, cand, len(cand), level)
-		}
-		for i, c := range cand {
-			if c < 0 || c >= nCols || (i > 0 && c <= cand[i-1]) {
-				return fmt.Errorf("dist: candidate %d %v is not strictly ascending in [0, %d)", s, cand, nCols)
-			}
-		}
-	}
-	return nil
-}
-
 // appendInt32s appends v to dst as little-endian int32s.
-func appendInt32s(dst []byte, v []int) []byte {
+func appendInt32s[T int | int32](dst []byte, v []T) []byte {
 	for _, x := range v {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(x)))
 	}
 	return dst
 }
 
-// int32s decodes little-endian int32s; callers check len(b) % 4 == 0.
-func int32s(b []byte) []int {
-	out := make([]int, len(b)/4)
+// int32s decodes little-endian int32s into one slice; callers check
+// len(b) % 4 == 0.
+func int32s[T int | int32](b []byte) []T {
+	out := make([]T, len(b)/4)
 	for i := range out {
-		out[i] = int(int32(binary.LittleEndian.Uint32(b[4*i:])))
+		out[i] = T(int32(binary.LittleEndian.Uint32(b[4*i:])))
 	}
 	return out
 }
@@ -368,9 +312,10 @@ func (s *Service) touchLocked(key int) {
 	s.lastUse[key] = s.useSeq
 }
 
-// Eval implements the worker side of candidate evaluation. Candidates are
-// checked against the held partition first: an out-of-range column id would
-// panic inside a kernel goroutine, where nothing can recover it.
+// Eval implements the worker side of candidate evaluation. The candidates
+// are decoded into one arena and checked against the held partition by
+// core.CheckCands first: an out-of-range column id would panic inside a
+// kernel goroutine, where nothing can recover it.
 func (s *Service) Eval(args *EvalArgs, reply *EvalReply) error {
 	s.ob.evals.Inc()
 	if err := checkVersion(args.Version); err != nil {
@@ -385,17 +330,20 @@ func (s *Service) Eval(args *EvalArgs, reply *EvalReply) error {
 	if !ok {
 		return fmt.Errorf("dist: worker holds no partition %d", args.Part)
 	}
-	cols, err := args.cands(k.Cols())
-	if err != nil {
-		return err
+	if len(args.Cands)%4 != 0 {
+		return fmt.Errorf("dist: %d candidate bytes are not whole int32 ids", len(args.Cands))
 	}
-	n := len(cols)
+	ids := int32s[int32](args.Cands)
+	if err := core.CheckCands(ids, args.Level, k.Cols()); err != nil {
+		return fmt.Errorf("dist: %w", err)
+	}
+	n := len(ids) / args.Level
 	s.ob.cands.Add(int64(n))
 	reply.SS = make([]float64, n)
 	reply.SE = make([]float64, n)
 	reply.SM = make([]float64, n)
 	start := time.Now()
-	k.Eval(cols, args.Level, reply.SS, reply.SE, reply.SM)
+	k.Eval(ids, args.Level, reply.SS, reply.SE, reply.SM)
 	s.ob.evalSecs.Observe(time.Since(start).Seconds())
 	return nil
 }
@@ -857,11 +805,8 @@ func (w *RemoteWorker) Load(ctx context.Context, part int, x *matrix.CSR, e []fl
 }
 
 // Eval implements Worker.
-func (w *RemoteWorker) Eval(ctx context.Context, part int, cols [][]int, level int) (ss, se, sm []float64, err error) {
-	args, err := evalArgs(part, cols, level)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+func (w *RemoteWorker) Eval(ctx context.Context, part int, cands []byte, level int) (ss, se, sm []float64, err error) {
+	args := &EvalArgs{Version: wireVersion, Part: part, Level: level, Cands: cands}
 	var reply EvalReply
 	if err = w.call(ctx, "Worker.Eval", args, &reply); err != nil {
 		return nil, nil, nil, fmt.Errorf("dist: eval on %s: %w", w.addr, err)

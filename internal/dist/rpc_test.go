@@ -202,7 +202,7 @@ func TestServerShutdownGraceful(t *testing.T) {
 
 	evalErr := make(chan error, 1)
 	go func() {
-		_, _, _, err := w.Eval(context.Background(), 0, [][]int{{0}, {1}, {0}, {1}}, 1)
+		_, _, _, err := w.Eval(context.Background(), 0, appendInt32s(nil, []int32{0, 1, 0, 1}), 1)
 		evalErr <- err
 	}()
 	time.Sleep(2 * time.Millisecond) // let the call reach the server
@@ -331,13 +331,6 @@ func TestServiceRejectsMalformedCalls(t *testing.T) {
 				t.Errorf("Eval at wire version %d: err %v, want a version error", version, err)
 			}
 		}
-		// The arena carries no per-candidate lengths, so the driver refuses
-		// to lay out a candidate whose width is not Level: the kernels read
-		// such a candidate differently.
-		if _, err := evalArgs(7, [][]int{{0}, {0, 1}}, 1); err == nil {
-			t.Error("evalArgs laid out a 2-column candidate at Level 1")
-		}
-
 		for _, tc := range []struct {
 			cols       [][]int
 			ss, se, sm []float64
@@ -345,10 +338,7 @@ func TestServiceRejectsMalformedCalls(t *testing.T) {
 			{[][]int{{0}, {1}}, []float64{2, 3}, []float64{2, 1.5}, []float64{1, 1}},
 			{[][]int{{0, 1}}, []float64{1}, []float64{1}, []float64{1}},
 		} {
-			args, err := evalArgs(7, tc.cols, len(tc.cols[0]))
-			if err != nil {
-				t.Fatal(err)
-			}
+			args := evalCands(7, len(tc.cols[0]), tc.cols...)
 			var reply EvalReply
 			if err := svc.Eval(args, &reply); err != nil {
 				t.Fatalf("well-formed Eval %v: %v", tc.cols, err)
@@ -409,14 +399,21 @@ func TestServiceRefusesOtherWireVersions(t *testing.T) {
 	if err := svc.Load(loadArgs(3, x, []float64{1, 0}), &LoadReply{}); err != nil {
 		t.Fatal(err)
 	}
-	eval, err := evalArgs(3, [][]int{{0}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eval := evalCands(3, 1, []int{0})
 	eval.Version = wireVersion + 1
 	if err := svc.Eval(eval, &EvalReply{}); !versionErr(err, wireVersion+1) {
 		t.Fatalf("newer Eval: err %v, want a version refusal", err)
 	}
+}
+
+// evalCands lays candidates of one width out as a version-2 Eval message,
+// the arena Cluster.Eval encodes.
+func evalCands(part, level int, cols ...[]int) *EvalArgs {
+	a := &EvalArgs{Version: wireVersion, Part: part, Level: level}
+	for _, cand := range cols {
+		a.Cands = appendInt32s(a.Cands, cand)
+	}
+	return a
 }
 
 // blockSizeEvalArgs is version 2's Eval message as drivers that still sent
@@ -447,10 +444,7 @@ func TestEvalArgsWithoutBlockSizeKeepsVersion(t *testing.T) {
 	if err := svc.Load(loadArgs(3, x, e), &LoadReply{}); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := evalArgs(3, [][]int{{3, 14}, {3, 90}, {14, 90}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cur := evalCands(3, 2, []int{3, 14}, []int{3, 90}, []int{14, 90})
 	var want EvalReply
 	if err := svc.Eval(cur, &want); err != nil {
 		t.Fatal(err)
@@ -622,10 +616,7 @@ func TestEvalWireAllocsFlat(t *testing.T) {
 				cands = append(cands, []int{a, b})
 			}
 		}
-		args, err := evalArgs(0, cands, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		args := evalCands(0, 2, cands...)
 		var req, resp bytes.Buffer
 		reqEnc, reqDec := gob.NewEncoder(&req), gob.NewDecoder(&req)
 		respEnc, respDec := gob.NewEncoder(&resp), gob.NewDecoder(&resp)
@@ -650,7 +641,7 @@ func TestEvalWireAllocsFlat(t *testing.T) {
 		})
 	}
 	small, large := allocs(1000), allocs(20000)
-	if small != large || large > 40 {
+	if small != large || large > 30 {
 		t.Fatalf("an Eval round trip allocates %.0f times at 1k candidates and %.0f at 20k, want one small constant", small, large)
 	}
 }

@@ -12,7 +12,7 @@ func TestClusterEvalBeforeSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := cl.Eval(context.Background(), [][]int{{0}}, 1); err == nil {
+	if _, _, _, err := cl.Eval(context.Background(), []int32{0}, 1); err == nil {
 		t.Fatal("expected error for Eval before Setup")
 	}
 }
@@ -99,7 +99,7 @@ func TestClusterFewerRowsThanWorkers(t *testing.T) {
 	if err := cl.Setup(context.Background(), x, e); err != nil {
 		t.Fatal(err)
 	}
-	ss, se, sm, err := cl.Eval(context.Background(), [][]int{{0}, {1}}, 1)
+	ss, se, sm, err := cl.Eval(context.Background(), []int32{0, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestClusterZeroRows(t *testing.T) {
 	if err := cl.Setup(context.Background(), x, e); err != nil {
 		t.Fatal(err)
 	}
-	ss, se, sm, err := cl.Eval(context.Background(), [][]int{{0}, {1}}, 1)
+	ss, se, sm, err := cl.Eval(context.Background(), []int32{0, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestClusterSingleRow(t *testing.T) {
 	if err := cl.Setup(context.Background(), x, e); err != nil {
 		t.Fatal(err)
 	}
-	ss, se, _, err := cl.Eval(context.Background(), [][]int{{0}, {1}}, 1)
+	ss, se, _, err := cl.Eval(context.Background(), []int32{0, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -333,12 +333,12 @@ func (w *Worker) Load(ctx context.Context, part int, x *matrix.CSR, e []float64)
 }
 
 // Eval implements dist.Worker.
-func (w *Worker) Eval(ctx context.Context, part int, cols [][]int, level int) (ss, se, sm []float64, err error) {
+func (w *Worker) Eval(ctx context.Context, part int, cands []byte, level int) (ss, se, sm []float64, err error) {
 	a := w.next(ctx, OpEval)
 	if err := w.before(ctx, OpEval, a); err != nil {
 		return nil, nil, nil, err
 	}
-	ss, se, sm, err = w.inner.Eval(ctx, part, cols, level)
+	ss, se, sm, err = w.inner.Eval(ctx, part, cands, level)
 	if err != nil {
 		return nil, nil, nil, err
 	}

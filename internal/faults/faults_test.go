@@ -67,7 +67,7 @@ func TestSeededProfileCoverage(t *testing.T) {
 func TestExplicitScheduleFaults(t *testing.T) {
 	ctx := context.Background()
 	x, e := testPartition()
-	cols := [][]int{{0}, {1}}
+	cols := []byte{0, 0, 0, 0, 1, 0, 0, 0} // the level-1 candidates {0} and {1} as the wire's little-endian int32 arena
 
 	load := func(w *Worker) error { return w.Load(ctx, 0, x, e) }
 
@@ -109,7 +109,7 @@ func TestExplicitScheduleFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(ss) != 1 {
-			t.Fatalf("short reply returned %d stats for %d candidates", len(ss), len(cols))
+			t.Fatalf("short reply returned %d stats for %d candidates", len(ss), len(cols)/4)
 		}
 	})
 
@@ -178,7 +178,7 @@ func TestCallCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, _, err := w.Eval(ctx, 0, [][]int{{0}}, 1); err != nil {
+		if _, _, _, err := w.Eval(ctx, 0, []byte{0, 0, 0, 0}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -481,12 +481,16 @@ func (s *Server) finishJob(j *job, res *core.Result, err error) {
 		}
 	}
 
-	// Journal the terminal record before publishing it: a client that saw
-	// the job finish can rely on a restart restoring it finished, and an
+	// Journal the terminal record, and drop a finished job's checkpoint,
+	// before publishing it: a client that saw the job finish can rely on a
+	// restart restoring it finished and on finding no checkpoint, and an
 	// earlier save (the enqueue one) cannot land after it.
 	j.journalMu.Lock()
 	defer j.journalMu.Unlock()
 	s.journalFailed("finish", s.journal.writeJob(j, st, msg, js))
+	if st == jobDone {
+		s.journal.dropCheckpoint(j.id)
+	}
 
 	j.mu.Lock()
 	j.state = st
@@ -503,7 +507,6 @@ func (s *Server) finishJob(j *job, res *core.Result, err error) {
 			s.cache.put(j.key, res, js)
 		}
 		s.ob.done.Inc()
-		s.journal.dropCheckpoint(j.id)
 	}
 	j.events.finish(string(st), msg)
 	close(j.done)

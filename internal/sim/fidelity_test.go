@@ -53,7 +53,7 @@ func realDecisions(t *testing.T, nWorkers int, sched map[int]*faults.Schedule, o
 	if err := cl.Setup(context.Background(), x, ev); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := cl.Eval(context.Background(), [][]int{{0}}, 1); err != nil {
+	if _, _, _, err := cl.Eval(context.Background(), []int32{0}, 1); err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()
